@@ -371,7 +371,9 @@ def _print_stats_lines(stats, elapsed_ms: float, graph=None) -> None:
         print(
             f"-- storage: columnar snapshot "
             f"build {storage['build_ms']:.2f} ms, "
-            f"{storage['misses']} miss(es), {storage['hits']} hit(s)"
+            f"{storage['misses']} miss(es), {storage['hits']} hit(s), "
+            f"{storage['advances']} advance(s), "
+            f"{storage['compactions']} compaction(s)"
         )
 
 

@@ -442,9 +442,9 @@ def _make_matcher(
     otherwise the object matcher — the reference oracle for everything.
 
     ``start_candidates`` may be a zero-arg callable: it is materialized
-    only after the engine choice, so a frontier run has already built the
-    columnar snapshot and the planner's candidate source serves itself
-    from column scans instead of object hash indexes.
+    only after the engine choice, so a frontier run has already brought
+    the columnar snapshot up to date and the planner's label-scan
+    candidates come from its sorted member lists.
     """
     if config.use_columnar and analysis.strategy == ENUMERATE:
         spec = FrontierMatcher.supports(graph, nfa, config, budget)

@@ -40,7 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from repro.errors import BudgetExceededError, ExpressionError, GraphError
+from repro.errors import (
+    BudgetExceededError,
+    ExpressionError,
+    GpmlEvaluationError,
+    GraphError,
+)
 from repro.gpml import ast
 from repro.gpml.automaton import NodeTest, PatternNFA, ScopeBegin, ScopeEnd
 from repro.gpml.bindings import ElementaryBinding, PathBinding
@@ -59,11 +64,7 @@ from repro.graph.columnar import (
     snapshot_for,
 )
 from repro.graph.model import Edge, Node, PropertyGraph
-from repro.planner.indexes import (
-    conjuncts,
-    required_labels,
-    sargable_equalities,
-)
+from repro.planner.indexes import conjuncts, initial_node_candidates
 from repro.values import NULL, compare, is_null
 
 _UNSET = object()
@@ -324,21 +325,20 @@ def compiled_program(
     """The chain program for *nfa* on *snapshot* (cached on the NFA).
 
     Seeded chained-MATCH runs construct one matcher per upstream row, so
-    the compiled closures must be reused: the cache key is the snapshot
-    identity plus the label-index knob.
+    the compiled closures must be reused.  The cache key is the snapshot
+    identity *and version* plus the label-index knob: the snapshot is
+    advanced in place, and a program holds copies of mask bytes and
+    references to blocks and dictionary encodings an advance may drop.
     """
+    key = (snapshot, snapshot.version, use_label_index)
     cached = getattr(nfa, "_frontier_program", None)
-    if (
-        cached is not None
-        and cached[0] is snapshot
-        and cached[1] == use_label_index
-    ):
-        return cached[2]
+    if cached is not None and cached[:3] == key:
+        return cached[3]
     try:
         program = _compile_program(spec, snapshot, use_label_index)
     except _NotVectorizable:
         program = None
-    nfa._frontier_program = (snapshot, use_label_index, program)
+    nfa._frontier_program = (*key, program)
     return program
 
 
@@ -429,6 +429,13 @@ def _compile_program(
 # ----------------------------------------------------------------------
 # The frontier matcher
 # ----------------------------------------------------------------------
+def _graph_changed() -> GpmlEvaluationError:
+    return GpmlEvaluationError(
+        "graph changed during iteration: the columnar snapshot advanced "
+        "while this search was suspended"
+    )
+
+
 class FrontierMatcher:
     """Drop-in replacement for ``Matcher`` restricted to chain patterns.
 
@@ -455,6 +462,7 @@ class FrontierMatcher:
         self.pattern = pattern
         self.config = config or MatcherConfig()
         self.snapshot = snapshot_for(graph)
+        self._snapshot_version = self.snapshot.version
         self.program = compiled_program(
             nfa, spec, self.snapshot, self.config.use_label_index
         )
@@ -517,7 +525,7 @@ class FrontierMatcher:
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
             return self._start_candidates
-        candidates = columnar_initial_candidates(self.snapshot, self.pattern)
+        candidates = initial_node_candidates(self.graph, self.pattern)
         if candidates is None:
             return sorted(self.graph.node_ids())
         return candidates
@@ -525,9 +533,18 @@ class FrontierMatcher:
     # -- search --------------------------------------------------------
     def enumerate_all(self) -> Iterator[PathBinding]:
         """DFS over CSR slices, exactly mirroring the object matcher's
-        emission order (see module docstring)."""
+        emission order (see module docstring).
+
+        The snapshot is advanced in place, so a search that resumes
+        after a write was folded in stops with an error instead of
+        reading relocated rows or outgrown masks: the version is checked
+        wherever the generator hands control to its consumer.
+        """
         program = self.program
         snapshot = self.snapshot
+        version = self._snapshot_version
+        if snapshot.version != version:
+            raise _graph_changed()
         node_code = snapshot.node_code
         budget = self._budget
         stats = self._stats
@@ -554,6 +571,8 @@ class FrontierMatcher:
                     emitted += 1
                     self._check_budget(emitted)
                     yield binding
+                    if snapshot.version != version:
+                        raise _graph_changed()
                     if budget is not None and budget.satisfied:
                         return
                 continue
@@ -563,8 +582,8 @@ class FrontierMatcher:
                 edge_op, node_ops = hops[level]
                 block = edge_op.block
                 node = path[-1]
-                start = block.indptr[node]
-                end = block.indptr[node + 1]
+                start = block.starts[node]
+                end = block.ends[node]
                 metrics["frontier_slices"] += 1
                 metrics["frontier_entries"] += end - start
                 final = level + 1 == num_hops
@@ -612,6 +631,8 @@ class FrontierMatcher:
                             emitted += 1
                             self._check_budget(emitted)
                             yield binding
+                            if snapshot.version != version:
+                                raise _graph_changed()
                             if budget is not None and budget.satisfied:
                                 return
                     else:
@@ -672,40 +693,3 @@ class FrontierMatcher:
             raise BudgetExceededError(
                 f"matcher exceeded max_results={self.config.max_results}"
             )
-
-
-# ----------------------------------------------------------------------
-# Columnar anchor narrowing (mirrors planner.indexes.initial_node_candidates)
-# ----------------------------------------------------------------------
-def columnar_initial_candidates(
-    snapshot: ColumnarGraph, pattern: ast.Pattern
-) -> Optional[list[str]]:
-    """Start candidates from label bitsets and column scans.
-
-    Produces the identical candidate list (same ids, same sorted order)
-    as :func:`repro.planner.indexes.initial_node_candidates`, but serves
-    it from the snapshot: label members come from the cached sorted
-    member lists, and the sargable equality probes become column scans —
-    dictionary-code compares for string columns — instead of hash-index
-    builds on the object graph.
-    """
-    from repro.planner.anchor import LEFT, pinned_end_nodes
-
-    nodes = pinned_end_nodes(pattern, LEFT)
-    if nodes is None:
-        return None
-    out: set[str] = set()
-    for node in nodes:
-        labels = required_labels(node.label)
-        equalities = sargable_equalities(node.where, node.var)
-        if equalities:
-            prop = sorted(equalities)[0]
-            value = equalities[prop]
-            for label in [None] if labels is None else sorted(labels):
-                out |= snapshot.equality_scan(label, prop, value)
-        elif labels is not None:
-            for label in sorted(labels):
-                out.update(snapshot.label_members_sorted(label))
-        else:
-            return None  # an unconstrained branch end: scan everything
-    return sorted(out)

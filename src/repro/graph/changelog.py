@@ -6,13 +6,17 @@ what it did.  Two consumers share the journal hooks:
 * :class:`GraphTransaction` — apply-or-rollback for the GQL DML
   statements.  While a transaction is active, every mutation appends an
   *undo entry* capturing enough state to restore the graph
-  **bit-identically**: dictionary insertion positions, incidence-list
-  order, property-index membership, the ``version`` counter and the
-  auto-id counter all come back exactly as they were.  Bit-identical
-  matters because downstream caches (the columnar snapshot, the
-  statistics catalog) are keyed on ``graph.version``: a rollback restores
-  the pre-transaction version, so the restored state must be
-  indistinguishable from the state that version originally described.
+  **bit-identically**: insertion order (each element's monotone sequence
+  number puts a removed element back where it was), incidence-list
+  order (the removed entries with their positions), property-index
+  membership, the ``version`` counter and the auto-id counter all come
+  back exactly as they were.  An undo entry costs O(degree) to record
+  and, except when an element older than a surviving one is re-inserted,
+  O(degree) to replay.  Bit-identical matters because downstream caches
+  (the columnar snapshot, the statistics catalog) are keyed on
+  ``graph.version``: a rollback restores the pre-transaction version, so
+  the restored state must be indistinguishable from the state that
+  version originally described.
 
 * Watchers (see :meth:`PropertyGraph.add_watcher`) — standing queries
   subscribe to a stream of :class:`ChangeRecord` values.  Inside a
@@ -20,11 +24,18 @@ what it did.  Two consumers share the journal hooks:
   back transaction publishes nothing.  Mutations outside any transaction
   publish immediately.
 
+* The columnar snapshot's *dirty log* — once a snapshot exists, every
+  mutation's :class:`ChangeRecord` is also appended to
+  ``graph._dirty``, and ``snapshot_for`` advances the snapshot by that
+  log instead of rebuilding it (:mod:`repro.graph.columnar`).
+
 Versions are reused after a rollback (that is the contract: rollback
 restores the prior version).  Caches populated *during* the rolled-back
 window would otherwise match the reused version numbers while describing
 discarded state, so rollback evicts every graph-attached cache whose
-recorded version is newer than the transaction start.  The planner's
+recorded version is newer than the transaction start, evicts a snapshot
+that was built or advanced inside the window, and otherwise truncates
+the dirty log to its length at ``begin_mutation``.  The planner's
 per-prepared-query plan cache needs no eviction: a plan's candidate
 sources re-evaluate against the live graph at run time, so a stale hit
 costs at most a suboptimal anchor choice, never a wrong result.
@@ -106,6 +117,10 @@ class GraphTransaction:
         self.active = True
         self._start_version = graph._version
         self._start_counter = graph._auto_counter
+        # The dirty log as it stood: an advance swaps the list object, so
+        # rollback can tell whether the snapshot moved inside the window.
+        self._start_dirty = graph._dirty
+        self._start_dirty_len = len(graph._dirty or ())
         self._undo: list[tuple] = []
         self._changes: list[ChangeRecord] = []
         graph._txn = self
@@ -143,7 +158,7 @@ class GraphTransaction:
             _undo_entry(graph, entry)
         graph._version = self._start_version
         graph._auto_counter = self._start_counter
-        _evict_stale_caches(graph, self._start_version)
+        _evict_stale_caches(graph, self)
 
     def _finish(self) -> None:
         if not self.active:
@@ -166,17 +181,20 @@ class GraphTransaction:
 # ----------------------------------------------------------------------
 # Undo replay
 # ----------------------------------------------------------------------
-def _reinsert(store: dict, key: str, value: Any, position: int) -> None:
-    """Re-add ``key`` at its original insertion position.
+def _reinsert(store: dict, key: str, value: Any) -> None:
+    """Re-add ``key`` where its sequence number puts it.
 
-    Rebuilding the dict is O(n), paid only when rolling back a removal —
-    the price of keeping iteration order (and therefore columnar
-    snapshot layouts and result emission order) bit-identical.
+    A plain append when it is the newest element.  Otherwise the dict is
+    rebuilt, O(n), paid only when rolling back the removal of an element
+    older than a surviving one — the price of keeping iteration order
+    (and therefore columnar snapshot layouts and result emission order)
+    bit-identical.
     """
-    if position >= len(store):
+    if not store or store[next(reversed(store))].seq < value.seq:
         store[key] = value
         return
     items = list(store.items())
+    position = next(i for i, (_, data) in enumerate(items) if data.seq > value.seq)
     items.insert(position, (key, value))
     store.clear()
     store.update(items)
@@ -188,7 +206,7 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
         _, node_id = entry
         data = graph._nodes.pop(node_id)
         del graph._incidence[node_id]
-        graph._incidence_label_cache.pop(node_id, None)
+        graph._incidence_changed(node_id)
         for label in data.labels:
             graph._node_label_index[label].discard(node_id)
         graph._index_element_removed("node", node_id, data)
@@ -199,24 +217,26 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
             graph._incidence[endpoint] = [
                 inc for inc in graph._incidence[endpoint] if inc.edge != edge_id
             ]
-            graph._incidence_label_cache.pop(endpoint, None)
+            graph._incidence_changed(endpoint)
         for label in data.labels:
             graph._edge_label_index[label].discard(edge_id)
         graph._index_element_removed("edge", edge_id, data)
     elif op == REMOVE_EDGE:
-        _, edge_id, data, position, incidence = entry
-        _reinsert(graph._edges, edge_id, data, position)
-        for endpoint, entries in incidence.items():
-            graph._incidence[endpoint] = list(entries)
-            graph._incidence_label_cache.pop(endpoint, None)
+        _, edge_id, data, removed = entry
+        _reinsert(graph._edges, edge_id, data)
+        for endpoint, entries in removed.items():
+            incidence = graph._incidence[endpoint]
+            for position, inc in entries:  # ascending: each lands where it was
+                incidence.insert(position, inc)
+            graph._incidence_changed(endpoint)
         for label in data.labels:
             graph._edge_label_index.setdefault(label, set()).add(edge_id)
         graph._index_element_added("edge", edge_id, data)
     elif op == REMOVE_NODE:
-        _, node_id, data, position = entry
-        _reinsert(graph._nodes, node_id, data, position)
+        _, node_id, data = entry
+        _reinsert(graph._nodes, node_id, data)
         # Incident edges come back via their own (later-undone) entries,
-        # whose incidence snapshots overwrite this empty list.
+        # which re-insert into this empty list.
         graph._incidence[node_id] = []
         for label in data.labels:
             graph._node_label_index.setdefault(label, set()).add(node_id)
@@ -233,23 +253,24 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
         raise GraphError(f"unknown undo entry {op!r}")
 
 
-def _evict_stale_caches(graph: "PropertyGraph", start_version: int) -> None:
+def _evict_stale_caches(graph: "PropertyGraph", txn: GraphTransaction) -> None:
     """Drop graph-attached caches built during the rolled-back window.
 
     Their version stamps would collide with post-rollback versions while
     describing the discarded state.  Caches from *before* the
     transaction stay: the restored state is bit-identical to what they
-    describe.
+    describe — for the columnar snapshot, once the window's records are
+    cut off the dirty log it has yet to consume.  (The ``incidences()``
+    memo needs no pass: every undo entry evicts the nodes it touches.)
     """
     from repro.graph.columnar import _SNAPSHOT_ATTR
     from repro.planner.stats import _CACHE_ATTR
 
-    snapshot = getattr(graph, _SNAPSHOT_ATTR, None)
-    if snapshot is not None and snapshot.version > start_version:
-        setattr(graph, _SNAPSHOT_ATTR, None)
+    if graph._dirty is not txn._start_dirty:
+        setattr(graph, _SNAPSHOT_ATTR, None)  # built or advanced in the window
+        graph._dirty = None
+    elif graph._dirty is not None:
+        del graph._dirty[txn._start_dirty_len :]
     catalog = getattr(graph, _CACHE_ATTR, None)
-    if catalog is not None and catalog.stats.version > start_version:
+    if catalog is not None and catalog.stats.version > txn._start_version:
         setattr(graph, _CACHE_ATTR, None)
-    if graph._incidence_memo_version > start_version:
-        graph._incidence_memo.clear()
-        graph._incidence_memo_version = -1

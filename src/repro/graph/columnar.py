@@ -3,22 +3,31 @@
 The object model (:mod:`repro.graph.model`) stores the graph as dicts of
 objects — ideal for mutation, slow to traverse: every matcher step chases
 pointers and rebuilds ``Incidence`` lists.  This module compiles a
-read-only **columnar snapshot** of a graph on demand:
+**columnar snapshot** of a graph on demand, which only this module writes:
 
-* nodes and edges get dense integer codes (insertion order, so code order
-  reproduces the object model's deterministic iteration order),
-* adjacency is CSR (compressed sparse row): one ``indptr`` array over
-  node codes plus parallel ``local``/``other``/``dir`` arrays, built
+* nodes and edges get integer codes (insertion order, so code order
+  reproduces the object model's deterministic iteration order; dense
+  when built, append-only with tombstones afterwards),
+* adjacency is CSR (compressed sparse row): ``starts``/``ends`` arrays
+  over node codes plus parallel ``local``/``other``/``dir`` arrays, built
   **per edge label** (the traversal fast path) and once for all edges,
-* label membership is a bitset (one big int per label; bit = node code),
+* label membership is a bitset (one byte mask per label; bit = node code),
 * property values are columns — one array per (kind, property), with a
   value dictionary for all-string columns so equality tests compare ints.
 
-Snapshots are immutable and cached on the graph, keyed on
-:attr:`PropertyGraph.version`: any mutation bumps the version and the
-next query rebuilds.  Everything inside a snapshot is *lazy* — per-label
-CSR blocks, bitsets and columns are built on first use, so a query pays
-only for the labels and properties it touches.
+One snapshot is cached on the graph and **advanced by the change**: once
+it exists, every mutator appends its :class:`ChangeRecord` to
+``graph._dirty``, and :func:`snapshot_for` brings the snapshot up to
+:attr:`PropertyGraph.version` by re-deriving only the logged elements
+from the live graph — new nodes get the next code, removed ones leave a
+tombstone, a touched node's CSR row is rewritten at the tail of its block
+and repointed, mask bits and column cells are patched in place.  The full
+build remains the one bulk path: first use, compaction (more dead than
+live), a log longer than a quarter of the graph, and after a rollback
+that crossed an advance.  Everything inside a snapshot is *lazy* —
+per-label CSR blocks, masks and columns are built on first use, so a
+query pays only for the labels and properties it touches, and a commit
+only for those already built.
 
 The per-node entry order of every CSR block equals
 ``PropertyGraph.incidences(node)`` order exactly (edge-insertion order;
@@ -29,6 +38,7 @@ to reproduce the object engine's emission order bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 from time import perf_counter
@@ -42,12 +52,25 @@ from repro.gpml.label_expr import (
     LabelOr,
     LabelWildcard,
 )
-from repro.graph.model import PropertyGraph
+from repro.graph.changelog import ADD_NODE, REMOVE_NODE, SET_PROPERTY, ChangeRecord
+from repro.graph.model import IN, OUT, UNDIRECTED, PropertyGraph
 
 #: CSR direction codes (mirroring model.OUT / model.IN / model.UNDIRECTED)
 DIR_OUT = 0
 DIR_IN = 1
 DIR_UNDIRECTED = 2
+_DIR_CODE = {OUT: DIR_OUT, IN: DIR_IN, UNDIRECTED: DIR_UNDIRECTED}
+#: the one direction a specialized block keeps
+_NEED_DIR = {"out": DIR_OUT, "in": DIR_IN}
+
+#: dead-to-live ratio past which relocation slack is reclaimed: a CSR
+#: block with more abandoned row entries than live ones is dropped (and
+#: lazily rebuilt), a snapshot with more tombstoned node codes than live
+#: nodes is rebuilt whole
+COMPACTION_RATIO = 1.0
+#: a dirty log longer than this share of the graph's elements is
+#: answered by one bulk build instead of per-element patches
+REBUILD_LOG_SHARE = 0.25
 
 #: sentinel for "property absent" inside a column (NULL is a legal value)
 MISSING = object()
@@ -97,47 +120,109 @@ class Column:
     def get(self, code: int) -> Any:
         return self.values[code]
 
+    def patch(self, index: int, value: Any) -> None:
+        """Set one cell (the next new one at most), keeping the dictionary.
+
+        A non-string value arriving in a dictionary-encoded column drops
+        the encoding for good: it is an optimization, never a meaning.
+        """
+        if index == len(self.values):
+            self.values.append(value)
+            if self.codes is not None:
+                self.codes.append(-1)
+        else:
+            self.values[index] = value
+        if self.codes is None:
+            return
+        if value is MISSING:
+            self.codes[index] = -1
+        elif type(value) is str:
+            code = self.code_of.get(value)
+            if code is None:
+                code = len(self.dictionary)
+                self.code_of[value] = code
+                self.dictionary.append(value)
+            self.codes[index] = code
+        else:
+            self.codes = self.dictionary = self.code_of = None
+
 
 class CsrBlock:
     """CSR adjacency for one edge-label partition (or all edges).
 
-    ``indptr[code] .. indptr[code+1]`` delimits the entries of one node;
+    ``starts[code] .. ends[code]`` delimits the entries of one node;
     parallel arrays per entry: ``local`` (index into this block's
     ``edge_ids``), ``other`` (neighbour node code), ``dir`` (DIR_* code).
-    ``edge_ids`` lists the member edges' string ids; per-edge property
-    columns over the block live in ``columns`` (built lazily).
+    Rows are *relocatable*: a fresh build lays them out back to back, an
+    advance rewrites a touched node's row at the tail of the entry arrays
+    and repoints ``starts``/``ends``, leaving the old entries behind as
+    ``dead`` slack.  ``edge_ids`` lists the string ids of every edge that
+    was ever a member (append-only; only live rows point into it);
+    per-edge property columns over the block live in ``columns`` (built
+    lazily).  ``need`` is the specialization actually built: ``"out"`` /
+    ``"in"`` blocks hold that one direction of directed edges, ``"any"``
+    every entry.
     """
 
-    __slots__ = ("indptr", "local", "other", "dir", "edge_ids", "_columns", "_snapshot")
+    __slots__ = (
+        "label", "need", "starts", "ends", "local", "other", "dir", "edge_ids",
+        "dead", "_local_of", "_columns", "_snapshot",
+    )
 
-    def __init__(self, snapshot: "ColumnarGraph", indptr, local, other, dirs, edge_ids):
-        self.indptr = indptr
+    def __init__(
+        self, snapshot: "ColumnarGraph", label, need, starts, ends, local, other,
+        dirs, edge_ids,
+    ):
+        self.label = label
+        self.need = need
+        self.starts = starts
+        self.ends = ends
         self.local = local
         self.other = other
         self.dir = dirs
         self.edge_ids = edge_ids
+        self.dead = 0
+        self._local_of: Optional[dict[str, int]] = None
         self._columns: dict[str, Column] = {}
         self._snapshot = snapshot
+
+    def local_of(self) -> dict[str, int]:
+        """edge id -> index into ``edge_ids``; built by the first patch."""
+        if self._local_of is None:
+            self._local_of = {eid: k for k, eid in enumerate(self.edge_ids)}
+        return self._local_of
 
     def column(self, prop: str) -> Column:
         """Property column over this block's edges, keyed by local index."""
         column = self._columns.get(prop)
         if column is None:
             edges = self._snapshot.graph._edges
+            # edge_ids is append-only: slots of removed edges read MISSING
             column = Column(
-                [edges[eid].properties.get(prop, MISSING) for eid in self.edge_ids]
+                [
+                    MISSING if (data := edges.get(eid)) is None
+                    else data.properties.get(prop, MISSING)
+                    for eid in self.edge_ids
+                ]
             )
             self._columns[prop] = column
         return column
 
 
 class ColumnarGraph:
-    """Immutable columnar view of one :class:`PropertyGraph` version."""
+    """Columnar view of one :class:`PropertyGraph`, advanced by the change.
+
+    Node codes are append-only: ``num_nodes`` counts every code handed
+    out, a removed node leaves a tombstone (``node_ids[code] is None``,
+    no ``node_code`` entry, empty rows, cleared mask bits) and a re-added
+    id gets a fresh code, so live codes always ascend in the graph's
+    insertion order.
+    """
 
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
         self.version = graph.version
-        self.node_ids: list[str] = list(graph._nodes)
+        self.node_ids: list[Optional[str]] = list(graph._nodes)
         self.node_code: dict[str, int] = {
             nid: code for code, nid in enumerate(self.node_ids)
         }
@@ -145,11 +230,8 @@ class ColumnarGraph:
         # lazy parts
         # keyed (edge_label_or_None, need); None label = all edges
         self._csr: dict[tuple[Optional[str], str], CsrBlock] = {}
-        self._node_bitsets: dict[str, int] = {}
-        self._edge_bitsets: dict[Optional[str], dict[str, bool]] = {}
+        self._node_masks: dict[str, bytearray] = {}
         self._node_columns: dict[str, Column] = {}
-        self._eq_scans: dict[tuple[Optional[str], str, Any], set[str]] = {}
-        self._labeled_mask: Optional[int] = None
         self._label_members_sorted: dict[str, list[str]] = {}
 
     # -- adjacency -----------------------------------------------------
@@ -191,7 +273,8 @@ class ColumnarGraph:
                 if edge_label in data.labels
             ]
         if not rows:
-            return CsrBlock(self, [0] * (self.num_nodes + 1), [], [], [], [])
+            empty = [0] * self.num_nodes
+            return CsrBlock(self, edge_label, need, empty, empty[:], [], [], [], [])
         edge_ids, srcs, dsts, directed_flags = map(list, zip(*rows))
         all_directed = all(directed_flags)
 
@@ -205,16 +288,20 @@ class ColumnarGraph:
             for code, n in degree.items():
                 counts[code + 1] = n
             indptr = list(accumulate(counts))
-            local = [0] * indptr[-1]
-            other = [0] * indptr[-1]
-            cursor = indptr[:-1]
+            ends = indptr[1:]
+            total = indptr.pop()  # what is left of indptr is the row starts
+            local = [0] * total
+            other = [0] * total
+            cursor = indptr[:]
             for k, (a, o) in enumerate(zip(anchors, others)):
                 pos = cursor[a]
                 cursor[a] = pos + 1
                 local[pos] = k
                 other[pos] = o
-            dirs = [direction] * indptr[-1]
-            return CsrBlock(self, indptr, local, other, dirs, edge_ids)
+            dirs = [direction] * total
+            return CsrBlock(
+                self, edge_label, need, indptr, ends, local, other, dirs, edge_ids
+            )
 
         degree = Counter(srcs)
         if all_directed:
@@ -229,11 +316,12 @@ class ColumnarGraph:
         for code, n in degree.items():
             counts[code + 1] = n
         indptr = list(accumulate(counts))
-        total = indptr[-1]
+        ends = indptr[1:]
+        total = indptr.pop()  # what is left of indptr is the row starts
         local = [0] * total
         other = [0] * total
         dirs = [0] * total
-        cursor = indptr[:-1]
+        cursor = indptr[:]
         if all_directed:
             for k, (s, d) in enumerate(zip(srcs, dsts)):
                 pos = cursor[s]
@@ -246,7 +334,9 @@ class ColumnarGraph:
                 local[pos] = k
                 other[pos] = s
                 dirs[pos] = DIR_IN
-            return CsrBlock(self, indptr, local, other, dirs, edge_ids)
+            return CsrBlock(
+                self, edge_label, "any", indptr, ends, local, other, dirs, edge_ids
+            )
         for k, (s, d, flag) in enumerate(zip(srcs, dsts, directed_flags)):
             if flag:
                 pos = cursor[s]
@@ -271,38 +361,40 @@ class ColumnarGraph:
                     local[pos] = k
                     other[pos] = s
                     dirs[pos] = DIR_UNDIRECTED
-        return CsrBlock(self, indptr, local, other, dirs, edge_ids)
+        return CsrBlock(
+            self, edge_label, "any", indptr, ends, local, other, dirs, edge_ids
+        )
 
     # -- label bitsets -------------------------------------------------
     def node_label_bitset(self, label: str) -> int:
         """Big-int bitset over node codes of the label's members."""
-        bitset = self._node_bitsets.get(label)
-        if bitset is None:
-            # Build through a bytearray: |= (1 << code) on a big int is
-            # O(num_nodes) per member; byte writes keep the build linear.
+        mask = self._node_masks.get(label)
+        if mask is None:
+            # Byte writes keep the build linear (|= (1 << code) on a big
+            # int is O(num_nodes) per member) and an advance patches the
+            # same bytes bit-wise.
             mask = bytearray((self.num_nodes + 7) // 8)
             node_code = self.node_code
             for nid in self.graph._node_label_index.get(label, ()):
                 code = node_code[nid]
                 mask[code >> 3] |= 1 << (code & 7)
-            bitset = int.from_bytes(bytes(mask), "little")
-            self._node_bitsets[label] = bitset
-        return bitset
+            self._node_masks[label] = mask
+        return int.from_bytes(mask, "little")
 
     def labeled_node_mask(self) -> int:
         """Bitset of nodes carrying at least one label (wildcard ``%``)."""
-        if self._labeled_mask is None:
-            mask = 0
-            for label in self.graph._node_label_index:
-                mask |= self.node_label_bitset(label)
-            self._labeled_mask = mask
-        return self._labeled_mask
+        mask = 0
+        for label in self.graph._node_label_index:
+            mask |= self.node_label_bitset(label)
+        return mask
 
     def compile_node_label_expr(self, expr: LabelExpr) -> Optional[int]:
         """Compile a label expression to a node bitset (None = unsupported).
 
         The bitset covers *all* nodes whose label set matches the
         expression, so the membership test is ``(bits >> code) & 1``.
+        (A negation also sets the bits of tombstoned codes; no candidate
+        list or live row ever leads to one.)
         """
         if isinstance(expr, LabelAtom):
             return self.node_label_bitset(expr.name)
@@ -340,92 +432,204 @@ class ColumnarGraph:
             self._label_members_sorted[label] = members
         return members
 
-    # -- anchor scans --------------------------------------------------
-    def equality_scan(self, label: Optional[str], prop: str, value: Any) -> set[str]:
-        """Node ids with ``prop == value`` among *label*'s members.
-
-        ``==`` here is Python equality over the raw stored value — the
-        same relation ``PropertyGraph.index_lookup`` answers from its
-        hash buckets, so the planner's property-index candidate sources
-        can be served from a column scan (dictionary-code compare on
-        all-string columns) with identical results.
-
-        Results are memoized per ``(label, prop, value)`` — the bench
-        suite probes the same anchor predicate from several queries —
-        so callers must treat the returned set as read-only.
-        """
-        key = (label, prop, value)
-        try:
-            cached = self._eq_scans.get(key)
-        except TypeError:  # unhashable value: scan without caching
-            return self._equality_scan_uncached(label, prop, value)
-        if cached is None:
-            cached = self._equality_scan_uncached(label, prop, value)
-            self._eq_scans[key] = cached
-        return cached
-
-    def _equality_scan_uncached(
-        self, label: Optional[str], prop: str, value: Any
-    ) -> set[str]:
-        column = self.node_column(prop)
-        node_ids = self.node_ids
-        node_code = self.node_code
-        if column.codes is not None and type(value) is str:
-            target = column.code_of.get(value, -2)
-            codes = column.codes
-            if label is None:
-                return {
-                    node_ids[code]
-                    for code, entry in enumerate(codes)
-                    if entry == target
-                }
-            return {
-                nid
-                for nid in self.graph._node_label_index.get(label, ())
-                if codes[node_code[nid]] == target
-            }
-        values = column.values
-        if label is None:
-            return {
-                node_ids[code]
-                for code, entry in enumerate(values)
-                if entry is not MISSING and entry == value
-            }
-        out: set[str] = set()
-        for nid in self.graph._node_label_index.get(label, ()):
-            entry = values[node_code[nid]]
-            if entry is not MISSING and entry == value:
-                out.add(nid)
-        return out
-
     # -- property columns ----------------------------------------------
     def node_column(self, prop: str) -> Column:
         """Property column over all nodes, keyed by node code."""
         column = self._node_columns.get(prop)
         if column is None:
+            nodes = self.graph._nodes
             column = Column(
-                [data.properties.get(prop, MISSING) for data in self.graph._nodes.values()]
+                [
+                    MISSING if nid is None else nodes[nid].properties.get(prop, MISSING)
+                    for nid in self.node_ids
+                ]
             )
             self._node_columns[prop] = column
         return column
+
+    # -- advancing by the change ---------------------------------------
+    def advance(self, log: list[ChangeRecord], stats: dict) -> bool:
+        """Bring every built part up to ``graph.version`` by *log*.
+
+        The log only says *which* elements changed; what they changed to
+        is re-derived from the live graph, so replaying a record twice,
+        or a record whose element has changed again since, is harmless.
+        Node adds and removes are the exception — they are replayed in
+        order, because a delete-then-re-add of one id must retire the old
+        code and hand out a new one.  Returns False when tombstones
+        outnumber the live nodes: the caller rebuilds instead.
+        """
+        dirty_nodes: dict[str, None] = {}  # dicts: first-touch order, not hash order
+        dirty_edges: dict[str, None] = {}
+        touched: dict[str, None] = {}  # nodes whose incidence list changed
+        for change in log:
+            if change.kind == "edge":
+                dirty_edges[change.element_id] = None
+                if change.op != SET_PROPERTY:
+                    touched[change.first] = None
+                    touched[change.second] = None
+            elif change.op == REMOVE_NODE:
+                self._retire_node(change.element_id)
+            else:
+                if change.op == ADD_NODE:
+                    self._append_node(change.element_id)
+                dirty_nodes[change.element_id] = None
+        node_code = self.node_code
+        if self.num_nodes - len(node_code) > COMPACTION_RATIO * len(node_code):
+            return False
+
+        nodes = self.graph._nodes
+        for nid in dirty_nodes:
+            code = node_code.get(nid)
+            if code is not None:  # else: removed later in the log
+                data = nodes[nid]
+                self._sync_labels(nid, code, data.labels)
+                for prop, column in self._node_columns.items():
+                    column.patch(code, data.properties.get(prop, MISSING))
+        for nid in touched:
+            code = node_code.get(nid)
+            if code is not None:
+                for block in self._csr.values():
+                    stats["patched_rows"] += self._rewrite_row(block, code, nid)
+        edges = self.graph._edges
+        for block in self._csr.values():
+            if not block._columns:
+                continue
+            local_of = block.local_of()
+            for eid in dirty_edges:
+                local = local_of.get(eid)
+                if local is None:
+                    continue
+                data = edges.get(eid)
+                member = data is not None and (
+                    block.label is None or block.label in data.labels
+                )
+                for prop, column in block._columns.items():
+                    column.patch(
+                        local, data.properties.get(prop, MISSING) if member else MISSING
+                    )
+        for key, block in list(self._csr.items()):
+            if block.dead > COMPACTION_RATIO * (len(block.local) - block.dead):
+                del self._csr[key]  # csr() rebuilds it on next use
+                stats["compactions"] += 1
+        self.version = self.graph.version
+        return True
+
+    def _append_node(self, nid: str) -> None:
+        code = self.num_nodes
+        self.num_nodes = code + 1
+        self.node_ids.append(nid)
+        self.node_code[nid] = code
+        for block in self._csr.values():
+            block.starts.append(0)
+            block.ends.append(0)
+        for column in self._node_columns.values():
+            column.patch(code, MISSING)
+
+    def _retire_node(self, nid: str) -> None:
+        code = self.node_code.pop(nid)
+        self.node_ids[code] = None
+        self._sync_labels(nid, code, frozenset())
+        for column in self._node_columns.values():
+            column.patch(code, MISSING)
+        for block in self._csr.values():
+            block.dead += block.ends[code] - block.starts[code]
+            block.starts[code] = block.ends[code] = 0
+
+    def _sync_labels(self, nid: str, code: int, labels: frozenset[str]) -> None:
+        """Make every built mask and member list agree with *labels*."""
+        byte, bit = code >> 3, 1 << (code & 7)
+        for label, mask in self._node_masks.items():
+            if label in labels:
+                if byte >= len(mask):
+                    mask.extend(bytes(byte + 1 - len(mask)))
+                mask[byte] |= bit
+            elif byte < len(mask):
+                mask[byte] &= ~bit
+        for label, members in self._label_members_sorted.items():
+            at = bisect_left(members, nid)
+            present = at < len(members) and members[at] == nid
+            if label in labels:
+                if not present:
+                    members.insert(at, nid)
+            elif present:
+                del members[at]
+
+    def _rewrite_row(self, block: CsrBlock, code: int, nid: str) -> int:
+        """Re-derive one node's row of *block* from its live incidence list.
+
+        An unchanged row stays where it is (a new Transfer leaves the
+        isLocatedIn block alone, ``local_of`` unbuilt); a changed one is
+        appended at the tail and repointed, its old entries left behind
+        as dead slack.  Returns the number of entries written.
+        """
+        edges = self.graph._edges
+        node_code = self.node_code
+        label = block.label
+        only = _NEED_DIR.get(block.need)
+        row: list[tuple[str, int, int]] = []  # (edge id, neighbour code, direction)
+        for inc in self.graph._incidence[nid]:
+            if label is not None and label not in edges[inc.edge].labels:
+                continue
+            direction = _DIR_CODE[inc.direction]
+            if only is None or direction == only:
+                row.append((inc.edge, node_code[inc.other], direction))
+        edge_ids = block.edge_ids
+        start, end = block.starts[code], block.ends[code]
+        if row == [
+            (edge_ids[block.local[k]], block.other[k], block.dir[k])
+            for k in range(start, end)
+        ]:
+            return 0
+        local_of = block.local_of()
+        block.dead += end - start
+        block.starts[code] = len(block.local)
+        for eid, other, direction in row:
+            local = local_of.get(eid)
+            if local is None:
+                local = local_of[eid] = len(edge_ids)
+                edge_ids.append(eid)
+                properties = edges[eid].properties
+                for prop, column in block._columns.items():
+                    column.patch(local, properties.get(prop, MISSING))
+            block.local.append(local)
+            block.other.append(other)
+            block.dir.append(direction)
+        block.ends[code] = len(block.local)
+        return len(row)
 
 
 # ----------------------------------------------------------------------
 # Per-graph snapshot cache + storage observability
 # ----------------------------------------------------------------------
 def snapshot_for(graph: PropertyGraph) -> ColumnarGraph:
-    """The columnar snapshot of *graph*, rebuilt after any mutation.
+    """The columnar snapshot of *graph*, brought up to its version.
 
-    Cached on the graph object keyed on ``graph.version``; hit/miss and
-    build-time counters feed the CLI's ``-- storage:`` stats line.
+    One snapshot is cached on the graph.  Behind the graph's version it
+    is advanced by the dirty log (cost: the size of the change); the
+    full build serves first use, a log longer than
+    :data:`REBUILD_LOG_SHARE` of the graph, and node-code compaction.
+    The counters feed the CLI's ``-- storage:`` stats line: ``misses``
+    are full builds, ``build_ms`` their time.
     """
     stats = storage_stats(graph)
-    cached = getattr(graph, _SNAPSHOT_ATTR, None)
-    if cached is not None and cached.version == graph.version:
-        stats["hits"] += 1
-        return cached
+    snapshot = getattr(graph, _SNAPSHOT_ATTR, None)
+    if snapshot is not None:
+        if snapshot.version == graph.version:
+            stats["hits"] += 1
+            return snapshot
+        log = graph._dirty
+        if len(log) <= REBUILD_LOG_SHARE * (graph.num_nodes + graph.num_edges):
+            # Swapped, not cleared: a transaction that began before this
+            # point sees a different list at rollback and evicts.
+            graph._dirty = []
+            if snapshot.advance(log, stats):
+                stats["advances"] += 1
+                return snapshot
+            stats["compactions"] += 1
     start = perf_counter()
     snapshot = ColumnarGraph(graph)
+    graph._dirty = []
     stats["misses"] += 1
     stats["build_ms"] += (perf_counter() - start) * 1000.0
     setattr(graph, _SNAPSHOT_ATTR, snapshot)
@@ -446,9 +650,19 @@ def cached_snapshot(graph: PropertyGraph) -> Optional[ColumnarGraph]:
 
 
 def storage_stats(graph: PropertyGraph) -> dict:
-    """Mutable snapshot-cache counters for *graph* (hits/misses/build_ms)."""
+    """Mutable snapshot-cache counters for *graph*.
+
+    ``hits`` (snapshot current), ``misses`` (full builds) and their
+    ``build_ms``; ``advances`` (brought up to date by the dirty log),
+    ``patched_rows`` (CSR row entries those advances wrote) and
+    ``compactions`` (blocks dropped, or the snapshot rebuilt, to reclaim
+    relocation slack and tombstones).
+    """
     stats = getattr(graph, _STORAGE_ATTR, None)
     if stats is None:
-        stats = {"hits": 0, "misses": 0, "build_ms": 0.0}
+        stats = {
+            "hits": 0, "misses": 0, "build_ms": 0.0,
+            "advances": 0, "patched_rows": 0, "compactions": 0,
+        }
         setattr(graph, _STORAGE_ATTR, stats)
     return stats

@@ -49,6 +49,11 @@ class Incidence:
 class _ElementData:
     labels: frozenset[str]
     properties: dict[str, Any] = field(default_factory=dict)
+    #: monotone insertion sequence number (the graph version at creation:
+    #: every add bumps it, and a rollback that restores an older version
+    #: has removed every element created after it).  Insertion order is
+    #: sequence order, so undoing a removal needs no recorded position.
+    seq: int = 0
 
 
 #: sentinel for "property absent" (None is a legal property value)
@@ -72,9 +77,15 @@ def _index_add(buckets: dict[Any, set[str]], value: Any, element_id: str) -> Non
 
 
 def _index_discard(buckets: dict[Any, set[str]], value: Any, element_id: str) -> None:
-    bucket = buckets.get(_index_key(value))
+    key = _index_key(value)
+    bucket = buckets.get(key)
     if bucket is not None:
         bucket.discard(element_id)
+        if not bucket:
+            # an emptied bucket goes: ``len(buckets)`` is the number of
+            # live distinct values (see index_distinct) and SET churn
+            # must not grow the index without bound
+            del buckets[key]
 
 
 @dataclass
@@ -237,11 +248,10 @@ class PropertyGraph:
         self._node_label_index: dict[str, set[str]] = {}
         self._edge_label_index: dict[str, set[str]] = {}
         self._incidence_label_cache: dict[str, dict[str, list[Incidence]]] = {}
-        # Version-stamped memo of incidences() results: traversal loops
-        # revisit the same nodes, so the per-call defensive copy is paid
-        # once per node per graph version instead of once per visit.
+        # Memo of incidences() results: traversal loops revisit the same
+        # nodes, so the per-call defensive copy is paid once per node
+        # until a mutation touches that node's incidence list.
         self._incidence_memo: dict[str, list[Incidence]] = {}
-        self._incidence_memo_version = -1
         # Property-value hash indexes, keyed (kind, label-or-None, property).
         # Maintained incrementally by every mutation below; see create_index.
         self._property_indexes: dict[
@@ -254,6 +264,10 @@ class PropertyGraph:
         # (standing queries).  See repro.graph.changelog.
         self._txn: GraphTransaction | None = None
         self._watchers: list = []
+        # Third journal consumer: the dirty log the columnar snapshot
+        # advances by.  None until a snapshot exists, so bulk loading
+        # allocates no ChangeRecord; see repro.graph.columnar.
+        self._dirty: list[ChangeRecord] | None = None
 
     @property
     def version(self) -> int:
@@ -293,9 +307,13 @@ class PropertyGraph:
             callback(changes)
 
     def _journaling(self) -> bool:
-        return self._txn is not None or bool(self._watchers)
+        return (
+            self._txn is not None or self._dirty is not None or bool(self._watchers)
+        )
 
     def _record_change(self, undo: tuple, change: ChangeRecord) -> None:
+        if self._dirty is not None:
+            self._dirty.append(change)
         if self._txn is not None:
             self._txn.record(undo, change)
         elif self._watchers:
@@ -321,7 +339,11 @@ class PropertyGraph:
             node_id = self._fresh_id("_n")
         if node_id in self._nodes or node_id in self._edges:
             raise GraphError(f"duplicate element id {node_id!r}")
-        data = _ElementData(labels=frozenset(labels), properties=dict(properties or {}))
+        data = _ElementData(
+            labels=frozenset(labels),
+            properties=dict(properties or {}),
+            seq=self._version,
+        )
         self._nodes[node_id] = data
         self._incidence[node_id] = []
         for label in data.labels:
@@ -353,6 +375,7 @@ class PropertyGraph:
         data = _EdgeData(
             labels=frozenset(labels),
             properties=dict(properties or {}),
+            seq=self._version,
             first=first,
             second=second,
             directed=directed,
@@ -367,8 +390,8 @@ class PropertyGraph:
                 self._incidence[second].append(Incidence(edge_id, first, UNDIRECTED))
         for label in data.labels:
             self._edge_label_index.setdefault(label, set()).add(edge_id)
-        self._incidence_label_cache.pop(first, None)
-        self._incidence_label_cache.pop(second, None)
+        self._incidence_changed(first)
+        self._incidence_changed(second)
         self._index_element_added("edge", edge_id, data)
         if self._journaling():
             self._record_change(
@@ -394,15 +417,19 @@ class PropertyGraph:
             raise GraphError(f"unknown edge {edge_id!r}")
         undo: tuple = ()
         if self._txn is not None:
-            # Bit-identical rollback: capture the dict insertion position
-            # and each endpoint's exact incidence-list order.
+            # Bit-identical rollback in O(degree): the dict position comes
+            # back from ``data.seq``; per endpoint, the removed incidence
+            # entries with their positions.
             undo = (
                 "remove_edge",
                 edge_id,
                 data,
-                list(self._edges).index(edge_id),
                 {
-                    endpoint: list(self._incidence[endpoint])
+                    endpoint: [
+                        (position, inc)
+                        for position, inc in enumerate(self._incidence[endpoint])
+                        if inc.edge == edge_id
+                    ]
                     for endpoint in {data.first, data.second}
                 },
             )
@@ -411,7 +438,7 @@ class PropertyGraph:
             self._incidence[endpoint] = [
                 inc for inc in self._incidence[endpoint] if inc.edge != edge_id
             ]
-            self._incidence_label_cache.pop(endpoint, None)
+            self._incidence_changed(endpoint)
         for label in data.labels:
             self._edge_label_index[label].discard(edge_id)
         self._index_element_removed("edge", edge_id, data)
@@ -429,16 +456,15 @@ class PropertyGraph:
         for inc in list(self._incidence[node_id]):
             if inc.edge in self._edges:
                 self.remove_edge(inc.edge)
-        position = list(self._nodes).index(node_id) if self._txn is not None else -1
         data = self._nodes.pop(node_id)
         del self._incidence[node_id]
-        self._incidence_label_cache.pop(node_id, None)
+        self._incidence_changed(node_id)
         for label in data.labels:
             self._node_label_index[label].discard(node_id)
         self._index_element_removed("node", node_id, data)
         if self._journaling():
             self._record_change(
-                ("remove_node", node_id, data, position),
+                ("remove_node", node_id, data),
                 ChangeRecord("remove_node", "node", node_id),
             )
         self._version += 1
@@ -614,6 +640,25 @@ class PropertyGraph:
         bucket = self._property_indexes[key].get(value_key)
         return frozenset(bucket) if bucket else frozenset()
 
+    def index_distinct(self, label: str | None, prop: str, kind: str = "node") -> int:
+        """Distinct values of *prop* among the indexed elements.
+
+        The number of buckets of the (lazily created, incrementally
+        maintained) index — what ``cardinality_statistics`` counts with
+        one pass over the graph.  Unhashable values share one bucket and
+        are told apart by ``repr``, as there.
+        """
+        key = (kind, label, prop)
+        if key not in self._property_indexes:
+            self.create_index(label, prop, kind)
+        buckets = self._property_indexes[key]
+        shared = buckets.get(_UNHASHABLE)
+        if shared is None:
+            return len(buckets)
+        store = self._nodes if kind == "node" else self._edges
+        reprs = {repr(store[element_id].properties[prop]) for element_id in shared}
+        return len(buckets) - 1 + sum(1 for text in reprs if text not in buckets)
+
     def _index_element_added(self, kind: str, element_id: str, data: _ElementData) -> None:
         if not self._property_indexes:
             return
@@ -694,16 +739,18 @@ class PropertyGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    def _incidence_changed(self, node_id: str) -> None:
+        """Drop the per-node caches derived from *node_id*'s incidence list."""
+        self._incidence_label_cache.pop(node_id, None)
+        self._incidence_memo.pop(node_id, None)
+
     def incidences(self, node_id: str) -> list[Incidence]:
         """All ways of leaving *node_id* along an incident edge.
 
-        Memoized per graph version: repeat calls return the same list
-        object until a mutation bumps :attr:`version`, so callers must
+        Memoized per node: repeat calls return the same list object until
+        a mutation touches the node's incidence list, so callers must
         treat the result as read-only.
         """
-        if self._incidence_memo_version != self._version:
-            self._incidence_memo.clear()
-            self._incidence_memo_version = self._version
         cached = self._incidence_memo.get(node_id)
         if cached is None:
             if node_id not in self._incidence:

@@ -151,7 +151,9 @@ class LazyCardinalityStatistics:
     graph's always-maintained label indexes:
 
     * label cardinalities are ``len()`` of an index set — O(1),
-    * distinct-value counts scan only the requested label's members,
+    * distinct-value counts are the bucket count of the graph's property
+      index over the requested label — O(1) once that index exists, and
+      every mutator maintains it,
     * label-pair counters scan only the requested edge label's members.
 
     Every number is **identical** to the eager collector's (same repr
@@ -167,7 +169,6 @@ class LazyCardinalityStatistics:
         self.version = graph.version
         self.num_nodes = graph.num_nodes
         self.num_edges = graph.num_edges
-        self._distinct: dict[tuple[str, Optional[str], str], int] = {}
         self._pairs: dict[Optional[str], dict] = {}
         self._node_label_counts: Optional[dict[Optional[str], int]] = None
         self._edge_label_counts: Optional[dict[Optional[str], int]] = None
@@ -217,34 +218,9 @@ class LazyCardinalityStatistics:
             self._edge_label_counts = counts
         return self._edge_label_counts
 
-    # -- distinct-value counts (scan one label's members on demand) ----
+    # -- distinct-value counts (bucket count of the property index) ----
     def distinct(self, kind: str, label: Optional[str], prop: str) -> int:
-        key = (kind, label, prop)
-        cached = self._distinct.get(key)
-        if cached is not None:
-            return cached
-        graph = self._graph
-        store = graph._nodes if kind == "node" else graph._edges
-        if label is None:
-            members = store
-        else:
-            index = (
-                graph._node_label_index if kind == "node" else graph._edge_label_index
-            )
-            members = index.get(label, ())
-        values = set()
-        for element_id in members:
-            properties = store[element_id].properties
-            if prop in properties:
-                value = properties[prop]
-                try:
-                    hash(value)
-                except TypeError:
-                    value = repr(value)
-                values.add(value)
-        count = len(values)
-        self._distinct[key] = count
-        return count
+        return self._graph.index_distinct(label, prop, kind)
 
     # -- label-pair selectivity (scan one edge label on demand) --------
     def pair_selectivity(

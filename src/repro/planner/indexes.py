@@ -148,28 +148,19 @@ class CandidateSource:
     def candidate_ids(self, graph: PropertyGraph) -> Optional[list[str]]:
         """Sorted candidate node ids; None means "scan everything".
 
-        When a current columnar snapshot exists (the frontier engine
-        built one for this graph version), label scans and index probes
-        are served from its member lists and property columns — same
-        ids, same order, no object-graph hash-index build.
+        Equality and IN probes are answered by the graph's property
+        indexes, which every mutator maintains; label scans by
+        :func:`label_members`.
         """
         if self.kind == FULL_SCAN:
             return None
-        snapshot = cached_snapshot(graph)
+        out: set[str] = set()
         if self.kind == LABEL_SCAN:
-            out: set[str] = set()
             for label in self.labels or ():
-                if snapshot is not None:
-                    out.update(snapshot.label_members_sorted(label))
-                else:
-                    out.update(node.id for node in graph.nodes_with_label(label))
-            return sorted(out)
-        out = set()
-        for label, prop, value in self.lookups:
-            if snapshot is not None:
-                out |= snapshot.equality_scan(label, prop, value)
-            else:
-                out.update(graph.index_lookup(label, prop, value, kind="node"))
+                out.update(label_members(graph, label))
+        else:
+            for label, prop, value in self.lookups:
+                out |= graph.index_lookup(label, prop, value, kind="node")
         return sorted(out)
 
     def describe(self) -> str:
@@ -182,6 +173,19 @@ class CandidateSource:
             (f"{label or '*'}({prop}={value!r})") for label, prop, value in self.lookups
         )
         return f"property index {probes}"
+
+
+def label_members(graph: PropertyGraph, label: str):
+    """Ids of the nodes carrying *label*, in no promised order.
+
+    Served from a current columnar snapshot's member list when the
+    frontier engine has one (kept sorted across commits, so the sort the
+    callers apply is a linear pass), else from the label index.
+    """
+    snapshot = cached_snapshot(graph)
+    if snapshot is not None:
+        return snapshot.label_members_sorted(label)
+    return (node.id for node in graph.nodes_with_label(label))
 
 
 def candidate_source(
@@ -280,7 +284,7 @@ def initial_node_candidates(
                     out |= graph.index_lookup(label, prop, value, kind="node")
         elif labels is not None:
             for label in sorted(labels):
-                out.update(n.id for n in graph.nodes_with_label(label))
+                out.update(label_members(graph, label))
         else:
             return None  # an unconstrained branch end: scan everything
     return sorted(out)

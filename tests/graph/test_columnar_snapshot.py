@@ -1,4 +1,4 @@
-"""Unit tests for the columnar snapshot: caching, CSR layout, scans."""
+"""Unit tests for the columnar snapshot: caching, CSR layout, probes."""
 
 import pytest
 
@@ -13,6 +13,12 @@ from repro.graph.columnar import (
     storage_stats,
 )
 from repro.graph.model import IN, OUT, UNDIRECTED
+from repro.planner.indexes import PROPERTY_INDEX, CandidateSource
+
+
+def row_span(block, code):
+    """The entry positions of one node's row (rows are relocatable)."""
+    return range(block.starts[code], block.ends[code])
 
 
 def bank_graph():
@@ -39,21 +45,25 @@ class TestSnapshotCache:
         snap = snapshot_for(g)
         assert snapshot_for(g) is snap
         assert cached_snapshot(g) is snap
+        bits = snap.node_label_bitset("Account")
         g.add_node("a9", labels=["Account"])
         assert cached_snapshot(g) is None  # version bumped → stale
-        rebuilt = snapshot_for(g)
-        assert rebuilt is not snap
-        assert rebuilt.version == g.version
+        current = snapshot_for(g)
+        assert current is snap  # advanced by the change, not rebuilt
+        assert current.version == g.version
+        assert current.node_code["a9"] == current.num_nodes - 1
+        assert current.node_label_bitset("Account") == bits | 1 << current.node_code["a9"]
 
-    def test_property_mutation_invalidates(self):
+    def test_property_mutation_is_folded_in(self):
         g = bank_graph()
         snap = snapshot_for(g)
+        column = snap.node_column("isBlocked")
         g.set_property("a1", "isBlocked", "yes")
-        assert snapshot_for(g) is not snap
-        assert snapshot_for(g).equality_scan("Account", "isBlocked", "yes") == {
-            "a1",
-            "a2",
-        }
+        assert cached_snapshot(g) is None
+        assert snapshot_for(g) is snap and snap.version == g.version
+        assert column.values[snap.node_code["a1"]] == "yes"
+        assert column.dictionary[column.codes[snap.node_code["a1"]]] == "yes"
+        assert g.index_lookup("Account", "isBlocked", "yes") == {"a1", "a2"}
 
     def test_storage_stats_counters(self):
         g = bank_graph()
@@ -65,6 +75,13 @@ class TestSnapshotCache:
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 2
         assert after["build_ms"] > before["build_ms"]
+        built = dict(after)
+        g.add_edge("t9", "a1", "a3", labels=["Transfer"])
+        snapshot_for(g)
+        assert after["advances"] == built["advances"] + 1
+        assert after["misses"] == built["misses"]  # full builds only
+        assert after["build_ms"] == built["build_ms"]
+        assert after["hits"] == built["hits"]
 
 
 class TestCsrLayout:
@@ -74,15 +91,13 @@ class TestCsrLayout:
         block = snap.csr(None)
         to_model = {DIR_OUT: OUT, DIR_IN: IN, DIR_UNDIRECTED: UNDIRECTED}
         for nid in g.node_ids():
-            code = snap.node_code[nid]
-            start, end = block.indptr[code], block.indptr[code + 1]
             entries = [
                 (
                     block.edge_ids[block.local[k]],
                     snap.node_ids[block.other[k]],
                     to_model[block.dir[k]],
                 )
-                for k in range(start, end)
+                for k in row_span(block, snap.node_code[nid])
             ]
             expected = [(i.edge, i.other, i.direction) for i in g.incidences(nid)]
             assert entries == expected, nid
@@ -99,10 +114,15 @@ class TestCsrLayout:
         g = bank_graph()
         snap = snapshot_for(g)
         block = snap.csr("Friend")
-        code = snap.node_code["a2"]
-        start, end = block.indptr[code], block.indptr[code + 1]
-        assert end - start == 1  # f2 appears once, not twice
-        assert block.dir[start] == DIR_UNDIRECTED
+        [entry] = row_span(block, snap.node_code["a2"])  # f2 once, not twice
+        assert block.dir[entry] == DIR_UNDIRECTED
+
+    def test_fresh_rows_lie_back_to_back(self):
+        g = bank_graph()
+        block = snapshot_for(g).csr(None)
+        assert block.starts[0] == 0 and block.ends[-1] == len(block.local)
+        assert block.starts[1:] == block.ends[:-1]
+        assert block.dead == 0
 
     def test_need_specialization(self):
         g = bank_graph()
@@ -139,7 +159,7 @@ class TestCsrLayout:
         g = bank_graph()
         block = snapshot_for(g).csr("NoSuchLabel")
         assert block.edge_ids == []
-        assert block.indptr == [0] * (g.num_nodes + 1)
+        assert block.starts == block.ends == [0] * g.num_nodes
 
 
 class TestLabelBitsets:
@@ -160,29 +180,54 @@ class TestLabelBitsets:
         assert snap.label_members_sorted("Nope") == []
 
 
-class TestScans:
-    def test_equality_scan_matches_index_lookup(self):
+class TestProbes:
+    """Equality probes are the graph's property indexes — with or
+    without a snapshot, and across writes, with no column scan."""
+
+    CASES = [
+        ("Account", "isBlocked", "no"),
+        ("Account", "isBlocked", "yes"),
+        (None, "isBlocked", "no"),
+        ("Account", "bal", 10),  # non-string values
+        (None, "bal", 20),
+        ("Account", "isBlocked", "absent-value"),
+        ("Account", "noSuchProp", "x"),
+        ("City", "name", "Ankh-Morpork"),
+    ]
+
+    @staticmethod
+    def scan(g, label, prop, value):
+        return sorted(
+            n.id
+            for n in g.nodes()
+            if (label is None or label in n.labels) and n.properties.get(prop, MISSING) == value
+        )
+
+    def test_probe_candidates_match_a_scan(self):
+        g = bank_graph()
+        snapshot_for(g)  # a current snapshot changes nothing about probes
+        for label, prop, value in self.CASES:
+            source = CandidateSource(
+                PROPERTY_INDEX, 1.0, lookups=[(label, prop, value)]
+            )
+            assert source.candidate_ids(g) == self.scan(g, label, prop, value), (
+                label, prop, value,
+            )
+
+    def test_probe_index_is_maintained_not_rebuilt(self):
         g = bank_graph()
         snap = snapshot_for(g)
-        cases = [
-            ("Account", "isBlocked", "no"),
-            ("Account", "isBlocked", "yes"),
-            (None, "isBlocked", "no"),
-            ("Account", "bal", 10),  # non-string column: generic path
-            (None, "bal", 20),
-            ("Account", "isBlocked", "absent-value"),
-            ("Account", "noSuchProp", "x"),
-            ("City", "name", "Ankh-Morpork"),
-        ]
-        for label, prop, value in cases:
-            assert snap.equality_scan(label, prop, value) == set(
-                g.index_lookup(label, prop, value, kind="node")
-            ), (label, prop, value)
-
-    def test_equality_scan_memoized(self):
-        snap = snapshot_for(bank_graph())
-        first = snap.equality_scan("Account", "isBlocked", "no")
-        assert snap.equality_scan("Account", "isBlocked", "no") is first
+        first = g.index_lookup("Account", "isBlocked", "no")
+        buckets = g._property_indexes[("node", "Account", "isBlocked")]
+        g.set_property("a2", "isBlocked", "no")
+        assert g._property_indexes[("node", "Account", "isBlocked")] is buckets
+        assert g.index_lookup("Account", "isBlocked", "no") == first | {"a2"}
+        assert "yes" not in buckets  # the emptied bucket went
+        assert snapshot_for(g) is snap
+        source = CandidateSource(
+            PROPERTY_INDEX, 1.0, lookups=[("Account", "isBlocked", "no")]
+        )
+        assert source.candidate_ids(g) == ["a1", "a2", "a3"]
 
     def test_string_column_dictionary(self):
         snap = snapshot_for(bank_graph())
@@ -192,6 +237,141 @@ class TestScans:
         mixed = snap.node_column("bal")
         assert mixed.codes is None  # int column: no dictionary
         assert mixed.values.count(MISSING) == 1
+
+
+def ring_bank(accounts: int):
+    """Every account sends to the next and the seventh-next one: each
+    node's degree is 4 whatever the size, so the same transaction touches
+    the same number of row entries on a small and a large graph."""
+    builder = GraphBuilder("ring")
+    for i in range(accounts):
+        builder.node(f"a{i}", "Account", owner=f"o{i}", isBlocked="no")
+    for i in range(accounts):
+        for hop in (1, 7):
+            builder.directed(f"t{i}_{hop}", f"a{i}", f"a{(i + hop) % accounts}", "Transfer", amount=i)
+    return builder.build()
+
+
+def warm_blocks(g):
+    snap = snapshot_for(g)
+    snap.csr("Transfer", "out")
+    snap.csr("Transfer", "any")
+    snap.csr(None, "any")
+    snap.node_label_bitset("Account")
+    snap.node_column("isBlocked")
+    snap.csr("Transfer", "out").column("amount")
+    return snap
+
+
+def k_element_transaction(g):
+    """Nine logged changes around a5 / a9 / a20; returns the touched nodes."""
+    with g.begin_mutation():
+        g.add_edge("new_t", "a5", "a9", labels=["Transfer"], properties={"amount": 1})
+        g.set_property("a5", "isBlocked", "yes")
+        g.add_node("r1", labels=["Review"])
+        g.add_edge("new_f", "a5", "r1", labels=["FlaggedBy"])
+        g.remove_edge("t20_1")
+        g.set_labels("t9_7", ["Transfer", "Audited"])
+        g.set_property("t5_1", "amount", 99)
+        g.remove_node("r1")  # cascades new_f
+    return ["a5", "a9", "a20", "a21", "a16"]
+
+
+class TestCommitCost:
+    """What a commit costs the snapshot, asserted by counters, not clocks."""
+
+    def test_same_transaction_costs_the_same_on_a_4x_graph(self):
+        costs = {}
+        for accounts in (3_000, 12_000):
+            g = ring_bank(accounts)
+            snap = warm_blocks(g)
+            before = dict(storage_stats(g))
+            touched = k_element_transaction(g)
+            assert snapshot_for(g) is snap
+            after = storage_stats(g)
+            assert after["misses"] == before["misses"] == 1
+            assert after["advances"] == before["advances"] + 1
+            assert after["compactions"] == before["compactions"]
+            patched = after["patched_rows"] - before["patched_rows"]
+            degree = sum(len(g.incidences(nid)) for nid in touched)
+            assert 0 < patched <= degree * len(snap._csr)
+            costs[accounts] = patched
+            block = snap.csr("Transfer", "out")
+            assert block.column("amount").values[block.local_of()["t5_1"]] == 99
+            assert snap.num_nodes == accounts + 1  # r1 came and went: one tombstone
+        assert costs[3_000] == costs[12_000]
+
+    def test_unrelated_label_blocks_are_left_alone(self):
+        g = bank_graph()
+        snap = snapshot_for(g)
+        friends = snap.csr("Friend")
+        snap.csr("Transfer")
+        layout = (list(friends.starts), list(friends.ends), list(friends.local))
+        g.add_edge("t9", "a1", "a3", labels=["Transfer"])
+        snapshot_for(g)
+        assert (friends.starts, friends.ends, friends.local) == layout
+        assert friends.dead == 0
+
+
+class TestRollback:
+    @staticmethod
+    def state(g):
+        return (
+            [(n.id, n.labels, n.properties) for n in g.nodes()],
+            [(e.id, e.endpoint_ids, e.is_directed, e.labels, e.properties) for e in g.edges()],
+            {nid: list(g.incidences(nid)) for nid in g.node_ids()},
+            {key: {v: set(ids) for v, ids in b.items()} for key, b in g._property_indexes.items()},
+            g.version,
+            g._auto_counter,
+            list(g._dirty),
+            dict(storage_stats(g)),
+        )
+
+    def test_rollback_restores_graph_indexes_log_and_counters(self):
+        g = ring_bank(50)
+        snap = warm_blocks(g)
+        g.index_lookup("Account", "isBlocked", "no")
+        g.add_edge("pre", "a1", "a2", labels=["Transfer"])  # logged, not yet folded in
+        log = g._dirty
+        before = self.state(g)
+        assert [change.element_id for change in log] == ["pre"]
+        txn = g.begin_mutation()
+        g.remove_node("a3")  # an old element: comes back mid-dict by sequence
+        g.remove_edge("t10_1")
+        g.add_node(None, labels=["Review"])
+        g.set_property("a5", "isBlocked", "yes")
+        g.set_labels("a6", ["Account", "Vip"])
+        assert len(g._dirty) > 1
+        txn.rollback()
+        assert self.state(g) == before
+        assert g._dirty is log and cached_snapshot(g) is None
+        assert list(g.node_ids())[:5] == ["a0", "a1", "a2", "a3", "a4"]
+        assert snapshot_for(g) is snap  # still advanced by the one surviving record
+        assert storage_stats(g)["misses"] == 1
+
+    def test_snapshot_advanced_inside_the_window_is_evicted(self):
+        g = ring_bank(50)
+        snap = warm_blocks(g)
+        txn = g.begin_mutation()
+        g.add_edge("in_window", "a1", "a2", labels=["Transfer"])
+        assert snapshot_for(g) is snap  # a query inside the transaction
+        txn.rollback()
+        assert g._dirty is None and cached_snapshot(g) is None
+        rebuilt = snapshot_for(g)
+        assert rebuilt is not snap and "in_window" not in rebuilt.csr("Transfer").edge_ids
+        assert storage_stats(g)["misses"] == 2
+
+    def test_incidence_memo_survives_commits_elsewhere_and_tracks_rollback(self):
+        g = ring_bank(50)
+        far = g.incidences("a30")
+        near = g.incidences("a1")
+        txn = g.begin_mutation()
+        g.add_edge("x", "a1", "a2", labels=["Transfer"])
+        assert g.incidences("a30") is far  # untouched node: same memoized list
+        assert g.incidences("a1") is not near and len(g.incidences("a1")) == len(near) + 1
+        txn.rollback()
+        assert g.incidences("a30") is far
+        assert g.incidences("a1") == near
 
 
 if __name__ == "__main__":

@@ -146,3 +146,5 @@ def test_stats_surface_parity(argv, capsys):
     assert "anchor" in footer["-- plan:"]
     assert footer["-- storage:"] is not None
     assert "columnar snapshot" in footer["-- storage:"]
+    assert "advance(s)" in footer["-- storage:"]
+    assert "compaction(s)" in footer["-- storage:"]

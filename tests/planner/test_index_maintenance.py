@@ -123,6 +123,45 @@ class TestMaintenance:
         graph.set_property("a1", "tags", "x")
         assert graph.index_lookup(None, "tags", "x") == {"a1"}
 
+    def test_emptied_buckets_are_deleted(self):
+        """SET churn must not leave one empty set per value ever held:
+        the bucket count is the live distinct count the planner reads."""
+        from repro.graph import cardinality_statistics
+        from repro.graph.statistics import LazyCardinalityStatistics
+
+        graph = bank()
+        graph.create_index("Account", "owner")
+        buckets = graph._property_indexes[("node", "Account", "owner")]
+        for i in range(1_000):
+            graph.set_property("a1", "owner", f"churn{i}")
+        assert set(buckets) == {"churn999", "Bob", "Cyd"}
+        assert all(buckets.values())
+        graph.set_property("a2", "owner", "Cyd")  # two elements, one value
+        graph.remove_node("a3")  # a shared bucket survives one member leaving
+        assert set(buckets) == {"churn999", "Cyd"}
+        graph.remove_property("a2", "owner")
+        assert len(buckets) == graph.index_distinct("Account", "owner") == 1
+        eager = cardinality_statistics(graph)
+        lazy = LazyCardinalityStatistics(graph)
+        for key in [*eager.distinct_values, ("node", "Account", "nope"), ("edge", None, "amount")]:
+            assert lazy.distinct(*key) == eager.distinct(*key), key
+
+    def test_distinct_counts_unhashable_values_by_repr(self):
+        from repro.graph import cardinality_statistics
+        from repro.graph.statistics import LazyCardinalityStatistics
+
+        graph = bank()
+        graph.set_property("a1", "tags", ["x", "y"])
+        graph.set_property("a2", "tags", ["x", "y"])  # same repr: one value
+        graph.set_property("a3", "tags", {"k": 1})
+        graph.set_property("p1", "tags", "['x', 'y']")  # a string equal to a repr
+        eager = cardinality_statistics(graph)
+        lazy = LazyCardinalityStatistics(graph)
+        assert lazy.distinct("node", "Account", "tags") == 2
+        assert lazy.distinct("node", None, "tags") == 2
+        for key in eager.distinct_values:
+            assert lazy.distinct(*key) == eager.distinct(*key), key
+
 
 class TestVersioning:
     def test_every_mutation_bumps_version(self):

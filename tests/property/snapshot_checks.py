@@ -1,0 +1,87 @@
+"""Shared check: an advanced columnar snapshot equals a fresh build.
+
+An advanced snapshot differs from ``ColumnarGraph(graph)`` physically —
+tombstoned codes, relocated rows, append-only edge slots, dictionary
+codes in arrival order — so both are read back through ids: per live
+node its row of every built block, its mask bits, its column cells, the
+sorted member lists.  Those must be identical.
+"""
+
+from repro.graph.columnar import MISSING, ColumnarGraph, snapshot_for
+
+#: entry directions a hop scanning a (label, need) block admits
+_ADMITTED = {"out": {0}, "in": {1}, "any": {0, 1, 2}}
+
+
+def block_rows(snapshot, block, need="any"):
+    """node id -> [(edge id, neighbour id, direction), ...] in row order."""
+    admitted = _ADMITTED[need]
+    rows = {}
+    for nid, code in snapshot.node_code.items():
+        rows[nid] = [
+            (
+                block.edge_ids[block.local[k]],
+                snapshot.node_ids[block.other[k]],
+                block.dir[k],
+            )
+            for k in range(block.starts[code], block.ends[code])
+            if block.dir[k] in admitted
+        ]
+    return rows
+
+
+def column_cells(snapshot, column):
+    cells = {nid: column.values[code] for nid, code in snapshot.node_code.items()}
+    if column.codes is not None:  # the dictionary decodes to the same cells
+        for nid, code in snapshot.node_code.items():
+            entry = column.codes[code]
+            decoded = MISSING if entry == -1 else column.dictionary[entry]
+            assert decoded is cells[nid] or decoded == cells[nid]
+            assert entry == -1 or column.code_of[decoded] == entry
+    return cells
+
+
+def mask_members(snapshot, bits):
+    return {nid for nid, code in snapshot.node_code.items() if (bits >> code) & 1}
+
+
+def assert_advanced_equals_fresh(graph):
+    """Bring the cached snapshot up to date and compare it with a rebuild."""
+    snapshot = snapshot_for(graph)
+    fresh = ColumnarGraph(graph)
+    assert snapshot.version == fresh.version == graph.version
+    # live codes ascend in the graph's insertion order; the rest are tombstones
+    live = [nid for nid in snapshot.node_ids if nid is not None]
+    assert live == fresh.node_ids == list(graph.node_ids())
+    assert len(snapshot.node_ids) == snapshot.num_nodes
+    assert {nid: snapshot.node_ids[code] for nid, code in snapshot.node_code.items()} == {
+        nid: nid for nid in live
+    }
+    for (label, need), block in snapshot._csr.items():
+        expected = fresh.csr(label, need)
+        # a hop only admits ``need``'s directions, whichever way either
+        # side happened to specialize its block
+        assert block_rows(snapshot, block, need) == block_rows(fresh, expected, need), (
+            label,
+            need,
+        )
+        for prop, column in block._columns.items():
+            for code in snapshot.node_code.values():
+                for k in range(block.starts[code], block.ends[code]):
+                    local = block.local[k]
+                    edge = graph.edge(block.edge_ids[local])
+                    assert column.values[local] == edge.properties.get(prop, MISSING)
+                    if column.codes is not None and column.codes[local] != -1:
+                        assert column.dictionary[column.codes[local]] == column.values[local]
+    for label in snapshot._node_masks:
+        assert mask_members(snapshot, snapshot.node_label_bitset(label)) == mask_members(
+            fresh, fresh.node_label_bitset(label)
+        ), label
+    assert mask_members(snapshot, snapshot.labeled_node_mask()) == mask_members(
+        fresh, fresh.labeled_node_mask()
+    )
+    for prop, column in snapshot._node_columns.items():
+        assert column_cells(snapshot, column) == column_cells(fresh, fresh.node_column(prop))
+    for label, members in snapshot._label_members_sorted.items():
+        assert members == fresh.label_members_sorted(label), label
+    return snapshot

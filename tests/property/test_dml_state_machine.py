@@ -9,8 +9,10 @@ structure must be consistent for the *current* version:
 
 * the maintained property index answers exactly like a full scan,
 * the statistics catalog rebuilds to the live node/edge counts,
-* the columnar snapshot is rebuilt for the current version and the
-  frontier engine agrees with the object matcher on a probe query,
+* the columnar snapshot is brought up to the current version — by
+  advancing the cached one, which must then read back exactly like a
+  fresh build — and the frontier engine agrees with the object matcher
+  on a probe query,
 
 in both engine modes (columnar on and off — the same toggle the
 ``REPRO_DISABLE_COLUMNAR=1`` CI leg flips globally).
@@ -25,6 +27,7 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from snapshot_checks import assert_advanced_equals_fresh
 
 from repro.errors import GqlError, GraphError, ReproError
 from repro.graph.columnar import cached_snapshot, snapshot_for
@@ -233,6 +236,10 @@ class DmlMachine(RuleBasedStateMachine):
         if snapshot is not None:
             assert snapshot.version == self.graph.version
         assert snapshot_for(self.graph).version == self.graph.version
+
+    @invariant()
+    def advanced_snapshot_equals_fresh_build(self):
+        assert_advanced_equals_fresh(self.graph)
 
 
 class ColumnarDmlMachine(DmlMachine):
