@@ -14,7 +14,6 @@ import pytest
 from repro.baselines import naive_trail_match
 from repro.datasets import cycle_graph, grid_graph
 from repro.gpml import match, prepare
-from repro.gpml.matcher import MatcherConfig
 
 
 class TestRestrictorPruning:
@@ -82,26 +81,3 @@ class TestStartCandidateNarrowing:
         result = benchmark(match, bank_medium, prepared)
         assert len(result) == 100
 
-
-class TestLabelIndexedTraversal:
-    QUERY = "MATCH (p:Phone)~[:hasPhone]~(a:Account)-[t:Transfer]->(b:Account)"
-
-    def test_with_label_index(self, benchmark, bank_medium):
-        prepared = prepare(self.QUERY)
-        config = MatcherConfig(use_label_index=True)
-
-        def run():
-            return match(bank_medium, prepared, config)
-
-        result = benchmark(run)
-        assert len(result) > 0
-
-    def test_without_label_index(self, benchmark, bank_medium):
-        prepared = prepare(self.QUERY)
-        config = MatcherConfig(use_label_index=False)
-
-        def run():
-            return match(bank_medium, prepared, config)
-
-        result = benchmark(run)
-        assert len(result) > 0

@@ -447,7 +447,7 @@ def _make_matcher(
     candidates come from its sorted member lists.
     """
     if config.use_columnar and analysis.strategy == ENUMERATE:
-        spec = FrontierMatcher.supports(graph, nfa, config, budget)
+        spec = FrontierMatcher.supports(graph, nfa, budget)
         if spec is not None:
             if callable(start_candidates):
                 start_candidates = start_candidates()

@@ -17,6 +17,7 @@ variable references to graph elements, paths, or group lists.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -474,37 +475,18 @@ class Aggregate(Expr):
     distinct: bool = False
     separator: str = ", "
 
-    def evaluate(self, ctx: EvalContext) -> Any:
+    def values(self, ctx: EvalContext) -> list[Any]:
+        """The un-folded inputs of one evaluation: the group's items, or
+        their ``prop`` (NULLs included; the fold drops them)."""
         items = ctx.group_items(self.var)
         if self.prop is None:
-            values: list[Any] = [item for item in items if not is_null(item)]
-        else:
-            values = []
-            for item in items:
-                value = property_value(item, self.prop, self.var)
-                if not is_null(value):
-                    values.append(value)
-        if self.distinct:
-            unique: list[Any] = []
-            for value in values:
-                if value not in unique:
-                    unique.append(value)
-            values = unique
-        if self.func == "COUNT":
-            return len(values)
-        if self.func == "LISTAGG":
-            return self.separator.join(_listagg_text(v) for v in values)
-        if not values:
-            return NULL
-        if self.func == "SUM":
-            return sum(values)
-        if self.func == "AVG":
-            return sum(values) / len(values)
-        if self.func == "MIN":
-            return min(values)
-        if self.func == "MAX":
-            return max(values)
-        raise ExpressionError(f"unknown aggregate {self.func!r}")
+            return items
+        return [property_value(item, self.prop, self.var) for item in items]
+
+    def evaluate(self, ctx: EvalContext) -> Any:
+        return fold_aggregate(
+            self.func, self.values(ctx), self.distinct, self.separator
+        )
 
     def inner_variables(self) -> frozenset[str]:
         return frozenset({self.var})
@@ -516,6 +498,40 @@ class Aggregate(Expr):
         arg = self.var if self.prop is None else f"{self.var}.{self.prop}"
         distinct = "DISTINCT " if self.distinct else ""
         return f"{self.func}({distinct}{arg})"
+
+
+def fold_aggregate(
+    func: str, values: Iterable[Any], distinct: bool = False, separator: str = ", "
+) -> Any:
+    """COUNT/SUM/AVG/MIN/MAX/LISTAGG over *values*, the SQL way.
+
+    The one fold behind horizontal aggregates (the iterations of a group
+    variable within one row) and both hosts' vertical ones (the rows of
+    a group): NULLs are dropped first, DISTINCT keeps first occurrences,
+    and everything but COUNT and LISTAGG is NULL over no values.
+    """
+    kept = [value for value in values if not is_null(value)]
+    if distinct:
+        unique: list[Any] = []
+        for value in kept:
+            if value not in unique:
+                unique.append(value)
+        kept = unique
+    if func == "COUNT":
+        return len(kept)
+    if func == "LISTAGG":
+        return separator.join(_listagg_text(v) for v in kept)
+    if not kept:
+        return NULL
+    if func == "SUM":
+        return sum(kept)
+    if func == "AVG":
+        return sum(kept) / len(kept)
+    if func == "MIN":
+        return min(kept)
+    if func == "MAX":
+        return max(kept)
+    raise ExpressionError(f"unknown aggregate {func!r}")
 
 
 def _listagg_text(value: Any) -> str:
@@ -589,6 +605,21 @@ def _path_length(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return len(value)
     raise ExpressionError(f"length() undefined for {value!r}")
+
+
+def rebuild(expr: Expr, transform) -> Expr:
+    """Rebuild a frozen expression node with *transform* applied to every
+    child expression (including those inside tuple-valued fields)."""
+    changes = {}
+    for f in dataclasses.fields(expr):
+        value = getattr(expr, f.name)
+        if isinstance(value, Expr):
+            changes[f.name] = transform(value)
+        elif isinstance(value, tuple) and any(isinstance(v, Expr) for v in value):
+            changes[f.name] = tuple(
+                transform(v) if isinstance(v, Expr) else v for v in value
+            )
+    return dataclasses.replace(expr, **changes) if changes else expr
 
 
 def conjoin(*exprs: Expr | None) -> Expr | None:

@@ -307,44 +307,40 @@ def _hop_need(edge_pattern: ast.EdgePattern) -> str:
     return "any"
 
 
-def _hop_block_keys(spec: ChainSpec, use_label_index: bool):
+def _hop_block_keys(spec: ChainSpec):
     """The (edge_label, need) CSR cache keys a chain's hops scan."""
     keys = []
     for edge_pattern, _, _ in spec.hops:
         label = edge_pattern.label
-        label_key = (
-            label.name if use_label_index and isinstance(label, LabelAtom) else None
-        )
+        label_key = label.name if isinstance(label, LabelAtom) else None
         keys.append((label_key, _hop_need(edge_pattern)))
     return keys
 
 
 def compiled_program(
-    nfa: PatternNFA, spec: ChainSpec, snapshot: ColumnarGraph, use_label_index: bool
+    nfa: PatternNFA, spec: ChainSpec, snapshot: ColumnarGraph
 ) -> Optional[_Program]:
     """The chain program for *nfa* on *snapshot* (cached on the NFA).
 
     Seeded chained-MATCH runs construct one matcher per upstream row, so
     the compiled closures must be reused.  The cache key is the snapshot
-    identity *and version* plus the label-index knob: the snapshot is
-    advanced in place, and a program holds copies of mask bytes and
-    references to blocks and dictionary encodings an advance may drop.
+    identity *and version*: the snapshot is advanced in place, and a
+    program holds copies of mask bytes and references to blocks and
+    dictionary encodings an advance may drop.
     """
-    key = (snapshot, snapshot.version, use_label_index)
+    key = (snapshot, snapshot.version)
     cached = getattr(nfa, "_frontier_program", None)
-    if cached is not None and cached[:3] == key:
-        return cached[3]
+    if cached is not None and cached[:2] == key:
+        return cached[2]
     try:
-        program = _compile_program(spec, snapshot, use_label_index)
+        program = _compile_program(spec, snapshot)
     except _NotVectorizable:
         program = None
     nfa._frontier_program = (*key, program)
     return program
 
 
-def _compile_program(
-    spec: ChainSpec, snapshot: ColumnarGraph, use_label_index: bool
-) -> _Program:
+def _compile_program(spec: ChainSpec, snapshot: ColumnarGraph) -> _Program:
     var_pos: dict[str, int] = {}
     entry_plan: list[tuple[int, str]] = []
     deferred: list[Expr] = []
@@ -399,7 +395,7 @@ def _compile_program(
         )
         need = _hop_need(edge_pattern)
         label = edge_pattern.label
-        if use_label_index and isinstance(label, LabelAtom):
+        if isinstance(label, LabelAtom):
             block = snapshot.csr(label.name, need)
             label_expr = None  # partition already label-filtered
         else:
@@ -463,9 +459,7 @@ class FrontierMatcher:
         self.config = config or MatcherConfig()
         self.snapshot = snapshot_for(graph)
         self._snapshot_version = self.snapshot.version
-        self.program = compiled_program(
-            nfa, spec, self.snapshot, self.config.use_label_index
-        )
+        self.program = compiled_program(nfa, spec, self.snapshot)
         if self.program is None:
             raise _NotVectorizable  # caller must pre-check via supports()
         self._steps = 0
@@ -488,7 +482,6 @@ class FrontierMatcher:
         cls,
         graph: PropertyGraph,
         nfa: PatternNFA,
-        config: MatcherConfig,
         budget: Optional[RowBudget] = None,
     ) -> Optional[ChainSpec]:
         """The chain spec when this NFA should run columnar on *graph*.
@@ -507,12 +500,12 @@ class FrontierMatcher:
             if snapshot is None:
                 return None
             built = snapshot._csr
-            for key in _hop_block_keys(spec, config.use_label_index):
+            for key in _hop_block_keys(spec):
                 if key not in built and (key[0], "any") not in built:
                     return None
         else:
             snapshot = snapshot_for(graph)
-        program = compiled_program(nfa, spec, snapshot, config.use_label_index)
+        program = compiled_program(nfa, spec, snapshot)
         if program is None:
             return None
         return spec

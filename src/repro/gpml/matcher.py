@@ -89,7 +89,6 @@ class MatcherConfig:
     max_results: int = 1_000_000
     max_depth: Optional[int] = None  # k-search / cheapest safety bound
     default_edge_cost: float = 1.0
-    use_label_index: bool = True  # per-node label-filtered incidence lists
     use_planner: bool = True  # cost-based anchor/join planning (repro.planner)
     #: seed a chained GQL MATCH from variables bound by earlier statements
     #: (per-incoming-row anchored search; off = always hash-join fallback)
@@ -304,6 +303,8 @@ class Matcher:
         self.pattern = pattern
         self.config = config or MatcherConfig()
         self._steps = 0
+        #: bindings charged against max_results so far
+        self._emitted = 0
         #: cooperative cancellation: checked after every emitted binding
         self._budget = budget
         #: observability counters shared across the whole pipeline
@@ -330,91 +331,76 @@ class Matcher:
         ``LIMIT``/``exists`` probe arrives after touching only as many
         candidates as it takes to find a match — not all of them.
         """
-        budget = self._budget
-        emitted = 0
         stack: list[_Run] = []
         for run in self._initial_runs():
-            for binding in self._closure(run, stack):
-                emitted += 1
-                self._check_budget(emitted)
-                yield binding
-                if budget is not None and budget.satisfied:
-                    return
+            if (yield from self._emit(self._closure(run, stack))):
+                return
             while stack:
                 current = stack.pop()
                 for new_run in self._edge_successors(current):
-                    for binding in self._closure(new_run, stack):
-                        emitted += 1
-                        self._check_budget(emitted)
-                        yield binding
-                        if budget is not None and budget.satisfied:
-                            return
+                    if (yield from self._emit(self._closure(new_run, stack))):
+                        return
 
     def search_shortest(self) -> Iterator[PathBinding]:
         """Layered BFS, yielding each completed layer's accepts in turn."""
-        budget = self._budget
-        emitted = 0
         visited: dict[tuple, int] = {}
-        frontier: list[_Run] = []
-        layer: list[PathBinding] = []
-        for run in self._initial_runs():
-            layer.extend(self._closure(run, frontier))
-        frontier = self._prune_layer(frontier, visited, 0)
-        for binding in layer:
-            emitted += 1
-            self._check_budget(emitted)
-            yield binding
-            if budget is not None and budget.satisfied:
-                return
-        depth = 0
-        while frontier:
-            depth += 1
-            layer = []
-            next_frontier: list[_Run] = []
-            for run in frontier:
-                for new_run in self._edge_successors(run):
-                    layer.extend(self._closure(new_run, next_frontier))
-            frontier = self._prune_layer(next_frontier, visited, depth)
-            for binding in layer:
-                emitted += 1
-                self._check_budget(emitted)
-                yield binding
-                if budget is not None and budget.satisfied:
-                    return
+
+        def admit(key: tuple, depth: int) -> bool:
+            # later arrivals at a product state cannot be minimal
+            return visited.setdefault(key, depth) >= depth
+
+        return self._layered_search(admit, None)
 
     def search_k_shortest(self, k: int) -> Iterator[PathBinding]:
-        budget = self._budget
-        emitted = 0
+        """Layered search keeping up to *k* path lengths per product state."""
         allowed: dict[tuple, set[int]] = {}
+
+        def admit(key: tuple, depth: int) -> bool:
+            depths = allowed.setdefault(key, set())
+            if depth not in depths:
+                if len(depths) >= k and depth > max(depths):
+                    return False
+                depths.add(depth)
+            return True
+
         max_depth = self.config.max_depth
         if max_depth is None:
             max_depth = (self.graph.num_nodes * self.nfa.num_states + 1) * (k + 1)
+        return self._layered_search(admit, max_depth)
+
+    def _layered_search(self, admit, max_depth: Optional[int]) -> Iterator[PathBinding]:
+        """Breadth-first by path length, one layer at a time.
+
+        A layer's accepts are emitted once the layer is complete (the
+        earliest point at which all strictly shorter matches are known);
+        the next layer expands the runs whose product state
+        ``admit(prune_key, depth)`` lets through, each distinct run once.
+        """
         frontier: list[_Run] = []
         layer: list[PathBinding] = []
         for run in self._initial_runs():
             layer.extend(self._closure(run, frontier))
-        frontier = self._prune_layer_k(frontier, allowed, 0, k)
-        for binding in layer:
-            emitted += 1
-            self._check_budget(emitted)
-            yield binding
-            if budget is not None and budget.satisfied:
-                return
         depth = 0
-        while frontier and depth < max_depth:
+        while True:
+            survivors: list[_Run] = []
+            layer_seen: set[tuple] = set()
+            for run in frontier:
+                if not admit(run.prune_key(), depth):
+                    continue
+                fingerprint = run.fingerprint()
+                if fingerprint not in layer_seen:
+                    layer_seen.add(fingerprint)
+                    survivors.append(run)
+            if (yield from self._emit(layer)):
+                return
+            if not survivors or (max_depth is not None and depth >= max_depth):
+                return
             depth += 1
             layer = []
-            next_frontier: list[_Run] = []
-            for run in frontier:
+            frontier = []
+            for run in survivors:
                 for new_run in self._edge_successors(run):
-                    layer.extend(self._closure(new_run, next_frontier))
-            frontier = self._prune_layer_k(next_frontier, allowed, depth, k)
-            for binding in layer:
-                emitted += 1
-                self._check_budget(emitted)
-                yield binding
-                if budget is not None and budget.satisfied:
-                    return
+                    layer.extend(self._closure(new_run, frontier))
 
     def search_cheapest(self, k: int, cost_property: str) -> Iterator[PathBinding]:
         """Dijkstra, yielding accepts in final (stable) cost order.
@@ -432,29 +418,32 @@ class Matcher:
         than the budget before erroring.  Cheapest-path queries always
         feed a blocking selector, so nothing streams past it anyway.
         """
-        budget = self._budget
-        accepted = 0
         #: accepted-but-not-yet-emittable bindings, ordered (cost, seq)
         pending: list[tuple[float, int, PathBinding]] = []
         best: dict[tuple, list[float]] = {}
         queue: list[tuple[float, int, _Run]] = []
         seq = 0
+
+        def accept(run: _Run, sink: list[_Run]) -> None:
+            for binding in self._closure(run, sink):
+                self._emitted += 1
+                self._check_budget(self._emitted)
+                heapq.heappush(pending, (run.cost, self._emitted, binding))
+
+        def settled(bound: float) -> Iterator[PathBinding]:
+            while pending and pending[0][0] <= bound:
+                yield heapq.heappop(pending)[2]
+
         sink: list[_Run] = []
         for run in self._initial_runs():
-            for binding in self._closure(run, sink):
-                accepted += 1
-                self._check_budget(accepted)
-                heapq.heappush(pending, (0.0, accepted, binding))
+            accept(run, sink)
         for run in sink:
             heapq.heappush(queue, (run.cost, seq, run))
             seq += 1
         while queue:
             cost, _, run = heapq.heappop(queue)
-            while pending and pending[0][0] <= cost:
-                _, _, binding = heapq.heappop(pending)
-                yield binding
-                if budget is not None and budget.satisfied:
-                    return
+            if (yield from self._emit(settled(cost), charge=False)):
+                return
             key = run.prune_key()
             kept = best.setdefault(key, [])
             if cost not in kept:
@@ -463,18 +452,29 @@ class Matcher:
                 kept.append(cost)
             for new_run in self._edge_successors(run, cost_property=cost_property):
                 nested: list[_Run] = []
-                for binding in self._closure(new_run, nested):
-                    accepted += 1
-                    self._check_budget(accepted)
-                    heapq.heappush(pending, (new_run.cost, accepted, binding))
+                accept(new_run, nested)
                 for nr in nested:
                     heapq.heappush(queue, (nr.cost, seq, nr))
                     seq += 1
-        while pending:
-            _, _, binding = heapq.heappop(pending)
+        yield from self._emit(settled(float("inf")), charge=False)
+
+    def _emit(self, bindings: Iterable[PathBinding], charge: bool = True):
+        """Hand accepts to the consumer; True once its row budget is met.
+
+        ``max_results`` is charged per emitted binding (``charge=False``
+        for the strategy that charged at acceptance), and the row budget
+        is polled after every one — the search stops, mid-layer or
+        mid-closure, the moment the consumer has enough.
+        """
+        budget = self._budget
+        for binding in bindings:
+            if charge:
+                self._emitted += 1
+                self._check_budget(self._emitted)
             yield binding
             if budget is not None and budget.satisfied:
-                return
+                return True
+        return False
 
     # -- initialization --------------------------------------------------
     def _initial_runs(self) -> Iterable[_Run]:
@@ -649,7 +649,7 @@ class Matcher:
     def _incidences_for(self, node_id: str, pattern: ast.EdgePattern):
         """Candidate incidences, via the label index when a single
         label atom is required (checked there, skipped in the loop)."""
-        if self.config.use_label_index and isinstance(pattern.label, LabelAtom):
+        if isinstance(pattern.label, LabelAtom):
             return self.graph.incidences_with_label(node_id, pattern.label.name), True
         return self.graph.incidences(node_id), False
 
@@ -782,45 +782,6 @@ class Matcher:
             entries=run.entries(),
             bag_tags=run.bag_tags,
         )
-
-    # -- pruning --------------------------------------------------------------
-    @staticmethod
-    def _prune_layer(runs: list[_Run], visited: dict[tuple, int], depth: int) -> list[_Run]:
-        out: list[_Run] = []
-        layer_seen: set[tuple] = set()
-        for run in runs:
-            key = run.prune_key()
-            first = visited.get(key)
-            if first is not None and first < depth:
-                continue
-            if first is None:
-                visited[key] = depth
-            fingerprint = run.fingerprint()
-            if fingerprint in layer_seen:
-                continue
-            layer_seen.add(fingerprint)
-            out.append(run)
-        return out
-
-    @staticmethod
-    def _prune_layer_k(
-        runs: list[_Run], allowed: dict[tuple, set[int]], depth: int, k: int
-    ) -> list[_Run]:
-        out: list[_Run] = []
-        layer_seen: set[tuple] = set()
-        for run in runs:
-            key = run.prune_key()
-            depths = allowed.setdefault(key, set())
-            if depth not in depths:
-                if len(depths) >= k and depth > max(depths):
-                    continue
-                depths.add(depth)
-            fingerprint = run.fingerprint()
-            if fingerprint in layer_seen:
-                continue
-            layer_seen.add(fingerprint)
-            out.append(run)
-        return out
 
     # -- misc -------------------------------------------------------------------
     def _check_budget(self, num_results: int) -> None:

@@ -371,6 +371,7 @@ class CompiledPipeline:
         config: MatcherConfig | None = None,
         budget: Optional[RowBudget] = None,
         stats: Optional[PipelineStats] = None,
+        span: Optional[Span] = None,
     ) -> Iterator[dict[str, Any]]:
         """Stream the final binding table as plain value dicts.
 
@@ -380,26 +381,26 @@ class CompiledPipeline:
         every seeded/direct pattern search so a satisfied consumer stops
         the earliest statement's NFA search.
 
-        With ``stats.trace`` set, each statement gets one span (rows
-        in/out, inclusive time); pattern-search stage spans nest under
-        their statement's span.  Seeded chained MATCH aggregates its
-        per-seed runs into the statement span rather than exploding into
-        one span per incoming row.
+        With a parent ``span`` (the RETURN tree's leaf operator, on a
+        traced run), each statement gets one child span (rows in/out,
+        inclusive time); pattern-search stage spans nest under their
+        statement's span.  Seeded chained MATCH aggregates its per-seed
+        runs into the statement span rather than exploding into one span
+        per incoming row.
         """
         config = config or MatcherConfig()
-        trace = stats.trace if stats is not None else None
         rows: Iterator[dict[str, Any]] = iter(({},))
         for index, statement in enumerate(self.statements):
-            span = None
-            if trace is not None:
-                span = trace.root.child(
+            own = None
+            if span is not None:
+                own = span.child(
                     f"statement #{index + 1}: {statement.statement.text}",
                     kind="statement",
                 )
-                rows = counted_in(span, rows)
-            rows = statement.apply(graph, rows, config, budget, stats, span=span)
-            if span is not None:
-                rows = timed_rows(span, rows)
+                rows = counted_in(own, rows)
+            rows = statement.apply(graph, rows, config, budget, stats, span=own)
+            if own is not None:
+                rows = timed_rows(own, rows)
         return rows
 
     def describe(self) -> list[str]:

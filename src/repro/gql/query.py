@@ -43,15 +43,16 @@ values, and ``length(p)`` / ``nodes(p)`` / ``edges(p)`` work on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Any, Iterator, Optional
 
 from repro.errors import GqlError
-from repro.gpml.expr import EvalContext, Expr
+from repro.gpml.expr import Aggregate, EvalContext, Expr, PropertyRef, VarRef, rebuild
 from repro.gpml.lexer import IDENT
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
-from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
+from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.gql.dml import (
     parse_delete_statement,
     parse_insert_statement,
@@ -64,16 +65,27 @@ from repro.gql.pipeline import (
     MatchStatement,
     compile_pipeline,
 )
-from repro.graph.model import Edge, Node, PropertyGraph
-from repro.graph.path import Path
-from repro.values import NULL, is_null
+from repro.graph.model import PropertyGraph
+from repro.rowops import Aggregate as AggregateRows
+from repro.rowops import (
+    BoundAggregate,
+    Column,
+    Distinct,
+    Limit,
+    Operator,
+    Project,
+    Sort,
+    attach_spans,
+    bind_outputs,
+    delivered,
+    render_plan,
+)
 
 
 @dataclass
 class ReturnItem:
     expr: Expr
     alias: str
-    vertical_aggregate: bool = False
 
 
 @dataclass
@@ -319,6 +331,271 @@ def _default_alias(expr: Expr, index: int) -> str:
 
 
 # ----------------------------------------------------------------------
+# Planning: the statement chain under the shared row operators
+# ----------------------------------------------------------------------
+class StatementChain(Operator):
+    """The leaf under RETURN: the compiled statement chain's binding rows.
+
+    The rows are the chain's binding dicts as they come; the operators
+    above read them through ``context``.
+    """
+
+    columns: list = []  # binding rows are keyed by variable, not position
+    children: list = []
+
+    def __init__(
+        self,
+        compiled: CompiledPipeline,
+        graph: Optional[PropertyGraph],
+        config: MatcherConfig | None,
+        stats: Optional[PipelineStats],
+        budget: Optional[RowBudget],
+    ):
+        self.compiled = compiled
+        self.graph = graph
+        self.config = config
+        self.stats = stats
+        self.budget = budget
+        self.context = partial(EvalContext, graph=graph)
+        #: set by :class:`Transaction`: the chain's rows, run to completion
+        self.table: Optional[list[dict[str, Any]]] = None
+
+    def rows(self) -> Iterator[dict[str, Any]]:
+        if self.table is not None:
+            return iter(self.table)
+        return self.compiled.run(
+            self.graph, self.config, self.budget, self.stats, span=self.span
+        )
+
+    def describe(self) -> str:
+        return f"statement chain: {len(self.compiled.statements)} statement(s)"
+
+    def detail_lines(self) -> list[str]:
+        lines = self.compiled.describe()
+        if self.budget is not None:
+            lines.insert(
+                0,
+                f"row budget: every statement's search stops after "
+                f"{self.budget.needed} delivered record(s)",
+            )
+        return lines
+
+
+class VerticalAggregate(BoundAggregate):
+    """A GQL aggregate folded over the binding rows of one group.
+
+    The GQL-side step in front of the shared fold: a row contributes the
+    items the aggregate would fold horizontally — one value for a
+    singleton, every element of a list-valued variable (a group variable
+    inside a vertical item, a LET-bound list).
+    """
+
+    def __init__(self, aggregate: Aggregate):
+        super().__init__(
+            aggregate.func, aggregate, aggregate.distinct, aggregate.separator
+        )
+        self.values = aggregate.values
+
+    def __str__(self) -> str:
+        return str(self.arg)
+
+
+class Transaction(Operator):
+    """Root of a write query: one apply-or-rollback graph transaction.
+
+    The tree below — searches, mutations, RETURN — runs the moment
+    :meth:`rows` is called (not when the result is iterated: mutations
+    must not depend on the caller draining it); any error restores the
+    pre-query graph (elements, indexes, stats caches, ``version``) and
+    re-raises.  The chain runs to completion first, so every mutation
+    happens before RETURN reads the graph and whatever LIMIT says; it
+    never sees a row budget, which would truncate mutations.
+    """
+
+    blocking = True
+
+    def __init__(self, child: Operator, chain: StatementChain):
+        self.child = child
+        self.chain = chain
+        self.columns = child.columns
+        self.children = [child]
+        #: the committed transaction's summary counts
+        self.summary: Optional[dict[str, int]] = None
+
+    def rows(self) -> Iterator[tuple]:
+        chain = self.chain
+        stats = chain.stats
+        start = perf_counter()
+        txn = chain.graph.begin_mutation()
+        try:
+            chain.table = list(chain.run())
+            if chain.span is not None:
+                # DML statements run inside rows(), before run() starts its
+                # clock; and the replay below is no execution
+                chain.span.elapsed = perf_counter() - start
+                chain.span = None
+            # no RETURN, no columns: a write-only query delivers nothing
+            records = list(self.child.run()) if self.columns else []
+        except BaseException:
+            txn.rollback()
+            if stats is not None:
+                # Rolled-back mutations never happened; only the outcome counts.
+                stats.transaction = "rollback"
+            raise
+        self.summary = txn.counts()
+        txn.commit()
+        if stats is not None:
+            stats.transaction = "commit"
+            stats.mutations = self.summary
+        if self.span is not None:
+            # run() only times the replay of this eager section
+            self.span.elapsed += perf_counter() - start
+        return iter(records)
+
+    def describe(self) -> str:
+        return (
+            "DML transaction: statements run eagerly, commit on success or "
+            "rollback to the pre-query graph"
+        )
+
+
+def plan_gql(
+    parsed: GqlQuery,
+    config: MatcherConfig | None = None,
+    graph: Optional[PropertyGraph] = None,
+    stats: Optional[PipelineStats] = None,
+) -> Operator:
+    """Compile a parsed query into one operator tree.
+
+    The statement chain is the leaf; RETURN becomes the row operators of
+    :mod:`repro.rowops` (the ones the SQL host plans a SELECT with);
+    LIMIT/OFFSET own the row budget, which reaches the chain only when
+    nothing in between blocks — then ``LIMIT 1`` stops the first
+    statement's NFA search after one delivered record; a write query
+    gets a :class:`Transaction` on top.  ``graph`` may be omitted to
+    render the plan.  With ``stats.trace`` set every operator gets a span.
+    """
+    compiled = compile_pipeline(parsed.statements, config)
+    vertical = vertical_items(parsed, compiled.group_vars)
+    budget = None
+    if parsed.limit is not None and not (
+        vertical or parsed.order_by or compiled.has_writes
+    ):
+        budget = RowBudget((parsed.offset or 0) + parsed.limit)
+    chain = StatementChain(compiled, graph, config, stats, budget)
+    plan: Operator = chain
+    if parsed.items:
+        plan = _plan_return(plan, parsed, vertical)
+    if parsed.limit is not None or parsed.offset:
+        plan = Limit(plan, parsed.limit, parsed.offset or 0, budget)
+    if compiled.has_writes:
+        plan = Transaction(plan, chain)
+    if stats is not None and stats.trace is not None:
+        attach_spans(plan, stats.trace.root)
+    return plan
+
+
+def _plan_return(
+    op: Operator, parsed: GqlQuery, vertical: list[ReturnItem]
+) -> Operator:
+    """``[sort] -> [aggregate] -> project -> [distinct] -> [sort]``.
+
+    ORDER BY sees RETURN's output names first (an alias reads as its
+    item).  A key over anything but the items sorts the binding rows
+    below the projection, like SQL's sort below its project.  With
+    DISTINCT or a vertical aggregate only the output is left to sort, so
+    the keys must be answerable from what RETURN delivers and the sort
+    goes on top — as it does when every key is an item anyway (``ORDER
+    BY alias``), which spares evaluating the items twice.
+    """
+    items = [(item.alias, item.expr) for item in parsed.items]
+    aliases = dict(items)
+    order = [(_inline_aliases(key.expr, aliases), key) for key in parsed.order_by]
+    if not (
+        vertical or parsed.distinct or all(expr in aliases.values() for expr, _ in order)
+    ):
+        op = Sort(op, [(expr, key.descending) for expr, key in order])
+        order = []
+    if vertical:
+        keys = [item for item in parsed.items if item not in vertical]
+        folds = list(
+            dict.fromkeys(
+                aggregate for item in vertical for aggregate in item.expr.aggregates()
+            )
+        )
+        op = AggregateRows(
+            op,
+            [(Column(None, key.alias), key.expr) for key in keys],
+            [(Column(None, str(fold)), VerticalAggregate(fold)) for fold in folds],
+        )
+        grouped = list(zip([key.expr for key in keys] + folds, range(len(op.columns))))
+        items = [
+            (alias, _over_outputs(f"RETURN {alias}", expr, grouped))
+            for alias, expr in items
+        ]
+    op = Project(op, items)
+    if parsed.distinct:
+        op = Distinct(op)
+    if order:
+        outputs = [(item.expr, index) for index, item in enumerate(parsed.items)]
+        op = Sort(
+            op,
+            [
+                (_over_outputs(f"ORDER BY {key.expr}", expr, outputs), key.descending)
+                for expr, key in order
+            ],
+        )
+    return op
+
+
+def _inline_aliases(expr: Expr, aliases: dict[str, Expr]) -> Expr:
+    """Read references to RETURN's output names as the items they name
+    (``x.prop`` through an alias of a plain variable reads that variable)."""
+    if isinstance(expr, VarRef) and expr.name in aliases:
+        return aliases[expr.name]
+    if isinstance(expr, PropertyRef) and isinstance(aliases.get(expr.var), VarRef):
+        return PropertyRef(aliases[expr.var].name, expr.prop)
+    return rebuild(expr, lambda child: _inline_aliases(child, aliases))
+
+
+@dataclass(frozen=True)
+class OverColumns(Expr):
+    """An expression over variables an operator delivers whole, read off
+    its output row: ``a.owner`` over the column that holds ``a``."""
+
+    expr: Expr
+    columns: tuple  # (variable, column index) pairs
+
+    def evaluate(self, ctx: EvalContext) -> Any:
+        row = ctx.row
+        return self.expr.evaluate(
+            EvalContext({name: row[index] for name, index in self.columns})
+        )
+
+    def __str__(self) -> str:
+        return str(self.expr)
+
+
+def _over_outputs(clause: str, expr: Expr, outputs: list[tuple[Expr, int]]) -> Expr:
+    """Bind an expression of *clause* over the output of grouping or
+    RETURN.  The binding rows are gone there: a reference that is no
+    output column itself can still read the variables among the columns
+    (``a.owner`` when ``a`` is one), and nothing else."""
+
+    def read_columns(node: Expr) -> Expr:
+        whole = {item.name: index for item, index in outputs if isinstance(item, VarRef)}
+        variables = node.own_variables()
+        if variables <= whole.keys():
+            return OverColumns(node, tuple((name, whole[name]) for name in variables))
+        raise GqlError(
+            f"{clause}: {node} is not among the items left after grouping / DISTINCT "
+            f"({', '.join(str(item) for item, _ in outputs)}) and reads no variable among them"
+        )
+
+    return bind_outputs(expr, outputs, read_columns)
+
+
+# ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 def execute_gql(
@@ -330,13 +607,12 @@ def execute_gql(
     :attr:`GqlResult.mutations`.
     """
     parsed = parse_gql_query(query) if isinstance(query, str) else query
-    compiled = compile_pipeline(parsed.statements, config)
-    columns = [item.alias for item in parsed.items]
-    if compiled.has_writes:
-        records, summary = _execute_write_query(graph, parsed, compiled, config, None)
-        return GqlResult(columns=columns, records=records, mutations=summary)
-    records = list(_read_query_iter(graph, parsed, compiled, config, None))
-    return GqlResult(columns=columns, records=records)
+    plan = plan_gql(parsed, config, graph)
+    return GqlResult(
+        columns=[item.alias for item in parsed.items],
+        records=list(plan_records(plan)),
+        mutations=plan.summary if isinstance(plan, Transaction) else None,
+    )
 
 
 def execute_gql_iter(
@@ -363,312 +639,48 @@ def execute_gql_iter(
     ``stats.transaction`` record the outcome.
     """
     parsed = parse_gql_query(query) if isinstance(query, str) else query
-    compiled = compile_pipeline(parsed.statements, config)
-    if compiled.has_writes:
-        records, _ = _execute_write_query(graph, parsed, compiled, config, stats)
-        return iter(records)
-    return _read_query_iter(graph, parsed, compiled, config, stats)
+    return plan_records(plan_gql(parsed, config, graph, stats), stats)
 
 
-def _execute_write_query(
-    graph: PropertyGraph,
-    parsed: GqlQuery,
-    compiled: CompiledPipeline,
-    config: MatcherConfig | None,
-    stats: Optional[PipelineStats],
-) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """Run a write query inside an apply-or-rollback transaction.
-
-    The whole pipeline — pattern searches, mutations, and the RETURN
-    projection — runs under one :class:`GraphTransaction`; any error
-    restores the pre-query graph (elements, indexes, stats caches, and
-    ``version``) before re-raising.  Write queries never push a row
-    budget down the chain (a budget would truncate mutations); LIMIT and
-    OFFSET slice the *returned records* only.
-    """
-    has_vertical = _mark_vertical_aggregates(parsed, compiled.group_vars)
-    txn = graph.begin_mutation()
-    try:
-        rows = list(compiled.run(graph, config, stats=stats))
-        if parsed.items:
-            if has_vertical:
-                records = _grouped_records(graph, parsed, rows)
-            else:
-                records = _plain_records(graph, parsed, rows)
-            if parsed.distinct:
-                records = _distinct_records(records, parsed)
-            if parsed.order_by:
-                records = _order_records(graph, records, parsed)
-            if parsed.offset is not None:
-                records = records[parsed.offset :]
-            if parsed.limit is not None:
-                records = records[: parsed.limit]
-        else:
-            records = []
-    except BaseException:
-        txn.rollback()
-        if stats is not None:
-            # Rolled-back mutations never happened; only the outcome counts.
-            stats.transaction = "rollback"
-        raise
-    summary = txn.counts()
-    txn.commit()
-    if stats is not None:
-        stats.transaction = "commit"
-        stats.mutations = summary
-        stats.rows += len(records)
-    return records, summary
-
-
-def _read_query_iter(
-    graph: PropertyGraph,
-    parsed: GqlQuery,
-    compiled: CompiledPipeline,
-    config: MatcherConfig | None,
-    stats: Optional[PipelineStats],
+def plan_records(
+    plan: Operator, stats: Optional[PipelineStats] = None
 ) -> Iterator[dict[str, Any]]:
-    has_vertical = _mark_vertical_aggregates(parsed, compiled.group_vars)
-    trace = stats.trace if stats is not None else None
-
-    if has_vertical or parsed.order_by:
-        # Pipeline breakers: the full binding table is needed before the
-        # first record can be emitted; LIMIT/OFFSET slice afterwards.
-        row_stream = compiled.run(graph, config, stats=stats)
-        # Created after compiled.run so the trace lists statements in
-        # pipeline order; the drain below is still on this span's clock.
-        return_span = None
-        if trace is not None:
-            return_span = trace.root.child(
-                "RETURN (vertical aggregation / ORDER BY)",
-                kind="statement",
-                mode="blocking",
-            )
-            start = perf_counter()
-        rows = list(row_stream)
-        if has_vertical:
-            records = _grouped_records(graph, parsed, rows)
-        else:
-            records = _plain_records(graph, parsed, rows)
-        if parsed.distinct:
-            records = _distinct_records(records, parsed)
-        if parsed.order_by:
-            records = _order_records(graph, records, parsed)
-        if parsed.offset is not None:
-            records = records[parsed.offset :]
-        if parsed.limit is not None:
-            records = records[: parsed.limit]
-        if return_span is not None:
-            return_span.rows_in = return_span.peak_rows = len(rows)
-            return_span.rows_out = len(records)
-            return_span.elapsed += perf_counter() - start
-        if stats is not None:
-            stats.rows += len(records)
-        yield from records
-        return
-
-    # Streaming path: project row by row, count delivered (post-DISTINCT)
-    # records against an OFFSET+LIMIT budget that stops the searches
-    # themselves — including the first statement's, through the chain.
-    offset = parsed.offset or 0
-    limit = parsed.limit
-    if limit == 0:
-        return
-    budget = RowBudget(None if limit is None else offset + limit)
-    seen: Optional[set] = set() if parsed.distinct else None
-    row_stream = compiled.run(graph, config, budget=budget, stats=stats)
-    return_span = None
-    if trace is not None:
-        return_span = trace.root.child(
-            "RETURN projection", kind="statement", mode="streaming"
-        )
-    for row in row_stream:
-        if return_span is not None:
-            return_span.rows_in += 1
-        ctx = EvalContext(bindings=row, graph=graph)
-        record = {item.alias: item.expr.evaluate(ctx) for item in parsed.items}
-        if seen is not None:
-            key = tuple(_group_key(record[item.alias]) for item in parsed.items)
-            if key in seen:
-                if return_span is not None:
-                    return_span.bump("distinct_dropped")
-                continue
-            seen.add(key)
-        budget.take()
-        if budget.taken <= offset:
-            if return_span is not None:
-                return_span.bump("offset_skipped")
-            continue
-        if stats is not None:
-            stats.rows += 1
-        if return_span is not None:
-            return_span.rows_out += 1
-        yield record
-        if budget.satisfied:
-            if return_span is not None:
-                return_span.event("budget_satisfied", taken=budget.taken)
-            return
+    """Run a :func:`plan_gql` tree; ``stats.rows`` counts delivered records."""
+    names = [column.name for column in plan.columns]
+    # plan.run() is called now, not at the first next(): a Transaction is eager
+    return (dict(zip(names, row)) for row in delivered(plan.run(), stats))
 
 
 def explain_gql(
     query: "str | GqlQuery", config: MatcherConfig | None = None
 ) -> str:
-    """Render the statement pipeline of a GQL query as text.
+    """Render the plan of a GQL query as text.
 
-    One block per statement with its execution mode (seeded / direct /
-    hash join, LET/FILTER row transforms) classified [streaming] or
-    [blocking], the internal GPML pipeline of each MATCH, and the RETURN
-    stage's classification (whether LIMIT/OFFSET push a row budget down
-    the chain).  Pass the same ``config`` execution will use so the
-    rendered modes match (``seed_chained_match=False`` shows the
-    hash-join fallback, not the seeded search).
+    The RETURN operators (the tree and the renderer of SQL's EXPLAIN),
+    each tagged [streaming] or [blocking], over the statement chain: one
+    block per statement with its execution mode (seeded / direct / hash
+    join, LET/FILTER row transforms), the internal GPML pipeline of each
+    MATCH, and whether LIMIT's row budget reaches the chain.  Pass the
+    same ``config`` execution will use so the rendered modes match
+    (``seed_chained_match=False`` shows the hash-join fallback, not the
+    seeded search).
     """
     parsed = parse_gql_query(query) if isinstance(query, str) else query
-    compiled = compile_pipeline(parsed.statements, config)
-    has_vertical = _mark_vertical_aggregates(parsed, compiled.group_vars)
-    tail = "RETURN" if parsed.items else "no RETURN"
+    tail = "RETURN" if parsed.items else "no RETURN (write-only query)"
     lines = [f"GQL pipeline: {len(parsed.statements)} statement(s) + {tail}"]
-    lines.extend(compiled.describe())
-    items = ", ".join(item.alias for item in parsed.items)
-    lines.append(f"RETURN: {items or '(none — write-only query)'}")
-    if compiled.has_writes:
-        lines.append(
-            f"  [{BLOCKING}] DML transaction: statements run eagerly, "
-            f"commit on success or rollback to the pre-query graph; "
-            f"LIMIT/OFFSET slice the returned records"
-        )
-    elif has_vertical or parsed.order_by:
-        breakers = []
-        if has_vertical:
-            breakers.append("vertical aggregation")
-        if parsed.order_by:
-            breakers.append("ORDER BY")
-        lines.append(
-            f"  [{BLOCKING}] {' + '.join(breakers)} materializes all records; "
-            f"LIMIT/OFFSET slice afterwards"
-        )
-    else:
-        # An OFFSET without LIMIT gives an unlimited budget — the chain
-        # still runs to exhaustion, so only a LIMIT earns the budget line.
-        budget = (
-            "row budget = OFFSET+LIMIT stops the chain's searches"
-            if parsed.limit is not None
-            else "no LIMIT: runs to exhaustion"
-        )
-        distinct = "DISTINCT streams (counts distinct records); " if parsed.distinct else ""
-        lines.append(f"  [{STREAMING}] projection — {distinct}{budget}")
+    lines.extend(render_plan(plan_gql(parsed, config)))
     return "\n".join(lines)
 
 
-def _mark_vertical_aggregates(parsed: GqlQuery, group_vars: frozenset[str]) -> bool:
-    """Tag RETURN items that fold over rows; True when any item does.
+def vertical_items(parsed: GqlQuery, group_vars: frozenset[str]) -> list[ReturnItem]:
+    """The RETURN items that fold over rows.
 
     ``group_vars`` is the union of the group variables of every MATCH
-    statement (quantified declarations); aggregates over anything else —
-    singletons, paths, LET values — are vertical.
+    statement (quantified declarations); an aggregate over anything else
+    — singletons, paths, LET values — makes its item vertical.
     """
-    has_vertical = False
-    for item in parsed.items:
-        item.vertical_aggregate = any(
-            agg.var not in group_vars for agg in item.expr.aggregates()
-        )
-        has_vertical = has_vertical or item.vertical_aggregate
-    return has_vertical
-
-
-def _plain_records(
-    graph: PropertyGraph, parsed: GqlQuery, rows: list[dict[str, Any]]
-) -> list[dict[str, Any]]:
-    records = []
-    for row in rows:
-        ctx = EvalContext(bindings=row, graph=graph)
-        records.append({item.alias: item.expr.evaluate(ctx) for item in parsed.items})
-    return records
-
-
-class _GroupContext(EvalContext):
-    """Aggregation context: singleton lookups see the representative row,
-    group_items folds over all rows of the group."""
-
-    def __init__(self, rows: list[dict[str, Any]], graph: PropertyGraph):
-        super().__init__(bindings=rows[0] if rows else {}, graph=graph)
-        self._rows = rows
-
-    def group_items(self, name: str) -> list[Any]:
-        items = []
-        for row in self._rows:
-            value = row.get(name, NULL)
-            if isinstance(value, (list, tuple)):
-                items.extend(value)
-            elif not is_null(value):
-                items.append(value)
-        return items
-
-
-def _grouped_records(
-    graph: PropertyGraph, parsed: GqlQuery, rows: list[dict[str, Any]]
-) -> list[dict[str, Any]]:
-    key_items = [item for item in parsed.items if not item.vertical_aggregate]
-    groups: dict[tuple, list[dict[str, Any]]] = {}
-    order: list[tuple] = []
-    key_values: dict[tuple, dict[str, Any]] = {}
-    for row in rows:
-        ctx = EvalContext(bindings=row, graph=graph)
-        values = {item.alias: item.expr.evaluate(ctx) for item in key_items}
-        key = tuple(_group_key(values[item.alias]) for item in key_items)
-        if key not in groups:
-            order.append(key)
-            key_values[key] = values
-        groups.setdefault(key, []).append(row)
-    records = []
-    for key in order:
-        group_rows = groups[key]
-        record = dict(key_values[key])
-        group_ctx = _GroupContext(group_rows, graph)
-        for item in parsed.items:
-            if item.vertical_aggregate:
-                record[item.alias] = item.expr.evaluate(group_ctx)
-        # preserve RETURN item order
-        records.append({item.alias: record[item.alias] for item in parsed.items})
-    return records
-
-
-def _group_key(value: Any) -> Any:
-    if isinstance(value, (Node, Edge)):
-        return ("element", value.id)
-    if isinstance(value, Path):
-        return ("path", value.element_ids)
-    if isinstance(value, list):
-        return tuple(_group_key(v) for v in value)
-    if is_null(value):
-        return ("null",)
-    return value
-
-
-def _distinct_records(records: list[dict[str, Any]], parsed: GqlQuery) -> list[dict[str, Any]]:
-    seen: set[tuple] = set()
-    out = []
-    for record in records:
-        key = tuple(_group_key(record[item.alias]) for item in parsed.items)
-        if key not in seen:
-            seen.add(key)
-            out.append(record)
-    return out
-
-
-def _order_records(
-    graph: PropertyGraph, records: list[dict[str, Any]], parsed: GqlQuery
-) -> list[dict[str, Any]]:
-    # Per-item direction via stable sorts composed right-to-left.
-    ordered = list(records)
-    for index in range(len(parsed.order_by) - 1, -1, -1):
-        order = parsed.order_by[index]
-
-        def single_key(record: dict[str, Any], order=order) -> tuple:
-            ctx = EvalContext(bindings=record, graph=graph)
-            value = order.expr.evaluate(ctx)
-            if is_null(value):
-                return (1, "", "") if not order.descending else (-1, "", "")
-            return (0, type(value).__name__, value)
-
-        ordered = sorted(ordered, key=single_key, reverse=order.descending)
-    return ordered
+    return [
+        item
+        for item in parsed.items
+        if any(agg.var not in group_vars for agg in item.expr.aggregates())
+    ]

@@ -59,6 +59,7 @@ the view is a deterministic prefix, independent of mutation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterator, Optional
 
 from repro.errors import GqlError
@@ -77,8 +78,9 @@ from repro.gql.pipeline import (
     compile_pipeline,
     _match_var_kinds,
 )
-from repro.gql.query import GqlQuery, _group_key, _mark_vertical_aggregates, parse_gql_query
+from repro.gql.query import GqlQuery, parse_gql_query, vertical_items
 from repro.planner.indexes import initial_node_candidates
+from repro.rowops import row_key
 
 #: reserved row key carrying the start node through the statement chain
 #: (plain dict keys flow untouched through joins, LET, FILTER and
@@ -103,6 +105,10 @@ class StandingDelta:
     @property
     def empty(self) -> bool:
         return not self.added and not self.retracted
+
+
+#: sort key of a result key: the values' reprs, in RETURN order
+_canonical = itemgetter(1)
 
 
 def _max_edges(pattern: ast.Pattern) -> Optional[int]:
@@ -193,7 +199,7 @@ class StandingQuery:
             raise GqlError("standing queries do not support DISTINCT")
         if parsed.offset is not None:
             raise GqlError("standing queries do not support OFFSET")
-        if _mark_vertical_aggregates(parsed, compiled.group_vars):
+        if vertical_items(parsed, compiled.group_vars):
             raise GqlError(
                 "standing queries do not support vertical aggregates; "
                 "aggregate over the delta stream instead"
@@ -306,14 +312,14 @@ class StandingQuery:
         Keying on the projection (not the matched elements) makes a
         property flip that changes a record's content look like retract
         old + add new, even though the same walk re-derives it.  The
+        first component is the row key DISTINCT and grouping use; the
         ``repr`` component keeps hash-equal but distinct scalars (``1``
         vs ``True`` vs ``1.0``) apart, matching how from-scratch results
-        are compared.
+        are compared, and — taken while the elements are alive — gives
+        the canonical order something to sort by after they are gone.
         """
-        return tuple(
-            (item.alias, _group_key(record[item.alias]), repr(record[item.alias]))
-            for item in self.parsed.items
-        )
+        values = tuple(record.values())
+        return row_key(values), tuple(map(repr, values))
 
     def _project(self, row: dict[str, Any]) -> dict[str, Any]:
         ctx = EvalContext(bindings=row, graph=self.graph)
@@ -413,7 +419,7 @@ class StandingQuery:
         # zero; a multiplicity change emits |net| instances.
         added: list[dict[str, Any]] = []
         retracted: list[dict[str, Any]] = []
-        for key in sorted(set(removed) | set(produced), key=repr):
+        for key in sorted(set(removed) | set(produced), key=_canonical):
             net = produced.get(key, 0) - removed.get(key, 0)
             if net > 0:
                 added.extend([self._records[key]] * net)
@@ -455,7 +461,8 @@ class StandingQuery:
         """
         out: list[dict[str, Any]] = []
         for key in sorted(
-            (key for key, count in self._support.items() if count > 0), key=repr
+            (key for key, count in self._support.items() if count > 0),
+            key=_canonical,
         ):
             out.extend([self._records[key]] * self._support[key])
         if self.limit is not None:

@@ -14,8 +14,9 @@ lazily: ``from repro.obs.analyze import explain_analyze_gql``.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
-from typing import Any, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
@@ -70,6 +71,18 @@ def engine_lines(span: Span) -> List[str]:
     return [f"engine: {engine} (vector selectivity={selectivity:.3f})"]
 
 
+def event_lines(span: Span, indent: str = "") -> List[str]:
+    """``event: name (key=value, …)`` for each point event of one span."""
+    lines = []
+    for event in span.events:
+        payload = ", ".join(
+            f"{key}={value}" for key, value in event.items() if key != "event"
+        )
+        suffix = f" ({payload})" if payload else ""
+        lines.append(f"{indent}event: {event['event']}{suffix}")
+    return lines
+
+
 def render_span(span: Span, indent: str = "") -> List[str]:
     """Indented text rendering of a span subtree with actuals."""
     lines = [f"{indent}{span.name} ({format_actuals(span)})"]
@@ -78,12 +91,7 @@ def render_span(span: Span, indent: str = "") -> List[str]:
         lines.append(f"{child_indent}{extra}")
     for extra in estimate_lines(span):
         lines.append(f"{child_indent}{extra}")
-    for event in span.events:
-        payload = ", ".join(
-            f"{key}={value}" for key, value in event.items() if key != "event"
-        )
-        suffix = f" ({payload})" if payload else ""
-        lines.append(f"{child_indent}event: {event['event']}{suffix}")
+    lines.extend(event_lines(span, child_indent))
     for child in span.children:
         lines.extend(render_span(child, child_indent))
     return lines
@@ -91,20 +99,35 @@ def render_span(span: Span, indent: str = "") -> List[str]:
 
 def render_trace(trace: QueryTrace, indent: str = "") -> List[str]:
     """Render all top-level spans of a trace (the root itself is elided)."""
-    lines: List[str] = []
-    for event in trace.root.events:
-        payload = ", ".join(
-            f"{key}={value}" for key, value in event.items() if key != "event"
-        )
-        suffix = f" ({payload})" if payload else ""
-        lines.append(f"{indent}event: {event['event']}{suffix}")
+    lines = event_lines(trace.root, indent)
     for child in trace.root.children:
         lines.extend(render_span(child, indent))
     return lines
 
 
 # --------------------------------------------------------------------------
-# GPML / GQL
+# EXPLAIN ANALYZE (one shape for all three surfaces)
+
+
+def render_analyzed(
+    engine: str, unit: str, stats: PipelineStats, run: Callable[[], Iterable[Any]]
+) -> List[str]:
+    """Drain ``run()`` under the trace on *stats*; render what it did.
+
+    A header with the flat counters, then the span tree.  For the hosts
+    that tree is the operator tree (``attach_spans`` names each span by
+    the operator's EXPLAIN line — SQL's plan, GQL's RETURN operators)
+    with the statement and engine stage spans nested under its leaves.
+    """
+    start = perf_counter()
+    count = sum(1 for _ in run())
+    elapsed_ms = (perf_counter() - start) * 1000.0
+    return [
+        f"EXPLAIN ANALYZE ({engine})",
+        f"actual: {count} {unit}(s), {stats.steps} matcher steps, "
+        f"{stats.matches} raw matches, {elapsed_ms:.2f}ms",
+        *render_trace(stats.trace, indent="  "),
+    ]
 
 
 def explain_analyze_match(
@@ -117,16 +140,8 @@ def explain_analyze_match(
     from repro.gpml.engine import match_iter
 
     stats = _ensure_trace(stats, query, engine="gpml")
-    start = perf_counter()
-    rows = list(match_iter(graph, query, config, stats=stats))
-    elapsed_ms = (perf_counter() - start) * 1000.0
-    lines = [
-        "EXPLAIN ANALYZE (gpml)",
-        f"actual: {len(rows)} row(s), {stats.steps} matcher steps, "
-        f"{stats.matches} raw matches, {elapsed_ms:.2f}ms",
-    ]
-    lines.extend(render_trace(stats.trace, indent="  "))
-    return "\n".join(lines)
+    run = partial(match_iter, graph, query, config, stats=stats)
+    return "\n".join(render_analyzed("gpml", "row", stats, run))
 
 
 def explain_analyze_gql(
@@ -135,25 +150,18 @@ def explain_analyze_gql(
     config: Optional[MatcherConfig] = None,
     stats: Optional[PipelineStats] = None,
 ) -> str:
-    """Execute a GQL read query with tracing and render per-stage actuals.
+    """Execute a GQL query with tracing and render per-stage actuals.
 
-    The output follows the span tree (one block per statement, pattern
-    stages nested), annotated ``rows=…, steps=…, time=…ms`` plus the
+    The output follows the span tree — the RETURN operators, the
+    statement chain under them with one block per statement, pattern
+    stages nested — annotated ``rows=…, steps=…, time=…ms`` plus the
     planner's estimated-vs-actual cardinality on anchored searches.
     """
     from repro.gql.query import execute_gql_iter
 
     stats = _ensure_trace(stats, query, engine="gql")
-    start = perf_counter()
-    records = list(execute_gql_iter(graph, query, config, stats=stats))
-    elapsed_ms = (perf_counter() - start) * 1000.0
-    lines = [
-        "EXPLAIN ANALYZE (gql)",
-        f"actual: {len(records)} record(s), {stats.steps} matcher steps, "
-        f"{stats.matches} raw matches, {elapsed_ms:.2f}ms",
-    ]
-    lines.extend(render_trace(stats.trace, indent="  "))
-    return "\n".join(lines)
+    run = partial(execute_gql_iter, graph, query, config, stats=stats)
+    return "\n".join(render_analyzed("gql", "record", stats, run))
 
 
 def _ensure_trace(
@@ -166,55 +174,6 @@ def _ensure_trace(
             query = getattr(query, "text", None)
         stats.trace = QueryTrace(query=query, engine=engine)
     return stats
-
-
-# --------------------------------------------------------------------------
-# SQL
-
-
-def render_analyzed_plan(
-    op: Any, stats: PipelineStats, elapsed_ms: float, delivered: int
-) -> List[str]:
-    """Annotate an executed operator tree with its spans' actuals.
-
-    ``op`` is the plan root after ``attach_spans`` + a full drain; the
-    rendering mirrors ``render_plan`` but swaps the static detail lines
-    for per-operator actuals and nests the GPML engine's stage spans
-    under each graph scan.
-    """
-    lines = [
-        "EXPLAIN ANALYZE (sql)",
-        f"actual: {delivered} row(s), {stats.steps} matcher steps, "
-        f"{elapsed_ms:.2f}ms",
-    ]
-    trace = stats.trace
-    if trace is not None:
-        for event in trace.root.events:
-            payload = ", ".join(
-                f"{key}={value}" for key, value in event.items() if key != "event"
-            )
-            lines.append(f"event: {event['event']}" + (f" ({payload})" if payload else ""))
-    lines.extend(_render_operator(op, ""))
-    return lines
-
-
-def _render_operator(op: Any, indent: str) -> List[str]:
-    span = op.span
-    if span is None:  # pragma: no cover - analyze always attaches spans
-        lines = [f"{indent}{op.describe()}"]
-    else:
-        lines = [f"{indent}{op.describe()} ({format_actuals(span)})"]
-    child_indent = indent + "  "
-    for predicate in getattr(op, "pushed_predicates", ()) or ():
-        lines.append(f"{child_indent}pushed into MATCH: {predicate}")
-    if span is not None:
-        # Engine stage spans (non-operator children) nest under scans.
-        for child in span.children:
-            if child.kind != "operator":
-                lines.extend(render_span(child, child_indent))
-    for child_op in op.children:
-        lines.extend(_render_operator(child_op, child_indent))
-    return lines
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import TableError
-from repro.gpml.expr import EvalContext
+from repro.gpml.expr import EvalContext, fold_aggregate
 from repro.gpml.parser import parse_expression
+from repro.rowops import sort_key
 from repro.values import NULL, is_null
 
 
@@ -135,22 +136,17 @@ class Table:
         return Table(out_columns, rows, name=self.name)
 
     def order_by(self, columns: Sequence[str], descending: bool = False) -> "Table":
+        """Sort like the hosts' ORDER BY: NULLs last (ascending), numbers
+        interleaved, other values by type name."""
         indexes = [self._index(c) for c in columns]
-
-        def key(row: tuple) -> tuple:
-            # NULLs sort last (ascending); values keyed by type name to
-            # keep heterogeneous columns orderable.
-            out = []
-            for i in indexes:
-                value = row[i]
-                if is_null(value):
-                    out.append((1, "", ""))
-                else:
-                    out.append((0, type(value).__name__, value))
-            return tuple(out)
-
         return Table(
-            self.columns, sorted(self.rows, key=key, reverse=descending), name=self.name
+            self.columns,
+            sorted(
+                self.rows,
+                key=lambda row: tuple(sort_key(row[i]) for i in indexes),
+                reverse=descending,
+            ),
+            name=self.name,
         )
 
     def limit(self, n: int, offset: int = 0) -> "Table":
@@ -219,18 +215,7 @@ def _aggregate(func: str, column: str, rows: list[tuple], table: Table) -> Any:
         if func != "COUNT":
             raise TableError("only COUNT supports the * argument")
         return len(rows)
+    if func not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+        raise TableError(f"unknown aggregate {func!r}")
     index = table._index(column)
-    values = [row[index] for row in rows if not is_null(row[index])]
-    if func == "COUNT":
-        return len(values)
-    if not values:
-        return NULL
-    if func == "SUM":
-        return sum(values)
-    if func == "AVG":
-        return sum(values) / len(values)
-    if func == "MIN":
-        return min(values)
-    if func == "MAX":
-        return max(values)
-    raise TableError(f"unknown aggregate {func!r}")
+    return fold_aggregate(func, (row[index] for row in rows))

@@ -11,15 +11,16 @@ search and the cost-based pattern planner.
 * :mod:`~repro.sql.parser` — the SQL subset grammar (sharing the GPML
   lexer, expression parser and MATCH grammar),
 * :mod:`~repro.sql.binder` — name resolution over operator schemas,
-* :mod:`~repro.sql.operators` — the pull-based relational operators,
+* :mod:`~repro.sql.operators` — SQL's leaves and join; the row operators
+  above them (:mod:`repro.rowops`) are shared with the GQL host,
 * :mod:`~repro.sql.planner` — plan construction and cross-model pushdown,
 * :mod:`~repro.sql.database` — :class:`Database`, the session object.
 """
 
 from repro.errors import SqlError, SqlSyntaxError
+from repro.rowops import render_plan
 from repro.sql.config import ALL_RULES, SEEDED_JOIN, SEMI_JOIN, SHARED_SCAN, SqlConfig
 from repro.sql.database import Database
-from repro.sql.operators import render_plan
 from repro.sql.parser import parse_sql
 
 __all__ = [

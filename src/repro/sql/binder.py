@@ -4,10 +4,11 @@ The parser reuses GPML expression nodes, so a column reference arrives
 as either ``VarRef("amount")`` (unqualified) or
 ``PropertyRef("t", "amount")`` (alias-qualified).  The binder resolves
 each against a :class:`Scope` — the ordered column list an operator
-produces — and rewrites it into a positional :class:`BoundColumn`.
-Everything else in the expression tree is rebuilt unchanged, which keeps
-one evaluator for both languages: a bound SQL expression evaluates with
-the ordinary GPML machinery against a :class:`RowContext`.
+produces — and rewrites it into a positional
+:class:`~repro.rowops.BoundColumn`.  Everything else in the expression
+tree is rebuilt unchanged, which keeps one evaluator for both languages:
+a bound SQL expression evaluates with the ordinary GPML machinery
+against a :class:`~repro.rowops.RowContext`.
 
 Resolution is where SQL's error surface lives: unknown columns, unknown
 table aliases, ambiguous unqualified names, aggregates outside
@@ -17,15 +18,12 @@ GROUP BY/HAVING/SELECT, and graph-only predicates (``IS DIRECTED``,
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import SqlError
 from repro.gpml.expr import (
     Aggregate,
     AllDifferent,
-    EvalContext,
     Expr,
     IsDestinationOf,
     IsDirected,
@@ -33,26 +31,13 @@ from repro.gpml.expr import (
     PropertyRef,
     Same,
     VarRef,
+    rebuild,
 )
+from repro.rowops import BoundColumn, Column, bind_outputs
 from repro.sql.ast import SqlAggregate
-from repro.values import TRUE
 
 #: GPML-only expression nodes that cannot appear in SQL clauses
 _GRAPH_ONLY = (Aggregate, Same, AllDifferent, IsDirected, IsSourceOf, IsDestinationOf)
-
-
-@dataclass(frozen=True)
-class Column:
-    """One output column of an operator: optional qualifier, bare name,
-    and the index of the FROM item it descends from (for pushdown)."""
-
-    table: Optional[str]
-    name: str
-    source: int = 0
-
-    @property
-    def qualified(self) -> str:
-        return f"{self.table}.{self.name}" if self.table else self.name
 
 
 class Scope:
@@ -95,40 +80,6 @@ class Scope:
         return ", ".join(c.qualified for c in self.columns) or "<no columns>"
 
 
-@dataclass(frozen=True)
-class BoundColumn(Expr):
-    """A resolved column reference: positional index into the input row."""
-
-    index: int
-    label: str
-
-    def evaluate(self, ctx: "RowContext") -> Any:
-        return ctx.row[self.index]
-
-    def __str__(self) -> str:
-        return self.label
-
-
-class RowContext(EvalContext):
-    """Evaluation context over one operator row (a plain value tuple)."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: tuple):
-        self.row = row
-        self._bindings = {}
-        self.graph = None
-
-
-def evaluate(expr: Expr, row: tuple) -> Any:
-    return expr.evaluate(RowContext(row))
-
-
-def holds(expr: Expr, row: tuple) -> bool:
-    """SQL predicate semantics: keep the row only when the truth is TRUE."""
-    return expr.truth(RowContext(row)) is TRUE
-
-
 # ----------------------------------------------------------------------
 # Binding
 # ----------------------------------------------------------------------
@@ -151,21 +102,6 @@ def bind(expr: Expr, scope: Scope, *, where: str = "this context") -> Expr:
     if isinstance(expr, PropertyRef):
         return BoundColumn(scope.resolve(expr.var, expr.prop), str(expr))
     return rebuild(expr, lambda child: bind(child, scope, where=where))
-
-
-def rebuild(expr: Expr, transform) -> Expr:
-    """Rebuild a frozen expression node with *transform* applied to every
-    child expression (including those inside tuple-valued fields)."""
-    changes = {}
-    for f in dataclasses.fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, Expr):
-            changes[f.name] = transform(value)
-        elif isinstance(value, tuple) and any(isinstance(v, Expr) for v in value):
-            changes[f.name] = tuple(
-                transform(v) if isinstance(v, Expr) else v for v in value
-            )
-    return dataclasses.replace(expr, **changes) if changes else expr
 
 
 def referenced_columns(expr: Expr, scope: Scope) -> set[int]:
@@ -202,50 +138,39 @@ def substitute_columns(expr: Expr, scope: Scope, replacements: dict[int, Expr]) 
 
 def bind_post_aggregate(
     expr: Expr,
-    group_keys: list[tuple[Expr, int]],
-    aggregates: list[tuple[SqlAggregate, int]],
+    outputs: list[tuple[Expr, int]],
     post_scope: Scope,
     *,
     where: str = "SELECT list",
 ) -> Expr:
     """Bind an expression against the output of the aggregate operator.
 
-    A subexpression structurally equal to a GROUP BY expression maps to
-    its key column; a :class:`SqlAggregate` maps to its aggregate column;
-    remaining column references resolve against the post-aggregate scope
-    by name (``GROUP BY t.sender`` keeps ``sender`` addressable).  Any
-    other column reference is the classic SQL error: it must appear in
-    GROUP BY or be used in an aggregate.
+    ``outputs`` pairs every GROUP BY expression and every collected
+    :class:`SqlAggregate` with its column: a structurally equal
+    subexpression maps to that column.  Remaining column references
+    resolve against the post-aggregate scope by name (``GROUP BY
+    t.sender`` keeps ``sender`` addressable).  Any other column reference
+    is the classic SQL error: it must appear in GROUP BY or be used in an
+    aggregate.
     """
-    for unbound, index in group_keys:
-        if expr == unbound:
-            return BoundColumn(index, str(expr))
-    if isinstance(expr, SqlAggregate):
-        for aggregate, index in aggregates:
-            if expr == aggregate:
-                return BoundColumn(index, str(expr))
-        raise SqlError(f"uncollected aggregate {expr}")  # pragma: no cover
-    if isinstance(expr, (VarRef, PropertyRef)):
-        qualifier = expr.var if isinstance(expr, PropertyRef) else None
-        name = expr.prop if isinstance(expr, PropertyRef) else expr.name
+
+    def unmatched(node: Expr) -> Expr:
+        if isinstance(node, _GRAPH_ONLY):
+            raise SqlError(
+                f"{node} is a graph pattern predicate; it is only valid inside "
+                f"GRAPH_TABLE, not in {where}"
+            )
+        qualifier = node.var if isinstance(node, PropertyRef) else None
+        name = node.prop if isinstance(node, PropertyRef) else node.name
         try:
-            return BoundColumn(post_scope.resolve(qualifier, name), str(expr))
+            return BoundColumn(post_scope.resolve(qualifier, name), str(node))
         except SqlError:
             raise SqlError(
-                f"column {expr} in {where} must appear in GROUP BY or be "
+                f"column {node} in {where} must appear in GROUP BY or be "
                 f"used inside an aggregate"
             ) from None
-    if isinstance(expr, _GRAPH_ONLY):
-        raise SqlError(
-            f"{expr} is a graph pattern predicate; it is only valid inside "
-            f"GRAPH_TABLE, not in {where}"
-        )
-    return rebuild(
-        expr,
-        lambda child: bind_post_aggregate(
-            child, group_keys, aggregates, post_scope, where=where
-        ),
-    )
+
+    return bind_outputs(expr, outputs, unmatched)
 
 
 def output_name(expr: Optional[Expr], alias: Optional[str], index: int) -> str:

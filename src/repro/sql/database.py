@@ -19,7 +19,6 @@ leaves the untraced paths byte-identical.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,8 +30,8 @@ from repro.gpml.streaming import PipelineStats
 from repro.graph.model import PropertyGraph
 from repro.pgq.catalog import Catalog
 from repro.pgq.table import Table
+from repro.rowops import attach_spans, delivered, render_plan
 from repro.sql import ast
-from repro.sql.operators import attach_spans, render_plan
 from repro.sql.config import SqlConfig
 from repro.sql.parser import parse_sql
 from repro.sql.planner import PlannerContext, plan_statement
@@ -112,7 +111,7 @@ class Database:
             stats = self.telemetry.stats_for(query=sql, engine="sql")
         plan = self._plan(statement, config, stats, pushdown, sql_config)
         names = [column.name for column in plan.columns]
-        rows = self._delivered(plan.run(), stats)
+        rows = delivered(plan.run(), stats)
         if self.telemetry is not None:
             rows = self.telemetry.instrument(rows, "sql", sql, stats)
         return Table(names, rows, name="result")
@@ -133,7 +132,7 @@ class Database:
             stats = self.telemetry.stats_for(query=sql, engine="sql")
         plan = self._plan(statement, config, stats, pushdown, sql_config)
         names = [column.name for column in plan.columns]
-        rows = self._delivered(plan.run(), stats)
+        rows = delivered(plan.run(), stats)
         if self.telemetry is not None:
             rows = self.telemetry.instrument(rows, "sql", sql, stats)
         return (dict(zip(names, row)) for row in rows)
@@ -211,7 +210,7 @@ class Database:
     ) -> list[str]:
         # Imported lazily: repro.obs.analyze renders both hosts' traces
         # and importing it at module scope would be a layering inversion.
-        from repro.obs.analyze import render_analyzed_plan
+        from repro.obs.analyze import render_analyzed
         from repro.obs.trace import QueryTrace
 
         if stats is None:
@@ -220,25 +219,6 @@ class Database:
             stats.trace = QueryTrace(engine="sql")
         plan = self._plan(statement, config, stats, pushdown, sql_config)
         attach_spans(plan, stats.trace.root)
-        start = perf_counter()
-        delivered = 0
-        for _ in plan.run():
-            delivered += 1
-        elapsed_ms = (perf_counter() - start) * 1000.0
-        stats.rows += delivered
-        return render_analyzed_plan(plan, stats, elapsed_ms, delivered)
-
-    @staticmethod
-    def _delivered(
-        rows: Iterator[tuple], stats: Optional[PipelineStats]
-    ) -> Iterator[tuple]:
-        """Count delivered result rows so ``stats.rows == len(result)``."""
-        if stats is None:
-            return rows
-        return _counted(rows, stats)
-
-
-def _counted(rows: Iterator[tuple], stats: PipelineStats) -> Iterator[tuple]:
-    for row in rows:
-        stats.rows += 1
-        yield row
+        return render_analyzed(
+            "sql", "row", stats, lambda: delivered(plan.run(), stats)
+        )

@@ -1,10 +1,10 @@
-"""Pull-based relational operators (the PR-2 style, lifted to SQL).
+"""SQL's share of the operator tree: leaves, the shared spool, the join.
 
-Every operator exposes its output schema (``columns``), a lazy ``rows()``
-generator, and an EXPLAIN description.  Streaming operators (scan,
-filter, project, the probe side of a hash join, distinct, limit, union)
-emit rows as their input produces them; pipeline breakers (sort,
-aggregation, the build side of a join) consume their whole input first.
+The host-neutral row operators (filter, project, aggregate, distinct,
+sort, limit, union) live in :mod:`repro.rowops` and run under both
+hosts.  What stays here is what only SQL has: base-table scans, the
+GRAPH_TABLE scans and their spool, and the inner join with its two
+cross-model variants.
 
 The graph leaf is :class:`GraphTableScan`: it drives the streaming GPML
 core directly, so a :class:`~repro.gpml.streaming.RowBudget` owned by the
@@ -19,14 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from repro.errors import SqlError
 from repro.gpml import ast as gpml_ast
 from repro.gpml.engine import PreparedQuery, SeededSearch, prepare
 from repro.gpml.expr import Expr, In, conjoin
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats, RowBudget, classify_pipeline, render_pipeline
 from repro.graph.model import PropertyGraph
-from repro.obs.trace import Span, timed_rows
 from repro.pgq.graph_table import (
     GraphTableStatement,
     iter_graph_table_rows,
@@ -34,74 +32,17 @@ from repro.pgq.graph_table import (
 )
 from repro.pgq.table import Table
 from repro.planner.anchor import SeedSpec
-from repro.sql.binder import Column, evaluate, holds
-from repro.values import NULL, is_null
+from repro.rowops import Column, Operator, RowContext, hashable
+from repro.values import TRUE, is_null
 
 
-class Operator:
-    """Base class: an output schema plus a lazy row stream.
-
-    Operators pull from their children via :meth:`run` (not ``rows()``
-    directly): when EXPLAIN ANALYZE has attached a trace span to an
-    operator, ``run()`` wraps the stream with row/time accounting —
-    otherwise it is ``rows()`` itself, so untraced execution pays one
-    attribute check per operator, not per row.
-    """
-
-    columns: list[Column]
-    children: list["Operator"]
-    #: trace span attached by :func:`attach_spans` (None = untraced)
-    span: Optional[Span] = None
-
-    def rows(self) -> Iterator[tuple]:
-        raise NotImplementedError
-
-    def run(self) -> Iterator[tuple]:
-        if self.span is None:
-            return self.rows()
-        return timed_rows(self.span, self.rows())
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def detail_lines(self) -> list[str]:
-        return []
+def evaluate(expr: Expr, row: tuple) -> Any:
+    return expr.evaluate(RowContext(row))
 
 
-def render_plan(op: Operator, indent: str = "") -> list[str]:
-    """Indented operator tree for EXPLAIN."""
-    lines = [f"{indent}{op.describe()}"]
-    child_indent = indent + "  "
-    for detail in op.detail_lines():
-        lines.append(f"{child_indent}{detail}")
-    for child in op.children:
-        lines.extend(render_plan(child, child_indent))
-    return lines
-
-
-def attach_spans(op: Operator, parent: Span) -> Span:
-    """Mirror the operator tree as trace spans (one per operator).
-
-    Called by EXPLAIN ANALYZE before execution; each operator's
-    :meth:`~Operator.run` then fills in its span.  A
-    :class:`GraphTableScan` additionally threads its span into the GPML
-    engine, so the pattern's stage spans nest under the scan operator.
-    """
-    span = parent.child(op.describe(), kind="operator")
-    op.span = span
-    for child in op.children:
-        attach_spans(child, span)
-    return span
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
-
-
-def _row_key(row: tuple) -> tuple:
-    return tuple(_hashable(v) for v in row)
+def holds(expr: Expr, row: tuple) -> bool:
+    """SQL predicate semantics: keep the row only when the truth is TRUE."""
+    return expr.truth(RowContext(row)) is TRUE
 
 
 # ----------------------------------------------------------------------
@@ -422,78 +363,6 @@ class SingleRow(Operator):
 
 
 # ----------------------------------------------------------------------
-# Row transforms
-# ----------------------------------------------------------------------
-class Filter(Operator):
-    """Keep rows whose predicate is TRUE (three-valued logic)."""
-
-    def __init__(self, child: Operator, predicate: Expr, label: str = "filter"):
-        self.child = child
-        self.predicate = predicate
-        self.label = label
-        self.columns = child.columns
-        self.children = [child]
-
-    def rows(self) -> Iterator[tuple]:
-        predicate = self.predicate
-        for row in self.child.run():
-            if holds(predicate, row):
-                yield row
-
-    def describe(self) -> str:
-        return f"{self.label}: {self.predicate}"
-
-
-class Project(Operator):
-    """Compute the output expressions of the SELECT list."""
-
-    def __init__(
-        self,
-        child: Operator,
-        items: list[tuple[str, Expr]],
-        qualifier: Optional[str] = None,
-    ):
-        self.child = child
-        self.items = items
-        self.columns = [
-            Column(table=qualifier, name=name, source=0) for name, _ in items
-        ]
-        self.children = [child]
-
-    def rows(self) -> Iterator[tuple]:
-        exprs = [expr for _, expr in self.items]
-        for row in self.child.run():
-            yield tuple(evaluate(expr, row) for expr in exprs)
-
-    def describe(self) -> str:
-        rendered = ", ".join(
-            name if name == str(expr) else f"{expr} AS {name}"
-            for name, expr in self.items
-        )
-        return f"project: {rendered}"
-
-
-class Distinct(Operator):
-    """Streaming duplicate elimination (first occurrence wins)."""
-
-    def __init__(self, child: Operator):
-        self.child = child
-        self.columns = child.columns
-        self.children = [child]
-
-    def rows(self) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self.child.run():
-            key = _row_key(row)
-            if key not in seen:
-                seen.add(key)
-                yield row
-
-    def describe(self) -> str:
-        return "distinct"
-
-
-# ----------------------------------------------------------------------
 # Join
 # ----------------------------------------------------------------------
 @dataclass
@@ -555,13 +424,13 @@ class Join(Operator):
             left_values = [evaluate(k, row) for k in self.left_keys]
             if any(is_null(v) for v in left_values):
                 continue
-            left_key = tuple(_hashable(v) for v in left_values)
+            left_key = tuple(hashable(v) for v in left_values)
             probes += 1
             for other in scan.probe(left_values[position]):
                 # The probe yields a candidate superset; re-checking every
                 # key pair here is what makes that contract sufficient.
                 right_key = tuple(
-                    _hashable(evaluate(k, other)) for k in self.right_keys
+                    hashable(evaluate(k, other)) for k in self.right_keys
                 )
                 if right_key != left_key:
                     continue
@@ -585,7 +454,7 @@ class Join(Operator):
             right_source = self.right.run()
         build: dict[tuple, list[tuple]] = {}
         for row in right_source:
-            key = tuple(_hashable(evaluate(k, row)) for k in self.right_keys)
+            key = tuple(hashable(evaluate(k, row)) for k in self.right_keys)
             if any(is_null(v) for v in key):
                 continue
             build.setdefault(key, []).append(row)
@@ -595,7 +464,7 @@ class Join(Operator):
             return
         residual = self.residual
         for row in left_source:
-            key = tuple(_hashable(evaluate(k, row)) for k in self.left_keys)
+            key = tuple(hashable(evaluate(k, row)) for k in self.left_keys)
             if any(is_null(v) for v in key):
                 continue
             for other in build.get(key, ()):
@@ -695,232 +564,3 @@ class Join(Operator):
                 f"into the graph side (cap {self.semi_join.max_keys} keys)"
             )
         return lines
-
-
-# ----------------------------------------------------------------------
-# Aggregation
-# ----------------------------------------------------------------------
-class Aggregate(Operator):
-    """GROUP BY + vertical aggregates (a pipeline breaker).
-
-    ``keys`` are (column, bound expr) pairs over the input; ``aggregates``
-    are the bound :class:`SqlAggregate` specs.  With no GROUP BY the
-    whole input forms one group (so ``SELECT COUNT(*) FROM t`` yields one
-    row even for an empty table).  Groups emit in first-seen order.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        keys: list[tuple[Column, Expr]],
-        aggregates: list[tuple[Column, "BoundAggregate"]],
-        group_all: bool = False,
-    ):
-        self.child = child
-        self.keys = keys
-        self.aggregates = aggregates
-        self.group_all = group_all
-        self.columns = [c for c, _ in keys] + [c for c, _ in aggregates]
-        self.children = [child]
-
-    def rows(self) -> Iterator[tuple]:
-        groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
-        originals: dict[tuple, tuple] = {}
-        for row in self.child.run():
-            values = tuple(evaluate(expr, row) for _, expr in self.keys)
-            key = _row_key(values)
-            bucket = groups.get(key)
-            if bucket is None:
-                order.append(key)
-                originals[key] = values
-                groups[key] = [row]
-            else:
-                bucket.append(row)
-        if not order and self.group_all:
-            order.append(())
-            groups[()] = []
-            originals[()] = ()
-        if self.span is not None:
-            self.span.peak_rows = sum(len(members) for members in groups.values())
-        for key in order:
-            members = groups[key]
-            out = list(originals[key])
-            for _, aggregate in self.aggregates:
-                out.append(aggregate.compute(members))
-            yield tuple(out)
-
-    def describe(self) -> str:
-        keys = ", ".join(str(expr) for _, expr in self.keys) or "()"
-        aggs = ", ".join(str(spec) for _, spec in self.aggregates)
-        return f"aggregate: group by {keys}" + (f" compute {aggs}" if aggs else "")
-
-
-class BoundAggregate:
-    """One vertical aggregate with its argument bound over the input."""
-
-    def __init__(self, func: str, arg: Optional[Expr], distinct: bool, separator: str):
-        self.func = func
-        self.arg = arg
-        self.distinct = distinct
-        self.separator = separator
-
-    def compute(self, rows: list[tuple]) -> Any:
-        if self.arg is None:  # COUNT(*)
-            return len(rows)
-        values = [
-            value
-            for value in (evaluate(self.arg, row) for row in rows)
-            if not is_null(value)
-        ]
-        if self.distinct:
-            unique: list[Any] = []
-            for value in values:
-                if value not in unique:
-                    unique.append(value)
-            values = unique
-        func = self.func
-        if func == "COUNT":
-            return len(values)
-        if func == "LISTAGG":
-            return self.separator.join(str(v) for v in values)
-        if not values:
-            return NULL
-        if func == "SUM":
-            return sum(values)
-        if func == "AVG":
-            return sum(values) / len(values)
-        if func == "MIN":
-            return min(values)
-        if func == "MAX":
-            return max(values)
-        raise SqlError(f"unknown aggregate {func!r}")  # pragma: no cover
-
-    def __str__(self) -> str:
-        distinct = "DISTINCT " if self.distinct else ""
-        return f"{self.func}({distinct}{'*' if self.arg is None else self.arg})"
-
-
-# ----------------------------------------------------------------------
-# Order / limit / set operations
-# ----------------------------------------------------------------------
-class Sort(Operator):
-    """ORDER BY (a pipeline breaker): stable multi-key sort.
-
-    NULLs sort last ascending (first descending); all numeric values
-    (int/float/bool) share one sort class so ``ORDER BY`` interleaves
-    them numerically, and other values are keyed by type name so
-    heterogeneous columns stay orderable.
-    """
-
-    def __init__(self, child: Operator, keys: list[tuple[Expr, bool]]):
-        self.child = child
-        self.keys = keys  # (bound expr, descending)
-        self.columns = child.columns
-        self.children = [child]
-
-    def rows(self) -> Iterator[tuple]:
-        rows = list(self.child.run())
-        if self.span is not None:
-            self.span.peak_rows = len(rows)
-        for expr, descending in reversed(self.keys):
-            rows.sort(key=lambda row: _sort_key(evaluate(expr, row)), reverse=descending)
-        return iter(rows)
-
-    def describe(self) -> str:
-        keys = ", ".join(
-            f"{expr}{' DESC' if descending else ''}" for expr, descending in self.keys
-        )
-        return f"sort: {keys}"
-
-
-def _sort_key(value: Any) -> tuple:
-    if is_null(value):
-        return (1, "", "")
-    if isinstance(value, (bool, int, float)):
-        return (0, "number", _hashable(value))
-    return (0, type(value).__name__, _hashable(value))
-
-
-class Limit(Operator):
-    """LIMIT/OFFSET; owns the statement's RowBudget when one exists.
-
-    The budget counts rows *pulled* (offset + limit of them are needed),
-    and every :class:`GraphTableScan` below polls it — satisfied means
-    the NFA search stops, not just the iteration.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        limit: Optional[int],
-        offset: int = 0,
-        budget: Optional[RowBudget] = None,
-    ):
-        self.child = child
-        self.limit = limit
-        self.offset = offset
-        self.budget = budget
-        self.columns = child.columns
-        self.children = [child]
-
-    def rows(self) -> Iterator[tuple]:
-        if self.limit is not None and self.limit <= 0:
-            return
-        skipped = 0
-        delivered = 0
-        for row in self.child.run():
-            if self.budget is not None:
-                self.budget.take()
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            yield row
-            delivered += 1
-            if self.limit is not None and delivered >= self.limit:
-                if self.span is not None and self.budget is not None:
-                    self.span.event("budget_satisfied", taken=self.budget.taken)
-                return
-
-    def describe(self) -> str:
-        parts = []
-        if self.limit is not None:
-            parts.append(f"limit {self.limit}")
-        if self.offset:
-            parts.append(f"offset {self.offset}")
-        text = " ".join(parts) or "limit"
-        if self.budget is not None:
-            text += " [row budget pushed into graph_table scans]"
-        return text
-
-
-class Union(Operator):
-    """UNION [ALL]; plain UNION deduplicates with a streaming seen-set."""
-
-    def __init__(self, left: Operator, right: Operator, all_rows: bool):
-        if len(left.columns) != len(right.columns):
-            raise SqlError(
-                f"UNION arity mismatch: {len(left.columns)} vs "
-                f"{len(right.columns)} columns"
-            )
-        self.left = left
-        self.right = right
-        self.all_rows = all_rows
-        self.columns = left.columns
-        self.children = [left, right]
-
-    def rows(self) -> Iterator[tuple]:
-        if self.all_rows:
-            yield from self.left.run()
-            yield from self.right.run()
-            return
-        seen: set[tuple] = set()
-        for side in (self.left, self.right):
-            for row in side.run():
-                key = _row_key(row)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-
-    def describe(self) -> str:
-        return "union all" if self.all_rows else "union (distinct)"

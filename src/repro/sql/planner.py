@@ -61,11 +61,22 @@ from repro.gpml.expr import (
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.planner.indexes import conjuncts
+from repro.rowops import (
+    Aggregate,
+    BoundAggregate,
+    BoundColumn,
+    Column,
+    Distinct,
+    Filter,
+    Limit,
+    Operator,
+    Project,
+    Sort,
+    Union,
+)
 from repro.sql import ast
 from repro.sql.ast import SqlAggregate, collect_aggregates
 from repro.sql.binder import (
-    BoundColumn,
-    Column,
     Scope,
     bind,
     bind_post_aggregate,
@@ -74,21 +85,7 @@ from repro.sql.binder import (
     substitute_columns,
 )
 from repro.sql.config import SqlConfig
-from repro.sql.operators import (
-    Aggregate,
-    BoundAggregate,
-    Distinct,
-    Filter,
-    GraphTableScan,
-    Join,
-    Limit,
-    Operator,
-    Project,
-    SingleRow,
-    Sort,
-    TableScan,
-    Union,
-)
+from repro.sql.operators import GraphTableScan, Join, SingleRow, TableScan
 from repro.sql.rules import apply_rewrite_rules
 
 #: node types every pushable conjunct (and pushable COLUMNS defining
@@ -129,6 +126,11 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
         root = _plan_core(statement.cores[0], ctx, [])
         for set_op, core in zip(statement.set_ops, statement.cores[1:]):
             right = _plan_core(core, ctx, [])
+            if len(root.columns) != len(right.columns):
+                raise SqlError(
+                    f"UNION arity mismatch: {len(root.columns)} vs "
+                    f"{len(right.columns)} columns"
+                )
             root = Union(root, right, all_rows=(set_op == "UNION ALL"))
         if statement.order_by:
             scope = Scope(root.columns)
@@ -183,21 +185,17 @@ def _plan_core(
     if aggregated:
         if any(item.expr is None for item in core.items):
             raise SqlError("SELECT * cannot be combined with GROUP BY or aggregates")
-        op, group_pairs, agg_pairs, post_scope = _plan_aggregate(
-            op, scope, core, order_exprs
-        )
+        op, outputs, post_scope = _plan_aggregate(op, scope, core, order_exprs)
         if core.having is not None:
             predicate = bind_post_aggregate(
-                core.having, group_pairs, agg_pairs, post_scope, where="HAVING"
+                core.having, outputs, post_scope, where="HAVING"
             )
             op = Filter(op, predicate, label="having")
         named_items = _dedup_names(
             [
                 (
                     output_name(item.expr, item.alias, index),
-                    bind_post_aggregate(
-                        item.expr, group_pairs, agg_pairs, post_scope
-                    ),
+                    bind_post_aggregate(item.expr, outputs, post_scope),
                     item.alias is not None,
                     str(item.expr),
                 )
@@ -207,7 +205,7 @@ def _plan_core(
 
         def bind_order(expr: Expr) -> Expr:
             return bind_post_aggregate(
-                expr, group_pairs, agg_pairs, post_scope, where="ORDER BY"
+                expr, outputs, post_scope, where="ORDER BY"
             )
 
     else:
@@ -603,4 +601,4 @@ def _plan_aggregate(
         op, key_columns, aggregate_columns, group_all=not core.group_by
     )
     post_scope = Scope(aggregate_op.columns)
-    return aggregate_op, group_pairs, aggregate_pairs, post_scope
+    return aggregate_op, group_pairs + aggregate_pairs, post_scope

@@ -38,14 +38,13 @@ from typing import Iterator, Optional
 
 from repro.gpml.expr import Arithmetic, Expr, Literal, Negate, PropertyRef, VarRef
 from repro.planner.anchor import plan_seed
-from repro.sql.binder import BoundColumn
+from repro.rowops import BoundColumn, Operator
 from repro.sql.config import SEEDED_JOIN, SEMI_JOIN, SHARED_SCAN
 from repro.sql.operators import (
     PROBE_ELEMENT,
     PROBE_PROPERTY,
     GraphTableScan,
     Join,
-    Operator,
     SeededGraphTableScan,
     SemiJoinSpec,
     SharedGraphSpool,

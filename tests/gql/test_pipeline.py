@@ -400,7 +400,8 @@ class TestExplain:
         )
         assert "statement #1" in plan and "statement #2" in plan
         assert "seeded search on b (left end bound upstream)" in plan
-        assert "row budget = OFFSET+LIMIT" in plan
+        assert "[streaming] limit 1 [row budget pushed into the pattern searches below]" in plan
+        assert "row budget: every statement's search stops after 1 delivered" in plan
 
     def test_hash_join_mode_rendered(self):
         plan = explain_gql(
@@ -415,7 +416,8 @@ class TestExplain:
         )
         assert "extend each row with x" in plan
         assert "per-row predicate" in plan
-        assert "vertical aggregation + ORDER BY materializes all records" in plan
+        assert "[blocking] sort: COUNT(a)" in plan
+        assert "[blocking] aggregate: group by x compute COUNT(a)" in plan
 
     def test_session_explain(self, fig1):
         session = GqlSession(fig1)
@@ -436,8 +438,8 @@ class TestExplain:
         # OFFSET without LIMIT runs to exhaustion; EXPLAIN must not
         # promise a budget that execution never creates.
         plan = explain_gql("MATCH (a)-[t:Transfer]->(b) RETURN a OFFSET 2")
-        assert "row budget = OFFSET+LIMIT" not in plan
-        assert "no LIMIT: runs to exhaustion" in plan
+        assert "[streaming] offset 2" in plan
+        assert "row budget pushed" not in plan and "row budget:" not in plan
 
     def test_optional_padding_rendered(self):
         plan = explain_gql(

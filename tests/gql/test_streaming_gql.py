@@ -41,6 +41,17 @@ class TestIterEquivalence:
         streamed = list(execute_gql_iter(fig1, query))
         assert streamed == materialized
 
+    def test_order_by_expression_corpus_query_is_sorted(self, fig1):
+        # streamed == materialized would also hold if both were unsorted
+        # (they were: the key is not a RETURN alias) — pin the order too
+        query = next(q for q in GQL_CORPUS if "ORDER BY a.owner DESC" in q)
+        sources = execute_gql(
+            fig1, "MATCH (a:Account)-[t:Transfer]->(b) RETURN a.owner AS src"
+        ).column("src")
+        assert [r["src"] for r in execute_gql_iter(fig1, query)] == sorted(
+            sources, reverse=True
+        )[:2]
+
     def test_islice_prefix(self, fig1):
         query = "MATCH (a:Account)-[t:Transfer]->(b) RETURN a.owner AS src"
         full = execute_gql(fig1, query).records

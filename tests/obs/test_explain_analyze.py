@@ -70,8 +70,9 @@ def test_gql_explain_analyze_fraud_query(fig1):
 
     assert report.startswith("EXPLAIN ANALYZE (gql)")
     assert "actual: 2 record(s)" in report
-    # one block per pipeline stage, statements before RETURN
-    assert report.index("statement #1") < report.index("RETURN")
+    # the RETURN operators render above the statement chain they pull from
+    assert report.index("sort: ") < report.index("distinct") < report.index("project: ")
+    assert report.index("project: ") < report.index("statement #1")
     assert "hash-join build" in report and "peak=" in report
     # estimated-vs-actual cardinality on anchored searches
     assert "anchor: left via property index Account(isBlocked='no')" in report
@@ -94,7 +95,7 @@ def test_gql_explain_analyze_matches_flat_counters(fig1):
     stats = PipelineStats.traced()
     session.explain_analyze(query, stats=stats)
     assert stats.trace.total_steps() == stats.steps
-    delivered = stats.trace.find("RETURN").rows_out
+    delivered = stats.trace.find("project: ").rows_out
     assert delivered == stats.rows
 
 

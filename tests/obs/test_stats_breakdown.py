@@ -69,12 +69,14 @@ def test_breakdown_per_statement(fig1):
     )
     records = list(execute_gql_iter(fig1, query, stats=stats))
     statements = [e for e in stats.breakdown() if e["kind"] == "statement"]
-    assert len(statements) == 3  # two MATCH statements + RETURN
+    assert len(statements) == 2  # the two MATCH statements
     assert statements[0]["rows_in"] == 1  # the initial unit row
     # rows chain: each statement consumes what the previous produced
     assert statements[1]["rows_in"] == statements[0]["rows_out"]
-    assert statements[2]["rows_in"] == statements[1]["rows_out"]
-    assert statements[2]["rows_out"] == len(records) == stats.rows
+    # RETURN is operator spans above the chain: project <- statement chain
+    project, chain = [e for e in stats.breakdown() if e["kind"] == "operator"]
+    assert chain["rows_out"] == statements[1]["rows_out"]
+    assert project["rows_out"] == len(records) == stats.rows
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +126,7 @@ def test_budget_truncated_steps_counted_once(fig1):
     # the budget closed searches mid-flight; their finally blocks must
     # have recorded steps exactly once each
     assert stats.trace.total_steps() == stats.steps
-    ret = stats.trace.find("RETURN")
+    ret = stats.trace.find("limit 2")
     assert ret.events and ret.events[0]["event"] == "budget_satisfied"
 
 

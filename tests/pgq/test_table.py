@@ -91,6 +91,12 @@ class TestOperators:
         ordered = accounts.order_by(["amount"])
         assert [d["ID"] for d in ordered.to_dicts()] == ["a4", "a1", "a2", "a3"]
 
+    def test_order_by_interleaves_numbers_like_the_hosts(self):
+        # one sort key under Table, GQL's RETURN and SQL's SELECT
+        table = Table(["v"], [(3,), (NULL,), (2.5,), (1,)])
+        assert table.order_by(["v"]).rows == [(1,), (2.5,), (3,), (NULL,)]
+        assert table.order_by(["v"], descending=True).rows == [(NULL,), (3,), (2.5,), (1,)]
+
     def test_order_by_descending(self, accounts):
         ordered = accounts.order_by(["owner"], descending=True)
         assert ordered.to_dicts()[0]["owner"] == "Scott"

@@ -119,11 +119,12 @@ def test_gql_trace_consistent_and_observation_free(graph, query):
     assert stats.trace.total_steps() == stats.steps
 
     # rows chain stage to stage: statement k consumes statement k-1's
-    # output; the pipeline starts from one unit row; the last span
-    # (RETURN) emits exactly the delivered records.
-    spans = stats.trace.root.children
+    # output; the pipeline starts from one unit row; the root of the
+    # RETURN operators emits exactly the delivered records.
+    spans = [span for span in stats.trace.walk() if span.kind == "statement"]
     assert spans, "traced run recorded no statement spans"
     assert spans[0].rows_in == 1
     for previous, current in zip(spans, spans[1:]):
         assert current.rows_in == previous.rows_out
-    assert spans[-1].rows_out == len(traced)
+    (tail,) = stats.trace.root.children
+    assert tail.kind == "operator" and tail.rows_out == len(traced)
