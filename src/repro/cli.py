@@ -45,7 +45,7 @@ and prints the EXPLAIN ANALYZE rendering — per-stage actual rows /
 matcher steps / wall time plus the planner's estimated-vs-actual
 cardinalities; ``--trace-json FILE`` writes the run's span tree as
 ``repro.trace/v1`` JSON; ``--stats`` additionally reports wall time and
-a ``-- plan:`` line with the planner's anchor / join-order choices.
+a ``-- plan:`` line with the planner's anchor choices.
 The flags compose (``--analyze --stats --trace-json t.json``).
 
 Workload telemetry: ``--metrics-out FILE`` records the run into a
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain-plan", action="store_true",
         help="print the cost-based plan (anchors, indexes, estimated "
-        "cardinalities, join order, streaming/blocking pipeline stages) "
+        "cardinalities, the streaming/blocking stage tree) "
         "for the query against the graph",
     )
     return parser
@@ -161,7 +161,7 @@ def build_sql_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="after execution, print matcher step/match/row counters and "
         "wall time (shows how much of the search LIMIT/WHERE pushdown "
-        "skipped), plus the planner's anchor/join-order choices",
+        "skipped), plus the planner's anchor choices",
     )
     parser.add_argument(
         "--trace-json", metavar="FILE", default=None,
@@ -220,7 +220,7 @@ def build_gql_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats", action="store_true",
         help="after execution, print matcher step/match/row counters and "
-        "wall time, plus the planner's anchor/join-order choices",
+        "wall time, plus the planner's anchor choices",
     )
     parser.add_argument(
         "--trace-json", metavar="FILE", default=None,

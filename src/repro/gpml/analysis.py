@@ -25,6 +25,7 @@ Implements, ahead of execution:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import (
@@ -90,11 +91,13 @@ class PathAnalysis:
     strategy: str
     has_multiset: bool
 
-    @property
+    # Cached: every run of the pattern reads both, a seeded run once per
+    # seed; ``vars`` is complete before an analysis leaves :func:`analyze`.
+    @cached_property
     def group_vars(self) -> frozenset[str]:
         return frozenset(v.name for v in self.vars.values() if v.group)
 
-    @property
+    @cached_property
     def anonymous_vars(self) -> frozenset[str]:
         return frozenset(v.name for v in self.vars.values() if v.anonymous)
 

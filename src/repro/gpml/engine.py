@@ -13,14 +13,16 @@ Pipeline (mirroring Section 6 of the paper):
    final WHERE postfilter (Sections 4.3, 6.6),
 9. materialize rows with element handles, group lists and Path values.
 
-Stages 5-9 form a lazy, pull-based pipeline: :func:`match_iter` yields
+Stages 5-9 form a lazy, pull-based pipeline, written down once: as the
+tree of :class:`~repro.rowops.Operator` stages :func:`match_stages`
+builds.  :func:`match_iter` runs that tree and yields
 :class:`BindingRow` objects as the underlying product-graph search
-discovers them, and a :class:`~repro.gpml.streaming.RowBudget` threaded
-down to the matcher lets consumers (GQL ``LIMIT``, :func:`exists`,
+discovers them, EXPLAIN renders it, and a traced run mirrors it as
+spans.  A :class:`~repro.gpml.streaming.RowBudget` handed down to the
+matcher lets consumers (GQL ``LIMIT``, :func:`exists`,
 ``graph_table(..., limit=N)``) terminate the NFA search early.  Stages
-that cannot stream — selectors, KEEP — materialize exactly their own
-input and nothing more; see :func:`repro.gpml.streaming.classify_pipeline`
-for the full streaming/blocking classification rendered by EXPLAIN.
+that cannot stream — selectors, hash-join builds, KEEP — say so through
+``blocking`` and materialize exactly their own input and nothing more.
 
 Row order is deterministic: per pattern, solutions come out in discovery
 order of the (planned) search from sorted start candidates; selectors
@@ -39,8 +41,8 @@ or reversed), one seeded search per upstream binding row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.worklog import Telemetry
@@ -64,12 +66,13 @@ from repro.gpml.matcher import Matcher, MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
 from repro.gpml.selectors import apply_selector
-from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
-from repro.obs.trace import Span, timed_rows
+from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
+from repro.obs.trace import STAGE, Span
 from repro.planner.anchor import RIGHT, reverse_binding
-from repro.planner.plan import QueryPlan, plan_query
+from repro.planner.plan import PatternPlan, plan_query
+from repro.rowops import Filter, Operator, attach_spans
 from repro.values import NULL
 
 
@@ -242,7 +245,6 @@ def match_iter(
     limit: Optional[int] = None,
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
-    span: Optional[Span] = None,
     count_rows: bool = True,
     telemetry: Optional["Telemetry"] = None,
 ) -> Iterator[BindingRow]:
@@ -259,9 +261,10 @@ def match_iter(
     ``stats``, when given, accumulates matcher step/match/row counters.
     ``count_rows=False`` suppresses the ``stats.rows`` bump — for callers
     (GQL pipeline, SQL scans) whose rows are intermediate, so the flat
-    counter keeps meaning *delivered to the end consumer*.  ``span``
-    attaches per-stage trace spans under the given parent; when omitted
-    but ``stats.trace`` is set, spans hang off the trace root.
+    counter keeps meaning *delivered to the end consumer*.  When
+    ``stats.trace`` is set, the stages' spans hang off the trace root (a
+    host that wants them under a span of its own takes the tree from
+    :func:`match_stages` and attaches it there).
 
     ``telemetry``, when given, records the query into the workload
     registry and query log (:class:`~repro.obs.worklog.Telemetry`) once
@@ -269,40 +272,16 @@ def match_iter(
     the caller passed none.  The default ``None`` leaves every code path
     untouched.
     """
-    if limit is not None and budget is not None:
-        raise GpmlEvaluationError(
-            "match_iter takes limit or budget, not both: a caller-supplied "
-            "budget counts its own delivered rows"
-        )
     prepared = query if isinstance(query, PreparedQuery) else prepare(query)
-    config = config or MatcherConfig()
     if telemetry is not None and stats is None:
         stats = telemetry.stats_for(query=prepared.text, engine="gpml")
-    own_budget = budget is None
-    if own_budget:
-        budget = RowBudget(limit)
-    plan = plan_query(graph, prepared) if config.use_planner else None
-    if span is None and stats is not None and stats.trace is not None:
-        span = stats.trace.root
-    delivery = (
-        span.child("row delivery", mode=STREAMING) if span is not None else None
+    tree = match_stages(
+        graph, prepared, config,
+        limit=limit, budget=budget, stats=stats, count_rows=count_rows,
     )
-
-    def rows() -> Iterator[BindingRow]:
-        if budget.satisfied:
-            return
-        for row in _match_stream(graph, prepared, config, plan, budget, stats, span):
-            if own_budget:
-                budget.take()
-            if count_rows and stats is not None:
-                stats.rows += 1
-            yield row
-            if budget.satisfied:
-                if delivery is not None:
-                    delivery.event("budget_satisfied", taken=budget.taken)
-                return
-
-    stream = rows() if delivery is None else timed_rows(delivery, rows())
+    if stats is not None and stats.trace is not None:
+        attach_spans(tree, stats.trace.root)
+    stream = tree.run()
     if telemetry is None:
         return stream
     return telemetry.instrument(stream, "gpml", prepared.text, stats)
@@ -330,18 +309,15 @@ def assemble_result(
     graph: PropertyGraph,
     prepared: PreparedQuery,
     per_pattern: list[list[ReducedBinding]],
-    plan: Optional[QueryPlan] = None,
 ) -> MatchResult:
     """Join per-pattern solutions, apply the postfilter, build rows.
 
     The materializing assembly used by the Section 6 reference engine and
     the naive baselines (the production engine streams — see
-    :func:`_match_stream`); both produce the same textual nested-loop row
-    order.  The optional plan supplies the join order; rows always come
-    out in the textual nested-loop order regardless.
+    :func:`match_stages`); both produce the same textual nested-loop row
+    order.
     """
-    join_order = plan.join_order if plan is not None else None
-    rows = _join_patterns(graph, prepared, per_pattern, join_order)
+    rows = _join_patterns(graph, prepared, per_pattern)
     if prepared.normalized.where is not None:
         condition = prepared.normalized.where
         rows = [
@@ -352,6 +328,589 @@ def assemble_result(
     if prepared.normalized.keep is not None:
         rows = _apply_keep(graph, rows, prepared.normalized.keep)
     return MatchResult(rows=rows, variables=prepared.visible_variables())
+
+
+# ----------------------------------------------------------------------
+# The stage tree: stages 5-9 of one MATCH, as operators
+# ----------------------------------------------------------------------
+def match_stages(
+    graph: Optional[PropertyGraph],
+    prepared: PreparedQuery,
+    config: MatcherConfig | None = None,
+    *,
+    limit: Optional[int] = None,
+    budget: Optional[RowBudget] = None,
+    stats: Optional[PipelineStats] = None,
+    count_rows: bool = True,
+) -> Operator:
+    """The stage tree of one MATCH execution — its only description.
+
+    Per path pattern: search → reduce + dedup → [selector]; with several
+    patterns a hash join (the textual-first pattern is the streaming
+    probe side, every other pattern one blocking build); then the
+    postfilter WHERE, [KEEP] and row delivery.  :func:`match_iter` runs
+    the tree (``run()``), EXPLAIN renders it
+    (:func:`~repro.rowops.render_plan` — ``graph`` may be None for
+    that), and a traced run mirrors it as spans
+    (:func:`~repro.rowops.attach_spans`), so the three cannot disagree.
+    Building the tree touches neither the graph nor the planner: each
+    search plans and opens its matcher when first pulled.
+
+    ``limit`` / ``budget`` / ``stats`` / ``count_rows`` are
+    :func:`match_iter`'s.
+    """
+    if limit is not None and budget is not None:
+        raise GpmlEvaluationError(
+            "match_iter takes limit or budget, not both: a caller-supplied "
+            "budget counts its own delivered rows"
+        )
+    config = config or MatcherConfig()
+    own_budget = budget is None
+    if own_budget:
+        budget = RowBudget(limit)
+    tree = _pattern_stages(_Search(graph, prepared, 0, config, budget, stats))
+    if prepared.num_path_patterns > 1:
+        # Build sides in textual order, each keyed on the variables it
+        # shares with the patterns before it; a build side must be
+        # complete, so its search never sees the row budget.
+        builds = []
+        bound_vars = _singleton_vars(prepared, 0)
+        for index in range(1, prepared.num_path_patterns):
+            own_vars = _singleton_vars(prepared, index)
+            search = _Search(graph, prepared, index, config, None, stats)
+            builds.append(
+                _Build(_pattern_stages(search), index, sorted(own_vars & bound_vars))
+            )
+            bound_vars |= own_vars
+        tree = _Probe(tree, builds)
+    tree = _postfilter_stages(tree, graph, prepared)
+    return _Delivery(tree, budget, own_budget, stats if count_rows else None)
+
+
+def _pattern_stages(search: "_Search") -> "_Stage":
+    """search → reduce + dedup → [selector]: one path pattern's solutions.
+
+    Shared by the full run and the seeded one, so dedup keys, reversal
+    and selector handling cannot drift between the two.  The subtree's
+    top stage materializes: what leaves it are :class:`BindingRow`s.
+    """
+    bind = partial(_materialize, search.graph, search.analysis, search.path.path_var)
+    if search.path.selector is None:
+        return _Dedup(search, bind)
+    return _Selector(_Dedup(search, None), bind)
+
+
+def _postfilter_stages(
+    tree: Operator, graph: Optional[PropertyGraph], prepared: PreparedQuery
+) -> Operator:
+    """The final WHERE, then KEEP, over joined binding rows."""
+    if prepared.normalized.where is not None:
+        tree = _Where(tree, prepared.normalized.where, graph)
+    if prepared.normalized.keep is not None:
+        tree = _Keep(tree, graph, prepared.normalized.keep)
+    return tree
+
+
+def _singleton_vars(prepared: PreparedQuery, index: int) -> set[str]:
+    return {
+        name
+        for name, info in prepared.analysis.paths[index].vars.items()
+        if not info.anonymous and not info.group
+    }
+
+
+class _Stage(Operator):
+    """One stage of a MATCH: an operator below the hosts' leaves, whose
+    rows are solutions or binding rows rather than column tuples."""
+
+    span_kind = STAGE
+    columns: list = []
+    children: list = []
+    #: why the stage streams, or why it cannot
+    detail = ""
+
+    def detail_lines(self) -> list[str]:
+        return [self.detail]
+
+
+#: why each search strategy may stream (emission granularity)
+_SEARCH_DETAIL = {
+    ENUMERATE: "DFS emits each accepted binding as it is discovered",
+    SHORTEST: "BFS emits per completed layer (nondecreasing path length)",
+    K_SEARCH: "layered search emits per completed layer",
+    CHEAPEST: "Dijkstra emits in cost order as the frontier settles",
+}
+
+
+class _Search(_Stage):
+    """Stage 5: the product-graph search of one path pattern.
+
+    Without ``seeds`` the search starts from the planned candidate set
+    and — for a right anchor — runs the reversed pattern; a seeded run
+    starts from exactly the given nodes, reversed when ``reversed_run``
+    carries a pre-compiled reversed pattern + NFA.  Either way the dedup
+    stage maps reversed bindings back to forward orientation
+    (``reverse``), so everything downstream is orientation-blind.
+    ``budget`` must only be given when this search feeds the terminal
+    consumer (never for a hash-join build side).
+    """
+
+    def __init__(
+        self,
+        graph: Optional[PropertyGraph],
+        prepared: PreparedQuery,
+        index: int,
+        config: MatcherConfig,
+        budget: Optional[RowBudget],
+        stats: Optional[PipelineStats],
+        seeds: Optional[list[str]] = None,
+        reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
+        owner: Optional[Span] = None,
+    ):
+        self.graph = graph
+        self.prepared = prepared
+        self.index = index
+        self.config = config
+        self.budget = budget
+        self.stats = stats
+        self.seeds = seeds
+        self.reversed_run = reversed_run
+        #: a seeded run's aggregate span (see :func:`iter_seeded_rows`)
+        self.owner = owner
+        self.path = prepared.normalized.paths[index]
+        self.analysis = prepared.analysis.paths[index]
+        self.plan: Optional[PatternPlan] = None
+
+    def rows(self) -> Iterator[PathBinding]:
+        graph, run, start = self.graph, self.reversed_run, self.seeds
+        if start is None and self.config.use_planner:
+            plan = self.plan = plan_query(graph, self.prepared).patterns[self.index]
+            start = partial(plan.start_candidates, graph)
+            if plan.side == RIGHT and plan.reversed_nfa is not None:
+                run = (plan.reversed_path, plan.reversed_nfa)
+        self.reverse = run is not None
+        run_path, nfa = run or (self.path, self.prepared.nfas[self.index])
+        self.matcher = _make_matcher(
+            graph, nfa, run_path.pattern, self.config, self.analysis,
+            start_candidates=start, budget=self.budget, stats=self.stats,
+        )
+        return _run_strategy(self.matcher, self.path, self.analysis)
+
+    def finish(self) -> None:
+        """Record what the search did, once, when its consumer closes —
+        drained or abandoned by a satisfied budget.  The matcher hot loop
+        is not instrumented: the step count is read off the matcher."""
+        matcher, plan, span = self.matcher, self.plan, self.span
+        if plan is not None:
+            plan.observed_candidates = matcher.initial_candidate_count
+        if self.owner is not None:
+            self.owner.steps += matcher.steps
+            self.owner.bump("seeded_runs")
+        if span is None:
+            return
+        span.steps = matcher.steps
+        span.matches = span.rows_out
+        span.meta["observed_candidates"] = matcher.initial_candidate_count
+        if plan is not None:
+            span.meta.update(
+                anchor=f"{plan.side} via {plan.source.describe()}",
+                est_candidates=plan.source.estimate,
+                est_rows=plan.est_result,
+            )
+        metrics = getattr(matcher, "metrics", None)
+        if metrics is not None:
+            span.meta["engine"] = "columnar"
+            span.counts.update(metrics)
+            examined = metrics.get("frontier_entries", 0)
+            if examined:
+                span.meta["vector_selectivity"] = (
+                    metrics.get("frontier_survivors", 0) / examined
+                )
+
+    def describe(self) -> str:
+        return f"pattern #{self.index + 1} search ({self.analysis.strategy})"
+
+    def detail_lines(self) -> list[str]:
+        return [_SEARCH_DETAIL[self.analysis.strategy]]
+
+
+class _Dedup(_Stage):
+    """Stage 6: reduce each accepted binding and drop duplicates,
+    streaming.  ``bind`` (None when a selector follows) materializes the
+    surviving solutions."""
+
+    detail = "incremental seen-set over reduced bindings"
+
+    def __init__(self, search: _Search, bind: Optional[Callable]):
+        self.search = search
+        self.bind = bind
+        self.children = [search]
+
+    def rows(self) -> Iterator[Any]:
+        search, bind = self.search, self.bind
+        raw = search.run()
+        reverse = search.reverse
+        group_vars = search.analysis.group_vars
+        anonymous_vars = search.analysis.anonymous_vars
+        seen: set[tuple] = set()
+        try:
+            for binding in raw:
+                if reverse:
+                    binding = reverse_binding(binding)
+                reduced = reduce_binding(binding, group_vars, anonymous_vars)
+                key = reduced.dedup_key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield reduced if bind is None else bind(reduced)
+        finally:
+            search.finish()
+
+    def describe(self) -> str:
+        return f"pattern #{self.search.index + 1} reduce + dedup"
+
+
+class _Selector(_Stage):
+    """Stage 7, a pipeline breaker: selectors choose per complete
+    endpoint partition, so the pattern's solution set is materialized."""
+
+    blocking = True
+    detail = "needs complete endpoint partitions"
+
+    def __init__(self, dedup: _Dedup, bind: Callable):
+        self.search = dedup.search
+        self.bind = bind
+        self.children = [dedup]
+
+    def rows(self) -> Iterator["BindingRow"]:
+        search = self.search
+        complete = list(self.children[0].run())
+        self.trace_peak(len(complete))
+        yield from map(
+            self.bind,
+            apply_selector(
+                search.path.selector, complete, search.graph,
+                search.config.default_edge_cost,
+            ),
+        )
+
+    def describe(self) -> str:
+        search = self.search
+        return f"pattern #{search.index + 1} selector {search.path.selector.kind}"
+
+
+class _Build(_Stage):
+    """One non-first pattern's complete solution set: the build side of
+    the cross-pattern hash join (a pipeline breaker, like any build)."""
+
+    blocking = True
+
+    def __init__(self, solutions: _Stage, index: int, keys: list[str]):
+        self.index = index
+        self.keys = keys
+        self.children = [solutions]
+
+    def rows(self) -> Iterator["BindingRow"]:
+        complete = list(self.children[0].run())
+        self.trace_peak(len(complete))
+        yield from complete
+
+    def describe(self) -> str:
+        return f"pattern #{self.index + 1} hash-join build"
+
+    def detail_lines(self) -> list[str]:
+        keyed = f"keyed on {', '.join(self.keys)}" if self.keys else "cross product"
+        return [f"materializes the build side ({keyed})"]
+
+
+class _Probe(_Stage):
+    """Stage 8: natural-join the path patterns on shared singleton
+    variables (Section 6.6).
+
+    The textual-first pattern streams as the probe side; every build is
+    hashed once on the variables it shares with the textual prefix.
+    Probing a bucket preserves the build pattern's solution order, so
+    rows come out in textual nested-loop order, row for row what the
+    materializing assembly produces — a row budget therefore only ever
+    cuts a suffix.
+    """
+
+    detail = "probe side streams in textual nested-loop order"
+
+    def __init__(self, outer: _Stage, builds: list[_Build]):
+        self.children = [outer, *builds]
+
+    def rows(self) -> Iterator["BindingRow"]:
+        outer, *builds = self.children
+        tables: list[tuple[list[str], dict[tuple, list[BindingRow]]]] = []
+        for build in builds:
+            keys = build.keys
+            buckets: dict[tuple, list[BindingRow]] = {}
+            for row in build.run():
+                key = tuple(_join_key(row.values.get(name)) for name in keys)
+                buckets.setdefault(key, []).append(row)
+            if not buckets:
+                return  # an empty pattern empties the whole join
+            tables.append((keys, buckets))
+
+        def expand(
+            values: dict[str, Any], paths: list[Path], level: int
+        ) -> Iterator[BindingRow]:
+            if level == len(tables):
+                yield BindingRow(values, list(paths))
+                return
+            keys, buckets = tables[level]
+            key = tuple(_join_key(values.get(name)) for name in keys)
+            for partner in buckets.get(key, ()):
+                merged = dict(values)
+                merged.update(partner.values)
+                paths.append(partner.paths[0])
+                yield from expand(merged, paths, level + 1)
+                paths.pop()
+
+        for row in outer.run():
+            yield from expand(row.values, row.paths, 0)
+
+    def describe(self) -> str:
+        return "hash-join probe (pattern #1 outer)"
+
+
+class _Where(Filter):
+    """The final WHERE postfilter: the hosts' row filter, reading each
+    binding row through an :class:`EvalContext` over its values."""
+
+    span_kind = STAGE
+
+    def __init__(self, child: Operator, condition, graph: Optional[PropertyGraph]):
+        super().__init__(child, condition)
+        self.context = lambda row: EvalContext(row.values, graph)
+
+    def describe(self) -> str:
+        return "postfilter WHERE"
+
+    def detail_lines(self) -> list[str]:
+        return ["per-row predicate"]
+
+
+class _Keep(_Stage):
+    """KEEP, a pipeline breaker: it selects per endpoint partition among
+    the rows that survived the final WHERE, so it needs all of them."""
+
+    blocking = True
+    detail = "selects per endpoint partition after the final WHERE"
+
+    def __init__(self, child: Operator, graph: Optional[PropertyGraph], keep):
+        self.graph = graph
+        self.keep = keep
+        self.children = [child]
+
+    def rows(self) -> Iterator["BindingRow"]:
+        survivors = list(self.children[0].run())
+        self.trace_peak(len(survivors))
+        yield from _apply_keep(self.graph, survivors, self.keep)
+
+    def describe(self) -> str:
+        return f"KEEP {self.keep.kind}"
+
+
+class _Delivery(_Stage):
+    """Stage 9, the consumer end: takes from the row budget per row when
+    the budget is the MATCH's own, counts ``stats.rows``, and stops
+    pulling — which stops the searches — once the budget is satisfied."""
+
+    detail = "rows surface as the pipeline produces them"
+
+    def __init__(
+        self,
+        child: Operator,
+        budget: RowBudget,
+        own_budget: bool,
+        stats: Optional[PipelineStats],
+    ):
+        self.budget = budget
+        self.own_budget = own_budget
+        self.stats = stats
+        self.children = [child]
+
+    def rows(self) -> Iterator["BindingRow"]:
+        budget, own_budget, stats = self.budget, self.own_budget, self.stats
+        if budget.satisfied:
+            return
+        for row in self.children[0].run():
+            if own_budget:
+                budget.take()
+            if stats is not None:
+                stats.rows += 1
+            yield row
+            if budget.satisfied:
+                self.trace_event("budget_satisfied", taken=budget.taken)
+                return
+
+    def describe(self) -> str:
+        return "row delivery"
+
+
+def _make_matcher(
+    graph: PropertyGraph,
+    nfa: PatternNFA,
+    pattern,
+    config: MatcherConfig,
+    analysis,
+    *,
+    start_candidates=None,
+    budget: Optional[RowBudget] = None,
+    stats: Optional[PipelineStats] = None,
+):
+    """The search engine for one pattern run: columnar frontier when the
+    pattern is an eligible linear chain (and ``config.use_columnar``),
+    otherwise the object matcher — the reference oracle for everything.
+
+    ``start_candidates`` may be a zero-arg callable: it is materialized
+    only after the engine choice, so a frontier run has already brought
+    the columnar snapshot up to date and the planner's label-scan
+    candidates come from its sorted member lists.
+    """
+    if config.use_columnar and analysis.strategy == ENUMERATE:
+        spec = FrontierMatcher.supports(graph, nfa, budget)
+        if spec is not None:
+            if callable(start_candidates):
+                start_candidates = start_candidates()
+            return FrontierMatcher(
+                graph, nfa, pattern, spec, config,
+                start_candidates=start_candidates, budget=budget, stats=stats,
+            )
+    if callable(start_candidates):
+        start_candidates = start_candidates()
+    return Matcher(
+        graph, nfa, pattern, config,
+        start_candidates=start_candidates, budget=budget, stats=stats,
+    )
+
+
+def _run_strategy(matcher: Matcher, path, analysis) -> Iterator[PathBinding]:
+    """Run the search strategy the analysis chose for one path pattern."""
+    strategy = analysis.strategy
+    if strategy == ENUMERATE:
+        return matcher.enumerate_all()
+    if strategy == SHORTEST:
+        return matcher.search_shortest()
+    if strategy == K_SEARCH:
+        return matcher.search_k_shortest(path.selector.k or 1)
+    if strategy == CHEAPEST:
+        selector = path.selector
+        return matcher.search_cheapest(
+            selector.k or 1, selector.cost_property or "cost"
+        )
+    raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
+
+
+def iter_seeded_rows(
+    graph: PropertyGraph,
+    prepared: PreparedQuery,
+    config: MatcherConfig,
+    start_nodes: list[str],
+    *,
+    reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
+    budget: Optional[RowBudget] = None,
+    stats: Optional[PipelineStats] = None,
+    span: Optional[Span] = None,
+) -> Iterator[BindingRow]:
+    """Binding rows of a single-pattern query anchored at explicit nodes.
+
+    This is the engine primitive behind GQL's chained ``MATCH``: a later
+    statement whose pattern pins an end element to a variable bound
+    upstream runs one seeded search per incoming binding row, starting
+    from exactly the bound node instead of every candidate in the graph.
+    ``reversed_run`` carries a pre-compiled reversed pattern + NFA (see
+    :mod:`repro.planner.anchor`) when the bound variable pins the *right*
+    end.  The run is the per-pattern subtree of :func:`match_stages`
+    built over the explicit seeds, with the prepared pattern's final
+    WHERE and KEEP on top (the caller strips them from ``prepared`` when
+    they must instead see upstream bindings).
+
+    Soundness mirrors the planner's anchor machinery: restricting the
+    start candidates to one node selects whole endpoint partitions, so
+    selectors and KEEP — which choose per endpoint partition — see
+    exactly the partitions a full run would have produced for that node.
+
+    ``span``, when given, *aggregates* across seeded runs: one chained
+    MATCH statement may run thousands of seeded searches, so instead of
+    one span per seed the caller's statement span accumulates the step
+    total and a ``seeded_runs`` tally.  Each matcher's steps are added
+    exactly once, when its run closes.
+    """
+    if prepared.num_path_patterns != 1:
+        raise GpmlEvaluationError(
+            "iter_seeded_rows requires a single-pattern query; "
+            f"got {prepared.num_path_patterns} patterns"
+        )
+    search = _Search(
+        graph, prepared, 0, config, budget, stats,
+        seeds=start_nodes, reversed_run=reversed_run, owner=span,
+    )
+    return _postfilter_stages(_pattern_stages(search), graph, prepared).run()
+
+
+class SeededSearch:
+    """The shared seeded-search entry point, with per-distinct-seed memo.
+
+    Both hosts anchor searches at runtime-known nodes through this object:
+    GQL's chained MATCH seeds one run per incoming binding row, and the
+    SQL planner's join-through-GRAPH_TABLE rewrite seeds one run per probe
+    row.  Each :meth:`run` wraps :func:`iter_seeded_rows` for one seed
+    node and yields ``(values, paths)`` items.
+
+    Probe streams repeat seeds (hub nodes), and re-running the identical
+    anchored search per duplicate would cost more than the hash join it
+    replaces — so complete runs are memoized per seed id.  Only
+    *exhausted* runs are cached: a run abandoned mid-way (satisfied row
+    budget closed the generator) never populates the memo, so a truncated
+    candidate list can never be replayed as if complete.  ``span``, when
+    given, aggregates ``seeded_runs`` / ``seed_memo_hit`` /
+    ``seed_memo_miss`` tallies and the matchers' step totals instead of
+    exploding into one span per seed.
+    """
+
+    def __init__(
+        self,
+        graph: PropertyGraph,
+        prepared: PreparedQuery,
+        config: Optional[MatcherConfig] = None,
+        *,
+        reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
+        budget: Optional[RowBudget] = None,
+        stats: Optional[PipelineStats] = None,
+        span: Optional[Span] = None,
+    ):
+        self.graph = graph
+        self.prepared = prepared
+        self.config = config if config is not None else MatcherConfig()
+        self.reversed_run = reversed_run
+        self.budget = budget
+        self.stats = stats
+        self.span = span
+        self._memo: dict[str, list[tuple[dict, list]]] = {}
+
+    def run(self, seed_id: str) -> Iterator[tuple[dict[str, Any], list]]:
+        """All ``(values, paths)`` rows whose anchored end is *seed_id*."""
+        cached = self._memo.get(seed_id)
+        if cached is not None:
+            if self.span is not None:
+                self.span.bump("seed_memo_hit")
+            yield from cached
+            return
+        if self.span is not None:
+            self.span.bump("seed_memo_miss")
+        acc: list[tuple[dict, list]] = []
+        for m in iter_seeded_rows(
+            self.graph, self.prepared, self.config, [seed_id],
+            reversed_run=self.reversed_run, budget=self.budget,
+            stats=self.stats, span=self.span,
+        ):
+            item = (m.values, m.paths)
+            acc.append(item)
+            yield item
+        self._memo[seed_id] = acc
 
 
 # ----------------------------------------------------------------------
@@ -426,463 +985,39 @@ def _select_rows(graph: PropertyGraph, partition: list["BindingRow"], keep) -> l
     raise GpmlEvaluationError(f"unknown KEEP selector {kind!r}")
 
 
-def _make_matcher(
-    graph: PropertyGraph,
-    nfa: PatternNFA,
-    pattern,
-    config: MatcherConfig,
-    analysis,
-    *,
-    start_candidates=None,
-    budget: Optional[RowBudget] = None,
-    stats: Optional[PipelineStats] = None,
-):
-    """The search engine for one pattern run: columnar frontier when the
-    pattern is an eligible linear chain (and ``config.use_columnar``),
-    otherwise the object matcher — the reference oracle for everything.
-
-    ``start_candidates`` may be a zero-arg callable: it is materialized
-    only after the engine choice, so a frontier run has already brought
-    the columnar snapshot up to date and the planner's label-scan
-    candidates come from its sorted member lists.
-    """
-    if config.use_columnar and analysis.strategy == ENUMERATE:
-        spec = FrontierMatcher.supports(graph, nfa, budget)
-        if spec is not None:
-            if callable(start_candidates):
-                start_candidates = start_candidates()
-            return FrontierMatcher(
-                graph, nfa, pattern, spec, config,
-                start_candidates=start_candidates, budget=budget, stats=stats,
-            )
-    if callable(start_candidates):
-        start_candidates = start_candidates()
-    return Matcher(
-        graph, nfa, pattern, config,
-        start_candidates=start_candidates, budget=budget, stats=stats,
-    )
-
-
-def iter_solve_path_pattern(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    index: int,
-    config: MatcherConfig,
-    plan: Optional[QueryPlan] = None,
-    budget: Optional[RowBudget] = None,
-    stats: Optional[PipelineStats] = None,
-    span: Optional[Span] = None,
-    label: Optional[str] = None,
-) -> Iterator[ReducedBinding]:
-    """Solutions (reduced, deduplicated, selected) of one path pattern,
-    streamed lazily in the engine's deterministic discovery order.
-
-    With a plan, the search starts from the planned candidate set and —
-    for a right anchor — runs the reversed pattern, mapping each accepted
-    binding back to forward orientation before reduction, so everything
-    downstream (dedup, selectors, joins) is orientation-blind.
-
-    Reduction and deduplication stream (incremental seen-set); a selector
-    is a pipeline breaker — it materializes this pattern's solution set,
-    then yields its selection.  ``budget`` must only be given when this
-    stream feeds the terminal consumer directly (never for a hash-join
-    build side, which has to be complete).
-    """
-    path = prepared.normalized.paths[index]
-    analysis = prepared.analysis.paths[index]
-    nfa = prepared.nfas[index]
-
-    pattern_plan = plan.patterns[index] if plan is not None else None
-    reversed_run = (
-        pattern_plan is not None
-        and pattern_plan.side == RIGHT
-        and pattern_plan.reversed_nfa is not None
-    )
-    if reversed_run:
-        matcher = _make_matcher(
-            graph,
-            pattern_plan.reversed_nfa,
-            pattern_plan.reversed_path.pattern,
-            config,
-            analysis,
-            start_candidates=lambda: pattern_plan.start_candidates(graph),
-            budget=budget,
-            stats=stats,
-        )
-    else:
-        start = (
-            (lambda: pattern_plan.start_candidates(graph))
-            if pattern_plan is not None
-            else None
-        )
-        matcher = _make_matcher(
-            graph, nfa, path.pattern, config, analysis,
-            start_candidates=start, budget=budget, stats=stats,
-        )
-
-    def record_candidates() -> None:
-        if pattern_plan is not None:
-            pattern_plan.observed_candidates = matcher.initial_candidate_count
-
-    anchor_meta: dict[str, Any] = {}
-    if span is not None and pattern_plan is not None:
-        anchor_meta = {
-            "anchor": f"{pattern_plan.side} via {pattern_plan.source.describe()}",
-            "est_candidates": pattern_plan.source.estimate,
-            "est_rows": pattern_plan.est_result,
-        }
-    return _iter_pattern_solutions(
-        graph, matcher, path, analysis, config,
-        reverse=reversed_run, on_finish=record_candidates,
-        span=span, label=label or f"pattern #{index + 1}",
-        anchor_meta=anchor_meta,
-    )
-
-
-def _run_strategy(matcher: Matcher, path, analysis) -> Iterator[PathBinding]:
-    """Run the search strategy the analysis chose for one path pattern."""
-    strategy = analysis.strategy
-    if strategy == ENUMERATE:
-        return matcher.enumerate_all()
-    if strategy == SHORTEST:
-        return matcher.search_shortest()
-    if strategy == K_SEARCH:
-        return matcher.search_k_shortest(path.selector.k or 1)
-    if strategy == CHEAPEST:
-        selector = path.selector
-        return matcher.search_cheapest(
-            selector.k or 1, selector.cost_property or "cost"
-        )
-    raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
-
-
-def _iter_pattern_solutions(
-    graph: PropertyGraph,
-    matcher: Matcher,
-    path,
-    analysis,
-    config: MatcherConfig,
-    *,
-    reverse: bool = False,
-    on_finish=None,
-    span: Optional[Span] = None,
-    label: str = "pattern #1",
-    anchor_meta: Optional[dict] = None,
-) -> Iterator[ReducedBinding]:
-    """The shared solution stages of one pattern run: strategy search,
-    optional binding reversal, streaming reduce + dedup, selector breaker.
-
-    Used by both the planner-driven :func:`iter_solve_path_pattern` and
-    the seeded :func:`iter_seeded_rows`, so dedup keys, reversal and
-    selector handling cannot drift between the two paths.  ``on_finish``
-    runs when the search generator closes (normally or abandoned).
-
-    With a ``span``, the stages open child spans matching the names
-    ``classify_pipeline`` uses; the search span's step count is the
-    matcher's step delta, read once when the search closes — the matcher
-    hot loop itself is not instrumented per span.
-    """
-    raw = _run_strategy(matcher, path, analysis)
-    search_span = dedup_span = None
-    if span is not None:
-        search_span = span.child(
-            f"{label} search ({analysis.strategy})",
-            mode=STREAMING,
-            **(anchor_meta or {}),
-        )
-        raw = timed_rows(search_span, raw)
-        dedup_span = span.child(f"{label} reduce + dedup", mode=STREAMING)
-
-    def solutions() -> Iterator[ReducedBinding]:
-        seen: set[tuple] = set()
-        try:
-            for binding in raw:
-                if dedup_span is not None:
-                    dedup_span.rows_in += 1
-                if reverse:
-                    binding = reverse_binding(binding)
-                reduced = reduce_binding(
-                    binding, analysis.group_vars, analysis.anonymous_vars
-                )
-                key = reduced.dedup_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield reduced
-        finally:
-            if search_span is not None:
-                search_span.steps = matcher.steps
-                search_span.matches = search_span.rows_out
-                search_span.meta["observed_candidates"] = (
-                    matcher.initial_candidate_count
-                )
-                metrics = getattr(matcher, "metrics", None)
-                if metrics is not None:
-                    search_span.meta["engine"] = "columnar"
-                    for counter, value in metrics.items():
-                        search_span.counts[counter] = value
-                    examined = metrics.get("frontier_entries", 0)
-                    if examined:
-                        search_span.meta["vector_selectivity"] = (
-                            metrics.get("frontier_survivors", 0) / examined
-                        )
-            if on_finish is not None:
-                on_finish()
-
-    deduped = solutions()
-    if dedup_span is not None:
-        deduped = timed_rows(dedup_span, deduped)
-    if path.selector is None:
-        return deduped
-
-    selector_span = None
-    if span is not None:
-        selector_span = span.child(
-            f"{label} selector {path.selector.kind}", mode=BLOCKING
-        )
-
-    def selected() -> Iterator[ReducedBinding]:
-        # Pipeline breaker: selectors choose per complete endpoint
-        # partition, so this pattern's solution set must be materialized.
-        complete = list(deduped)
-        if selector_span is not None:
-            selector_span.rows_in = selector_span.peak_rows = len(complete)
-        yield from apply_selector(
-            path.selector, complete, graph, config.default_edge_cost
-        )
-
-    if selector_span is None:
-        return selected()
-    return timed_rows(selector_span, selected())
-
-
-def iter_seeded_rows(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    config: MatcherConfig,
-    start_nodes: list[str],
-    *,
-    reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
-    budget: Optional[RowBudget] = None,
-    stats: Optional[PipelineStats] = None,
-    span: Optional[Span] = None,
-) -> Iterator[BindingRow]:
-    """Binding rows of a single-pattern query anchored at explicit nodes.
-
-    This is the engine primitive behind GQL's chained ``MATCH``: a later
-    statement whose pattern pins an end element to a variable bound
-    upstream runs one seeded search per incoming binding row, starting
-    from exactly the bound node instead of every candidate in the graph.
-    ``reversed_run`` carries a pre-compiled reversed pattern + NFA (see
-    :mod:`repro.planner.anchor`) when the bound variable pins the *right*
-    end; accepted bindings are mapped back to forward orientation, so
-    everything downstream is orientation-blind.
-
-    Soundness mirrors the planner's anchor machinery: restricting the
-    start candidates to one node selects whole endpoint partitions, so
-    selectors and KEEP — which choose per endpoint partition — see
-    exactly the partitions a full run would have produced for that node.
-    The final WHERE and KEEP of the prepared pattern are applied here
-    (the caller strips them from ``prepared`` when they must instead see
-    upstream bindings).
-
-    ``span``, when given, *aggregates* across seeded runs: one chained
-    MATCH statement may run thousands of seeded searches, so instead of
-    one span per seed the caller's statement span accumulates the step
-    total and a ``seeded_runs`` tally.  Each matcher's steps are added
-    exactly once, when its run closes.
-    """
-    if prepared.num_path_patterns != 1:
-        raise GpmlEvaluationError(
-            "iter_seeded_rows requires a single-pattern query; "
-            f"got {prepared.num_path_patterns} patterns"
-        )
-    path = prepared.normalized.paths[0]
-    analysis = prepared.analysis.paths[0]
-    if reversed_run is not None:
-        run_path, run_nfa = reversed_run
-    else:
-        run_path, run_nfa = path, prepared.nfas[0]
-    matcher = _make_matcher(
-        graph, run_nfa, run_path.pattern, config, analysis,
-        start_candidates=start_nodes, budget=budget, stats=stats,
-    )
-    # Selector note: a seeded run restricts the search to whole endpoint
-    # partitions, so the (blocking) selector stage is scoped to exactly
-    # this seed's partitions and selects what a full run would have.
-    selected = _iter_pattern_solutions(
-        graph, matcher, path, analysis, config, reverse=reversed_run is not None
-    )
-
-    def rows() -> Iterator[BindingRow]:
-        condition = prepared.normalized.where
-        try:
-            for solution in selected:
-                values, path_obj = _materialize(graph, solution, analysis, path.path_var)
-                row = BindingRow(values, [path_obj])
-                if condition is not None and not condition.truth(
-                    EvalContext(bindings=row.values, graph=graph)
-                ):
-                    continue
-                yield row
-        finally:
-            if span is not None:
-                span.steps += matcher.steps
-                span.bump("seeded_runs")
-
-    if prepared.normalized.keep is None:
-        return rows()
-    return iter(_apply_keep(graph, list(rows()), prepared.normalized.keep))
-
-
-class SeededSearch:
-    """The shared seeded-search entry point, with per-distinct-seed memo.
-
-    Both hosts anchor searches at runtime-known nodes through this object:
-    GQL's chained MATCH seeds one run per incoming binding row, and the
-    SQL planner's join-through-GRAPH_TABLE rewrite seeds one run per probe
-    row.  Each :meth:`run` wraps :func:`iter_seeded_rows` for one seed
-    node and yields ``(values, paths)`` items.
-
-    Probe streams repeat seeds (hub nodes), and re-running the identical
-    anchored search per duplicate would cost more than the hash join it
-    replaces — so complete runs are memoized per seed id.  Only
-    *exhausted* runs are cached: a run abandoned mid-way (satisfied row
-    budget closed the generator) never populates the memo, so a truncated
-    candidate list can never be replayed as if complete.  ``span``, when
-    given, aggregates ``seeded_runs`` / ``seed_memo_hit`` /
-    ``seed_memo_miss`` tallies and the matchers' step totals instead of
-    exploding into one span per seed.
-    """
-
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        prepared: PreparedQuery,
-        config: Optional[MatcherConfig] = None,
-        *,
-        reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
-        budget: Optional[RowBudget] = None,
-        stats: Optional[PipelineStats] = None,
-        span: Optional[Span] = None,
-    ):
-        self.graph = graph
-        self.prepared = prepared
-        self.config = config if config is not None else MatcherConfig()
-        self.reversed_run = reversed_run
-        self.budget = budget
-        self.stats = stats
-        self.span = span
-        self._memo: dict[str, list[tuple[dict, list]]] = {}
-
-    def run(self, seed_id: str) -> Iterator[tuple[dict[str, Any], list]]:
-        """All ``(values, paths)`` rows whose anchored end is *seed_id*."""
-        cached = self._memo.get(seed_id)
-        if cached is not None:
-            if self.span is not None:
-                self.span.bump("seed_memo_hit")
-            yield from cached
-            return
-        if self.span is not None:
-            self.span.bump("seed_memo_miss")
-        acc: list[tuple[dict, list]] = []
-        for m in iter_seeded_rows(
-            self.graph, self.prepared, self.config, [seed_id],
-            reversed_run=self.reversed_run, budget=self.budget,
-            stats=self.stats, span=self.span,
-        ):
-            item = (m.values, m.paths)
-            acc.append(item)
-            yield item
-        self._memo[seed_id] = acc
-
-
-def solve_path_pattern(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    index: int,
-    config: MatcherConfig,
-    plan: Optional[QueryPlan] = None,
-) -> list[ReducedBinding]:
-    """Materialized solutions of one path pattern (see the iter variant)."""
-    return list(iter_solve_path_pattern(graph, prepared, index, config, plan))
-
-
 # ----------------------------------------------------------------------
-# Joining path patterns (Section 6.6, "Multiple patterns")
+# Joining path patterns, materialized (Section 6.6, "Multiple patterns")
 # ----------------------------------------------------------------------
 def _join_patterns(
     graph: PropertyGraph,
     prepared: PreparedQuery,
     per_pattern: list[list[ReducedBinding]],
-    join_order: Optional[list[int]] = None,
 ) -> list[BindingRow]:
-    """Natural-join the per-pattern solutions on shared singleton vars.
-
-    ``join_order`` (from the planner) controls only the *evaluation*
-    order; each partial row remembers which solution index it used per
-    pattern, and the final sort restores the exact nested-loop order of
-    the textual pattern sequence, so results are plan-independent.
-    """
-    num_patterns = len(per_pattern)
-    order = list(join_order) if join_order is not None else list(range(num_patterns))
-    # (values, path per pattern index, solution index per pattern index)
-    rows: list[tuple[dict[str, Any], dict[int, Path], dict[int, int]]] = [({}, {}, {})]
+    """Natural-join the per-pattern solutions on shared singleton vars,
+    pattern by pattern in textual order: the nested-loop row order the
+    streaming join reproduces."""
+    rows: list[tuple[dict[str, Any], list[Path]]] = [({}, [])]
     bound_vars: set[str] = set()
-    for index in order:
-        solutions = per_pattern[index]
+    for index, solutions in enumerate(per_pattern):
         path = prepared.normalized.paths[index]
-        path_analysis = prepared.analysis.paths[index]
-        shared = sorted(
-            name
-            for name, info in path_analysis.vars.items()
-            if not info.anonymous and not info.group and name in bound_vars
-        )
-        materialized = [
-            (position, *_materialize(graph, solution, path_analysis, path.path_var))
-            for position, solution in enumerate(solutions)
+        own_vars = _singleton_vars(prepared, index)
+        shared = sorted(own_vars & bound_vars)
+        buckets: dict[tuple, list[BindingRow]] = {}
+        for solution in solutions:
+            partner = _materialize(
+                graph, prepared.analysis.paths[index], path.path_var, solution
+            )
+            key = tuple(_join_key(partner.values.get(name)) for name in shared)
+            buckets.setdefault(key, []).append(partner)
+        rows = [
+            (values | partner.values, paths + partner.paths)
+            for values, paths in rows
+            for partner in buckets.get(
+                tuple(_join_key(values.get(name)) for name in shared), ()
+            )
         ]
-        if shared:
-            bucket: dict[tuple, list[tuple[int, dict, Path]]] = {}
-            for position, values, path_obj in materialized:
-                key = tuple(_join_key(values.get(name)) for name in shared)
-                bucket.setdefault(key, []).append((position, values, path_obj))
-            new_rows = []
-            for row_values, row_paths, row_positions in rows:
-                key = tuple(_join_key(row_values.get(name)) for name in shared)
-                for position, values, path_obj in bucket.get(key, ()):
-                    merged = dict(row_values)
-                    merged.update(values)
-                    new_rows.append(
-                        (
-                            merged,
-                            {**row_paths, index: path_obj},
-                            {**row_positions, index: position},
-                        )
-                    )
-            rows = new_rows
-        else:
-            rows = [
-                (
-                    dict(row_values) | values,
-                    {**row_paths, index: path_obj},
-                    {**row_positions, index: position},
-                )
-                for row_values, row_paths, row_positions in rows
-                for position, values, path_obj in materialized
-            ]
-        bound_vars.update(
-            name
-            for name, info in path_analysis.vars.items()
-            if not info.anonymous and not info.group
-        )
-    rows.sort(
-        key=lambda row: tuple(row[2][index] for index in range(num_patterns))
-    )
-    return [
-        BindingRow(values, [paths[index] for index in range(num_patterns)])
-        for values, paths, _ in rows
-    ]
+        bound_vars |= own_vars
+    return [BindingRow(values, paths) for values, paths in rows]
 
 
 def _join_key(value: Any) -> Any:
@@ -893,10 +1028,12 @@ def _join_key(value: Any) -> Any:
 
 def _materialize(
     graph: PropertyGraph,
-    solution: ReducedBinding,
     analysis: PathAnalysis,
     path_var: Optional[str],
-) -> tuple[dict[str, Any], Path]:
+    solution: ReducedBinding,
+) -> BindingRow:
+    """Stage 9: one solution as a row of element handles, group lists
+    and the matched :class:`Path`."""
     values: dict[str, Any] = {}
     singles = solution.singleton_map()
     groups = solution.group_map()
@@ -912,171 +1049,4 @@ def _materialize(
     path_obj = Path.from_element_ids(graph, solution.elements)
     if path_var is not None:
         values[path_var] = path_obj
-    return values, path_obj
-
-
-# ----------------------------------------------------------------------
-# The streaming pipeline (pull-based; used by match / match_iter)
-# ----------------------------------------------------------------------
-def _singleton_vars(prepared: PreparedQuery, index: int) -> set[str]:
-    return {
-        name
-        for name, info in prepared.analysis.paths[index].vars.items()
-        if not info.anonymous and not info.group
-    }
-
-
-def _iter_join_rows(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    config: MatcherConfig,
-    plan: Optional[QueryPlan],
-    budget: Optional[RowBudget],
-    stats: Optional[PipelineStats],
-    span: Optional[Span] = None,
-) -> Iterator[BindingRow]:
-    """Stream joined binding rows in textual nested-loop order.
-
-    The textual-first pattern is the streaming probe side; every other
-    pattern is materialized once into a hash table keyed on the singleton
-    variables it shares with the textual prefix (a pipeline breaker, like
-    any hash-join build).  Probing a bucket preserves the build pattern's
-    solution order, so the emitted rows equal the materializing engine's
-    nested-loop order row for row — the row budget therefore only ever
-    cuts a suffix.
-    """
-    num = prepared.num_path_patterns
-    if span is not None and plan is not None and num > 1:
-        span.event("join_order", order=[i + 1 for i in plan.join_order])
-    first_solutions = iter_solve_path_pattern(
-        graph, prepared, 0, config, plan, budget, stats, span=span
-    )
-    path0 = prepared.normalized.paths[0]
-    analysis0 = prepared.analysis.paths[0]
-    if num == 1:
-        for solution in first_solutions:
-            values, path_obj = _materialize(graph, solution, analysis0, path0.path_var)
-            yield BindingRow(values, [path_obj])
-        return
-
-    # Build sides: one bucket table per non-first pattern, in textual
-    # order, keyed on the variables shared with the patterns before it.
-    builds: list[tuple[list[str], dict[tuple, list[tuple[dict, Path]]]]] = []
-    bound_vars = _singleton_vars(prepared, 0)
-    for index in range(1, num):
-        shared = sorted(_singleton_vars(prepared, index) & bound_vars)
-        path = prepared.normalized.paths[index]
-        path_analysis = prepared.analysis.paths[index]
-        build_span = None
-        if span is not None:
-            build_span = span.child(
-                f"pattern #{index + 1} hash-join build",
-                mode=BLOCKING,
-                keys=shared,
-            )
-            build_start = perf_counter()
-        buckets: dict[tuple, list[tuple[dict, Path]]] = {}
-        for solution in iter_solve_path_pattern(
-            graph, prepared, index, config, plan, None, stats, span=build_span
-        ):
-            if build_span is not None:
-                build_span.rows_in += 1
-            values, path_obj = _materialize(graph, solution, path_analysis, path.path_var)
-            key = tuple(_join_key(values.get(name)) for name in shared)
-            buckets.setdefault(key, []).append((values, path_obj))
-        if build_span is not None:
-            build_span.peak_rows = build_span.rows_out = sum(
-                len(entries) for entries in buckets.values()
-            )
-            build_span.elapsed += perf_counter() - build_start
-        if not buckets:
-            return  # an empty pattern empties the whole join
-        builds.append((shared, buckets))
-        bound_vars |= _singleton_vars(prepared, index)
-
-    def expand(
-        values: dict[str, Any], paths: list[Path], level: int
-    ) -> Iterator[BindingRow]:
-        if level == len(builds):
-            yield BindingRow(values, list(paths))
-            return
-        shared, buckets = builds[level]
-        key = tuple(_join_key(values.get(name)) for name in shared)
-        for build_values, path_obj in buckets.get(key, ()):
-            merged = dict(values)
-            merged.update(build_values)
-            paths.append(path_obj)
-            yield from expand(merged, paths, level + 1)
-            paths.pop()
-
-    probe_span = None
-    if span is not None:
-        probe_span = span.child("hash-join probe (pattern #1 outer)", mode=STREAMING)
-    for solution in first_solutions:
-        if probe_span is not None:
-            probe_span.rows_in += 1
-        values0, path_obj0 = _materialize(graph, solution, analysis0, path0.path_var)
-        for row in expand(values0, [path_obj0], 0):
-            if probe_span is not None:
-                probe_span.rows_out += 1
-            yield row
-
-
-def _match_stream(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    config: MatcherConfig,
-    plan: Optional[QueryPlan],
-    budget: Optional[RowBudget],
-    stats: Optional[PipelineStats],
-    span: Optional[Span] = None,
-) -> Iterator[BindingRow]:
-    """Joined rows through the postfilter and KEEP, still lazy.
-
-    When untraced, the WHERE postfilter stays the original generator
-    expression; tracing swaps in counting wrappers per *stage*, never
-    per-row conditionals inside the untraced path.
-    """
-    rows: Iterator[BindingRow] = _iter_join_rows(
-        graph, prepared, config, plan, budget, stats, span
-    )
-    condition = prepared.normalized.where
-    if condition is not None:
-        if span is not None:
-            where_span = span.child("postfilter WHERE", mode=STREAMING)
-            rows = timed_rows(where_span, _filtered_rows(graph, rows, condition, where_span))
-        else:
-            rows = (
-                row
-                for row in rows
-                if condition.truth(EvalContext(bindings=row.values, graph=graph))
-            )
-    if prepared.normalized.keep is not None:
-        # Pipeline breaker: KEEP selects per endpoint partition among the
-        # rows that survived the final WHERE, so it needs all of them.
-        keep = prepared.normalized.keep
-        if span is not None:
-            keep_span = span.child(f"KEEP {keep.kind}", mode=BLOCKING)
-            rows = timed_rows(keep_span, _kept_rows(graph, rows, keep, keep_span))
-        else:
-            rows = iter(_apply_keep(graph, list(rows), keep))
-    return rows
-
-
-def _filtered_rows(
-    graph: PropertyGraph, rows: Iterator[BindingRow], condition, where_span: Span
-) -> Iterator[BindingRow]:
-    """The traced WHERE postfilter (rows_out counted by the wrapper)."""
-    for row in rows:
-        where_span.rows_in += 1
-        if condition.truth(EvalContext(bindings=row.values, graph=graph)):
-            yield row
-
-
-def _kept_rows(
-    graph: PropertyGraph, rows: Iterator[BindingRow], keep, keep_span: Span
-) -> Iterator[BindingRow]:
-    """The traced KEEP breaker; materialization happens on first pull."""
-    materialized = list(rows)
-    keep_span.rows_in = keep_span.peak_rows = len(materialized)
-    yield from _apply_keep(graph, materialized, keep)
+    return BindingRow(values, [path_obj])

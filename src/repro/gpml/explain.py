@@ -3,26 +3,25 @@
 Surfaces each pipeline stage of the engine — the normalized pattern (the
 paper's Section 6.2 output), the variable classification (Sections
 4.4/4.6), the compiled automaton, the chosen search strategy with the
-reasoning behind it (Section 5 termination analysis), and the
-streaming/blocking classification of every execution stage (which stages
-emit rows as their input produces them, and which are pipeline breakers
-that must consume their whole input first).
+reasoning behind it (Section 5 termination analysis), and the stage tree
+the engine will run (:func:`repro.gpml.engine.match_stages`), each stage
+tagged [streaming] (emits rows as its input produces them) or [blocking]
+(a pipeline breaker that must consume its whole input first).
 
 :func:`explain_plan` is the cost-based companion: given a concrete graph
 it renders the planner's decisions — chosen anchor side, access path
 (property index / label scan / full scan), estimated cardinalities, the
-scored alternatives, the cross-pattern join order — plus the same
-pipeline classification.
+scored alternatives — plus the same stage tree.
 """
 
 from __future__ import annotations
 
 from repro.gpml import ast
-from repro.gpml.engine import PreparedQuery, prepare
+from repro.gpml.engine import PreparedQuery, match_stages, prepare
 from repro.gpml.matcher import MatcherConfig
-from repro.gpml.streaming import classify_pipeline, render_pipeline
 from repro.graph.model import PropertyGraph
 from repro.planner.plan import plan_query
+from repro.rowops import render_plan
 
 
 def explain(query: "str | PreparedQuery") -> str:
@@ -69,18 +68,23 @@ def explain(query: "str | PreparedQuery") -> str:
     join_vars = prepared.analysis.join_vars
     if join_vars:
         lines.append(f"cross-pattern join on: {', '.join(sorted(join_vars))}")
-    lines.extend(render_pipeline(classify_pipeline(prepared)))
+    lines.extend(_pipeline_lines(prepared))
     return "\n".join(lines)
+
+
+def _pipeline_lines(prepared: PreparedQuery) -> list[str]:
+    return ["pipeline:", *render_plan(match_stages(None, prepared), indent="  ")]
 
 
 def explain_plan(graph: PropertyGraph, query: "str | PreparedQuery") -> str:
     """Render the cost-based execution plan of a query against *graph*."""
     prepared = query if isinstance(query, PreparedQuery) else prepare(query)
     plan = plan_query(graph, prepared)
-    return plan.render(
+    text = plan.render(
         query_text=prepared.text or str(prepared.normalized),
         paths=[str(path) for path in prepared.normalized.paths],
     )
+    return "\n".join([text, *_pipeline_lines(prepared)])
 
 
 def explain_analyze(

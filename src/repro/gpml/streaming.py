@@ -1,4 +1,4 @@
-"""Streaming-pipeline primitives: row budgets, stats, stage classification.
+"""Streaming-pipeline primitives: row budgets and stats.
 
 The execution stack is a lazy, pull-based pipeline: the matcher yields
 accepted bindings as the product-graph search discovers them, and every
@@ -7,7 +7,10 @@ them — reduction, WALK dedup, hash-join probing, WHERE filters) or a
 *pipeline breaker* (must consume its whole input before emitting anything
 — selectors, KEEP, ORDER BY, vertical aggregation).
 
-Three small primitives make early termination explicit:
+Two small primitives make early termination explicit and checkable (the
+stages themselves are the operator tree of
+:func:`repro.gpml.engine.match_stages`, each tagged with one of the two
+modes below):
 
 * :class:`RowBudget` — a cooperative cancellation token.  The terminal
   consumer calls :meth:`RowBudget.take` once per row it actually delivers;
@@ -22,9 +25,6 @@ Three small primitives make early termination explicit:
 * :class:`PipelineStats` — observability counters (edge expansions,
   raw matches, delivered rows) for benchmarks and tests that assert early
   termination is real.
-* :func:`classify_pipeline` — the static streaming/blocking
-  classification of every stage of a prepared query, rendered by
-  ``EXPLAIN`` and ``EXPLAIN PLAN``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import QueryTrace
-
-from repro.gpml.analysis import CHEAPEST, ENUMERATE, K_SEARCH, SHORTEST
 
 #: stage modes
 STREAMING = "streaming"
@@ -134,7 +132,7 @@ class PipelineStats:
                     "name": span.name,
                     "kind": span.kind,
                     "depth": depth - 1,
-                    "rows_in": span.rows_in,
+                    "rows_in": span.consumed(),
                     "rows_out": span.rows_out,
                     "steps": span.steps,
                     "matches": span.matches,
@@ -143,115 +141,3 @@ class PipelineStats:
                 }
             )
         return entries
-
-
-@dataclass(frozen=True)
-class StageInfo:
-    """One classified stage of the execution pipeline."""
-
-    name: str
-    mode: str  # STREAMING | BLOCKING
-    detail: str = ""
-
-    def describe(self) -> str:
-        detail = f" — {self.detail}" if self.detail else ""
-        return f"[{self.mode}] {self.name}{detail}"
-
-
-#: why each search strategy may stream (emission granularity)
-_SEARCH_DETAIL = {
-    ENUMERATE: "DFS emits each accepted binding as it is discovered",
-    SHORTEST: "BFS emits per completed layer (nondecreasing path length)",
-    K_SEARCH: "layered search emits per completed layer",
-    CHEAPEST: "Dijkstra emits in cost order as the frontier settles",
-}
-
-
-def classify_pipeline(prepared) -> list[StageInfo]:
-    """Classify every stage of a prepared query as streaming or blocking.
-
-    The classification mirrors the actual generator pipeline in
-    :mod:`repro.gpml.engine`: per pattern a search stage, a reduce+dedup
-    stage and (when present) a selector breaker; then the cross-pattern
-    hash join (builds block, the textual-first probe side streams), the
-    final WHERE postfilter, and KEEP.
-    """
-    stages: list[StageInfo] = []
-    num = len(prepared.normalized.paths)
-    for index, (path, analysis) in enumerate(
-        zip(prepared.normalized.paths, prepared.analysis.paths)
-    ):
-        n = index + 1
-        strategy = analysis.strategy
-        stages.append(
-            StageInfo(
-                name=f"pattern #{n} search ({strategy})",
-                mode=STREAMING,
-                detail=_SEARCH_DETAIL.get(strategy, ""),
-            )
-        )
-        stages.append(
-            StageInfo(
-                name=f"pattern #{n} reduce + dedup",
-                mode=STREAMING,
-                detail="incremental seen-set over reduced bindings",
-            )
-        )
-        if path.selector is not None:
-            stages.append(
-                StageInfo(
-                    name=f"pattern #{n} selector {path.selector.kind}",
-                    mode=BLOCKING,
-                    detail="needs complete endpoint partitions",
-                )
-            )
-    if num > 1:
-        for index in range(1, num):
-            stages.append(
-                StageInfo(
-                    name=f"pattern #{index + 1} hash-join build",
-                    mode=BLOCKING,
-                    detail="materializes the build side keyed on shared variables",
-                )
-            )
-        stages.append(
-            StageInfo(
-                name="hash-join probe (pattern #1 outer)",
-                mode=STREAMING,
-                detail="probe side streams in textual nested-loop order",
-            )
-        )
-    if prepared.normalized.where is not None:
-        stages.append(
-            StageInfo(
-                name="postfilter WHERE",
-                mode=STREAMING,
-                detail="per-row predicate",
-            )
-        )
-    if prepared.normalized.keep is not None:
-        stages.append(
-            StageInfo(
-                name=f"KEEP {prepared.normalized.keep.kind}",
-                mode=BLOCKING,
-                detail="selects per endpoint partition after the final WHERE",
-            )
-        )
-    stages.append(
-        StageInfo(
-            name="row delivery",
-            mode=STREAMING,
-            detail="rows surface as the pipeline produces them",
-        )
-    )
-    return stages
-
-
-def render_pipeline(stages: list[StageInfo], indent: str = "  ") -> list[str]:
-    """Uniform text rendering shared by EXPLAIN and EXPLAIN PLAN."""
-    width = max(len(stage.mode) for stage in stages)
-    lines = ["pipeline:"]
-    for stage in stages:
-        detail = f" — {stage.detail}" if stage.detail else ""
-        lines.append(f"{indent}[{stage.mode:<{width}}] {stage.name}{detail}")
-    return lines

@@ -33,7 +33,8 @@ rendered by ``EXPLAIN``:
   search instead of being joined after a full enumeration.
 * **direct** (streaming): while the incoming table is still the unit
   table (at most one row — before any MATCH), the pattern streams
-  straight out of :func:`~repro.gpml.engine.match_iter`.
+  straight out of its stage tree
+  (:func:`~repro.gpml.engine.match_stages`).
 * **hash join** (build blocks, probe streams): otherwise the pattern's
   match table is enumerated once into buckets keyed on the shared
   variables, and each incoming row probes its bucket.
@@ -65,22 +66,16 @@ from repro.gpml.engine import (
     SeededSearch,
     _apply_keep,
     _join_key,
-    match_iter,
+    match_stages,
     prepare,
 )
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
-from repro.gpml.streaming import (
-    BLOCKING,
-    STREAMING,
-    PipelineStats,
-    RowBudget,
-    classify_pipeline,
-    render_pipeline,
-)
+from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
 from repro.obs.trace import Span, counted_in, timed_rows
 from repro.planner.anchor import SeedSpec, plan_seed
+from repro.rowops import attach_spans, render_plan
 from repro.values import NULL, is_null
 
 #: variable kinds tracked across statements (for re-declaration checks)
@@ -135,7 +130,7 @@ class CompiledMatch:
     shared_vars: list[str]
     new_vars: list[str]
     seed: Optional[SeedSpec]
-    direct: bool  # incoming is the unit table: stream match_iter per row
+    direct: bool  # incoming is the unit table: stream the pattern per row
 
     @property
     def optional(self) -> bool:
@@ -191,6 +186,16 @@ class CompiledMatch:
         # hub-skew memoization included (see engine.SeededSearch).
         search: Optional[SeededSearch] = None
 
+        def matched(budget, span) -> Iterator[BindingRow]:
+            """The pattern's own rows: its stage tree, hung under *span*."""
+            tree = match_stages(
+                graph, self.prepared, config,
+                budget=budget, stats=stats, count_rows=False,
+            )
+            if span is not None:
+                attach_spans(tree, span)
+            return tree.run()
+
         def candidates(row: dict[str, Any]) -> Iterator[tuple[dict, list]]:
             nonlocal build, search
             if self.seed is not None:
@@ -210,13 +215,9 @@ class CompiledMatch:
                     if self._agrees(item[0], row)
                 )
             if self.direct:
-                matched = match_iter(
-                    graph, self.prepared, config, budget=budget, stats=stats,
-                    span=span, count_rows=False,
-                )
                 return (
                     (m.values, m.paths)
-                    for m in matched
+                    for m in matched(budget, span)
                     if self._agrees(m.values, row)
                 )
             key = self._probe_key(row)
@@ -235,10 +236,10 @@ class CompiledMatch:
                         mode=BLOCKING,
                     )
                 build = {}
-                for m in match_iter(
-                    graph, self.prepared, config, stats=stats,
-                    span=build_span, count_rows=False,
-                ):
+                rows = matched(None, build_span)
+                if build_span is not None:
+                    rows = timed_rows(build_span, rows)
+                for m in rows:
                     build_key = tuple(
                         _join_key(m.values.get(name)) for name in self.shared_vars
                     )
@@ -404,7 +405,7 @@ class CompiledPipeline:
         return rows
 
     def describe(self) -> list[str]:
-        """EXPLAIN lines: per statement, its mode and internal pipeline."""
+        """EXPLAIN lines: per statement, its mode and the pattern's stages."""
         lines: list[str] = []
         for index, compiled in enumerate(self.statements):
             lines.append(f"statement #{index + 1}: {compiled.statement.text}")
@@ -415,10 +416,9 @@ class CompiledPipeline:
                     lines.append(
                         f"  join variables: {', '.join(compiled.shared_vars)}"
                     )
-                for sub in render_pipeline(
-                    classify_pipeline(compiled.prepared), indent="    "
-                ):
-                    lines.append(f"  {sub}")
+                lines.extend(
+                    render_plan(match_stages(None, compiled.prepared), indent="  ")
+                )
         return lines
 
 

@@ -159,7 +159,7 @@ class LazyCardinalityStatistics:
     Every number is **identical** to the eager collector's (same repr
     fallback for unhashable values, same UNLABELED bookkeeping, same
     both-orientations rule for undirected edges), so planner decisions —
-    anchor sides, candidate sources, join orders — cannot diverge.  The
+    anchor sides, candidate sources — cannot diverge.  The
     instance is valid for one graph version; the catalog cache discards
     it when :attr:`PropertyGraph.version` moves.
     """

@@ -31,8 +31,9 @@ from repro.obs.trace import QueryTrace, Span
 def format_actuals(span: Span) -> str:
     """``rows=…, steps=…, time=…ms`` for one span (omit zero fields)."""
     parts = [f"rows={span.rows_out}"]
-    if span.rows_in and span.rows_in != span.rows_out:
-        parts.append(f"rows_in={span.rows_in}")
+    rows_in = span.consumed()
+    if rows_in and rows_in != span.rows_out:
+        parts.append(f"rows_in={rows_in}")
     if span.steps:
         parts.append(f"steps={span.steps}")
     if span.peak_rows is not None:
@@ -183,16 +184,14 @@ def _ensure_trace(
 def plan_summary(trace: QueryTrace) -> Optional[str]:
     """One line about planner decisions, for ``--stats`` output.
 
-    Collects the anchor each traced search ran with, the join order (if
-    the planner reordered a multi-pattern join), and seeded-statement
-    tallies.  Returns None when the trace recorded no planner activity.
+    Collects the anchor each traced search ran with, the SQL rewrites
+    that fired, and seeded-statement tallies.  Returns None when the
+    trace recorded no planner activity.
     """
     parts: List[str] = []
     for span in trace.walk():
         for event in span.events:
-            if event["event"] == "join_order":
-                parts.append(f"join order {event['order']}")
-            elif event["event"] == "predicate_pushdown":
+            if event["event"] == "predicate_pushdown":
                 parts.append(
                     f"pushed into {event['graph_table']}: "
                     f"{'; '.join(event['predicates'])}"

@@ -1,30 +1,30 @@
 """Query tracing: a span tree recording what a query actually did.
 
 The engine's pipeline (Section 6 of the paper: pattern searches,
-reduce + dedup, selectors, hash joins, host-language operators) is
-described *statically* by ``classify_pipeline`` / ``EXPLAIN``.  A
-:class:`QueryTrace` is the *dynamic* counterpart: one :class:`Span` per
-executed stage, recording wall time, rows in/out, matcher steps, the
-peak materialized-row count of blocking stages, and point events such
-as "budget satisfied" or "seed memo hit".
+reduce + dedup, selectors, hash joins, host-language operators) is one
+operator tree, rendered *statically* by ``EXPLAIN``.  A
+:class:`QueryTrace` is the *dynamic* counterpart, mirrored from the same
+tree: one :class:`Span` per stage, recording wall time, rows in/out,
+matcher steps, the peak materialized-row count of blocking stages, and
+point events such as "budget satisfied" or "seed memo hit".
 
 Design constraints:
 
 * **Opt-in, near-zero overhead when off.**  Tracing is enabled by
   attaching a :class:`QueryTrace` to ``PipelineStats.trace``.  When it
-  is absent, instrumented code paths reduce to a single ``is None``
-  check per stage (not per row) and the original generator expressions
-  run unchanged.  The matcher hot loop is untouched: per-span step
-  counts are read from ``Matcher.steps`` deltas at stage boundaries.
-* **No global "current span" stack.**  The executor is a web of lazy
+  is absent, an operator's ``run()`` is one ``is None`` check per
+  stage (not per row) and its row generator runs unwrapped.  The
+  matcher hot loop is untouched: a search's step count is read from
+  ``Matcher.steps`` once, when the search closes.
+* **No global "current span" stack.**  The executor is a tree of lazy
   generators that interleave arbitrarily (a hash-join build may pull
   from one search while a probe streams another), so dynamic scoping
-  would misattribute children.  Spans are threaded explicitly via
-  ``span=`` keywords.
-* **Inclusive times.**  ``Span.elapsed`` for a streaming stage is the
-  producer-side time measured around its iterator, which *includes*
-  the stages it pulls from.  Sibling spans therefore overlap; the tree
-  structure, not subtraction, conveys attribution.
+  would misattribute children.  Each operator carries its own span,
+  attached by ``repro.rowops.attach_spans`` before the run.
+* **Inclusive times, nested by data flow.**  ``Span.elapsed`` is the
+  producer-side time measured around the stage's iterator, which
+  *includes* the stages it pulls from — and those are exactly its
+  children.  A stage's self time is its span minus its children's.
 
 Everything here is standard-library only and imports nothing from the
 engine, so any layer may import it without cycles.
@@ -52,7 +52,9 @@ class Span:
     Counters are plain attributes bumped by the instrumented code:
 
     ``rows_in`` / ``rows_out``
-        rows consumed from upstream / produced downstream.
+        rows consumed from upstream / produced downstream.  ``rows_in``
+        is counted only where the input is not a child span (a GQL
+        statement's incoming table); see :meth:`consumed`.
     ``steps``
         matcher steps attributed to this stage (edge expansions).
     ``matches``
@@ -106,6 +108,19 @@ class Span:
         self.children.append(span)
         return span
 
+    def consumed(self) -> int:
+        """Rows this span pulled from upstream (exported as ``rows_in``).
+
+        A statement's input is the previous statement's table, counted
+        as it flows; a stage or operator pulls from its children, so its
+        input is their output.
+        """
+        if self.kind == STATEMENT:
+            return self.rows_in
+        return sum(
+            child.rows_out for child in self.children if child.kind != STATEMENT
+        )
+
     def bump(self, counter: str, by: int = 1) -> None:
         """Increment a named tally on this span."""
         self.counts[counter] = self.counts.get(counter, 0) + by
@@ -150,7 +165,7 @@ class Span:
             "name": self.name,
             "kind": self.kind,
             "elapsed_ms": round(self.elapsed_ms, 3),
-            "rows_in": self.rows_in,
+            "rows_in": self.consumed(),
             "rows_out": self.rows_out,
             "steps": self.steps,
             "matches": self.matches,

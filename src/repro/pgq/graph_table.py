@@ -6,9 +6,10 @@ COLUMNS expressions into an ordinary :class:`~repro.pgq.table.Table` —
 the SQL host then composes freely (the paper's SELECT around
 GRAPH_TABLE).  The :mod:`repro.sql` engine embeds the same machinery as a
 first-class table operator in FROM: it parses the COLUMNS clause with
-:func:`parse_columns_clause`, then drives :func:`iter_graph_table_rows`
-directly so outer LIMIT/FETCH FIRST budgets and pushed-down WHERE
-predicates reach the streaming NFA search.
+:func:`parse_columns_clause` and runs the pattern's stage tree under its
+scan operator, projecting with :func:`project_columns`, so outer
+LIMIT/FETCH FIRST budgets and pushed-down WHERE predicates reach the
+streaming NFA search.
 
 COLUMNS expressions are regular GPML value expressions, so horizontal
 aggregates over group variables work exactly as PGQL's group variables do
@@ -25,7 +26,7 @@ from repro.gpml.engine import PreparedQuery, match_iter, prepare
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
-from repro.gpml.streaming import PipelineStats, RowBudget
+from repro.gpml.streaming import PipelineStats
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
 from repro.pgq.table import Table
@@ -83,26 +84,16 @@ def iter_graph_table_rows(
     config: MatcherConfig | None = None,
     *,
     limit: Optional[int] = None,
-    budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
-    span=None,
-    count_rows: bool = True,
 ) -> Iterator[tuple]:
     """Stream COLUMNS-projected value rows for a GRAPH_TABLE statement.
 
-    The streaming core behind both :func:`graph_table` and the SQL
-    engine's GRAPH_TABLE scan operator: binding rows come straight from
-    :func:`~repro.gpml.engine.match_iter` (so ``limit`` and a shared
-    ``budget`` cancel the NFA search itself), and each is projected
-    through the COLUMNS expressions into a tuple of SQL values.
-    ``span``/``count_rows`` pass through to ``match_iter`` — the SQL
-    scan operator supplies its trace span and counts delivered rows at
-    the statement level instead.
+    The streaming core behind :func:`graph_table`: binding rows come
+    straight from :func:`~repro.gpml.engine.match_iter` (so ``limit``
+    cancels the NFA search itself), and each is projected through the
+    COLUMNS expressions into a tuple of SQL values.
     """
-    for row in match_iter(
-        graph, prepared, config, limit=limit, budget=budget, stats=stats,
-        span=span, count_rows=count_rows,
-    ):
+    for row in match_iter(graph, prepared, config, limit=limit, stats=stats):
         yield project_columns(graph, statement, row.values)
 
 
@@ -111,9 +102,9 @@ def project_columns(
 ) -> tuple:
     """Project one binding-row value dict through the COLUMNS clause.
 
-    Shared by the streaming enumeration above and the SQL engine's seeded
-    graph scans, which obtain binding rows per probe row rather than from
-    one ``match_iter`` stream.
+    Shared by the streaming enumeration above and the SQL engine's graph
+    scans, which pull binding rows from their own stage tree or, seeded,
+    per probe row.
     """
     ctx = EvalContext(bindings=values, graph=graph)
     return tuple(_to_sql_value(expr.evaluate(ctx)) for _, expr in statement.columns)

@@ -1,4 +1,4 @@
-"""Cost-based query planning: statistics, indexes, anchors, join order.
+"""Cost-based query planning: statistics, indexes, anchors.
 
 The planner sits between :func:`repro.gpml.engine.prepare` and the
 matcher.  Given a prepared query and a concrete graph it produces a
@@ -8,9 +8,10 @@ matcher.  Given a prepared query and a concrete graph it produces a
   rightmost element (executed by reversing the pattern), scored against
   interior fixed elements,
 * **which access path** supplies the start candidates — a property-value
-  hash index, a label scan, or a full node scan,
-* **in which order** multiple path patterns join (smallest estimated
-  result first, connected joins before cross products).
+  hash index, a label scan, or a full node scan.
+
+Multiple path patterns join in textual order (the first streams as the
+probe side, the others are hash builds, so their order is immaterial).
 
 Planning is purely an exploration-order decision: the bag of results is
 identical to the naive left-to-right engine (differentially tested

@@ -1,4 +1,4 @@
-"""Query plans: anchors, candidate sources, join order, EXPLAIN PLAN.
+"""Query plans: anchors, candidate sources, EXPLAIN PLAN.
 
 :func:`plan_query` turns a :class:`~repro.gpml.engine.PreparedQuery` plus
 a concrete graph into a :class:`QueryPlan`:
@@ -6,14 +6,8 @@ a concrete graph into a :class:`QueryPlan`:
 * per path pattern, every candidate anchor (leftmost, rightmost via
   pattern reversal, interior fixed elements) is scored by estimated start
   cardinality; the cheapest *executable* anchor wins,
-* path patterns are ordered for the cross-pattern join by estimated
-  result size, preferring patterns that share singleton variables with
-  the patterns already joined (connected joins before cross products) —
-  used by the materializing assembly (reference engine, baselines) and
-  surfaced in EXPLAIN PLAN; the streaming engine joins in textual order
-  with hash builds, where build order is immaterial,
-* the plan carries the streaming/blocking pipeline classification that
-  EXPLAIN PLAN renders (see :mod:`repro.gpml.streaming`),
+* the cross-pattern join is not planned: the engine joins in textual
+  order with hash builds, where build order is immaterial,
 * the plan caches the reversed pattern + NFA for right anchors and is
   itself cached on the prepared query, keyed on the graph's mutation
   version — mutating the graph invalidates the plan.
@@ -26,14 +20,13 @@ bindings back to forward orientation).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ReproError
 from repro.gpml import ast
 from repro.gpml.analysis import PathAnalysis
 from repro.gpml.automaton import PatternNFA
-from repro.gpml.streaming import classify_pipeline, render_pipeline
 from repro.graph.model import PropertyGraph
 from repro.planner.anchor import (
     INTERIOR,
@@ -99,18 +92,13 @@ class PatternPlan:
 
 @dataclass
 class QueryPlan:
-    """A full plan: one PatternPlan per path pattern plus the join order."""
+    """A full plan: one PatternPlan per path pattern."""
 
     graph_name: str
     graph_version: int
     num_nodes: int
     num_edges: int
     patterns: list[PatternPlan]
-    join_order: list[int]
-    join_sharing: dict[int, list[str]] = field(default_factory=dict)
-    #: streaming/blocking classification of every execution stage
-    #: (see repro.gpml.streaming.classify_pipeline)
-    pipeline: list = field(default_factory=list)
 
     def render(self, query_text: Optional[str] = None, paths: Optional[list] = None) -> str:
         lines: list[str] = []
@@ -139,23 +127,6 @@ class QueryPlan:
                 marker = "*" if option.side == plan.side and option.executable else " "
                 lines.append(f"  {marker} considered: {option.describe()}")
             lines.append(f"  estimated result size: {_fmt(plan.est_result)}")
-        if len(self.patterns) > 1:
-            parts = []
-            for position, index in enumerate(self.join_order):
-                shared = self.join_sharing.get(index, [])
-                tag = f"#{index + 1}"
-                if position and shared:
-                    tag += f" (join on {', '.join(shared)})"
-                elif position:
-                    tag += " (cross product)"
-                parts.append(tag)
-            lines.append(f"join order: {' -> '.join(parts)}")
-            lines.append(
-                "  (materializing assembly only; the streaming engine "
-                "probes pattern #1 and hash-builds the rest — see pipeline)"
-            )
-        if self.pipeline:
-            lines.extend(render_pipeline(self.pipeline))
         return "\n".join(lines)
 
 
@@ -185,16 +156,12 @@ def plan_query(graph: PropertyGraph, prepared) -> QueryPlan:
         _plan_pattern(catalog, prepared, index)
         for index in range(prepared.num_path_patterns)
     ]
-    join_order, join_sharing = _order_joins(prepared, patterns)
     plan = QueryPlan(
         graph_name=graph.name,
         graph_version=graph.version,
         num_nodes=catalog.num_nodes,
         num_edges=catalog.num_edges,
         patterns=patterns,
-        join_order=join_order,
-        join_sharing=join_sharing,
-        pipeline=classify_pipeline(prepared),
     )
     if cache is not None:
         cache["plan"] = (weakref.ref(graph), graph.version, plan)
@@ -287,7 +254,8 @@ def _pushable_where(analysis: PathAnalysis, node: ast.NodePattern, where):
 
 
 # ----------------------------------------------------------------------
-# Result-size estimation (for join ordering only; deliberately crude)
+# Result-size estimation (scored against actuals by EXPLAIN ANALYZE;
+# deliberately crude)
 # ----------------------------------------------------------------------
 #: estimates saturate here — only their relative order matters, and
 #: unclamped powers of fan-out overflow floats on large quantifiers
@@ -350,49 +318,3 @@ def _expansion(catalog: StatisticsCatalog, pattern: ast.Pattern) -> float:
     if isinstance(pattern, ast.Alternation):
         return _clamp(sum(_expansion(catalog, branch) for branch in pattern.branches))
     return 1.0
-
-
-# ----------------------------------------------------------------------
-# Join ordering
-# ----------------------------------------------------------------------
-def _order_joins(prepared, patterns: list[PatternPlan]):
-    """Greedy order: smallest first, then connected-and-small.
-
-    Patterns sharing a bound singleton variable join with equality
-    filtering; unconnected patterns form cross products and go last among
-    equals.  Returns the order and, per pattern, the variables it shares
-    with previously joined patterns (for EXPLAIN PLAN).
-    """
-    num = len(patterns)
-    if num <= 1:
-        return list(range(num)), {}
-    singleton_vars: list[set[str]] = []
-    for analysis in prepared.analysis.paths:
-        singleton_vars.append(
-            {
-                name
-                for name, info in analysis.vars.items()
-                if not info.anonymous and not info.group
-            }
-        )
-    remaining = set(range(num))
-    order: list[int] = []
-    sharing: dict[int, list[str]] = {}
-    bound: set[str] = set()
-    while remaining:
-        if not order:
-            choice = min(remaining, key=lambda i: (patterns[i].est_result, i))
-        else:
-            choice = min(
-                remaining,
-                key=lambda i: (
-                    0 if singleton_vars[i] & bound else 1,
-                    patterns[i].est_result,
-                    i,
-                ),
-            )
-            sharing[choice] = sorted(singleton_vars[choice] & bound)
-        order.append(choice)
-        remaining.discard(choice)
-        bound |= singleton_vars[choice]
-    return order, sharing

@@ -4,8 +4,7 @@ The raw numbers live in :mod:`repro.graph.statistics`; this module wraps
 them in the estimation API the planner consumes and caches one catalog
 per graph, invalidated whenever :attr:`PropertyGraph.version` moves (every
 mutation bumps it).  Estimates are floats and deliberately crude — they
-only need to *rank* anchor candidates and join orders, not predict exact
-cardinalities.
+only need to *rank* anchor candidates, not predict exact cardinalities.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graph.model import PropertyGraph
-from repro.graph.statistics import (  # noqa: F401  (re-export for callers)
-    CardinalityStatistics,
-    LazyCardinalityStatistics,
-    cardinality_statistics,
-)
+from repro.graph.statistics import CardinalityStatistics, LazyCardinalityStatistics
 
 _CACHE_ATTR = "_planner_stats_cache"
 
@@ -33,7 +28,7 @@ class StatisticsCatalog:
     a second.
     """
 
-    def __init__(self, stats: "CardinalityStatistics | LazyCardinalityStatistics"):
+    def __init__(self, stats: CardinalityStatistics | LazyCardinalityStatistics):
         self.stats = stats
 
     # -- caching -------------------------------------------------------

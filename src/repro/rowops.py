@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.gpml.expr import EvalContext, Expr, fold_aggregate, rebuild
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
-from repro.obs.trace import Span, timed_rows
+from repro.obs.trace import OPERATOR, Span, timed_rows
 from repro.values import TRUE, is_null
 
 
@@ -107,6 +107,9 @@ class Operator:
     children: list["Operator"]
     #: trace span attached by :func:`attach_spans` (None = untraced)
     span: Optional[Span] = None
+    #: the ``kind`` of that span; the GPML engine's pattern stages, which
+    #: sit below the hosts' leaves in the same tree, say "stage"
+    span_kind = OPERATOR
     #: row -> EvalContext for the rows this operator emits
     context: Callable[[Any], EvalContext] = RowContext
     #: True for pipeline breakers (no row out before the last row in)
@@ -126,10 +129,20 @@ class Operator:
     def detail_lines(self) -> list[str]:
         return []
 
+    def trace_peak(self, count: int) -> None:
+        """Record how many rows a pipeline breaker held at once."""
+        if self.span is not None:
+            self.span.peak_rows = count
+
+    def trace_event(self, name: str, **payload: Any) -> None:
+        if self.span is not None:
+            self.span.event(name, **payload)
+
 
 def render_plan(op: Operator, indent: str = "") -> list[str]:
     """Indented operator tree for EXPLAIN, each operator tagged
-    [streaming] or [blocking] like the pattern stages below the leaves."""
+    [streaming] or [blocking] — the hosts' operators and, below their
+    leaves, the pattern stages of each MATCH."""
     lines = [f"{indent}[{BLOCKING if op.blocking else STREAMING}] {op.describe()}"]
     child_indent = indent + "  "
     for detail in op.detail_lines():
@@ -143,12 +156,12 @@ def attach_spans(op: Operator, parent: Span) -> Span:
     """Mirror the operator tree as trace spans (one per operator).
 
     Called before a traced execution; each operator's
-    :meth:`~Operator.run` then fills in its span.  The leaves
-    additionally thread their span into the GPML engine, so the
-    pattern's stage spans (and a GQL chain's statement spans) nest under
-    the leaf operator.
+    :meth:`~Operator.run` then fills in its span.  The pattern stages of
+    a MATCH are operators of the same tree (SQL's graph scan has them as
+    its child; GQL hangs them under each statement's span), so the trace
+    nests by data flow all the way down to the searches.
     """
-    span = parent.child(op.describe(), kind="operator")
+    span = parent.child(op.describe(), kind=op.span_kind)
     op.span = span
     for child in op.children:
         attach_spans(child, span)
@@ -312,8 +325,7 @@ class Aggregate(Operator):
                 collected.extend(aggregate.values(ctx))
         if not groups and self.group_all:
             groups[()] = ((), [[] for _ in aggregates])
-        if self.span is not None:
-            self.span.peak_rows = count
+        self.trace_peak(count)
         for values, collected in groups.values():
             yield values + tuple(
                 [aggregate.fold(items) for aggregate, items in zip(aggregates, collected)]
@@ -371,8 +383,7 @@ class Sort(Operator):
     def rows(self) -> Iterator[Any]:
         context = self.context
         keyed = [(context(row), row) for row in self.child.run()]
-        if self.span is not None:
-            self.span.peak_rows = len(keyed)
+        self.trace_peak(len(keyed))
         for expr, descending in reversed(self.keys):
             keyed.sort(
                 key=lambda pair: sort_key(expr.evaluate(pair[0])), reverse=descending
@@ -424,8 +435,8 @@ class Limit(Operator):
             yield row
             delivered += 1
             if self.limit is not None and delivered >= self.limit:
-                if self.span is not None and self.budget is not None:
-                    self.span.event("budget_satisfied", taken=self.budget.taken)
+                if self.budget is not None:
+                    self.trace_event("budget_satisfied", taken=self.budget.taken)
                 return
 
     def describe(self) -> str:

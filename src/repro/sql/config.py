@@ -44,6 +44,3 @@ class SqlConfig:
     #: semi-join reduction aborts above this many distinct probe keys —
     #: a huge IN costs more to push than the enumeration it would save
     semi_join_max_keys: int = 1024
-
-    def rule_enabled(self, name: str) -> bool:
-        return name in self.optimizer_rules

@@ -189,7 +189,10 @@ class Database:
             database=self, config=config, stats=stats, pushdown=pushdown,
             sql_config=sql_config if sql_config is not None else SqlConfig(),
         )
-        return plan_statement(statement, ctx)
+        plan = plan_statement(statement, ctx)
+        if stats is not None and stats.trace is not None:
+            attach_spans(plan, stats.trace.root)
+        return plan
 
     def _plan_lines(
         self,
@@ -218,7 +221,6 @@ class Database:
         if stats.trace is None:
             stats.trace = QueryTrace(engine="sql")
         plan = self._plan(statement, config, stats, pushdown, sql_config)
-        attach_spans(plan, stats.trace.root)
         return render_analyzed(
             "sql", "row", stats, lambda: delivered(plan.run(), stats)
         )

@@ -6,8 +6,9 @@ hosts.  What stays here is what only SQL has: base-table scans, the
 GRAPH_TABLE scans and their spool, and the inner join with its two
 cross-model variants.
 
-The graph leaf is :class:`GraphTableScan`: it drives the streaming GPML
-core directly, so a :class:`~repro.gpml.streaming.RowBudget` owned by the
+The graph leaf is :class:`GraphTableScan`: its child is the pattern's
+own stage tree (:func:`repro.gpml.engine.match_stages`), so a
+:class:`~repro.gpml.streaming.RowBudget` owned by the
 outer LIMIT reaches the NFA search itself — ``SELECT ... LIMIT 1`` over a
 huge graph stops the product-graph exploration after a handful of edge
 expansions, and pushed-down WHERE conjuncts ride into the MATCH where the
@@ -20,19 +21,15 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.gpml import ast as gpml_ast
-from repro.gpml.engine import PreparedQuery, SeededSearch, prepare
+from repro.gpml.engine import PreparedQuery, SeededSearch, match_stages, prepare
 from repro.gpml.expr import Expr, In, conjoin
 from repro.gpml.matcher import MatcherConfig
-from repro.gpml.streaming import PipelineStats, RowBudget, classify_pipeline, render_pipeline
+from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
-from repro.pgq.graph_table import (
-    GraphTableStatement,
-    iter_graph_table_rows,
-    project_columns,
-)
+from repro.pgq.graph_table import GraphTableStatement, project_columns
 from repro.pgq.table import Table
 from repro.planner.anchor import SeedSpec
-from repro.rowops import Column, Operator, RowContext, hashable
+from repro.rowops import Column, Operator, RowContext, attach_spans, hashable
 from repro.values import TRUE, is_null
 
 
@@ -72,7 +69,9 @@ class GraphTableScan(Operator):
 
     ``prepared`` already contains any pushed-down predicates conjoined
     into the pattern's WHERE; ``budget`` is the outer LIMIT's shared
-    :class:`RowBudget` (None when the statement is unbounded).
+    :class:`RowBudget` (None when the statement is unbounded).  The
+    pattern's stage tree is the scan's child, so EXPLAIN and a trace
+    descend into the pattern stages as into any operator.
     """
 
     def __init__(
@@ -86,16 +85,16 @@ class GraphTableScan(Operator):
         config: Optional[MatcherConfig] = None,
         stats: Optional[PipelineStats] = None,
         pushed_predicates: Optional[list[Expr]] = None,
+        budget: Optional[RowBudget] = None,
     ):
         self.graph = graph
         self.graph_name = graph_name
         self.statement = statement
-        self.prepared = prepared
         self.alias = alias
         self.config = config
         self.stats = stats
         self.pushed_predicates = pushed_predicates or []
-        self.budget: Optional[RowBudget] = None
+        self.budget = budget
         #: set by the semi-join rewrite rule: the GPML defining expression
         #: of the join-key column, used to build the injected IN predicate
         self.reduction_expr: Optional[Expr] = None
@@ -105,22 +104,23 @@ class GraphTableScan(Operator):
             Column(table=alias, name=name, source=source)
             for name in statement.column_names
         ]
-        self.children = []
+        self._plant(prepared)
+
+    def _plant(self, prepared: PreparedQuery) -> None:
+        self.prepared = prepared
+        # rows here are intermediate (the Database counts delivered result
+        # rows), so count_rows=False
+        self.children = [
+            match_stages(
+                self.graph, prepared, self.config,
+                budget=self.budget, stats=self.stats, count_rows=False,
+            )
+        ]
 
     def rows(self) -> Iterator[tuple]:
-        # rows here are intermediate (the Database counts delivered result
-        # rows), so count_rows=False; the scan's span — when EXPLAIN
-        # ANALYZE attached one — parents the engine's stage spans.
-        return iter_graph_table_rows(
-            self.graph,
-            self.statement,
-            self.prepared,
-            self.config,
-            budget=self.budget,
-            stats=self.stats,
-            span=self.span,
-            count_rows=False,
-        )
+        graph, statement = self.graph, self.statement
+        for row in self.children[0].run():
+            yield project_columns(graph, statement, row.values)
 
     def reduced_rows(self, values: tuple) -> Iterator[tuple]:
         """Enumerate with the probe side's distinct keys pushed as an IN.
@@ -139,7 +139,11 @@ class GraphTableScan(Operator):
             where=conjoin(raw.where, In(self.reduction_expr, values)),
             keep=raw.keep,
         )
-        self.prepared = prepare(reduced)
+        self._plant(prepare(reduced))
+        if self.span is not None:
+            # the unreduced stages never ran: trace the ones that do
+            self.span.children.clear()
+            attach_spans(self.children[0], self.span)
         self.reduced_keys = len(values)
         return self.run()
 
@@ -162,7 +166,6 @@ class GraphTableScan(Operator):
                 f"row budget: shared with outer LIMIT "
                 f"(stops the NFA search after {self.budget.needed} delivered rows)"
             )
-        lines.extend(render_pipeline(classify_pipeline(self.prepared)))
         return lines
 
 
@@ -207,6 +210,7 @@ class SeededGraphTableScan(GraphTableScan):
             config=scan.config,
             stats=scan.stats,
             pushed_predicates=scan.pushed_predicates,
+            budget=scan.budget,
         )
         self.columns = list(scan.columns)  # keep the original source index
         self.seed = seed
@@ -437,8 +441,7 @@ class Join(Operator):
                 merged = row + other
                 if residual is None or holds(residual, merged):
                     yield merged
-        if self.span is not None:
-            self.span.event("seeded_join", probes=probes)
+        self.trace_event("seeded_join", probes=probes)
 
     def _hash_rows(self) -> Iterator[tuple]:
         left_source = self.left.run()
@@ -497,19 +500,15 @@ class Join(Operator):
                 abort_reason = f"over {spec.max_keys} distinct keys"
                 break
         if abort_reason is not None:
-            if self.span is not None:
-                self.span.event("semi_join_reduction", applied=False,
-                                reason=abort_reason)
+            self.trace_event("semi_join_reduction", applied=False, reason=abort_reason)
             return None
         keys = tuple(distinct)
-        if self.span is not None:
-            self.span.event("semi_join_reduction", applied=True, keys=len(keys))
+        self.trace_event("semi_join_reduction", applied=True, keys=len(keys))
         return self.right.reduced_rows(keys)
 
     def _loop_rows(self) -> Iterator[tuple]:
         build = list(self.right.run())
-        if self.span is not None:
-            self.span.peak_rows = len(build)
+        self.trace_peak(len(build))
         if not build:
             return
         residual = self.residual

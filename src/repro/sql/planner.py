@@ -107,6 +107,8 @@ class PlannerContext:
     pushdown: bool = True
     sql_config: SqlConfig = dataclass_field(default_factory=SqlConfig)
     graph_scans: list[GraphTableScan] = dataclass_field(default_factory=list)
+    #: the statement LIMIT's row budget, handed to every graph scan
+    budget: Optional[RowBudget] = None
 
 
 def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Operator:
@@ -116,10 +118,13 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
     outer sort), then — with pushdown enabled — the rule-driven rewrite
     pass of :mod:`repro.sql.rules` over the whole tree, so cross-model
     rules see every join and every graph scan of the statement at once
-    (common-subpattern sharing spans UNION branches).  The row budget is
-    assigned last: rewrite rules may replace scan operators, and the
-    budget must land on the survivors.
+    (common-subpattern sharing spans UNION branches).  The LIMIT's row
+    budget exists before the first scan is planned: each scan builds its
+    pattern's stage tree around it, and a rewrite that replaces a scan
+    hands the budget on.
     """
+    if statement.limit is not None and ctx.pushdown:
+        ctx.budget = RowBudget(statement.limit + statement.offset)
     if len(statement.cores) == 1:
         root = _plan_core(statement.cores[0], ctx, statement.order_by)
     else:
@@ -150,19 +155,14 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
         root = apply_rewrite_rules(root, ctx)
 
     if statement.limit is not None or statement.offset:
-        budget = None
-        if statement.limit is not None and ctx.pushdown:
-            budget = RowBudget(statement.limit + statement.offset)
-            for scan in ctx.graph_scans:
-                scan.budget = budget
-            trace = ctx.stats.trace if ctx.stats is not None else None
-            if trace is not None and ctx.graph_scans:
-                trace.root.event(
-                    "budget_pushdown",
-                    needed=budget.needed,
-                    scans=len(ctx.graph_scans),
-                )
-        root = Limit(root, statement.limit, statement.offset, budget)
+        trace = ctx.stats.trace if ctx.stats is not None else None
+        if ctx.budget is not None and trace is not None and ctx.graph_scans:
+            trace.root.event(
+                "budget_pushdown",
+                needed=ctx.budget.needed,
+                scans=len(ctx.graph_scans),
+            )
+        root = Limit(root, statement.limit, statement.offset, ctx.budget)
     return root
 
 
@@ -451,6 +451,7 @@ def _materialize_leaf(leaf: _Leaf, ctx: PlannerContext) -> Operator:
             config=ctx.config,
             stats=ctx.stats,
             pushed_predicates=list(leaf.pushed),
+            budget=ctx.budget,
         )
         ctx.graph_scans.append(scan)
         trace = ctx.stats.trace if ctx.stats is not None else None

@@ -61,9 +61,10 @@ def apply_rewrite_rules(root: Operator, ctx) -> Operator:
 
     Mutates the tree in place (rules only ever replace non-root
     operators) and returns it.  ``ctx`` is the PlannerContext — rules
-    read ``sql_config``, update ``graph_scans`` so the later row-budget
-    assignment reaches replacement scans, and record firings on
-    ``stats.trace`` / the database's telemetry.
+    read ``sql_config``, keep ``graph_scans`` the list of scans that
+    poll the row budget (a replacement scan takes over its
+    predecessor's), and record firings on ``stats.trace`` / the
+    database's telemetry.
     """
     rules = (
         (SEEDED_JOIN, _apply_seeded_join),

@@ -199,7 +199,7 @@ class TestPipelineClassification:
 
     def test_explain_labels_blocking_selector(self):
         text = explain("MATCH ALL SHORTEST p = (a)-[:Transfer]->*(b)")
-        assert "[blocking ] pattern #1 selector ALL_SHORTEST" in text
+        assert "[blocking] pattern #1 selector ALL_SHORTEST" in text
         assert "[streaming] pattern #1 search (shortest)" in text
 
     def test_explain_plan_labels_join_sides(self, fig1):
@@ -208,16 +208,19 @@ class TestPipelineClassification:
             "MATCH (p:Phone)~[:hasPhone]~(s:Account), "
             "(s)-[t:Transfer]->(d) WHERE t.amount > 1M",
         )
-        assert "[blocking ] pattern #2 hash-join build" in text
+        assert "[blocking] pattern #2 hash-join build" in text
         assert "[streaming] hash-join probe (pattern #1 outer)" in text
         assert "[streaming] postfilter WHERE" in text
 
     def test_explain_labels_keep_blocking(self):
         text = explain("MATCH TRAIL (a)->*(b) KEEP ANY SHORTEST")
-        assert "[blocking ] KEEP ANY_SHORTEST" in text
+        assert "[blocking] KEEP ANY_SHORTEST" in text
 
     def test_every_stage_is_labeled(self, fig1):
         text = explain_plan(fig1, "MATCH ANY CHEAPEST COST amount p = (a)-[e]->+(b)")
-        pipeline = text.split("pipeline:")[1]
-        for line in pipeline.strip().splitlines():
-            assert "[streaming]" in line or "[blocking ]" in line
+        lines = text.split("pipeline:\n")[1].splitlines()
+        # every stage is tagged; the line below it, one level deeper, says why
+        for stage, detail in zip(lines[::2], lines[1::2], strict=True):
+            indent = stage[: -len(stage.lstrip())]
+            assert stage.startswith((f"{indent}[streaming] ", f"{indent}[blocking] "))
+            assert detail.startswith(f"{indent}  ") and "[" not in detail

@@ -84,8 +84,13 @@ def test_trace_to_dict_is_schema_valid_and_json_serializable(fig1):
     assert document["stats"] == {
         "steps": stats.steps, "matches": stats.matches, "rows": len(rows),
     }
-    names = [child["name"] for child in document["root"]["children"]]
-    assert any("search" in name for name in names)
+    # stages nest by data flow: delivery pulls from dedup pulls from search
+    (delivery,) = document["root"]["children"]
+    (dedup,) = delivery["children"]
+    (search,) = dedup["children"]
+    assert [delivery["name"], dedup["name"], search["name"]] == [
+        "row delivery", "pattern #1 reduce + dedup", "pattern #1 search (enumerate)",
+    ]
 
 
 def test_validate_trace_rejects_missing_span_field(fig1):

@@ -10,18 +10,31 @@ For random graphs and a corpus of queries across both entry points,
 * rows chain between pipeline stages: each GQL statement span's
   ``rows_in`` equals the previous span's ``rows_out`` (the first
   consumes the single unit row), and the final span's ``rows_out`` is
-  the record count.
+  the record count,
+* the pattern stages are one tree on all three surfaces: the stage names
+  EXPLAIN prints equal, in order, the stage spans of a traced run; the
+  spans nest by data flow (a stage's parent is the stage that pulls from
+  it), so inclusive times shrink down every edge, self times are
+  non-negative and add up to the root's, and a stage's exported
+  ``rows_in`` is what its children put out,
+* a search abandoned by a satisfied budget still records its steps and
+  its observed start candidates, once.
 """
+
+import re
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from repro.errors import BudgetExceededError
-from repro.gpml import match_iter
+from repro.gpml import match_iter, prepare
+from repro.gpml.explain import explain
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
 from repro.graph import GraphBuilder
-from repro.gql.query import execute_gql_iter, parse_gql_query
+from repro.gql.query import execute_gql_iter, explain_gql, parse_gql_query
+from repro.planner.plan import plan_query
+from repro.sql import Database
 
 
 @st.composite
@@ -66,7 +79,90 @@ GQL_QUERIES = [
     "MATCH (x:A) MATCH (y:B) RETURN x, y OFFSET 1",
 ]
 
+SQL_QUERIES = [
+    "SELECT gt.xv FROM GRAPH_TABLE(g MATCH (x)-[e]->(y) "
+    "COLUMNS (x.v AS xv, y.v AS yv)) AS gt WHERE gt.yv > 0",
+    "SELECT gt.xv FROM GRAPH_TABLE(g MATCH (x)-[e]->(y), (y)-[f]-(z) "
+    "COLUMNS (x.v AS xv)) AS gt LIMIT 2",
+    "SELECT a.xv, b.zv FROM GRAPH_TABLE(g MATCH (x:A)-[e]->(y) "
+    "COLUMNS (x.v AS xv, y AS y)) AS a JOIN GRAPH_TABLE(g MATCH (y)-[f]->(z) "
+    "COLUMNS (y AS y, z.v AS zv)) AS b ON a.y = b.y",
+    "SELECT DISTINCT gt.s FROM GRAPH_TABLE(g MATCH ANY SHORTEST p = (a)-[e]->*(b) "
+    "COLUMNS (a.v + b.v AS s)) AS gt ORDER BY s",
+]
+
 CONFIG = MatcherConfig(max_steps=40_000, max_results=10_000)
+
+#: the stage vocabulary, most upstream first: a stage pulls only from
+#: stages that come earlier in this list
+STAGES = [
+    r"pattern #(\d+) search \(\w+\)",
+    r"pattern #(\d+) reduce \+ dedup",
+    r"pattern #(\d+) selector \w+",
+    r"pattern #(\d+) hash-join build",
+    r"hash-join probe \(pattern #1 outer\)",
+    r"postfilter WHERE",
+    r"KEEP \w+",
+    r"row delivery",
+]
+#: timed_rows nests a child's clock inside its parent's, so only float
+#: rounding of the running sums can make a child look longer
+EPSILON = 1e-6
+
+
+def stage_rank(name):
+    """(position in STAGES, pattern number or None) — None for non-stages."""
+    for rank, pattern in enumerate(STAGES):
+        found = re.fullmatch(pattern, name)
+        if found:
+            return rank, (found.group(1) if found.groups() else None)
+    return None
+
+
+def explained_stages(text):
+    """Stage names in the order EXPLAIN prints them (one tag spelling)."""
+    names = []
+    for line in text.splitlines():
+        found = re.fullmatch(r"\s*\[(streaming|blocking)\] (.*)", line)
+        if found and stage_rank(found.group(2)):
+            names.append(found.group(2))
+    return names
+
+
+def traced_stages(span):
+    return [s.name for s in span.walk() if s.kind == "stage" and stage_rank(s.name)]
+
+
+def check_stage_tree(root):
+    """Nesting, times and row counts of every stage span under *root*."""
+    tops = []
+    for parent in root.walk():
+        for child in parent.children:
+            rank = stage_rank(child.name)
+            if rank is None:
+                continue
+            assert child.kind == "stage"
+            above = stage_rank(parent.name)
+            if above is None:
+                tops.append(child)  # hangs under a host span (or the root)
+                assert child.name == "row delivery"
+            else:
+                assert above[0] > rank[0], f"{parent.name} pulls from {child.name}"
+                if rank[1] and above[1]:
+                    assert rank[1] == above[1], "stages of two patterns nested"
+                assert child.elapsed <= parent.elapsed + EPSILON
+    for top in tops:
+        own = []
+        for span in top.walk():
+            below = sum(child.elapsed for child in span.children)
+            assert span.elapsed - below >= -EPSILON, f"negative self time: {span.name}"
+            own.append(span.elapsed - below)
+            exported = span.to_dict()
+            assert exported["rows_in"] == sum(c.rows_out for c in span.children)
+            if "search" in span.name:
+                assert span.matches == span.rows_out
+        assert abs(sum(own) - top.elapsed) <= EPSILON * len(own)
+    return tops
 
 
 def row_key(row):
@@ -96,6 +192,39 @@ def test_match_trace_consistent_and_observation_free(graph, query):
     delivery = stats.trace.find("row delivery")
     assert delivery is not None
     assert delivery.rows_out == len(traced)
+
+    # EXPLAIN and the trace are the same tree; it nests by data flow
+    assert explained_stages(explain(query)) == traced_stages(stats.trace.root)
+    assert check_stage_tree(stats.trace.root) == [delivery]
+    assert stats.trace.root.children == [delivery]
+    by_name = {entry["name"]: entry for entry in stats.breakdown()}
+    for span in delivery.walk():
+        assert by_name[span.name]["rows_in"] == sum(c.rows_out for c in span.children)
+
+
+@given(small_graphs(), st.sampled_from(MATCH_QUERIES))
+@settings(max_examples=30, deadline=None)
+def test_abandoned_search_records_its_steps_once(graph, query):
+    prepared = prepare(query)
+    stats = PipelineStats.traced()
+    rows = match_iter(graph, prepared, CONFIG, limit=1, stats=stats)
+    try:
+        assume(next(rows, None) is not None)
+    except BudgetExceededError:
+        assume(False)
+    rows.close()  # the consumer walks away; nothing pulls the search again
+
+    delivery = stats.trace.root.children[0]
+    assert delivery.name == "row delivery" and delivery.rows_out == 1
+    searches = delivery.find_all(" search (")
+    assert len(searches) == prepared.num_path_patterns
+    assert sum(search.steps for search in searches) == stats.steps
+    plan = plan_query(graph, prepared)
+    for search, pattern_plan in zip(searches, plan.patterns):
+        assert search.meta["observed_candidates"] == pattern_plan.observed_candidates
+        assert search.meta["observed_candidates"] is not None
+    rows.close()
+    assert stats.trace.total_steps() == stats.steps
 
 
 @given(small_graphs(), st.sampled_from(GQL_QUERIES))
@@ -128,3 +257,36 @@ def test_gql_trace_consistent_and_observation_free(graph, query):
         assert current.rows_in == previous.rows_out
     (tail,) = stats.trace.root.children
     assert tail.kind == "operator" and tail.rows_out == len(traced)
+
+    # each MATCH statement's stages are the ones EXPLAIN printed for it —
+    # or none, when it ran seeded (aggregated onto the statement span) or
+    # its build was never reached
+    blocks = re.split(r"\n\s*statement #\d+: ", explain_gql(parsed, CONFIG))[1:]
+    assert len(blocks) == len(spans)
+    for block, span in zip(blocks, spans):
+        assert traced_stages(span) in ([], explained_stages(block))
+    assert traced_stages(spans[0]) == explained_stages(blocks[0])
+    check_stage_tree(stats.trace.root)
+
+
+@given(small_graphs(), st.sampled_from(SQL_QUERIES))
+@settings(max_examples=40, deadline=None)
+def test_sql_trace_consistent_and_observation_free(graph, query):
+    database = Database()
+    database.register_graph("g", graph)
+    try:
+        untraced = list(database.execute_iter(query, CONFIG))
+        stats = PipelineStats.traced()
+        traced = list(database.execute_iter(query, CONFIG, stats=stats))
+    except BudgetExceededError:
+        assume(False)
+
+    assert traced == untraced, "tracing changed the result"
+    assert stats.rows == len(traced)
+    assert stats.trace.total_steps() == stats.steps
+    # the scan carries the pattern's stages as its subtree, in the plan
+    # and so in the trace — stage for stage, run or not
+    explained = explained_stages(database.explain(query, CONFIG))
+    assert explained == traced_stages(stats.trace.root)
+    tops = check_stage_tree(stats.trace.root)
+    assert len(tops) == explained.count("row delivery") == query.count("GRAPH_TABLE")

@@ -4,6 +4,10 @@ GQL and SQL/PGQ are two hosts around one core; the relational tail they
 share (``repro.rowops``) sits under both.  An AST scan — so that lazy,
 function-level imports count too — keeps it that way: the GQL host never
 reaches into the SQL host, and the shared module knows neither.
+
+The pattern pipeline below the hosts' leaves is the same kind of tree
+(``repro.gpml.engine.match_stages``), written down once: no second
+description of it, and no trace span handed down through its functions.
 """
 
 import ast
@@ -39,6 +43,37 @@ def test_gql_host_imports_nothing_from_the_sql_host():
 
 def test_shared_row_operators_import_neither_host():
     assert offenders([SRC / "rowops.py"], ("repro.sql", "repro.gql", "repro.pgq")) == []
+
+
+def test_shared_row_operators_do_not_know_the_engine_that_builds_on_them():
+    assert offenders([SRC / "rowops.py"], ("repro.gpml.engine",)) == []
+
+
+def test_the_pattern_pipeline_has_no_second_description():
+    gone = {"classify_pipeline", "StageInfo", "render_pipeline"}
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse((SRC / "gpml/streaming.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not gone & defined
+
+
+def test_spans_ride_on_the_stage_tree_not_through_parameters():
+    """Stages get their span from ``attach_spans``; only the seeded runs,
+    which aggregate thousands of searches onto their owner's one span,
+    are handed it."""
+    takers = set()
+    for module in ("gpml/engine.py", "pgq/graph_table.py"):
+        for owner in ast.walk(ast.parse((SRC / module).read_text())):
+            for node in ast.iter_child_nodes(owner):
+                if isinstance(node, ast.FunctionDef) and "span" in {
+                    arg.arg for arg in node.args.args + node.args.kwonlyargs
+                }:
+                    takers.add((getattr(owner, "name", module), node.name))
+    assert takers == {
+        ("gpml/engine.py", "iter_seeded_rows"), ("SeededSearch", "__init__"),
+    }
 
 
 def test_both_hosts_take_the_tail_from_the_shared_module():
