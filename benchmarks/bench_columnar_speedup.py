@@ -32,8 +32,13 @@ from repro.gpml.engine import match_iter, prepare  # noqa: E402
 from repro.gpml.matcher import MatcherConfig  # noqa: E402
 from repro.graph.columnar import snapshot_for  # noqa: E402
 
-#: columnar_best * MIN_SPEEDUP <= oracle_best on speedup-guarded queries
-MIN_SPEEDUP = 3.0
+#: columnar_best * MIN_SPEEDUP <= oracle_best on speedup-guarded queries.
+#: Re-based when the oracle got its closure programs (PR 17): blocked_hop
+#: best-of-5 at 3k/6k measured 3.7-5.0x before that change (gate 3.0) and
+#: 2.1-2.2x after it, self_probe 8.5-8.9x and 4.8-5.1x; at 12k/24k 4.4x
+#: and 2.1x.  The gate is half the new blocked_hop ratio, floored at 1.5:
+#: it guards the frontier kernel, not the distance to a slow oracle.
+MIN_SPEEDUP = 1.5
 ROUNDS = 5
 
 DEFAULT_ACCOUNTS = 12_000
@@ -111,7 +116,7 @@ def test_columnar_speedup(name, query, guarded):
     if guarded:
         assert columnar * MIN_SPEEDUP <= oracle, (
             f"{name}: columnar best {columnar * 1000:.1f}ms is under "
-            f"{MIN_SPEEDUP:.0f}x faster than oracle best {oracle * 1000:.1f}ms"
+            f"{MIN_SPEEDUP:.1f}x faster than oracle best {oracle * 1000:.1f}ms"
         )
 
 

@@ -106,6 +106,9 @@ class PatternNFA:
         self.epsilons: list[list[EpsTransition]] = []
         self.start = 0
         self.accept = 0
+        #: state -> closure program, compiled by the matcher on first entry
+        #: (a function of the transitions alone: no graph, no matcher)
+        self.closures: dict[int, object] = {}
 
     @property
     def num_states(self) -> int:
@@ -121,6 +124,25 @@ class PatternNFA:
 
     def add_edge(self, source: int, target: int, pattern: ast.EdgePattern, deferred: bool) -> None:
         self.edges[source].append(EdgeTransition(target=target, pattern=pattern, deferred=deferred))
+
+    def eps_tree(self, state: int) -> bool:
+        """Whether the ε-subgraph reachable from *state* is a tree.
+
+        True when every state in it is reached by exactly one ε-route (a
+        closure started here needs no cycle guard): chains, scopes, and
+        quantifiers, optionals and alternation over bodies that traverse
+        an edge.  False when ε-routes reconverge or cycle: node-only union
+        branches or optionals, quantifier bodies that consume no edge.
+        """
+        seen = {state}
+        stack = [state]
+        while stack:
+            for eps in self.epsilons[stack.pop()]:
+                if eps.target in seen:
+                    return False
+                seen.add(eps.target)
+                stack.append(eps.target)
+        return True
 
     def describe(self) -> str:
         """Human-readable dump (used by EXPLAIN and tests)."""

@@ -1046,7 +1046,7 @@ def _materialize(
             values[name] = graph.element(singles[name])
         else:
             values[name] = NULL  # unbound conditional singleton
-    path_obj = Path.from_element_ids(graph, solution.elements)
+    path_obj = Path._from_search(graph, solution.elements)
     if path_var is not None:
         values[path_var] = path_obj
     return BindingRow(values, [path_obj])

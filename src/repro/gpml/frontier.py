@@ -27,9 +27,9 @@ object engine's stack discipline — one seed drained at a time, slice
 entries pushed in incidence order and popped LIFO, final-hop accepts
 yielded in ascending incidence order — and counts one step per
 orientation-admitted CSR entry, exactly where the object matcher counts
-one per admitted incidence.  (Sole documented deviation: conjuncts of an
-inline WHERE are evaluated with short-circuiting, so a query whose WHERE
-*raises* mid-conjunction may fail on the oracle and filter cleanly here.)
+one per admitted incidence.  (Inline WHEREs are split exactly as the
+object matcher splits them — :mod:`repro.gpml.predicates` — so even a
+WHERE that *raises* mid-conjunction behaves alike in both.)
 
 The property-based suite ``tests/property/test_columnar_equivalence.py``
 pins the contract down against random graphs and budget-truncated runs.
@@ -40,32 +40,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from repro.errors import (
-    BudgetExceededError,
-    ExpressionError,
-    GpmlEvaluationError,
-    GraphError,
-)
+from repro.errors import BudgetExceededError, GpmlEvaluationError, GraphError
 from repro.gpml import ast
 from repro.gpml.automaton import NodeTest, PatternNFA, ScopeBegin, ScopeEnd
 from repro.gpml.bindings import ElementaryBinding, PathBinding
-from repro.gpml.expr import Comparison, Expr, Literal, PropertyRef, conjoin
+from repro.gpml.expr import Expr
 from repro.gpml.label_expr import LabelAtom
 from repro.gpml.matcher import MatcherConfig, RunContext
+from repro.gpml.predicates import split_where, value_test
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.columnar import (
     DIR_IN,
     DIR_OUT,
     DIR_UNDIRECTED,
-    MISSING,
     ColumnarGraph,
     CsrBlock,
     cached_snapshot,
     snapshot_for,
 )
-from repro.graph.model import Edge, Node, PropertyGraph
-from repro.planner.indexes import conjuncts, initial_node_candidates
-from repro.values import NULL, compare, is_null
+from repro.graph.model import PropertyGraph
+from repro.planner.indexes import initial_node_candidates
 
 _UNSET = object()
 
@@ -171,85 +165,24 @@ def _vars_consistent(anchor, hops) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Predicate compilation: conjuncts -> column tests + residual expression
+# Predicate compilation (repro.gpml.predicates) over property columns
 # ----------------------------------------------------------------------
-def _value_test(op: str, literal: Any, flipped: bool):
-    """A raw-column-value test replicating ``Comparison.evaluate`` exactly.
+def _column_tests(where: Optional[Expr], var: Optional[str], column_of):
+    """``split_where`` with tests that take the element's column index."""
 
-    ``flipped`` marks the literal on the left (matters for ``<``/``>=``).
-    MISSING column slots behave as NULL (UNKNOWN → row dropped), and the
-    element-identity branch matches the expression evaluator's.
-    """
-
-    def test(raw: Any) -> bool:
-        value = NULL if raw is MISSING else raw
-        if isinstance(value, (Node, Edge)):
-            if is_null(literal):
-                return False  # UNKNOWN
+    def compile_test(prop: str, op: str, value: Any, flipped: bool):
+        column = column_of(prop)
+        if column.codes is not None and op in ("=", "<>") and type(value) is str:
+            codes = column.codes
+            target = column.code_of.get(value, -2)
             if op == "=":
-                return value == literal
-            if op == "<>":
-                return value != literal
-            raise ExpressionError(f"cannot order graph elements with {op!r}")
-        if flipped:
-            return bool(compare(op, literal, value))
-        return bool(compare(op, value, literal))
+                return lambda index: codes[index] == target
+            return lambda index: codes[index] not in (-1, target)
+        values = column.values
+        test = value_test(op, value, flipped)
+        return lambda index: test(values[index])
 
-    return test
-
-
-_VECTOR_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
-
-
-def _split_where(where: Optional[Expr], var: Optional[str], column_of):
-    """Compile sargable conjuncts of *where* into column tests.
-
-    Returns ``(tests, residual)``: *tests* take the element's column
-    index and return bool; *residual* is the AND of the conjuncts that
-    need full expression evaluation (None when everything vectorized).
-    """
-    tests: list = []
-    residual: list[Expr] = []
-    for conjunct in conjuncts(where):
-        compiled = _compile_conjunct(conjunct, var, column_of)
-        if compiled is None:
-            residual.append(conjunct)
-        else:
-            tests.append(compiled)
-    return tests, conjoin(*residual)
-
-
-def _compile_conjunct(conjunct: Expr, var: Optional[str], column_of):
-    if var is None or not isinstance(conjunct, Comparison):
-        return None
-    if conjunct.op not in _VECTOR_OPS:
-        return None
-    for ref, literal, flipped in (
-        (conjunct.left, conjunct.right, False),
-        (conjunct.right, conjunct.left, True),
-    ):
-        if (
-            isinstance(ref, PropertyRef)
-            and ref.var == var
-            and isinstance(literal, Literal)
-            and isinstance(literal.value, (str, int, float, bool))
-        ):
-            column = column_of(ref.prop)
-            value = literal.value
-            if (
-                column.codes is not None
-                and conjunct.op in ("=", "<>")
-                and type(value) is str
-            ):
-                codes = column.codes
-                target = column.code_of.get(value, -2)
-                if conjunct.op == "=":
-                    return lambda index: codes[index] == target
-                return lambda index: codes[index] not in (-1, target)
-            values = column.values
-            test = _value_test(conjunct.op, value, flipped)
-            return lambda index: test(values[index])
-    return None
+    return split_where(where, var, compile_test)
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +308,7 @@ def _compile_program(spec: ChainSpec, snapshot: ColumnarGraph) -> _Program:
             if is_deferred:
                 deferred.append(pattern.where)
             else:
-                tests, residual = _split_where(
+                tests, residual = _column_tests(
                     pattern.where, pattern.var, snapshot.node_column
                 )
         return _NodeOp(mask, join_pos, tests, residual)
@@ -409,7 +342,7 @@ def _compile_program(spec: ChainSpec, snapshot: ColumnarGraph) -> _Program:
             if edge_deferred:
                 deferred.append(edge_pattern.where)
             else:
-                tests, residual = _split_where(
+                tests, residual = _column_tests(
                     edge_pattern.where, edge_pattern.var, block.column
                 )
         edge_op = _EdgeOp(block, admit, label_expr, join_pos, tests, residual)

@@ -7,11 +7,16 @@ own narrowing of the leftmost pinned element (labels plus sargable
 property equalities).
 A *run* tracks the current graph node, NFA state, quantifier counters,
 iteration annotations, restrictor scopes, bindings, the walked path, and
-multiset tags.  Four search strategies cover the semantics of Section 5;
-all four are **generators** that yield accepted bindings as the search
-discovers them, so downstream pipeline stages can pull lazily and a
-satisfied :class:`~repro.gpml.streaming.RowBudget` stops the search
-itself:
+multiset tags.  Only an edge step reads the graph's adjacency; what a run
+does between two of them, its ε-closure, is a function of the pattern, so
+each NFA state's ε-transitions are pre-dispatched once into a *closure
+program* (:class:`_Closure`, cached on the NFA when a run first enters the
+state), and a run is updated in place along a linear ε-chain: a new one is
+allocated only where the closure branches or deposits.  Four search
+strategies cover the semantics of Section 5; all four are **generators**
+that yield accepted bindings as the search discovers them, so downstream
+pipeline stages can pull lazily and a satisfied
+:class:`~repro.gpml.streaming.RowBudget` stops the search itself:
 
 * :func:`enumerate_all` — exhaustive DFS, yielding each accepted binding
   the moment it is found.  Used when the pattern is bounded, or when
@@ -44,8 +49,13 @@ docstring — because its emissions lag behind the search.)
 Known engine refinements (documented deviations, all affecting only
 pathological queries): iterations of a quantifier that consume no edges
 are explored at most once per product state (their repetitions reduce to
-equal bindings anyway), and deferred prefilters inside unbounded
-quantifiers do not take part in shortest-search pruning keys.
+equal bindings anyway — the cycle guard of :meth:`Matcher._closure`, which
+runs only for closures whose ε-routes reconverge or cycle: node-only
+union branches or optionals, edge-less quantifier bodies); the compiled
+conjuncts of an element WHERE (:mod:`repro.gpml.predicates`) short-circuit,
+so a WHERE that would raise in another conjunct may filter cleanly; and
+deferred prefilters inside unbounded quantifiers do not take part in
+shortest-search pruning keys.
 """
 
 from __future__ import annotations
@@ -70,6 +80,7 @@ from repro.gpml.automaton import (
 from repro.gpml.bindings import Annotation, ElementaryBinding, PathBinding
 from repro.gpml.expr import EvalContext
 from repro.gpml.label_expr import LabelAtom
+from repro.gpml.predicates import split_where
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
 from repro.planner.indexes import initial_node_candidates
@@ -110,6 +121,16 @@ class _Scope:
     visited_nodes: frozenset
     first_node: str
     closed: bool
+
+
+def _unlink(cell: Optional[tuple]) -> list:
+    """The payloads of a parent-linked cell chain, oldest first."""
+    out: list = []
+    while cell is not None:
+        out.append(cell[1])
+        cell = cell[0]
+    out.reverse()
+    return out
 
 
 class _Run:
@@ -162,33 +183,16 @@ class _Run:
         self.deferred_cell = deferred_cell
         self.cost = cost
 
+    def copy(self) -> "_Run":
+        return _Run(
+            self.state, self.node, self.start_node, self.counters, self.ann,
+            self.scopes, self.bind_map, self.entry_cell, self.path_cell,
+            self.path_len, self.bag_tags, self.deferred_cell, self.cost,
+        )
+
     # -- derived -------------------------------------------------------
     def path_elements(self) -> tuple[str, ...]:
-        out: list[str] = []
-        cell = self.path_cell
-        while cell is not None:
-            out.append(cell[1])
-            cell = cell[0]
-        out.reverse()
-        return tuple(out)
-
-    def entries(self) -> tuple[ElementaryBinding, ...]:
-        out: list[ElementaryBinding] = []
-        cell = self.entry_cell
-        while cell is not None:
-            out.append(cell[1])
-            cell = cell[0]
-        out.reverse()
-        return tuple(out)
-
-    def deferred(self) -> list[tuple]:
-        out: list[tuple] = []
-        cell = self.deferred_cell
-        while cell is not None:
-            out.append(cell[1])
-            cell = cell[0]
-        out.reverse()
-        return out
+        return tuple(_unlink(self.path_cell))
 
     def singleton_key(self) -> frozenset:
         items = []
@@ -482,18 +486,8 @@ class Matcher:
         self.initial_candidate_count = len(candidates)
         for node_id in candidates:
             yield _Run(
-                state=self.nfa.start,
-                node=node_id,
-                start_node=node_id,
-                counters=(),
-                ann=(),
-                scopes=(),
-                bind_map={},
-                entry_cell=None,
-                path_cell=(None, node_id),
-                path_len=0,
-                bag_tags=frozenset(),
-                deferred_cell=None,
+                self.nfa.start, node_id, node_id, (), (), (), {}, None,
+                (None, node_id), 0, frozenset(), None,
             )
 
     def _initial_candidates(self) -> list[str]:
@@ -505,206 +499,117 @@ class Matcher:
         return candidates
 
     # -- epsilon closure --------------------------------------------------
+    def _program(self, state: int) -> "_Closure":
+        """The closure program of *state*, compiled on first entry."""
+        program = self.nfa.closures.get(state)
+        if program is None:
+            program = self.nfa.closures[state] = _Closure(self.nfa, state)
+        return program
+
     def _closure(self, run: _Run, frontier: list[_Run]) -> Iterator[PathBinding]:
         """Expand epsilon transitions; deposit edge-ready runs, yield accepts.
 
-        The cycle guard allows revisiting a product state with *different*
+        Runs the closure programs of the states it enters: successors
+        are pushed in transition order and popped LIFO, and the last one
+        takes over its predecessor's run object unless that was deposited,
+        so a run on a linear ε-chain is updated in place (*run* included).
+
+        Only a closure whose ε-subgraph reconverges or cycles (its entry
+        state is no ``PatternNFA.eps_tree``) can reach a product state
+        twice, so only it keeps the cycle guard.  The
+        guard allows revisiting a product state with *different*
         bindings (distinct union branches merging), but cuts revisits whose
         bindings extend a previous visit: those are zero-length quantifier
         laps, whose repetitions only pump group variables with duplicate
         elements (a documented engine refinement — see module docstring).
         """
+        graph = self.graph
+        closures = self.nfa.closures
+        entry = closures.get(run.state) or self._program(run.state)
+        if entry.tree is None:
+            entry.tree = self.nfa.eps_tree(run.state)
+        seen: Optional[set[tuple]] = None if entry.tree else set()
         stack = [run]
-        seen: set[tuple] = set()
         while stack:
             current = stack.pop()
-            guard = (
-                current.state,
-                current.counters,
-                current.scopes,
-                current.shadow_key(),
-                # Multiset branches must both survive even with identical
-                # bindings; strip the annotation component so zero-length
-                # quantifier laps still converge.
-                frozenset((alt, cls) for alt, cls, _ in current.bag_tags),
-            )
-            if guard in seen:
-                continue
-            seen.add(guard)
-            if current.state == self.nfa.accept:
+            if seen is not None:
+                guard = (
+                    current.state,
+                    current.counters,
+                    current.scopes,
+                    current.shadow_key(),
+                    # Multiset branches must both survive even with identical
+                    # bindings; strip the annotation component so zero-length
+                    # quantifier laps still converge.
+                    frozenset((alt, cls) for alt, cls, _ in current.bag_tags),
+                )
+                if guard in seen:
+                    continue
+                seen.add(guard)
+            program = closures.get(current.state) or self._program(current.state)
+            if program.accept:
                 binding = self._accept(current)
                 if binding is not None:
                     if self._stats is not None:
                         self._stats.matches += 1
                     yield binding
-            if self.nfa.edges[current.state]:
+            if program.edges:
                 frontier.append(current)
-            for eps in self.nfa.epsilons[current.state]:
-                successor = self._apply_action(current, eps.target, eps.action)
-                if successor is not None:
+            for step, target, fresh in program.steps:
+                successor = current.copy() if fresh else current
+                if step is None or step(successor, graph):
+                    successor.state = target
                     stack.append(successor)
 
-    def _apply_action(self, run: _Run, target: int, action) -> Optional[_Run]:
-        if action is None:
-            return self._with(run, state=target)
-        if isinstance(action, NodeTest):
-            return self._apply_node_test(run, target, action)
-        if isinstance(action, EnterQuant):
-            counters = _set_counter(run.counters, action.quant_id, 0)
-            ann = run.ann + ((action.quant_id, 0),)
-            return self._with(run, state=target, counters=counters, ann=ann)
-        if isinstance(action, IterBegin):
-            count = _get_counter(run.counters, action.quant_id)
-            if action.upper is not None and count >= action.upper:
-                return None
-            counters = _set_counter(
-                run.counters, action.quant_id, min(count + 1, action.cap)
-            )
-            head, (qid, iteration) = run.ann[:-1], run.ann[-1]
-            ann = head + ((qid, iteration + 1),)
-            return self._with(run, state=target, counters=counters, ann=ann)
-        if isinstance(action, ExitQuant):
-            count = _get_counter(run.counters, action.quant_id)
-            if count < action.lower:
-                return None
-            counters = _del_counter(run.counters, action.quant_id)
-            ann = run.ann[:-1]
-            return self._with(run, state=target, counters=counters, ann=ann)
-        if isinstance(action, ScopeBegin):
-            if action.restrictor is None:
-                return self._with(run, state=target)
-            scope = _Scope(
-                scope_id=action.scope_id,
-                kind=action.restrictor,
-                used_edges=frozenset(),
-                visited_nodes=frozenset({run.node}),
-                first_node=run.node,
-                closed=False,
-            )
-            return self._with(run, state=target, scopes=run.scopes + (scope,))
-        if isinstance(action, ScopeEnd):
-            scopes = run.scopes
-            if action.restrictor is not None:
-                scopes = scopes[:-1]
-            successor = self._with(run, state=target, scopes=scopes)
-            if action.where is not None:
-                if action.deferred:
-                    cell = (successor.deferred_cell, (action.where, successor.ann))
-                    successor.deferred_cell = cell
-                else:
-                    ctx = RunContext(self.graph, successor.bind_map, successor.ann)
-                    if not action.where.truth(ctx):
-                        return None
-            return successor
-        if isinstance(action, BagTag):
-            tag = (action.alt_id, action.dedup_class, run.ann)
-            return self._with(run, state=target, bag_tags=run.bag_tags | {tag})
-        raise GpmlEvaluationError(f"unknown automaton action {action!r}")
-
-    def _apply_node_test(self, run: _Run, target: int, action: NodeTest) -> Optional[_Run]:
-        pattern = action.pattern
-        node_id = run.node
-        if pattern.label is not None:
-            if not pattern.label.matches(self.graph.labels_of(node_id)):
-                return None
-        bind_map, entry_cell = self._bind(run, pattern.var, node_id)
-        if bind_map is None:
-            return None
-        successor = self._with(
-            run, state=target, bind_map=bind_map, entry_cell=entry_cell
-        )
-        if pattern.where is not None:
-            if action.deferred:
-                successor.deferred_cell = (
-                    successor.deferred_cell,
-                    (pattern.where, successor.ann),
-                )
-            else:
-                ctx = RunContext(self.graph, successor.bind_map, successor.ann)
-                if not pattern.where.truth(ctx):
-                    return None
-        return successor
-
-    def _bind(self, run: _Run, var: Optional[str], element_id: str):
-        """Bind var@ann -> element with the implicit equi-join check."""
-        if var is None:
-            return run.bind_map, run.entry_cell
-        by_ann = run.bind_map.get(var)
-        if by_ann is not None:
-            existing = by_ann.get(run.ann)
-            if existing is not None:
-                if existing != element_id:
-                    return None, None
-                return run.bind_map, run.entry_cell
-            by_ann = dict(by_ann)
-        else:
-            by_ann = {}
-        by_ann[run.ann] = element_id
-        bind_map = dict(run.bind_map)
-        bind_map[var] = by_ann
-        entry_cell = (run.entry_cell, ElementaryBinding(var, run.ann, element_id))
-        return bind_map, entry_cell
-
     # -- edge traversal ----------------------------------------------------
-    def _incidences_for(self, node_id: str, pattern: ast.EdgePattern):
-        """Candidate incidences, via the label index when a single
-        label atom is required (checked there, skipped in the loop)."""
-        if isinstance(pattern.label, LabelAtom):
-            return self.graph.incidences_with_label(node_id, pattern.label.name), True
-        return self.graph.incidences(node_id), False
-
     def _edge_successors(self, run: _Run, cost_property: Optional[str] = None):
-        for transition in self.nfa.edges[run.state]:
-            pattern = transition.pattern
-            incidences, label_checked = self._incidences_for(run.node, pattern)
+        graph = self.graph
+        stats = self._stats
+        max_steps = self.config.max_steps
+        edges = self._program(run.state).edges
+        for transition, label_atom, tests, residual, pending in edges:
+            pattern, target = transition.pattern, transition.target
+            label = pattern.label if label_atom is None else None
+            # candidate incidences, via the label index when a single
+            # label atom is required (checked there, skipped in the loop)
+            if label_atom is not None:
+                incidences = graph.incidences_with_label(run.node, label_atom)
+            else:
+                incidences = graph.incidences(run.node)
+            admits = pattern.orientation.admits
             for inc in incidences:
-                if not pattern.orientation.admits(inc.direction):
+                if not admits(inc.direction):
                     continue
                 self._steps += 1
-                if self._stats is not None:
-                    self._stats.steps += 1
-                if self._steps > self.config.max_steps:
-                    raise BudgetExceededError(
-                        f"matcher exceeded max_steps={self.config.max_steps}"
-                    )
-                if pattern.label is not None and not label_checked:
-                    if not pattern.label.matches(self.graph.labels_of(inc.edge)):
-                        continue
-                scopes = self._scopes_after_edge(run.scopes, inc.edge, inc.other)
+                if stats is not None:
+                    stats.steps += 1
+                if self._steps > max_steps:
+                    raise BudgetExceededError(f"matcher exceeded max_steps={max_steps}")
+                edge = inc.edge
+                if label is not None and not label.matches(graph.labels_of(edge)):
+                    continue
+                scopes = self._scopes_after_edge(run.scopes, edge, inc.other)
                 if scopes is None:
                     continue
-                bind_map, entry_cell = self._bind(run, pattern.var, inc.edge)
+                bind_map, entry_cell = _bind(run, pattern.var, edge)
                 if bind_map is None:
                     continue
                 cost = run.cost
                 if cost_property is not None:
-                    cost += self._edge_cost(inc.edge, cost_property)
-                successor = _Run(
-                    state=transition.target,
-                    node=inc.other,
-                    start_node=run.start_node,
-                    counters=run.counters,
-                    ann=run.ann,
-                    scopes=scopes,
-                    bind_map=bind_map,
-                    entry_cell=entry_cell,
-                    path_cell=((run.path_cell, inc.edge), inc.other),
-                    path_len=run.path_len + 1,
-                    bag_tags=run.bag_tags,
-                    deferred_cell=run.deferred_cell,
-                    cost=cost,
+                    cost += self._edge_cost(edge, cost_property)
+                deferred_cell = run.deferred_cell
+                if pending is not None:
+                    deferred_cell = (deferred_cell, (pending, run.ann))
+                elif tests is not None and not _passes(
+                    tests, residual, graph, edge, bind_map, run.ann
+                ):
+                    continue
+                yield _Run(
+                    target, inc.other, run.start_node, run.counters, run.ann,
+                    scopes, bind_map, entry_cell,
+                    ((run.path_cell, edge), inc.other), run.path_len + 1,
+                    run.bag_tags, deferred_cell, cost,
                 )
-                if pattern.where is not None:
-                    if transition.deferred:
-                        successor.deferred_cell = (
-                            successor.deferred_cell,
-                            (pattern.where, successor.ann),
-                        )
-                    else:
-                        ctx = RunContext(self.graph, successor.bind_map, successor.ann)
-                        if not pattern.where.truth(ctx):
-                            continue
-                yield successor
 
     def _edge_cost(self, edge_id: str, cost_property: str) -> float:
         value = self.graph.property_of(edge_id, cost_property, None)
@@ -725,61 +630,31 @@ class Matcher:
         for scope in scopes:
             if scope.closed:
                 return None
+            used, visited, closed = scope.used_edges, scope.visited_nodes, False
             if scope.kind == "TRAIL":
-                if edge_id in scope.used_edges:
+                if edge_id in used:
                     return None
-                scope = _Scope(
-                    scope.scope_id,
-                    scope.kind,
-                    scope.used_edges | {edge_id},
-                    scope.visited_nodes,
-                    scope.first_node,
-                    False,
-                )
-            elif scope.kind == "ACYCLIC":
-                if target in scope.visited_nodes:
-                    return None
-                scope = _Scope(
-                    scope.scope_id,
-                    scope.kind,
-                    scope.used_edges,
-                    scope.visited_nodes | {target},
-                    scope.first_node,
-                    False,
-                )
-            elif scope.kind == "SIMPLE":
-                if target in scope.visited_nodes:
-                    if target != scope.first_node:
-                        return None
-                    scope = _Scope(
-                        scope.scope_id,
-                        scope.kind,
-                        scope.used_edges,
-                        scope.visited_nodes,
-                        scope.first_node,
-                        True,
-                    )
-                else:
-                    scope = _Scope(
-                        scope.scope_id,
-                        scope.kind,
-                        scope.used_edges,
-                        scope.visited_nodes | {target},
-                        scope.first_node,
-                        False,
-                    )
-            out.append(scope)
+                used = used | {edge_id}
+            elif target not in visited:  # ACYCLIC or SIMPLE reaching a new node
+                visited = visited | {target}
+            elif scope.kind == "SIMPLE" and target == scope.first_node:
+                closed = True  # back at the start: the cycle may not go on
+            else:
+                return None
+            out.append(
+                _Scope(scope.scope_id, scope.kind, used, visited, scope.first_node, closed)
+            )
         return tuple(out)
 
     # -- acceptance ----------------------------------------------------------
     def _accept(self, run: _Run) -> Optional[PathBinding]:
-        for where, ann in run.deferred():
+        for where, ann in _unlink(run.deferred_cell):
             ctx = RunContext(self.graph, run.bind_map, ann)
             if not where.truth(ctx):
                 return None
         return PathBinding(
             elements=run.path_elements(),
-            entries=run.entries(),
+            entries=tuple(ElementaryBinding(*e) for e in _unlink(run.entry_cell)),
             bag_tags=run.bag_tags,
         )
 
@@ -790,24 +665,165 @@ class Matcher:
                 f"matcher exceeded max_results={self.config.max_results}"
             )
 
-    @staticmethod
-    def _with(run: _Run, **overrides) -> _Run:
-        new = _Run(
-            state=overrides.get("state", run.state),
-            node=overrides.get("node", run.node),
-            start_node=run.start_node,
-            counters=overrides.get("counters", run.counters),
-            ann=overrides.get("ann", run.ann),
-            scopes=overrides.get("scopes", run.scopes),
-            bind_map=overrides.get("bind_map", run.bind_map),
-            entry_cell=overrides.get("entry_cell", run.entry_cell),
-            path_cell=run.path_cell,
-            path_len=run.path_len,
-            bag_tags=overrides.get("bag_tags", run.bag_tags),
-            deferred_cell=run.deferred_cell,
-            cost=run.cost,
+
+# ----------------------------------------------------------------------
+# Closure programs (per NFA state, graph-independent, cached on the NFA)
+# ----------------------------------------------------------------------
+class _Closure:
+    """What a run does on entering one NFA state, decided once per NFA.
+
+    ``steps`` holds one ``(step, target, fresh)`` per ε-transition, in
+    transition order.  ``step(run, graph)`` updates *run* in place and
+    says whether the transition was enabled (None: a transition without
+    effect); *fresh* says whether the successor must be a copy because
+    the closure still needs the run it came from.  ``edges`` holds one
+    ``(transition, label atom, tests, residual, pending)`` per edge transition.
+    ``tree`` caches ``PatternNFA.eps_tree`` once the state starts a closure.
+    """
+
+    __slots__ = ("accept", "steps", "edges", "tree")
+
+    def __init__(self, nfa: PatternNFA, state: int):
+        self.accept = state == nfa.accept
+        self.edges = tuple(_compile_edge(edge) for edge in nfa.edges[state])
+        epsilons = nfa.epsilons[state]
+        # every successor of a deposited run is a copy; otherwise the
+        # last one (popped first) takes the run over
+        copies = len(epsilons) - (0 if self.edges else 1)
+        self.steps = tuple(
+            (_compile_step(eps.action), eps.target, index < copies)
+            for index, eps in enumerate(epsilons)
         )
-        return new
+        self.tree: Optional[bool] = None
+
+
+def _compile_where(where, var: Optional[str], deferred: bool):
+    """``(tests, residual, pending)``: an element WHERE checked on the spot
+    (``(property, value test)`` pairs, then the rest) or *pending* acceptance."""
+    if where is None or deferred:
+        return None, None, where if deferred else None
+    return (*split_where(where, var), None)
+
+
+def _passes(tests, residual, graph, element_id: str, bind_map: dict, ann) -> bool:
+    for prop, test in tests:
+        if not test(graph.property_of(element_id, prop)):
+            return False
+    return residual is None or bool(residual.truth(RunContext(graph, bind_map, ann)))
+
+
+def _compile_edge(transition) -> tuple:
+    pattern = transition.pattern
+    atom = pattern.label.name if isinstance(pattern.label, LabelAtom) else None
+    where = _compile_where(pattern.where, pattern.var, transition.deferred)
+    return transition, atom, *where
+
+
+def _compile_step(action):
+    """Pre-dispatch one ε-transition's action (see :class:`_Closure`)."""
+    if action is None:
+        return None
+    if isinstance(action, NodeTest):
+        pattern = action.pattern
+        label, var = pattern.label, pattern.var
+        tests, residual, pending = _compile_where(pattern.where, var, action.deferred)
+
+        def step(run, graph):
+            node_id = run.node
+            if label is not None and not label.matches(graph.labels_of(node_id)):
+                return False
+            run.bind_map, run.entry_cell = _bind(run, var, node_id)
+            if run.bind_map is None:
+                return False
+            if pending is not None:
+                run.deferred_cell = (run.deferred_cell, (pending, run.ann))
+            return tests is None or _passes(
+                tests, residual, graph, node_id, run.bind_map, run.ann
+            )
+
+    elif isinstance(action, EnterQuant):
+        quant_id = action.quant_id
+
+        def step(run, graph):
+            run.counters = _set_counter(run.counters, quant_id, 0)
+            run.ann = run.ann + ((quant_id, 0),)
+            return True
+
+    elif isinstance(action, IterBegin):
+        quant_id, upper, cap = action.quant_id, action.upper, action.cap
+
+        def step(run, graph):
+            count = _get_counter(run.counters, quant_id)
+            if upper is not None and count >= upper:
+                return False
+            run.counters = _set_counter(run.counters, quant_id, min(count + 1, cap))
+            head, (qid, iteration) = run.ann[:-1], run.ann[-1]
+            run.ann = head + ((qid, iteration + 1),)
+            return True
+
+    elif isinstance(action, ExitQuant):
+        quant_id, lower = action.quant_id, action.lower
+
+        def step(run, graph):
+            if _get_counter(run.counters, quant_id) < lower:
+                return False
+            run.counters = _del_counter(run.counters, quant_id)
+            run.ann = run.ann[:-1]
+            return True
+
+    elif isinstance(action, ScopeBegin):
+        scope_id, kind = action.scope_id, action.restrictor
+        if kind is None:
+            return None
+
+        def step(run, graph):
+            node = run.node
+            run.scopes = run.scopes + (
+                _Scope(scope_id, kind, frozenset(), frozenset({node}), node, False),
+            )
+            return True
+
+    elif isinstance(action, ScopeEnd):
+        closes = action.restrictor is not None
+        where, deferred = action.where, action.deferred
+        if not closes and where is None:
+            return None
+
+        def step(run, graph):
+            if closes:
+                run.scopes = run.scopes[:-1]
+            if where is None:
+                return True
+            if deferred:
+                run.deferred_cell = (run.deferred_cell, (where, run.ann))
+                return True
+            return bool(where.truth(RunContext(graph, run.bind_map, run.ann)))
+
+    elif isinstance(action, BagTag):
+        alt_id, dedup_class = action.alt_id, action.dedup_class
+
+        def step(run, graph):
+            run.bag_tags = run.bag_tags | {(alt_id, dedup_class, run.ann)}
+            return True
+
+    else:
+        raise GpmlEvaluationError(f"unknown automaton action {action!r}")
+    return step
+
+
+def _bind(run: _Run, var: Optional[str], element_id: str):
+    """Bind var@ann -> element with the implicit equi-join check."""
+    if var is None:
+        return run.bind_map, run.entry_cell
+    by_ann = run.bind_map.get(var) or {}
+    existing = by_ann.get(run.ann)
+    if existing is not None:
+        return (run.bind_map, run.entry_cell) if existing == element_id else (None, None)
+    return (
+        {**run.bind_map, var: {**by_ann, run.ann: element_id}},
+        # a plain triple until the run is accepted (see Matcher._accept)
+        (run.entry_cell, (var, run.ann, element_id)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -821,6 +837,8 @@ def _get_counter(counters: tuple, quant_id: int) -> int:
 
 
 def _set_counter(counters: tuple, quant_id: int, value: int) -> tuple:
+    if not counters or (len(counters) == 1 and counters[0][0] == quant_id):
+        return ((quant_id, value),)
     out = [(qid, count) for qid, count in counters if qid != quant_id]
     out.append((quant_id, value))
     out.sort()
@@ -828,6 +846,8 @@ def _set_counter(counters: tuple, quant_id: int, value: int) -> tuple:
 
 
 def _del_counter(counters: tuple, quant_id: int) -> tuple:
+    if len(counters) == 1 and counters[0][0] == quant_id:
+        return ()
     return tuple((qid, count) for qid, count in counters if qid != quant_id)
 
 

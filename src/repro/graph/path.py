@@ -167,6 +167,17 @@ class Path:
             raise PathError("alternating element sequence must have odd length")
         return cls(graph, tuple(elements[0::2]), tuple(elements[1::2]))
 
+    @classmethod
+    def _from_search(cls, graph: PropertyGraph, elements: Sequence[str]) -> "Path":
+        """The walk a search has just traversed on *graph*, taken on trust
+        (the engine's materialization only; anything else goes through
+        :meth:`from_element_ids`, which validates)."""
+        path = cls.__new__(cls)
+        path._graph = graph
+        path._nodes = tuple(elements[0::2])
+        path._edges = tuple(elements[1::2])
+        return path
+
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------

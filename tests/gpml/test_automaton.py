@@ -102,3 +102,112 @@ class TestCounterSemantics:
         nfa = compiled("MATCH TRAIL (a) [[(p)-[e]->(q)]{1,2} -[f]->]{1,3} (b)")
         enters = actions(nfa, EnterQuant)
         assert len({e.quant_id for e in enters}) == 2
+
+
+# ----------------------------------------------------------------------
+# Closure classification: which entry states need the ε-cycle guard
+# ----------------------------------------------------------------------
+_BLOCKED_A = "(a:Account WHERE a.isBlocked='yes')"
+_OWNER_A = "(a:Account WHERE a.owner='Dave')"
+_BIG = "[t:Transfer WHERE t.amount > 14M]"
+
+#: every bare pattern of benchmarks/suite/workloads.py (owners filled in)
+BENCHMARK_PATTERNS = [
+    f"MATCH {_BLOCKED_A}-[t:Transfer]->(b:Account WHERE b.isBlocked='yes')",
+    "MATCH (a:Account)-[t:Transfer]->(a)",
+    f"MATCH {_BLOCKED_A}-[t:Transfer]->(b:Account)"
+    "-[u:Transfer]->(c:Account WHERE c.isBlocked='yes')",
+    f"MATCH {_BLOCKED_A}-[l:isLocatedIn]->(c:City)",
+    f"MATCH {_BLOCKED_A}~[h:hasPhone]~(p:Phone)~[g:hasPhone]~(b:Account)",
+    f"MATCH {_BLOCKED_A}-[t:Transfer]->(b:Account)",
+    f"MATCH {_OWNER_A}-[t:Transfer]->(b:Account)",
+    f"MATCH {_OWNER_A}-[l:isLocatedIn]->(c:City)",
+    f"MATCH {_OWNER_A}-[t:Transfer]->{{1,3}}(b:Account)",
+    f"MATCH {_OWNER_A}-[t:Transfer]->{{1,2}}(b:Account)",
+    f"MATCH {_OWNER_A}-[t:Transfer]->(b:Account WHERE b.isBlocked='yes')",
+    "MATCH (a:Account)-[t:Transfer]->(b:Account)",
+    f"MATCH {_BLOCKED_A}-[t:Transfer]->{{1,2}}(b:Account WHERE b.isBlocked='yes')",
+    f"MATCH {_BLOCKED_A} [-[t:Transfer]->(m:Account) WHERE t.amount > 10M]{{2,3}} "
+    "(b:Account WHERE b.isBlocked='yes')",
+    f"MATCH {_BLOCKED_A} [-[:Transfer]-> | -[:isLocatedIn]->] (x)",
+    f"MATCH TRAIL p = {_OWNER_A}-[t:Transfer]->{{1,6}}(b:Account)",
+    f"MATCH ACYCLIC p = {_OWNER_A}-[t:Transfer]->{{1,6}}(b:Account)",
+    f"MATCH ALL SHORTEST p = {_OWNER_A}-[t:Transfer]->{{1,5}}"
+    "(b:Account WHERE b.owner='Aretha')",
+    f"MATCH ANY CHEAPEST COST amount p = {_OWNER_A}-[t:Transfer]->{{1,4}}"
+    "(b:Account WHERE b.isBlocked='yes')",
+    f"MATCH ANY SHORTEST p = {_OWNER_A}-[t:Transfer]->{{1,6}}"
+    "(b:Account WHERE b.isBlocked='yes')",
+    f"MATCH TRAIL p = {_OWNER_A}-[t:Transfer]->{{1,5}}(b:Account)",
+    "MATCH TRAIL (b)-[u:Transfer]->{1,2}(c:Account WHERE c.isBlocked='yes')",
+    f"MATCH {_BLOCKED_A}-{_BIG}->(b:Account)",
+    f"MATCH (a:Account)-{_BIG}->(b:Account WHERE b.isBlocked='yes')",
+    "MATCH (b)-[:isLocatedIn]->(c:City)",
+    f"MATCH (a)-{_BIG}->(b:Account WHERE b.isBlocked='yes')",
+    f"MATCH {_BLOCKED_A}",
+    f"MATCH {_OWNER_A}, (b:Account WHERE b.owner='Mike')",
+    "MATCH (a:Account WHERE a.branch = 3)",
+]
+
+ALL_TREE = BENCHMARK_PATTERNS + [
+    "MATCH (a)[-[t:Transfer]->(b)]?[-[u:Transfer]->(c)]?",
+    "MATCH (a)-[t:Transfer]->(b) | (a)-[t:isLocatedIn]->(b)",
+    "MATCH TRAIL (a:Account)[()-[t:Transfer]->()]{0,3}(b)",
+    "MATCH (a:Account)[-[t:Transfer]->]{0,2}(b)",
+]
+
+#: node-only union branches / optionals and edge-less quantifier bodies:
+#: their ε-routes reconverge or cycle, so the guard stays on
+RECONVERGENT = [
+    "MATCH (x:Account) | (x:Person)",
+    "MATCH (a:Account)[(x) | (y)]-[t:Transfer]->(b)",
+    "MATCH (a:Account)[(x) |+| (x)]-[t:Transfer]->(b)",
+    "MATCH (a)[(x:Account)]?-[t:Transfer]->(b)",
+    "MATCH (a:Account)[(b)]{0,2}",
+]
+
+
+def entry_states_are_trees(text):
+    """eps_tree over the states a closure can start in: the start state
+    and every edge-transition target, of every path pattern."""
+    normalized = normalize_graph_pattern(parse_match(text))
+    analysis = analyze(normalized)
+    verdicts = []
+    for path, path_analysis in zip(normalized.paths, analysis.paths):
+        nfa = compile_path_pattern(path, path_analysis)
+        entries = [nfa.start] + [t.target for edges in nfa.edges for t in edges]
+        verdicts.append(all(nfa.eps_tree(state) for state in entries))
+    return all(verdicts)
+
+
+class TestClosureClassification:
+    @pytest.mark.parametrize("text", ALL_TREE)
+    def test_tree_closures(self, text):
+        assert entry_states_are_trees(text)
+
+    @pytest.mark.parametrize("text", RECONVERGENT)
+    def test_reconvergent_or_cyclic_closures(self, text):
+        assert not entry_states_are_trees(text)
+
+    @pytest.mark.parametrize("text", ALL_TREE)
+    def test_tree_closures_never_compute_the_guard(self, fig1, monkeypatch, text):
+        from repro.gpml import match
+        from repro.gpml.matcher import MatcherConfig, _Run
+
+        def no_guard(self):
+            raise AssertionError("shadow_key computed for a tree closure")
+
+        monkeypatch.setattr(_Run, "shadow_key", no_guard)
+        match(fig1, text, MatcherConfig(use_columnar=False))
+
+    def test_guard_still_runs_where_routes_reconverge(self, fig1, monkeypatch):
+        from repro.gpml import match
+        from repro.gpml.matcher import _Run
+
+        calls = []
+        original = _Run.shadow_key
+        monkeypatch.setattr(
+            _Run, "shadow_key", lambda self: calls.append(1) or original(self)
+        )
+        assert len(match(fig1, "MATCH (x:Account) | (x:Person)")) == 6
+        assert calls

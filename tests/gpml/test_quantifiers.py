@@ -117,3 +117,44 @@ class TestPaperEquivalences:
         for row in result:
             assert 2 <= row.paths[0].length <= 5
             assert all(e.has_label("Transfer") for e in row.paths[0].edges)
+
+
+class TestZeroLengthIterations:
+    """Where the ε-cycle guard of ``Matcher._closure`` matters, and where
+    it must not: see the "known engine refinements" paragraph of the
+    ``repro.gpml.matcher`` module docstring."""
+
+    @pytest.mark.parametrize(
+        "query, rows",
+        [
+            ("MATCH TRAIL (a:Account)[()-[t:Transfer]->()]{0,3}(b)", 39),
+            ("MATCH (a:Account)[-[t:Transfer]->]{0,2}(b)", 25),
+        ],
+    )
+    def test_zero_lower_bound_over_an_edge_equals_reference(self, fig1, query, rows):
+        # all-tree closures: no guard, and nothing for one to cut
+        from test_reference_engine import canon
+        from repro.gpml.reference import reference_match
+
+        production = match(fig1, query)
+        assert len(production) == rows
+        assert canon(production) == canon(reference_match(fig1, query))
+
+    @pytest.mark.parametrize(
+        "query, rows, reference_rows",
+        [
+            ("MATCH (a:Account)[(b)]{0,2}", 12, 18),
+            ("MATCH (a:Account)[(b)]{1,3}-[t:Transfer]->(c)", 8, 24),
+            ("MATCH (a:Account)[[(b)]{0,2}]{0,2}-[t:Transfer]->(c)", 16, 40),
+        ],
+    )
+    def test_edge_less_iterations_are_explored_once(
+        self, fig1, query, rows, reference_rows
+    ):
+        # the documented refinement, pinned: repetitions of an iteration
+        # that consumes no edge are cut by the guard, where the reference
+        # engine enumerates each repetition count as its own binding
+        from repro.gpml.reference import reference_match
+
+        assert len(match(fig1, query)) == rows
+        assert len(reference_match(fig1, query)) == reference_rows

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.datasets import cycle_graph, diamond_chain
+from repro.datasets import cycle_graph, diamond_chain, random_transfer_network
 from repro.graph import GraphBuilder
-from repro.gpml import match
+from repro.gpml import match, match_iter
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.streaming import PipelineStats
+from repro.gql import GqlSession
+from repro.sql import Database
 
 
 class TestShortestOnCycles:
@@ -145,3 +148,100 @@ class TestEnumerationEdgeCases:
         assert len(result) == 1
         result = match(g, "MATCH TRAIL p = (x)-[e:E]->{2,}(y)")
         assert len(result) == 0  # the loop edge cannot repeat under TRAIL
+
+
+# ----------------------------------------------------------------------
+# Exact counts of the benchmark's path_search shapes
+# ----------------------------------------------------------------------
+_BLOCKED_A = "(a:Account WHERE a.isBlocked='yes')"
+_OWNER_A = "(a:Account WHERE a.owner='owner7')"
+_HOP12 = f"MATCH {_BLOCKED_A}-[t:Transfer]->{{1,2}}(b:Account WHERE b.isBlocked='yes')"
+
+#: template of benchmarks/suite/workloads.py PATH_SEARCH -> (surface,
+#: text, (rows, steps, steps when the first row arrived)); owners fixed.
+#: Recorded on the commit before the closure programs (PR 17) on
+#: ``random_transfer_network(60, 180, seed=7, blocked_fraction=0.2)``.
+#: A kernel change that alters search order, a stop point or a step
+#: count fails here by name; re-record only for an intended change.
+PATH_SEARCH_COUNTS = {
+    "ps_hop12": ("gpml", _HOP12, (45, 187, 3)),
+    "ps_group": (
+        "gpml",
+        f"MATCH {_BLOCKED_A} [-[t:Transfer]->(m:Account) WHERE t.amount > 10M]{{2,3}} "
+        "(b:Account WHERE b.isBlocked='yes')",
+        (16, 168, 27),
+    ),
+    "ps_alt": (
+        "gpml", f"MATCH {_BLOCKED_A} [-[:Transfer]-> | -[:isLocatedIn]->] (x)", (58, 58, 1),
+    ),
+    "ps_trail": (
+        "gpml", f"MATCH TRAIL p = {_OWNER_A}-[t:Transfer]->{{1,6}}(b:Account)", (1026, 1050, 1),
+    ),
+    "ps_acyclic": (
+        "gpml", f"MATCH ACYCLIC p = {_OWNER_A}-[t:Transfer]->{{1,6}}(b:Account)", (517, 583, 2),
+    ),
+    "ps_all_shortest": (
+        "gpml",
+        f"MATCH ALL SHORTEST p = {_OWNER_A}-[t:Transfer]->{{1,5}}"
+        "(b:Account WHERE b.owner='owner42')",
+        (3, 392, 392),
+    ),
+    "ps_any_shortest": (
+        "gql",
+        f"MATCH ANY SHORTEST p = {_OWNER_A}-[t:Transfer]->{{1,6}}"
+        "(b:Account WHERE b.isBlocked='yes') RETURN b.owner AS dst, length(p) AS hops",
+        (14, 1222, 1222),
+    ),
+    "ps_cheapest": (
+        "gpml",
+        f"MATCH ANY CHEAPEST COST amount p = {_OWNER_A}-[t:Transfer]->{{1,4}}"
+        "(b:Account WHERE b.isBlocked='yes')",
+        (10, 94, 94),
+    ),
+    "ps_gql_fraud": (
+        "gql",
+        f"MATCH {_BLOCKED_A}-[t:Transfer]->(b:Account WHERE b.isBlocked='yes') "
+        "MATCH TRAIL (b)-[u:Transfer]->{1,2}(c:Account WHERE c.isBlocked='yes') "
+        "RETURN a.owner AS src, c.owner AS dst",
+        (37, 156, 18),
+    ),
+    "ps_gql_trail": (
+        "gql",
+        f"MATCH TRAIL p = {_OWNER_A}-[t:Transfer]->{{1,5}}(b:Account) "
+        "RETURN b.owner AS dst, length(p) AS hops",
+        (343, 349, 1),
+    ),
+    "ps_sql_hop12": (
+        "sql",
+        f"SELECT src, total FROM GRAPH_TABLE(bank {_HOP12} "
+        "COLUMNS (a.owner AS src, SUM(t.amount) AS total))",
+        (45, 187, 3),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bank():
+    return random_transfer_network(60, 180, seed=7, blocked_fraction=0.2)
+
+
+@pytest.mark.parametrize("use_columnar", [None, False], ids=["default", "object"])
+@pytest.mark.parametrize("name", sorted(PATH_SEARCH_COUNTS))
+def test_path_search_shape_counts_are_pinned(bank, name, use_columnar):
+    surface, text, expected = PATH_SEARCH_COUNTS[name]
+    config = MatcherConfig() if use_columnar is None else MatcherConfig(use_columnar=False)
+    stats = PipelineStats()
+    if surface == "gpml":
+        rows = match_iter(bank, text, config, stats=stats)
+    elif surface == "gql":
+        rows = GqlSession(bank).execute_iter(text, config=config, stats=stats)
+    else:
+        database = Database()
+        database.register_graph("bank", bank)
+        rows = database.execute_iter(text, config=config, stats=stats)
+    count, at_first_row = 0, None
+    for _ in rows:
+        if at_first_row is None:
+            at_first_row = stats.steps
+        count += 1
+    assert (count, stats.steps, at_first_row) == expected

@@ -72,3 +72,26 @@ class TestUnionInsideConcatenation:
         # same binding through both branches collapses under set union
         result = match(fig1, "MATCH (a:Account) [(a WHERE a.owner='Jay') | (a:Account)]")
         assert len(result) == 6
+
+
+class TestReconvergentClosures:
+    """Node-only branches and optionals merge again without traversing
+    an edge: these closures keep the ε-cycle guard, which must tell
+    distinct branches (kept) from repeated laps (cut)."""
+
+    @pytest.mark.parametrize(
+        "query, rows",
+        [
+            ("MATCH (x:Account) | (x:Person)", 6),
+            ("MATCH (a:Account)[(x) | (y)]-[t:Transfer]->(b)", 16),
+            ("MATCH (a:Account)[(x) |+| (x)]-[t:Transfer]->(b)", 16),
+            ("MATCH (a)[(x:Account)]?-[t:Transfer]->(b)", 16),
+        ],
+    )
+    def test_production_equals_reference(self, fig1, query, rows):
+        from test_reference_engine import canon
+        from repro.gpml.reference import reference_match
+
+        production = match(fig1, query)
+        assert len(production) == rows
+        assert canon(production) == canon(reference_match(fig1, query))

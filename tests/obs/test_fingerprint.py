@@ -22,6 +22,9 @@ CORPUS = [
     "MATCH (a:Account) RETURN a.owner AS owner ORDER BY owner LIMIT 5",
     "MATCH (a:Account) RETURN DISTINCT a.owner AS owner",
     "MATCH ANY SHORTEST p = (a)-[:Transfer]->*(b)",
+    "MATCH ANY SHORTEST p = (a)-[:Transfer]->{1,3}(b)",
+    "MATCH ANY SHORTEST p = (a)-[:Transfer]->{1,5}(b)",
+    "MATCH ANY 3 p = (a)-[:Transfer]->{1,5}(b)",
     "MATCH (a)-[e:Transfer WHERE e.amount > 100]->(b)",
     "MATCH (a)-[e:Transfer]->(b) WHERE a.owner = 'x'",
     "SELECT g.src FROM GRAPH_TABLE(bank MATCH (a:Account)-[t:Transfer]->(b) "
@@ -67,6 +70,44 @@ def test_numeric_literals_are_erased():
     assert query_fingerprint(
         "MATCH (a)-[e:Transfer WHERE e.amount > 100]->(b)"
     ) == query_fingerprint("MATCH (a)-[e:Transfer WHERE e.amount > 2.5e6]->(b)")
+
+
+def test_structural_numbers_are_shape():
+    # Quantifier bounds and selector counts decide how far a search
+    # goes: a 2-hop and a 6-hop search must not share a latency bucket.
+    for short, long in [
+        ("MATCH (a)-[t:Transfer]->{1,2}(b)", "MATCH (a)-[t:Transfer]->{1,6}(b)"),
+        (
+            "MATCH ANY SHORTEST p = (a)-[t:Transfer]->{1,3}(b)",
+            "MATCH ANY SHORTEST p = (a)-[t:Transfer]->{1,5}(b)",
+        ),
+        ("MATCH ANY 2 p = (a)-[e]->+(b)", "MATCH ANY 5 p = (a)-[e]->+(b)"),
+        ("MATCH SHORTEST 2 p = (a)-[e]->+(b)", "MATCH SHORTEST 3 GROUP p = (a)-[e]->+(b)"),
+        (
+            "MATCH TOP 2 CHEAPEST COST amount p = (a)-[e]->+(b)",
+            "MATCH TOP 4 CHEAPEST COST amount p = (a)-[e]->+(b)",
+        ),
+        ("MATCH (a)-[e]->{2,}(b)", "MATCH (a)-[e]->{3,}(b)"),
+    ]:
+        assert query_fingerprint(short) != query_fingerprint(long), (short, long)
+    assert "{1, 6}" in normalize_query("MATCH (a)-[t:Transfer]->{1,6}(b)")
+
+
+def test_literals_next_to_structural_numbers_are_still_erased():
+    shape = (
+        "MATCH ANY 2 p = (a WHERE a.owner='{owner}')-[t:Transfer]->{{1,4}}"
+        "(b WHERE b.score > {score}) RETURN b.owner AS dst LIMIT {limit} OFFSET {limit}"
+    )
+    assert query_fingerprint(
+        shape.format(owner="x", score=1, limit=5)
+    ) == query_fingerprint(shape.format(owner="someone else", score=2.5e6, limit=50))
+    sql = (
+        "SELECT dst FROM GRAPH_TABLE(bank MATCH (a)-[t:Transfer]->{{1,2}}(b) "
+        "COLUMNS (b.owner AS dst)) FETCH FIRST {n} ROWS ONLY"
+    )
+    assert query_fingerprint(sql.format(n=3)) == query_fingerprint(sql.format(n=30))
+    # a property map is literals under names, not a quantifier
+    assert normalize_query("INSERT (:Account {branch: 7})").endswith("{branch : ?})")
 
 
 def test_corpus_has_no_collisions():

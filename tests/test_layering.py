@@ -86,3 +86,52 @@ def test_both_hosts_take_the_tail_from_the_shared_module():
         if isinstance(node, ast.ClassDef)
     }
     assert not tail & defined
+
+
+def defined_names(path: Path) -> set[str]:
+    return {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_both_search_kernels_share_one_predicate_compiler():
+    """``var.prop op literal`` conjuncts are compiled in one place; the
+    object matcher and the frontier kernel differ only in where the
+    property values come from."""
+    for kernel in ("gpml/matcher.py", "gpml/frontier.py"):
+        assert "repro.gpml.predicates" in imported_modules(SRC / kernel), kernel
+        assert not {"_value_test", "value_test", "_split_where", "split_where"} & (
+            defined_names(SRC / kernel)
+        ), kernel
+    assert {"value_test", "split_where"} <= defined_names(SRC / "gpml/predicates.py")
+
+
+def test_the_matcher_derives_runs_through_explicit_fields():
+    """No ``**overrides``-style run derivation (a kwargs dict and a
+    ``.get`` per field on every ε-step), and no second matcher beside it."""
+    tree = ast.parse((SRC / "gpml/matcher.py").read_text())
+    keyworded = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.args.kwarg is not None
+    ]
+    assert keyworded == []
+    closures = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_closure")
+    ]
+    assert closures == ["_closure"]
+
+
+def test_matcher_config_fields_are_the_seven_it_had():
+    from dataclasses import fields
+
+    from repro.gpml.matcher import MatcherConfig
+
+    assert [f.name for f in fields(MatcherConfig)] == [
+        "max_steps", "max_results", "max_depth", "default_edge_cost",
+        "use_planner", "seed_chained_match", "use_columnar",
+    ]
