@@ -41,7 +41,7 @@ or reversed), one seeded search per upstream binding row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,6 +65,7 @@ from repro.gpml.frontier import FrontierMatcher
 from repro.gpml.matcher import Matcher, MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
+from repro.gpml.predicates import row_test
 from repro.gpml.selectors import apply_selector
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -73,7 +74,7 @@ from repro.obs.trace import STAGE, Span
 from repro.planner.anchor import RIGHT, reverse_binding
 from repro.planner.plan import PatternPlan, plan_query
 from repro.rowops import Filter, Operator, attach_spans
-from repro.values import NULL
+from repro.values import NULL, hashable
 
 
 @dataclass
@@ -172,7 +173,7 @@ class MatchResult:
         seen = set()
         out = []
         for entry in self.to_dicts():
-            key = tuple(sorted((k, _hashable(v)) for k, v in entry.items()))
+            key = tuple(sorted((k, hashable(v)) for k, v in entry.items()))
             if key not in seen:
                 seen.add(key)
                 out.append(entry)
@@ -189,12 +190,6 @@ def _to_ids(value: Any) -> Any:
         return str(value)
     if isinstance(value, list):
         return [_to_ids(v) for v in value]
-    return value
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
     return value
 
 
@@ -405,7 +400,7 @@ def _postfilter_stages(
 ) -> Operator:
     """The final WHERE, then KEEP, over joined binding rows."""
     if prepared.normalized.where is not None:
-        tree = _Where(tree, prepared.normalized.where, graph)
+        tree = _Where(tree, prepared.normalized.where)
     if prepared.normalized.keep is not None:
         tree = _Keep(tree, graph, prepared.normalized.keep)
     return tree
@@ -676,14 +671,15 @@ class _Probe(_Stage):
 
 
 class _Where(Filter):
-    """The final WHERE postfilter: the hosts' row filter, reading each
-    binding row through an :class:`EvalContext` over its values."""
+    """The final WHERE postfilter: the hosts' row filter, its predicate
+    compiled over each binding row's value dict."""
 
     span_kind = STAGE
 
-    def __init__(self, child: Operator, condition, graph: Optional[PropertyGraph]):
-        super().__init__(child, condition)
-        self.context = lambda row: EvalContext(row.values, graph)
+    @cached_property
+    def test(self):
+        test = row_test(self.predicate, EvalContext)
+        return lambda row: test(row.values)
 
     def describe(self) -> str:
         return "postfilter WHERE"
@@ -944,7 +940,7 @@ def _row_length(row: "BindingRow") -> int:
 
 def _row_sort_key(row: "BindingRow") -> tuple:
     elements = tuple(p.element_ids for p in row.paths)
-    values = tuple(sorted((k, _hashable(_to_ids(v))) for k, v in row.values.items()))
+    values = tuple(sorted((k, hashable(_to_ids(v))) for k, v in row.values.items()))
     return (_row_length(row), elements, values)
 
 

@@ -24,7 +24,9 @@ from typing import Any, Iterable, Sequence
 from repro.errors import ExpressionError
 from repro.graph.model import Edge, Node
 from repro.graph.path import Path
-from repro.values import FALSE, NULL, TRUE, UNKNOWN, TruthValue, compare, is_null, truth_of
+from repro.values import (
+    FALSE, NULL, TRUE, UNKNOWN, TruthValue, compare, first_occurrences, is_null, truth_of,
+)
 
 
 class EvalContext:
@@ -54,6 +56,17 @@ class EvalContext:
         if isinstance(value, (list, tuple)):
             return list(value)
         return [value]
+
+
+class RowContext(EvalContext):
+    """Evaluation context over one operator row (a plain value tuple)."""
+
+    __slots__ = ("row",)
+    _bindings: dict = {}
+    graph = None
+
+    def __init__(self, row: tuple):
+        self.row = row
 
 
 class Expr:
@@ -90,7 +103,13 @@ class Expr:
 
     def truth(self, ctx: EvalContext) -> TruthValue:
         """Evaluate as a predicate under three-valued logic."""
-        return truth_of(self.evaluate(ctx))
+        value = self.evaluate(ctx)
+        try:
+            return truth_of(value)
+        except TypeError:
+            raise ExpressionError(
+                f"{self} is not a condition: cannot interpret {value!r} as a truth value"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -111,6 +130,20 @@ class Literal(Expr):
         if isinstance(self.value, bool):
             return "TRUE" if self.value else "FALSE"
         return str(self.value)
+
+
+@dataclass(frozen=True)
+class BoundColumn(Expr):
+    """A resolved column reference: positional index into the input row."""
+
+    index: int
+    label: str
+
+    def evaluate(self, ctx: RowContext) -> Any:
+        return ctx.row[self.index]
+
+    def __str__(self) -> str:
+        return self.label
 
 
 @dataclass(frozen=True)
@@ -167,24 +200,28 @@ class Comparison(Expr):
     right: Expr
 
     def evaluate(self, ctx: EvalContext) -> TruthValue:
-        left = self.left.evaluate(ctx)
-        right = self.right.evaluate(ctx)
-        # Element handles compare by identity (GQL permits = on elements).
-        if isinstance(left, (Node, Edge)) or isinstance(right, (Node, Edge)):
-            if is_null(left) or is_null(right):
-                return UNKNOWN
-            if self.op == "=":
-                return truth_of(left == right)
-            if self.op == "<>":
-                return truth_of(left != right)
-            raise ExpressionError(f"cannot order graph elements with {self.op!r}")
-        return compare(self.op, left, right)
+        return compare_values(self.op, self.left.evaluate(ctx), self.right.evaluate(ctx))
 
     def children(self) -> Sequence[Expr]:
         return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
+
+
+def compare_values(op: str, left: Any, right: Any) -> TruthValue:
+    """``left op right`` over evaluated operands: what a :class:`Comparison`
+    is, apart from where its operands come from."""
+    # Element handles compare by identity (GQL permits = on elements).
+    if isinstance(left, (Node, Edge)) or isinstance(right, (Node, Edge)):
+        if is_null(left) or is_null(right):
+            return UNKNOWN
+        if op == "=":
+            return truth_of(left == right)
+        if op == "<>":
+            return truth_of(left != right)
+        raise ExpressionError(f"cannot order graph elements with {op!r}")
+    return compare(op, left, right)
 
 
 @dataclass(frozen=True)
@@ -507,30 +544,30 @@ def fold_aggregate(
 
     The one fold behind horizontal aggregates (the iterations of a group
     variable within one row) and both hosts' vertical ones (the rows of
-    a group): NULLs are dropped first, DISTINCT keeps first occurrences,
+    a group): NULLs are dropped first, DISTINCT keeps first occurrences
+    (equal as ``=`` has it: ``1`` and ``1.0`` are one value, ``1`` and TRUE two),
     and everything but COUNT and LISTAGG is NULL over no values.
     """
     kept = [value for value in values if not is_null(value)]
     if distinct:
-        unique: list[Any] = []
-        for value in kept:
-            if value not in unique:
-                unique.append(value)
-        kept = unique
+        kept = list(first_occurrences(kept))
     if func == "COUNT":
         return len(kept)
     if func == "LISTAGG":
         return separator.join(_listagg_text(v) for v in kept)
     if not kept:
         return NULL
-    if func == "SUM":
-        return sum(kept)
-    if func == "AVG":
-        return sum(kept) / len(kept)
-    if func == "MIN":
-        return min(kept)
-    if func == "MAX":
-        return max(kept)
+    try:
+        if func == "SUM":
+            return sum(kept)
+        if func == "AVG":
+            return sum(kept) / len(kept)
+        if func == "MIN":
+            return min(kept)
+        if func == "MAX":
+            return max(kept)
+    except TypeError as exc:
+        raise ExpressionError(f"{func} over values that do not combine: {exc}") from None
     raise ExpressionError(f"unknown aggregate {func!r}")
 
 

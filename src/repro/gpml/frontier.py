@@ -178,9 +178,7 @@ def _column_tests(where: Optional[Expr], var: Optional[str], column_of):
             if op == "=":
                 return lambda index: codes[index] == target
             return lambda index: codes[index] not in (-1, target)
-        values = column.values
-        test = value_test(op, value, flipped)
-        return lambda index: test(values[index])
+        return value_test(op, value, flipped, column.values.__getitem__)
 
     return split_where(where, var, compile_test)
 

@@ -1,42 +1,63 @@
-"""Predicate compilation shared by both search kernels.
+"""The one expression compiler: predicates and row expressions as closures.
 
-An element WHERE is a conjunction; its ``var.prop op literal`` conjuncts
-(*var* being the element the pattern binds) depend on one property value
-only, so they are decided once per compiled pattern and run as
-raw-value tests — the object matcher (:mod:`repro.gpml.matcher`) feeds
-them from ``graph.property_of``, the frontier kernel
-(:mod:`repro.gpml.frontier`) from snapshot columns.  Every other
-conjunct stays an expression, evaluated through ``RunContext`` on the
-elements that survive the tests.
+``Expr.evaluate`` specifies every expression; walking the tree — and
+building a context to walk it with — once per row is what this module
+spares its consumers.  It compiles a closed, small list of forms, held
+equal to ``evaluate`` by ``tests/property/test_compiled_expressions.py``;
+every other node runs ``evaluate`` itself.
+
+* The search kernels: an element WHERE is a conjunction; its ``var.prop
+  op literal`` conjuncts (*var* being the element the pattern binds)
+  depend on one property value only, so :func:`split_where` decides them
+  once per compiled pattern as raw-value tests — the object matcher
+  (:mod:`repro.gpml.matcher`) feeds them from ``graph.property_of``, the
+  frontier kernel (:mod:`repro.gpml.frontier`) from snapshot columns.
+  Every other conjunct stays an expression, evaluated through
+  ``RunContext`` on the elements that survive the tests.
+* The hosts' operators (:mod:`repro.rowops`, SQL's join, ``COLUMNS``,
+  GQL's ``LET`` / ``FILTER``): :func:`row_value`, :func:`row_values` and
+  :func:`row_test`, called on an operator's first ``rows()`` pull.
+  ``context`` says what a row is: a positional tuple (:class:`RowContext`;
+  a :class:`BoundColumn` is ``row[i]``) or a binding dict
+  (:class:`EvalContext` itself; a :class:`VarRef` / :class:`PropertyRef`
+  is a dict read).  Those reads, literals, comparisons of two of them and
+  conjunctions of such comparisons run on the row; anything else — and
+  any other ``context`` — falls back to ``expr.evaluate(context(row))``.
+  Compiled conjuncts short-circuit and run before the rest: the one
+  deviation from ``And.evaluate`` (docs/sql_pgq.md, "Expression errors").
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ExpressionError
-from repro.gpml.expr import Comparison, Expr, Literal, PropertyRef, conjoin
+from repro.gpml.expr import (
+    BoundColumn, Comparison, EvalContext, Expr, Literal, PropertyRef, RowContext, VarRef,
+    compare_values, conjoin, property_value,
+)
 from repro.graph.columnar import MISSING
-from repro.graph.model import Edge, Node
 from repro.planner.indexes import conjuncts
-from repro.values import NULL, compare, is_null
+from repro.values import NULL, TRUE
 
 #: what ``compare`` does with two non-null operands of one type
 _SAME_TYPE = {
     "=": operator.eq, "<>": operator.ne, "<": operator.lt,
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+#: the types whose values ``compare`` hands to those operators as they are
+_PLAIN = frozenset((str, int, float, bool))
 
 
-def value_test(op: str, literal: Any, flipped: bool):
+def value_test(op: str, literal: Any, flipped: bool, read=None):
     """A raw-property-value test replicating ``Comparison.evaluate`` exactly.
 
     *literal* is a ``str``/``int``/``float``/``bool`` (what
     :func:`split_where` compiles); ``flipped`` marks it on the left
     (matters for ``<``/``>=``).
     MISSING column slots behave as NULL (UNKNOWN → row dropped), and the
-    element-identity branch matches the expression evaluator's.
+    element-identity branch is the expression evaluator's own.
+    With ``read`` the test is over a row and ``read(row)`` is the value.
     """
 
     same_type = _SAME_TYPE[op]
@@ -46,19 +67,20 @@ def value_test(op: str, literal: Any, flipped: bool):
         if type(raw) is kind:  # both non-null and comparable: the common case
             return same_type(literal, raw) if flipped else same_type(raw, literal)
         value = NULL if raw is MISSING else raw
-        if isinstance(value, (Node, Edge)):
-            if is_null(literal):
-                return False  # UNKNOWN
-            if op == "=":
-                return value == literal
-            if op == "<>":
-                return value != literal
-            raise ExpressionError(f"cannot order graph elements with {op!r}")
         if flipped:
-            return bool(compare(op, literal, value))
-        return bool(compare(op, value, literal))
+            return compare_values(op, literal, value) is TRUE
+        return compare_values(op, value, literal) is TRUE
 
-    return test
+    if read is None:
+        return test
+
+    def test_row(row: Any) -> bool:
+        raw = read(row)
+        if type(raw) is kind:  # the same common case, without a second call
+            return same_type(literal, raw) if flipped else same_type(raw, literal)
+        return test(raw)
+
+    return test_row
 
 
 def split_where(
@@ -94,11 +116,107 @@ def _sargable(conjunct: Expr, var: Optional[str]):
         (conjunct.left, conjunct.right, False),
         (conjunct.right, conjunct.left, True),
     ):
-        if (
-            isinstance(ref, PropertyRef)
-            and ref.var == var
-            and isinstance(literal, Literal)
-            and isinstance(literal.value, (str, int, float, bool))
-        ):
+        if isinstance(ref, PropertyRef) and ref.var == var and _plain_literal(literal):
             return ref.prop, conjunct.op, literal.value, flipped
     return None
+
+
+def _plain_literal(expr: Expr) -> bool:
+    return isinstance(expr, Literal) and type(expr.value) in _PLAIN
+
+
+# ----------------------------------------------------------------------
+# Expressions over an operator's rows
+# ----------------------------------------------------------------------
+def _read(expr: Expr, context) -> Optional[Callable[[Any], Any]]:
+    """``row -> value`` when *expr* reads straight off the row, else None."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda row: value
+    if context is RowContext:
+        if isinstance(expr, BoundColumn):
+            return operator.itemgetter(expr.index)
+    elif context is EvalContext:
+        if isinstance(expr, VarRef):
+            name = expr.name
+            return lambda row: row.get(name, NULL)
+        if isinstance(expr, PropertyRef):
+            var, prop = expr.var, expr.prop
+            return lambda row: property_value(row.get(var, NULL), prop, var)
+    return None
+
+
+def row_value(expr: Expr, context) -> Callable[[Any], Any]:
+    """*expr* over the rows that ``context`` reads, as ``row -> value``."""
+    evaluate = expr.evaluate
+    return _read(expr, context) or (lambda row: evaluate(context(row)))
+
+
+def row_values(exprs: Sequence[Expr], context) -> Callable[[Any], tuple]:
+    """The tuple of *exprs* over a row (a projection, a key) as one closure;
+    if one falls back, all are evaluated through one context per row."""
+    reads = [_read(expr, context) for expr in exprs]
+    if None in reads:
+        evaluators = [expr.evaluate for expr in exprs]
+
+        def interpreted(row: Any) -> tuple:
+            ctx = context(row)
+            return tuple([evaluate(ctx) for evaluate in evaluators])
+
+        return interpreted
+    if context is RowContext and len(exprs) > 1 and all(
+        isinstance(expr, BoundColumn) for expr in exprs
+    ):
+        return operator.itemgetter(*[expr.index for expr in exprs])
+    if len(reads) == 1:
+        (read,) = reads
+        return lambda row: (read(row),)
+    return lambda row: tuple([read(row) for read in reads])
+
+
+def row_test(expr: Expr, context) -> Callable[[Any], bool]:
+    """*expr* as a predicate over the rows that ``context`` reads: ``row
+    -> bool``, True exactly when it is TRUE (three-valued logic)."""
+    tests: list = []
+    rest: list[Expr] = []
+    for conjunct in conjuncts(expr):
+        test = _comparison_test(conjunct, context)
+        if test is None:
+            rest.append(conjunct)
+        else:
+            tests.append(test)
+    if rest:
+        truth = conjoin(*rest).truth
+        tests.append(lambda row: truth(context(row)) is TRUE)
+    if len(tests) == 1:
+        return tests[0]
+
+    def conjunction(row: Any) -> bool:
+        for test in tests:
+            if not test(row):
+                return False
+        return True
+
+    return conjunction
+
+
+def _comparison_test(expr: Expr, context) -> Optional[Callable[[Any], bool]]:
+    """The test of a comparison whose two operands read off the row."""
+    if not isinstance(expr, Comparison) or expr.op not in _SAME_TYPE:
+        return None
+    op = expr.op
+    left, right = _read(expr.left, context), _read(expr.right, context)
+    if left is None or right is None:
+        return None
+    for read, literal, flipped in ((left, expr.right, False), (right, expr.left, True)):
+        if _plain_literal(literal):
+            return value_test(op, literal.value, flipped, read)
+    same_type = _SAME_TYPE[op]
+
+    def test(row: Any) -> bool:
+        a, b = left(row), right(row)
+        if type(a) is type(b) and type(a) in _PLAIN:
+            return same_type(a, b)
+        return compare_values(op, a, b) is TRUE
+
+    return test

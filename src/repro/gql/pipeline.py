@@ -71,6 +71,7 @@ from repro.gpml.engine import (
 )
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.predicates import row_test, row_value
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
 from repro.obs.trace import Span, counted_in, timed_rows
@@ -182,6 +183,8 @@ class CompiledMatch:
         span: Optional[Span] = None,
     ) -> Iterator[dict[str, Any]]:
         build: Optional[dict[tuple, list[tuple[dict, list]]]] = None
+        where = self.residual_where
+        residual = None if where is None else row_test(where, EvalContext)
         # Shared seeded entry point: one anchored run per distinct seed,
         # hub-skew memoization included (see engine.SeededSearch).
         search: Optional[SeededSearch] = None
@@ -254,7 +257,7 @@ class CompiledMatch:
             merged_rows = (
                 merged
                 for values, paths in candidates(row)
-                for merged in self._merge(graph, row, values, paths)
+                for merged in self._merge(residual, row, values, paths)
             )
             if self.residual_keep is None:
                 for merged, _ in merged_rows:
@@ -277,13 +280,11 @@ class CompiledMatch:
                 yield padded
 
     def _merge(
-        self, graph: PropertyGraph, row: dict, values: dict, paths: list
+        self, residual, row: dict, values: dict, paths: list
     ) -> Iterator[tuple[dict, list]]:
         merged = dict(row)
         merged.update(values)
-        if self.residual_where is not None and not self.residual_where.truth(
-            EvalContext(bindings=merged, graph=graph)
-        ):
+        if residual is not None and not residual(merged):
             return
         yield merged, paths
 
@@ -331,10 +332,14 @@ class CompiledLet:
         return [f"[{STREAMING}] extend each row with {names}"]
 
     def apply(self, graph, incoming, config, budget, stats, span=None):
+        assignments = [
+            (name, row_value(expr, EvalContext))
+            for name, expr in self.statement.assignments
+        ]
         for row in incoming:
             out = dict(row)
-            for name, expr in self.statement.assignments:
-                out[name] = expr.evaluate(EvalContext(bindings=out, graph=graph))
+            for name, value in assignments:
+                out[name] = value(out)
             yield out
 
 
@@ -346,11 +351,7 @@ class CompiledFilter:
         return [f"[{STREAMING}] per-row predicate"]
 
     def apply(self, graph, incoming, config, budget, stats, span=None):
-        for row in incoming:
-            if self.statement.condition.truth(
-                EvalContext(bindings=row, graph=graph)
-            ):
-                yield row
+        return filter(row_test(self.statement.condition, EvalContext), incoming)
 
 
 @dataclass

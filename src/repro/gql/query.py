@@ -43,7 +43,6 @@ values, and ``length(p)`` / ``nodes(p)`` / ``edges(p)`` work on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter
 from typing import Any, Iterator, Optional
 
@@ -342,6 +341,7 @@ class StatementChain(Operator):
 
     columns: list = []  # binding rows are keyed by variable, not position
     children: list = []
+    context = EvalContext
 
     def __init__(
         self,
@@ -356,7 +356,6 @@ class StatementChain(Operator):
         self.config = config
         self.stats = stats
         self.budget = budget
-        self.context = partial(EvalContext, graph=graph)
         #: set by :class:`Transaction`: the chain's rows, run to completion
         self.table: Optional[list[dict[str, Any]]] = None
 
@@ -394,7 +393,10 @@ class VerticalAggregate(BoundAggregate):
         super().__init__(
             aggregate.func, aggregate, aggregate.distinct, aggregate.separator
         )
-        self.values = aggregate.values
+
+    def collector(self, context):
+        values = self.arg.values
+        return lambda collected, row: collected.extend(values(context(row)))
 
     def __str__(self) -> str:
         return str(self.arg)

@@ -18,7 +18,8 @@ aggregates over group variables work exactly as PGQL's group variables do
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from repro.errors import GpmlSyntaxError, PgqError
 from repro.gpml import ast
@@ -26,6 +27,7 @@ from repro.gpml.engine import PreparedQuery, match_iter, prepare
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
+from repro.gpml.predicates import row_values
 from repro.gpml.streaming import PipelineStats
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
@@ -50,6 +52,13 @@ class GraphTableStatement:
     @property
     def column_names(self) -> list[str]:
         return [name for name, _ in self.columns]
+
+    @cached_property
+    def project(self) -> Callable[[dict], tuple]:
+        """One binding row's value dict through the COLUMNS clause, the
+        expressions compiled on first use."""
+        values = row_values([expr for _, expr in self.columns], EvalContext)
+        return lambda bindings: tuple(map(_to_sql_value, values(bindings)))
 
 
 def graph_table(
@@ -104,10 +113,9 @@ def project_columns(
 
     Shared by the streaming enumeration above and the SQL engine's graph
     scans, which pull binding rows from their own stage tree or, seeded,
-    per probe row.
+    per probe row.  The expressions run as compiled on the statement.
     """
-    ctx = EvalContext(bindings=values, graph=graph)
-    return tuple(_to_sql_value(expr.evaluate(ctx)) for _, expr in statement.columns)
+    return statement.project(values)
 
 
 def _parse_graph_table(query: str, name: str) -> GraphTableStatement:

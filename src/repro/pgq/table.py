@@ -14,8 +14,9 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.errors import TableError
 from repro.gpml.expr import EvalContext, fold_aggregate
 from repro.gpml.parser import parse_expression
-from repro.rowops import sort_key
-from repro.values import NULL, is_null
+from repro.gpml.predicates import row_test
+from repro.rowops import row_key, sort_key
+from repro.values import NULL, first_occurrences, is_null
 
 
 class Table:
@@ -72,12 +73,8 @@ class Table:
         Bare identifiers refer to columns; three-valued logic applies, so
         rows where the condition is UNKNOWN are dropped (SQL semantics).
         """
-        expr = parse_expression(condition)
-        kept = []
-        for row in self.rows:
-            ctx = EvalContext(bindings=dict(zip(self.columns, row)))
-            if expr.truth(ctx):
-                kept.append(row)
+        test = row_test(parse_expression(condition), EvalContext)
+        kept = [row for row in self.rows if test(dict(zip(self.columns, row)))]
         return Table(self.columns, kept, name=self.name)
 
     def project(self, columns: Sequence[str]) -> "Table":
@@ -97,13 +94,7 @@ class Table:
         return Table(self.columns + (column,), rows, name=self.name)
 
     def distinct(self) -> "Table":
-        seen: set[tuple] = set()
-        out = []
-        for row in self.rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return Table(self.columns, out, name=self.name)
+        return Table(self.columns, first_occurrences(self.rows, row_key), name=self.name)
 
     def union_all(self, other: "Table") -> "Table":
         if self.columns != other.columns:

@@ -14,22 +14,33 @@ project, distinct, limit, union) emit rows as their input produces them;
 the pipeline breakers (sort, aggregate) consume their whole input first
 and say so through ``blocking``.
 
-Rows are opaque to the operators: an expression is evaluated through the
-``context`` function of the operator whose rows it reads — positional
-value tuples (:class:`RowContext`) unless a leaf says otherwise, as
-GQL's leaf does for its binding rows.  ``Project`` and ``Aggregate``
-compute new rows and always emit tuples.
+Rows are opaque to the operators: an expression reads them through the
+``context`` of the operator that emits them — positional value tuples
+(:class:`RowContext`) unless a leaf says otherwise, as GQL's leaf does
+for its binding dicts.  ``Project`` and ``Aggregate`` compute new rows
+and always emit tuples.
+
+No operator walks an expression tree per row: predicates, projections,
+keys and aggregate arguments are compiled by :mod:`repro.gpml.predicates`
+(the search kernels' compiler) into closures over the row — column reads,
+literals and their comparisons run without a context, anything else falls
+back to ``Expr.evaluate`` through one ``context(row)`` per row — on the
+operator's first ``rows()`` pull, and stay on it (``cached_property``):
+building or rendering a tree compiles nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.gpml.expr import EvalContext, Expr, fold_aggregate, rebuild
+from repro.gpml.expr import BoundColumn, EvalContext, Expr, RowContext, fold_aggregate, rebuild
+from repro.gpml.predicates import row_test, row_value, row_values
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
 from repro.obs.trace import OPERATOR, Span, timed_rows
-from repro.values import TRUE, is_null
+from repro.values import first_occurrences, hashable, is_null
 
 
 @dataclass(frozen=True)
@@ -44,31 +55,6 @@ class Column:
     @property
     def qualified(self) -> str:
         return f"{self.table}.{self.name}" if self.table else self.name
-
-
-@dataclass(frozen=True)
-class BoundColumn(Expr):
-    """A resolved column reference: positional index into the input row."""
-
-    index: int
-    label: str
-
-    def evaluate(self, ctx: "RowContext") -> Any:
-        return ctx.row[self.index]
-
-    def __str__(self) -> str:
-        return self.label
-
-
-class RowContext(EvalContext):
-    """Evaluation context over one operator row (a plain value tuple)."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: tuple):
-        self.row = row
-        self._bindings = {}
-        self.graph = None
 
 
 def bind_outputs(
@@ -181,14 +167,9 @@ def _counted(rows: Iterator[Any], stats: PipelineStats) -> Iterator[Any]:
         yield row
 
 
-def hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(hashable(v) for v in value)
-    return value
-
-
 def row_key(row: Iterable[Any]) -> tuple:
-    """Hashable identity of a row's values (DISTINCT, GROUP BY, UNION)."""
+    """Hashable identity of a row's values (DISTINCT, GROUP BY, UNION, join
+    keys): equal exactly where ``=`` holds column by column, NULLs aside."""
     return tuple(map(hashable, row))
 
 
@@ -215,11 +196,12 @@ class Filter(Operator):
         self.context = child.context
         self.children = [child]
 
+    @cached_property
+    def test(self) -> Callable[[Any], bool]:
+        return row_test(self.predicate, self.context)
+
     def rows(self) -> Iterator[Any]:
-        truth, context = self.predicate.truth, self.context
-        for row in self.child.run():
-            if truth(context(row)) is TRUE:
-                yield row
+        return filter(self.test, self.child.run())
 
     def describe(self) -> str:
         return f"{self.label}: {self.predicate}"
@@ -241,12 +223,12 @@ class Project(Operator):
         ]
         self.children = [child]
 
+    @cached_property
+    def projection(self) -> Callable[[Any], tuple]:
+        return row_values([expr for _, expr in self.items], self.child.context)
+
     def rows(self) -> Iterator[tuple]:
-        evaluators = [expr.evaluate for _, expr in self.items]
-        context = self.child.context
-        for row in self.child.run():
-            ctx = context(row)
-            yield tuple([evaluate(ctx) for evaluate in evaluators])
+        return map(self.projection, self.child.run())
 
     def describe(self) -> str:
         rendered = ", ".join(
@@ -266,12 +248,7 @@ class Distinct(Operator):
         self.children = [child]
 
     def rows(self) -> Iterator[Any]:
-        seen: set[tuple] = set()
-        for row in self.child.run():
-            key = row_key(row)
-            if key not in seen:
-                seen.add(key)
-                yield row
+        return first_occurrences(self.child.run(), row_key)
 
     def describe(self) -> str:
         return "distinct"
@@ -306,23 +283,29 @@ class Aggregate(Operator):
         self.columns = [c for c, _ in keys] + [c for c, _ in aggregates]
         self.children = [child]
 
-    def rows(self) -> Iterator[tuple]:
-        evaluators = [expr.evaluate for _, expr in self.keys]
-        aggregates = [aggregate for _, aggregate in self.aggregates]
+    @cached_property
+    def compiled(self) -> tuple[Callable, list[Callable]]:
         context = self.child.context
+        return (
+            row_values([expr for _, expr in self.keys], context),
+            [aggregate.collector(context) for _, aggregate in self.aggregates],
+        )
+
+    def rows(self) -> Iterator[tuple]:
+        key_values, collectors = self.compiled
+        aggregates = [aggregate for _, aggregate in self.aggregates]
         #: key -> (key values, per aggregate the values its rows contributed)
         groups: dict[tuple, tuple[tuple, list[list]]] = {}
         count = 0
         for row in self.child.run():
             count += 1
-            ctx = context(row)
-            values = tuple([evaluate(ctx) for evaluate in evaluators])
+            values = key_values(row)
             key = row_key(values)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = (values, [[] for _ in aggregates])
-            for collected, aggregate in zip(group[1], aggregates):
-                collected.extend(aggregate.values(ctx))
+            for collected, collect in zip(group[1], collectors):
+                collect(collected, row)
         if not groups and self.group_all:
             groups[()] = ((), [[] for _ in aggregates])
         self.trace_peak(count)
@@ -346,10 +329,14 @@ class BoundAggregate:
         self.distinct = distinct
         self.separator = separator
 
-    def values(self, ctx: EvalContext) -> Iterable[Any]:
-        """What one input row contributes to the fold: the argument's
-        value (a non-NULL marker per row under ``COUNT(*)``)."""
-        return (True if self.arg is None else self.arg.evaluate(ctx),)
+    def collector(self, context) -> Callable[[list, Any], None]:
+        """``collect(collected, row)``: add what one input row contributes
+        to the fold — the argument's value (a non-NULL marker per row
+        under ``COUNT(*)``)."""
+        if self.arg is None:
+            return lambda collected, row: collected.append(True)
+        read = row_value(self.arg, context)
+        return lambda collected, row: collected.append(read(row))
 
     def fold(self, values: list) -> Any:
         return fold_aggregate(self.func, values, self.distinct, self.separator)
@@ -380,16 +367,19 @@ class Sort(Operator):
         self.context = child.context
         self.children = [child]
 
+    @cached_property
+    def readers(self) -> list[tuple[Callable[[Any], Any], bool]]:
+        return [
+            (row_value(expr, self.context), descending)
+            for expr, descending in reversed(self.keys)
+        ]
+
     def rows(self) -> Iterator[Any]:
-        context = self.context
-        keyed = [(context(row), row) for row in self.child.run()]
-        self.trace_peak(len(keyed))
-        for expr, descending in reversed(self.keys):
-            keyed.sort(
-                key=lambda pair: sort_key(expr.evaluate(pair[0])), reverse=descending
-            )
-        for _, row in keyed:
-            yield row
+        rows = list(self.child.run())
+        self.trace_peak(len(rows))
+        for read, descending in self.readers:
+            rows.sort(key=lambda row: sort_key(read(row)), reverse=descending)
+        yield from rows
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -464,17 +454,8 @@ class Union(Operator):
         self.children = [left, right]
 
     def rows(self) -> Iterator[Any]:
-        if self.all_rows:
-            yield from self.left.run()
-            yield from self.right.run()
-            return
-        seen: set[tuple] = set()
-        for side in (self.left, self.right):
-            for row in side.run():
-                key = row_key(row)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
+        rows = chain.from_iterable(side.run() for side in self.children)
+        return rows if self.all_rows else first_occurrences(rows, row_key)
 
     def describe(self) -> str:
         return "union all" if self.all_rows else "union (distinct)"

@@ -18,28 +18,21 @@ cost-based planner turns them into index anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from functools import cached_property
+from typing import Any, Callable, Iterator, Optional
 
 from repro.gpml import ast as gpml_ast
 from repro.gpml.engine import PreparedQuery, SeededSearch, match_stages, prepare
 from repro.gpml.expr import Expr, In, conjoin
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.predicates import row_test, row_value, row_values
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
 from repro.pgq.graph_table import GraphTableStatement, project_columns
 from repro.pgq.table import Table
 from repro.planner.anchor import SeedSpec
-from repro.rowops import Column, Operator, RowContext, attach_spans, hashable
-from repro.values import TRUE, is_null
-
-
-def evaluate(expr: Expr, row: tuple) -> Any:
-    return expr.evaluate(RowContext(row))
-
-
-def holds(expr: Expr, row: tuple) -> bool:
-    """SQL predicate semantics: keep the row only when the truth is TRUE."""
-    return expr.truth(RowContext(row)) is TRUE
+from repro.rowops import Column, Operator, RowContext, attach_spans, row_key
+from repro.values import NULL, is_null
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +239,9 @@ class SeededGraphTableScan(GraphTableScan):
         Element mode: the key is the node id itself, so a non-id probe
         value (or an id not in the graph) has no partners at all.
         Property mode: a plain-scalar probe is answered by the property
-        hash index (dict-key equality, which is exactly the join's
-        ``_hashable`` equality for scalars); anything else — e.g. a list,
-        whose index bucket does not mirror ``_hashable``'s list→tuple
+        hash index (dict-key equality: the join's ``row_key`` equality for
+        scalars, coarser only for booleans); anything else — e.g. a list,
+        whose index bucket does not mirror ``row_key``'s list→tuple
         coercion — falls back to full enumeration.
         """
         if is_null(value):
@@ -413,34 +406,50 @@ class Join(Operator):
 
     def rows(self) -> Iterator[tuple]:
         if isinstance(self.right, SeededGraphTableScan):
-            yield from self._seeded_rows()
-        elif self.left_keys:
-            yield from self._hash_rows()
-        else:
-            yield from self._loop_rows()
+            merged = self._seeded_rows()
+        else:  # without keys every row has the key (): the nested loop
+            merged = self._hash_rows()
+        _, _, residual = self.compiled
+        return merged if residual is None else filter(residual, merged)
+
+    @cached_property
+    def compiled(self) -> tuple[Callable, Callable, Optional[Callable]]:
+        """``row -> hashable key`` of either side (None when a value is
+        NULL: it never joins) and the residual's test over merged rows."""
+
+        def key_of(keys: list[Expr]) -> Callable[[tuple], Optional[tuple]]:
+            read = row_values(keys, RowContext)
+
+            def key(row: tuple) -> Optional[tuple]:
+                values = read(row)
+                if NULL in values or None in values:
+                    return None
+                return row_key(values)
+
+            return key
+
+        residual = self.residual
+        return (
+            key_of(self.left_keys),
+            key_of(self.right_keys),
+            None if residual is None else row_test(residual, RowContext),
+        )
 
     def _seeded_rows(self) -> Iterator[tuple]:
         scan = self.right
-        residual = self.residual
-        position = scan.seed_key_position
+        left_key_of, right_key_of, _ = self.compiled
+        probe_value = row_value(self.left_keys[scan.seed_key_position], RowContext)
         probes = 0
         for row in self.left.run():
-            left_values = [evaluate(k, row) for k in self.left_keys]
-            if any(is_null(v) for v in left_values):
+            left_key = left_key_of(row)
+            if left_key is None:
                 continue
-            left_key = tuple(hashable(v) for v in left_values)
             probes += 1
-            for other in scan.probe(left_values[position]):
+            for other in scan.probe(probe_value(row)):
                 # The probe yields a candidate superset; re-checking every
                 # key pair here is what makes that contract sufficient.
-                right_key = tuple(
-                    hashable(evaluate(k, other)) for k in self.right_keys
-                )
-                if right_key != left_key:
-                    continue
-                merged = row + other
-                if residual is None or holds(residual, merged):
-                    yield merged
+                if right_key_of(other) == left_key:
+                    yield row + other
         self.trace_event("seeded_join", probes=probes)
 
     def _hash_rows(self) -> Iterator[tuple]:
@@ -455,25 +464,21 @@ class Join(Operator):
             right_source = self._reduced_right(left_rows)
         if right_source is None:
             right_source = self.right.run()
+        left_key_of, right_key_of, _ = self.compiled
         build: dict[tuple, list[tuple]] = {}
         for row in right_source:
-            key = tuple(hashable(evaluate(k, row)) for k in self.right_keys)
-            if any(is_null(v) for v in key):
-                continue
-            build.setdefault(key, []).append(row)
+            key = right_key_of(row)
+            if key is not None:
+                build.setdefault(key, []).append(row)
         if self.span is not None:
             self.span.peak_rows = sum(len(rows) for rows in build.values())
         if not build:
             return
-        residual = self.residual
         for row in left_source:
-            key = tuple(hashable(evaluate(k, row)) for k in self.left_keys)
-            if any(is_null(v) for v in key):
-                continue
-            for other in build.get(key, ()):
-                merged = row + other
-                if residual is None or holds(residual, merged):
-                    yield merged
+            key = left_key_of(row)
+            if key is not None:
+                for other in build.get(key, ()):
+                    yield row + other
 
     def _reduced_right(self, left_rows: list[tuple]) -> Optional[Iterator[tuple]]:
         """The reduced graph-side stream, or None when reduction aborts.
@@ -485,11 +490,10 @@ class Join(Operator):
         rows that could never find a partner.
         """
         spec = self.semi_join
-        key_expr = self.left_keys[spec.key_position]
+        read = row_value(self.left_keys[spec.key_position], RowContext)
         distinct: dict[Any, None] = {}
         abort_reason = None
-        for row in left_rows:
-            value = evaluate(key_expr, row)
+        for value in map(read, left_rows):
             if is_null(value):
                 continue
             if not isinstance(value, (str, int, float)) or isinstance(value, bool):
@@ -505,18 +509,6 @@ class Join(Operator):
         keys = tuple(distinct)
         self.trace_event("semi_join_reduction", applied=True, keys=len(keys))
         return self.right.reduced_rows(keys)
-
-    def _loop_rows(self) -> Iterator[tuple]:
-        build = list(self.right.run())
-        self.trace_peak(len(build))
-        if not build:
-            return
-        residual = self.residual
-        for row in self.left.run():
-            for other in build:
-                merged = row + other
-                if residual is None or holds(residual, merged):
-                    yield merged
 
     def describe(self) -> str:
         keys = ", ".join(

@@ -10,14 +10,15 @@ The module defines:
 
 * :data:`NULL` — the singleton null marker,
 * :class:`TruthValue` — the three logic values with Kleene connectives,
-* comparison helpers that map Python values into this logic,
+* comparison helpers that map Python values into this logic, and the key
+  function under which hash tables agree with ``=``,
 * numeric-literal helpers for the paper's ``5M``-style shorthands.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 
 class _NullType:
@@ -144,6 +145,37 @@ def compare(op: str, left: Any, right: Any) -> TruthValue:
     if op == ">=":
         return truth_of(left >= right)
     raise ValueError(f"unknown comparison operator {op!r}")
+
+
+def hashable(value: Any) -> Any:
+    """The value's key in a hash table: equal keys exactly where ``=`` is
+    TRUE.  Python equates ``True`` with ``1`` and ``1.0``; :func:`compare`
+    does not, so a boolean is tagged with its type (``1`` and ``1.0`` keep
+    merging — ``=`` calls them equal).  Lists become tuples."""
+    kind = type(value)
+    if kind is bool:
+        return (bool, value)
+    if kind is list:
+        return tuple(map(hashable, value))
+    return value
+
+
+def first_occurrences(values: Iterable[Any], key=hashable) -> Iterator[Any]:
+    """The values whose *key* has not come before, as they come: one
+    seen-set, so linear (keys that do not hash are compared one by one)."""
+    seen: set = set()
+    unhashable: list = []
+    for value in values:
+        identity = key(value)
+        try:
+            if identity in seen:
+                continue
+            seen.add(identity)
+        except TypeError:
+            if identity in unhashable:
+                continue
+            unhashable.append(identity)
+        yield value
 
 
 _MAGNITUDE_SUFFIXES = {"K": 1_000, "M": 1_000_000, "B": 1_000_000_000}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExpressionError
-from repro.gpml.expr import EvalContext, conjoin
+from repro.gpml.expr import EvalContext, conjoin, fold_aggregate
 from repro.gpml.parser import parse_expression
 from repro.values import FALSE, NULL, TRUE, UNKNOWN, is_null
 
@@ -145,6 +145,38 @@ class TestAggregates:
         ctx = EvalContext({"e": edges}, graph=fig1)
         assert parse_expression("COUNT(e)").evaluate(ctx) == 3
         assert parse_expression("COUNT(DISTINCT e)").evaluate(ctx) == 2
+
+    def test_count_distinct_follows_equality_not_python(self):
+        # 1 = 1.0 is TRUE, 1 = TRUE is not: two values, first occurrences kept
+        assert fold_aggregate("COUNT", [1, True, 1.0], distinct=True) == 2
+        assert fold_aggregate("LISTAGG", [1, True, 1.0, [2], [2]], distinct=True) == (
+            "1, True, [2]"
+        )
+
+    def test_count_distinct_is_linear_in_the_group_size(self):
+        class Counted:
+            comparisons = 0
+
+            def __init__(self, value):
+                self.value = value
+
+            def __hash__(self):
+                return hash(self.value)
+
+            def __eq__(self, other):
+                Counted.comparisons += 1
+                return self.value == other.value
+
+        values = [Counted(i % 5000) for i in range(20_000)]
+        assert fold_aggregate("COUNT", values, distinct=True) == 5000
+        # a seen-set compares a value with its own earlier occurrence only;
+        # the list scan this replaced took ~5·10⁷ comparisons here
+        assert Counted.comparisons <= 2 * len(values)
+
+    def test_mixed_values_raise_an_expression_error(self):
+        for func in ("SUM", "AVG", "MIN", "MAX"):
+            with pytest.raises(ExpressionError, match=f"{func} over values"):
+                fold_aggregate(func, [1, "x"])
 
     def test_pgql_trail_idiom(self, fig1):
         # WHERE COUNT(e) = COUNT(DISTINCT e) filters repeated edges (§3)

@@ -68,6 +68,11 @@ class TestOperators:
         t = Table(["x"], [(1,), (1,), (2,)])
         assert len(t.distinct()) == 2
 
+    def test_distinct_identity_is_equality(self):
+        # to Python 1 == True == 1.0; to `=` a boolean is no number
+        t = Table(["x"], [(1,), (True,), (1.0,), ([1],), ([1],)])
+        assert [repr(row) for row in t.distinct().rows] == ["(1,)", "(True,)", "([1],)"]
+
     def test_union_all_and_union(self):
         t1 = Table(["x"], [(1,), (2,)])
         t2 = Table(["x"], [(2,), (3,)])

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.errors import SqlError
+from repro.datasets.generators import random_transfer_network
+from repro.errors import ExpressionError, SqlError
+from repro.gpml.matcher import MatcherConfig
 from repro.pgq import Table
+from repro.pgq.tabular import tabular_representation
 from repro.sql import Database
+from repro.sql.config import SqlConfig
 from repro.values import NULL, is_null
 
 
@@ -351,3 +355,214 @@ class TestErrorPaths:
         assert next(records) == {"owner": "Scott"}
         assert next(records) == {"owner": "Aretha"}
         assert next(records, None) is None
+
+
+# ----------------------------------------------------------------------
+# Result net: the SQL shapes of the benchmark's host_relational workload
+# ----------------------------------------------------------------------
+BLOCKED_A = "(a:Account WHERE a.isBlocked='yes')"
+P_BIG = f"MATCH {BLOCKED_A}-[t:Transfer WHERE t.amount > 14M]->(b:Account)"
+P_BIG_IN = (
+    "MATCH (a:Account)-[t:Transfer WHERE t.amount > 14M]->"
+    "(b:Account WHERE b.isBlocked='yes')"
+)
+GT_BIG = f"GRAPH_TABLE(bank {P_BIG} COLUMNS (a.owner AS src, b.owner AS dst))"
+
+#: name -> (text copied from benchmarks/suite/workloads.py, has a total
+#: ORDER BY, the rows on ``random_transfer_network(60, 240, seed=7,
+#: blocked_fraction=0.25)``) — recorded before PR 18 touched an operator.
+#: Without a total ORDER BY the rows are compared as a bag sorted by repr.
+HOST_RELATIONAL_SQL = {
+    "hr_sql_group": (
+        f"SELECT dst, COUNT(*) AS n, SUM(amount) AS total FROM GRAPH_TABLE(bank {P_BIG} "
+        "COLUMNS (b.owner AS dst, t.amount AS amount)) "
+        "GROUP BY dst HAVING COUNT(*) > 1 ORDER BY n DESC, dst",
+        True,
+        [("owner18", 2, 33000000), ("owner19", 2, 32000000),
+         ("owner58", 2, 34000000), ("owner9", 2, 34000000)],
+    ),
+    "hr_sql_union": (
+        f"SELECT src AS owner FROM GRAPH_TABLE(bank {P_BIG} COLUMNS (a.owner AS src)) "
+        f"UNION SELECT dst AS owner FROM GRAPH_TABLE(bank {P_BIG_IN} "
+        "COLUMNS (b.owner AS dst))",
+        False,
+        [("owner18",), ("owner2",), ("owner3",), ("owner33",), ("owner34",),
+         ("owner35",), ("owner37",), ("owner4",), ("owner44",), ("owner5",),
+         ("owner51",), ("owner52",), ("owner53",), ("owner55",), ("owner7",),
+         ("owner9",)],
+    ),
+    "hr_sql_self_join": (
+        f"SELECT x.src, y.dst FROM {GT_BIG} AS x JOIN {GT_BIG} AS y ON x.dst = y.src",
+        False,
+        [("owner18", "owner27"), ("owner34", "owner37"), ("owner34", "owner39"),
+         ("owner34", "owner44"), ("owner34", "owner9"), ("owner51", "owner2"),
+         ("owner51", "owner28"), ("owner52", "owner24"), ("owner55", "owner2"),
+         ("owner55", "owner28"), ("owner7", "owner7"), ("owner9", "owner37"),
+         ("owner9", "owner39"), ("owner9", "owner44"), ("owner9", "owner9")],
+    ),
+    "hr_sql_cross_model": (
+        "SELECT acc.ID, gt.dst FROM Account AS acc JOIN GRAPH_TABLE(bank "
+        "MATCH (a:Account)-[t:Transfer WHERE t.amount > 14M]->(b:Account) "
+        "COLUMNS (a AS src_el, b.owner AS dst)) AS gt ON gt.src_el = acc.ID "
+        "WHERE acc.isBlocked = 'yes'",
+        False,
+        [("a18", "owner2"), ("a18", "owner28"), ("a2", "owner27"), ("a3", "owner20"),
+         ("a33", "owner15"), ("a34", "owner19"), ("a34", "owner58"), ("a34", "owner9"),
+         ("a4", "owner19"), ("a5", "owner42"), ("a5", "owner59"), ("a51", "owner18"),
+         ("a52", "owner53"), ("a52", "owner58"), ("a53", "owner24"), ("a55", "owner18"),
+         ("a7", "owner7"), ("a9", "owner37"), ("a9", "owner39"), ("a9", "owner44"),
+         ("a9", "owner9")],
+    ),
+    "hr_sql_gt_join": (
+        f"SELECT acc.owner, gt.src FROM {GT_BIG} AS gt JOIN Account AS acc "
+        "ON acc.owner = gt.dst WHERE acc.isBlocked = 'yes'",
+        False,
+        [("owner18", "owner51"), ("owner18", "owner55"), ("owner2", "owner18"),
+         ("owner37", "owner9"), ("owner44", "owner9"), ("owner53", "owner52"),
+         ("owner7", "owner7"), ("owner9", "owner34"), ("owner9", "owner9")],
+    ),
+    "hr_sql_base_join": (
+        "SELECT a.owner, t.amount FROM Account AS a JOIN Transfer AS t "
+        "ON t.SRC = a.ID WHERE a.isBlocked = 'yes' AND t.amount > 14000000",
+        False,
+        [("owner18", 15000000), ("owner18", 17000000), ("owner2", 16000000),
+         ("owner3", 17000000), ("owner33", 18000000), ("owner34", 15000000),
+         ("owner34", 17000000), ("owner34", 17000000), ("owner4", 17000000),
+         ("owner5", 16000000), ("owner5", 17000000), ("owner51", 17000000),
+         ("owner52", 17000000), ("owner52", 17000000), ("owner53", 17000000),
+         ("owner55", 16000000), ("owner7", 16000000), ("owner9", 15000000),
+         ("owner9", 16000000), ("owner9", 17000000), ("owner9", 18000000)],
+    ),
+    "hr_sql_three_way": (
+        "SELECT c.name AS city, COUNT(*) AS n FROM Account AS a "
+        "JOIN isLocatedIn AS l ON l.SRC = a.ID JOIN CityCountry AS c ON c.ID = l.DST "
+        "WHERE a.isBlocked = 'yes' GROUP BY c.name ORDER BY city",
+        True,
+        [("city0", 5), ("city1", 5), ("city2", 7)],
+    ),
+    "hr_sql_sort": (
+        "SELECT t.ID, t.amount FROM Transfer AS t WHERE t.amount > 18000000 "
+        "ORDER BY amount DESC, ID",
+        True,
+        [("t117", 19000000), ("t189", 19000000), ("t193", 19000000), ("t40", 19000000)],
+    ),
+    "hr_sql_top": (
+        "SELECT a.owner FROM Account AS a WHERE a.isBlocked = 'yes' ORDER BY owner DESC",
+        True,
+        [("owner9",), ("owner7",), ("owner55",), ("owner53",), ("owner52",),
+         ("owner51",), ("owner5",), ("owner44",), ("owner4",), ("owner37",),
+         ("owner35",), ("owner34",), ("owner33",), ("owner3",), ("owner22",),
+         ("owner2",), ("owner18",)],
+    ),
+    "hr_sql_count": (
+        "SELECT a.isBlocked, COUNT(*) AS n FROM Account AS a GROUP BY a.isBlocked",
+        False,
+        [("no", 43), ("yes", 17)],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bank():
+    graph = random_transfer_network(60, 240, seed=7, blocked_fraction=0.25)
+    database = Database()
+    database.register_graph("bank", graph)
+    for name, table in tabular_representation(graph).items():
+        database.register_table(name, table)
+    return database
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        {},
+        {"config": MatcherConfig(use_columnar=False)},
+        {"sql_config": SqlConfig(optimizer_rules=frozenset())},
+    ],
+    ids=["default", "object-matcher", "no-sql-optimizer"],
+)
+@pytest.mark.parametrize("name", HOST_RELATIONAL_SQL)
+def test_host_relational_shape_returns_the_pinned_rows(bank, name, mode):
+    text, ordered, expected = HOST_RELATIONAL_SQL[name]
+    got = rows(bank.execute(text, **mode))
+    assert (got if ordered else sorted(got, key=repr)) == expected
+
+
+# ----------------------------------------------------------------------
+# Key identity equals `=`; errors are ReproErrors
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def mixed_db():
+    """L(v) = {1, TRUE}, R(w) = {1, TRUE, 1.0}: to Python 1 == True == 1.0,
+    to ``=`` a boolean and a number are incomparable."""
+    database = Database()
+    database.register_table("L", Table(["v"], [(1,), (True,)], name="L"))
+    database.register_table("R", Table(["w"], [(1,), (True,), (1.0,)], name="R"))
+    database.register_table(
+        "T", Table(["k", "v"], [(1, 1), (2, True), (3, 1.0), (4, NULL), (5, "x"), (6, "x")])
+    )
+    return database
+
+
+def typed(table):
+    """Rows by repr: ``(1,) == (True,)`` to Python, so compare the text."""
+    return [repr(row) for row in table.rows]
+
+
+class TestKeyIdentityIsEquality:
+    MATCHES = ["(1, 1)", "(1, 1.0)", "(True, True)"]
+
+    def test_hash_join_pairs_what_equals_pairs(self, mixed_db):
+        table = mixed_db.execute("SELECT l.v, r.w FROM L AS l JOIN R AS r ON l.v = r.w")
+        assert typed(table) == self.MATCHES
+
+    def test_nested_loop_over_the_same_condition_agrees(self, mixed_db):
+        table = mixed_db.execute(
+            "SELECT l.v, r.w FROM L AS l JOIN R AS r ON l.v <= r.w AND l.v >= r.w"
+        )
+        assert typed(table) == self.MATCHES
+
+    def test_union_keeps_the_boolean(self, mixed_db):
+        table = mixed_db.execute("SELECT v FROM L UNION SELECT w FROM R")
+        assert typed(table) == ["(1,)", "(True,)"]
+
+    def test_distinct_keeps_the_boolean(self, mixed_db):
+        table = mixed_db.execute("SELECT DISTINCT v FROM T")
+        assert typed(table) == ["(1,)", "(True,)", "(NULL,)", "('x',)"]
+
+    def test_group_by_does_not_merge_them(self, mixed_db):
+        table = mixed_db.execute("SELECT v, COUNT(*) AS n FROM T GROUP BY v")
+        assert typed(table) == ["(1, 2)", "(True, 1)", "(NULL, 1)", "('x', 2)"]
+
+    def test_count_distinct_counts_them_apart(self, mixed_db):
+        table = mixed_db.execute("SELECT COUNT(DISTINCT w) AS n FROM R")
+        assert rows(table) == [(2,)]
+
+
+class TestExpressionErrors:
+    """A wrong query raises a ReproError on every path, never Python's own."""
+
+    def test_non_boolean_predicate_names_the_expression(self, mixed_db):
+        with pytest.raises(ExpressionError, match="v is not a condition"):
+            mixed_db.execute("SELECT k FROM T WHERE v")
+
+    def test_the_interpreted_form_of_the_same_predicate(self, mixed_db):
+        # NOT falls back to Expr.evaluate; `k > 4` alone is compiled
+        with pytest.raises(ExpressionError, match="v is not a condition"):
+            mixed_db.execute("SELECT k FROM T WHERE NOT (v) AND k > 4")
+
+    def test_aggregate_over_values_that_do_not_combine(self, mixed_db):
+        with pytest.raises(ExpressionError, match="SUM over values that do not combine"):
+            mixed_db.execute("SELECT SUM(v) FROM T")
+        with pytest.raises(ExpressionError, match="MAX over values"):
+            mixed_db.execute("SELECT MAX(v) FROM T")
+
+    def test_compiled_conjuncts_short_circuit(self, mixed_db):
+        """The documented deviation from ``And.evaluate`` (see
+        repro.gpml.predicates): `k = 9` rejects every row, and the
+        non-boolean `v` is never asked for its truth.  (In SQL the planner's
+        per-leaf split already stacks one filter per conjunct; the GQL
+        FILTER in tests/gql/test_return_tail.py is one compiled AND.)"""
+        assert rows(mixed_db.execute("SELECT k FROM T WHERE k = 9 AND v")) == []
+        with pytest.raises(ExpressionError, match="v is not a condition"):
+            mixed_db.execute("SELECT k FROM T WHERE k = 5 AND v")

@@ -135,3 +135,49 @@ def test_matcher_config_fields_are_the_seven_it_had():
         "max_steps", "max_results", "max_depth", "default_edge_cost",
         "use_planner", "seed_chained_match", "use_columnar",
     ]
+
+
+HOST_CONSUMERS = ("rowops.py", "sql/operators.py", "pgq/graph_table.py", "gql/pipeline.py")
+
+
+def test_the_hosts_compile_expressions_with_the_kernels_compiler():
+    """One compiler: the module the search kernels take ``value_test``
+    from is the one every host operator takes its row closures from."""
+    for module in HOST_CONSUMERS + ("gpml/matcher.py", "gpml/frontier.py"):
+        assert "repro.gpml.predicates" in imported_modules(SRC / module), module
+    assert {"row_value", "row_values", "row_test"} <= defined_names(
+        SRC / "gpml/predicates.py"
+    )
+    for module in HOST_CONSUMERS:
+        assert not {"row_value", "row_values", "row_test"} & defined_names(SRC / module), module
+    # the per-row interpreter helpers the join used to carry are gone
+    assert not {"evaluate", "holds"} & defined_names(SRC / "sql/operators.py")
+
+
+def test_no_operator_interprets_an_expression_per_row():
+    """No ``.evaluate(`` / ``.truth(`` call and no context construction
+    inside a loop or comprehension of the operator modules: the fallback
+    closure lives in the compiler."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for module in ("rowops.py", "sql/operators.py"):
+        for loop in ast.walk(ast.parse((SRC / module).read_text())):
+            if not isinstance(loop, loops):
+                continue
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr in ("evaluate", "truth"):
+                    found.append(f"{module}:{node.lineno} .{func.attr}(")
+                if isinstance(func, ast.Name) and func.id in ("RowContext", "EvalContext"):
+                    found.append(f"{module}:{node.lineno} {func.id}(")
+    assert found == []
+
+
+def test_sql_config_fields_are_the_two_it_had():
+    from dataclasses import fields
+
+    from repro.sql.config import SqlConfig
+
+    assert [f.name for f in fields(SqlConfig)] == ["optimizer_rules", "semi_join_max_keys"]
