@@ -33,9 +33,9 @@ materializing wrappers :func:`match` / ``execute_gql`` produce exactly
 
 ``match(graph, "MATCH ...")`` is the one-call public entry point;
 ``prepare`` caches everything up to step 4 for repeated execution.
-:func:`iter_seeded_rows` is the anchored variant behind GQL's chained
-MATCH: it runs a single-pattern query from explicit start nodes (forward
-or reversed), one seeded search per upstream binding row.
+:func:`seeded_stages` is the anchored variant behind GQL's chained
+MATCH: the stage tree of a single-pattern query run from explicit start
+nodes (forward or reversed), one seeded search per upstream binding row.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.gpml.selectors import apply_selector
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
-from repro.obs.trace import STAGE, Span
+from repro.obs.trace import STAGE
 from repro.planner.anchor import RIGHT, reverse_binding
 from repro.planner.plan import PatternPlan, plan_query
 from repro.rowops import Filter, Operator, attach_spans
@@ -460,7 +460,7 @@ class _Search(_Stage):
         stats: Optional[PipelineStats],
         seeds: Optional[list[str]] = None,
         reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
-        owner: Optional[Span] = None,
+        owner: Optional[Operator] = None,
     ):
         self.graph = graph
         self.prepared = prepared
@@ -470,7 +470,7 @@ class _Search(_Stage):
         self.stats = stats
         self.seeds = seeds
         self.reversed_run = reversed_run
-        #: a seeded run's aggregate span (see :func:`iter_seeded_rows`)
+        #: the operator a seeded run aggregates onto (see :func:`seeded_stages`)
         self.owner = owner
         self.path = prepared.normalized.paths[index]
         self.analysis = prepared.analysis.paths[index]
@@ -498,9 +498,9 @@ class _Search(_Stage):
         matcher, plan, span = self.matcher, self.plan, self.span
         if plan is not None:
             plan.observed_candidates = matcher.initial_candidate_count
-        if self.owner is not None:
-            self.owner.steps += matcher.steps
-            self.owner.bump("seeded_runs")
+        if self.owner is not None and self.owner.span is not None:
+            self.owner.span.steps += matcher.steps
+            self.owner.span.bump("seeded_runs")
         if span is None:
             return
         span.steps = matcher.steps
@@ -800,18 +800,18 @@ def _run_strategy(matcher: Matcher, path, analysis) -> Iterator[PathBinding]:
     raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
 
 
-def iter_seeded_rows(
-    graph: PropertyGraph,
+def seeded_stages(
+    graph: Optional[PropertyGraph],
     prepared: PreparedQuery,
     config: MatcherConfig,
-    start_nodes: list[str],
+    start_nodes: Optional[list[str]],
     *,
     reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
-    span: Optional[Span] = None,
-) -> Iterator[BindingRow]:
-    """Binding rows of a single-pattern query anchored at explicit nodes.
+    owner: Optional[Operator] = None,
+) -> Operator:
+    """The stage tree of a single-pattern query anchored at explicit nodes.
 
     This is the engine primitive behind GQL's chained ``MATCH``: a later
     statement whose pattern pins an end element to a variable bound
@@ -819,32 +819,33 @@ def iter_seeded_rows(
     from exactly the bound node instead of every candidate in the graph.
     ``reversed_run`` carries a pre-compiled reversed pattern + NFA (see
     :mod:`repro.planner.anchor`) when the bound variable pins the *right*
-    end.  The run is the per-pattern subtree of :func:`match_stages`
+    end.  The tree is the per-pattern subtree of :func:`match_stages`
     built over the explicit seeds, with the prepared pattern's final
     WHERE and KEEP on top (the caller strips them from ``prepared`` when
-    they must instead see upstream bindings).
+    they must instead see upstream bindings).  ``graph`` and
+    ``start_nodes`` may be None to render it.
 
     Soundness mirrors the planner's anchor machinery: restricting the
     start candidates to one node selects whole endpoint partitions, so
     selectors and KEEP — which choose per endpoint partition — see
     exactly the partitions a full run would have produced for that node.
 
-    ``span``, when given, *aggregates* across seeded runs: one chained
+    ``owner``, when given, *aggregates* across seeded runs: one chained
     MATCH statement may run thousands of seeded searches, so instead of
-    one span per seed the caller's statement span accumulates the step
+    one span per seed the owning operator's span accumulates the step
     total and a ``seeded_runs`` tally.  Each matcher's steps are added
     exactly once, when its run closes.
     """
     if prepared.num_path_patterns != 1:
         raise GpmlEvaluationError(
-            "iter_seeded_rows requires a single-pattern query; "
+            "a seeded search requires a single-pattern query; "
             f"got {prepared.num_path_patterns} patterns"
         )
     search = _Search(
         graph, prepared, 0, config, budget, stats,
-        seeds=start_nodes, reversed_run=reversed_run, owner=span,
+        seeds=start_nodes, reversed_run=reversed_run, owner=owner,
     )
-    return _postfilter_stages(_pattern_stages(search), graph, prepared).run()
+    return _postfilter_stages(_pattern_stages(search), graph, prepared)
 
 
 class SeededSearch:
@@ -853,18 +854,18 @@ class SeededSearch:
     Both hosts anchor searches at runtime-known nodes through this object:
     GQL's chained MATCH seeds one run per incoming binding row, and the
     SQL planner's join-through-GRAPH_TABLE rewrite seeds one run per probe
-    row.  Each :meth:`run` wraps :func:`iter_seeded_rows` for one seed
-    node and yields ``(values, paths)`` items.
+    row.  Each :meth:`run` runs :func:`seeded_stages` for one seed node
+    and yields ``(values, paths)`` items.
 
     Probe streams repeat seeds (hub nodes), and re-running the identical
     anchored search per duplicate would cost more than the hash join it
     replaces — so complete runs are memoized per seed id.  Only
     *exhausted* runs are cached: a run abandoned mid-way (satisfied row
     budget closed the generator) never populates the memo, so a truncated
-    candidate list can never be replayed as if complete.  ``span``, when
-    given, aggregates ``seeded_runs`` / ``seed_memo_hit`` /
-    ``seed_memo_miss`` tallies and the matchers' step totals instead of
-    exploding into one span per seed.
+    candidate list can never be replayed as if complete.  ``owner``, the
+    operator the searches run for, aggregates ``seeded_runs`` /
+    ``seed_memo_hit`` / ``seed_memo_miss`` tallies and the matchers' step
+    totals on its span instead of exploding into one span per seed.
     """
 
     def __init__(
@@ -876,7 +877,7 @@ class SeededSearch:
         reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
         budget: Optional[RowBudget] = None,
         stats: Optional[PipelineStats] = None,
-        span: Optional[Span] = None,
+        owner: Operator,
     ):
         self.graph = graph
         self.prepared = prepared
@@ -884,25 +885,23 @@ class SeededSearch:
         self.reversed_run = reversed_run
         self.budget = budget
         self.stats = stats
-        self.span = span
+        self.owner = owner
         self._memo: dict[str, list[tuple[dict, list]]] = {}
 
     def run(self, seed_id: str) -> Iterator[tuple[dict[str, Any], list]]:
         """All ``(values, paths)`` rows whose anchored end is *seed_id*."""
         cached = self._memo.get(seed_id)
         if cached is not None:
-            if self.span is not None:
-                self.span.bump("seed_memo_hit")
+            self.owner.trace_bump("seed_memo_hit")
             yield from cached
             return
-        if self.span is not None:
-            self.span.bump("seed_memo_miss")
+        self.owner.trace_bump("seed_memo_miss")
         acc: list[tuple[dict, list]] = []
-        for m in iter_seeded_rows(
+        for m in seeded_stages(
             self.graph, self.prepared, self.config, [seed_id],
             reversed_run=self.reversed_run, budget=self.budget,
-            stats=self.stats, span=self.span,
-        ):
+            stats=self.stats, owner=self.owner,
+        ).run():
             item = (m.values, m.paths)
             acc.append(item)
             yield item

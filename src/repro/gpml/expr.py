@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, GraphError
 from repro.graph.model import Edge, Node
 from repro.graph.path import Path
 from repro.values import (
@@ -184,7 +184,10 @@ def property_value(element: Any, prop: str, var_name: str = "?") -> Any:
     if is_null(element):
         return NULL
     if isinstance(element, (Node, Edge)):
-        return element.get(prop)
+        try:
+            return element.get(prop)
+        except GraphError as dead:  # the query deleted what var_name holds
+            raise GraphError(f"{dead}: cannot read {var_name}.{prop}") from None
     if isinstance(element, (list, tuple)):
         raise ExpressionError(
             f"group variable {var_name!r} referenced as a singleton "

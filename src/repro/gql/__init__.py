@@ -10,7 +10,7 @@ statements over a working table of binding rows, ending in RETURN:
 FILTER cond }+ RETURN [DISTINCT] items [ORDER BY ...] [LIMIT n]
 [OFFSET n]``
 
-See :mod:`repro.gql.pipeline` for the statement transformers and the
+See :mod:`repro.gql.pipeline` for the statement operators and the
 seeded / hash-join execution of chained MATCH.
 """
 

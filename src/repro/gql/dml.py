@@ -1,13 +1,15 @@
 """GQL write statements: INSERT, SET, DELETE in the linear pipeline.
 
-PR 4 made GQL statements composable transformers over the working table
-of binding rows; a write statement is just another stage.  ``INSERT``
-creates a path's worth of elements per incoming row (binding fresh
-variables), ``SET`` updates properties/labels of bound elements,
-``DELETE`` removes them.  All three are **pipeline breakers**: each
+GQL statements are row operators over the working table of binding rows
+(:mod:`repro.gql.pipeline`); a write statement is just another one.
+``INSERT`` creates a path's worth of elements per incoming row (binding
+fresh variables), ``SET`` updates properties/labels of bound elements,
+``DELETE`` removes them.  All three are **blocking** operators: each
 materializes its incoming rows before mutating, so upstream pattern
 searches finish against the pre-statement graph and never observe their
-own writes (the classic Halloween problem).
+own writes (the classic Halloween problem).  Property and value
+expressions are compiled once per operator, on its first pull, by the
+hosts' one expression compiler.
 
 Grammar (see docs/dml.md for the full table)::
 
@@ -36,30 +38,27 @@ Semantics follow Cypher/GQL practice where the paper is silent:
   removed by an earlier row; deleting a node that still has incident
   edges is an error unless ``DETACH`` is given.
 
-Transactionality lives one level up (:func:`repro.gql.query` wraps the
-whole query in :meth:`PropertyGraph.begin_mutation`): any error — here
-or in a later statement — rolls the graph back to its pre-query state.
+Transactionality lives one level up (:class:`repro.gql.query.Transaction`,
+the root operator of a write query, wraps the whole tree in
+:meth:`PropertyGraph.begin_mutation`): any error — here or in a later
+statement — rolls the graph back to its pre-query state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import GqlError
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.lexer import IDENT
 from repro.gpml.parser import GpmlParser
-from repro.gpml.streaming import BLOCKING, PipelineStats, RowBudget
-from repro.gpml.matcher import MatcherConfig
+from repro.gpml.predicates import row_value
+from repro.gpml.streaming import BLOCKING
+from repro.gql.pipeline import SINGLETON, VALUE, Statement, check_known_variables
 from repro.graph.model import Edge, Node, PropertyGraph
-from repro.obs.trace import Span
+from repro.rowops import Operator
 from repro.values import NULL, is_null
-
-#: variable-kind names shared with repro.gql.pipeline (string constants
-#: here to keep the import DAG acyclic: pipeline imports this module)
-_SINGLETON = "singleton"
-_VALUE = "value"
 
 
 # ----------------------------------------------------------------------
@@ -250,30 +249,20 @@ def parse_delete_statement(parser: GpmlParser, text: str) -> DeleteStatement:
 
 
 # ----------------------------------------------------------------------
-# Compilation (driven by repro.gql.pipeline.compile_pipeline)
+# Static checks (driven by repro.gql.pipeline.compile_pipeline)
 # ----------------------------------------------------------------------
-def _check_expr(expr: Expr, known: dict[str, str], text: str) -> None:
-    unknown = expr.variables() - set(known)
-    if unknown:
-        raise GqlError(
-            f"unknown variable(s) {', '.join(sorted(unknown))} in {text!r}"
-        )
-
-
 def _require_element_var(var: str, bound: dict[str, str], text: str) -> None:
     if var not in bound:
         raise GqlError(f"unknown variable {var!r} in {text!r}")
-    if bound[var] not in (_SINGLETON, _VALUE):
+    if bound[var] not in (SINGLETON, VALUE):
         raise GqlError(
             f"variable {var!r} is a {bound[var]} and cannot be mutated "
             f"in {text!r}; only singleton element variables can"
         )
 
 
-def compile_insert(
-    statement: InsertStatement, bound: dict[str, str]
-) -> tuple["CompiledInsert", list[str]]:
-    """Static checks; returns the compiled stage + newly bound variables.
+def check_insert(statement: InsertStatement, bound: dict[str, str]) -> list[str]:
+    """Static checks; returns the newly bound variables.
 
     ``bound`` is read-only here; the caller records the new variables.
     Checks follow creation order (nodes left to right, each edge right
@@ -284,7 +273,7 @@ def compile_insert(
     new_vars: list[str] = []
 
     def bind(var: str) -> None:
-        known[var] = _SINGLETON
+        known[var] = SINGLETON
         new_vars.append(var)
 
     for path in statement.paths:
@@ -299,7 +288,7 @@ def compile_insert(
                 _require_element_var(node.var, known, statement.text)
             else:
                 for _, expr in node.props:
-                    _check_expr(expr, known, statement.text)
+                    check_known_variables(expr, known, statement.text)
                 if node.var is not None:
                     bind(node.var)
             if index > 0:
@@ -310,141 +299,138 @@ def compile_insert(
                         f"edge variables must be fresh (in {statement.text!r})"
                     )
                 for _, expr in edge.props:
-                    _check_expr(expr, known, statement.text)
+                    check_known_variables(expr, known, statement.text)
                 if edge.var is not None:
                     bind(edge.var)
-    return CompiledInsert(statement), new_vars
+    return new_vars
 
 
-def compile_set(statement: SetStatement, bound: dict[str, str]) -> "CompiledSet":
+def check_set(statement: SetStatement, bound: dict[str, str]) -> list[str]:
     for item in statement.items:
         _require_element_var(item.var, bound, statement.text)
         if item.value is not None:
-            _check_expr(item.value, bound, statement.text)
-    return CompiledSet(statement)
+            check_known_variables(item.value, bound, statement.text)
+    return []  # binds nothing
 
 
-def compile_delete(
-    statement: DeleteStatement, bound: dict[str, str]
-) -> "CompiledDelete":
+def check_delete(statement: DeleteStatement, bound: dict[str, str]) -> list[str]:
     for var in statement.variables:
         _require_element_var(var, bound, statement.text)
-    return CompiledDelete(statement)
+    return []
 
 
 # ----------------------------------------------------------------------
-# Compiled stages (apply() signature shared with the read statements)
+# The operators (built by repro.gql.pipeline.build_chain)
 # ----------------------------------------------------------------------
-def _eval_props(
-    graph: PropertyGraph, row: dict[str, Any], props: list[tuple[str, Expr]]
-) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    ctx = EvalContext(bindings=row, graph=graph)
-    for name, expr in props:
-        value = expr.evaluate(ctx)
-        if not is_null(value):  # NULL-valued properties are omitted
-            out[name] = value
-    return out
+class _Write(Statement):
+    """A write statement: blocking — the rows it mutates for are complete
+    before the first mutation, so upstream reads have finished."""
+
+    blocking = True
+
+    def __init__(
+        self, upstream: Operator, label: str, statement: Any,
+        graph: Optional[PropertyGraph],
+    ):
+        super().__init__(upstream, label, statement)
+        self.graph = graph
+
+    def detail_lines(self) -> list[str]:
+        return [f"[{BLOCKING}] materialize incoming rows, then {self.effect()}"]
 
 
-@dataclass
-class CompiledInsert:
-    statement: InsertStatement
+def _property_map(props: list[tuple[str, Expr]]) -> Callable[[dict], dict[str, Any]]:
+    """``row -> {name: value}`` of one inserted element's properties."""
+    readers = [(name, row_value(expr, EvalContext)) for name, expr in props]
 
-    def mode_lines(self) -> list[str]:
+    def read(row: dict[str, Any]) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        for name, value_of in readers:
+            value = value_of(row)
+            if not is_null(value):  # NULL-valued properties are omitted
+                out[name] = value
+        return out
+
+    return read
+
+
+class Insert(_Write):
+    def effect(self) -> str:
         created = sum(
             len(path.nodes) + len(path.edges) for path in self.statement.paths
         )
-        return [
-            f"[{BLOCKING}] materialize incoming rows, then create up to "
-            f"{created} element(s) per row"
-        ]
+        return f"create up to {created} element(s) per row"
 
-    def apply(
-        self,
-        graph: PropertyGraph,
-        incoming: Iterator[dict[str, Any]],
-        config: MatcherConfig,
-        budget: Optional[RowBudget],
-        stats: Optional[PipelineStats],
-        span: Optional[Span] = None,
-    ) -> Iterator[dict[str, Any]]:
+    def rows(self) -> Iterator[dict[str, Any]]:
+        graph = self.graph
+
+        def compiled(elements: list) -> list[tuple[Any, Callable[[dict], dict]]]:
+            return [(element, _property_map(element.props)) for element in elements]
+
+        paths = [
+            (compiled(path.nodes), compiled(path.edges))
+            for path in self.statement.paths
+        ]
         out = []
-        for row in list(incoming):  # pipeline breaker: upstream reads finish
+        for row in list(self.upstream.run()):
             row = dict(row)
-            for path in self.statement.paths:
+            for nodes, edges in paths:
                 previous: Optional[str] = None
-                for index, node in enumerate(path.nodes):
-                    current = self._resolve_node(graph, row, node)
+                for index, (node, node_props) in enumerate(nodes):
+                    current = self._resolve_node(row, node, node_props)
                     if index > 0:
-                        edge = path.edges[index - 1]
+                        edge, edge_props = edges[index - 1]
                         first, second = (
                             (previous, current) if edge.right else (current, previous)
                         )
                         handle = graph.add_edge(
-                            None,
-                            first,
-                            second,
-                            labels=edge.labels,
-                            properties=_eval_props(graph, row, edge.props),
+                            None, first, second,
+                            labels=edge.labels, properties=edge_props(row),
                         )
                         if edge.var is not None:
                             row[edge.var] = handle
                     previous = current
             out.append(row)
-        return iter(out)
+        yield from out
 
     def _resolve_node(
-        self, graph: PropertyGraph, row: dict[str, Any], node: InsertNode
+        self, row: dict[str, Any], node: InsertNode, props: Callable[[dict], dict]
     ) -> str:
+        graph, text = self.graph, self.statement.text
         if node.var is not None and node.var in row:
             value = row[node.var]
             if is_null(value):
                 raise GqlError(
                     f"INSERT cannot attach an edge to NULL-bound variable "
-                    f"{node.var!r} (in {self.statement.text!r})"
+                    f"{node.var!r} (in {text!r})"
                 )
             if not isinstance(value, Node):
-                raise GqlError(
-                    f"variable {node.var!r} is not a node "
-                    f"(in {self.statement.text!r})"
-                )
+                raise GqlError(f"variable {node.var!r} is not a node (in {text!r})")
             if not graph.has_node(value.id):
                 raise GqlError(
                     f"node {value.id!r} bound to {node.var!r} was deleted "
-                    f"(in {self.statement.text!r})"
+                    f"(in {text!r})"
                 )
             return value.id
-        handle = graph.add_node(
-            None, labels=node.labels, properties=_eval_props(graph, row, node.props)
-        )
+        handle = graph.add_node(None, labels=node.labels, properties=props(row))
         if node.var is not None:
             row[node.var] = handle
         return handle.id
 
 
-@dataclass
-class CompiledSet:
-    statement: SetStatement
+class Set(_Write):
+    def effect(self) -> str:
+        return f"apply {len(self.statement.items)} update(s) per row"
 
-    def mode_lines(self) -> list[str]:
-        return [
-            f"[{BLOCKING}] materialize incoming rows, then apply "
-            f"{len(self.statement.items)} update(s) per row"
+    def rows(self) -> Iterator[dict[str, Any]]:
+        graph = self.graph
+        items = [
+            (item, None if item.value is None else row_value(item.value, EvalContext))
+            for item in self.statement.items
         ]
-
-    def apply(
-        self,
-        graph: PropertyGraph,
-        incoming: Iterator[dict[str, Any]],
-        config: MatcherConfig,
-        budget: Optional[RowBudget],
-        stats: Optional[PipelineStats],
-        span: Optional[Span] = None,
-    ) -> Iterator[dict[str, Any]]:
-        rows = list(incoming)  # pipeline breaker: upstream reads finish
+        rows = list(self.upstream.run())
         for row in rows:
-            for item in self.statement.items:
+            for item, value_of in items:
                 target = row.get(item.var, NULL)
                 if is_null(target):  # OPTIONAL MATCH miss: skip, like Cypher
                     continue
@@ -455,42 +441,27 @@ class CompiledSet:
                     )
                 if target.id not in graph:
                     continue  # deleted by an earlier row/statement
-                if item.labels is not None:
+                if value_of is None:
                     graph.set_labels(
                         target.id, graph.labels_of(target.id) | frozenset(item.labels)
                     )
+                    continue
+                value = value_of(row)
+                if is_null(value):
+                    graph.remove_property(target.id, item.prop)
                 else:
-                    value = item.value.evaluate(
-                        EvalContext(bindings=row, graph=graph)
-                    )
-                    if is_null(value):
-                        graph.remove_property(target.id, item.prop)
-                    else:
-                        graph.set_property(target.id, item.prop, value)
-        return iter(rows)
+                    graph.set_property(target.id, item.prop, value)
+        yield from rows
 
 
-@dataclass
-class CompiledDelete:
-    statement: DeleteStatement
-
-    def mode_lines(self) -> list[str]:
+class Delete(_Write):
+    def effect(self) -> str:
         mode = "DETACH DELETE" if self.statement.detach else "DELETE"
-        return [
-            f"[{BLOCKING}] materialize incoming rows, then {mode} "
-            f"{', '.join(self.statement.variables)} per row (edges first)"
-        ]
+        return f"{mode} {', '.join(self.statement.variables)} per row (edges first)"
 
-    def apply(
-        self,
-        graph: PropertyGraph,
-        incoming: Iterator[dict[str, Any]],
-        config: MatcherConfig,
-        budget: Optional[RowBudget],
-        stats: Optional[PipelineStats],
-        span: Optional[Span] = None,
-    ) -> Iterator[dict[str, Any]]:
-        rows = list(incoming)  # pipeline breaker: upstream reads finish
+    def rows(self) -> Iterator[dict[str, Any]]:
+        graph = self.graph
+        rows = list(self.upstream.run())
         for row in rows:
             targets: list[Any] = []
             for name in self.statement.variables:
@@ -516,4 +487,13 @@ class CompiledDelete:
                             f"incident edges (use DETACH DELETE)"
                         )
                     graph.remove_node(target.id)
-        return iter(rows)
+        yield from rows
+
+
+#: statement type -> (its static check, ``(statement, bound) -> new variables``;
+#: its operator, ``(upstream, label, statement, graph)``)
+WRITES = {
+    InsertStatement: (check_insert, Insert),
+    SetStatement: (check_set, Set),
+    DeleteStatement: (check_delete, Delete),
+}

@@ -1,11 +1,16 @@
-"""GQL linear composition: the statement pipeline behind a read query.
+"""GQL linear composition: the statements of a query, as row operators.
 
-A GQL read query is not a single pattern match but a *linear
-composition* of statements (PAPER.md §2, §6): each statement consumes an
-incoming table of binding rows and produces a new one, and the final
-RETURN projects the last table.  This module holds the statement AST the
-parser produces, the compiler that turns a statement list into an
-executable pipeline, and the per-statement transformers:
+A GQL query is not a single pattern match but a *linear composition* of
+statements (PAPER.md §2, §6): each statement consumes an incoming table
+of binding rows and produces a new one, and the final RETURN projects
+the last table — a left-deep chain of the joins, selections and
+extensions a relational host already has.  So each statement is one
+:class:`~repro.rowops.Operator` whose first child is the statement
+before it, over a unit-table leaf; RETURN's operators go on top
+(:mod:`repro.gql.query`) and a MATCH's pattern stages hang below: one
+tree to render, trace and run.  This module holds the statement AST the
+parser produces, the compiler that checks a statement list, and the
+operators (:mod:`repro.gql.dml` adds INSERT / SET / DELETE):
 
 * ``MATCH`` — natural-joins the incoming table with the pattern's match
   table on the variables they share; new variables extend each row.
@@ -13,15 +18,15 @@ executable pipeline, and the per-statement transformers:
   partners survives once, its new variables padded with NULL.
 * ``LET x = expr`` — extends every row with computed values.
 * ``FILTER expr`` — keeps the rows whose condition is TRUE (three-valued:
-  UNKNOWN drops the row, like WHERE).
+  UNKNOWN drops the row, like WHERE): the hosts' shared row filter.
 
-Every transformer is a streaming generator (rows in, rows out), and all
-pattern searches of a chain share one
-:class:`~repro.gpml.streaming.RowBudget`: a satisfied ``LIMIT 1`` stops
-the *first* statement's NFA search, not just the last stage.
+Every read operator streams, and all pattern searches of a chain share
+one :class:`~repro.gpml.streaming.RowBudget`: a satisfied ``LIMIT 1``
+stops the *first* statement's NFA search, not just the last stage.
 
 How a chained MATCH executes — three modes, chosen at compile time and
-rendered by ``EXPLAIN``:
+rendered by ``EXPLAIN``; each is one shape of the join operator's second
+child, the pattern subtree it pulls:
 
 * **seeded** (streaming): when the pattern pins an end element to a
   variable bound upstream (an unconditional singleton), each incoming
@@ -30,14 +35,16 @@ rendered by ``EXPLAIN``:
   (:class:`repro.gpml.engine.SeededSearch`, shared with the SQL
   planner's join-through-GRAPH_TABLE rewrite).  This is the
   cross-model-efficiency move: bound variables flow *into* the pattern
-  search instead of being joined after a full enumeration.
+  search instead of being joined after a full enumeration.  The child is
+  the seeded search's stages, once; the runs aggregate on the statement.
 * **direct** (streaming): while the incoming table is still the unit
   table (at most one row — before any MATCH), the pattern streams
   straight out of its stage tree
-  (:func:`~repro.gpml.engine.match_stages`).
+  (:func:`~repro.gpml.engine.match_stages`), the child.
 * **hash join** (build blocks, probe streams): otherwise the pattern's
-  match table is enumerated once into buckets keyed on the shared
-  variables, and each incoming row probes its bucket.
+  match table is enumerated once — the stage tree under a blocking build
+  child — into buckets keyed on the shared variables, and each incoming
+  row probes its bucket.
 
 Semantics notes (documented refinements, see docs/gql.md):
 
@@ -56,7 +63,7 @@ Semantics notes (documented refinements, see docs/gql.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import GqlError
 from repro.gpml import ast
@@ -65,18 +72,19 @@ from repro.gpml.engine import (
     PreparedQuery,
     SeededSearch,
     _apply_keep,
+    _Build,
     _join_key,
     match_stages,
     prepare,
+    seeded_stages,
 )
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.predicates import row_test, row_value
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
-from repro.obs.trace import Span, counted_in, timed_rows
 from repro.planner.anchor import SeedSpec, plan_seed
-from repro.rowops import attach_spans, render_plan
+from repro.rowops import STATEMENT, Filter, Operator
 from repro.values import NULL, is_null
 
 #: variable kinds tracked across statements (for re-declaration checks)
@@ -116,8 +124,48 @@ class FilterStatement:
 
 
 # ----------------------------------------------------------------------
-# Compiled statements
+# Statements as row operators
 # ----------------------------------------------------------------------
+class Rows(Operator):
+    """A leaf of binding rows: the unit table (one empty row) every chain
+    starts from, or a table another part of the plan supplies."""
+
+    columns: list = []  # binding rows are keyed by variable, not position
+    children: list = []
+    context = EvalContext
+
+    def __init__(self, table: Iterable[dict[str, Any]] = ({},), label: str = "unit table"):
+        self.table = table
+        self.label = label
+
+    def rows(self) -> Iterator[dict[str, Any]]:
+        return iter(self.table)
+
+    def describe(self) -> str:
+        return self.label
+
+
+class Statement(Operator):
+    """One GQL statement: a row operator over the statement before it.
+
+    Rows in and out are binding dicts, which the operators above read
+    through ``context``; ``label`` is ``statement #k: <text>``.
+    """
+
+    span_kind = STATEMENT
+    columns: list = []
+    context = EvalContext
+
+    def __init__(self, upstream: Operator, label: str, statement: Any):
+        self.upstream = upstream
+        self.label = label
+        self.statement = statement
+        self.children = [upstream]
+
+    def describe(self) -> str:
+        return self.label
+
+
 @dataclass
 class CompiledMatch:
     """A MATCH statement compiled against the upstream variable set."""
@@ -137,169 +185,188 @@ class CompiledMatch:
     def optional(self) -> bool:
         return self.statement.optional
 
-    def mode_lines(self) -> list[str]:
-        """[streaming]/[blocking] classification for EXPLAIN."""
-        if self.seed is not None:
-            lines = [f"[{STREAMING}] {self.seed.describe()}"]
-        elif self.direct:
+
+class _MatchTable(_Build):
+    """The build side of a hash-joined MATCH: the pattern's whole match
+    table, enumerated once."""
+
+    def describe(self) -> str:
+        keyed = ", ".join(self.keys) or "cross product"
+        return f"hash-join build of the match table ({keyed})"
+
+
+class Match(Statement):
+    """``[OPTIONAL] MATCH``: joins the incoming rows with the pattern's
+    match table on the variables they share.
+
+    The second child is the pattern subtree the join pulls — the mode:
+    the seeded search's stages (a template: each incoming row runs its
+    own copy, aggregated onto this operator), the pattern's full stage
+    tree (direct), or that tree under a blocking build (hash join).
+    """
+
+    def __init__(
+        self,
+        upstream: Operator,
+        label: str,
+        compiled: CompiledMatch,
+        graph: Optional[PropertyGraph],
+        config: MatcherConfig,
+        budget: Optional[RowBudget],
+        stats: Optional[PipelineStats],
+    ):
+        super().__init__(upstream, label, compiled.statement)
+        self.compiled = compiled
+        self.graph = graph
+        self.config = config
+        self.stats = stats
+        seed = compiled.seed
+        self.hashed = seed is None and not compiled.direct
+        # a build side must be complete: it never sees the shared row budget
+        self.budget = None if self.hashed else budget
+        if seed is not None:
+            pattern = seeded_stages(
+                graph, compiled.prepared, config, None,
+                reversed_run=seed.reversed_run, budget=budget, stats=stats,
+            )
+        else:
+            pattern = match_stages(
+                graph, compiled.prepared, config,
+                budget=self.budget, stats=stats, count_rows=False,
+            )
+            if self.hashed:
+                pattern = _MatchTable(pattern, 0, compiled.shared_vars)
+        self.pattern = pattern
+        self.children = [upstream, pattern]
+
+    def detail_lines(self) -> list[str]:
+        """The mode and what else happens per incoming row, each tagged
+        [streaming] or [blocking]."""
+        compiled = self.compiled
+        shared = ", ".join(compiled.shared_vars)
+        if compiled.seed is not None:
+            lines = [f"[{STREAMING}] {compiled.seed.describe()}"]
+        elif compiled.direct:
             lines = [
                 f"[{STREAMING}] direct pattern search (unit incoming table; "
                 f"drives the shared row budget)"
             ]
         else:
-            keyed = (
-                f"keyed on {', '.join(self.shared_vars)}"
-                if self.shared_vars
-                else "cross product"
-            )
+            keyed = f"keyed on {shared}" if shared else "cross product"
             lines = [
                 f"[{BLOCKING}] hash-join build of the full match table ({keyed})",
                 f"[{STREAMING}] probe per incoming row",
             ]
-        if self.residual_where is not None:
+        if compiled.residual_where is not None:
             lines.append(
                 f"[{STREAMING}] correlated WHERE per merged row: "
-                f"{self.residual_where}"
+                f"{compiled.residual_where}"
             )
-        if self.residual_keep is not None:
+        if compiled.residual_keep is not None:
             lines.append(
-                f"[{BLOCKING}] KEEP {self.residual_keep.kind} per incoming row"
+                f"[{BLOCKING}] KEEP {compiled.residual_keep.kind} per incoming row"
             )
-        if self.optional:
+        if compiled.optional:
             lines.append(
                 f"[{STREAMING}] NULL-pad rows without join partners "
-                f"({', '.join(self.new_vars) or 'no new variables'})"
+                f"({', '.join(compiled.new_vars) or 'no new variables'})"
+            )
+        if shared:
+            lines.append(f"join variables: {shared}")
+        if self.budget is not None:
+            lines.append(
+                f"row budget: every statement's search stops after "
+                f"{self.budget.needed} delivered record(s)"
             )
         return lines
 
-    # -- execution -----------------------------------------------------
-    def apply(
-        self,
-        graph: PropertyGraph,
-        incoming: Iterator[dict[str, Any]],
-        config: MatcherConfig,
-        budget: Optional[RowBudget],
-        stats: Optional[PipelineStats],
-        span: Optional[Span] = None,
-    ) -> Iterator[dict[str, Any]]:
-        build: Optional[dict[tuple, list[tuple[dict, list]]]] = None
-        where = self.residual_where
+    def rows(self) -> Iterator[dict[str, Any]]:
+        compiled = self.compiled
+        where, keep = compiled.residual_where, compiled.residual_keep
         residual = None if where is None else row_test(where, EvalContext)
-        # Shared seeded entry point: one anchored run per distinct seed,
-        # hub-skew memoization included (see engine.SeededSearch).
-        search: Optional[SeededSearch] = None
+        partners = self._partners()
+        padding = dict.fromkeys(compiled.new_vars, NULL) if compiled.optional else None
 
-        def matched(budget, span) -> Iterator[BindingRow]:
-            """The pattern's own rows: its stage tree, hung under *span*."""
-            tree = match_stages(
-                graph, self.prepared, config,
-                budget=budget, stats=stats, count_rows=False,
-            )
-            if span is not None:
-                attach_spans(tree, span)
-            return tree.run()
+        def joined(row: dict[str, Any], key: tuple) -> Iterator[tuple[dict, list]]:
+            for values, paths in partners(key):
+                merged = {**row, **values}
+                if residual is None or residual(merged):
+                    yield merged, paths
 
-        def candidates(row: dict[str, Any]) -> Iterator[tuple[dict, list]]:
-            nonlocal build, search
-            if self.seed is not None:
-                if self._any_null(row):
-                    return iter(())
-                seed_key = _join_key(row.get(self.seed.var))
-                if not isinstance(seed_key, str) or not graph.has_node(seed_key):
-                    return iter(())
-                if search is None:
-                    search = SeededSearch(
-                        graph, self.prepared, config,
-                        reversed_run=self.seed.reversed_run,
-                        budget=budget, stats=stats, span=span,
-                    )
-                return (
-                    item for item in search.run(seed_key)
-                    if self._agrees(item[0], row)
+        for row in self.upstream.run():
+            key = self._key(row)
+            merged_rows = () if key is None else joined(row, key)
+            if keep is not None:
+                # KEEP selects among this row's partners that survived
+                # the correlated WHERE
+                survivors = [BindingRow(merged, paths) for merged, paths in merged_rows]
+                merged_rows = (
+                    (kept.values, kept.paths)
+                    for kept in _apply_keep(self.graph, survivors, keep)
                 )
-            if self.direct:
-                return (
-                    (m.values, m.paths)
-                    for m in matched(budget, span)
-                    if self._agrees(m.values, row)
-                )
-            key = self._probe_key(row)
-            if key is None:  # a NULL or non-element value never joins
-                return iter(())
-            if build is None:
-                # Pipeline breaker: the pattern's match table is
-                # enumerated once, without the shared budget (a build
-                # side must be complete).  Only reached once some probe
-                # row actually has joinable keys.
-                build_span = None
-                if span is not None:
-                    keyed = ", ".join(self.shared_vars) or "cross product"
-                    build_span = span.child(
-                        f"hash-join build of the match table ({keyed})",
-                        mode=BLOCKING,
-                    )
-                build = {}
-                rows = matched(None, build_span)
-                if build_span is not None:
-                    rows = timed_rows(build_span, rows)
-                for m in rows:
-                    build_key = tuple(
-                        _join_key(m.values.get(name)) for name in self.shared_vars
-                    )
-                    build.setdefault(build_key, []).append((m.values, m.paths))
-                if build_span is not None:
-                    build_span.peak_rows = sum(
-                        len(entries) for entries in build.values()
-                    )
-            return iter(build.get(key, ()))
-
-        def expansions(row: dict[str, Any]) -> Iterator[dict[str, Any]]:
-            merged_rows = (
-                merged
-                for values, paths in candidates(row)
-                for merged in self._merge(residual, row, values, paths)
-            )
-            if self.residual_keep is None:
-                for merged, _ in merged_rows:
-                    yield merged
-                return
-            survivors = [
-                BindingRow(merged, paths) for merged, paths in merged_rows
-            ]
-            for kept in _apply_keep(graph, survivors, self.residual_keep):
-                yield kept.values
-
-        for row in incoming:
             produced = False
-            for merged in expansions(row):
+            for merged, _ in merged_rows:
                 produced = True
                 yield merged
-            if not produced and self.optional:
-                padded = dict(row)
-                padded.update({name: NULL for name in self.new_vars})
-                yield padded
+            if not produced and padding is not None:
+                yield {**row, **padding}
 
-    def _merge(
-        self, residual, row: dict, values: dict, paths: list
-    ) -> Iterator[tuple[dict, list]]:
-        merged = dict(row)
-        merged.update(values)
-        if residual is not None and not residual(merged):
-            return
-        yield merged, paths
+    def _partners(self) -> Callable[[tuple], Iterable[tuple[dict, list]]]:
+        """``key -> (values, paths)`` of the pattern's matches that join
+        an incoming row with that key, by this statement's mode."""
+        compiled, graph = self.compiled, self.graph
+        if self.hashed:
+            table: Optional[dict[Optional[tuple], list[tuple[dict, list]]]] = None
 
-    def _any_null(self, row: dict[str, Any]) -> bool:
-        return any(is_null(row.get(name, NULL)) for name in self.shared_vars)
+            def probe(key: tuple) -> Iterable[tuple[dict, list]]:
+                nonlocal table
+                if table is None:
+                    # Enumerated lazily: only once some incoming row has
+                    # a joinable key.
+                    table = {}
+                    for m in self.pattern.run():
+                        table.setdefault(self._key(m.values), []).append(
+                            (m.values, m.paths)
+                        )
+                return table.get(key, ())
 
-    def _probe_key(self, row: dict[str, Any]) -> Optional[tuple]:
-        """The row's hash-join key, or None when it cannot join.
+            return probe
+        if compiled.seed is None:
+
+            def direct(key: tuple) -> Iterable[tuple[dict, list]]:
+                matches = ((m.values, m.paths) for m in self.pattern.run())
+                if not key:  # nothing shared: every match joins
+                    return matches
+                return (item for item in matches if self._key(item[0]) == key)
+
+            return direct
+        # One anchored run per distinct seed, hub-skew memoization
+        # included (the entry point shared with SQL's seeded scan).
+        search = SeededSearch(
+            graph, compiled.prepared, self.config,
+            reversed_run=compiled.seed.reversed_run,
+            budget=self.budget, stats=self.stats, owner=self,
+        )
+        position = compiled.shared_vars.index(compiled.seed.var)
+
+        def seeded(key: tuple) -> Iterable[tuple[dict, list]]:
+            seed_id = key[position]
+            if not isinstance(seed_id, str) or not graph.has_node(seed_id):
+                return ()
+            return (item for item in search.run(seed_id) if self._key(item[0]) == key)
+
+        return seeded
+
+    def _key(self, row: dict[str, Any]) -> Optional[tuple]:
+        """The row's join key over the shared variables, or None when it
+        cannot join.
 
         NULL never joins; neither does a value with no hashable join key
         (e.g. a LET-bound list) — the pattern side only ever produces
         element/scalar keys, so such a row has no partners by definition.
         """
         keys = []
-        for name in self.shared_vars:
+        for name in self.compiled.shared_vars:
             value = row.get(name, NULL)
             if is_null(value):
                 return None
@@ -311,116 +378,89 @@ class CompiledMatch:
             keys.append(key)
         return tuple(keys)
 
-    def _agrees(self, values: dict[str, Any], row: dict[str, Any]) -> bool:
-        """Equi-join check on the shared variables (NULL never joins)."""
-        for name in self.shared_vars:
-            mine = values.get(name, NULL)
-            theirs = row.get(name, NULL)
-            if is_null(mine) or is_null(theirs):
-                return False
-            if _join_key(mine) != _join_key(theirs):
-                return False
-        return True
 
+class Let(Statement):
+    """``LET``: extends every row with computed values."""
 
-@dataclass
-class CompiledLet:
-    statement: LetStatement
-
-    def mode_lines(self) -> list[str]:
-        names = ", ".join(name for name, _ in self.statement.assignments)
-        return [f"[{STREAMING}] extend each row with {names}"]
-
-    def apply(self, graph, incoming, config, budget, stats, span=None):
+    def rows(self) -> Iterator[dict[str, Any]]:
         assignments = [
             (name, row_value(expr, EvalContext))
             for name, expr in self.statement.assignments
         ]
-        for row in incoming:
+        for row in self.upstream.run():
             out = dict(row)
             for name, value in assignments:
                 out[name] = value(out)
             yield out
 
+    def detail_lines(self) -> list[str]:
+        names = ", ".join(name for name, _ in self.statement.assignments)
+        return [f"[{STREAMING}] extend each row with {names}"]
 
-@dataclass
-class CompiledFilter:
-    statement: FilterStatement
 
-    def mode_lines(self) -> list[str]:
+class RowFilter(Filter):
+    """``FILTER``: the hosts' shared row filter, named as the statement
+    it is (``label``)."""
+
+    span_kind = STATEMENT
+
+    def describe(self) -> str:
+        return self.label
+
+    def detail_lines(self) -> list[str]:
         return [f"[{STREAMING}] per-row predicate"]
-
-    def apply(self, graph, incoming, config, budget, stats, span=None):
-        return filter(row_test(self.statement.condition, EvalContext), incoming)
 
 
 @dataclass
 class CompiledPipeline:
-    """An executable statement chain plus cross-statement variable facts."""
+    """A checked statement list plus cross-statement variable facts."""
 
+    #: in query order: a :class:`CompiledMatch` per MATCH; the other
+    #: statements need nothing beyond their checks and stay as parsed
     statements: list
     #: group variables of every MATCH statement (horizontal-aggregate set)
     group_vars: frozenset[str]
-    #: visible variables in binding order, across all statements
-    variables: list[str]
     #: True when the chain contains INSERT/SET/DELETE — the executor then
     #: wraps the run in a graph transaction and never pushes a row budget
     has_writes: bool = False
 
-    def run(
-        self,
-        graph: PropertyGraph,
-        config: MatcherConfig | None = None,
-        budget: Optional[RowBudget] = None,
-        stats: Optional[PipelineStats] = None,
-        span: Optional[Span] = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Stream the final binding table as plain value dicts.
 
-        The pipeline starts from the unit table (one empty row); each
-        statement transforms the stream lazily.  ``budget`` — owned by
-        the caller, who takes per delivered record — is threaded into
-        every seeded/direct pattern search so a satisfied consumer stops
-        the earliest statement's NFA search.
+def build_chain(
+    statements: list,
+    source: Operator,
+    graph: Optional[PropertyGraph],
+    config: MatcherConfig | None = None,
+    budget: Optional[RowBudget] = None,
+    stats: Optional[PipelineStats] = None,
+    first: int = 1,
+) -> Operator:
+    """Stack one operator per compiled statement on *source*.
 
-        With a parent ``span`` (the RETURN tree's leaf operator, on a
-        traced run), each statement gets one child span (rows in/out,
-        inclusive time); pattern-search stage spans nest under their
-        statement's span.  Seeded chained MATCH aggregates its per-seed
-        runs into the statement span rather than exploding into one span
-        per incoming row.
-        """
-        config = config or MatcherConfig()
-        rows: Iterator[dict[str, Any]] = iter(({},))
-        for index, statement in enumerate(self.statements):
-            own = None
-            if span is not None:
-                own = span.child(
-                    f"statement #{index + 1}: {statement.statement.text}",
-                    kind="statement",
-                )
-                rows = counted_in(own, rows)
-            rows = statement.apply(graph, rows, config, budget, stats, span=own)
-            if own is not None:
-                rows = timed_rows(own, rows)
-        return rows
+    ``statements`` is (a slice of) :attr:`CompiledPipeline.statements`,
+    numbered from ``first``; ``source`` delivers the binding rows the
+    first of them reads — ``Rows()``, the unit table, for a whole query.
+    ``budget`` — owned by the caller, who takes per delivered record —
+    reaches every seeded and direct pattern search, so a satisfied
+    consumer stops the earliest statement's NFA search; ``graph`` may be
+    None to render the chain.
+    """
+    from repro.gql import dml  # see compile_pipeline
 
-    def describe(self) -> list[str]:
-        """EXPLAIN lines: per statement, its mode and the pattern's stages."""
-        lines: list[str] = []
-        for index, compiled in enumerate(self.statements):
-            lines.append(f"statement #{index + 1}: {compiled.statement.text}")
-            for mode_line in compiled.mode_lines():
-                lines.append(f"  {mode_line}")
-            if isinstance(compiled, CompiledMatch):
-                if compiled.shared_vars:
-                    lines.append(
-                        f"  join variables: {', '.join(compiled.shared_vars)}"
-                    )
-                lines.extend(
-                    render_plan(match_stages(None, compiled.prepared), indent="  ")
-                )
-        return lines
+    config = config or MatcherConfig()
+    op = source
+    for number, item in enumerate(statements, first):
+        if isinstance(item, CompiledMatch):
+            label = f"statement #{number}: {item.statement.text}"
+            op = Match(op, label, item, graph, config, budget, stats)
+            continue
+        label = f"statement #{number}: {item.text}"
+        if isinstance(item, LetStatement):
+            op = Let(op, label, item)
+        elif isinstance(item, FilterStatement):
+            op = RowFilter(op, item.condition, label)
+        else:
+            op = dml.WRITES[type(item)][1](op, label, item, graph)
+    return op
 
 
 # ----------------------------------------------------------------------
@@ -429,20 +469,22 @@ class CompiledPipeline:
 def compile_pipeline(
     statements: list, config: MatcherConfig | None = None
 ) -> CompiledPipeline:
-    """Compile a parsed statement list into an executable pipeline.
+    """Check a parsed statement list and compile its patterns.
 
     Performs the cross-statement variable checks (re-declaration rules),
     splits correlated WHERE/KEEP out of chained patterns, and decides per
-    MATCH how it will execute (seeded / direct / hash join).
+    MATCH how it will execute (seeded / direct / hash join) — the one
+    place ``seed_chained_match`` is read.  :func:`build_chain` turns the
+    result into operators.
     """
-    # Local import: dml imports this module's constants, so the write
-    # statements resolve lazily to keep the import DAG acyclic.
+    # Local import: dml takes Statement and the variable kinds from this
+    # module, so the write statements resolve lazily to keep the import
+    # DAG acyclic.
     from repro.gql import dml
 
     seed_enabled = config.seed_chained_match if config is not None else True
     compiled: list = []
     bound: dict[str, str] = {}  # name -> kind
-    order: list[str] = []
     group_vars: set[str] = set()
     unit_input = True  # incoming table guaranteed at most one row
     has_writes = False
@@ -452,54 +494,35 @@ def compile_pipeline(
             compiled.append(match)
             for analysis in match.prepared.analysis.paths:
                 group_vars |= set(analysis.group_vars)
-            for name in match.new_vars:
-                order.append(name)
+            for name, kind in _match_var_kinds(match.prepared).items():
+                bound.setdefault(name, kind)
             unit_input = False
-        elif isinstance(statement, LetStatement):
+            continue
+        compiled.append(statement)
+        if isinstance(statement, LetStatement):
             for name, expr in statement.assignments:
                 if name in bound:
                     raise GqlError(
                         f"LET cannot re-define variable {name!r} "
                         f"(bound upstream as a {bound[name]})"
                     )
-                _check_known_variables(expr, bound, statement.text)
+                check_known_variables(expr, bound, statement.text)
                 bound[name] = VALUE
-                order.append(name)
-            compiled.append(CompiledLet(statement))
         elif isinstance(statement, FilterStatement):
-            _check_known_variables(statement.condition, bound, statement.text)
-            compiled.append(CompiledFilter(statement))
-        elif isinstance(statement, dml.InsertStatement):
-            stage, new_names = dml.compile_insert(statement, bound)
-            for name in new_names:
+            check_known_variables(statement.condition, bound, statement.text)
+        else:
+            check, _ = dml.WRITES[type(statement)]
+            for name in check(statement, bound):
                 bound[name] = SINGLETON
-                order.append(name)
-            compiled.append(stage)
             has_writes = True
             unit_input = False  # conservatively: writes break streaming anyway
-        elif isinstance(statement, dml.SetStatement):
-            compiled.append(dml.compile_set(statement, bound))
-            has_writes = True
-        elif isinstance(statement, dml.DeleteStatement):
-            compiled.append(dml.compile_delete(statement, bound))
-            has_writes = True
-        else:  # pragma: no cover - parser produces only these kinds
-            raise GqlError(f"unknown statement {statement!r}")
-        if isinstance(statement, MatchStatement):
-            for name, kind in _match_var_kinds(compiled[-1].prepared).items():
-                bound.setdefault(name, kind)
-    return CompiledPipeline(
-        statements=compiled,
-        group_vars=frozenset(group_vars),
-        variables=order,
-        has_writes=has_writes,
-    )
+    return CompiledPipeline(compiled, frozenset(group_vars), has_writes)
 
 
-def _check_known_variables(
+def check_known_variables(
     expr: Expr, bound: dict[str, str], statement_text: str
 ) -> None:
-    """LET/FILTER expressions may only reference upstream variables.
+    """Statement expressions may only reference upstream variables.
 
     A typo would otherwise evaluate to NULL and silently empty the
     result — the same strictness chained MATCH applies to its WHERE.

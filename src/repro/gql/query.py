@@ -1,10 +1,13 @@
-"""GQL read queries: linear statement composition ending in RETURN.
+"""GQL queries: linear statement composition ending in RETURN.
 
 A query is a *linear composition* of statements — ``MATCH``, ``OPTIONAL
 MATCH``, ``LET`` and ``FILTER``, in any order and number — followed by a
 final ``RETURN ... [ORDER BY] [LIMIT/OFFSET]`` (PAPER.md §2, §6).  Each
-statement is a streaming transformer over the working table of binding
-rows (see :mod:`repro.gql.pipeline`); RETURN projects the final table.
+statement is a row operator over the working table of binding rows (see
+:mod:`repro.gql.pipeline`) and RETURN is the row operators SQL plans a
+SELECT with (:mod:`repro.rowops`), so :func:`plan_gql` returns one tree
+from LIMIT down to every pattern search: rendering it is EXPLAIN,
+mirroring it as spans is the trace, ``run()`` executes it.
 
 Execution is streaming end to end when the query allows it:
 :func:`execute_gql_iter` yields projected records as the underlying
@@ -23,8 +26,8 @@ the pattern pins an end element to such a variable, the matcher is
 *seeded* with the bound node per incoming row (reusing the planner's
 anchor machinery); otherwise it falls back to hash-join semantics.
 ``OPTIONAL MATCH`` NULL-pads rows without join partners.  ``EXPLAIN``
-(:func:`explain_gql`) renders the statement pipeline with a
-[streaming]/[blocking] classification per stage.
+(:func:`explain_gql`) renders the tree with a [streaming]/[blocking]
+classification per operator.
 
 Aggregation semantics (documented refinement, matching Cypher/PGQL
 practice and the paper's Section 3 discussion):
@@ -43,7 +46,6 @@ values, and ``length(p)`` / ``nodes(p)`` / ``edges(p)`` work on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Iterator, Optional
 
 from repro.errors import GqlError
@@ -58,10 +60,11 @@ from repro.gql.dml import (
     parse_set_statement,
 )
 from repro.gql.pipeline import (
-    CompiledPipeline,
     FilterStatement,
     LetStatement,
     MatchStatement,
+    Rows,
+    build_chain,
     compile_pipeline,
 )
 from repro.graph.model import PropertyGraph
@@ -330,56 +333,8 @@ def _default_alias(expr: Expr, index: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Planning: the statement chain under the shared row operators
+# Planning: RETURN's row operators over the statements'
 # ----------------------------------------------------------------------
-class StatementChain(Operator):
-    """The leaf under RETURN: the compiled statement chain's binding rows.
-
-    The rows are the chain's binding dicts as they come; the operators
-    above read them through ``context``.
-    """
-
-    columns: list = []  # binding rows are keyed by variable, not position
-    children: list = []
-    context = EvalContext
-
-    def __init__(
-        self,
-        compiled: CompiledPipeline,
-        graph: Optional[PropertyGraph],
-        config: MatcherConfig | None,
-        stats: Optional[PipelineStats],
-        budget: Optional[RowBudget],
-    ):
-        self.compiled = compiled
-        self.graph = graph
-        self.config = config
-        self.stats = stats
-        self.budget = budget
-        #: set by :class:`Transaction`: the chain's rows, run to completion
-        self.table: Optional[list[dict[str, Any]]] = None
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        if self.table is not None:
-            return iter(self.table)
-        return self.compiled.run(
-            self.graph, self.config, self.budget, self.stats, span=self.span
-        )
-
-    def describe(self) -> str:
-        return f"statement chain: {len(self.compiled.statements)} statement(s)"
-
-    def detail_lines(self) -> list[str]:
-        lines = self.compiled.describe()
-        if self.budget is not None:
-            lines.insert(
-                0,
-                f"row budget: every statement's search stops after "
-                f"{self.budget.needed} delivered record(s)",
-            )
-        return lines
-
-
 class VerticalAggregate(BoundAggregate):
     """A GQL aggregate folded over the binding rows of one group.
 
@@ -406,38 +361,45 @@ class Transaction(Operator):
     """Root of a write query: one apply-or-rollback graph transaction.
 
     The tree below — searches, mutations, RETURN — runs the moment
-    :meth:`rows` is called (not when the result is iterated: mutations
+    :meth:`run` is called (not when the result is iterated: mutations
     must not depend on the caller draining it); any error restores the
     pre-query graph (elements, indexes, stats caches, ``version``) and
-    re-raises.  The chain runs to completion first, so every mutation
-    happens before RETURN reads the graph and whatever LIMIT says; it
-    never sees a row budget, which would truncate mutations.
+    re-raises.  The statements (``chain``) run to completion first, so
+    every mutation happens before RETURN reads the graph and whatever
+    LIMIT says; they never see a row budget, which would truncate
+    mutations.  RETURN's operators (``tail``; None without a RETURN)
+    read the finished ``table`` through their leaf.
     """
 
     blocking = True
 
-    def __init__(self, child: Operator, chain: StatementChain):
-        self.child = child
-        self.chain = chain
-        self.columns = child.columns
-        self.children = [child]
+    def __init__(
+        self,
+        chain: Operator,
+        tail: Optional[Operator],
+        table: list[dict[str, Any]],
+        graph: Optional[PropertyGraph],
+        stats: Optional[PipelineStats],
+    ):
+        self.table = table
+        self.graph = graph
+        self.stats = stats
+        self.columns = tail.columns if tail is not None else []
+        self.children = [chain] if tail is None else [chain, tail]
         #: the committed transaction's summary counts
         self.summary: Optional[dict[str, int]] = None
 
+    def run(self) -> Iterator[tuple]:
+        return iter(list(super().run()))
+
     def rows(self) -> Iterator[tuple]:
-        chain = self.chain
-        stats = chain.stats
-        start = perf_counter()
-        txn = chain.graph.begin_mutation()
+        stats = self.stats
+        chain, *tail = self.children
+        txn = self.graph.begin_mutation()
         try:
-            chain.table = list(chain.run())
-            if chain.span is not None:
-                # DML statements run inside rows(), before run() starts its
-                # clock; and the replay below is no execution
-                chain.span.elapsed = perf_counter() - start
-                chain.span = None
-            # no RETURN, no columns: a write-only query delivers nothing
-            records = list(self.child.run()) if self.columns else []
+            self.table.extend(chain.run())
+            # no RETURN: a write-only query delivers nothing
+            records = [row for op in tail for row in op.run()]
         except BaseException:
             txn.rollback()
             if stats is not None:
@@ -449,10 +411,7 @@ class Transaction(Operator):
         if stats is not None:
             stats.transaction = "commit"
             stats.mutations = self.summary
-        if self.span is not None:
-            # run() only times the replay of this eager section
-            self.span.elapsed += perf_counter() - start
-        return iter(records)
+        yield from records
 
     def describe(self) -> str:
         return (
@@ -469,13 +428,17 @@ def plan_gql(
 ) -> Operator:
     """Compile a parsed query into one operator tree.
 
-    The statement chain is the leaf; RETURN becomes the row operators of
-    :mod:`repro.rowops` (the ones the SQL host plans a SELECT with);
-    LIMIT/OFFSET own the row budget, which reaches the chain only when
-    nothing in between blocks — then ``LIMIT 1`` stops the first
-    statement's NFA search after one delivered record; a write query
-    gets a :class:`Transaction` on top.  ``graph`` may be omitted to
-    render the plan.  With ``stats.trace`` set every operator gets a span.
+    The statements are a chain of operators over the unit table
+    (:func:`~repro.gql.pipeline.build_chain`); RETURN becomes the row
+    operators of :mod:`repro.rowops` (the ones the SQL host plans a
+    SELECT with) on top of the last statement; LIMIT/OFFSET own the row
+    budget, which reaches the statements only when nothing in between
+    blocks — then ``LIMIT 1`` stops the first statement's NFA search
+    after one delivered record; a write query gets a
+    :class:`Transaction` as its root, which runs the statements to
+    completion and hands RETURN their table.  ``graph`` may be omitted
+    to render the plan.  With ``stats.trace`` set every operator gets a
+    span.
     """
     compiled = compile_pipeline(parsed.statements, config)
     vertical = vertical_items(parsed, compiled.group_vars)
@@ -484,14 +447,21 @@ def plan_gql(
         vertical or parsed.order_by or compiled.has_writes
     ):
         budget = RowBudget((parsed.offset or 0) + parsed.limit)
-    chain = StatementChain(compiled, graph, config, stats, budget)
-    plan: Operator = chain
+    chain = build_chain(compiled.statements, Rows(), graph, config, budget, stats)
+    table: list[dict[str, Any]] = []  # a write query's final binding rows
+    plan: Optional[Operator] = chain
+    if compiled.has_writes:
+        plan = (
+            Rows(table, "binding table of the completed statements")
+            if parsed.items
+            else None
+        )
     if parsed.items:
         plan = _plan_return(plan, parsed, vertical)
     if parsed.limit is not None or parsed.offset:
         plan = Limit(plan, parsed.limit, parsed.offset or 0, budget)
     if compiled.has_writes:
-        plan = Transaction(plan, chain)
+        plan = Transaction(chain, plan, table, graph, stats)
     if stats is not None and stats.trace is not None:
         attach_spans(plan, stats.trace.root)
     return plan
@@ -658,14 +628,15 @@ def explain_gql(
 ) -> str:
     """Render the plan of a GQL query as text.
 
-    The RETURN operators (the tree and the renderer of SQL's EXPLAIN),
-    each tagged [streaming] or [blocking], over the statement chain: one
-    block per statement with its execution mode (seeded / direct / hash
-    join, LET/FILTER row transforms), the internal GPML pipeline of each
-    MATCH, and whether LIMIT's row budget reaches the chain.  Pass the
-    same ``config`` execution will use so the rendered modes match
-    (``seed_chained_match=False`` shows the hash-join fallback, not the
-    seeded search).
+    A header line, then the tree :func:`plan_gql` builds in SQL's
+    EXPLAIN rendering, nested by data flow: the RETURN operators, each
+    tagged [streaming] or [blocking], over the last statement; under each
+    statement its execution mode (seeded / direct / hash join, LET/FILTER
+    row transforms) and whether LIMIT's row budget reaches it, the
+    statement before it, and — for a MATCH — the pattern stages it pulls.
+    Pass the same ``config`` execution will use so the rendered modes
+    match (``seed_chained_match=False`` shows the hash-join fallback, not
+    the seeded search).
     """
     parsed = parse_gql_query(query) if isinstance(query, str) else query
     tail = "RETURN" if parsed.items else "no RETURN (write-only query)"

@@ -5,14 +5,14 @@ re-running ``MATCH (a:Account WHERE ...)-[:Transfer]->(b ...)`` after
 every mutation, a :class:`StandingQuery` subscribes to the graph's
 change feed (:meth:`PropertyGraph.add_watcher`) and maintains its result
 incrementally, re-matching **only around touched nodes** via the seeded
-per-row search (:func:`repro.gpml.engine.iter_seeded_rows`) — never a
+per-row search (:func:`repro.gpml.engine.seeded_stages`) — never a
 full re-run.
 
 How incremental maintenance works
 ---------------------------------
 
 The result is partitioned by *start node* — the leftmost node of the
-first MATCH's (single) path pattern.  ``iter_seeded_rows`` restricted to
+first MATCH's (single) path pattern.  A seeded run restricted to
 one start ``s`` produces exactly the query rows whose first pattern
 begins at ``s`` (the NFA's entry node test validates the seed, so
 seeding arbitrary node ids is sound), and the union over all nodes is
@@ -64,7 +64,7 @@ from typing import Any, Iterator, Optional
 
 from repro.errors import GqlError
 from repro.gpml import ast
-from repro.gpml.engine import iter_seeded_rows
+from repro.gpml.engine import seeded_stages
 from repro.gpml.expr import EvalContext
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
@@ -73,8 +73,8 @@ from repro.graph.model import PropertyGraph
 from repro.gql.pipeline import (
     SINGLETON,
     CompiledMatch,
-    CompiledPipeline,
-    MatchStatement,
+    Rows,
+    build_chain,
     compile_pipeline,
     _match_var_kinds,
 )
@@ -286,25 +286,26 @@ class StandingQuery:
         One seeded run *per start* for the first statement — per-start
         deduplication then matches what any later refresh of that start
         produces, keeping buckets comparable across time — then a single
-        pass through the remaining statements (their per-row processing
-        is independent row to row, so batching only shares hash-join
-        builds and seed memos, never changes the result).
+        pass through the remaining statements' operators (their per-row
+        processing is independent row to row, so batching only shares
+        hash-join builds and seed memos, never changes the result).
         """
         first = self._first_match()
 
         def tagged() -> Iterator[dict[str, Any]]:
             for start in starts:
-                for match in iter_seeded_rows(
+                for match in seeded_stages(
                     self.graph, first.prepared, self.config, [start], stats=stats
-                ):
+                ).run():
                     row = dict(match.values)
                     row[START_TAG] = start
                     yield row
 
-        rows: Iterator[dict[str, Any]] = tagged()
-        for stage in self.compiled.statements[1:]:
-            rows = stage.apply(self.graph, rows, self.config, None, stats)
-        return rows
+        return build_chain(
+            self.compiled.statements[1:],
+            Rows(tagged(), "statement #1, one seeded run per start"),
+            self.graph, self.config, stats=stats, first=2,
+        ).run()
 
     def _key_of(self, record: dict[str, Any]) -> tuple:
         """Canonical key of a *projected* record.

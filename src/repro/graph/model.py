@@ -96,7 +96,12 @@ class _EdgeData(_ElementData):
 
 
 class _Element:
-    """Shared behaviour of Node and Edge handles."""
+    """Shared behaviour of Node and Edge handles.
+
+    A handle outlives its element (a query may return what it deleted):
+    ``id``, ``==``, ``hash`` and ``repr`` keep working on a dead handle,
+    reading its labels or properties raises :class:`GraphError`.
+    """
 
     __slots__ = ("_graph", "_id")
 
@@ -133,6 +138,12 @@ class _Element:
     def _data(self) -> _ElementData:
         raise NotImplementedError
 
+    def _deleted(self) -> GraphError:
+        kind = type(self).__name__.lower()
+        return GraphError(
+            f"{kind} {self._id!r} was deleted from graph {self._graph.name!r}"
+        )
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, type(self))
@@ -153,7 +164,10 @@ class Node(_Element):
     __slots__ = ()
 
     def _data(self) -> _ElementData:
-        return self._graph._nodes[self._id]
+        try:
+            return self._graph._nodes[self._id]
+        except KeyError:
+            raise self._deleted() from None
 
     def incidences(self) -> list[Incidence]:
         return self._graph.incidences(self._id)
@@ -162,6 +176,8 @@ class Node(_Element):
         return len(self._graph.incidences(self._id))
 
     def __repr__(self) -> str:
+        if self._id not in self._graph._nodes:
+            return f"({self._id} deleted)"
         labels = ":".join(sorted(self.labels))
         return f"({self._id}:{labels})" if labels else f"({self._id})"
 
@@ -172,7 +188,10 @@ class Edge(_Element):
     __slots__ = ()
 
     def _data(self) -> _EdgeData:
-        return self._graph._edges[self._id]
+        try:
+            return self._graph._edges[self._id]
+        except KeyError:
+            raise self._deleted() from None
 
     @property
     def is_directed(self) -> bool:
@@ -221,6 +240,8 @@ class Edge(_Element):
         return {data.first, data.second} == {u, v}
 
     def __repr__(self) -> str:
+        if self._id not in self._graph._edges:
+            return f"-[{self._id} deleted]-"
         data = self._data()
         labels = ":".join(sorted(self.labels))
         tag = f"{self._id}:{labels}" if labels else self._id

@@ -43,7 +43,7 @@ from repro.obs.schema import (
     validate_metrics_document,
     validate_trace_document,
 )
-from repro.obs.trace import TRACE_SCHEMA, QueryTrace, Span, counted_in, timed_rows
+from repro.obs.trace import TRACE_SCHEMA, QueryTrace, Span, timed_rows
 from repro.obs.worklog import QueryRecord, Telemetry, WorkLog
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "WorkLog",
-    "counted_in",
     "log_buckets",
     "normalize_query",
     "query_fingerprint",

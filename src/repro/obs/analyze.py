@@ -117,8 +117,8 @@ def render_analyzed(
 
     A header with the flat counters, then the span tree.  For the hosts
     that tree is the operator tree (``attach_spans`` names each span by
-    the operator's EXPLAIN line — SQL's plan, GQL's RETURN operators)
-    with the statement and engine stage spans nested under its leaves.
+    the operator's EXPLAIN line — SQL's plan, GQL's RETURN operators
+    over its statements) down to the engine's stage spans.
     """
     start = perf_counter()
     count = sum(1 for _ in run())
@@ -154,9 +154,10 @@ def explain_analyze_gql(
     """Execute a GQL query with tracing and render per-stage actuals.
 
     The output follows the span tree — the RETURN operators, the
-    statement chain under them with one block per statement, pattern
-    stages nested — annotated ``rows=…, steps=…, time=…ms`` plus the
-    planner's estimated-vs-actual cardinality on anchored searches.
+    statements under them (the last on top, each over the one before
+    it), pattern stages nested — annotated ``rows=…, steps=…, time=…ms``
+    plus the planner's estimated-vs-actual cardinality on anchored
+    searches.
     """
     from repro.gql.query import execute_gql_iter
 

@@ -51,10 +51,9 @@ class Span:
 
     Counters are plain attributes bumped by the instrumented code:
 
-    ``rows_in`` / ``rows_out``
-        rows consumed from upstream / produced downstream.  ``rows_in``
-        is counted only where the input is not a child span (a GQL
-        statement's incoming table); see :meth:`consumed`.
+    ``rows_out``
+        rows produced downstream; what a span consumed is what its
+        children produced (:meth:`consumed`, exported as ``rows_in``).
     ``steps``
         matcher steps attributed to this stage (edge expansions).
     ``matches``
@@ -78,7 +77,6 @@ class Span:
         "kind",
         "meta",
         "elapsed",
-        "rows_in",
         "rows_out",
         "steps",
         "matches",
@@ -93,7 +91,6 @@ class Span:
         self.kind = kind
         self.meta: Dict[str, Any] = meta
         self.elapsed = 0.0
-        self.rows_in = 0
         self.rows_out = 0
         self.steps = 0
         self.matches = 0
@@ -109,17 +106,10 @@ class Span:
         return span
 
     def consumed(self) -> int:
-        """Rows this span pulled from upstream (exported as ``rows_in``).
-
-        A statement's input is the previous statement's table, counted
-        as it flows; a stage or operator pulls from its children, so its
-        input is their output.
-        """
-        if self.kind == STATEMENT:
-            return self.rows_in
-        return sum(
-            child.rows_out for child in self.children if child.kind != STATEMENT
-        )
+        """Rows this span pulled from upstream (exported as ``rows_in``):
+        a statement, operator or stage pulls from its children, so its
+        input is their output."""
+        return sum(child.rows_out for child in self.children)
 
     def bump(self, counter: str, by: int = 1) -> None:
         """Increment a named tally on this span."""
@@ -255,11 +245,4 @@ def timed_rows(span: Span, rows: Iterable[Any]) -> Iterator[Any]:
             return
         span.elapsed += perf_counter() - start
         span.rows_out += 1
-        yield row
-
-
-def counted_in(span: Span, rows: Iterable[Any]) -> Iterator[Any]:
-    """Wrap an iterator: count rows flowing *into* a stage (no timing)."""
-    for row in rows:
-        span.rows_in += 1
         yield row

@@ -4,9 +4,10 @@ GQL and SQL/PGQ are two thin hosts around one GPML core (Figure 9 of the
 paper), and both finish a query the same way: filter, project, group
 with vertical aggregates, de-duplicate, sort, slice.  This module holds
 that tail once.  :mod:`repro.sql.operators` adds SQL's leaves (table and
-GRAPH_TABLE scans, spools) and its join on top; :mod:`repro.gql.query`
-adds the leaf that wraps a GQL statement chain.  The module imports
-neither host — ``tests/test_layering.py`` enforces the direction.
+GRAPH_TABLE scans, spools) and its join on top; :mod:`repro.gql.pipeline`
+adds GQL's statements, each an operator over the statement before it.
+The module imports neither host — ``tests/test_layering.py`` enforces
+the direction.
 
 Every operator exposes its output schema (``columns``), a lazy ``rows()``
 generator and an EXPLAIN description.  Streaming operators (filter,
@@ -16,9 +17,9 @@ and say so through ``blocking``.
 
 Rows are opaque to the operators: an expression reads them through the
 ``context`` of the operator that emits them — positional value tuples
-(:class:`RowContext`) unless a leaf says otherwise, as GQL's leaf does
-for its binding dicts.  ``Project`` and ``Aggregate`` compute new rows
-and always emit tuples.
+(:class:`RowContext`) unless an operator says otherwise, as GQL's
+statements do for their binding dicts.  ``Project`` and ``Aggregate``
+compute new rows and always emit tuples.
 
 No operator walks an expression tree per row: predicates, projections,
 keys and aggregate arguments are compiled by :mod:`repro.gpml.predicates`
@@ -39,7 +40,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.gpml.expr import BoundColumn, EvalContext, Expr, RowContext, fold_aggregate, rebuild
 from repro.gpml.predicates import row_test, row_value, row_values
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
-from repro.obs.trace import OPERATOR, Span, timed_rows
+from repro.obs.trace import OPERATOR, STATEMENT, Span, timed_rows  # noqa: F401 (STATEMENT: for repro.gql)
 from repro.values import first_occurrences, hashable, is_null
 
 
@@ -93,8 +94,9 @@ class Operator:
     children: list["Operator"]
     #: trace span attached by :func:`attach_spans` (None = untraced)
     span: Optional[Span] = None
-    #: the ``kind`` of that span; the GPML engine's pattern stages, which
-    #: sit below the hosts' leaves in the same tree, say "stage"
+    #: the ``kind`` of that span; GQL's statements say ``STATEMENT``, the
+    #: GPML engine's pattern stages, which sit below them in the same
+    #: tree, ``STAGE``
     span_kind = OPERATOR
     #: row -> EvalContext for the rows this operator emits
     context: Callable[[Any], EvalContext] = RowContext
@@ -124,11 +126,16 @@ class Operator:
         if self.span is not None:
             self.span.event(name, **payload)
 
+    def trace_bump(self, counter: str) -> None:
+        """Add one to a named tally (``seed_memo_hit``, ...)."""
+        if self.span is not None:
+            self.span.bump(counter)
+
 
 def render_plan(op: Operator, indent: str = "") -> list[str]:
     """Indented operator tree for EXPLAIN, each operator tagged
-    [streaming] or [blocking] — the hosts' operators and, below their
-    leaves, the pattern stages of each MATCH."""
+    [streaming] or [blocking] — the hosts' operators and, below them,
+    the pattern stages of each MATCH."""
     lines = [f"{indent}[{BLOCKING if op.blocking else STREAMING}] {op.describe()}"]
     child_indent = indent + "  "
     for detail in op.detail_lines():
@@ -143,9 +150,9 @@ def attach_spans(op: Operator, parent: Span) -> Span:
 
     Called before a traced execution; each operator's
     :meth:`~Operator.run` then fills in its span.  The pattern stages of
-    a MATCH are operators of the same tree (SQL's graph scan has them as
-    its child; GQL hangs them under each statement's span), so the trace
-    nests by data flow all the way down to the searches.
+    a MATCH are operators of the same tree (the child of SQL's graph scan
+    and of GQL's MATCH statement), so the trace nests by data flow all
+    the way down to the searches.
     """
     span = parent.child(op.describe(), kind=op.span_kind)
     op.span = span

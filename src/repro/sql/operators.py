@@ -227,7 +227,7 @@ class SeededGraphTableScan(GraphTableScan):
             self._search = SeededSearch(
                 self.graph, self.prepared, self.config,
                 reversed_run=self.seed.reversed_run,
-                budget=self.budget, stats=self.stats, span=self.span,
+                budget=self.budget, stats=self.stats, owner=self,
             )
         for seed_id in seeds:
             for values, _paths in self._search.run(seed_id):
@@ -258,8 +258,7 @@ class SeededGraphTableScan(GraphTableScan):
 
     def _enumerated(self) -> Iterator[tuple]:
         if self._fallback is None:
-            if self.span is not None:
-                self.span.bump("seeded_fallback_scan")
+            self.trace_bump("seeded_fallback_scan")
             self._fallback = list(super().rows())
         return iter(self._fallback)
 
@@ -470,8 +469,7 @@ class Join(Operator):
             key = right_key_of(row)
             if key is not None:
                 build.setdefault(key, []).append(row)
-        if self.span is not None:
-            self.span.peak_rows = sum(len(rows) for rows in build.values())
+        self.trace_peak(sum(len(rows) for rows in build.values()))
         if not build:
             return
         for row in left_source:

@@ -213,6 +213,58 @@ class TestTransactionality:
         assert len(g.nodes_with_label("Marker")) == 1
 
 
+class TestDeletedHandles:
+    """A row keeps the handle of an element its own query deleted: reading
+    through it is a typed error naming the id and the variable (and the
+    transaction rolls back); returning the handle itself is fine."""
+
+    @pytest.mark.parametrize(
+        "tail, dead, reading",
+        [
+            ("MATCH (a:Account) DETACH DELETE a RETURN a.owner", "a1", "a.owner"),
+            ("MATCH (a:Account) DETACH DELETE a LET o = a.owner RETURN o", "a1", "a.owner"),
+            (
+                "MATCH (a:Account) DETACH DELETE a FILTER a.owner = 'ann' RETURN 1 AS x",
+                "a1", "a.owner",
+            ),
+            ("MATCH (a)-[t:Transfer]->(b) DELETE t RETURN t.amount", "t1", "t.amount"),
+            ("MATCH (a)-[t:Transfer]->(b) DELETE t SET b.last = t.amount", "t1", "t.amount"),
+            (
+                "MATCH (a:Account) DETACH DELETE a INSERT (:Note {of: a.owner})",
+                "a1", "a.owner",
+            ),
+        ],
+        ids=["return", "let", "filter", "edge", "set-value", "insert-property"],
+    )
+    def test_reading_through_a_deleted_handle_is_a_graph_error(self, tail, dead, reading):
+        g = bank()
+        g.create_index("Account", "owner")
+        before, version = graph_to_json(g), g.version
+        with pytest.raises(GraphError) as raised:
+            execute_gql(g, tail)
+        message = str(raised.value)
+        assert repr(dead) in message and "deleted" in message and reading in message
+        assert graph_to_json(g) == before
+        assert g.version == version
+        assert g.has_index("Account", "owner")
+        assert g.index_lookup("Account", "owner", "ann") == {"a1"}
+
+    def test_attaching_to_a_deleted_node_still_names_variable_and_statement(self):
+        g = bank()
+        before, version = graph_to_json(g), g.version
+        with pytest.raises(GqlError, match="node 'a1' bound to 'a' was deleted"):
+            execute_gql(g, "MATCH (a:Account) DETACH DELETE a INSERT (a)-[:X]->(:Y)")
+        assert (graph_to_json(g), g.version) == (before, version)
+
+    def test_a_returned_deleted_handle_can_be_printed(self):
+        g = bank()
+        result = execute_gql(g, "MATCH (a)-[t:Transfer]->(b) DETACH DELETE a RETURN a, t")
+        assert result.mutations == {"edges_deleted": 1, "nodes_deleted": 1}
+        assert repr(result.records) == "[{'a': (a1 deleted), 't': -[t1 deleted]-}]"
+        (record,) = result
+        assert (record["a"].id, record["t"].id) == ("a1", "t1")
+
+
 class TestExplain:
     def test_explain_marks_dml_transaction(self):
         text = explain_gql("MATCH (a:Account) SET a.x = 1 RETURN a.x AS x")

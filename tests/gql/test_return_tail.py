@@ -250,9 +250,11 @@ class TestExplain:
         )
         spans = {span.name.split(":")[0]: span for span in stats.trace.walk()}
         search = spans["statement #1"].elapsed
-        assert 0 < search <= spans["statement chain"].elapsed
-        assert spans["statement chain"].elapsed <= spans["DML transaction"].elapsed
-        assert spans["statement chain"].rows_out == 6
+        # statement #2 (SET) is the last of the chain the transaction drives
+        assert 0 < search <= spans["statement #2"].elapsed
+        assert spans["statement #2"].elapsed <= spans["DML transaction"].elapsed
+        assert spans["statement #2"].rows_out == 6
+        assert spans["binding table of the completed statements"].rows_out == 1
 
         session = GqlSession(fig1)
         result = session.execute("MATCH (a:Account) SET a.seen = 1 RETURN a LIMIT 0")

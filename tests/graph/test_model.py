@@ -150,6 +150,13 @@ class TestRemoval:
             small.remove_node("zzz")
 
 
+def small_handle(graph, node_id):
+    """A second handle to a node that may be gone (``graph.node`` checks)."""
+    from repro.graph.model import Node
+
+    return Node(graph, node_id)
+
+
 class TestHandles:
     def test_equality_by_graph_and_id(self, small):
         assert small.node("a") == small.node("a")
@@ -173,6 +180,26 @@ class TestHandles:
         assert "a" in small
         assert "t" in small
         assert "zzz" not in small
+
+    def test_a_handle_outlives_its_element(self, small):
+        node, other, edge = small.node("a"), small.node("b"), small.edge("t")
+        live = (repr(other), other.labels, other.get("owner"), repr(small.edge("u")))
+        small.remove_node("a")  # cascades to t
+        assert (node.id, edge.id) == ("a", "t")
+        assert repr(node) == "(a deleted)" and repr(edge) == "-[t deleted]-"
+        assert node == small_handle(small, "a") and len({node, small_handle(small, "a")}) == 1
+        for read in (
+            lambda: node.labels, lambda: node.get("owner"), lambda: node["owner"],
+            lambda: node.properties, lambda: node.has_label("Account"),
+            lambda: edge.get("amount"), lambda: edge.endpoint_ids, lambda: edge.is_directed,
+        ):
+            with pytest.raises(GraphError, match="'[at]' was deleted"):
+                read()
+        # a live handle is untouched
+        assert live == (
+            "(b:Account:Vip)", frozenset({"Account", "Vip"}), NULL, "~[u:Knows]~(b~c)",
+        )
+        assert live == (repr(other), other.labels, other.get("owner"), repr(small.edge("u")))
 
 
 class TestLabelIndexedIncidences:

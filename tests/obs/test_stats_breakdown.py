@@ -68,14 +68,22 @@ def test_breakdown_per_statement(fig1):
         "RETURN a.owner AS src, c.owner AS dst"
     )
     records = list(execute_gql_iter(fig1, query, stats=stats))
-    statements = [e for e in stats.breakdown() if e["kind"] == "statement"]
-    assert len(statements) == 2  # the two MATCH statements
-    assert statements[0]["rows_in"] == 1  # the initial unit row
-    # rows chain: each statement consumes what the previous produced
-    assert statements[1]["rows_in"] == statements[0]["rows_out"]
-    # RETURN is operator spans above the chain: project <- statement chain
-    project, chain = [e for e in stats.breakdown() if e["kind"] == "operator"]
-    assert chain["rows_out"] == statements[1]["rows_out"]
+    breakdown = stats.breakdown()
+    # the tree nests by data flow: the last statement on top, the one it
+    # reads from below it
+    second, first = [e for e in breakdown if e["kind"] == "statement"]
+    assert second["name"].startswith("statement #2") and second["depth"] == 1
+    assert first["name"].startswith("statement #1") and first["depth"] == 2
+    # rows chain: statement #1 reads the unit row (and its pattern's 8
+    # rows), statement #2 what statement #1 produced (its seeded runs
+    # are aggregated on it, so the stage template below it stays at 0)
+    unit = next(e for e in breakdown if e["name"] == "unit table")
+    assert unit["rows_out"] == 1 and unit["depth"] == first["depth"] + 1
+    assert first["rows_in"] == 1 + first["rows_out"] == 9
+    assert second["rows_in"] == first["rows_out"]
+    # RETURN is one operator span above the last statement
+    (project,) = [e for e in breakdown if e["kind"] == "operator" and e is not unit]
+    assert project["rows_in"] == second["rows_out"]
     assert project["rows_out"] == len(records) == stats.rows
 
 

@@ -12,7 +12,6 @@ from repro.obs import (
     QueryTrace,
     SchemaError,
     Span,
-    counted_in,
     timed_rows,
     tracing_stats,
     validate_bench_document,
@@ -52,10 +51,11 @@ def test_timed_rows_counts_and_times():
     assert span.elapsed >= 0.0
 
 
-def test_counted_in_counts_consumed_rows():
-    span = Span("stage")
-    assert list(counted_in(span, iter("ab"))) == ["a", "b"]
-    assert span.rows_in == 2
+def test_a_span_consumed_what_its_children_produced():
+    span = Span("join", kind="statement")
+    for produced in (2, 3):
+        span.child("input").rows_out = produced
+    assert span.consumed() == 5 == span.to_dict()["rows_in"]
 
 
 def test_tracing_stats_factory():

@@ -7,16 +7,18 @@ For random graphs and a corpus of queries across both entry points,
 * the trace decomposes the flat counters: ``trace.total_steps()``
   equals ``stats.steps`` for a drained run, and the delivered-rows
   stage equals ``len(result)`` equals ``stats.rows``,
-* rows chain between pipeline stages: each GQL statement span's
-  ``rows_in`` equals the previous span's ``rows_out`` (the first
-  consumes the single unit row), and the final span's ``rows_out`` is
-  the record count,
+* rows chain between GQL statements: each statement span's first child
+  is the statement before it (the first reads the single row of the unit
+  table), so what it consumed is what that one produced, and the span
+  under the root puts out the record count,
 * the pattern stages are one tree on all three surfaces: the stage names
-  EXPLAIN prints equal, in order, the stage spans of a traced run; the
-  spans nest by data flow (a stage's parent is the stage that pulls from
-  it), so inclusive times shrink down every edge, self times are
-  non-negative and add up to the root's, and a stage's exported
-  ``rows_in`` is what its children put out,
+  EXPLAIN prints equal, in order, the stage spans of a traced run —
+  whether a stage ran or not, a seeded statement's stages once, with
+  its runs aggregated on the statement; the spans nest by data flow (a
+  stage's parent is the stage that pulls from it), so inclusive times
+  shrink down every edge, self times are non-negative and add up to the
+  root's, and a stage's exported ``rows_in`` is what its children put
+  out,
 * a search abandoned by a satisfied budget still records its steps and
   its observed start candidates, once.
 """
@@ -92,6 +94,7 @@ SQL_QUERIES = [
 ]
 
 CONFIG = MatcherConfig(max_steps=40_000, max_results=10_000)
+HASH_ONLY = MatcherConfig(max_steps=40_000, max_results=10_000, seed_chained_match=False)
 
 #: the stage vocabulary, most upstream first: a stage pulls only from
 #: stages that come earlier in this list
@@ -133,8 +136,12 @@ def traced_stages(span):
     return [s.name for s in span.walk() if s.kind == "stage" and stage_rank(s.name)]
 
 
-def check_stage_tree(root):
-    """Nesting, times and row counts of every stage span under *root*."""
+def check_stage_tree(root, templates=()):
+    """Nesting, times and row counts of every stage span under *root*.
+
+    ``templates`` are the stage subtrees of seeded GQL statements: what
+    each incoming row runs a copy of, so they start below row delivery.
+    """
     tops = []
     for parent in root.walk():
         for child in parent.children:
@@ -145,7 +152,7 @@ def check_stage_tree(root):
             above = stage_rank(parent.name)
             if above is None:
                 tops.append(child)  # hangs under a host span (or the root)
-                assert child.name == "row delivery"
+                assert child.name == "row delivery" or child in templates
             else:
                 assert above[0] > rank[0], f"{parent.name} pulls from {child.name}"
                 if rank[1] and above[1]:
@@ -227,18 +234,18 @@ def test_abandoned_search_records_its_steps_once(graph, query):
     assert stats.trace.total_steps() == stats.steps
 
 
-@given(small_graphs(), st.sampled_from(GQL_QUERIES))
-@settings(max_examples=50, deadline=None)
-def test_gql_trace_consistent_and_observation_free(graph, query):
+@given(small_graphs(), st.sampled_from(GQL_QUERIES), st.sampled_from([CONFIG, HASH_ONLY]))
+@settings(max_examples=80, deadline=None)
+def test_gql_trace_consistent_and_observation_free(graph, query, config):
     parsed = parse_gql_query(query)
     try:
         untraced = [
-            record_key(r) for r in execute_gql_iter(graph, parsed, CONFIG)
+            record_key(r) for r in execute_gql_iter(graph, parsed, config)
         ]
         stats = PipelineStats.traced()
         traced = [
             record_key(r)
-            for r in execute_gql_iter(graph, parsed, CONFIG, stats=stats)
+            for r in execute_gql_iter(graph, parsed, config, stats=stats)
         ]
     except BudgetExceededError:
         assume(False)
@@ -247,26 +254,48 @@ def test_gql_trace_consistent_and_observation_free(graph, query):
     assert stats.rows == len(traced)
     assert stats.trace.total_steps() == stats.steps
 
-    # rows chain stage to stage: statement k consumes statement k-1's
-    # output; the pipeline starts from one unit row; the root of the
-    # RETURN operators emits exactly the delivered records.
-    spans = [span for span in stats.trace.walk() if span.kind == "statement"]
-    assert spans, "traced run recorded no statement spans"
-    assert spans[0].rows_in == 1
-    for previous, current in zip(spans, spans[1:]):
-        assert current.rows_in == previous.rows_out
+    # EXPLAIN and the trace are the same tree, stage for stage, run or not
+    assert explained_stages(explain_gql(parsed, config)) == traced_stages(stats.trace.root)
+
+    # the root of the RETURN operators emits exactly the delivered
+    # records; below them the statements chain by data flow, the last one
+    # on top: statement k's first child is statement k-1, so it read what
+    # that one put out, and the first statement read the one unit row
     (tail,) = stats.trace.root.children
     assert tail.kind == "operator" and tail.rows_out == len(traced)
-
-    # each MATCH statement's stages are the ones EXPLAIN printed for it —
-    # or none, when it ran seeded (aggregated onto the statement span) or
-    # its build was never reached
-    blocks = re.split(r"\n\s*statement #\d+: ", explain_gql(parsed, CONFIG))[1:]
-    assert len(blocks) == len(spans)
-    for block, span in zip(blocks, spans):
-        assert traced_stages(span) in ([], explained_stages(block))
-    assert traced_stages(spans[0]) == explained_stages(blocks[0])
-    check_stage_tree(stats.trace.root)
+    spans = [span for span in stats.trace.walk() if span.kind == "statement"]
+    assert [span.name.split(":")[0] for span in spans] == [
+        f"statement #{number}" for number in range(len(spans), 0, -1)
+    ]
+    unit = spans[-1].children[0]
+    assert (unit.name, unit.rows_out) == ("unit table", 1)
+    templates = []
+    for span, upstream in zip(spans, spans[1:] + [unit]):
+        assert span.children[0] is upstream
+        pattern = span.children[1:]
+        assert span.consumed() == upstream.rows_out + sum(p.rows_out for p in pattern)
+        if "MATCH" not in span.name:
+            assert not pattern and span.rows_out <= upstream.rows_out
+        seeded = bool(pattern) and pattern[0].name != "row delivery" and (
+            stage_rank(pattern[0].name) is not None
+        )
+        if not seeded:
+            assert not span.counts and not (pattern and span.steps)
+            continue
+        # a seeded statement's stages are in the tree once and stay at
+        # zero: its runs are aggregated on the statement span, each
+        # started by a memo miss, at most one lookup per incoming row
+        (template,) = pattern
+        templates.append(template)
+        assert all(s.rows_out == 0 == s.steps for s in template.walk())
+        counts = span.counts
+        assert counts.get("seeded_runs", 0) == counts.get("seed_memo_miss", 0)
+        assert (
+            counts.get("seed_memo_hit", 0) + counts.get("seed_memo_miss", 0)
+            <= upstream.rows_out
+        )
+        assert span.steps == 0 or counts["seeded_runs"] > 0
+    check_stage_tree(stats.trace.root, templates)
 
 
 @given(small_graphs(), st.sampled_from(SQL_QUERIES))

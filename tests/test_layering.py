@@ -5,12 +5,15 @@ share (``repro.rowops``) sits under both.  An AST scan — so that lazy,
 function-level imports count too — keeps it that way: the GQL host never
 reaches into the SQL host, and the shared module knows neither.
 
-The pattern pipeline below the hosts' leaves is the same kind of tree
+The pattern pipeline below the hosts' operators is the same kind of tree
 (``repro.gpml.engine.match_stages``), written down once: no second
 description of it, and no trace span handed down through its functions.
+GQL's statements are operators of that tree too: nothing in ``repro.gql``
+applies a statement by hand or is handed a span.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import repro
@@ -60,20 +63,41 @@ def test_the_pattern_pipeline_has_no_second_description():
 
 
 def test_spans_ride_on_the_stage_tree_not_through_parameters():
-    """Stages get their span from ``attach_spans``; only the seeded runs,
-    which aggregate thousands of searches onto their owner's one span,
-    are handed it."""
-    takers = set()
-    for module in ("gpml/engine.py", "pgq/graph_table.py"):
+    """Operators get their span from ``attach_spans``; the seeded runs,
+    which aggregate thousands of searches onto one span, are handed the
+    operator that owns it.  In the GQL host nothing applies a statement
+    by hand either: a statement is an operator, pulled through ``run()``."""
+    takers, appliers = set(), set()
+    modules = ["gpml/engine.py", "pgq/graph_table.py"]
+    modules += [str(path.relative_to(SRC)) for path in (SRC / "gql").glob("*.py")]
+    for module in modules:
         for owner in ast.walk(ast.parse((SRC / module).read_text())):
             for node in ast.iter_child_nodes(owner):
-                if isinstance(node, ast.FunctionDef) and "span" in {
-                    arg.arg for arg in node.args.args + node.args.kwonlyargs
-                }:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                if "span" in {arg.arg for arg in node.args.args + node.args.kwonlyargs}:
                     takers.add((getattr(owner, "name", module), node.name))
-    assert takers == {
-        ("gpml/engine.py", "iter_seeded_rows"), ("SeededSearch", "__init__"),
-    }
+                if node.name == "apply":
+                    appliers.add((getattr(owner, "name", module), node.name))
+    assert takers == set()
+    assert appliers == set()
+    for module in ("gql/pipeline.py", "gql/dml.py"):
+        assert offenders([SRC / module], ("repro.obs.trace",)) == []
+    assert "counted_in" not in defined_names(SRC / "obs/trace.py")
+
+
+def test_span_sites_outside_the_trace_package_stay_few():
+    """Places that hand a span on or test for one (31 before GQL's
+    statements became operators): ``Operator.run`` and the ``trace_*``
+    helpers beside it, and a few that rewrite or read a span tree."""
+    site = re.compile(r"span=|span is (not )?None|span: Optional")
+    count = sum(
+        len(site.findall(line))
+        for path in SRC.rglob("*.py")
+        if "obs" not in path.relative_to(SRC).parts
+        for line in path.read_text().splitlines()
+    )
+    assert count <= 14
 
 
 def test_both_hosts_take_the_tail_from_the_shared_module():
@@ -137,7 +161,9 @@ def test_matcher_config_fields_are_the_seven_it_had():
     ]
 
 
-HOST_CONSUMERS = ("rowops.py", "sql/operators.py", "pgq/graph_table.py", "gql/pipeline.py")
+HOST_CONSUMERS = (
+    "rowops.py", "sql/operators.py", "pgq/graph_table.py", "gql/pipeline.py", "gql/dml.py",
+)
 
 
 def test_the_hosts_compile_expressions_with_the_kernels_compiler():
@@ -160,7 +186,7 @@ def test_no_operator_interprets_an_expression_per_row():
     closure lives in the compiler."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = []
-    for module in ("rowops.py", "sql/operators.py"):
+    for module in ("rowops.py", "sql/operators.py", "gql/pipeline.py", "gql/dml.py"):
         for loop in ast.walk(ast.parse((SRC / module).read_text())):
             if not isinstance(loop, loops):
                 continue
