@@ -101,6 +101,13 @@ class PathAnalysis:
     def anonymous_vars(self) -> frozenset[str]:
         return frozenset(v.name for v in self.vars.values() if v.anonymous)
 
+    @cached_property
+    def row_vars(self) -> list[tuple[str, bool, bool]]:
+        """``(name, is a node, is a group)`` per variable a row carries."""
+        return [
+            (v.name, v.kind == "node", v.group) for v in self.vars.values() if not v.anonymous
+        ]
+
     @property
     def visible_vars(self) -> list[str]:
         return sorted(v.name for v in self.vars.values() if not v.anonymous)

@@ -7,7 +7,8 @@ Pipeline (mirroring Section 6 of the paper):
 3. **analyze** — classification, legality, termination (Sections 4-5),
 4. **compile** one counter NFA per path pattern,
 5. **match** each path pattern (strategy chosen by the analysis),
-6. **reduce + deduplicate** path bindings (Sections 6.4-6.5),
+6. **reduce + deduplicate** path bindings (Sections 6.4-6.5; the chain
+   kernel's solutions arrive reduced),
 7. apply **selectors** per path pattern (Figure 8),
 8. **join** path patterns on shared singleton variables and apply the
    final WHERE postfilter (Sections 4.3, 6.6),
@@ -443,9 +444,11 @@ class _Search(_Stage):
     Without ``seeds`` the search starts from the planned candidate set
     and — for a right anchor — runs the reversed pattern; a seeded run
     starts from exactly the given nodes, reversed when ``reversed_run``
-    carries a pre-compiled reversed pattern + NFA.  Either way the dedup
-    stage maps reversed bindings back to forward orientation
-    (``reverse``), so everything downstream is orientation-blind.
+    carries a pre-compiled reversed pattern + NFA.  Either way what
+    leaves the dedup stage is in forward orientation — the matcher is
+    told ``reverse`` and turns its solutions itself, or yields raw
+    bindings the dedup stage reverses — so everything downstream is
+    orientation-blind.
     ``budget`` must only be given when this search feeds the terminal
     consumer (never for a hash-join build side).
     """
@@ -476,7 +479,7 @@ class _Search(_Stage):
         self.analysis = prepared.analysis.paths[index]
         self.plan: Optional[PatternPlan] = None
 
-    def rows(self) -> Iterator[PathBinding]:
+    def rows(self) -> "Iterator[PathBinding | ReducedBinding]":
         graph, run, start = self.graph, self.reversed_run, self.seeds
         if start is None and self.config.use_planner:
             plan = self.plan = plan_query(graph, self.prepared).patterns[self.index]
@@ -488,6 +491,7 @@ class _Search(_Stage):
         self.matcher = _make_matcher(
             graph, nfa, run_path.pattern, self.config, self.analysis,
             start_candidates=start, budget=self.budget, stats=self.stats,
+            reverse=self.reverse,
         )
         return _run_strategy(self.matcher, self.path, self.analysis)
 
@@ -530,9 +534,10 @@ class _Search(_Stage):
 
 
 class _Dedup(_Stage):
-    """Stage 6: reduce each accepted binding and drop duplicates,
-    streaming.  ``bind`` (None when a selector follows) materializes the
-    surviving solutions."""
+    """Stage 6: reduce each accepted binding — unless the matcher says
+    its solutions arrive reduced (``emits_reduced``: the chain kernel) —
+    and drop duplicates, streaming.  ``bind`` (None when a selector
+    follows) materializes the surviving solutions."""
 
     detail = "incremental seen-set over reduced bindings"
 
@@ -543,21 +548,23 @@ class _Dedup(_Stage):
 
     def rows(self) -> Iterator[Any]:
         search, bind = self.search, self.bind
-        raw = search.run()
+        solutions = search.run()
+        raw = not getattr(search.matcher, "emits_reduced", False)
         reverse = search.reverse
         group_vars = search.analysis.group_vars
         anonymous_vars = search.analysis.anonymous_vars
         seen: set[tuple] = set()
         try:
-            for binding in raw:
-                if reverse:
-                    binding = reverse_binding(binding)
-                reduced = reduce_binding(binding, group_vars, anonymous_vars)
-                key = reduced.dedup_key()
+            for solution in solutions:
+                if raw:  # a PathBinding, in the orientation of the run
+                    if reverse:
+                        solution = reverse_binding(solution)
+                    solution = reduce_binding(solution, group_vars, anonymous_vars)
+                key = solution.dedup_key()
                 if key in seen:
                     continue
                 seen.add(key)
-                yield reduced if bind is None else bind(reduced)
+                yield solution if bind is None else bind(solution)
         finally:
             search.finish()
 
@@ -756,10 +763,13 @@ def _make_matcher(
     start_candidates=None,
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
+    reverse: bool = False,
 ):
     """The search engine for one pattern run: columnar frontier when the
     pattern is an eligible linear chain (and ``config.use_columnar``),
     otherwise the object matcher — the reference oracle for everything.
+    ``reverse`` says *pattern* is the reversed one (the frontier turns
+    its solutions forward itself).
 
     ``start_candidates`` may be a zero-arg callable: it is materialized
     only after the engine choice, so a frontier run has already brought
@@ -774,6 +784,7 @@ def _make_matcher(
             return FrontierMatcher(
                 graph, nfa, pattern, spec, config,
                 start_candidates=start_candidates, budget=budget, stats=stats,
+                reverse=reverse, anonymous_vars=analysis.anonymous_vars,
             )
     if callable(start_candidates):
         start_candidates = start_candidates()
@@ -1032,13 +1043,12 @@ def _materialize(
     values: dict[str, Any] = {}
     singles = solution.singleton_map()
     groups = solution.group_map()
-    for name, info in analysis.vars.items():
-        if info.anonymous:
-            continue
-        if info.group:
-            values[name] = [graph.element(el) for el in groups.get(name, ())]
+    for name, is_node, group in analysis.row_vars:
+        handle = graph.node if is_node else graph.edge
+        if group:
+            values[name] = [handle(el) for el in groups.get(name, ())]
         elif name in singles:
-            values[name] = graph.element(singles[name])
+            values[name] = handle(singles[name])
         else:
             values[name] = NULL  # unbound conditional singleton
     path_obj = Path._from_search(graph, solution.elements)

@@ -12,52 +12,77 @@ selectors requiring non-enumerate strategies):
   (``None`` = not a chain → the caller falls back to the object matcher,
   which remains the reference oracle for every pattern);
 * :class:`FrontierMatcher` then runs the chain over the
-  :class:`~repro.graph.columnar.ColumnarGraph` snapshot: each partial
-  chain expands by scanning one CSR slice, and node/edge predicates are
-  compiled once into **vectorized tests over property columns** (label
-  bitset membership, dictionary-encoded string equality, 3VL compare
-  closures) applied before any ``Node``/``Edge`` wrapper exists.
-  Non-sargable conjuncts and deferred WHEREs fall back to ordinary
-  expression evaluation on exactly the rows that survive the columns.
+  :class:`~repro.graph.columnar.ColumnarGraph` snapshot **a CSR slice at
+  a time**.  A partial chain expands by its last node's slice of the
+  hop's block — ``local[start:end]`` (edge slots), ``other[start:end]``
+  (neighbour codes) — and every *total* test of the hop is compiled once
+  into a ``(getter, predicate)`` pair mapped over those columns at C
+  level: ``mask.__getitem__`` for a node label (one byte per code),
+  ``codes.__getitem__`` + ``target.__eq__`` for dictionary-encoded
+  string equality, ``values.__getitem__`` + the shared
+  :func:`~repro.gpml.predicates.value_test` closure for any other
+  ``var.prop op literal`` conjunct, ``code.__eq__`` for a repeated
+  variable.  ``map(and_, …)`` joins the verdicts and ``compress`` hands
+  Python-level code the surviving positions only; the walk tuple is
+  extended for survivors alone.  The checks that are not total —
+  residual conjuncts, a non-atom edge label expression, deferred WHEREs
+  — run per survivor, in incidence order, as ordinary expressions.
 
-Equivalence contract: the emission order, step counting, budget errors
-and produced :class:`PathBinding` objects are identical to
-``Matcher.enumerate_all`` on the same inputs.  The search replicates the
-object engine's stack discipline — one seed drained at a time, slice
-entries pushed in incidence order and popped LIFO, final-hop accepts
+Total tests run before the non-total ones of the same hop, where the
+object matcher goes element by element (edge, then node).  A total test
+compares a raw property value with a plain literal and cannot raise
+(type mismatches are UNKNOWN), so the order shows only when a query
+*errors*: a residual that would raise on an entry a later total test
+rejects is never evaluated — the compiled conjuncts' short-circuit
+(docs/columnar.md), one element wider.
+
+Equivalence contract: emission order, step counting, budget errors and
+solutions are identical to ``Matcher.enumerate_all`` followed by
+reversal and reduction on the same inputs.  The search replicates the
+object engine's stack discipline — one seed drained at a time, a slice's
+survivors pushed in incidence order and popped LIFO, final-hop accepts
 yielded in ascending incidence order — and counts one step per
-orientation-admitted CSR entry, exactly where the object matcher counts
-one per admitted incidence.  (Inline WHEREs are split exactly as the
-object matcher splits them — :mod:`repro.gpml.predicates` — so even a
-WHERE that *raises* mid-conjunction behaves alike in both.)
+orientation-admitted CSR entry, where the object matcher counts one per
+admitted incidence.  Steps are added a slice at a time and are **exact
+wherever the scan can stop**: before a yield, a residual evaluation or a
+raise the count is stepped back to the entry in hand; a slice that would
+cross ``max_steps`` is cut to the prefix the budget allows and raises
+after it; ``steps``, ``PipelineStats.steps`` and ``metrics`` are
+published before every yield and on the way out.  Seeds pass the
+anchor's total tests the same way, ``_SEED_BLOCK`` at a time, so a
+LIMIT's first row does not wait for every candidate.  (Inline WHEREs are
+split exactly as the object matcher splits them —
+:mod:`repro.gpml.predicates` — so even a WHERE that *raises*
+mid-conjunction behaves alike in both.)
 
-The property-based suite ``tests/property/test_columnar_equivalence.py``
-pins the contract down against random graphs and budget-truncated runs.
+A chain binds singletons only, each at one position of the walk, so the
+solutions are :class:`~repro.gpml.bindings.ReducedBinding` objects
+already in forward orientation (``emits_reduced``): the engine neither
+reverses nor reduces them, it only deduplicates (``-[e]-`` over a
+directed self-loop really is found twice).
+
+``tests/property/test_columnar_equivalence.py`` pins the contract down
+on random graphs and, exhaustively, at every stop point of a small one
+(each ``max_steps`` / ``max_results`` / LIMIT / ``close()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from typing import Any, Iterator, Optional
 
 from repro.errors import BudgetExceededError, GpmlEvaluationError, GraphError
 from repro.gpml import ast
 from repro.gpml.automaton import NodeTest, PatternNFA, ScopeBegin, ScopeEnd
-from repro.gpml.bindings import ElementaryBinding, PathBinding
+from repro.gpml.bindings import ReducedBinding
 from repro.gpml.expr import Expr
 from repro.gpml.label_expr import LabelAtom
 from repro.gpml.matcher import MatcherConfig, RunContext
 from repro.gpml.predicates import split_where, value_test
 from repro.gpml.streaming import PipelineStats, RowBudget
-from repro.graph.columnar import (
-    DIR_IN,
-    DIR_OUT,
-    DIR_UNDIRECTED,
-    ColumnarGraph,
-    CsrBlock,
-    cached_snapshot,
-    snapshot_for,
-)
+from repro.graph.columnar import ColumnarGraph, cached_snapshot, snapshot_for
 from repro.graph.model import PropertyGraph
 from repro.planner.indexes import initial_node_candidates
 
@@ -168,69 +193,93 @@ def _vars_consistent(anchor, hops) -> bool:
 # Predicate compilation (repro.gpml.predicates) over property columns
 # ----------------------------------------------------------------------
 def _column_tests(where: Optional[Expr], var: Optional[str], column_of):
-    """``split_where`` with tests that take the element's column index."""
+    """``split_where`` with tests as ``(getter, predicate)`` pairs over the
+    element's column index: both C-level for dictionary-encoded equality."""
 
     def compile_test(prop: str, op: str, value: Any, flipped: bool):
         column = column_of(prop)
-        if column.codes is not None and op in ("=", "<>") and type(value) is str:
-            codes = column.codes
-            target = column.code_of.get(value, -2)
-            if op == "=":
-                return lambda index: codes[index] == target
-            return lambda index: codes[index] not in (-1, target)
-        return value_test(op, value, flipped, column.values.__getitem__)
+        if column.codes is not None and op == "=" and type(value) is str:
+            # -2 is no code at all: an unseen string equals nothing
+            return column.codes.__getitem__, column.code_of.get(value, -2).__eq__
+        return column.values.__getitem__, value_test(op, value, flipped)
 
     return split_where(where, var, compile_test)
+
+
+def _verdicts(tests, keys, verdicts=None):
+    """AND *verdicts* with every ``(getter, predicate)`` test mapped over
+    *keys*, as one lazy C-level chain (``predicate`` None: the getter's
+    value is the verdict).  None = no test at all."""
+    for getter, predicate in tests:
+        verdict = map(getter, keys)
+        if predicate is not None:
+            verdict = map(predicate, verdict)
+        verdicts = verdict if verdicts is None else map(and_, verdicts, verdict)
+    return verdicts
 
 
 # ----------------------------------------------------------------------
 # Compiled chain program (per NFA x snapshot, cached on the NFA)
 # ----------------------------------------------------------------------
-class _NodeOp:
-    __slots__ = ("mask", "join_pos", "tests", "residual")
+class _Hop:
+    """What one hop does to a CSR slice.
 
-    def __init__(self, mask, join_pos, tests, residual):
-        self.mask = mask  # bytes membership bitmap over node codes, or None
-        self.join_pos = join_pos  # earlier path position of the same var
-        self.tests = tests
-        self.residual = residual
+    Total tests first, over the whole slice: ``edge_tests`` run on the
+    ``local`` entries, ``node_tests`` on the ``other`` entries, the
+    repeated-variable joins (``edge_join`` / ``node_joins``: the earlier
+    walk position of the same variable) on both.  The checks that can
+    raise — a non-atom edge ``label_expr``, ``edge_residual``,
+    ``node_residuals`` — run on the survivors, in that order.
+    """
 
-
-class _EdgeOp:
-    __slots__ = ("block", "admit", "label_expr", "join_pos", "tests", "residual")
-
-    def __init__(self, block, admit, label_expr, join_pos, tests, residual):
-        self.block = block  # CsrBlock this hop scans
-        self.admit = admit  # (out, in, undirected) orientation admits
-        self.label_expr = label_expr  # per-entry check (non-atom labels)
-        self.join_pos = join_pos
-        self.tests = tests
-        self.residual = residual
+    __slots__ = (
+        "block", "admit", "edge_tests", "edge_join", "node_tests", "node_joins",
+        "label_expr", "edge_residual", "node_residuals", "checked",
+    )
 
 
 class _Program:
-    __slots__ = ("anchor_ops", "hops", "entry_plan", "deferred", "num_hops")
+    __slots__ = (
+        "anchor_tests", "anchor_residuals", "hops", "entry_plan", "deferred", "_singletons",
+    )
 
-    def __init__(self, anchor_ops, hops, entry_plan, deferred):
-        self.anchor_ops = anchor_ops
-        self.hops = hops  # list of (_EdgeOp, [_NodeOp, ...])
-        self.entry_plan = entry_plan  # [(path position, var)] first bindings
+    def __init__(self, anchor_tests, anchor_residuals, hops, entry_plan, deferred):
+        self.anchor_tests = anchor_tests  # total tests over seed codes
+        self.anchor_residuals = anchor_residuals
+        self.hops = hops
+        self.entry_plan = entry_plan  # [(walk position, var)] first bindings
         self.deferred = deferred  # deferred WHEREs in traversal order
-        self.num_hops = len(hops)
+        self._singletons: dict = {}
+
+    def singletons(self, reverse: bool, anonymous_vars: frozenset[str]):
+        """``(names, positions)`` of a solution's singletons, sorted by
+        name: a chain binds singletons only, each at one position of the
+        walk (counted from the other end when the run is ``reverse``)."""
+        plan = self._singletons.get((reverse, anonymous_vars))
+        if plan is None:
+            last = 2 * len(self.hops)
+            named = sorted(
+                (var, last - pos if reverse else pos)
+                for pos, var in self.entry_plan
+                if var not in anonymous_vars
+            )
+            plan = tuple(var for var, _ in named), tuple(pos for _, pos in named)
+            self._singletons[reverse, anonymous_vars] = plan
+        return plan
 
 
 class _NotVectorizable(Exception):
     """Compile-time bail-out: run this pattern on the object matcher."""
 
 
+def _hop_admits(edge_pattern: ast.EdgePattern) -> tuple[bool, bool, bool]:
+    """Which entry directions the hop admits, indexed by ``CsrBlock.dir`` code."""
+    return tuple(map(edge_pattern.orientation.admits, ("out", "in", "undirected")))
+
+
 def _hop_need(edge_pattern: ast.EdgePattern) -> str:
     """The CSR specialization a hop's orientation can use."""
-    orientation = edge_pattern.orientation
-    admit = (
-        orientation.admits("out"),
-        orientation.admits("in"),
-        orientation.admits("undirected"),
-    )
+    admit = _hop_admits(edge_pattern)
     if admit == (True, False, False):
         return "out"
     if admit == (False, True, False):
@@ -256,8 +305,8 @@ def compiled_program(
     Seeded chained-MATCH runs construct one matcher per upstream row, so
     the compiled closures must be reused.  The cache key is the snapshot
     identity *and version*: the snapshot is advanced in place, and a
-    program holds copies of mask bytes and references to blocks and
-    dictionary encodings an advance may drop.
+    program holds references to masks, blocks and dictionary encodings
+    an advance may outgrow or drop.
     """
     key = (snapshot, snapshot.version)
     cached = getattr(nfa, "_frontier_program", None)
@@ -275,15 +324,6 @@ def _compile_program(spec: ChainSpec, snapshot: ColumnarGraph) -> _Program:
     var_pos: dict[str, int] = {}
     entry_plan: list[tuple[int, str]] = []
     deferred: list[Expr] = []
-    mask_bytes = (snapshot.num_nodes + 7) // 8
-
-    def node_mask(pattern: ast.NodePattern):
-        if pattern.label is None:
-            return None
-        bits = snapshot.compile_node_label_expr(pattern.label)
-        if bits is None:
-            raise _NotVectorizable
-        return bits.to_bytes(mask_bytes, "little")
 
     def bind(var: Optional[str], pos: int) -> Optional[int]:
         if var is None:
@@ -297,65 +337,77 @@ def _compile_program(spec: ChainSpec, snapshot: ColumnarGraph) -> _Program:
             return None  # same element re-tested (two node tests)
         return previous
 
-    def compile_node_op(pattern: ast.NodePattern, is_deferred: bool, pos: int):
-        mask = node_mask(pattern)
-        join_pos = bind(pattern.var, pos)
+    def compile_nodes(node_tests, pos: int):
+        """(total tests, join positions, residuals) of the node at *pos*."""
         tests: list = []
-        residual = None
-        if pattern.where is not None:
+        joins: list[int] = []
+        residuals: list[Expr] = []
+        for pattern, is_deferred in node_tests:
+            if pattern.label is not None:
+                mask = snapshot.compile_node_label_expr(pattern.label)
+                if mask is None:
+                    raise _NotVectorizable
+                tests.append((mask.__getitem__, None))
+            join_pos = bind(pattern.var, pos)
+            if join_pos is not None:
+                joins.append(join_pos)
+            if pattern.where is None:
+                continue
             if is_deferred:
                 deferred.append(pattern.where)
             else:
-                tests, residual = _column_tests(
+                column_tests, residual = _column_tests(
                     pattern.where, pattern.var, snapshot.node_column
                 )
-        return _NodeOp(mask, join_pos, tests, residual)
+                tests.extend(column_tests)
+                if residual is not None:
+                    residuals.append(residual)
+        return tests, joins, residuals
 
-    anchor_ops = [
-        compile_node_op(pattern, is_deferred, 0)
-        for pattern, is_deferred in spec.anchor
-    ]
-
-    hops: list[tuple[_EdgeOp, list[_NodeOp]]] = []
+    anchor_tests, _, anchor_residuals = compile_nodes(spec.anchor, 0)
+    hops: list[_Hop] = []
     for level, (edge_pattern, edge_deferred, node_tests) in enumerate(spec.hops):
-        orientation = edge_pattern.orientation
-        admit = (
-            orientation.admits("out"),
-            orientation.admits("in"),
-            orientation.admits("undirected"),
-        )
-        need = _hop_need(edge_pattern)
+        hop = _Hop()
+        admit, need = _hop_admits(edge_pattern), _hop_need(edge_pattern)
         label = edge_pattern.label
         if isinstance(label, LabelAtom):
-            block = snapshot.csr(label.name, need)
-            label_expr = None  # partition already label-filtered
+            hop.block = snapshot.csr(label.name, need)
+            hop.label_expr = None  # partition already label-filtered
         else:
-            block = snapshot.csr(None, need)
-            label_expr = label
-        edge_pos = 2 * level + 1
-        join_pos = bind(edge_pattern.var, edge_pos)
-        tests: list = []
-        residual = None
-        if edge_pattern.where is not None:
-            if edge_deferred:
-                deferred.append(edge_pattern.where)
-            else:
-                tests, residual = _column_tests(
-                    edge_pattern.where, edge_pattern.var, block.column
-                )
-        edge_op = _EdgeOp(block, admit, label_expr, join_pos, tests, residual)
-        node_pos = 2 * level + 2
-        node_ops = [
-            compile_node_op(pattern, is_deferred, node_pos)
-            for pattern, is_deferred in node_tests
-        ]
-        hops.append((edge_op, node_ops))
-    return _Program(anchor_ops, hops, entry_plan, deferred)
+            hop.block = snapshot.csr(None, need)
+            hop.label_expr = label
+        # a block specialized to the hop's one direction (an "any"
+        # superset may be serving it) holds nothing the hop would skip
+        hop.admit = None if all(admit) or hop.block.need == need != "any" else admit
+        hop.edge_join = bind(edge_pattern.var, 2 * level + 1)
+        hop.edge_tests, hop.edge_residual = [], None
+        if edge_pattern.where is None:
+            pass
+        elif edge_deferred:
+            deferred.append(edge_pattern.where)
+        else:
+            hop.edge_tests, hop.edge_residual = _column_tests(
+                edge_pattern.where, edge_pattern.var, hop.block.column
+            )
+        hop.node_tests, hop.node_joins, hop.node_residuals = compile_nodes(
+            node_tests, 2 * level + 2
+        )
+        hop.checked = bool(
+            hop.label_expr is not None or hop.edge_residual is not None or hop.node_residuals
+        )
+        hops.append(hop)
+    return _Program(anchor_tests, anchor_residuals, hops, entry_plan, deferred)
 
 
 # ----------------------------------------------------------------------
 # The frontier matcher
 # ----------------------------------------------------------------------
+#: seeds pass the anchor's total tests this many at a time: enough to
+#: amortize the filter set-up, few enough that the first row of a LIMIT
+#: does not wait for every candidate's test
+_SEED_BLOCK = 256
+
+
 def _graph_changed() -> GpmlEvaluationError:
     return GpmlEvaluationError(
         "graph changed during iteration: the columnar snapshot advanced "
@@ -370,8 +422,13 @@ class FrontierMatcher:
     consumes for the ENUMERATE strategy: :meth:`enumerate_all`,
     :attr:`steps` and :attr:`initial_candidate_count` — plus
     :attr:`metrics`, the frontier/selectivity counters rendered by
-    ``EXPLAIN ANALYZE``.
+    ``EXPLAIN ANALYZE``.  Its solutions arrive reduced
+    (:attr:`emits_reduced`): ``reverse`` says the pattern being run is
+    the reversed one, ``anonymous_vars`` which variables a solution
+    leaves out.
     """
+
+    emits_reduced = True
 
     def __init__(
         self,
@@ -384,6 +441,8 @@ class FrontierMatcher:
         *,
         budget: Optional[RowBudget] = None,
         stats: Optional[PipelineStats] = None,
+        reverse: bool = False,
+        anonymous_vars: frozenset[str] = frozenset(),
     ):
         self.graph = graph
         self.pattern = pattern
@@ -394,19 +453,16 @@ class FrontierMatcher:
         if self.program is None:
             raise _NotVectorizable  # caller must pre-check via supports()
         self._steps = 0
+        self._emitted = 0
+        self._counts = (0, 0, 0)
         self._budget = budget
         self._stats = stats
         self._start_candidates = (
             None if start_candidates is None else list(start_candidates)
         )
         self.initial_candidate_count = 0
-        #: CSR slice scans, entries examined, entries surviving all
-        #: vectorized filters (the EXPLAIN ANALYZE frontier counters)
-        self.metrics = {
-            "frontier_slices": 0,
-            "frontier_entries": 0,
-            "frontier_survivors": 0,
-        }
+        self._reverse = reverse
+        self._names, self._positions = self.program.singletons(reverse, anonymous_vars)
 
     @classmethod
     def supports(
@@ -445,6 +501,21 @@ class FrontierMatcher:
     def steps(self) -> int:
         return self._steps
 
+    @property
+    def metrics(self) -> dict[str, int]:
+        """CSR slice scans, entries examined, entries surviving every
+        filter of their hop (the EXPLAIN ANALYZE frontier counters)."""
+        names = ("frontier_slices", "frontier_entries", "frontier_survivors")
+        return dict(zip(names, self._counts))
+
+    def _publish(self, steps: int, *counts: int) -> None:
+        """Make the scan's counters what every reader sees — called
+        wherever control leaves the scan: before a yield, on the way out."""
+        if self._stats is not None:
+            self._stats.steps += steps - self._steps
+        self._steps = steps
+        self._counts = counts
+
     # -- seeds ---------------------------------------------------------
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
@@ -455,7 +526,7 @@ class FrontierMatcher:
         return candidates
 
     # -- search --------------------------------------------------------
-    def enumerate_all(self) -> Iterator[PathBinding]:
+    def enumerate_all(self) -> Iterator[ReducedBinding]:
         """DFS over CSR slices, exactly mirroring the object matcher's
         emission order (see module docstring).
 
@@ -469,151 +540,147 @@ class FrontierMatcher:
         version = self._snapshot_version
         if snapshot.version != version:
             raise _graph_changed()
+        node_ids = snapshot.node_ids
         node_code = snapshot.node_code
         budget = self._budget
-        stats = self._stats
-        config = self.config
-        max_steps = config.max_steps
-        metrics = self.metrics
-        num_hops = program.num_hops
+        max_steps = self.config.max_steps
         hops = program.hops
-        emitted = 0
+        anchor_tests, anchor_residuals = program.anchor_tests, program.anchor_residuals
+        last_level = len(hops) - 1
         candidates = self._initial_candidates()
         self.initial_candidate_count = len(candidates)
-        stack: list[tuple[int, tuple]] = []
-        for node_id in candidates:
-            code = node_code.get(node_id)
-            if code is None:
-                raise GraphError(f"unknown node {node_id!r}")
-            if not self._admit_node(program.anchor_ops, code, (code,)):
-                continue
-            if num_hops == 0:
-                binding = self._accept((code,))
-                if binding is not None:
-                    if stats is not None:
-                        stats.matches += 1
-                    emitted += 1
-                    self._check_budget(emitted)
-                    yield binding
-                    if snapshot.version != version:
-                        raise _graph_changed()
-                    if budget is not None and budget.satisfied:
-                        return
-                continue
-            stack.append((0, (code,)))
-            while stack:
-                level, path = stack.pop()
-                edge_op, node_ops = hops[level]
-                block = edge_op.block
-                node = path[-1]
-                start = block.starts[node]
-                end = block.ends[node]
-                metrics["frontier_slices"] += 1
-                metrics["frontier_entries"] += end - start
-                final = level + 1 == num_hops
-                admit = edge_op.admit
-                dirs = block.dir
-                locals_ = block.local
-                others = block.other
-                edge_ids = block.edge_ids
-                for k in range(start, end):
-                    if not admit[dirs[k]]:
-                        continue
-                    self._steps += 1
-                    if stats is not None:
-                        stats.steps += 1
-                    if self._steps > max_steps:
-                        raise BudgetExceededError(
-                            f"matcher exceeded max_steps={max_steps}"
-                        )
-                    local = locals_[k]
-                    edge_id = edge_ids[local]
-                    if edge_op.label_expr is not None and not edge_op.label_expr.matches(
-                        self.graph.labels_of(edge_id)
+        # ``steps`` is the count as it would read if the scan stopped
+        # here: a slice adds its admitted entries at once, and whatever
+        # can stop the scan inside a slice first steps it back to the
+        # entry in hand.
+        steps = slices = entries = survived = 0
+        stack: list[tuple[int, int, tuple]] = []
+        try:
+            # Seeds pass the anchor's total tests a block at a time; each
+            # is drained before the next, and an unknown id raises once
+            # the seeds before it are.
+            for at in range(0, len(candidates), _SEED_BLOCK):
+                seeds = list(map(node_code.get, candidates[at : at + _SEED_BLOCK]))
+                unknown = seeds.index(None) if None in seeds else None
+                if unknown is not None:
+                    del seeds[unknown:]
+                if anchor_tests:
+                    seeds = compress(seeds, _verdicts(anchor_tests, seeds))
+                for seed in seeds:
+                    walk = (node_ids[seed],)
+                    if anchor_residuals and not all(
+                        self._residual_ok(residual, walk) for residual in anchor_residuals
                     ):
                         continue
-                    if edge_op.join_pos is not None and path[edge_op.join_pos] != edge_id:
-                        continue
-                    if edge_op.tests and not all(
-                        test(local) for test in edge_op.tests
-                    ):
-                        continue
-                    if edge_op.residual is not None and not self._residual_ok(
-                        edge_op.residual, path + (edge_id,)
-                    ):
-                        continue
-                    other = others[k]
-                    new_path = path + (edge_id, other)
-                    if not self._admit_node(node_ops, other, new_path):
-                        continue
-                    metrics["frontier_survivors"] += 1
-                    if final:
-                        binding = self._accept(new_path)
-                        if binding is not None:
-                            if stats is not None:
-                                stats.matches += 1
-                            emitted += 1
-                            self._check_budget(emitted)
-                            yield binding
+                    if not hops:
+                        solution = self._accept(walk)
+                        if solution is not None:
+                            self._publish(steps, slices, entries, survived)
+                            yield solution
                             if snapshot.version != version:
                                 raise _graph_changed()
                             if budget is not None and budget.satisfied:
                                 return
-                    else:
-                        stack.append((level + 1, new_path))
+                        continue
+                    stack.append((0, seed, walk))
+                    while stack:
+                        level, node, walk = stack.pop()
+                        hop = hops[level]
+                        block = hop.block
+                        start, end = block.starts[node], block.ends[node]
+                        slices += 1
+                        entries += end - start
+                        locals_, others = block.local[start:end], block.other[start:end]
+                        if hop.admit is not None:
+                            admitted = list(map(hop.admit.__getitem__, block.dir[start:end]))
+                            locals_ = list(compress(locals_, admitted))
+                            others = list(compress(others, admitted))
+                        base = steps
+                        steps += len(others)
+                        over = steps > max_steps
+                        if over:  # scan the prefix the budget allows, then raise
+                            steps = max_steps
+                            del locals_[steps - base :], others[steps - base :]
+                        edge_ids = block.edge_ids
+                        verdicts = _verdicts(hop.edge_tests, locals_) if hop.edge_tests else None
+                        if hop.edge_join is not None:
+                            same_edge = (edge_ids.__getitem__, walk[hop.edge_join].__eq__)
+                            verdicts = _verdicts((same_edge,), locals_, verdicts)
+                        if hop.node_tests:
+                            verdicts = _verdicts(hop.node_tests, others, verdicts)
+                        for pos in hop.node_joins:
+                            same_node = (node_code[walk[pos]].__eq__, None)
+                            verdicts = _verdicts((same_node,), others, verdicts)
+                        survivors = range(len(others))
+                        if verdicts is not None:
+                            survivors = compress(survivors, verdicts)
+                        checked, final, scanned = hop.checked, level == last_level, steps
+                        for nth in survivors:
+                            edge_id, other = edge_ids[locals_[nth]], others[nth]
+                            if checked:
+                                steps = base + nth + 1
+                                if not self._survivor_ok(hop, walk, edge_id, other):
+                                    continue
+                            survived += 1
+                            arrived = walk + (edge_id, node_ids[other])
+                            if not final:
+                                stack.append((level + 1, other, arrived))
+                                continue
+                            steps = base + nth + 1
+                            solution = self._accept(arrived)
+                            if solution is not None:
+                                self._publish(steps, slices, entries, survived)
+                                yield solution
+                                if snapshot.version != version:
+                                    raise _graph_changed()
+                                if budget is not None and budget.satisfied:
+                                    return
+                        steps = scanned
+                        if over:
+                            steps += 1  # the entry that does not fit
+                            raise BudgetExceededError(f"matcher exceeded max_steps={max_steps}")
+                if unknown is not None:
+                    raise GraphError(f"unknown node {candidates[at + unknown]!r}")
+        finally:
+            self._publish(steps, slices, entries, survived)
 
-    def _admit_node(self, node_ops, code: int, path: tuple) -> bool:
-        for op in node_ops:
-            mask = op.mask
-            if mask is not None and not (mask[code >> 3] >> (code & 7)) & 1:
-                return False
-            if op.join_pos is not None and path[op.join_pos] != code:
-                return False
-            if op.tests and not all(test(code) for test in op.tests):
-                return False
-            if op.residual is not None and not self._residual_ok(op.residual, path):
-                return False
-        return True
+    # -- the checks that can raise -------------------------------------
+    def _survivor_ok(self, hop: _Hop, walk: tuple, edge_id: str, other: int) -> bool:
+        label_expr = hop.label_expr
+        if label_expr is not None and not label_expr.matches(self.graph.labels_of(edge_id)):
+            return False
+        if hop.edge_residual is not None and not self._residual_ok(
+            hop.edge_residual, walk + (edge_id,)
+        ):
+            return False
+        arrived = walk + (edge_id, self.snapshot.node_ids[other])
+        return all(self._residual_ok(residual, arrived) for residual in hop.node_residuals)
 
-    # -- expression fallbacks ------------------------------------------
-    def _bind_map(self, path: tuple) -> dict:
-        node_ids = self.snapshot.node_ids
-        bind_map: dict[str, dict] = {}
-        length = len(path)
-        for pos, var in self.program.entry_plan:
-            if pos >= length:
-                break
-            element = path[pos]
-            if pos % 2 == 0:
-                element = node_ids[element]
-            bind_map[var] = {(): element}
-        return bind_map
+    def _bind_map(self, walk: tuple) -> dict:
+        return {
+            var: {(): walk[pos]} for pos, var in self.program.entry_plan if pos < len(walk)
+        }
 
-    def _residual_ok(self, residual: Expr, path: tuple) -> bool:
-        ctx = RunContext(self.graph, self._bind_map(path), ())
+    def _residual_ok(self, residual: Expr, walk: tuple) -> bool:
+        ctx = RunContext(self.graph, self._bind_map(walk), ())
         return bool(residual.truth(ctx))
 
-    def _accept(self, path: tuple) -> Optional[PathBinding]:
+    def _accept(self, walk: tuple) -> Optional[ReducedBinding]:
+        """The solution of a complete walk, counted and charged to
+        ``max_results`` — None when a deferred WHERE rejects it."""
         deferred = self.program.deferred
         if deferred:
-            bind_map = self._bind_map(path)
+            bind_map = self._bind_map(walk)
             for where in deferred:
-                ctx = RunContext(self.graph, bind_map, ())
-                if not where.truth(ctx):
+                if not where.truth(RunContext(self.graph, bind_map, ())):
                     return None
-        node_ids = self.snapshot.node_ids
-        elements = tuple(
-            node_ids[item] if position % 2 == 0 else item
-            for position, item in enumerate(path)
-        )
-        entries = tuple(
-            ElementaryBinding(var, (), elements[pos])
-            for pos, var in self.program.entry_plan
-        )
-        return PathBinding(elements=elements, entries=entries, bag_tags=frozenset())
-
-    def _check_budget(self, num_results: int) -> None:
-        if num_results > self.config.max_results:
+        if self._stats is not None:
+            self._stats.matches += 1
+        self._emitted += 1
+        if self._emitted > self.config.max_results:
             raise BudgetExceededError(
                 f"matcher exceeded max_results={self.config.max_results}"
             )
+        elements = walk[::-1] if self._reverse else walk
+        singletons = tuple(zip(self._names, map(elements.__getitem__, self._positions)))
+        return ReducedBinding(elements, singletons, ())

@@ -11,7 +11,8 @@ pointers and rebuilds ``Incidence`` lists.  This module compiles a
 * adjacency is CSR (compressed sparse row): ``starts``/``ends`` arrays
   over node codes plus parallel ``local``/``other``/``dir`` arrays, built
   **per edge label** (the traversal fast path) and once for all edges,
-* label membership is a bitset (one byte mask per label; bit = node code),
+* label membership is a mask per label: one byte per node code (1 =
+  member), so ``mask[code]`` is a plain C-level index,
 * property values are columns — one array per (kind, property), with a
   value dictionary for all-string columns so equality tests compare ints.
 
@@ -21,7 +22,7 @@ it exists, every mutator appends its :class:`ChangeRecord` to
 :attr:`PropertyGraph.version` by re-deriving only the logged elements
 from the live graph — new nodes get the next code, removed ones leave a
 tombstone, a touched node's CSR row is rewritten at the tail of its block
-and repointed, mask bits and column cells are patched in place.  The full
+and repointed, mask bytes and column cells are patched in place.  The full
 build remains the one bulk path: first use, compaction (more dead than
 live), a log longer than a quarter of the graph, and after a rollback
 that crossed an advance.  Everything inside a snapshot is *lazy* —
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from functools import reduce
 from itertools import accumulate
 from time import perf_counter
 from typing import Any, Optional
@@ -214,7 +216,7 @@ class ColumnarGraph:
 
     Node codes are append-only: ``num_nodes`` counts every code handed
     out, a removed node leaves a tombstone (``node_ids[code] is None``,
-    no ``node_code`` entry, empty rows, cleared mask bits) and a re-added
+    no ``node_code`` entry, empty rows, cleared mask bytes) and a re-added
     id gets a fresh code, so live codes always ascend in the graph's
     insertion order.
     """
@@ -365,63 +367,57 @@ class ColumnarGraph:
             self, edge_label, "any", indptr, ends, local, other, dirs, edge_ids
         )
 
-    # -- label bitsets -------------------------------------------------
-    def node_label_bitset(self, label: str) -> int:
-        """Big-int bitset over node codes of the label's members."""
+    # -- label masks ---------------------------------------------------
+    def node_label_mask(self, label: str) -> bytearray:
+        """The label's membership mask: one byte per node code, 1 = member.
+
+        Always ``num_nodes`` long (an advance appends a 0 per new code),
+        so ``mask[code]`` — a C-level getter for the frontier's slice
+        filters — is defined for every code ever handed out.
+        """
         mask = self._node_masks.get(label)
         if mask is None:
-            # Byte writes keep the build linear (|= (1 << code) on a big
-            # int is O(num_nodes) per member) and an advance patches the
-            # same bytes bit-wise.
-            mask = bytearray((self.num_nodes + 7) // 8)
+            mask = bytearray(self.num_nodes)
             node_code = self.node_code
             for nid in self.graph._node_label_index.get(label, ()):
-                code = node_code[nid]
-                mask[code >> 3] |= 1 << (code & 7)
+                mask[node_code[nid]] = 1
             self._node_masks[label] = mask
-        return int.from_bytes(mask, "little")
-
-    def labeled_node_mask(self) -> int:
-        """Bitset of nodes carrying at least one label (wildcard ``%``)."""
-        mask = 0
-        for label in self.graph._node_label_index:
-            mask |= self.node_label_bitset(label)
         return mask
 
-    def compile_node_label_expr(self, expr: LabelExpr) -> Optional[int]:
-        """Compile a label expression to a node bitset (None = unsupported).
+    def compile_node_label_expr(self, expr: LabelExpr) -> "Optional[bytes | bytearray]":
+        """Compile a label expression to a node mask (None = unsupported).
 
-        The bitset covers *all* nodes whose label set matches the
-        expression, so the membership test is ``(bits >> code) & 1``.
-        (A negation also sets the bits of tombstoned codes; no candidate
-        list or live row ever leads to one.)
+        ``mask[code]`` is 1 for *all* nodes whose label set matches the
+        expression.  A single label is its live mask itself, patched in
+        place by an advance; anything else is a copy computed by big-int
+        algebra over the masks (bit ``8 * code`` per member).  (A negation
+        also marks tombstoned codes; no candidate list or live row ever
+        leads to one.)
         """
         if isinstance(expr, LabelAtom):
-            return self.node_label_bitset(expr.name)
-        if isinstance(expr, LabelWildcard):
-            return self.labeled_node_mask()
-        if isinstance(expr, LabelNot):
-            inner = self.compile_node_label_expr(expr.inner)
-            if inner is None:
-                return None
-            full = (1 << self.num_nodes) - 1
-            return full & ~inner
-        if isinstance(expr, LabelAnd):
-            bits = (1 << self.num_nodes) - 1
-            for item in expr.items:
-                member = self.compile_node_label_expr(item)
-                if member is None:
-                    return None
-                bits &= member
-            return bits
-        if isinstance(expr, LabelOr):
+            return self.node_label_mask(expr.name)
+        bits = self._label_bits(expr)
+        return None if bits is None else bits.to_bytes(self.num_nodes, "little")
+
+    def _label_bits(self, expr: LabelExpr) -> Optional[int]:
+        if isinstance(expr, LabelAtom):
+            return int.from_bytes(self.node_label_mask(expr.name), "little")
+        if isinstance(expr, LabelWildcard):  # carries at least one label
             bits = 0
-            for item in expr.items:
-                member = self.compile_node_label_expr(item)
-                if member is None:
-                    return None
-                bits |= member
+            for label in self.graph._node_label_index:
+                bits |= int.from_bytes(self.node_label_mask(label), "little")
             return bits
+        full = int.from_bytes(b"\x01" * self.num_nodes, "little")
+        if isinstance(expr, LabelNot):
+            inner = self._label_bits(expr.inner)
+            return None if inner is None else full ^ inner
+        if isinstance(expr, (LabelAnd, LabelOr)):
+            members = [self._label_bits(item) for item in expr.items]
+            if None in members:
+                return None
+            if isinstance(expr, LabelAnd):
+                return reduce(int.__and__, members, full)
+            return reduce(int.__or__, members, 0)
         return None
 
     def label_members_sorted(self, label: str) -> list[str]:
@@ -523,6 +519,8 @@ class ColumnarGraph:
         for block in self._csr.values():
             block.starts.append(0)
             block.ends.append(0)
+        for mask in self._node_masks.values():
+            mask.append(0)
         for column in self._node_columns.values():
             column.patch(code, MISSING)
 
@@ -538,14 +536,8 @@ class ColumnarGraph:
 
     def _sync_labels(self, nid: str, code: int, labels: frozenset[str]) -> None:
         """Make every built mask and member list agree with *labels*."""
-        byte, bit = code >> 3, 1 << (code & 7)
         for label, mask in self._node_masks.items():
-            if label in labels:
-                if byte >= len(mask):
-                    mask.extend(bytes(byte + 1 - len(mask)))
-                mask[byte] |= bit
-            elif byte < len(mask):
-                mask[byte] &= ~bit
+            mask[code] = label in labels
         for label, members in self._label_members_sorted.items():
             at = bisect_left(members, nid)
             present = at < len(members) and members[at] == nid

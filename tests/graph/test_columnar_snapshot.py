@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.gpml.label_expr import LabelAnd, LabelAtom, LabelNot, LabelOr, LabelWildcard
 from repro.graph import GraphBuilder
 from repro.graph.columnar import (
     DIR_IN,
     DIR_OUT,
     DIR_UNDIRECTED,
     MISSING,
+    ColumnarGraph,
     cached_snapshot,
     snapshot_for,
     storage_stats,
@@ -45,14 +47,15 @@ class TestSnapshotCache:
         snap = snapshot_for(g)
         assert snapshot_for(g) is snap
         assert cached_snapshot(g) is snap
-        bits = snap.node_label_bitset("Account")
+        mask = bytes(snap.node_label_mask("Account"))
         g.add_node("a9", labels=["Account"])
         assert cached_snapshot(g) is None  # version bumped → stale
         current = snapshot_for(g)
         assert current is snap  # advanced by the change, not rebuilt
         assert current.version == g.version
         assert current.node_code["a9"] == current.num_nodes - 1
-        assert current.node_label_bitset("Account") == bits | 1 << current.node_code["a9"]
+        assert current.node_code["a9"] == len(mask)  # the mask grew with the code
+        assert current.node_label_mask("Account") == mask + b"\x01"
 
     def test_property_mutation_is_folded_in(self):
         g = bank_graph()
@@ -162,16 +165,55 @@ class TestCsrLayout:
         assert block.starts == block.ends == [0] * g.num_nodes
 
 
-class TestLabelBitsets:
+class TestLabelMasks:
     def test_membership(self):
         g = bank_graph()
         snap = snapshot_for(g)
-        bits = snap.node_label_bitset("Account")
-        members = {
-            nid for nid in g.node_ids() if (bits >> snap.node_code[nid]) & 1
-        }
+        mask = snap.node_label_mask("Account")
+        members = {nid for nid in g.node_ids() if mask[snap.node_code[nid]]}
         assert members == {"a1", "a2", "a3"}
-        assert snap.node_label_bitset("NoSuchLabel") == 0
+        assert snap.node_label_mask("NoSuchLabel") == bytes(snap.num_nodes)
+
+    def test_advanced_masks_equal_a_fresh_build(self):
+        """Add, retire, re-add of one id, set_labels: every built mask —
+        and `!A`, `A&B`, `A|B`, `%` over them — reads as a rebuild's, and
+        is one byte per code ever handed out."""
+        g = bank_graph()
+        for i in range(30):  # ballast: each change stays under a quarter of the graph
+            g.add_node(f"x{i}")
+        snap = snapshot_for(g)
+        account, city, vip = map(LabelAtom, ("Account", "City", "Vip"))
+        exprs = [
+            account, city, vip, LabelWildcard(), LabelNot(account),
+            LabelAnd((account, vip)), LabelOr((city, vip)),
+            LabelAnd((LabelNot(city), LabelWildcard())),
+        ]
+
+        def members(snapshot, expr):
+            mask = snapshot.compile_node_label_expr(expr)
+            assert len(mask) == snapshot.num_nodes  # mask[newest code] is defined
+            return {nid for nid, code in snapshot.node_code.items() if mask[code]}
+
+        for expr in exprs:
+            members(snap, expr)  # builds the three masks an advance must patch
+        for mutate in (
+            lambda: g.add_node("a9", labels=["Account", "Vip"]),
+            lambda: g.remove_node("a2"),
+            lambda: g.add_node("a2", labels=["City"]),  # same id, fresh code
+            lambda: g.set_labels("a9", ["City"]),
+            lambda: g.set_labels("c1", []),
+        ):
+            mutate()
+            assert snapshot_for(g) is snap  # advanced, not rebuilt
+            fresh = ColumnarGraph(g)
+            for expr in exprs:
+                assert members(snap, expr) == members(fresh, expr), str(expr)
+                assert members(snap, expr) == {
+                    nid for nid in g.node_ids() if expr.matches(g.labels_of(nid))
+                }
+        assert snap.num_nodes == 36 and snap.node_ids[1] is None  # a2's first code: a tombstone
+        assert [mask[1] for mask in snap._node_masks.values()] == [0, 0, 0]
+        assert snap.node_label_mask("Account") is snap.compile_node_label_expr(account)
 
     def test_label_members_sorted(self):
         g = bank_graph()
@@ -257,7 +299,7 @@ def warm_blocks(g):
     snap.csr("Transfer", "out")
     snap.csr("Transfer", "any")
     snap.csr(None, "any")
-    snap.node_label_bitset("Account")
+    snap.node_label_mask("Account")
     snap.node_column("isBlocked")
     snap.csr("Transfer", "out").column("amount")
     return snap

@@ -60,6 +60,82 @@ def test_gpml_explain_analyze_reports_frontier_counters(fig1):
     assert "frontier_entries=" not in oracle
 
 
+#: (graph, query) -> per run (rows, steps, frontier_slices,
+#: frontier_entries, frontier_survivors, vector_selectivity): exhaustive,
+#: LIMIT 1, and max_steps = half the exhaustive steps (rows None = the
+#: budget error).  Recorded at commit 192d87e, before the kernel went
+#: slice-at-a-time: a slice counts every entry it holds even when the
+#: run stops inside it, survivors only up to the stop.
+FRONTIER_COUNTERS = {
+    ("fig1", "MATCH (a:Account)-[t:Transfer]->(b:Account)"): [
+        (8, 8, 6, 8, 8, 1.0),
+        (1, 1, 1, 1, 1, 1.0),
+        (None, 5, 4, 5, 4, 0.8),
+    ],
+    (
+        "fig1",
+        "MATCH (a:Account WHERE a.isBlocked='no')-[t:Transfer WHERE t.amount > 5M]->"
+        "(b:Account)-[l:isLocatedIn]->(c:City)",
+    ): [
+        (2, 6, 4, 6, 5, 0.833333),
+        (1, 5, 3, 5, 4, 0.8),
+        (None, 4, 2, 4, 3, 0.75),
+    ],
+    (
+        "generated",
+        "MATCH (a:Account WHERE a.isBlocked='no')-[t:Transfer]->(b:Account)"
+        "-[u:Transfer]->(c:Account WHERE c.isBlocked='yes')",
+    ): [
+        (70, 1002, 389, 1002, 348, 0.347305),
+        (1, 6, 2, 7, 6, 0.857143),
+        (None, 502, 195, 505, 173, 0.342574),
+    ],
+    (
+        "generated",
+        "MATCH (a:Account)~[h:hasPhone]~(p:Phone)~[g:hasPhone]~"
+        "(b:Account WHERE b.isBlocked='yes')",
+    ): [
+        (19, 28, 18, 28, 28, 1.0),
+        (1, 2, 2, 3, 2, 0.666667),
+        (None, 15, 11, 15, 14, 0.933333),
+    ],
+}
+
+
+@pytest.mark.parametrize("graph_name, query", FRONTIER_COUNTERS)
+def test_frontier_counters_are_pinned(fig1, graph_name, query):
+    from repro.datasets import random_transfer_network
+    from repro.errors import BudgetExceededError
+    from repro.gpml.engine import match_iter, prepare
+    from repro.gpml.matcher import MatcherConfig
+
+    graph = fig1 if graph_name == "fig1" else random_transfer_network(120, 300, seed=5)
+    prepared = prepare(query)
+
+    def counters(limit=None, max_steps=5_000_000):
+        stats = PipelineStats.traced()
+        config = MatcherConfig(use_columnar=True, max_steps=max_steps)
+        try:
+            rows = sum(1 for _ in match_iter(graph, prepared, config, limit=limit, stats=stats))
+        except BudgetExceededError:
+            rows = None
+        span = stats.trace.find("search")
+        assert span.meta["engine"] == "columnar"
+        return (
+            rows,
+            span.steps,
+            span.counts["frontier_slices"],
+            span.counts["frontier_entries"],
+            span.counts["frontier_survivors"],
+            round(span.meta["vector_selectivity"], 6),
+        )
+
+    exhaustive = counters()  # first: a LIMIT only runs columnar over built blocks
+    assert [exhaustive, counters(limit=1), counters(max_steps=exhaustive[1] // 2)] == (
+        FRONTIER_COUNTERS[graph_name, query]
+    )
+
+
 # ----------------------------------------------------------------------
 # GQL host
 # ----------------------------------------------------------------------

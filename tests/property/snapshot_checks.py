@@ -7,6 +7,7 @@ node its row of every built block, its mask bits, its column cells, the
 sorted member lists.  Those must be identical.
 """
 
+from repro.gpml.label_expr import LabelAnd, LabelAtom, LabelNot, LabelOr, LabelWildcard
 from repro.graph.columnar import MISSING, ColumnarGraph, snapshot_for
 
 #: entry directions a hop scanning a (label, need) block admits
@@ -41,8 +42,19 @@ def column_cells(snapshot, column):
     return cells
 
 
-def mask_members(snapshot, bits):
-    return {nid for nid, code in snapshot.node_code.items() if (bits >> code) & 1}
+def mask_members(snapshot, mask):
+    # one byte per code ever handed out: the newest code indexes, no lazy growth
+    assert len(mask) == snapshot.num_nodes and set(mask) <= {0, 1}
+    return {nid for nid, code in snapshot.node_code.items() if mask[code]}
+
+
+def label_expressions(labels):
+    """Every label alone, plus `%` and — over the first and last — `!A`, `A&B`, `A|B`."""
+    atoms = [LabelAtom(label) for label in sorted(labels) or ["A"]]
+    first, second = atoms[0], atoms[-1]
+    return atoms + [
+        LabelWildcard(), LabelNot(first), LabelAnd((first, second)), LabelOr((first, second)),
+    ]
 
 
 def assert_advanced_equals_fresh(graph):
@@ -73,13 +85,10 @@ def assert_advanced_equals_fresh(graph):
                     assert column.values[local] == edge.properties.get(prop, MISSING)
                     if column.codes is not None and column.codes[local] != -1:
                         assert column.dictionary[column.codes[local]] == column.values[local]
-    for label in snapshot._node_masks:
-        assert mask_members(snapshot, snapshot.node_label_bitset(label)) == mask_members(
-            fresh, fresh.node_label_bitset(label)
-        ), label
-    assert mask_members(snapshot, snapshot.labeled_node_mask()) == mask_members(
-        fresh, fresh.labeled_node_mask()
-    )
+    for expr in label_expressions(snapshot._node_masks):
+        assert mask_members(snapshot, snapshot.compile_node_label_expr(expr)) == mask_members(
+            fresh, fresh.compile_node_label_expr(expr)
+        ), str(expr)
     for prop, column in snapshot._node_columns.items():
         assert column_cells(snapshot, column) == column_cells(fresh, fresh.node_column(prop))
     for label, members in snapshot._label_members_sorted.items():

@@ -87,7 +87,7 @@ def warm(graph):
     snapshot.csr("E", "out").column("t")
     snapshot.csr(None, "any").column("t")
     for label in ("A", "B", "Z"):
-        snapshot.node_label_bitset(label)
+        snapshot.node_label_mask(label)
         snapshot.label_members_sorted(label)
     for prop in ("v", "s", "absent"):
         snapshot.node_column(prop)

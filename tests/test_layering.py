@@ -132,6 +132,29 @@ def test_both_search_kernels_share_one_predicate_compiler():
     assert {"value_test", "split_where"} <= defined_names(SRC / "gpml/predicates.py")
 
 
+def test_the_frontier_kernel_scans_a_slice_at_a_time():
+    """One loop, and it is not per CSR entry: no ``for k in range(start,
+    end)`` walk of a row, no per-entry ``_admit_node``, no bit shifted out
+    of a packed mask, no raw ``PathBinding`` built to be reduced later."""
+    path = SRC / "gpml/frontier.py"
+    tree = ast.parse(path.read_text())
+    row_walks = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "range"
+        and len(node.iter.args) == 2
+    ]
+    assert row_walks == []
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.RShift)]
+    assert "_admit_node" not in defined_names(path)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not {"PathBinding", "ElementaryBinding"} & names
+    assert "repro.planner.anchor" not in imported_modules(path)  # nothing to reverse
+
+
 def test_the_matcher_derives_runs_through_explicit_fields():
     """No ``**overrides``-style run derivation (a kwargs dict and a
     ``.get`` per field on every ε-step), and no second matcher beside it."""
