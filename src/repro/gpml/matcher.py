@@ -65,7 +65,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.errors import BudgetExceededError, GpmlEvaluationError
+from repro.errors import BudgetExceededError, GpmlEvaluationError, GraphError
 from repro.gpml import ast
 from repro.gpml.automaton import (
     BagTag,
@@ -485,6 +485,8 @@ class Matcher:
         candidates = self._initial_candidates()
         self.initial_candidate_count = len(candidates)
         for node_id in candidates:
+            if not self.graph.has_node(node_id):  # only a caller's seed can be
+                raise GraphError(f"unknown node {node_id!r}")
             yield _Run(
                 self.nfa.start, node_id, node_id, (), (), (), {}, None,
                 (None, node_id), 0, frozenset(), None,

@@ -3,14 +3,16 @@
 The frontier engine promises *exact* equivalence with the object-graph
 matcher — same rows, same order, same step counts, same truncation
 points under budgets — not just bag equality.  Random graphs cross a
-pool of chain-shaped queries (the frontier's eligible fragment) plus
-shapes the frontier must *decline* (quantifiers, alternation, selectors),
-where both configurations fall back to the same engine and must still
-agree.
+pool of chain-shaped queries plus quantified, alternated and restricted
+ones; shapes the frontier must *decline* (a reconverging closure) fall
+back to the same engine in both configurations and must still agree.
 
 Bag semantics are asserted via ordered row lists: order equality is
 strictly stronger and is part of the engine's contract.
 """
+
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -29,8 +31,12 @@ from repro.gpml.engine import (
 )
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
+from repro.datasets import random_transfer_network
 from repro.graph import GraphBuilder
 from repro.graph.columnar import snapshot_for
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+from suite import workloads  # noqa: E402  (the path_search shapes, not copies of them)
 
 COLUMNAR = MatcherConfig(max_steps=500_000, max_results=100_000, use_columnar=True)
 ORACLE = MatcherConfig(max_steps=500_000, max_results=100_000, use_columnar=False)
@@ -61,8 +67,8 @@ def tiny_graphs(draw):
     return builder.build()
 
 
-# Chain shapes (frontier-eligible) and ineligible shapes (shared
-# fallback) — both must agree exactly between the two configurations.
+# Chains, hop programs with routes, and shapes the frontier declines
+# (shared fallback) — all must agree exactly between the two configurations.
 QUERIES = [
     "MATCH (x)",
     "MATCH (x:A)",
@@ -78,10 +84,16 @@ QUERIES = [
     "MATCH (x:A)-[e WHERE e.w = 2]->(y:B)-[f]-(z)",
     "MATCH (x)-[e]->(y) WHERE x.v <> y.v",
     "MATCH p = (x:B)-[e]->(y)",
-    # Frontier-ineligible shapes: both configs take the object engine.
     "MATCH (a)-[e]->{1,2}(b)",
-    "MATCH (x:A) | (x:B)",
     "MATCH TRAIL p = (a)-[e]->*(b)",
+    "MATCH (a)-[e]-{0,2}(b:B)",
+    "MATCH (a:A) [-[e:E]->(x) |+| <-[e:F]-(x)] (b)",
+    "MATCH ACYCLIC (a)-[e]-{1,3}(b)",
+    "MATCH SIMPLE p = (a)-[e]->{1,3}(a)",
+    "MATCH (a) [(x)-[e]->(y) WHERE e.w >= y.v]{1,2} (b WHERE b.s = 'x')",
+    # Frontier-ineligible shapes: both configs take the object engine.
+    "MATCH (x:A) | (x:B)",
+    "MATCH (a) [(x:A)]{0,2} (b)",
 ]
 
 
@@ -259,43 +271,102 @@ def assert_same_stop(graph, prepared, **run):
     return columnar
 
 
-@pytest.mark.parametrize("query", STOP_QUERIES)
-def test_every_stop_point_matches_oracle(query):
+def check_every_stop(query, **how):
+    """Rows, error, ``matcher.steps`` and the stats counters at every
+    ``max_steps`` 1…N, every ``max_results``, every ``limit=k``, every
+    ``close()`` after k rows, ``first`` / ``exists`` and seeded runs."""
     graph, prepared = stop_graph(), prepare(query)
     full = warmed(graph, prepared)
-    rows, error, (steps,), _, matches, _ = assert_same_stop(graph, prepared)
+    rows, error, (steps,), _, matches, _ = assert_same_stop(graph, prepared, **how)
     assert (rows, error) == (full, None)
 
     errors = 0
     for max_steps in range(1, steps + 1):
-        cut = assert_same_stop(graph, prepared, max_steps=max_steps)
+        cut = assert_same_stop(graph, prepared, max_steps=max_steps, **how)
         errors += cut[1] is not None
         assert cut[0] == full[: len(cut[0])]
-    assert errors == steps - 1  # only the exhaustive count itself gets through
+    assert errors == max(steps - 1, 0)  # only the exhaustive count itself gets through
     for max_results in range(1, matches + 1):
-        cut = assert_same_stop(graph, prepared, max_results=max_results)
+        cut = assert_same_stop(graph, prepared, max_results=max_results, **how)
         assert (cut[1] is None) == (max_results == matches)
     for k in range(0, len(full) + 2):
-        assert assert_same_stop(graph, prepared, limit=k)[0] == full[:k]
-        assert assert_same_stop(graph, prepared, take=k or None)[0] == full[: k or None]
+        assert assert_same_stop(graph, prepared, limit=k, **how)[0] == full[:k]
+        assert assert_same_stop(graph, prepared, take=k or None, **how)[0] == full[: k or None]
     for probe in (first, exists):
         assert repr(probe(graph, prepared, config(True))) == repr(
             probe(graph, prepared, config(False))
         )
+    seeds = ["n2", "n1", "nope", "n0", "n4"]
+    for cut in range(len(seeds) + 1):
+        rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds[:cut], **how)
+        assert (error is None) == (cut < 3)
+    assert error == ("GraphError", "unknown node 'nope'")
 
 
-@pytest.mark.parametrize("query", STOP_QUERIES[:4])
+@pytest.mark.parametrize("query", STOP_QUERIES)
+def test_every_stop_point_matches_oracle(query):
+    check_every_stop(query)
+
+
+#: what the hop program runs beyond chains: quantifiers, alternation,
+#: optionals, restrictors, joins, conditional and group variables
+NON_CHAIN_QUERIES = [
+    "MATCH (a)-[e]->{1,2}(b)",
+    "MATCH (a:A)-[e:E]->{0,2}(b)",
+    "MATCH (a) [-[e]->(m) WHERE e.w >= 1]{2,3} (b:B)",  # planner-reversed
+    "MATCH (a) [-[e]->(m:B) WHERE e.w >= 1 AND m.v <= 1]{2,3} (b)",
+    "MATCH (a:A) [(x)-[e:E]->{1,2}(y)-[f:F]->(z)]{1,2} (b)",  # nested quantifier
+    "MATCH (a:A)~[e]~{1,2}(b)",
+    "MATCH (a:A)-[e]-{1,2}(b:B)",  # any direction, planner-reversed
+    "MATCH (a:A) [-[:E]-> | -[:F]->] (x)",
+    "MATCH (a) [-[:E]-> | <-[:F]-] (x WHERE x.v = 0)",  # planner-reversed
+    "MATCH (a:A) [-[e:E]->(x) |+| -[e:F]->(x)] (b)",
+    "MATCH (a) [[-[e:E]-> |+| -[e]->] (x)]{1,2} (b WHERE b.v = 0)",  # tags, reversed
+    "MATCH (a:A) [-[e:E]->(x:B)]? (b)",  # e, x conditional
+    "MATCH TRAIL p = (a:A)-[e]->{1,4}(b)",
+    "MATCH ACYCLIC p = (a)-[e]-{1,4}(b:B WHERE b.v = 1)",
+    "MATCH SIMPLE p = (a:A)-[e]->{1,4}(b)",
+    "MATCH TRAIL (a:B)-[e:E]->*(b)",
+    "MATCH (a:A)-[e:E]->(b) [ACYCLIC (b)-[f]-{1,3}(c)] -[g:E]->(d)",
+    "MATCH (a)-[e]->{1,2}(b)-[f]->(a)",  # a singleton repeated outside the quantifier
+    "MATCH (a:A) [(x)-[e]->(y)-[f]-(x)]{1,2} (b)",  # a variable repeated inside one
+    "MATCH [(a:A)-[e]->{1,3}(b) WHERE COUNT(e) >= 2 AND SUM(e.w) > 2]",
+    "MATCH (a WHERE SUM(e.w) >= 2)-[e]->{1,2}(b)",  # deferred to acceptance
+]
+
+
+@pytest.mark.parametrize("query", NON_CHAIN_QUERIES)
+def test_every_stop_point_of_a_non_chain_matches_oracle(query):
+    check_every_stop(query, frontier=False)
+
+
+def test_planner_reverses_some_of_the_non_chain_runs():
+    """The pool covers the reversed direction: groups, bag tags and walks
+    of a right-anchored run come back in forward orientation."""
+    graph, reversed_runs = stop_graph(), []
+    for query in NON_CHAIN_QUERIES:
+        tree = match_stages(graph, prepare(query), config(True))
+        list(tree.run())
+        reversed_runs.append(search_stages(tree)[0].reverse)
+    assert 4 <= sum(reversed_runs) < len(reversed_runs)
+
+
+@pytest.mark.parametrize("query", STOP_QUERIES[:4] + NON_CHAIN_QUERIES[:3])
 def test_unknown_seed_mid_list_delivers_earlier_rows(query):
     graph, prepared = stop_graph(), prepare(query)
     warmed(graph, prepared)
     seeds = ["n2", "n1", "nope", "n0"]
-    rows, error, *counters = observe(graph, prepared, True, seeds=seeds)
+    rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds, frontier=False)
     assert error == ("GraphError", "unknown node 'nope'")
-    # the object matcher words it by the first lookup that fails (a
-    # labelled first node: "unknown element"): same type, rows, counters
-    oracle_rows, oracle_error, *oracle_counters = observe(graph, prepared, False, seeds=seeds)
-    assert (rows, error[0], counters) == (oracle_rows, oracle_error[0], oracle_counters)
-    assert rows == assert_same_stop(graph, prepared, seeds=seeds[:2])[0] != []
+    assert rows == assert_same_stop(graph, prepared, seeds=seeds[:2], frontier=False)[0] != []
+
+
+def test_unknown_seed_under_a_labelled_first_node_is_an_unknown_node():
+    graph, prepared = stop_graph(), prepare("MATCH (x:A)-[e:E]->(y)")
+    warmed(graph, prepared)
+    for use_columnar in (True, False):
+        _, error, *_ = observe(graph, prepared, use_columnar, seeds=["n0", "nope"])
+        assert error == ("GraphError", "unknown node 'nope'")
 
 
 @pytest.mark.parametrize(
@@ -308,14 +379,20 @@ def test_unknown_seed_mid_list_delivers_earlier_rows(query):
         "MATCH (x)-[e]-(y WHERE y.v >= 1 AND y.flag)",
         # ... and a deferred WHERE at acceptance, on a two-hop chain
         "MATCH (x WHERE x.v < 2 AND z.flag)-[e]->(y)-[f]-(z)",
+        # mid-run under a quantifier: in a node residual of the exit route,
+        # in a paren WHERE of the body, and deferred over the group
+        "MATCH (a)-[e]->{1,2}(b WHERE b.v >= 1 AND b.flag)",
+        "MATCH (a) [-[e]->(m) WHERE e.w >= 1 AND m.flag]{1,2} (b)",
+        "MATCH TRAIL (a WHERE COUNT(e) >= 1 AND b.flag)-[e]->{1,3}(b)",
     ],
 )
 def test_raising_residual_stops_both_engines_alike(query):
     graph, prepared = stop_graph(), prepare(query)
     snapshot_for(graph)
     delivered = []
+    frontier = "{" not in query
     for seeds in (None, ["n3", "n4", "n0", "n1", "n2"]):
-        rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds)
+        rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds, frontier=frontier)
         assert error is not None and error[0] == "ExpressionError"
         delivered.append(len(rows))
     assert any(delivered)  # the error does not take the earlier rows with it
@@ -343,3 +420,34 @@ def test_label_expressions_after_advance_with_retired_nodes():
         assert snapshot_for(graph) is snapshot and error is None and rows
         for max_steps in range(1, steps + 1):
             assert_same_stop(graph, prepared, max_steps=max_steps)
+
+
+# ----------------------------------------------------------------------
+# The benchmark's path_search shapes on random transfer networks
+# ----------------------------------------------------------------------
+PATH_SEARCH_SHAPES = [
+    workloads._PS_HOP12, workloads._PS_GROUP, workloads._PS_ALT, workloads._PS_TRAIL,
+    workloads._PS_ACYCLIC, workloads._PS_TRAIL5, workloads._PS_FRAUD_2,
+]
+
+
+@given(
+    st.integers(6, 14), st.integers(8, 36), st.integers(0, 10_000),
+    st.sampled_from(PATH_SEARCH_SHAPES), st.integers(0, 13), st.integers(1, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_path_search_shapes_match_oracle(accounts, transfers, seed, shape, owner, limit):
+    graph = random_transfer_network(accounts, transfers, seed=seed, blocked_fraction=0.4)
+    prepared = prepare(workloads.fill(shape, {"o": f"owner{owner % accounts}"}))
+    outcomes = {}
+    for use_columnar in (True, False):
+        stats = PipelineStats()
+        rows = [row_key(row) for row in match_iter(graph, prepared, config(use_columnar), stats=stats)]
+        cut = PipelineStats()
+        head = [
+            row_key(row)
+            for row in match_iter(graph, prepared, config(use_columnar), limit=limit, stats=cut)
+        ]
+        outcomes[use_columnar] = (rows, stats.steps, stats.matches, head, cut.steps, cut.matches)
+    assert outcomes[True] == outcomes[False]
+    assert outcomes[True][3] == outcomes[True][0][:limit]
