@@ -16,7 +16,7 @@ is exactly how the multiset semantics survives reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 #: An annotation is a tuple of (quantifier id, iteration number) pairs,
 #: outermost quantifier first.  The empty tuple annotates top-level
@@ -94,6 +94,33 @@ class ReducedBinding:
 
     def dedup_key(self) -> tuple:
         return (self.elements, self.singletons, self.groups, self.bag_tags)
+
+
+def forward_annotations(annotations: Iterable[Annotation]) -> Callable[[Annotation], Annotation]:
+    """The renumbering that turns the annotations of a reversed run forward.
+
+    *annotations* are all the annotations of one binding of the reversed
+    pattern (entries and bag tags).  A quantifier that ran k iterations
+    in some enclosing context has iteration i relabeled k+1-i there, so
+    the renumbered annotations equal what a forward run would have
+    produced.  (Iterations are contiguous 1..k by construction, and
+    annotations record true iteration numbers — counters saturate, the
+    annotations do not.)
+    """
+    max_iteration: dict[tuple, int] = {}
+    for ann in set(annotations):
+        for depth in range(len(ann)):
+            quant_id, iteration = ann[depth]
+            key = (ann[:depth], quant_id)
+            max_iteration[key] = max(max_iteration.get(key, 0), iteration)
+
+    def remap(ann: Annotation) -> Annotation:
+        return tuple(
+            (quant_id, max_iteration[(ann[:depth], quant_id)] + 1 - iteration)
+            for depth, (quant_id, iteration) in enumerate(ann)
+        )
+
+    return remap
 
 
 def reduce_binding(

@@ -777,14 +777,13 @@ def _make_matcher(
     candidates come from its sorted member lists.
     """
     if config.use_columnar and analysis.strategy == ENUMERATE:
-        spec = FrontierMatcher.supports(graph, nfa, budget)
-        if spec is not None:
+        program = FrontierMatcher.supports(graph, nfa, budget)
+        if program is not None:
             if callable(start_candidates):
                 start_candidates = start_candidates()
             return FrontierMatcher(
-                graph, nfa, pattern, spec, config,
-                start_candidates=start_candidates, budget=budget, stats=stats,
-                reverse=reverse, anonymous_vars=analysis.anonymous_vars,
+                graph, pattern, program, config,
+                start_candidates=start_candidates, budget=budget, stats=stats, reverse=reverse,
             )
     if callable(start_candidates):
         start_candidates = start_candidates()

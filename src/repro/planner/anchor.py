@@ -37,7 +37,7 @@ from repro.errors import ReproError
 from repro.gpml import ast
 from repro.gpml.analysis import PathAnalysis, analyze
 from repro.gpml.automaton import PatternNFA, compile_path_pattern
-from repro.gpml.bindings import ElementaryBinding, PathBinding
+from repro.gpml.bindings import ElementaryBinding, PathBinding, forward_annotations
 from repro.gpml.expr import Aggregate, Expr
 
 LEFT = "left"
@@ -142,30 +142,14 @@ def is_reversible(analysis: PathAnalysis) -> bool:
 # Binding reversal
 # ----------------------------------------------------------------------
 def reverse_binding(binding: PathBinding) -> PathBinding:
-    """Map a binding of the reversed pattern back to forward orientation.
-
-    Quantifier annotations are renumbered per enclosing context: a
-    quantifier that ran k iterations has iteration i relabeled k+1-i, so
-    the renumbered annotations equal what a forward run would have
-    produced.  (Iterations are contiguous 1..k by construction, and
-    ``ann`` records true iteration numbers — counters saturate, the
-    annotations do not.)
-    """
-    annotations = {entry.annotation for entry in binding.entries}
-    annotations.update(ann for _, _, ann in binding.bag_tags)
-    max_iteration: dict[tuple, int] = {}
-    for ann in annotations:
-        for depth in range(len(ann)):
-            quant_id, iteration = ann[depth]
-            key = (ann[:depth], quant_id)
-            max_iteration[key] = max(max_iteration.get(key, 0), iteration)
-
-    def remap(ann: tuple) -> tuple:
-        return tuple(
-            (quant_id, max_iteration[(ann[:depth], quant_id)] + 1 - iteration)
-            for depth, (quant_id, iteration) in enumerate(ann)
-        )
-
+    """Map a binding of the reversed pattern back to forward orientation:
+    walk and entries reversed, quantifier annotations renumbered by the
+    one remap the frontier kernel shares
+    (:func:`repro.gpml.bindings.forward_annotations`)."""
+    remap = forward_annotations(
+        [entry.annotation for entry in binding.entries]
+        + [ann for _, _, ann in binding.bag_tags]
+    )
     entries = tuple(
         ElementaryBinding(entry.var, remap(entry.annotation), entry.element_id)
         for entry in reversed(binding.entries)

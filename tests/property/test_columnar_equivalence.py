@@ -337,7 +337,7 @@ NON_CHAIN_QUERIES = [
 
 @pytest.mark.parametrize("query", NON_CHAIN_QUERIES)
 def test_every_stop_point_of_a_non_chain_matches_oracle(query):
-    check_every_stop(query, frontier=False)
+    check_every_stop(query)
 
 
 def test_planner_reverses_some_of_the_non_chain_runs():
@@ -356,9 +356,9 @@ def test_unknown_seed_mid_list_delivers_earlier_rows(query):
     graph, prepared = stop_graph(), prepare(query)
     warmed(graph, prepared)
     seeds = ["n2", "n1", "nope", "n0"]
-    rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds, frontier=False)
+    rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds)
     assert error == ("GraphError", "unknown node 'nope'")
-    assert rows == assert_same_stop(graph, prepared, seeds=seeds[:2], frontier=False)[0] != []
+    assert rows == assert_same_stop(graph, prepared, seeds=seeds[:2])[0] != []
 
 
 def test_unknown_seed_under_a_labelled_first_node_is_an_unknown_node():
@@ -390,9 +390,8 @@ def test_raising_residual_stops_both_engines_alike(query):
     graph, prepared = stop_graph(), prepare(query)
     snapshot_for(graph)
     delivered = []
-    frontier = "{" not in query
     for seeds in (None, ["n3", "n4", "n0", "n1", "n2"]):
-        rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds, frontier=frontier)
+        rows, error, *_ = assert_same_stop(graph, prepared, seeds=seeds)
         assert error is not None and error[0] == "ExpressionError"
         delivered.append(len(rows))
     assert any(delivered)  # the error does not take the earlier rows with it
