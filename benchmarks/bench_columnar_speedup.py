@@ -1,11 +1,13 @@
 """Guard: the columnar frontier engine must stay decisively faster.
 
-Runs the same chain queries twice — ``use_columnar=False`` (the object
+Runs the same queries twice — ``use_columnar=False`` (the object
 oracle) and the columnar frontier — interleaved, best-of-ROUNDS each on
 a warm snapshot, and asserts the frontier's wall time beats the oracle
-by at least :data:`MIN_SPEEDUP` on every query — a selective hop, one
-tiny slice per account, a few slices of thousands of entries — while
-each delivers identical rows.  The CI ``bench-report`` job runs this
+by at least :data:`MIN_SPEEDUP` on every query — three chains (a
+selective hop, one tiny slice per account, a few slices of thousands of
+entries) and two hop programs with routes (a ``{1,2}`` quantifier
+between blocked accounts, a ``TRAIL {1,6}`` from each of 50 owners) —
+while each delivers identical rows.  The CI ``bench-report`` job runs this
 as a script on a scaled-down graph; under pytest each query is a test
 case.
 
@@ -39,24 +41,46 @@ from repro.graph.columnar import snapshot_for  # noqa: E402
 #: 5.6-5.8x (before it 2.1-2.2x, 4.8-5.1x and city_scan unguarded); at
 #: 12k/24k 3.8x, 6.4x, 4.7x.  The gate is two thirds of the smallest
 #: ratio: it guards the frontier kernel, with margin for a shared runner.
+#: The two hop programs with routes joined at the same gate: best-of-5 at
+#: 3k/6k measured blocked_hop12 4.3-4.6x and owner_trail 3.4-3.6x.
 MIN_SPEEDUP = 2.5
 ROUNDS = 5
 
 DEFAULT_ACCOUNTS = 12_000
 DEFAULT_TRANSFERS = 24_000
 
-#: (name, query): each must hit MIN_SPEEDUP with identical results
+#: (name, queries timed together): each must hit MIN_SPEEDUP with
+#: identical results
 QUERIES = [
     (
         "blocked_hop",
-        "MATCH (a:Account WHERE a.isBlocked='yes')"
-        "-[t:Transfer]->(b:Account WHERE b.isBlocked='yes')",
+        [
+            "MATCH (a:Account WHERE a.isBlocked='yes')"
+            "-[t:Transfer]->(b:Account WHERE b.isBlocked='yes')"
+        ],
     ),
-    ("self_probe", "MATCH (a:Account)-[t:Transfer]->(a)"),
+    ("self_probe", ["MATCH (a:Account)-[t:Transfer]->(a)"]),
     # anchored at the few cities: slices of thousands of entries
     (
         "city_scan",
-        "MATCH (a:Account WHERE a.isBlocked='yes')-[l:isLocatedIn]->(c:City)",
+        ["MATCH (a:Account WHERE a.isBlocked='yes')-[l:isLocatedIn]->(c:City)"],
+    ),
+    # routes: every hop both leaves the quantifier and goes round again
+    (
+        "blocked_hop12",
+        [
+            "MATCH (a:Account WHERE a.isBlocked='yes')"
+            "-[t:Transfer]->{1,2}(b:Account WHERE b.isBlocked='yes')"
+        ],
+    ),
+    # ... under a restrictor scope, one small search per owner
+    (
+        "owner_trail",
+        [
+            f"MATCH TRAIL p = (a:Account WHERE a.owner='owner{7 * k}')"
+            "-[t:Transfer]->{1,6}(b:Account)"
+            for k in range(50)
+        ],
     ),
 ]
 
@@ -72,39 +96,44 @@ def speedup_graph():
     return _GRAPH
 
 
-def _rows(graph, prepared, config):
+def _drain(graph, prepared, config):
+    """The rows of every query, and the seconds it took to drain them."""
+    start = perf_counter()
+    rows = [row for query in prepared for row in match_iter(graph, query, config)]
+    return rows, perf_counter() - start
+
+
+def _keys(rows):
     return [
-        tuple(sorted((var, repr(value)) for var, value in row.values.items()))
-        for row in match_iter(graph, prepared, config)
+        (tuple(sorted((var, repr(value)) for var, value in row.values.items())), *map(str, row.paths))
+        for row in rows
     ]
 
 
-def compare(graph, query):
+def compare(graph, queries):
     """(oracle_best_s, columnar_best_s) over interleaved best-of-ROUNDS.
 
     Also asserts both engines deliver identical rows in identical order.
     """
-    prepared = prepare(query)
+    prepared = [prepare(query) for query in queries]
     oracle_config = MatcherConfig(use_columnar=False)
     columnar_config = MatcherConfig(use_columnar=True)
     snapshot_for(graph)  # warm: the snapshot is version-cached
-    baseline = _rows(graph, prepared, oracle_config)
+    baseline = _keys(_drain(graph, prepared, oracle_config)[0])
     oracle_best = columnar_best = float("inf")
     for _ in range(ROUNDS):
-        start = perf_counter()
-        oracle_rows = _rows(graph, prepared, oracle_config)
-        oracle_best = min(oracle_best, perf_counter() - start)
-        start = perf_counter()
-        columnar_rows = _rows(graph, prepared, columnar_config)
-        columnar_best = min(columnar_best, perf_counter() - start)
-        assert oracle_rows == baseline
-        assert columnar_rows == baseline, "columnar engine changed the results"
+        oracle_rows, seconds = _drain(graph, prepared, oracle_config)
+        oracle_best = min(oracle_best, seconds)
+        columnar_rows, seconds = _drain(graph, prepared, columnar_config)
+        columnar_best = min(columnar_best, seconds)
+        assert _keys(oracle_rows) == baseline
+        assert _keys(columnar_rows) == baseline, "columnar engine changed the results"
     return oracle_best, columnar_best
 
 
-@pytest.mark.parametrize("name,query", QUERIES, ids=[q[0] for q in QUERIES])
-def test_columnar_speedup(name, query):
-    oracle, columnar = compare(speedup_graph(), query)
+@pytest.mark.parametrize("name,queries", QUERIES, ids=[q[0] for q in QUERIES])
+def test_columnar_speedup(name, queries):
+    oracle, columnar = compare(speedup_graph(), queries)
     assert columnar * MIN_SPEEDUP <= oracle, (
         f"{name}: columnar best {columnar * 1000:.1f}ms is under "
         f"{MIN_SPEEDUP:.1f}x faster than oracle best {oracle * 1000:.1f}ms"
@@ -125,8 +154,8 @@ def main(argv=None) -> int:
         f"(best of {ROUNDS}, warm snapshot)"
     )
     failed = False
-    for name, query in QUERIES:
-        oracle, columnar = compare(graph, query)
+    for name, queries in QUERIES:
+        oracle, columnar = compare(graph, queries)
         ratio = oracle / columnar if columnar else float("inf")
         verdict = "ok"
         if columnar * MIN_SPEEDUP > oracle:

@@ -7,8 +7,8 @@ Pipeline (mirroring Section 6 of the paper):
 3. **analyze** — classification, legality, termination (Sections 4-5),
 4. **compile** one counter NFA per path pattern,
 5. **match** each path pattern (strategy chosen by the analysis),
-6. **reduce + deduplicate** path bindings (Sections 6.4-6.5; the chain
-   kernel's solutions arrive reduced),
+6. **reduce + deduplicate** path bindings (Sections 6.4-6.5; all
+   frontier solutions arrive reduced),
 7. apply **selectors** per path pattern (Figure 8),
 8. **join** path patterns on shared singleton variables and apply the
    final WHERE postfilter (Sections 4.3, 6.6),
@@ -535,9 +535,10 @@ class _Search(_Stage):
 
 class _Dedup(_Stage):
     """Stage 6: reduce each accepted binding — unless the matcher says
-    its solutions arrive reduced (``emits_reduced``: the chain kernel) —
-    and drop duplicates, streaming.  ``bind`` (None when a selector
-    follows) materializes the surviving solutions."""
+    its solutions arrive reduced (``emits_reduced``: the frontier kernel
+    hands over singletons, groups and bag tags in forward orientation,
+    whatever the pattern) — and drop duplicates, streaming.  ``bind``
+    (None when a selector follows) materializes the surviving solutions."""
 
     detail = "incremental seen-set over reduced bindings"
 
@@ -765,9 +766,15 @@ def _make_matcher(
     stats: Optional[PipelineStats] = None,
     reverse: bool = False,
 ):
-    """The search engine for one pattern run: columnar frontier when the
-    pattern is an eligible linear chain (and ``config.use_columnar``),
-    otherwise the object matcher — the reference oracle for everything.
+    """The search engine for one pattern run.
+
+    The columnar frontier kernel runs every ENUMERATE search whose hop
+    program compiles (``FrontierMatcher.supports``): chains, quantifiers,
+    alternation, optionals, restrictors.  The object matcher — the oracle
+    for all of it — keeps the selector strategies, ``config.use_columnar``
+    off, a bounded consumer whose CSR blocks are not built yet, and
+    closures whose ε-subgraph reconverges or cycles (``eps_tree`` false:
+    node-only union branches or optionals, edge-less quantifier bodies).
     ``reverse`` says *pattern* is the reversed one (the frontier turns
     its solutions forward itself).
 

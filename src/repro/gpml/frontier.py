@@ -10,7 +10,7 @@ NFA once per snapshot version into a **hop program** and runs it over the
 *Hop program.*  Every state with edge transitions gets one :class:`_Hop`
 per transition: the CSR block of the edge label, the direction
 admission, the edge's total tests.  The ε-tree below the transition's
-target is flattened into **routes** (:class:`_Route`), in the object
+target is flattened into **routes**, in the object
 matcher's LIFO pop order (a state's accept, then its deposit, then its
 ε-successors last first): each route ends in one event — *accept*, or
 *deposit at state s'* — and carries everything its ε-actions do on the
@@ -41,13 +41,12 @@ over those columns at C level: ``mask.__getitem__`` for a node label
 dictionary-encoded string equality, ``values.__getitem__`` + the shared
 :func:`~repro.gpml.predicates.value_test` closure for any other
 ``var.prop op literal`` conjunct (of an element WHERE, or of a paren
-WHERE that consists of nothing else and reads the elements the hop just
-bound), ``code.__eq__`` for a repeated variable,
-``members.__contains__`` for a restrictor scope.  ``map(and_, …)`` joins
-the verdicts — the hop's, then one chain per route — and ``compress``
-hands Python-level code the surviving positions only.  The checks that
-are not total — residual conjuncts, other paren WHEREs, a non-atom edge
-label expression — run per arrival as ordinary expressions
+WHERE made of nothing else over the elements the hop just bound),
+``code.__eq__`` for a repeated variable, ``members.__contains__`` for a
+restrictor scope.  ``map(and_, …)`` joins the verdicts — the hop's, then
+one chain per route — and ``compress`` hands Python-level code the
+surviving positions only.  The checks that are not total — residual
+conjuncts, other paren WHEREs, a non-atom edge label — run per arrival
 (:meth:`FrontierMatcher._apply`), deferred WHEREs at acceptance.
 
 Total tests run before the non-total ones of the same hop and its
@@ -64,18 +63,16 @@ reversal and reduction on the same inputs.  The search replicates the
 object engine's stack discipline — one seed drained at a time, a slice's
 arrivals taken incidence-major, then in route order: deposits pushed
 and popped LIFO, accepts yielded as they come — and counts one step per
-orientation-admitted CSR entry per transition, where the object matcher
-counts one per admitted incidence.  Steps are added a slice at a time
-and are **exact wherever the scan can stop**: before a yield, a residual
-evaluation or a raise the count is stepped back to the entry in hand; a
-slice that would cross ``max_steps`` is cut to the prefix the budget
-allows and raises after it; ``steps``, ``PipelineStats.steps`` and
-``metrics`` are published before every yield and on the way out.  Seeds
-pass the start routes' total tests the same way, ``_SEED_BLOCK`` at a
-time, so a LIMIT's first row does not wait for every candidate.  (Inline
-WHEREs are split exactly as the object matcher splits them —
-:mod:`repro.gpml.predicates` — so even a WHERE that *raises*
-mid-conjunction behaves alike in both.)
+orientation-admitted CSR entry per transition.  Steps are added a slice
+at a time and are **exact wherever the scan can stop**: before a yield,
+a residual evaluation or a raise the count is stepped back to the entry
+in hand; a slice that would cross ``max_steps`` is cut to the prefix the
+budget allows and raises after it; ``steps``, ``PipelineStats.steps``
+and ``metrics`` are published before every yield and on the way out.
+Seeds pass the start routes' total tests ``_SEED_BLOCK`` at a time, so a
+LIMIT's first row does not wait for every candidate.  (Inline WHEREs are
+split exactly as the object matcher splits them, so even a WHERE that
+*raises* mid-conjunction behaves alike in both.)
 
 Solutions leave as :class:`~repro.gpml.bindings.ReducedBinding` objects
 already in forward orientation (``emits_reduced``): singletons, groups
@@ -170,12 +167,11 @@ class _Hop:
     """What one edge transition does to a CSR slice, before its routes:
     ``block`` holds what the scan reads of the CSR block, the direction
     admission and the edge WHERE's total tests over the ``local``
-    entries; ``edge_join`` names an edge variable bound elsewhere too;
-    ``prefix`` holds the steps every route starts with (non-atom label,
+    entries; ``prefix`` holds the steps every route starts with (non-atom label,
     edge binding, residual or deferred WHERE).  ``scans`` memoizes, per
     annotation, the tuple the scan loop unpacks."""
 
-    __slots__ = ("block", "edge_join", "prefix", "routes", "scans")
+    __slots__ = ("block", "prefix", "routes", "scans")
 
     def scan_at(self, ann: tuple) -> tuple:
         """``(*block, edge join, plans, shared, merged)`` for an entry that
@@ -192,8 +188,10 @@ class _Hop:
             merged = shared and (
                 deposits > 1 or len(plans) - deposits > 1 or any(plan.checked for plan in plans)
             )
-            join = self.edge_join
-            if type(join) is str:  # looked up in the entries cell, under *ann*
+            # an edge variable bound elsewhere too: its walk position on a
+            # chain, else looked up in the entries cell, under *ann*
+            join = next((arg for code, arg, _ in self.prefix if code <= _REBIND), None)
+            if type(join) is str:
                 join = (join, ann)
             scan = self.scans[ann] = (*self.block, join, plans, shared, merged)
         return scan
@@ -212,19 +210,16 @@ class _Plan:
 
     __slots__ = (
         "target", "edge_tests", "node_tests", "pops", "pushes", "ann", "joins", "ops",
-        "checked", "scan", "forever", "plain",
+        "checked", "scan", "plain",
     )
 
     def __init__(self, route: tuple, ann: tuple, joins: list, ops: list, checked: bool):
         self.target, self.edge_tests, self.node_tests, _, self.pops, self.pushes = route
         self.ann, self.joins, self.ops = ann, joins, ops
-        #: whether an op can reject or raise: the step count is then
-        #: stepped back to the arrival before the ops run
+        #: an op can reject or raise: ``steps`` is stepped back to the arrival first
         self.checked = checked
-        #: what an entry deposited by this plan scans (``_Hop.scan_at``),
-        #: resolved when the first one is
+        #: what a deposited entry scans (``_Hop.scan_at``), resolved by the first
         self.scan: Optional[tuple] = None
-        self.forever = repeat(self)  # stateless: zipped with merged survivors
         #: an arrival is its parent's cell and scopes, deposited
         self.plain = not (ops or self.pops or self.pushes or self.target is None)
 
@@ -514,9 +509,6 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
         bind(pattern, _EDGE, state, hop.prefix)
         if linear:
             depth[transition.target] = depth[state] + 1
-        hop.edge_join = None
-        if hop.prefix and hop.prefix[-1][0] in (_JOIN, _REBIND):
-            hop.edge_join = hop.prefix[-1][1]
         edge_tests = []
         if pattern.where is None:
             pass
@@ -679,21 +671,15 @@ class FrontierMatcher:
         return candidates
 
     def _seeds(self, seeds: list, stack: list):
-        """Start *seeds*: an iterable of ``(cell, walk)`` per start accept,
-        in route order, and of None whenever *stack* — on which the start
-        routes' deposits are pushed meanwhile — is to be drained: after
-        each seed, so that one is drained before the next.  When the one
-        start route is *plain* there is nothing to run per seed: every
-        entry is pushed at once, first seed on top, and the stack itself
-        drains them one at a time."""
+        """Start *seeds*: pushes the start routes' deposits on *stack* and
+        answers ``(cell, walk)`` per start accept, in route order, and None
+        whenever the stack is to be drained — after each seed.  When the
+        one start route is *plain* nothing runs per seed: every entry is
+        pushed at once, first seed on top, and the stack drains them one
+        at a time by itself."""
         plans = self.program.seeds
-        if len(plans) > 1:
-            verdicts = [
-                list(_verdicts(plan.node_tests, seeds)) if plan.node_tests else repeat(True)
-                for plan in plans
-            ]
-            return self._arrive(zip(seeds, map(compress, repeat(plans), zip(*verdicts))), stack)
-        for plan in plans:
+        if len(plans) == 1:
+            (plan,) = plans
             if plan.node_tests:
                 seeds = list(compress(seeds, _verdicts(plan.node_tests, seeds)))
                 if not seeds:
@@ -704,7 +690,14 @@ class FrontierMatcher:
                 scan = plan.scan or self.program.scan_of(plan)
                 stack.extend(zip(repeat(scan), seeds, _NO_SCOPES, _NO_CELL, walks))
                 return _DRAIN
-        return self._arrive(zip(seeds, repeat(plans)), stack)
+            admitted = repeat(plans)
+        else:
+            verdicts = [
+                list(_verdicts(plan.node_tests, seeds)) if plan.node_tests else repeat(True)
+                for plan in plans
+            ]
+            admitted = map(compress, repeat(plans), zip(*verdicts))
+        return self._arrive(zip(seeds, admitted), stack)
 
     def _arrive(self, admitted, stack: list):
         node_ids, scan_of = self.snapshot.node_ids, self.program.scan_of
@@ -823,7 +816,7 @@ class FrontierMatcher:
                             if admitted is not None:
                                 survivors = compress(survivors, admitted)
                             if merged:  # incidence-major, then route order: a stable sort
-                                arrivals.append(zip(survivors, plan.forever))
+                                arrivals.append(zip(survivors, repeat(plan)))
                                 if plan is not plans[-1]:
                                     continue
                                 arrivals = sorted(chain.from_iterable(arrivals), key=_NTH)
@@ -919,13 +912,25 @@ class FrontierMatcher:
         positions = self._positions
         if positions is not None:
             deferred = self.program.deferred
-        else:
-            records, link = [], cell
+        else:  # read the entries cell, newest record first
+            singles: dict = {}
+            groups: dict = {}
+            tags, deferred, link = [], [], cell
             while link is not None:
-                link, *record = link
-                records.append(record)
-            records.reverse()  # event order
-            deferred = [(arg, at) for code, at, arg in records if code == _DEFER]
+                link, var, at, element = link
+                if type(var) is not str:
+                    if var == _TAG:
+                        tags.append((*element, at))
+                    elif var == _DEFER:
+                        deferred.append((element, at))
+                elif at:
+                    found = groups.get(var)
+                    if found is None:
+                        found = groups[var] = []
+                    found.append(element)
+                else:
+                    singles[var] = element
+            deferred.reverse()  # evaluated in traversal order
         if deferred:
             bind_map = self._bind_map(cell, walk)
             for where, at in deferred:
@@ -938,29 +943,25 @@ class FrontierMatcher:
             raise BudgetExceededError(
                 f"matcher exceeded max_results={self.config.max_results}"
             )
-        elements = walk[::-1] if self._reverse else walk
         if positions is not None:
+            elements = walk[::-1] if self._reverse else walk
             singletons = tuple(zip(self._names, map(elements.__getitem__, positions)))
             return ReducedBinding(elements, singletons, ())
-        singles: dict = {}
-        groups: dict = {}
-        tags: list = []
-        if self._reverse:
-            records.reverse()
-        for var, at, element in records:
-            if type(var) is not str:
-                if var == _TAG:
-                    tags.append((*element, at))
-            elif at:
-                groups.setdefault(var, []).append(element)
-            else:
-                singles[var] = element
-        if tags and self._reverse:
-            forward = forward_annotations(at for _, at, _ in records)
-            tags = [(alt_id, dedup_class, forward(at)) for alt_id, dedup_class, at in tags]
+        if self._reverse:  # groups stay as read: event order, reversed
+            walk = walk[::-1]
+            if tags:
+                annotations, link = [], cell
+                while link is not None:
+                    link, _, at, _ = link
+                    annotations.append(at)
+                forward = forward_annotations(annotations)
+                tags = [(alt_id, dedup_class, forward(at)) for alt_id, dedup_class, at in tags]
+        else:
+            for found in groups.values():
+                found.reverse()
         return ReducedBinding(
-            elements,
+            walk,
             tuple(sorted(singles.items())),
-            tuple(sorted((var, tuple(found)) for var, found in groups.items())),
+            tuple(sorted([(var, tuple(found)) for var, found in groups.items()])),
             frozenset(tags),
         )

@@ -104,7 +104,7 @@ class MatcherConfig:
     #: seed a chained GQL MATCH from variables bound by earlier statements
     #: (per-incoming-row anchored search; off = always hash-join fallback)
     seed_chained_match: bool = True
-    #: run eligible linear-chain patterns on the columnar frontier engine
+    #: run eligible ENUMERATE searches on the columnar frontier engine
     #: (repro.gpml.frontier); off = the object matcher, the reference
     #: oracle.  Env override: REPRO_DISABLE_COLUMNAR=1 flips the default.
     use_columnar: bool = field(default_factory=lambda: _columnar_default())

@@ -99,6 +99,27 @@ FRONTIER_COUNTERS = {
         (1, 2, 2, 3, 2, 0.666667),
         (None, 15, 11, 15, 14, 0.933333),
     ],
+    # Hop programs (recorded when they landed; rows and steps are the
+    # object matcher's).  Survivors count arrivals: under a quantifier an
+    # entry that both leaves the loop and goes round again arrives twice,
+    # so the TRAIL's "selectivity" — arrivals per entry — exceeds 1.
+    (
+        "generated",
+        "MATCH (a:Account WHERE a.isBlocked='yes')-[t:Transfer]->{1,2}"
+        "(b:Account WHERE b.isBlocked='yes')",
+    ): [
+        (9, 82, 31, 82, 31, 0.378049),
+        (1, 10, 6, 10, 6, 0.6),
+        (None, 42, 17, 42, 19, 0.452381),
+    ],
+    (
+        "generated",
+        "MATCH TRAIL p = (a:Account WHERE a.owner='owner7')-[t:Transfer]->{1,4}(b:Account)",
+    ): [
+        (54, 54, 16, 54, 69, 1.277778),
+        (1, 1, 1, 1, 1, 1.0),
+        (None, 28, 10, 28, 37, 1.321429),
+    ],
 }
 
 

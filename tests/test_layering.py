@@ -155,6 +155,30 @@ def test_the_frontier_kernel_scans_a_slice_at_a_time():
     assert "repro.planner.anchor" not in imported_modules(path)  # nothing to reverse
 
 
+def test_the_frontier_kernel_is_one_scan_loop_over_hop_programs():
+    """Chains did not keep a kernel of their own beside the hop program:
+    one ``while stack`` loop, no chain extraction, and of the object
+    matcher only its config and the expression context."""
+    path = SRC / "gpml/frontier.py"
+    tree = ast.parse(path.read_text())
+    scans = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.While)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "stack"
+    ]
+    assert len(scans) == 1
+    assert not {"ChainSpec", "chain_spec", "_walk_chain"} & defined_names(path)
+    from_matcher = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.gpml.matcher"
+        for alias in node.names
+    }
+    assert from_matcher == {"MatcherConfig", "RunContext"}
+
+
 def test_the_matcher_derives_runs_through_explicit_fields():
     """No ``**overrides``-style run derivation (a kwargs dict and a
     ``.get`` per field on every ε-step), and no second matcher beside it."""
