@@ -459,34 +459,31 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
                 found = []
         return found
 
-    def compile_routes(state: int, edge=None) -> list:
+    accept, all_edges, all_epsilons = nfa.accept, nfa.edges, nfa.epsilons
+
+    def compile_routes(state: int, edge=None, at=None, actions=None, routes=None, seen=None) -> list:
         """The routes of the closure entered at *state*, in the object
-        matcher's pop order."""
-        routes: list = []
-        seen: set[int] = set()
-        accept, all_edges, all_epsilons = nfa.accept, nfa.edges, nfa.epsilons
-
-        def visit(at: int, actions: list) -> None:
-            while True:
-                if at in seen:
-                    raise _NotVectorizable  # ε-routes reconverge or cycle: needs the cycle guard
-                seen.add(at)
-                if linear:
-                    depth[at] = depth[state]
-                if at == accept:
-                    routes.append(compile_route(None, state, actions, edge))
-                if all_edges[at]:
-                    routes.append(compile_route(at, state, actions, edge))
-                successors = all_epsilons[at]
-                if len(successors) != 1:
-                    break
-                (eps,) = successors  # no sibling shares the list: extend it in place
-                actions.append(eps.action)
-                at = eps.target
-            for eps in reversed(successors):
-                visit(eps.target, [*actions, eps.action])
-
-        visit(state, [])
+        matcher's pop order (the rest say where the walk of its ε-tree is)."""
+        if routes is None:
+            at, actions, routes, seen = state, [], [], set()
+        while True:
+            if at in seen:
+                raise _NotVectorizable  # ε-routes reconverge or cycle: needs the cycle guard
+            seen.add(at)
+            if linear:
+                depth[at] = depth[state]
+            if at == accept:
+                routes.append(compile_route(None, state, actions, edge))
+            if all_edges[at]:
+                routes.append(compile_route(at, state, actions, edge))
+            successors = all_epsilons[at]
+            if len(successors) != 1:
+                break
+            (eps,) = successors  # no sibling shares the list: extend it in place
+            actions.append(eps.action)
+            at = eps.target
+        for eps in reversed(successors):
+            compile_routes(state, edge, eps.target, [*actions, eps.action], routes, seen)
         return routes
 
     def compile_hop(state: int, transition) -> _Hop:
@@ -556,10 +553,17 @@ def _opened(kinds: list, node: int) -> tuple:
 # ----------------------------------------------------------------------
 # The frontier matcher
 # ----------------------------------------------------------------------
-#: seeds pass the start routes' total tests this many at a time: enough
-#: to amortize the filter set-up, few enough that the first row of a
-#: LIMIT does not wait for every candidate's test
+#: seeds pass the start routes' total tests at most this many at a time:
+#: enough to amortize the filter set-up; the first blocks are a 16th and
+#: a 4th of it, so a LIMIT's first row waits for few candidates' tests
 _SEED_BLOCK = 256
+
+
+def _seed_blocks(count: int) -> Iterator[tuple[int, int]]:
+    at, size = 0, _SEED_BLOCK // 16
+    while at < count:
+        yield at, size
+        at, size = at + size, min(4 * size, _SEED_BLOCK)
 
 
 def _graph_changed() -> GpmlEvaluationError:
@@ -747,8 +751,8 @@ class FrontierMatcher:
             # Seeds pass the start routes' total tests a block at a time;
             # each is drained before the next, and an unknown id raises
             # once the seeds before it are.
-            for at in range(0, len(candidates), _SEED_BLOCK):
-                seeds = list(map(node_code.get, candidates[at : at + _SEED_BLOCK]))
+            for at, size in _seed_blocks(len(candidates)):
+                seeds = list(map(node_code.get, candidates[at : at + size]))
                 unknown = seeds.index(None) if None in seeds else None
                 if unknown is not None:
                     del seeds[unknown:]
