@@ -41,8 +41,10 @@ from repro.graph.columnar import snapshot_for  # noqa: E402
 #: 5.6-5.8x (before it 2.1-2.2x, 4.8-5.1x and city_scan unguarded); at
 #: 12k/24k 3.8x, 6.4x, 4.7x.  The gate is two thirds of the smallest
 #: ratio: it guards the frontier kernel, with margin for a shared runner.
-#: The two hop programs with routes joined at the same gate: best-of-5 at
-#: 3k/6k measured blocked_hop12 4.3-4.6x and owner_trail 3.4-3.6x.
+#: The two hop programs with routes joined at the same gate (PR 24):
+#: best-of-5 at 3k/6k measured blocked_hop12 4.2-4.5x and owner_trail
+#: 2.8-3.1x — the thinnest margin here: its 4 600 rows are materialized
+#: by both engines alike.
 MIN_SPEEDUP = 2.5
 ROUNDS = 5
 

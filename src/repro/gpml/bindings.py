@@ -99,13 +99,11 @@ class ReducedBinding:
 def forward_annotations(annotations: Iterable[Annotation]) -> Callable[[Annotation], Annotation]:
     """The renumbering that turns the annotations of a reversed run forward.
 
-    *annotations* are all the annotations of one binding of the reversed
-    pattern (entries and bag tags).  A quantifier that ran k iterations
-    in some enclosing context has iteration i relabeled k+1-i there, so
-    the renumbered annotations equal what a forward run would have
-    produced.  (Iterations are contiguous 1..k by construction, and
-    annotations record true iteration numbers — counters saturate, the
-    annotations do not.)
+    *annotations* are all those of one binding of the reversed pattern
+    (entries and bag tags).  A quantifier that ran k iterations in some
+    enclosing context has iteration i relabeled k+1-i there.  (Iterations
+    are contiguous 1..k, and annotations record true iteration numbers —
+    counters saturate, the annotations do not.)
     """
     max_iteration: dict[tuple, int] = {}
     for ann in set(annotations):

@@ -7,31 +7,33 @@ the columnar kernel of the ENUMERATE strategy: it compiles the pattern
 NFA once per snapshot version into a **hop program** and runs it over the
 :class:`~repro.graph.columnar.ColumnarGraph` **a CSR slice at a time**.
 
-*Hop program.*  Every state with edge transitions gets one :class:`_Hop`
-per transition: the CSR block of the edge label, the direction
-admission, the edge's total tests.  The ε-tree below the transition's
-target is flattened into **routes**, in the object
-matcher's LIFO pop order (a state's accept, then its deposit, then its
-ε-successors last first): each route ends in one event — *accept*, or
-*deposit at state s'* — and carries everything its ε-actions do on the
-way: quantifier bookkeeping, node tests, bindings, paren WHEREs,
-restrictor scopes, bag tags.  A route is resolved once per annotation
-into a :class:`_Plan` (``hop.plans``): quantifier guards read the parent
+*Hop program.*  Every state with an edge transition gets a :class:`_Hop`
+(the pattern compiler gives each edge pattern a state of its own): the
+CSR block of the edge label, the direction admission, the edge's total
+tests.  The ε-tree below the transition's target is flattened into
+**routes**, in the object matcher's LIFO pop order (a state's accept,
+then its deposit, then its ε-successors last first): each route ends in
+one event — *accept*, or *deposit at state s'* — and carries what its
+ε-actions do on the way: quantifier bookkeeping, node tests, bindings,
+paren WHEREs, restrictor scopes, bag tags.  A route is resolved once per
+annotation into a :class:`_Plan`: quantifier guards read the parent
 entry's iteration numbers only, so they are decided per slice, never per
-entry — a counter is its annotation's iteration number (it saturates
+entry — a counter *is* its annotation's iteration number (it saturates
 only in pruning keys, which ENUMERATE never builds).  A chain is the
 program whose every state has one transition and one route.
 
-*Entry.*  A stack entry is ``(state, node code, annotation, scopes,
-entries cell, walk)``.  ``scopes`` holds one ``(kind, members, first)``
-per open restrictor: the edge ids walked (TRAIL) or the node codes
-visited (ACYCLIC; SIMPLE leaves out the first node and is ``None`` once
-the cycle closed).  The entries cell is a parent-linked chain of ``(var,
-annotation, element)`` records — bindings, deferred WHEREs and bag tags
-in event order — read only by a join on a repeated variable, by an
-expression (``RunContext`` is built from it on demand) and at
-acceptance.  A chain binds every variable at one static walk position,
-so it keeps no cell at all (``_Program.first``).
+*Entry.*  A stack entry is ``(scan, node code, scopes, entries cell,
+walk)``.  ``scan`` stands for the state and the annotation: the hop that
+leaves the state with its plans at that annotation (``_Hop.scan_at``).
+``scopes`` holds one ``(kind, members, first)`` per open restrictor: the
+edge ids walked (TRAIL) or the node codes visited (ACYCLIC; SIMPLE
+leaves out the first node and is ``None`` once the cycle closed).  The
+entries cell is a parent-linked chain of ``(var, annotation, element)``
+records — bindings, deferred WHEREs and bag tags in event order — read
+only by a join on a repeated variable, by an expression (``RunContext``
+is built from it on demand) and at acceptance.  A chain binds every
+variable at one static walk position, so it keeps no cell at all
+(``_Program.first``), and its seed entries are pushed a block at a time.
 
 *Slice.*  An entry expands by its node's slice of the hop's block —
 ``local[start:end]`` (edge slots), ``other[start:end]`` (neighbour
@@ -87,7 +89,7 @@ CSR blocks are not built yet, a label expression the snapshot cannot
 mask, and every closure whose ε-subgraph reconverges or cycles
 (``PatternNFA.eps_tree`` false: node-only union branches or optionals,
 edge-less quantifier bodies, a quantifier directly inside another's
-loop-back) — those need the shadow-key cycle guard.
+loop) — those need the shadow-key cycle guard.
 
 ``tests/property/test_columnar_equivalence.py`` pins the contract down
 on random graphs and, exhaustively, at every stop point of a small one
@@ -175,24 +177,24 @@ class _Hop:
 
     def scan_at(self, ann: tuple) -> tuple:
         """``(*block, edge join, plans, shared, merged)`` for an entry that
-        arrives under *ann*.  Several plans *share* the hop's verdicts.
-        Their arrivals are taken route by route when nothing can tell
-        that from incidence order — at most one deposits (stack order),
-        at most one accepts (yield order), none can raise in between —
-        and *merged* into incidence order otherwise."""
+        arrives under *ann*.  Several plans *share* the hop's verdicts;
+        their arrivals are taken route by route when nothing can tell
+        that from incidence order — at most one deposits (stack order), at
+        most one accepts (yield order), none can raise in between — and
+        *merged* into incidence order otherwise."""
         scan = self.scans.get(ann)
         if scan is None:
             plans = _resolve(self.prefix, self.routes, ann)
-            deposits = sum(plan.target is not None for plan in plans)
-            shared = len(plans) > 1
-            merged = shared and (
-                deposits > 1 or len(plans) - deposits > 1 or any(plan.checked for plan in plans)
-            )
-            # an edge variable bound elsewhere too: its walk position on a
-            # chain, else looked up in the entries cell, under *ann*
-            join = next((arg for code, arg, _ in self.prefix if code <= _REBIND), None)
-            if type(join) is str:
-                join = (join, ann)
+            shared = merged = len(plans) > 1
+            if shared:
+                deposits = sum(plan.target is not None for plan in plans)
+                checked = any(plan.checked for plan in plans)
+                merged = checked or deposits > 1 or len(plans) - deposits > 1
+            # an edge variable bound elsewhere too: a walk position (chain)
+            join = None  # or what to look up in the entries cell, under *ann*
+            for code, arg, _ in self.prefix:
+                if code <= _REBIND:
+                    join = (arg, ann) if type(arg) is str else arg
             scan = self.scans[ann] = (*self.block, join, plans, shared, merged)
         return scan
 
@@ -574,15 +576,11 @@ def _graph_changed() -> GpmlEvaluationError:
 
 
 class FrontierMatcher:
-    """Drop-in replacement for ``Matcher`` under the ENUMERATE strategy.
-
-    Exposes the subset of the object matcher's surface the engine
-    consumes: :meth:`enumerate_all`, :attr:`steps` and
-    :attr:`initial_candidate_count` — plus :attr:`metrics`, the
-    frontier/selectivity counters rendered by ``EXPLAIN ANALYZE``.  Its
-    solutions arrive reduced (:attr:`emits_reduced`): ``reverse`` says
-    the pattern being run is the reversed one.
-    """
+    """Drop-in replacement for ``Matcher`` under the ENUMERATE strategy:
+    :meth:`enumerate_all`, :attr:`steps`, :attr:`initial_candidate_count`
+    — plus :attr:`metrics`, the frontier counters ``EXPLAIN ANALYZE``
+    renders.  Its solutions arrive reduced (:attr:`emits_reduced`);
+    ``reverse`` says the pattern being run is the reversed one."""
 
     emits_reduced = True
 
