@@ -62,7 +62,8 @@ from repro.gpml.analysis import (
 from repro.gpml.automaton import PatternNFA, compile_path_pattern
 from repro.gpml.bindings import PathBinding, ReducedBinding, reduce_binding
 from repro.gpml.expr import EvalContext
-from repro.gpml.frontier import FrontierMatcher
+from repro.gpml.frontier import FrontierMatcher, compiled_program
+from repro.graph.columnar import snapshot_for
 from repro.gpml.matcher import Matcher, MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
@@ -550,7 +551,7 @@ class _Dedup(_Stage):
     def rows(self) -> Iterator[Any]:
         search, bind = self.search, self.bind
         solutions = search.run()
-        raw = not getattr(search.matcher, "emits_reduced", False)
+        raw = not isinstance(search.matcher, FrontierMatcher)
         reverse = search.reverse
         group_vars = search.analysis.group_vars
         anonymous_vars = search.analysis.anonymous_vars
@@ -783,15 +784,14 @@ def _make_matcher(
     the columnar snapshot up to date and the planner's label-scan
     candidates come from its sorted member lists.
     """
-    if config.use_columnar and analysis.strategy == ENUMERATE:
-        program = FrontierMatcher.supports(graph, nfa, budget)
-        if program is not None:
-            if callable(start_candidates):
-                start_candidates = start_candidates()
-            return FrontierMatcher(
-                graph, pattern, program, config,
-                start_candidates=start_candidates, budget=budget, stats=stats, reverse=reverse,
-            )
+    if config.use_columnar:
+        program = compiled_program(nfa, snapshot_for(graph), analysis.strategy != ENUMERATE)
+        if callable(start_candidates):
+            start_candidates = start_candidates()
+        return FrontierMatcher(
+            graph, pattern, program, config,
+            start_candidates=start_candidates, budget=budget, stats=stats, reverse=reverse,
+        )
     if callable(start_candidates):
         start_candidates = start_candidates()
     return Matcher(

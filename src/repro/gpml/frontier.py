@@ -1,39 +1,52 @@
-"""Frontier-batched NFA search over the columnar snapshot.
+"""The product-graph search: one kernel over the columnar snapshot.
 
-The object matcher (:mod:`repro.gpml.matcher`) explores one product-graph
-run at a time, materializing ``Incidence`` lists and evaluating WHERE
-expressions through ``Node``/``Edge`` handles per step.  This module is
-the columnar kernel of the ENUMERATE strategy: it compiles the pattern
-NFA once per snapshot version into a **hop program** and runs it over the
-:class:`~repro.graph.columnar.ColumnarGraph` **a CSR slice at a time**.
+Every path pattern runs here.  The kernel compiles the pattern NFA once
+per snapshot version into a **hop program** and runs it over the
+:class:`~repro.graph.columnar.ColumnarGraph` **a CSR slice at a time**;
+the four search strategies of Section 5 are one scan loop with three
+choices made before it starts.
 
 *Hop program.*  Every state with an edge transition gets a :class:`_Hop`
 (the pattern compiler gives each edge pattern a state of its own): the
 CSR block of the edge label, the direction admission, the edge's total
 tests.  The ε-tree below the transition's target is flattened into
-**routes**, in the object matcher's LIFO pop order (a state's accept,
-then its deposit, then its ε-successors last first): each route ends in
-one event — *accept*, or *deposit at state s'* — and carries what its
-ε-actions do on the way: quantifier bookkeeping, node tests, bindings,
-paren WHEREs, restrictor scopes, bag tags.  A route is resolved once per
-annotation into a :class:`_Plan`: quantifier guards read the parent
-entry's iteration numbers only, so they are decided per slice, never per
-entry — a counter *is* its annotation's iteration number (it saturates
-only in pruning keys, which ENUMERATE never builds).  A chain is the
-program whose every state has one transition and one route.
+**routes**, in ε-pop order (a state's accept, then its deposit, then its
+ε-successors last first): each route ends in one event — *accept*, or
+*deposit at state s'* — and carries what its ε-actions do on the way:
+quantifier bookkeeping, node tests, bindings, paren WHEREs, restrictor
+scopes, bag tags.  A route is resolved once per annotation into a
+:class:`_Plan`: quantifier guards read the parent entry's iteration
+numbers only, so they are decided per slice, never per entry — a counter
+*is* its annotation's iteration number, saturated at the quantifier's
+cap only where the selector strategies key product states on it.  A
+chain is the program whose every state has one transition and one route.
+
+*Guarded closures.*  Where ε-routes reconverge or cycle
+(``PatternNFA.eps_tree`` false: node-only union branches or optionals,
+edge-less quantifier bodies, a quantifier directly inside another's
+loop) the routes are not a finite tree.  Such a closure is a
+:class:`_Closure` of one-action ε-steps, resolved per annotation like a
+route, and walked per arrival (:meth:`FrontierMatcher._closure`): a LIFO
+walk that cuts a run whose ``(state, counters, scopes, shadow, bag
+classes)`` it has met already (:func:`_guard`; the *shadow* is the set
+of ``(variable, element)`` pairs, annotations dropped).  The guard lets
+distinct union branches through and stops zero-length quantifier laps,
+which rebind the same names to the same elements.  Tree closures never
+compute it.
 
 *Entry.*  A stack entry is ``(scan, node code, scopes, entries cell,
 walk)``.  ``scan`` stands for the state and the annotation: the hop that
 leaves the state with its plans at that annotation (``_Hop.scan_at``).
 ``scopes`` holds one ``(kind, members, first)`` per open restrictor: the
 edge ids walked (TRAIL) or the node codes visited (ACYCLIC; SIMPLE
-leaves out the first node and is ``None`` once the cycle closed).  The
-entries cell is a parent-linked chain of ``(var, annotation, element)``
-records — bindings, deferred WHEREs and bag tags in event order — read
-only by a join on a repeated variable, by an expression (``RunContext``
-is built from it on demand) and at acceptance.  A chain binds every
-variable at one static walk position, so it keeps no cell at all
-(``_Program.first``), and its seed entries are pushed a block at a time.
+leaves out the first node, and its first is ``None`` once the cycle
+closed).  The entries cell is a parent-linked chain of ``(var,
+annotation, element)`` records — bindings, deferred WHEREs and bag tags
+in event order — read only by a join on a repeated variable, by an
+expression (``RunContext`` is built from it on demand), by the selector
+strategies' keys and at acceptance.  A chain binds every variable at one
+static walk position, so it keeps no cell at all (``_Program.first``),
+and its seed entries are pushed a block at a time.
 
 *Slice.*  An entry expands by its node's slice of the hop's block —
 ``local[start:end]`` (edge slots), ``other[start:end]`` (neighbour
@@ -51,55 +64,70 @@ surviving positions only.  The checks that are not total — residual
 conjuncts, other paren WHEREs, a non-atom edge label — run per arrival
 (:meth:`FrontierMatcher._apply`), deferred WHEREs at acceptance.
 
-Total tests run before the non-total ones of the same hop and its
-routes, where the object matcher goes element by element (edge, then the
-nodes and parens of each route).  A total test compares a raw property
-value with a plain literal and cannot raise (type mismatches are
-UNKNOWN), so the order shows only when a query *errors*: a residual that
-would raise on an entry a later total test rejects is never evaluated —
-the compiled conjuncts' short-circuit (docs/columnar.md), one hop wider.
+*Strategies.*  One seed drained at a time, a slice's arrivals taken
+incidence-major, then in route order; one step per orientation-admitted
+CSR entry per transition.  A strategy fixes three things before the
+loop: where a deposit goes, where an accept goes, and which entry the
+loop takes next (its *rounds*, which also hand over what it holds):
 
-Equivalence contract: emission order, step counting, budget errors and
-solutions are identical to ``Matcher.enumerate_all`` followed by
-reversal and reduction on the same inputs.  The search replicates the
-object engine's stack discipline — one seed drained at a time, a slice's
-arrivals taken incidence-major, then in route order: deposits pushed
-and popped LIFO, accepts yielded as they come — and counts one step per
-orientation-admitted CSR entry per transition.  Steps are added a slice
-at a time and are **exact wherever the scan can stop**: before a yield,
-a residual evaluation or a raise the count is stepped back to the entry
-in hand; a slice that would cross ``max_steps`` is cut to the prefix the
-budget allows and raises after it; ``steps``, ``PipelineStats.steps``
-and ``metrics`` are published before every yield and on the way out.
-Seeds pass the start routes' total tests ``_SEED_BLOCK`` at a time, so a
-LIMIT's first row does not wait for every candidate.  (Inline WHEREs are
-split exactly as the object matcher splits them, so even a WHERE that
-*raises* mid-conjunction behaves alike in both.)
+* :meth:`~FrontierMatcher.enumerate_all` — DFS: deposits on the stack,
+  accepts yielded as found.
+* :meth:`~FrontierMatcher.search_shortest` /
+  :meth:`~FrontierMatcher.search_k_shortest` — BFS by path length:
+  every seed first, then one layer per round; deposits go to the next
+  layer, accepts are held to the layer's end (the earliest point at
+  which all strictly shorter matches are known) and charged to
+  ``max_results`` as they are handed over.  The next layer keeps the
+  entries whose product state ``admit(prune_key, depth)`` lets through —
+  ``(seed, node, state, saturated counters, scopes, singleton
+  bindings)``: one depth per key for SHORTEST, up to *k* for k-SHORTEST,
+  which is what makes an unrestricted ``->+`` terminate (Section 5) —
+  each distinct run once per layer (its fingerprint: state, annotation,
+  scopes, bindings, walk, bag tags).  k-SHORTEST stops at ``max_depth``
+  (default ``(nodes × states + 1) × (k + 1)``).
+* :meth:`~FrontierMatcher.search_cheapest` — Dijkstra over edge costs
+  (the cost property of the graph's edges; ``default_edge_cost`` for a
+  missing or NULL value; a negative one is an error): deposits go to a
+  cost heap, the round takes its cheapest entry (up to *k* costs per
+  product state), accepts wait in a pending heap, charged at acceptance,
+  and leave once the queue's minimum cost passes them — the stable
+  sort-by-cost order of a materialized run.
+
+Steps are added a slice at a time and are **exact wherever the scan can
+stop**: before a yield, a residual evaluation, a guarded walk or a raise
+the count is stepped back to the entry in hand; a slice that would cross
+``max_steps`` is cut to the prefix the budget allows and raises after
+it; ``steps``, ``PipelineStats.steps`` and ``metrics`` are published
+before every yield and on the way out.  Seeds pass the start routes'
+total tests ``_SEED_BLOCK`` at a time, so a LIMIT's first row does not
+wait for every candidate.  ``tests/property/test_columnar_equivalence.py``
+pins rows, steps and matches of each shape and the laws of every stop
+point (each ``max_steps`` / ``max_results`` / LIMIT / ``close()``).
 
 Solutions leave as :class:`~repro.gpml.bindings.ReducedBinding` objects
-already in forward orientation (``emits_reduced``): singletons, groups
-in event order (reversed for a reversed run) and bag tags (renumbered by
-the one remap ``planner.anchor.reverse_binding`` uses), so the engine
-neither reverses nor reduces them, it only deduplicates (``-[e]-`` over
-a directed self-loop really is found twice).
+already in forward orientation: singletons, groups in event order
+(reversed for a reversed run) and bag tags (renumbered by
+:func:`~repro.gpml.bindings.forward_annotations`), so the engine only
+deduplicates them (``-[e]-`` over a directed self-loop really is found
+twice).
 
-What stays on the object matcher (:meth:`FrontierMatcher.supports`): the
-selector strategies, ``use_columnar=False``, a bounded consumer whose
-CSR blocks are not built yet, a label expression the snapshot cannot
-mask, and every closure whose ε-subgraph reconverges or cycles
-(``PatternNFA.eps_tree`` false: node-only union branches or optionals,
-edge-less quantifier bodies, a quantifier directly inside another's
-loop) — those need the shadow-key cycle guard.
-
-``tests/property/test_columnar_equivalence.py`` pins the contract down
-on random graphs and, exhaustively, at every stop point of a small one
-(each ``max_steps`` / ``max_results`` / LIMIT / ``close()``).
+Known engine refinements (documented deviations, all affecting only
+pathological queries): iterations of a quantifier that consume no edges
+are explored at most once per product state (their repetitions reduce
+to equal bindings anyway — the guard above); the compiled conjuncts of
+an element WHERE (:mod:`repro.gpml.predicates`) short-circuit, and total
+tests run before the non-total checks of the same hop and its routes,
+so a WHERE that would raise in another conjunct may filter cleanly; an
+edge's cost is read only for arrivals that pass their tests; and
+deferred prefilters inside unbounded quantifiers do not take part in
+shortest-search pruning keys.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress, repeat
+from heapq import heappop, heappush
+from itertools import chain, compress, count, repeat
 from operator import and_, itemgetter, not_
 from typing import Any, Iterator, Optional
 
@@ -114,9 +142,10 @@ from repro.gpml.label_expr import LabelAtom
 from repro.gpml.matcher import MatcherConfig, RunContext
 from repro.gpml.predicates import split_where, value_test
 from repro.gpml.streaming import PipelineStats, RowBudget
-from repro.graph.columnar import ColumnarGraph, cached_snapshot, snapshot_for
+from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import PropertyGraph
 from repro.planner.indexes import initial_node_candidates
+from repro.values import is_null
 
 #: restrictor kinds of a scope
 _TRAIL, _ACYCLIC, _SIMPLE = "TRAIL", "ACYCLIC", "SIMPLE"
@@ -124,7 +153,7 @@ _TRAIL, _ACYCLIC, _SIMPLE = "TRAIL", "ACYCLIC", "SIMPLE"
 #: route is resolved for an annotation; _JOIN / _REBIND name a variable
 #: bound elsewhere too, checked per slice; the rest run per arrival
 #: (:meth:`FrontierMatcher._apply`), _DEFER / _TAG / _ANON only ride the
-#: entries cell to acceptance.
+#: entries cell to acceptance (and to the selector strategies' keys).
 _ENTER, _ITER, _EXIT, _JOIN, _REBIND, _BIND, _LABEL, _CHECK, _DEFER, _TAG, _ANON = range(11)
 _NODE, _EDGE = -1, -2  # where an arrival's elements sit in its walk
 _NTH, _PLAN = itemgetter(0), itemgetter(1)
@@ -162,6 +191,12 @@ def _verdicts(tests, keys, verdicts=None):
     return verdicts
 
 
+def _counters(ann: tuple, caps: dict) -> tuple:
+    """The quantifier counters of *ann*: each iteration number saturated
+    at its quantifier's cap (what keeps product states finite)."""
+    return tuple([(quant_id, min(iteration, caps[quant_id])) for quant_id, iteration in ann])
+
+
 # ----------------------------------------------------------------------
 # Compiled hop program (per NFA x snapshot, cached on the NFA)
 # ----------------------------------------------------------------------
@@ -173,15 +208,17 @@ class _Hop:
     edge binding, residual or deferred WHERE).  ``scans`` memoizes, per
     annotation, the tuple the scan loop unpacks."""
 
-    __slots__ = ("block", "prefix", "routes", "scans")
+    __slots__ = ("state", "caps", "block", "prefix", "routes", "scans")
 
     def scan_at(self, ann: tuple) -> tuple:
-        """``(*block, edge join, plans, shared, merged)`` for an entry that
-        arrives under *ann*.  Several plans *share* the hop's verdicts;
-        their arrivals are taken route by route when nothing can tell
-        that from incidence order — at most one deposits (stack order), at
-        most one accepts (yield order), none can raise in between — and
-        *merged* into incidence order otherwise."""
+        """``(*block, edge join, plans, shared, merged, place)`` for an
+        entry that arrives under *ann*.  Several plans *share* the hop's
+        verdicts; their arrivals are taken route by route when nothing can
+        tell that from incidence order — at most one deposits (stack
+        order), at most one accepts (yield order), none can raise in
+        between — and *merged* into incidence order otherwise.  ``place``
+        is ``(state, ann, counters)``: what the selector strategies' keys
+        read of the entry's position in the NFA."""
         scan = self.scans.get(ann)
         if scan is None:
             plans = _resolve(self.prefix, self.routes, ann)
@@ -195,24 +232,47 @@ class _Hop:
             for code, arg, _ in self.prefix:
                 if code <= _REBIND:
                     join = (arg, ann) if type(arg) is str else arg
-            scan = self.scans[ann] = (*self.block, join, plans, shared, merged)
+            place = (self.state, ann, _counters(ann, self.caps))
+            scan = self.scans[ann] = (*self.block, join, plans, shared, merged, place)
         return scan
+
+
+class _Closure:
+    """An ε-closure whose routes reconverge or cycle, walked per arrival
+    by :meth:`FrontierMatcher._closure`: ``steps`` maps each state it can
+    reach to the one-action routes of its ε-transitions, in transition
+    order, resolved per annotation on demand."""
+
+    __slots__ = ("entry", "steps", "plans")
+
+    def __init__(self, entry: int, steps: dict):
+        self.entry = entry
+        self.steps = steps
+        self.plans: dict = {}
+
+    def plans_at(self, state: int, ann: tuple) -> tuple:
+        """The ε-steps of *state* its quantifier guards let through at *ann*."""
+        plans = self.plans.get((state, ann))
+        if plans is None:
+            plans = self.plans[state, ann] = _resolve((), self.steps[state], ann)
+        return plans
 
 
 class _Plan:
     """One ε-route of a closure, flattened and resolved for an annotation.
 
     A route is compiled to ``(target, edge_tests, node_tests, steps, pops,
-    pushes)``: the state it deposits at (None: it accepts), its total
-    tests over the slice, its ``(code, argument, where)`` steps in
-    ε-order, its net effect on the restrictor scopes.  The plan adds what
-    depends on the annotation: the one it leaves the entry with, the
-    joins to look up per slice, the ``(code, annotation, argument, where)``
-    ops to run per arrival."""
+    pushes)``: the state it deposits at (None: it accepts; a
+    :class:`_Closure`: it is walked per arrival), its total tests over the
+    slice, its ``(code, argument, where)`` steps in ε-order, its net
+    effect on the restrictor scopes.  The plan adds what depends on the
+    annotation: the one it leaves the entry with, the joins to look up
+    per slice, the ``(code, annotation, argument, where)`` ops to run per
+    arrival."""
 
     __slots__ = (
         "target", "edge_tests", "node_tests", "pops", "pushes", "ann", "joins", "ops",
-        "checked", "scan", "plain",
+        "checked", "scan", "plain", "closure",
     )
 
     def __init__(self, route: tuple, ann: tuple, joins: list, ops: list, checked: bool):
@@ -222,8 +282,11 @@ class _Plan:
         self.checked = checked
         #: what a deposited entry scans (``_Hop.scan_at``), resolved by the first
         self.scan: Optional[tuple] = None
+        self.closure = self.target if type(self.target) is _Closure else None
         #: an arrival is its parent's cell and scopes, deposited
-        self.plain = not (ops or self.pops or self.pushes or self.target is None)
+        self.plain = not (
+            ops or self.pops or self.pushes or self.target is None or self.closure
+        )
 
 
 def _resolve(prefix: list, routes: list, ann: tuple) -> tuple:
@@ -255,9 +318,12 @@ def _resolve(prefix: list, routes: list, ann: tuple) -> tuple:
 
 
 class _Program:
-    __slots__ = ("snapshot", "seeds", "hops", "scoped", "first", "deferred", "_singletons")
+    __slots__ = (
+        "snapshot", "seeds", "hops", "scoped", "first", "deferred", "accept", "caps",
+        "_singletons",
+    )
 
-    def __init__(self, snapshot, seeds, hops, scoped, first, deferred):
+    def __init__(self, snapshot, seeds, hops, scoped, first, deferred, accept, caps):
         self.snapshot = snapshot  # at the version the program was compiled for
         self.seeds = seeds  # the start state's plans
         self.hops = hops  # per state: the hop of its edge transition, if any
@@ -265,6 +331,8 @@ class _Program:
         #: chain only: var -> the walk position of its one binding
         self.first: Optional[dict[str, int]] = first
         self.deferred = deferred  # chain only: deferred WHEREs in traversal order
+        self.accept = accept  # the accepting state
+        self.caps = caps  # quantifier id -> where its counter saturates
         self._singletons: dict = {}
 
     def scan_of(self, plan: _Plan) -> tuple:
@@ -285,10 +353,6 @@ class _Program:
         return plan
 
 
-class _NotVectorizable(Exception):
-    """Compile-time bail-out: run this pattern on the object matcher."""
-
-
 def _hop_admits(edge_pattern: ast.EdgePattern) -> tuple[bool, bool, bool]:
     """Which entry directions the hop admits, indexed by ``CsrBlock.dir`` code."""
     return tuple(map(edge_pattern.orientation.admits, ("out", "in", "undirected")))
@@ -303,17 +367,9 @@ def _hop_need(admit: tuple) -> str:
     return "any"
 
 
-def _hop_block_keys(nfa: PatternNFA):
-    """The (edge_label, need) CSR cache keys the program's hops scan."""
-    for transition in chain.from_iterable(nfa.edges):
-        label = transition.pattern.label
-        label_key = label.name if isinstance(label, LabelAtom) else None
-        yield label_key, _hop_need(_hop_admits(transition.pattern))
-
-
-def compiled_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> Optional[_Program]:
-    """The hop program for *nfa* on *snapshot* (cached on the NFA; None:
-    the pattern runs on the object matcher).
+def compiled_program(nfa: PatternNFA, snapshot: ColumnarGraph, keyed: bool) -> _Program:
+    """The hop program for *nfa* on *snapshot* (cached on the NFA);
+    *keyed* for the selector strategies, whose keys read every binding.
 
     Seeded chained-MATCH runs construct one matcher per upstream row, so
     the compiled closures must be reused.  The cache key is the snapshot
@@ -321,33 +377,29 @@ def compiled_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> Optional[_Prog
     program holds references to masks, blocks and dictionary encodings
     an advance may outgrow or drop.
     """
-    key = (snapshot, snapshot.version)
+    key = (snapshot, snapshot.version, keyed)
     cached = getattr(nfa, "_frontier_program", None)
-    if cached is not None and cached[:2] == key:
-        return cached[2]
-    try:
-        program = _compile_program(nfa, snapshot)
-    except _NotVectorizable:
-        program = None
+    if cached is not None and cached[:3] == key:
+        return cached[3]
+    program = _compile_program(nfa, snapshot, keyed)
     nfa._frontier_program = (*key, program)
     return program
 
 
-def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
+def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph, keyed: bool) -> _Program:
     # One transition per state: a chain.  Its states sit at static walk
     # positions, so variables are read off the walk and nothing is bound.
-    linear = True
-    for epsilons, edges in zip(nfa.epsilons, nfa.edges):
-        if len(edges) > 1:
-            raise _NotVectorizable  # the pattern compiler gives an edge pattern its own state
-        if len(epsilons) + len(edges) > 1:
-            linear = False
+    linear = not keyed and all(
+        len(epsilons) + len(edges) <= 1 for epsilons, edges in zip(nfa.epsilons, nfa.edges)
+    )
     first: Optional[dict[str, int]] = None
     deferred: list = []
     #: chain only: edges walked before a state (its states are numbered
     #: along it, so each is reached before the hop that leaves it is compiled)
     depth = {nfa.start: 0}
-    scoped = False
+    scoped = anonymous = False
+    guarded: set = set()
+    caps: dict = {}
     if linear:
         first = {}
     else:
@@ -355,9 +407,12 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
         patterns = [action.pattern for action in actions if isinstance(action, NodeTest)]
         patterns += [t.pattern for t in chain.from_iterable(nfa.edges)]
         sites = Counter(pattern.var for pattern in patterns)
-        #: a reversed run renumbers its bag tags by every iteration it made:
-        #: anonymous bindings then leave their annotation in the cell too
-        tagged = any(isinstance(action, BagTag) for action in actions)
+        caps = {action.quant_id: action.cap for action in actions if type(action) is IterBegin}
+        entries = [nfa.start] + [t.target for t in chain.from_iterable(nfa.edges)]
+        guarded = {state for state in entries if not nfa.eps_tree(state)}
+        #: anonymous bindings ride the cell too where something reads them
+        #: all: a reversed run's bag-tag renumbering, the selector keys, the guard
+        anonymous = keyed or bool(guarded) or any(type(action) is BagTag for action in actions)
 
     def bind(pattern, where: int, state: int, steps: list) -> None:
         """Bind *pattern*'s variable to the node (at *state*) or edge
@@ -371,8 +426,8 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
                 return  # read off the walk at acceptance
             steps.append((_JOIN, first[var], where))  # always walked by then
         elif pattern.anonymous:
-            if tagged:
-                steps.append((_ANON, None, where))
+            if anonymous:
+                steps.append((_ANON, var, where))
         else:
             steps.append((_BIND if sites[var] == 1 else _REBIND, var, where))
 
@@ -382,7 +437,7 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
         else:
             steps.append((_DEFER, where, None))
 
-    def compile_route(target: Optional[int], state: int, actions: list, edge) -> tuple:
+    def compile_route(target, state: int, actions: list, edge) -> tuple:
         nonlocal scoped
         edge_tests, node_tests, steps, pops, pushes = [], [], [], 0, []
         for index, action in enumerate(actions):
@@ -393,8 +448,6 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
                 pattern = action.pattern
                 if pattern.label is not None:
                     mask = snapshot.compile_node_label_expr(pattern.label)
-                    if mask is None:
-                        raise _NotVectorizable
                     node_tests.append((mask.__getitem__, None))
                 bind(pattern, _NODE, state, steps)
                 if pattern.where is None:
@@ -432,8 +485,7 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
                 else:
                     # A paren WHERE made of ``var.prop op literal`` conjuncts
                     # over elements this arrival binds is so many total tests;
-                    # any other is evaluated whole, per arrival, as the object
-                    # matcher does.
+                    # any other is evaluated whole, per arrival.
                     found, rest = [], action.where
                     for var, tests, column_of in fresh(actions[:index], edge, edge_tests, node_tests):
                         compiled, rest = _column_tests(rest, var, column_of)
@@ -443,10 +495,8 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
                             tests += compiled
                     else:
                         steps.append((_CHECK, action.where, None))
-            elif kind is BagTag:
+            else:  # BagTag
                 steps.append((_TAG, (action.alt_id, action.dedup_class), None))
-            else:
-                raise _NotVectorizable
         return target, edge_tests, node_tests, steps, pops, pushes
 
     def fresh(actions: list, edge, edge_tests: list, node_tests: list) -> list:
@@ -463,15 +513,14 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
 
     accept, all_edges, all_epsilons = nfa.accept, nfa.edges, nfa.epsilons
 
-    def compile_routes(state: int, edge=None, at=None, actions=None, routes=None, seen=None) -> list:
-        """The routes of the closure entered at *state*, in the object
-        matcher's pop order (the rest say where the walk of its ε-tree is)."""
+    def compile_routes(state: int, edge=None, at=None, actions=None, routes=None) -> list:
+        """The routes of the closure entered at *state*, in ε-pop order
+        (the rest say where the walk of its ε-tree is)."""
         if routes is None:
-            at, actions, routes, seen = state, [], [], set()
+            if state in guarded:
+                return [(compile_closure(state), [], [], [], 0, [])]
+            at, actions, routes = state, [], []
         while True:
-            if at in seen:
-                raise _NotVectorizable  # ε-routes reconverge or cycle: needs the cycle guard
-            seen.add(at)
             if linear:
                 depth[at] = depth[state]
             if at == accept:
@@ -485,12 +534,24 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
             actions.append(eps.action)
             at = eps.target
         for eps in reversed(successors):
-            compile_routes(state, edge, eps.target, [*actions, eps.action], routes, seen)
+            compile_routes(state, edge, eps.target, [*actions, eps.action], routes)
         return routes
+
+    def compile_closure(entry: int) -> _Closure:
+        steps: dict = {}
+        reach = [entry]
+        while reach:
+            at = reach.pop()
+            if at not in steps:
+                epsilons = all_epsilons[at]
+                steps[at] = [compile_route(eps.target, at, [eps.action], None) for eps in epsilons]
+                reach += [eps.target for eps in epsilons]
+        return _Closure(entry, steps)
 
     def compile_hop(state: int, transition) -> _Hop:
         pattern = transition.pattern
         hop = _Hop()
+        hop.state, hop.caps = state, caps
         admit = _hop_admits(pattern)
         need = _hop_need(admit)
         hop.prefix, hop.scans = [], {}
@@ -528,12 +589,13 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph) -> _Program:
 
     seeds = _resolve((), compile_routes(nfa.start), ())
     # a chain's states are numbered along it, so its deferred WHEREs are
-    # collected in traversal order
+    # collected in traversal order; the pattern compiler gives every edge
+    # pattern a state of its own
     hops = [
-        compile_hop(state, transitions[0]) if transitions else None
+        compile_hop(state, *transitions) if transitions else None
         for state, transitions in enumerate(nfa.edges)
     ]
-    return _Program(snapshot, seeds, hops, scoped, first, deferred)
+    return _Program(snapshot, seeds, hops, scoped, first, deferred, accept, caps)
 
 
 def _lookup(cell, var: str, ann: tuple) -> Optional[str]:
@@ -550,6 +612,69 @@ def _opened(kinds: list, node: int) -> tuple:
     return tuple(
         (kind, frozenset((node,)) if kind == _ACYCLIC else frozenset(), node) for kind in kinds
     )
+
+
+def _advanced(scopes: tuple, edge_id: str, node: int) -> tuple:
+    """*scopes* after an arrival at *node* over *edge_id*: a SIMPLE scope
+    back at its first node closes (its first becomes None)."""
+    return tuple([
+        (kind, members, None) if kind == _SIMPLE and node == first
+        else (kind, members | {edge_id if kind == _TRAIL else node}, first)
+        for kind, members, first in scopes
+    ])
+
+
+# ----------------------------------------------------------------------
+# What the selector strategies and the guard compare entries by
+# ----------------------------------------------------------------------
+def _prune_key(entry: tuple) -> tuple:
+    """The product state of an entry: seed, node, state, saturated
+    counters, scopes and singleton bindings (the only parts of a run that
+    can block a future suffix)."""
+    scan, node, scopes, cell, walk = entry
+    state, _, counters = scan[-1]
+    singles = []
+    while cell is not None:
+        cell, var, at, element = cell
+        if at == ():
+            if type(var) is str:
+                singles.append((var, element))
+            elif var == _ANON:
+                singles.append(element)
+    return walk[0], node, state, counters, scopes, frozenset(singles)
+
+
+def _fingerprint(entry: tuple) -> tuple:
+    """What tells two entries of one BFS layer apart: state, annotation,
+    scopes, every binding, the walk and the bag tags."""
+    scan, _, scopes, cell, walk = entry
+    state, ann, _ = scan[-1]
+    bindings, tags = [], []
+    while cell is not None:
+        cell, var, at, element = cell
+        if type(var) is str:
+            bindings.append((var, at, element))
+        elif var == _ANON:
+            bindings.append((element[0], at, element[1]))
+        elif var == _TAG:
+            tags.append((*element, at))
+    return state, ann, scopes, frozenset(bindings), walk, frozenset(tags)
+
+
+def _guard(state: int, counters: tuple, scopes: tuple, cell) -> tuple:
+    """The ε-cycle guard of a run inside a guarded closure: state,
+    counters, scopes, the bindings' *shadow* (``(variable, element)``
+    pairs, annotations dropped) and the bag-tag classes."""
+    shadow, classes = [], []
+    while cell is not None:
+        cell, var, _, element = cell
+        if type(var) is str:
+            shadow.append((var, element))
+        elif var == _ANON:
+            shadow.append(element)
+        elif var == _TAG:
+            classes.append(element)
+    return state, counters, scopes, frozenset(shadow), frozenset(classes)
 
 
 # ----------------------------------------------------------------------
@@ -576,13 +701,12 @@ def _graph_changed() -> GpmlEvaluationError:
 
 
 class FrontierMatcher:
-    """Drop-in replacement for ``Matcher`` under the ENUMERATE strategy:
-    :meth:`enumerate_all`, :attr:`steps`, :attr:`initial_candidate_count`
+    """The search of one path pattern run: :meth:`enumerate_all`,
+    :meth:`search_shortest`, :meth:`search_k_shortest`,
+    :meth:`search_cheapest`, :attr:`steps`, :attr:`initial_candidate_count`
     — plus :attr:`metrics`, the frontier counters ``EXPLAIN ANALYZE``
-    renders.  Its solutions arrive reduced (:attr:`emits_reduced`);
+    renders.  Its solutions arrive reduced and in forward orientation;
     ``reverse`` says the pattern being run is the reversed one."""
-
-    emits_reduced = True
 
     def __init__(
         self,
@@ -599,7 +723,7 @@ class FrontierMatcher:
         self.graph = graph
         self.pattern = pattern
         self.config = config or MatcherConfig()
-        self.program = program  # what supports() answered, just before
+        self.program = program
         self.snapshot = program.snapshot
         self._snapshot_version = self.snapshot.version
         self._steps = 0
@@ -617,35 +741,9 @@ class FrontierMatcher:
             (None, None) if self.program.first is None else self.program.singletons(reverse)
         )
 
-    @classmethod
-    def supports(
-        cls,
-        graph: PropertyGraph,
-        nfa: PatternNFA,
-        budget: Optional[RowBudget] = None,
-    ) -> Optional[_Program]:
-        """The hop program when this NFA should run columnar on *graph*.
-
-        A *bounded* consumer (finite ``budget.needed`` — LIMIT / FETCH
-        FIRST) may stop after a handful of rows, so it only runs columnar
-        when the snapshot and every hop's CSR block already exist: it
-        reuses structures an exhaustive query paid for, but never fronts
-        an O(edges) build the object matcher's streaming would beat.
-        """
-        if budget is not None and budget.needed is not None:
-            snapshot = cached_snapshot(graph)
-            if snapshot is None:
-                return None
-            built = snapshot._csr
-            for key in _hop_block_keys(nfa):
-                if key not in built and (key[0], "any") not in built:
-                    return None
-        else:
-            snapshot = snapshot_for(graph)
-        return compiled_program(nfa, snapshot)
-
     @property
     def steps(self) -> int:
+        """Edge expansions examined so far (the max_steps unit)."""
         return self._steps
 
     @property
@@ -663,6 +761,136 @@ class FrontierMatcher:
         self._steps = steps
         self._counts = counts
 
+    # -- strategies ----------------------------------------------------
+    def enumerate_all(self) -> Iterator[ReducedBinding]:
+        """DFS: each seed drained before the next, accepts yielded as found."""
+        stack: list = []
+        return self._scan(self._seeding(stack.append, self._accept, stack), stack, stack.append, self._accept)
+
+    def search_shortest(self) -> Iterator[ReducedBinding]:
+        """Layered BFS: a product state is expanded at its first depth only."""
+        visited: dict[tuple, int] = {}
+
+        def admit(key: tuple, depth: int) -> bool:
+            # later arrivals at a product state cannot be minimal
+            return visited.setdefault(key, depth) >= depth
+
+        return self._layered(admit, None)
+
+    def search_k_shortest(self, k: int) -> Iterator[ReducedBinding]:
+        """Layered search keeping up to *k* path lengths per product state."""
+        allowed: dict[tuple, set[int]] = {}
+
+        def admit(key: tuple, depth: int) -> bool:
+            depths = allowed.setdefault(key, set())
+            if depth not in depths:
+                if len(depths) >= k and depth > max(depths):
+                    return False
+                depths.add(depth)
+            return True
+
+        max_depth = self.config.max_depth
+        if max_depth is None:
+            max_depth = (self.graph.num_nodes * len(self.program.hops) + 1) * (k + 1)
+        return self._layered(admit, max_depth)
+
+    def _layered(self, admit, max_depth: Optional[int]) -> Iterator[ReducedBinding]:
+        stack: list = []
+        layer: list = []  # the next layer's entries
+        held: list = []  # this layer's accepts
+
+        def accept(cell, walk: tuple) -> None:
+            solution = self._accept(cell, walk, charge=False)
+            if solution is not None:
+                held.append(solution)
+
+        def rounds():
+            yield from self._seeding(layer.append, accept)
+            depth = 0
+            while True:
+                survivors, seen = [], set()
+                for entry in layer:
+                    if admit(_prune_key(entry), depth):
+                        fingerprint = _fingerprint(entry)
+                        if fingerprint not in seen:
+                            seen.add(fingerprint)
+                            survivors.append(entry)
+                layer.clear()
+                for solution in held:
+                    self._charge()
+                    yield solution
+                held.clear()
+                if not survivors or (max_depth is not None and depth >= max_depth):
+                    return
+                depth += 1
+                stack.extend(reversed(survivors))  # expanded in layer order
+                yield None
+
+        return self._scan(rounds(), stack, layer.append, accept)
+
+    def search_cheapest(self, k: int, cost_property: str) -> Iterator[ReducedBinding]:
+        """Dijkstra, yielding accepts in final (stable) cost order.
+
+        An accepted binding of cost *c* becomes emittable once the queue's
+        minimum cost reaches *c*: every future accept costs at least that
+        much, and equal-cost accepts arriving later carry a later sequence
+        number.  ``max_results`` is charged at *acceptance*: emission lags
+        acceptance by up to the whole search, so an emission-time check
+        would let a runaway query buffer far more than the budget first.
+        """
+        stack: list = []
+        queue: list = []  # (cost, sequence number, entry)
+        pending: list = []  # accepted, not yet emittable: (cost, charge number, solution)
+        best: dict[tuple, list[float]] = {}
+        order = count()
+        current = 0.0  # the cost of the entry being expanded
+
+        def cost_of(walk: tuple) -> float:
+            if len(walk) == 1:
+                return 0.0
+            return current + self._edge_cost(walk[-2], cost_property)
+
+        def push(entry: tuple) -> None:
+            heappush(queue, (cost_of(entry[4]), next(order), entry))
+
+        def accept(cell, walk: tuple) -> None:
+            cost = cost_of(walk)
+            solution = self._accept(cell, walk)
+            if solution is not None:
+                heappush(pending, (cost, self._emitted, solution))
+
+        def rounds():
+            nonlocal current
+            yield from self._seeding(push, accept)
+            while queue:
+                cost, _, entry = heappop(queue)
+                while pending and pending[0][0] <= cost:
+                    yield heappop(pending)[2]
+                kept = best.setdefault(_prune_key(entry), [])
+                if cost not in kept:
+                    if len(kept) >= k and cost > max(kept):
+                        continue
+                    kept.append(cost)
+                current = cost
+                stack.append(entry)
+                yield None
+            while pending:
+                yield heappop(pending)[2]
+
+        return self._scan(rounds(), stack, push, accept)
+
+    def _edge_cost(self, edge_id: str, cost_property: str) -> float:
+        value = self.graph.property_of(edge_id, cost_property, None)
+        if value is None or is_null(value):
+            return self.config.default_edge_cost
+        cost = float(value)
+        if cost < 0:
+            raise GpmlEvaluationError(
+                f"negative cost {cost} on edge {edge_id!r}; cheapest-path "
+                f"search requires non-negative costs"
+            )
+        return cost
+
     # -- seeds ---------------------------------------------------------
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
@@ -672,13 +900,29 @@ class FrontierMatcher:
             return sorted(self.graph.node_ids())
         return candidates
 
-    def _seeds(self, seeds: list, stack: list):
-        """Start *seeds*: pushes the start routes' deposits on *stack* and
-        answers ``(cell, walk)`` per start accept, in route order, and None
-        whenever the stack is to be drained — after each seed.  When the
-        one start route is *plain* nothing runs per seed: every entry is
-        pushed at once, first seed on top, and the stack drains them one
-        at a time by itself."""
+    def _seeding(self, push, accept, stack: Optional[list] = None):
+        """Start every candidate — a block of seeds at a time, each seed
+        drained before the next when *stack* is the DFS stack to drain —
+        and raise for an unknown id once the seeds before it are started."""
+        candidates = self._initial_candidates()
+        self.initial_candidate_count = len(candidates)
+        node_code = self.snapshot.node_code
+        for at, size in _seed_blocks(len(candidates)):
+            seeds = list(map(node_code.get, candidates[at : at + size]))
+            unknown = seeds.index(None) if None in seeds else None
+            if unknown is not None:
+                del seeds[unknown:]
+            yield from self._seeds(seeds, push, accept, stack)
+            if unknown is not None:
+                raise GraphError(f"unknown node {candidates[at + unknown]!r}")
+
+    def _seeds(self, seeds: list, push, accept, stack: Optional[list]):
+        """Start *seeds*: deposits go to *push*, accepts to *accept*; the
+        solutions it answers are handed over, None whenever the stack is
+        to be drained — after each seed, under DFS.  When the one start
+        route is *plain*, DFS runs nothing per seed: every entry is pushed
+        at once, first seed on top, and the stack drains them one at a
+        time by itself."""
         plans = self.program.seeds
         if len(plans) == 1:
             (plan,) = plans
@@ -686,7 +930,7 @@ class FrontierMatcher:
                 seeds = list(compress(seeds, _verdicts(plan.node_tests, seeds)))
                 if not seeds:
                     return seeds  # nothing to start, nothing to drain
-            if plan.plain:
+            if plan.plain and stack is not None:
                 seeds = seeds[::-1]
                 walks = zip(map(self.snapshot.node_ids.__getitem__, seeds))
                 scan = plan.scan or self.program.scan_of(plan)
@@ -699,27 +943,36 @@ class FrontierMatcher:
                 for plan in plans
             ]
             admitted = map(compress, repeat(plans), zip(*verdicts))
-        return self._arrive(zip(seeds, admitted), stack)
+        return self._arrive(zip(seeds, admitted), push, accept, stack is not None)
 
-    def _arrive(self, admitted, stack: list):
+    def _arrive(self, admitted, push, accept, drain: bool):
         node_ids, scan_of = self.snapshot.node_ids, self.program.scan_of
         for seed, plans in admitted:
             walk = (node_ids[seed],)
             for plan in plans:
+                if plan.closure is not None:
+                    yield from self._closure(plan.closure, plan.ann, seed, (), None, walk, push, accept)
+                    continue
                 cell = self._apply(plan.ops, None, walk) if plan.ops else None
                 if cell is False:
                     continue
                 if plan.target is None:
-                    yield cell, walk
+                    solution = accept(cell, walk)
+                    if solution is not None:
+                        yield solution
                     continue
                 scopes = _opened(plan.pushes, seed) if plan.pushes else ()
-                stack.append((plan.scan or scan_of(plan), seed, scopes, cell, walk))
-            yield None
+                push((plan.scan or scan_of(plan), seed, scopes, cell, walk))
+            if drain:
+                yield None
 
-    # -- search --------------------------------------------------------
-    def enumerate_all(self) -> Iterator[ReducedBinding]:
-        """DFS over CSR slices, exactly mirroring the object matcher's
-        emission order (see module docstring).
+    # -- the scan ------------------------------------------------------
+    def _scan(self, rounds, stack: list, push, accept) -> Iterator[ReducedBinding]:
+        """The one scan loop: expand every entry *rounds* leaves on *stack*
+        a CSR slice at a time, deposits to *push*, accepts to *accept*
+        (which answers the solution to yield, or None).  *rounds* hands
+        over what its strategy holds, and None when the stack is to be
+        drained.
 
         The snapshot is advanced in place, so a search that resumes
         after a write was folded in stops with an error instead of
@@ -736,131 +989,94 @@ class FrontierMatcher:
         budget = self._budget
         max_steps = self.config.max_steps
         scoped, chained = program.scoped, program.first is not None
-        lookup, scan_of, apply, accept = _lookup, program.scan_of, self._apply, self._accept
-        candidates = self._initial_candidates()
-        self.initial_candidate_count = len(candidates)
+        lookup, scan_of, apply, closure = _lookup, program.scan_of, self._apply, self._closure
         # ``steps`` is the count as it would read if the scan stopped
         # here: a slice adds its admitted entries at once, and whatever
         # can stop the scan inside a slice first steps it back to the
         # entry in hand.
         steps = slices = entries = survived = 0
-        stack: list[tuple] = []
         try:
-            # Seeds pass the start routes' total tests a block at a time;
-            # each is drained before the next, and an unknown id raises
-            # once the seeds before it are.
-            for at, size in _seed_blocks(len(candidates)):
-                seeds = list(map(node_code.get, candidates[at : at + size]))
-                unknown = seeds.index(None) if None in seeds else None
-                if unknown is not None:
-                    del seeds[unknown:]
-                for found in self._seeds(seeds, stack):
-                    if found is not None:
-                        solution = accept(*found)
-                        if solution is not None:
-                            self._publish(steps, slices, entries, survived)
-                            yield solution
-                            if snapshot.version != version:
-                                raise _graph_changed()
-                            if budget is not None and budget.satisfied:
-                                return
-                        continue
-                    while stack:
-                        scan, node, scopes, cell, walk = stack.pop()
-                        (
-                            starts, ends, locals_, others, dirs, edge_ids, admit, edge_tests,
-                            edge_join, plans, shared, merged,
-                        ) = scan
-                        start, end = starts[node], ends[node]
-                        slices += 1
-                        entries += end - start
-                        locals_, others = locals_[start:end], others[start:end]
-                        if admit is not None:
-                            admitted = list(map(admit.__getitem__, dirs[start:end]))
-                            locals_ = list(compress(locals_, admitted))
-                            others = list(compress(others, admitted))
-                        base, count = steps, len(others)
-                        steps += count
-                        over = steps > max_steps
-                        if over:  # scan the prefix the budget allows, then raise
-                            steps, count = max_steps, max_steps - base
-                            del locals_[count:], others[count:]
-                        verdicts = _verdicts(edge_tests, locals_) if edge_tests else None
-                        if edge_join is not None:
-                            bound = walk[edge_join] if chained else lookup(cell, *edge_join)
+            for found in rounds:
+                if found is not None:
+                    self._publish(steps, slices, entries, survived)
+                    yield found
+                    if snapshot.version != version:
+                        raise _graph_changed()
+                    if budget is not None and budget.satisfied:
+                        return
+                    continue
+                while stack:
+                    scan, node, scopes, cell, walk = stack.pop()
+                    (
+                        starts, ends, locals_, others, dirs, edge_ids, admit, edge_tests,
+                        edge_join, plans, shared, merged, _,
+                    ) = scan
+                    start, end = starts[node], ends[node]
+                    slices += 1
+                    entries += end - start
+                    locals_, others = locals_[start:end], others[start:end]
+                    if admit is not None:
+                        admitted = list(map(admit.__getitem__, dirs[start:end]))
+                        locals_ = list(compress(locals_, admitted))
+                        others = list(compress(others, admitted))
+                    base, count = steps, len(others)
+                    steps += count
+                    over = steps > max_steps
+                    if over:  # scan the prefix the budget allows, then raise
+                        steps, count = max_steps, max_steps - base
+                        del locals_[count:], others[count:]
+                    verdicts = _verdicts(edge_tests, locals_) if edge_tests else None
+                    if edge_join is not None:
+                        bound = walk[edge_join] if chained else lookup(cell, *edge_join)
+                        if bound is not None:
+                            same_edge = (edge_ids.__getitem__, bound.__eq__)
+                            verdicts = _verdicts((same_edge,), locals_, verdicts)
+                    if scopes:
+                        for kind, members, first in scopes:
+                            if first is None:  # the SIMPLE cycle closed: nothing goes on
+                                count = 0
+                                continue
+                            keys = map(edge_ids.__getitem__, locals_) if kind == _TRAIL else others
+                            verdicts = _verdicts(((members.__contains__, not_),), keys, verdicts)
+                    if shared:
+                        arrivals = []
+                        if verdicts is not None:
+                            verdicts = list(verdicts)  # every route reads the hop's
+                    scanned = steps
+                    for plan in plans:
+                        admitted = verdicts
+                        if plan.edge_tests:
+                            admitted = _verdicts(plan.edge_tests, locals_, admitted)
+                        if plan.node_tests:
+                            admitted = _verdicts(plan.node_tests, others, admitted)
+                        for key, bound_at in plan.joins:
+                            bound = walk[key] if chained else lookup(cell, key, bound_at)
                             if bound is not None:
-                                same_edge = (edge_ids.__getitem__, bound.__eq__)
-                                verdicts = _verdicts((same_edge,), locals_, verdicts)
-                        if scopes:
-                            for kind, members, _ in scopes:
-                                if members is None:  # the SIMPLE cycle closed: nothing goes on
-                                    count = 0
-                                    continue
-                                keys = map(edge_ids.__getitem__, locals_) if kind == _TRAIL else others
-                                verdicts = _verdicts(((members.__contains__, not_),), keys, verdicts)
-                        if shared:
-                            arrivals = []
-                            if verdicts is not None:
-                                verdicts = list(verdicts)  # every route reads the hop's
-                        scanned = steps
-                        for plan in plans:
-                            admitted = verdicts
-                            if plan.edge_tests:
-                                admitted = _verdicts(plan.edge_tests, locals_, admitted)
-                            if plan.node_tests:
-                                admitted = _verdicts(plan.node_tests, others, admitted)
-                            for key, bound_at in plan.joins:
-                                bound = walk[key] if chained else lookup(cell, key, bound_at)
-                                if bound is not None:
-                                    same_node = (node_code[bound].__eq__, None)
-                                    admitted = _verdicts((same_node,), others, admitted)
-                            survivors = range(count)
-                            if admitted is not None:
-                                survivors = compress(survivors, admitted)
-                            if merged:  # incidence-major, then route order: a stable sort
-                                arrivals.append(zip(survivors, repeat(plan)))
-                                if plan is not plans[-1]:
-                                    continue
-                                arrivals = sorted(chain.from_iterable(arrivals), key=_NTH)
-                                survivors, routes = map(_NTH, arrivals), map(_PLAN, arrivals)
-                            ops, target = plan.ops, plan.target
+                                same_node = (node_code[bound].__eq__, None)
+                                admitted = _verdicts((same_node,), others, admitted)
+                        survivors = range(count)
+                        if admitted is not None:
+                            survivors = compress(survivors, admitted)
+                        if merged:  # incidence-major, then route order: a stable sort
+                            arrivals.append(zip(survivors, repeat(plan)))
+                            if plan is not plans[-1]:
+                                continue
+                            arrivals = sorted(chain.from_iterable(arrivals), key=_NTH)
+                            survivors, routes = map(_NTH, arrivals), map(_PLAN, arrivals)
+                        ops, target = plan.ops, plan.target
+                        if plan.closure is not None:  # reconverging routes: walked per arrival
                             for nth in survivors:
-                                if merged:
-                                    plan = next(routes)
-                                    ops, target = plan.ops, plan.target
+                                steps = base + nth + 1
                                 edge_id, other = edge_ids[locals_[nth]], others[nth]
                                 arrived = walk + (edge_id, node_ids[other])
-                                reached = cell
-                                if ops:
-                                    if plan.checked:
-                                        steps = base + nth + 1
-                                    reached = apply(ops, cell, arrived)
-                                    if reached is False:
-                                        continue
-                                survived += 1
-                                if target is not None:
-                                    inside = scopes
-                                    if scoped:
-                                        inside = tuple([
-                                            (
-                                                kind,
-                                                None if kind == _SIMPLE and other == first
-                                                else members | {edge_id if kind == _TRAIL else other},
-                                                first,
-                                            )
-                                            for kind, members, first in scopes
-                                        ])
-                                        if plan.pops:
-                                            inside = inside[: -plan.pops]
-                                        if plan.pushes:
-                                            inside += _opened(plan.pushes, other)
-                                    stack.append(
-                                        (plan.scan or scan_of(plan), other, inside, reached, arrived)
-                                    )
+                                reached = apply(ops, cell, arrived) if ops else cell
+                                if reached is False:
                                     continue
-                                steps = base + nth + 1
-                                solution = accept(reached, arrived)
-                                if solution is not None:
+                                survived += 1
+                                inside = _advanced(scopes, edge_id, other) if scoped else scopes
+                                for solution in closure(
+                                    target, plan.ann, other, inside, reached, arrived, push, accept
+                                ):
                                     self._publish(steps, slices, entries, survived)
                                     yield solution
                                     if snapshot.version != version:
@@ -868,13 +1084,82 @@ class FrontierMatcher:
                                     if budget is not None and budget.satisfied:
                                         return
                             steps = scanned
-                        if over:
-                            steps += 1  # the entry that does not fit
-                            raise BudgetExceededError(f"matcher exceeded max_steps={max_steps}")
-                if unknown is not None:
-                    raise GraphError(f"unknown node {candidates[at + unknown]!r}")
+                            continue
+                        for nth in survivors:
+                            if merged:
+                                plan = next(routes)
+                                ops, target = plan.ops, plan.target
+                            edge_id, other = edge_ids[locals_[nth]], others[nth]
+                            arrived = walk + (edge_id, node_ids[other])
+                            reached = cell
+                            if ops:
+                                if plan.checked:
+                                    steps = base + nth + 1
+                                reached = apply(ops, cell, arrived)
+                                if reached is False:
+                                    continue
+                            survived += 1
+                            if target is not None:
+                                inside = scopes
+                                if scoped:
+                                    inside = _advanced(scopes, edge_id, other)
+                                    if plan.pops:
+                                        inside = inside[: -plan.pops]
+                                    if plan.pushes:
+                                        inside += _opened(plan.pushes, other)
+                                push((plan.scan or scan_of(plan), other, inside, reached, arrived))
+                                continue
+                            steps = base + nth + 1
+                            solution = accept(reached, arrived)
+                            if solution is not None:
+                                self._publish(steps, slices, entries, survived)
+                                yield solution
+                                if snapshot.version != version:
+                                    raise _graph_changed()
+                                if budget is not None and budget.satisfied:
+                                    return
+                        steps = scanned
+                    if over:
+                        steps += 1  # the entry that does not fit
+                        raise BudgetExceededError(f"matcher exceeded max_steps={max_steps}")
         finally:
             self._publish(steps, slices, entries, survived)
+
+    def _closure(self, closure: _Closure, ann: tuple, node: int, scopes: tuple, cell,
+                 walk: tuple, push, accept) -> Iterator[ReducedBinding]:
+        """Walk a guarded ε-closure for the arrival that ends *walk* at
+        *node*: runs are popped LIFO, each one cut if :func:`_guard` met
+        its key already, else accepted, deposited and expanded by every
+        ε-step whose tests it passes (applied in transition order)."""
+        program = self.program
+        hops, caps, final = program.hops, program.caps, program.accept
+        node_id = walk[-1]
+        seen: set[tuple] = set()
+        runs = [(closure.entry, ann, scopes, cell)]
+        while runs:
+            state, ann, scopes, cell = runs.pop()
+            guard = _guard(state, _counters(ann, caps), scopes, cell)
+            if guard in seen:
+                continue
+            seen.add(guard)
+            if state == final:
+                solution = accept(cell, walk)
+                if solution is not None:
+                    yield solution
+            if hops[state] is not None:
+                push((hops[state].scan_at(ann), node, scopes, cell, walk))
+            for plan in closure.plans_at(state, ann):
+                if plan.node_tests and not next(_verdicts(plan.node_tests, (node,))):
+                    continue
+                if any(_lookup(cell, var, at) not in (None, node_id) for var, at in plan.joins):
+                    continue
+                reached = self._apply(plan.ops, cell, walk) if plan.ops else cell
+                if reached is False:
+                    continue
+                inside = scopes[: len(scopes) - plan.pops] if plan.pops else scopes
+                if plan.pushes:
+                    inside += _opened(plan.pushes, node)
+                runs.append((plan.target, plan.ann, inside, reached))
 
     # -- bindings, the checks that can raise, acceptance ------------------
     def _bind_map(self, cell, walk: tuple) -> dict:
@@ -904,13 +1189,24 @@ class FrontierMatcher:
             elif code == _LABEL:
                 if not arg.matches(self.graph.labels_of(walk[_EDGE])):
                     return False
-            else:  # _DEFER, _TAG, _ANON: read at acceptance
+            elif code == _ANON:
+                cell = (cell, code, at, (arg, walk[where]))
+            else:  # _DEFER, _TAG: read at acceptance
                 cell = (cell, code, at, arg)
         return cell
 
-    def _accept(self, cell, walk: tuple) -> Optional[ReducedBinding]:
-        """The solution of a complete walk, counted and charged to
-        ``max_results`` — None when a deferred WHERE rejects it."""
+    def _charge(self) -> None:
+        """Count one solution against ``max_results``."""
+        self._emitted += 1
+        if self._emitted > self.config.max_results:
+            raise BudgetExceededError(
+                f"matcher exceeded max_results={self.config.max_results}"
+            )
+
+    def _accept(self, cell, walk: tuple, charge: bool = True) -> Optional[ReducedBinding]:
+        """The solution of a complete walk, counted (and, unless the
+        strategy charges at emission, charged to ``max_results``) — None
+        when a deferred WHERE rejects it."""
         positions = self._positions
         if positions is not None:
             deferred = self.program.deferred
@@ -940,11 +1236,8 @@ class FrontierMatcher:
                     return None
         if self._stats is not None:
             self._stats.matches += 1
-        self._emitted += 1
-        if self._emitted > self.config.max_results:
-            raise BudgetExceededError(
-                f"matcher exceeded max_results={self.config.max_results}"
-            )
+        if charge:
+            self._charge()
         if positions is not None:
             elements = walk[::-1] if self._reverse else walk
             singletons = tuple(zip(self._names, map(elements.__getitem__, positions)))

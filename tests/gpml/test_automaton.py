@@ -191,23 +191,24 @@ class TestClosureClassification:
 
     @pytest.mark.parametrize("text", ALL_TREE)
     def test_tree_closures_never_compute_the_guard(self, fig1, monkeypatch, text):
-        from repro.gpml import match
-        from repro.gpml.matcher import MatcherConfig, _Run
+        from repro.gpml import frontier, match
 
-        def no_guard(self):
-            raise AssertionError("shadow_key computed for a tree closure")
+        def no_guard(*args):
+            raise AssertionError("cycle guard computed for a tree closure")
 
-        monkeypatch.setattr(_Run, "shadow_key", no_guard)
-        match(fig1, text, MatcherConfig(use_columnar=False))
+        monkeypatch.setattr(frontier, "_guard", no_guard)
+        match(fig1, text)
 
-    def test_guard_still_runs_where_routes_reconverge(self, fig1, monkeypatch):
-        from repro.gpml import match
-        from repro.gpml.matcher import _Run
+    @pytest.mark.parametrize("text", RECONVERGENT)
+    def test_guard_runs_where_routes_reconverge(self, fig1, monkeypatch, text):
+        from repro.gpml import frontier, match
 
         calls = []
-        original = _Run.shadow_key
+        original = frontier._guard
         monkeypatch.setattr(
-            _Run, "shadow_key", lambda self: calls.append(1) or original(self)
+            frontier, "_guard", lambda *args: calls.append(1) or original(*args)
         )
-        assert len(match(fig1, "MATCH (x:Account) | (x:Person)")) == 6
+        result = match(fig1, text)
         assert calls
+        if text == "MATCH (x:Account) | (x:Person)":
+            assert len(result) == 6

@@ -1,12 +1,12 @@
-"""Which search kernel a pattern runs on, and why — so that a silent
-fall-back to the object matcher cannot hide.
+"""Every pattern runs on the hop program of ``gpml/frontier.py`` — and
+the table says which part of it does the work, so that a shape that
+silently needs something else cannot hide.
 
-One table: pattern text → ``columnar`` (the hop program of
-``gpml/frontier.py``) or ``object`` (``gpml/matcher.py``) with the rule
-that sends it there.  Every shape the frontier's equivalence suite runs
-is here, every bail-out of ``FrontierMatcher.supports``, and the patterns
-of all eleven ``path_search`` templates of the repo benchmark (imported,
-not copied).
+One table: pattern text → the rule that shapes its program (a chain, a
+tree of routes, a guarded closure walked per arrival, a selector
+strategy).  Every shape the frontier's equivalence suite runs is here,
+and the patterns of all eleven ``path_search`` templates of the repo
+benchmark (imported, not copied).
 """
 
 import sys
@@ -18,14 +18,15 @@ from repro.datasets import random_transfer_network
 from repro.gpml.analysis import ENUMERATE
 from repro.gpml.engine import _Search, match_stages, prepare
 from repro.gpml.matcher import MatcherConfig
+from repro.graph.columnar import cached_snapshot, snapshot_for
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 from suite import workloads  # noqa: E402
 
 COLUMNAR, OBJECT = "columnar", "object"
 
-#: pattern → (engine, why).  The reasons an ENUMERATE pattern stays on the
-#: object matcher are checked, not just named: see ``REASONS``.
+#: pattern → (engine, why).  The reasons are checked, not just named: see
+#: ``REASONS``.
 REACH = {
     # chains: one transition, one route per state
     "MATCH (a:Account)-[t:Transfer]->(b:Account)": (COLUMNAR, "chain"),
@@ -57,15 +58,16 @@ REACH = {
         COLUMNAR, "routes",
     ),
     "MATCH (a:Account)-[t:Transfer]->{1,2}(b WHERE b.owner <> a.owner)": (COLUMNAR, "routes"),
-    # what supports() declines
-    "MATCH (x:Account) | (x:City)": (OBJECT, "reconverging closure"),
-    "MATCH (a:Account) [(x:Account)]? (b)": (OBJECT, "reconverging closure"),
-    "MATCH (a:Account) [(b)]{0,2}": (OBJECT, "reconverging closure"),  # edge-less body
-    "MATCH (a:Account) [[-[t:Transfer]->]{1,2}]{1,2} (b)": (OBJECT, "reconverging closure"),
-    "MATCH ANY SHORTEST (a:Account)-[t:Transfer]->{1,3}(b)": (OBJECT, "selector strategy"),
-    "MATCH SHORTEST 2 (a:Account)-[t:Transfer]->{1,3}(b)": (OBJECT, "selector strategy"),
+    # closures whose ε-routes reconverge or cycle: walked per arrival
+    "MATCH (x:Account) | (x:City)": (COLUMNAR, "reconverging closure"),
+    "MATCH (a:Account) [(x:Account)]? (b)": (COLUMNAR, "reconverging closure"),
+    "MATCH (a:Account) [(b)]{0,2}": (COLUMNAR, "reconverging closure"),  # edge-less body
+    "MATCH (a:Account) [[-[t:Transfer]->]{1,2}]{1,2} (b)": (COLUMNAR, "reconverging closure"),
+    # layered and Dijkstra searches over the same scan
+    "MATCH ANY SHORTEST (a:Account)-[t:Transfer]->{1,3}(b)": (COLUMNAR, "selector strategy"),
+    "MATCH SHORTEST 2 (a:Account)-[t:Transfer]->{1,3}(b)": (COLUMNAR, "selector strategy"),
     "MATCH ANY CHEAPEST COST amount (a:Account)-[t:Transfer]->{1,3}(b)": (
-        OBJECT, "selector strategy",
+        COLUMNAR, "selector strategy",
     ),
 }
 
@@ -131,23 +133,27 @@ def test_each_shape_runs_on_the_kernel_the_table_names(graph, query):
     assert engine_of(graph, query, MatcherConfig(use_columnar=False))[0] == OBJECT
 
 
-def test_a_bounded_consumer_waits_for_built_blocks():
+def test_a_bounded_consumer_builds_its_block_on_first_use():
     """LIMIT on a graph nobody scanned: no snapshot, no CSR block — the
-    object matcher streams; once an exhaustive run built them, the same
-    LIMIT runs columnar."""
+    LIMIT runs columnar all the same, building the snapshot and the one
+    block its hop scans; the next run reuses both."""
     graph = random_transfer_network(40, 90, seed=3)
     query = "MATCH (a:Account)-[t:Transfer]->{1,2}(b)"
-    assert engine_of(graph, query, limit=1)[0] == OBJECT
-    assert engine_of(graph, query)[0] == COLUMNAR
+    assert cached_snapshot(graph) is None
     assert engine_of(graph, query, limit=1)[0] == COLUMNAR
+    snapshot = cached_snapshot(graph)
+    assert snapshot is not None and set(snapshot._csr) == {("Transfer", "out")}
+    block = snapshot._csr["Transfer", "out"]
+    assert engine_of(graph, query, limit=1)[0] == COLUMNAR
+    assert snapshot_for(graph) is snapshot and snapshot._csr["Transfer", "out"] is block
 
 
 @pytest.mark.parametrize("name", sorted(PATH_SEARCH))
-def test_every_enumerate_template_of_path_search_runs_columnar(graph, name):
+def test_every_template_of_path_search_runs_columnar(graph, name):
     assert len(PATH_SEARCH) == 11
     for pattern in TEMPLATE_PATTERNS[name]:
         query = workloads.fill(pattern, {"o": "owner3", "o2": "owner7"})
         engine, prepared = engine_of(graph, query)
         enumerates = prepared.analysis.paths[0].strategy == ENUMERATE
         assert enumerates == (name not in SELECTOR_TEMPLATES)
-        assert engine == (COLUMNAR if enumerates else OBJECT), (name, query)
+        assert engine == COLUMNAR, (name, query)

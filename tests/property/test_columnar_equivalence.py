@@ -4,8 +4,7 @@ The frontier engine promises *exact* equivalence with the object-graph
 matcher — same rows, same order, same step counts, same truncation
 points under budgets — not just bag equality.  Random graphs cross a
 pool of chain-shaped queries plus quantified, alternated and restricted
-ones; shapes the frontier must *decline* (a reconverging closure) fall
-back to the same engine in both configurations and must still agree.
+ones, closures whose ε-routes reconverge, and the selector strategies.
 
 Bag semantics are asserted via ordered row lists: order equality is
 strictly stronger and is part of the engine's contract.
@@ -91,9 +90,12 @@ QUERIES = [
     "MATCH ACYCLIC (a)-[e]-{1,3}(b)",
     "MATCH SIMPLE p = (a)-[e]->{1,3}(a)",
     "MATCH (a) [(x)-[e]->(y) WHERE e.w >= y.v]{1,2} (b WHERE b.s = 'x')",
-    # Frontier-ineligible shapes: both configs take the object engine.
+    # closures whose ε-routes reconverge: walked per arrival, guarded
     "MATCH (x:A) | (x:B)",
     "MATCH (a) [(x:A)]{0,2} (b)",
+    # selector strategies (bounded: a zero-cost cycle ends at the bound)
+    "MATCH ALL SHORTEST p = (a)-[e]-{1,3}(b)",
+    "MATCH TOP 2 CHEAPEST COST w p = (a)~[e]~{1,3}(b:B)",
 ]
 
 
@@ -340,15 +342,66 @@ def test_every_stop_point_of_a_non_chain_matches_oracle(query):
     check_every_stop(query)
 
 
-def test_planner_reverses_some_of_the_non_chain_runs():
-    """The pool covers the reversed direction: groups, bag tags and walks
+#: the selector strategies — layered (SHORTEST, k-SHORTEST) and Dijkstra
+#: (CHEAPEST) — over a bounded and an unbounded quantifier, from the left
+#: and planner-reversed (the selective right end), and one under TRAIL.
+#: Directed hops only: the undirected zero-cost self-loop e4 is a cycle
+#: a Dijkstra search re-expands for ever.
+SELECTORS = [
+    "ANY SHORTEST", "ALL SHORTEST", "SHORTEST 2", "SHORTEST 2 GROUP",
+    "ANY CHEAPEST COST w", "TOP 2 CHEAPEST COST w",
+]
+SELECTOR_QUERIES = [
+    f"MATCH {selector} p = {body}"
+    for selector in SELECTORS
+    for body in (
+        "(a:A)-[e]->{1,4}(b)",
+        "(a)-[e]->{1,4}(b:B WHERE b.v = 1)",  # planner-reversed
+        "(a:A)-[e]->+(b)",
+        "(a)-[e]->+(b:B WHERE b.v = 1)",  # planner-reversed
+    )
+] + ["MATCH ALL SHORTEST TRAIL p = (a:A)-[e]->+(b:B)"]
+
+
+@pytest.mark.parametrize("query", SELECTOR_QUERIES)
+def test_every_stop_point_of_a_selector_matches_oracle(query):
+    check_every_stop(query)
+
+
+#: closures whose ε-routes reconverge or cycle: the RECONVERGENT shapes of
+#: tests/gpml/test_automaton.py and the non-tree rows of
+#: tests/gpml/test_kernel_reach.py, in this graph's labels
+GUARDED_QUERIES = [
+    "MATCH (x:A) | (x:B)",
+    "MATCH (a:A)[(x) | (y)]-[t:E]->(b)",
+    "MATCH (a:A)[(x) |+| (x)]-[t:E]->(b)",
+    "MATCH (a)[(x:A)]?-[t:E]->(b)",
+    "MATCH (a:A)[(b)]{0,2}",
+    "MATCH (a:A) [(x:A)]? (b)",
+    "MATCH (a:A) [[-[t:E]->]{1,2}]{1,2} (b)",
+]
+
+
+@pytest.mark.parametrize("query", GUARDED_QUERIES)
+def test_every_stop_point_of_a_guarded_closure_matches_oracle(query):
+    check_every_stop(query)
+
+
+@pytest.mark.parametrize(
+    "queries, reversed_range",
+    [(NON_CHAIN_QUERIES, (4, len(NON_CHAIN_QUERIES))), (SELECTOR_QUERIES, (12, 14))],
+    ids=["non_chain", "selector"],
+)
+def test_planner_reverses_some_of_the_runs(queries, reversed_range):
+    """The pools cover the reversed direction: groups, bag tags and walks
     of a right-anchored run come back in forward orientation."""
     graph, reversed_runs = stop_graph(), []
-    for query in NON_CHAIN_QUERIES:
+    for query in queries:
         tree = match_stages(graph, prepare(query), config(True))
         list(tree.run())
         reversed_runs.append(search_stages(tree)[0].reverse)
-    assert 4 <= sum(reversed_runs) < len(reversed_runs)
+    low, high = reversed_range
+    assert low <= sum(reversed_runs) < high
 
 
 @pytest.mark.parametrize("query", STOP_QUERIES[:4] + NON_CHAIN_QUERIES[:3])
