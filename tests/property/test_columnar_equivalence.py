@@ -10,6 +10,7 @@ Bag semantics are asserted via ordered row lists: order equality is
 strictly stronger and is part of the engine's contract.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -273,6 +274,86 @@ def assert_same_stop(graph, prepared, **run):
     return columnar
 
 
+def digest(rows):
+    """A short fingerprint of an ordered row list (order included)."""
+    return hashlib.sha1(repr(rows).encode()).hexdigest()[:10]
+
+
+#: query -> (rows, steps, matches, digest of the ordered rows) of its full
+#: run on ``stop_graph()``: the counts every stop point is swept up to,
+#: recorded when both kernels agreed on them at every stop point.
+PINNED = {
+    # STOP_QUERIES
+    'MATCH (x)-[e]->(y)': (8, 8, 8, '012aa044e2'),
+    'MATCH (x:A)-[e:E]->(y)-[f]->(z:B)': (6, 14, 6, 'a77fd0ab88'),
+    'MATCH (x)-[e]-(y)': (19, 21, 21, 'adc659deff'),
+    'MATCH (x)~[e]~(y)-[f]-(z)': (19, 26, 21, 'e26f8dbead'),
+    'MATCH (x)<-[e:E]-(y WHERE y.v >= 1)': (5, 6, 5, '97a76445e9'),
+    'MATCH (a)-[t]->(a)': (2, 8, 2, 'a2df029de3'),
+    'MATCH (a)-[t]-(b)-[t]-(c)': (19, 132, 25, '6ac83e0666'),
+    'MATCH (x:%)-[e:E|F WHERE e.w >= 1]->(y:!A|B)': (4, 8, 4, '6abe6231e1'),
+    "MATCH (x:A&!B)-[e]-(y:% WHERE y.s = 'y')-[f:E|F]->(z)": (7, 14, 7, 'd541192db1'),
+    'MATCH (x)-[e WHERE e.w > x.v]->(y)-[f WHERE f.w <> 1]-(z) WHERE x.v <> z.v': (4, 18, 7, '47d5aed7a6'),
+    "MATCH (x WHERE x.s = 'x')-[e]->(y)<-[f WHERE f.w <= y.v]-(z)": (8, 20, 8, '0f67fb2d28'),
+    # NON_CHAIN_QUERIES
+    'MATCH (a)-[e]->{1,2}(b)': (25, 25, 25, '4e03a1185c'),
+    'MATCH (a:A)-[e:E]->{0,2}(b)': (14, 11, 14, '603d019365'),
+    'MATCH (a) [-[e]->(m) WHERE e.w >= 1]{2,3} (b:B)': (14, 28, 14, 'd385343f1f'),
+    'MATCH (a) [-[e]->(m:B) WHERE e.w >= 1 AND m.v <= 1]{2,3} (b)': (6, 20, 6, '2cb2099cda'),
+    'MATCH (a:A) [(x)-[e:E]->{1,2}(y)-[f:F]->(z)]{1,2} (b)': (9, 38, 9, '077e4e523a'),
+    'MATCH (a:A)~[e]~{1,2}(b)': (6, 6, 6, 'babdd5657d'),
+    'MATCH (a:A)-[e]-{1,2}(b:B)': (42, 83, 55, '1491ae76bd'),
+    'MATCH (a:A) [-[:E]-> | -[:F]->] (x)': (6, 7, 7, '8901f56311'),
+    'MATCH (a) [-[:E]-> | <-[:F]-] (x WHERE x.v = 0)': (2, 2, 2, 'd6f971efd4'),
+    'MATCH (a:A) [-[e:E]->(x) |+| -[e:F]->(x)] (b)': (7, 7, 7, '14ca1bbfb9'),
+    'MATCH (a) [[-[e:E]-> |+| -[e]->] (x)]{1,2} (b WHERE b.v = 0)': (8, 8, 8, '1ad45c3316'),
+    'MATCH (a:A) [-[e:E]->(x:B)]? (b)': (6, 4, 6, '7930eccad9'),
+    'MATCH TRAIL p = (a:A)-[e]->{1,4}(b)': (69, 80, 69, 'c103e6e517'),
+    'MATCH ACYCLIC p = (a)-[e]-{1,4}(b:B WHERE b.v = 1)': (25, 114, 25, '7cebaca17d'),
+    'MATCH SIMPLE p = (a:A)-[e]->{1,4}(b)': (27, 47, 27, 'a5687e86ac'),
+    'MATCH TRAIL (a:B)-[e:E]->*(b)': (36, 61, 36, 'bb2a215683'),
+    'MATCH (a:A)-[e:E]->(b) [ACYCLIC (b)-[f]-{1,3}(c)] -[g:E]->(d)': (148, 460, 148, 'a557b84f68'),
+    'MATCH (a)-[e]->{1,2}(b)-[f]->(a)': (7, 75, 7, 'd1c264467d'),
+    'MATCH (a:A) [(x)-[e]->(y)-[f]-(x)]{1,2} (b)': (42, 214, 52, '5b8a845ddb'),
+    'MATCH [(a:A)-[e]->{1,3}(b) WHERE COUNT(e) >= 2 AND SUM(e.w) > 2]': (26, 47, 26, '9185f6bd0b'),
+    'MATCH (a WHERE SUM(e.w) >= 2)-[e]->{1,2}(b)': (16, 25, 16, '246011ecb6'),
+    # SELECTOR_QUERIES
+    'MATCH ANY SHORTEST p = (a:A)-[e]->{1,4}(b)': (12, 99, 99, '08594a984c'),
+    'MATCH ANY SHORTEST p = (a)-[e]->{1,4}(b:B WHERE b.v = 1)': (4, 55, 55, '49a5832160'),
+    'MATCH ANY SHORTEST p = (a:A)-[e]->+(b)': (12, 30, 30, '08594a984c'),
+    'MATCH ANY SHORTEST p = (a)-[e]->+(b:B WHERE b.v = 1)': (4, 9, 9, '49a5832160'),
+    'MATCH ALL SHORTEST p = (a:A)-[e]->{1,4}(b)': (16, 99, 99, '819ce85ead'),
+    'MATCH ALL SHORTEST p = (a)-[e]->{1,4}(b:B WHERE b.v = 1)': (5, 55, 55, '8484222ed4'),
+    'MATCH ALL SHORTEST p = (a:A)-[e]->+(b)': (16, 30, 30, '819ce85ead'),
+    'MATCH ALL SHORTEST p = (a)-[e]->+(b:B WHERE b.v = 1)': (5, 9, 9, '8484222ed4'),
+    'MATCH SHORTEST 2 p = (a:A)-[e]->{1,4}(b)': (24, 99, 99, '4a7b50dcd1'),
+    'MATCH SHORTEST 2 p = (a)-[e]->{1,4}(b:B WHERE b.v = 1)': (8, 55, 55, '3fc9ca9b70'),
+    'MATCH SHORTEST 2 p = (a:A)-[e]->+(b)': (24, 83, 83, '4a7b50dcd1'),
+    'MATCH SHORTEST 2 p = (a)-[e]->+(b:B WHERE b.v = 1)': (8, 27, 27, '3fc9ca9b70'),
+    'MATCH SHORTEST 2 GROUP p = (a:A)-[e]->{1,4}(b)': (44, 99, 99, '3277b73eff'),
+    'MATCH SHORTEST 2 GROUP p = (a)-[e]->{1,4}(b:B WHERE b.v = 1)': (16, 55, 55, '02bd4c82b9'),
+    'MATCH SHORTEST 2 GROUP p = (a:A)-[e]->+(b)': (48, 83, 83, '95c62d9d89'),
+    'MATCH SHORTEST 2 GROUP p = (a)-[e]->+(b:B WHERE b.v = 1)': (16, 27, 27, '02bd4c82b9'),
+    'MATCH ANY CHEAPEST COST w p = (a:A)-[e]->{1,4}(b)': (12, 60, 60, '188a8e7b23'),
+    'MATCH ANY CHEAPEST COST w p = (a)-[e]->{1,4}(b:B WHERE b.v = 1)': (4, 29, 29, '11a9aafb61'),
+    'MATCH ANY CHEAPEST COST w p = (a:A)-[e]->+(b)': (12, 24, 24, '188a8e7b23'),
+    'MATCH ANY CHEAPEST COST w p = (a)-[e]->+(b:B WHERE b.v = 1)': (4, 8, 8, '11a9aafb61'),
+    'MATCH TOP 2 CHEAPEST COST w p = (a:A)-[e]->{1,4}(b)': (24, 99, 99, 'a368687bc5'),
+    'MATCH TOP 2 CHEAPEST COST w p = (a)-[e]->{1,4}(b:B WHERE b.v = 1)': (8, 55, 55, '0c74eeaf0f'),
+    'MATCH TOP 2 CHEAPEST COST w p = (a:A)-[e]->+(b)': (24, 61, 61, '7c32a16b2f'),
+    'MATCH TOP 2 CHEAPEST COST w p = (a)-[e]->+(b:B WHERE b.v = 1)': (8, 22, 22, '0c74eeaf0f'),
+    'MATCH ALL SHORTEST TRAIL p = (a:A)-[e]->+(b:B)': (8, 282, 117, '46225941e1'),
+    # GUARDED_QUERIES
+    'MATCH (x:A) | (x:B)': (4, 0, 4, '89492ed743'),
+    'MATCH (a:A)[(x) | (y)]-[t:E]->(b)': (8, 8, 8, 'c3305914be'),
+    'MATCH (a:A)[(x) |+| (x)]-[t:E]->(b)': (8, 8, 8, 'c57fd33552'),
+    'MATCH (a)[(x:A)]?-[t:E]->(b)': (10, 10, 10, '8a62c1eb08'),
+    'MATCH (a:A)[(b)]{0,2}': (6, 0, 6, '094c27a342'),
+    'MATCH (a:A) [(x:A)]? (b)': (6, 0, 6, '73cfe63c35'),
+    'MATCH (a:A) [[-[t:E]->]{1,2}]{1,2} (b)': (40, 58, 58, '27352ed28d'),
+}
+
+
 def check_every_stop(query, **how):
     """Rows, error, ``matcher.steps`` and the stats counters at every
     ``max_steps`` 1…N, every ``max_results``, every ``limit=k``, every
@@ -281,6 +362,7 @@ def check_every_stop(query, **how):
     full = warmed(graph, prepared)
     rows, error, (steps,), _, matches, _ = assert_same_stop(graph, prepared, **how)
     assert (rows, error) == (full, None)
+    assert (len(rows), steps, matches, digest(rows)) == PINNED[query]
 
     errors = 0
     for max_steps in range(1, steps + 1):
