@@ -1,15 +1,14 @@
-"""ABL1: automaton engine vs Section 6 expansion vs naive enumeration.
+"""ABL1: automaton engine vs Section 6 expansion.
 
-The three implementations are observationally equivalent (differentially
+The two implementations are observationally equivalent (differentially
 tested in tests/); this bench quantifies the gap the automaton's pruning
-buys.  Expected shape: automaton < reference << naive, and the gap widens
-with pattern length — the point of compiling patterns instead of
-expanding or enumerating.
+buys.  Expected shape: automaton < reference, and the gap widens with
+pattern length — the point of compiling patterns instead of expanding
+them.
 """
 
 import pytest
 
-from repro.baselines import naive_trail_match, naive_walk_match
 from repro.datasets import figure1_graph
 from repro.gpml import match, prepare
 from repro.gpml.reference import ReferenceConfig, reference_match
@@ -42,10 +41,6 @@ class TestTwoStepPattern:
         result = benchmark(reference_match, fig1, _TWO_STEP, config)
         assert len(result) == 11
 
-    def test_naive_enumeration(self, benchmark, fig1):
-        result = benchmark(naive_walk_match, fig1, _TWO_STEP, 2)
-        assert len(result) == 11
-
 
 class TestTrailStarPattern:
     def test_automaton(self, benchmark, transfers_only):
@@ -56,8 +51,4 @@ class TestTrailStarPattern:
     def test_reference_expansion(self, benchmark, transfers_only):
         config = ReferenceConfig(max_unroll=8)
         result = benchmark(reference_match, transfers_only, _TRAIL_STAR, config)
-        assert len(result) == 3
-
-    def test_naive_enumeration(self, benchmark, transfers_only):
-        result = benchmark(naive_trail_match, transfers_only, _TRAIL_STAR)
         assert len(result) == 3

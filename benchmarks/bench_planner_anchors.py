@@ -14,8 +14,8 @@ make it a correctness pass (planned == naive, bag-for-bag).
 import pytest
 
 from repro.datasets import random_transfer_network
-from repro.gpml.engine import match, prepare
-from repro.gpml.matcher import Matcher, MatcherConfig
+from repro.gpml.engine import _Search, match, match_stages, prepare
+from repro.gpml.matcher import MatcherConfig
 from repro.planner.plan import plan_query
 
 NAIVE = MatcherConfig(use_planner=False)
@@ -66,13 +66,18 @@ def _canon(result):
 def _candidate_counts(graph, query):
     """(naive, planned) start-candidate counts for the first pattern."""
     prepared = prepare(query)
-    naive_matcher = Matcher(
-        graph, prepared.nfas[0], prepared.normalized.paths[0].pattern, NAIVE
-    )
-    list(naive_matcher.enumerate_all())  # generator: drain to run the search
+    tree = match_stages(graph, prepared, NAIVE)
+    list(tree.run())  # drain to run the search
+    naive = next(op for op in _stages(tree) if isinstance(op, _Search) and op.index == 0)
     plan = plan_query(graph, prepared)
     match(graph, prepared, PLANNED)
-    return naive_matcher.initial_candidate_count, plan.patterns[0].observed_candidates
+    return naive.matcher.initial_candidate_count, plan.patterns[0].observed_candidates
+
+
+def _stages(op):
+    yield op
+    for child in op.children:
+        yield from _stages(child)
 
 
 @pytest.mark.parametrize("query,strict", _QUERIES)

@@ -11,12 +11,9 @@ semantic contrasts are executable and implemented here:
   isomorphism: no edge may be matched twice across the whole MATCH
   (GPML instead scopes TRAIL per path pattern; whole-pattern edge
   isomorphism is a Language Opportunity in Section 7.1).
-* :mod:`~repro.baselines.naive_enumeration` — generate-and-test walk
-  enumeration, the ablation baseline for the automaton engine's pruning.
 """
 
 from repro.baselines.cypher_semantics import cypher_match
-from repro.baselines.naive_enumeration import naive_trail_match, naive_walk_match
 from repro.baselines.sparql_paths import endpoint_pairs
 
-__all__ = ["cypher_match", "endpoint_pairs", "naive_trail_match", "naive_walk_match"]
+__all__ = ["cypher_match", "endpoint_pairs"]

@@ -168,11 +168,6 @@ def build_sql_parser() -> argparse.ArgumentParser:
         help="write the query's span tree as JSON (repro.trace/v1 schema)",
     )
     parser.add_argument(
-        "--no-columnar", action="store_true",
-        help="disable the columnar frontier engine: run pattern searches "
-        "on the object-graph matcher (the reference oracle)",
-    )
-    parser.add_argument(
         "--no-optimizer", action="store_true",
         help="disable every cross-model rewrite rule (seeded join, shared "
         "scan, semi-join reduction): plan the naive bound tree",
@@ -225,11 +220,6 @@ def build_gql_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-json", metavar="FILE", default=None,
         help="write the query's span tree as JSON (repro.trace/v1 schema)",
-    )
-    parser.add_argument(
-        "--no-columnar", action="store_true",
-        help="disable the columnar frontier engine: run pattern searches "
-        "on the object-graph matcher (the reference oracle)",
     )
     parser.add_argument(
         "--save", metavar="FILE", default=None,
@@ -401,11 +391,6 @@ def gql_main(argv: list[str]) -> int:
         if limit is not None:
             tightened = limit if parsed.limit is None else min(parsed.limit, limit)
             parsed = dataclasses.replace(parsed, limit=tightened)
-        config = None
-        if args.no_columnar:
-            from repro.gpml.matcher import MatcherConfig
-
-            config = MatcherConfig(use_columnar=False)
         telemetry = None
         if args.metrics_out:
             from repro.obs import Telemetry
@@ -426,13 +411,13 @@ def gql_main(argv: list[str]) -> int:
         if args.analyze:
             from repro.obs.analyze import explain_analyze_gql
 
-            print(explain_analyze_gql(graph, parsed, config=config, stats=stats))
+            print(explain_analyze_gql(graph, parsed, stats=stats))
             if telemetry is not None:
                 telemetry.record_query(
                     "gql", query, perf_counter() - start, stats
                 )
         else:
-            records = execute_gql_iter(graph, parsed, config=config, stats=stats)
+            records = execute_gql_iter(graph, parsed, stats=stats)
             if telemetry is not None:
                 records = telemetry.instrument(records, "gql", query, stats)
             columns = [item.alias for item in parsed.items]
@@ -515,29 +500,18 @@ def sql_main(argv: list[str]) -> int:
         if args.explain:
             print(database.explain(query, sql_config=sql_config))
             return 0
-        config = None
-        if args.no_columnar:
-            from repro.gpml.matcher import MatcherConfig
-
-            config = MatcherConfig(use_columnar=False)
         stats = None
         if args.stats or args.trace_json or args.analyze or telemetry:
             stats = PipelineStats.traced(query=query, engine="sql")
         start = perf_counter()
         if args.analyze:
-            print(
-                database.explain_analyze(
-                    query, config=config, stats=stats, sql_config=sql_config
-                )
-            )
+            print(database.explain_analyze(query, stats=stats, sql_config=sql_config))
             if telemetry is not None:
                 telemetry.record_query(
                     "sql", query, perf_counter() - start, stats
                 )
         else:
-            result = database.execute(
-                query, config=config, stats=stats, sql_config=sql_config
-            )
+            result = database.execute(query, stats=stats, sql_config=sql_config)
             if isinstance(result, Table):
                 print(result.pretty(max_rows=50))
             else:  # CREATE PROPERTY GRAPH returns the new graph view

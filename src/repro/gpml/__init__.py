@@ -8,8 +8,9 @@ This package implements the paper's core contribution end to end:
 * :mod:`~repro.gpml.normalize` — Section 6.2 normalization,
 * :mod:`~repro.gpml.analysis` — variable classification (Sections 4.4/4.6)
   and the termination rules of Section 5,
-* :mod:`~repro.gpml.automaton` / :mod:`~repro.gpml.matcher` — the
-  production engine (counter-NFA product search),
+* :mod:`~repro.gpml.automaton` / :mod:`~repro.gpml.frontier` — the
+  production engine (counter-NFA product search over the columnar
+  snapshot; :mod:`~repro.gpml.matcher` holds its configuration),
 * :mod:`~repro.gpml.reference` — the literal expansion-based execution
   model of Section 6, used as a differential-testing oracle,
 * :mod:`~repro.gpml.engine` — the public entry points

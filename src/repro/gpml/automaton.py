@@ -106,9 +106,6 @@ class PatternNFA:
         self.epsilons: list[list[EpsTransition]] = []
         self.start = 0
         self.accept = 0
-        #: state -> closure program, compiled by the matcher on first entry
-        #: (a function of the transitions alone: no graph, no matcher)
-        self.closures: dict[int, object] = {}
 
     @property
     def num_states(self) -> int:
@@ -129,10 +126,11 @@ class PatternNFA:
         """Whether the ε-subgraph reachable from *state* is a tree.
 
         True when every state in it is reached by exactly one ε-route (a
-        closure started here needs no cycle guard): chains, scopes, and
-        quantifiers, optionals and alternation over bodies that traverse
-        an edge.  False when ε-routes reconverge or cycle: node-only union
-        branches or optionals, quantifier bodies that consume no edge.
+        closure started here flattens into routes and needs no cycle
+        guard): chains, scopes, and quantifiers, optionals and
+        alternation over bodies that traverse an edge.  False when
+        ε-routes reconverge or cycle: node-only union branches or
+        optionals, quantifier bodies that consume no edge.
         """
         seen = {state}
         stack = [state]

@@ -7,8 +7,8 @@ Pipeline (mirroring Section 6 of the paper):
 3. **analyze** — classification, legality, termination (Sections 4-5),
 4. **compile** one counter NFA per path pattern,
 5. **match** each path pattern (strategy chosen by the analysis),
-6. **reduce + deduplicate** path bindings (Sections 6.4-6.5; all
-   frontier solutions arrive reduced),
+6. **deduplicate** the reduced path bindings (Sections 6.4-6.5: the
+   search hands them over reduced, in forward orientation),
 7. apply **selectors** per path pattern (Figure 8),
 8. **join** path patterns on shared singleton variables and apply the
    final WHERE postfilter (Sections 4.3, 6.6),
@@ -60,20 +60,20 @@ from repro.gpml.analysis import (
     analyze,
 )
 from repro.gpml.automaton import PatternNFA, compile_path_pattern
-from repro.gpml.bindings import PathBinding, ReducedBinding, reduce_binding
+from repro.gpml.bindings import ReducedBinding
 from repro.gpml.expr import EvalContext
 from repro.gpml.frontier import FrontierMatcher, compiled_program
-from repro.graph.columnar import snapshot_for
-from repro.gpml.matcher import Matcher, MatcherConfig
+from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
 from repro.gpml.predicates import row_test
 from repro.gpml.selectors import apply_selector
 from repro.gpml.streaming import PipelineStats, RowBudget
+from repro.graph.columnar import snapshot_for
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
 from repro.obs.trace import STAGE
-from repro.planner.anchor import RIGHT, reverse_binding
+from repro.planner.anchor import RIGHT
 from repro.planner.plan import PatternPlan, plan_query
 from repro.rowops import Filter, Operator, attach_spans
 from repro.values import NULL, hashable
@@ -309,10 +309,9 @@ def assemble_result(
 ) -> MatchResult:
     """Join per-pattern solutions, apply the postfilter, build rows.
 
-    The materializing assembly used by the Section 6 reference engine and
-    the naive baselines (the production engine streams — see
-    :func:`match_stages`); both produce the same textual nested-loop row
-    order.
+    The materializing assembly used by the Section 6 reference engine
+    (the production engine streams — see :func:`match_stages`); both
+    produce the same textual nested-loop row order.
     """
     rows = _join_patterns(graph, prepared, per_pattern)
     if prepared.normalized.where is not None:
@@ -446,10 +445,9 @@ class _Search(_Stage):
     and — for a right anchor — runs the reversed pattern; a seeded run
     starts from exactly the given nodes, reversed when ``reversed_run``
     carries a pre-compiled reversed pattern + NFA.  Either way what
-    leaves the dedup stage is in forward orientation — the matcher is
-    told ``reverse`` and turns its solutions itself, or yields raw
-    bindings the dedup stage reverses — so everything downstream is
-    orientation-blind.
+    leaves the search is in forward orientation — the matcher is told
+    ``reverse`` and turns its solutions itself — so everything
+    downstream is orientation-blind.
     ``budget`` must only be given when this search feeds the terminal
     consumer (never for a hash-join build side).
     """
@@ -480,7 +478,7 @@ class _Search(_Stage):
         self.analysis = prepared.analysis.paths[index]
         self.plan: Optional[PatternPlan] = None
 
-    def rows(self) -> "Iterator[PathBinding | ReducedBinding]":
+    def rows(self) -> Iterator[ReducedBinding]:
         graph, run, start = self.graph, self.reversed_run, self.seeds
         if start is None and self.config.use_planner:
             plan = self.plan = plan_query(graph, self.prepared).patterns[self.index]
@@ -517,15 +515,12 @@ class _Search(_Stage):
                 est_candidates=plan.source.estimate,
                 est_rows=plan.est_result,
             )
-        metrics = getattr(matcher, "metrics", None)
-        if metrics is not None:
-            span.meta["engine"] = "columnar"
-            span.counts.update(metrics)
-            examined = metrics.get("frontier_entries", 0)
-            if examined:
-                span.meta["vector_selectivity"] = (
-                    metrics.get("frontier_survivors", 0) / examined
-                )
+        metrics = matcher.metrics
+        span.meta["engine"] = "columnar"
+        span.counts.update(metrics)
+        examined = metrics["frontier_entries"]
+        if examined:
+            span.meta["vector_selectivity"] = metrics["frontier_survivors"] / examined
 
     def describe(self) -> str:
         return f"pattern #{self.index + 1} search ({self.analysis.strategy})"
@@ -535,11 +530,9 @@ class _Search(_Stage):
 
 
 class _Dedup(_Stage):
-    """Stage 6: reduce each accepted binding — unless the matcher says
-    its solutions arrive reduced (``emits_reduced``: the frontier kernel
-    hands over singletons, groups and bag tags in forward orientation,
-    whatever the pattern) — and drop duplicates, streaming.  ``bind``
-    (None when a selector follows) materializes the surviving solutions."""
+    """Stage 6: drop duplicate solutions, streaming — the search hands
+    over singletons, groups and bag tags reduced, in forward orientation.
+    ``bind`` (None when a selector follows) materializes the survivors."""
 
     detail = "incremental seen-set over reduced bindings"
 
@@ -551,17 +544,9 @@ class _Dedup(_Stage):
     def rows(self) -> Iterator[Any]:
         search, bind = self.search, self.bind
         solutions = search.run()
-        raw = not isinstance(search.matcher, FrontierMatcher)
-        reverse = search.reverse
-        group_vars = search.analysis.group_vars
-        anonymous_vars = search.analysis.anonymous_vars
         seen: set[tuple] = set()
         try:
             for solution in solutions:
-                if raw:  # a PathBinding, in the orientation of the run
-                    if reverse:
-                        solution = reverse_binding(solution)
-                    solution = reduce_binding(solution, group_vars, anonymous_vars)
                 key = solution.dedup_key()
                 if key in seen:
                     continue
@@ -766,41 +751,28 @@ def _make_matcher(
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
     reverse: bool = False,
-):
-    """The search engine for one pattern run.
-
-    The columnar frontier kernel runs every ENUMERATE search whose hop
-    program compiles (``FrontierMatcher.supports``): chains, quantifiers,
-    alternation, optionals, restrictors.  The object matcher — the oracle
-    for all of it — keeps the selector strategies, ``config.use_columnar``
-    off, a bounded consumer whose CSR blocks are not built yet, and
-    closures whose ε-subgraph reconverges or cycles (``eps_tree`` false:
-    node-only union branches or optionals, edge-less quantifier bodies).
-    ``reverse`` says *pattern* is the reversed one (the frontier turns
-    its solutions forward itself).
+) -> FrontierMatcher:
+    """The search of one pattern run: the hop program of *nfa* over the
+    graph's columnar snapshot, built (or advanced) first — a LIMIT on a
+    cold graph builds the blocks its hops scan, once.  The selector
+    strategies compile their program *keyed* (every binding rides the
+    entries cell, for their pruning keys).  ``reverse`` says *pattern*
+    is the reversed one (the matcher turns its solutions forward).
 
     ``start_candidates`` may be a zero-arg callable: it is materialized
-    only after the engine choice, so a frontier run has already brought
-    the columnar snapshot up to date and the planner's label-scan
+    only after the snapshot is up to date, so the planner's label-scan
     candidates come from its sorted member lists.
     """
-    if config.use_columnar:
-        program = compiled_program(nfa, snapshot_for(graph), analysis.strategy != ENUMERATE)
-        if callable(start_candidates):
-            start_candidates = start_candidates()
-        return FrontierMatcher(
-            graph, pattern, program, config,
-            start_candidates=start_candidates, budget=budget, stats=stats, reverse=reverse,
-        )
+    program = compiled_program(nfa, snapshot_for(graph), analysis.strategy != ENUMERATE)
     if callable(start_candidates):
         start_candidates = start_candidates()
-    return Matcher(
-        graph, nfa, pattern, config,
-        start_candidates=start_candidates, budget=budget, stats=stats,
+    return FrontierMatcher(
+        graph, pattern, program, config,
+        start_candidates=start_candidates, budget=budget, stats=stats, reverse=reverse,
     )
 
 
-def _run_strategy(matcher: Matcher, path, analysis) -> Iterator[PathBinding]:
+def _run_strategy(matcher: FrontierMatcher, path, analysis) -> Iterator[ReducedBinding]:
     """Run the search strategy the analysis chose for one path pattern."""
     strategy = analysis.strategy
     if strategy == ENUMERATE:

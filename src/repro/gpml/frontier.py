@@ -3,8 +3,8 @@
 Every path pattern runs here.  The kernel compiles the pattern NFA once
 per snapshot version into a **hop program** and runs it over the
 :class:`~repro.graph.columnar.ColumnarGraph` **a CSR slice at a time**;
-the four search strategies of Section 5 are one scan loop with three
-choices made before it starts.
+the four search strategies are one scan loop with three choices made
+before it starts.
 
 *Hop program.*  Every state with an edge transition gets a :class:`_Hop`
 (the pattern compiler gives each edge pattern a state of its own): the
@@ -64,14 +64,14 @@ surviving positions only.  The checks that are not total — residual
 conjuncts, other paren WHEREs, a non-atom edge label — run per arrival
 (:meth:`FrontierMatcher._apply`), deferred WHEREs at acceptance.
 
-*Strategies.*  One seed drained at a time, a slice's arrivals taken
-incidence-major, then in route order; one step per orientation-admitted
-CSR entry per transition.  A strategy fixes three things before the
-loop: where a deposit goes, where an accept goes, and which entry the
-loop takes next (its *rounds*, which also hand over what it holds):
+*Strategies.*  A slice's arrivals are taken incidence-major, then in
+route order; one step is counted per orientation-admitted CSR entry per
+transition.  A strategy fixes three things before the loop: where a
+deposit goes, where an accept goes, and which entry the loop takes next
+(its *rounds*, which also hand over what it holds):
 
-* :meth:`~FrontierMatcher.enumerate_all` — DFS: deposits on the stack,
-  accepts yielded as found.
+* :meth:`~FrontierMatcher.enumerate_all` — DFS: one seed drained at a
+  time, deposits on the stack, accepts yielded as found.
 * :meth:`~FrontierMatcher.search_shortest` /
   :meth:`~FrontierMatcher.search_k_shortest` — BFS by path length:
   every seed first, then one layer per round; deposits go to the next
@@ -627,21 +627,35 @@ def _advanced(scopes: tuple, edge_id: str, node: int) -> tuple:
 # ----------------------------------------------------------------------
 # What the selector strategies and the guard compare entries by
 # ----------------------------------------------------------------------
-def _prune_key(entry: tuple) -> tuple:
-    """The product state of an entry: seed, node, state, saturated
+def _pruner():
+    """The product-state key of an entry: seed, node, state, saturated
     counters, scopes and singleton bindings (the only parts of a run that
-    can block a future suffix)."""
-    scan, node, scopes, cell, walk = entry
-    state, _, counters = scan[-1]
-    singles = []
-    while cell is not None:
-        cell, var, at, element = cell
-        if at == ():
-            if type(var) is str:
-                singles.append((var, element))
-            elif var == _ANON:
-                singles.append(element)
-    return walk[0], node, state, counters, scopes, frozenset(singles)
+    can block a future suffix).  Cells are shared by the entries that
+    extend them, so each cell's singletons are read once per search."""
+    singletons: dict[int, tuple] = {}  # id(cell) -> (cell, its singletons)
+
+    def prune_key(entry: tuple) -> tuple:
+        scan, node, scopes, head, walk = entry
+        state, _, counters = scan[-1]
+        found, known, cell = [], frozenset(), head
+        while cell is not None:  # back to a cell an earlier entry ended with
+            hit = singletons.get(id(cell))
+            if hit is not None:
+                known = hit[1]
+                break
+            cell, var, at, element = cell
+            if at == ():
+                if type(var) is str:
+                    found.append((var, element))
+                elif var == _ANON:
+                    found.append(element)
+        if found:
+            known = known.union(found)
+        if head is not None:
+            singletons[id(head)] = (head, known)
+        return walk[0], node, state, counters, scopes, known
+
+    return prune_key
 
 
 def _fingerprint(entry: tuple) -> tuple:
@@ -765,7 +779,8 @@ class FrontierMatcher:
     def enumerate_all(self) -> Iterator[ReducedBinding]:
         """DFS: each seed drained before the next, accepts yielded as found."""
         stack: list = []
-        return self._scan(self._seeding(stack.append, self._accept, stack), stack, stack.append, self._accept)
+        push, accept = stack.append, self._accept
+        return self._scan(self._seeding(push, accept, stack), stack, push, accept)
 
     def search_shortest(self) -> Iterator[ReducedBinding]:
         """Layered BFS: a product state is expanded at its first depth only."""
@@ -806,15 +821,28 @@ class FrontierMatcher:
 
         def rounds():
             yield from self._seeding(layer.append, accept)
+            prune_key = _pruner()
             depth = 0
             while True:
-                survivors, seen = [], set()
+                # each distinct run once: runs that differ in their place
+                # in the NFA, scopes or walk differ; only runs alike in
+                # those are told apart by their bindings and bag tags
+                survivors, seen = [], {}
                 for entry in layer:
-                    if admit(_prune_key(entry), depth):
+                    if not admit(prune_key(entry), depth):
+                        continue
+                    scan, _, scopes, _, walk = entry
+                    alike = seen.get((scan[-1], scopes, walk))
+                    if alike is None:
+                        seen[scan[-1], scopes, walk] = entry
+                    else:
+                        if type(alike) is tuple:  # the first such run
+                            alike = seen[scan[-1], scopes, walk] = {_fingerprint(alike)}
                         fingerprint = _fingerprint(entry)
-                        if fingerprint not in seen:
-                            seen.add(fingerprint)
-                            survivors.append(entry)
+                        if fingerprint in alike:
+                            continue
+                        alike.add(fingerprint)
+                    survivors.append(entry)
                 layer.clear()
                 for solution in held:
                     self._charge()
@@ -862,11 +890,12 @@ class FrontierMatcher:
         def rounds():
             nonlocal current
             yield from self._seeding(push, accept)
+            prune_key = _pruner()
             while queue:
                 cost, _, entry = heappop(queue)
                 while pending and pending[0][0] <= cost:
                     yield heappop(pending)[2]
-                kept = best.setdefault(_prune_key(entry), [])
+                kept = best.setdefault(prune_key(entry), [])
                 if cost not in kept:
                     if len(kept) >= k and cost > max(kept):
                         continue
@@ -951,7 +980,8 @@ class FrontierMatcher:
             walk = (node_ids[seed],)
             for plan in plans:
                 if plan.closure is not None:
-                    yield from self._closure(plan.closure, plan.ann, seed, (), None, walk, push, accept)
+                    closure = self._closure(plan.closure, plan.ann, seed, (), None, walk, push, accept)
+                    yield from closure
                     continue
                 cell = self._apply(plan.ops, None, walk) if plan.ops else None
                 if cell is False:

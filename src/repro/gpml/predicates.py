@@ -9,9 +9,8 @@ every other node runs ``evaluate`` itself.
 * The search kernels: an element WHERE is a conjunction; its ``var.prop
   op literal`` conjuncts (*var* being the element the pattern binds)
   depend on one property value only, so :func:`split_where` decides them
-  once per compiled pattern as raw-value tests — the object matcher
-  (:mod:`repro.gpml.matcher`) feeds them from ``graph.property_of``, the
-  frontier kernel (:mod:`repro.gpml.frontier`) from snapshot columns.
+  once per compiled pattern as raw-value tests, which the search kernel
+  (:mod:`repro.gpml.frontier`) maps over snapshot columns.
   Every other conjunct stays an expression, evaluated through
   ``RunContext`` on the elements that survive the tests.
 * The hosts' operators (:mod:`repro.rowops`, SQL's join, ``COLUMNS``,

@@ -33,8 +33,9 @@ only for those already built.
 The per-node entry order of every CSR block equals
 ``PropertyGraph.incidences(node)`` order exactly (edge-insertion order;
 directed self-loops contribute their OUT slot before their IN slot;
-undirected self-loops appear once) — the frontier matcher relies on this
-to reproduce the object engine's emission order bit for bit.
+undirected self-loops appear once), so the search's emission order — and
+the step count at every stop point — is the graph's, whether the
+snapshot was advanced or built from scratch.
 """
 
 from __future__ import annotations
@@ -46,14 +47,7 @@ from itertools import accumulate
 from time import perf_counter
 from typing import Any, Optional
 
-from repro.gpml.label_expr import (
-    LabelAnd,
-    LabelAtom,
-    LabelExpr,
-    LabelNot,
-    LabelOr,
-    LabelWildcard,
-)
+from repro.gpml.label_expr import LabelAnd, LabelAtom, LabelExpr, LabelNot, LabelWildcard
 from repro.graph.changelog import ADD_NODE, REMOVE_NODE, SET_PROPERTY, ChangeRecord
 from repro.graph.model import IN, OUT, UNDIRECTED, PropertyGraph
 
@@ -384,8 +378,8 @@ class ColumnarGraph:
             self._node_masks[label] = mask
         return mask
 
-    def compile_node_label_expr(self, expr: LabelExpr) -> "Optional[bytes | bytearray]":
-        """Compile a label expression to a node mask (None = unsupported).
+    def compile_node_label_expr(self, expr: LabelExpr) -> "bytes | bytearray":
+        """Compile a label expression to a node mask.
 
         ``mask[code]`` is 1 for *all* nodes whose label set matches the
         expression.  A single label is its live mask itself, patched in
@@ -396,10 +390,9 @@ class ColumnarGraph:
         """
         if isinstance(expr, LabelAtom):
             return self.node_label_mask(expr.name)
-        bits = self._label_bits(expr)
-        return None if bits is None else bits.to_bytes(self.num_nodes, "little")
+        return self._label_bits(expr).to_bytes(self.num_nodes, "little")
 
-    def _label_bits(self, expr: LabelExpr) -> Optional[int]:
+    def _label_bits(self, expr: LabelExpr) -> int:
         if isinstance(expr, LabelAtom):
             return int.from_bytes(self.node_label_mask(expr.name), "little")
         if isinstance(expr, LabelWildcard):  # carries at least one label
@@ -409,16 +402,11 @@ class ColumnarGraph:
             return bits
         full = int.from_bytes(b"\x01" * self.num_nodes, "little")
         if isinstance(expr, LabelNot):
-            inner = self._label_bits(expr.inner)
-            return None if inner is None else full ^ inner
-        if isinstance(expr, (LabelAnd, LabelOr)):
-            members = [self._label_bits(item) for item in expr.items]
-            if None in members:
-                return None
-            if isinstance(expr, LabelAnd):
-                return reduce(int.__and__, members, full)
-            return reduce(int.__or__, members, 0)
-        return None
+            return full ^ self._label_bits(expr.inner)
+        members = [self._label_bits(item) for item in expr.items]
+        if isinstance(expr, LabelAnd):
+            return reduce(int.__and__, members, full)
+        return reduce(int.__or__, members, 0)  # LabelOr
 
     def label_members_sorted(self, label: str) -> list[str]:
         """Node ids carrying *label*, sorted (the label-scan anchor order)."""
@@ -632,8 +620,8 @@ def cached_snapshot(graph: PropertyGraph) -> Optional[ColumnarGraph]:
     """The current snapshot if one is already built — never builds.
 
     Lets optional fast paths (planner candidate scans) piggyback on a
-    snapshot the frontier engine created without forcing columnar costs
-    onto oracle-mode runs, where no snapshot ever exists.
+    snapshot the search kernel created without forcing a build onto
+    callers that only plan (EXPLAIN PLAN, the statistics catalog).
     """
     cached = getattr(graph, _SNAPSHOT_ATTR, None)
     if cached is not None and cached.version == graph.version:

@@ -20,16 +20,16 @@ against it and against the Section 6 reference engine).
 The anchor machinery has a second consumer besides :func:`plan_query`:
 GQL's chained-MATCH seeding (:mod:`repro.gql.pipeline`) anchors a later
 statement's pattern search at a variable bound upstream, reusing
-:mod:`~repro.planner.anchor`'s pinned-end analysis and pattern/binding
-reversal per incoming row.
+:mod:`~repro.planner.anchor`'s pinned-end analysis and pattern reversal
+per incoming row.
 
 Modules: :mod:`~repro.planner.stats` (cardinality catalog + caching),
 :mod:`~repro.planner.indexes` (sargable predicates, candidate sources),
-:mod:`~repro.planner.anchor` (pattern/binding reversal, anchor scoring),
+:mod:`~repro.planner.anchor` (pattern reversal, anchor scoring),
 :mod:`~repro.planner.plan` (plan representation and EXPLAIN PLAN).
 """
 
-from repro.planner.anchor import reverse_binding, reverse_pattern
+from repro.planner.anchor import reverse_pattern
 from repro.planner.indexes import CandidateSource, sargable_equalities
 from repro.planner.plan import AnchorOption, PatternPlan, QueryPlan, plan_query
 from repro.planner.stats import StatisticsCatalog
@@ -41,7 +41,6 @@ __all__ = [
     "QueryPlan",
     "StatisticsCatalog",
     "plan_query",
-    "reverse_binding",
     "reverse_pattern",
     "sargable_equalities",
 ]

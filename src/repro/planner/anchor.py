@@ -2,12 +2,12 @@
 
 The matcher anchors a path pattern at its leftmost element.  This module
 lets the planner anchor at the *rightmost* element instead, by reversing
-the pattern — flipping edge orientations and concatenation order — and
-mapping accepted bindings back to forward orientation afterwards.  The
-mapping is exact: walked elements are reversed, elementary-binding entries
-are re-ordered, and quantifier-iteration annotations are renumbered so
-group variables and multiset provenance tags come out identical to a
-forward run (iteration *i* of *k* becomes iteration *k+1-i*).
+the pattern — flipping edge orientations and concatenation order; the
+search turns each solution of the reversed run forward itself.  The
+mapping is exact: walked elements are reversed, group variables are read
+in reverse, and quantifier-iteration annotations of multiset provenance
+tags are renumbered (iteration *i* of *k* becomes iteration *k+1-i*,
+:func:`repro.gpml.bindings.forward_annotations`).
 
 Interior fixed elements are scored as well (they often dominate both
 ends on selectivity) but are not executable anchors in this engine — the
@@ -37,8 +37,6 @@ from repro.errors import ReproError
 from repro.gpml import ast
 from repro.gpml.analysis import PathAnalysis, analyze
 from repro.gpml.automaton import PatternNFA, compile_path_pattern
-from repro.gpml.bindings import ElementaryBinding, PathBinding, forward_annotations
-from repro.gpml.expr import Aggregate, Expr
 
 LEFT = "left"
 RIGHT = "right"
@@ -136,32 +134,6 @@ def is_reversible(analysis: PathAnalysis) -> bool:
         if any(agg.func == "LISTAGG" for agg in where.aggregates()):
             return False
     return True
-
-
-# ----------------------------------------------------------------------
-# Binding reversal
-# ----------------------------------------------------------------------
-def reverse_binding(binding: PathBinding) -> PathBinding:
-    """Map a binding of the reversed pattern back to forward orientation:
-    walk and entries reversed, quantifier annotations renumbered by the
-    one remap the frontier kernel shares
-    (:func:`repro.gpml.bindings.forward_annotations`)."""
-    remap = forward_annotations(
-        [entry.annotation for entry in binding.entries]
-        + [ann for _, _, ann in binding.bag_tags]
-    )
-    entries = tuple(
-        ElementaryBinding(entry.var, remap(entry.annotation), entry.element_id)
-        for entry in reversed(binding.entries)
-    )
-    bag_tags = frozenset(
-        (alt_id, dedup_class, remap(ann)) for alt_id, dedup_class, ann in binding.bag_tags
-    )
-    return PathBinding(
-        elements=tuple(reversed(binding.elements)),
-        entries=entries,
-        bag_tags=bag_tags,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,8 @@
 """SQL-side planner configuration: the cross-model rewrite rule gates.
 
-Mirrors :class:`~repro.gpml.matcher.MatcherConfig`'s environment-default
-idiom: ``REPRO_DISABLE_SQL_OPTIMIZER=1`` turns every rewrite rule off for
-a whole process, giving CI an oracle mode in which each plan is the naive
-bound tree (the same pattern as ``REPRO_DISABLE_COLUMNAR`` for the
-matcher core).  Individual rules are toggled through
+``REPRO_DISABLE_SQL_OPTIMIZER=1`` turns every rewrite rule off for a
+whole process, giving CI an oracle mode in which each plan is the naive
+bound tree.  Individual rules are toggled through
 ``SqlConfig.optimizer_rules``; predicate/LIMIT pushdown (PR 3) is not a
 rule — it stays governed by the ``pushdown`` flag so the pre-existing
 oracle comparisons keep their meaning.

@@ -1,13 +1,8 @@
-"""Baselines: SPARQL endpoint semantics, naive enumeration, Cypher rule."""
+"""Baselines: SPARQL endpoint semantics, Cypher rule."""
 
 import pytest
 
-from repro.baselines import (
-    cypher_match,
-    endpoint_pairs,
-    naive_trail_match,
-    naive_walk_match,
-)
+from repro.baselines import cypher_match, endpoint_pairs
 from repro.datasets import cycle_graph
 from repro.errors import GpmlEvaluationError
 from repro.gpml import match
@@ -51,49 +46,6 @@ class TestEndpointSemantics:
     def test_rejects_non_local_filters(self, fig1):
         with pytest.raises(GpmlEvaluationError):
             endpoint_pairs(fig1, "MATCH (x)-[e WHERE e.amount > x.limit]->(y)")
-
-
-class TestNaiveEnumeration:
-    @pytest.mark.parametrize(
-        "query",
-        [
-            "MATCH (x:Account WHERE x.isBlocked='no')",
-            "MATCH (x)-[e:Transfer]->(y)",
-            "MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->(d:Account)~[:hasPhone]~(p)",
-        ],
-    )
-    def test_bounded_equivalence(self, fig1, query):
-        naive = naive_walk_match(fig1, query, max_length=3)
-        engine = match(fig1, query)
-        assert sorted(map(repr, naive.to_dicts())) == sorted(map(repr, engine.to_dicts()))
-
-    def test_trail_equivalence(self):
-        # a transfers-only copy of Figure 1 keeps the blind enumeration
-        # tractable (the full mixed graph has billions of trails).
-        from repro.datasets import figure1_graph
-
-        graph = figure1_graph()
-        for edge_id in [f"li{i}" for i in range(1, 7)] + [
-            f"hp{i}" for i in range(1, 7)
-        ] + ["sip1", "sip2"]:
-            graph.remove_edge(edge_id)
-        query = (
-            "MATCH TRAIL p = (a WHERE a.owner='Dave')-[t:Transfer]->*"
-            "(b WHERE b.owner='Aretha')"
-        )
-        naive = naive_trail_match(graph, query)
-        engine = match(graph, query)
-        assert sorted(str(p) for p in naive.paths()) == sorted(
-            str(p) for p in engine.paths()
-        )
-
-    def test_selector_applies_after_enumeration(self, fig1):
-        query = (
-            "MATCH ANY SHORTEST p = (a WHERE a.owner='Dave')-[t:Transfer]->*"
-            "(b WHERE b.owner='Aretha')"
-        )
-        naive = naive_walk_match(fig1, query, max_length=6)
-        assert [str(p) for p in naive.paths()] == ["path(a6,t5,a3,t2,a2)"]
 
 
 class TestCypherSemantics:

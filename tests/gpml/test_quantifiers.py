@@ -120,9 +120,9 @@ class TestPaperEquivalences:
 
 
 class TestZeroLengthIterations:
-    """Where the ε-cycle guard of ``Matcher._closure`` matters, and where
-    it must not: see the "known engine refinements" paragraph of the
-    ``repro.gpml.matcher`` module docstring."""
+    """Where the ε-cycle guard of ``FrontierMatcher._closure`` matters,
+    and where it must not: see the "known engine refinements" paragraph
+    of the ``repro.gpml.frontier`` module docstring."""
 
     @pytest.mark.parametrize(
         "query, rows",

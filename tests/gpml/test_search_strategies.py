@@ -4,7 +4,7 @@ import pytest
 
 from repro.datasets import cycle_graph, diamond_chain, random_transfer_network
 from repro.graph import GraphBuilder
-from repro.gpml import match, match_iter
+from repro.gpml import match, match_iter, prepare
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
 from repro.gql import GqlSession
@@ -18,6 +18,21 @@ class TestShortestOnCycles:
         lengths = {(p.source_id, p.target_id): p.length for p in result.paths()}
         assert lengths[("x", "y")] == 1
         assert lengths[("x", "x")] == 2  # around the cycle
+
+    def test_unrestricted_any_shortest_is_bounded_by_product_states(self, fig1):
+        """Section 5's termination argument as a test: ``->+`` with no
+        restrictor over Figure 1's transfer cycles ends, because the
+        layered search expands a product state — seed, node, NFA state,
+        saturated counter — at the depth it is first reached only, each
+        expansion reading at most one node's incidences."""
+        prepared = prepare("MATCH ANY SHORTEST p = (a)-[:Transfer]->+(b)")
+        stats = PipelineStats()
+        rows = list(match_iter(fig1, prepared, stats=stats))
+        assert (len(rows), stats.steps, stats.matches) == (36, 48, 48)
+        counter_values = 2  # the {1,} counter saturates at 1
+        product_states = fig1.num_nodes ** 2 * prepared.nfas[0].num_states * counter_values
+        degree = max(len(fig1.incidences_with_label(node, "Transfer")) for node in fig1.node_ids())
+        assert stats.steps <= product_states * degree
 
     def test_shortest_with_min_iterations(self):
         g = cycle_graph(4)
@@ -225,11 +240,10 @@ def bank():
     return random_transfer_network(60, 180, seed=7, blocked_fraction=0.2)
 
 
-@pytest.mark.parametrize("use_columnar", [None, False], ids=["default", "object"])
 @pytest.mark.parametrize("name", sorted(PATH_SEARCH_COUNTS))
-def test_path_search_shape_counts_are_pinned(bank, name, use_columnar):
+def test_path_search_shape_counts_are_pinned(bank, name):
     surface, text, expected = PATH_SEARCH_COUNTS[name]
-    config = MatcherConfig() if use_columnar is None else MatcherConfig(use_columnar=False)
+    config = MatcherConfig()
     stats = PipelineStats()
     if surface == "gpml":
         rows = match_iter(bank, text, config, stats=stats)

@@ -330,8 +330,8 @@ def bank():
 
 @pytest.mark.parametrize(
     "config",
-    [None, MatcherConfig(use_columnar=False), MatcherConfig(seed_chained_match=False)],
-    ids=["default", "object-matcher", "hash-join-chain"],
+    [None, MatcherConfig(seed_chained_match=False)],
+    ids=["default", "hash-join-chain"],
 )
 @pytest.mark.parametrize("name", HOST_RELATIONAL_GQL)
 def test_host_relational_shape_returns_the_pinned_records(bank, name, config):
@@ -353,11 +353,6 @@ def lookalikes():
     for k in range(3):
         builder.directed(f"e{k}", f"n{k}", f"n{k + 1}", "E", v=[1, True, 1.0][k])
     return builder.build()
-
-
-KERNELS = pytest.mark.parametrize(
-    "config", [None, MatcherConfig(use_columnar=False)], ids=["columnar", "object-matcher"]
-)
 
 
 class TestKeyIdentityIsEquality:
@@ -384,7 +379,6 @@ class TestKeyIdentityIsEquality:
 
 
 class TestExpressionErrors:
-    @KERNELS
     @pytest.mark.parametrize(
         "query",
         [
@@ -394,9 +388,9 @@ class TestExpressionErrors:
             "MATCH (a:Account)-[t:Transfer]->(b) WHERE a.owner RETURN a",
         ],
     )
-    def test_non_boolean_condition_names_the_expression(self, fig1, query, config):
+    def test_non_boolean_condition_names_the_expression(self, fig1, query):
         with pytest.raises(ExpressionError, match="a.owner is not a condition.*'"):
-            execute_gql(fig1, query, config)
+            execute_gql(fig1, query)
 
     def test_aggregate_over_values_that_do_not_combine(self, lookalikes):
         with pytest.raises(ExpressionError, match="SUM over values that do not combine"):

@@ -45,19 +45,19 @@ def test_gpml_explain_analyze_reports_actuals(fig1):
 def test_gpml_explain_analyze_reports_frontier_counters(fig1):
     from repro.gpml.matcher import MatcherConfig
 
-    query = "MATCH (a:Account)-[t:Transfer]->(b:Account)"
-    report = explain_analyze(fig1, query, config=MatcherConfig(use_columnar=True))
-    # The chain query takes the columnar frontier: the search span
-    # carries frontier sizes and the vectorized-filter selectivity.
-    assert "engine: columnar" in report
-    assert "frontier_slices=" in report
-    assert "frontier_entries=" in report
-    assert "frontier_survivors=" in report
-    assert "vector selectivity=" in report
-
-    oracle = explain_analyze(fig1, query, config=MatcherConfig(use_columnar=False))
-    assert "engine: columnar" not in oracle
-    assert "frontier_entries=" not in oracle
+    # Every search runs on the columnar kernel — a chain and a layered
+    # selector search alike: the search span carries frontier sizes and
+    # the vectorized-filter selectivity.
+    for query in (
+        "MATCH (a:Account)-[t:Transfer]->(b:Account)",
+        "MATCH ANY SHORTEST p = (a:Account)-[t:Transfer]->+(b:Account)",
+    ):
+        report = explain_analyze(fig1, query, config=MatcherConfig())
+        assert "engine: columnar" in report
+        assert "frontier_slices=" in report
+        assert "frontier_entries=" in report
+        assert "frontier_survivors=" in report
+        assert "vector selectivity=" in report
 
 
 #: (graph, query) -> per run (rows, steps, frontier_slices,
@@ -135,7 +135,7 @@ def test_frontier_counters_are_pinned(fig1, graph_name, query):
 
     def counters(limit=None, max_steps=5_000_000):
         stats = PipelineStats.traced()
-        config = MatcherConfig(use_columnar=True, max_steps=max_steps)
+        config = MatcherConfig(max_steps=max_steps)
         try:
             rows = sum(1 for _ in match_iter(graph, prepared, config, limit=limit, stats=stats))
         except BudgetExceededError:
@@ -298,10 +298,7 @@ def test_cli_stats_reports_wall_time_without_analyze(capsys):
     assert stats_line.rstrip().endswith("ms")
 
 
-def test_cli_stats_reports_storage_line(capsys, monkeypatch):
-    # The columnar default must be on for this run, whatever the outer
-    # environment (the oracle-mode CI job sets REPRO_DISABLE_COLUMNAR).
-    monkeypatch.delenv("REPRO_DISABLE_COLUMNAR", raising=False)
+def test_cli_stats_reports_storage_line(capsys):
     code = cli_main([
         "gql",
         "MATCH (a:Account)-[t:Transfer]->(b:Account) RETURN a.owner AS owner",
@@ -316,33 +313,16 @@ def test_cli_stats_reports_storage_line(capsys, monkeypatch):
     assert "0 miss(es), 0 hit(s)" not in storage
 
 
-def test_cli_no_columnar_runs_on_oracle(capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_COLUMNAR", raising=False)
+def test_cli_has_no_engine_switch(capsys):
+    """One search kernel: ``--no-columnar`` is gone from both hosts."""
     query = "MATCH (a:Account)-[t:Transfer]->(b:Account) RETURN a.owner AS owner"
-    for extra in ([], ["--no-columnar"]):
-        code = cli_main(["gql", query, "--stats", "--analyze", *extra])
-        assert code == 0
-    outputs = capsys.readouterr().out.split("EXPLAIN ANALYZE (gql)")
-    columnar_run, oracle_run = outputs[1], outputs[2]
-    assert "engine: columnar" in columnar_run
-    assert "engine: columnar" not in oracle_run
-    # Identical matcher counters (wall time aside): step-equivalent engines.
-    def counters(text):
-        line = next(l for l in text.splitlines() if l.startswith("-- stats:"))
-        return line.rsplit(",", 1)[0]
-
-    assert counters(columnar_run) == counters(oracle_run)
-
-
-def test_cli_sql_no_columnar(capsys):
-    query = (
+    sql = (
         "SELECT src FROM GRAPH_TABLE(figure1 "
         "MATCH (a:Account)-[t:Transfer]->(b:Account) "
         "COLUMNS (a.owner AS src))"
     )
-    code = cli_main(["sql", query, "--stats", "--no-columnar"])
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "-- stats: " in printed
-    storage = next(l for l in printed.splitlines() if l.startswith("-- storage:"))
-    assert "0 miss(es), 0 hit(s)" in storage  # oracle mode: no snapshot
+    for argv in (["gql", query, "--no-columnar"], ["sql", sql, "--no-columnar"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-columnar" in capsys.readouterr().err

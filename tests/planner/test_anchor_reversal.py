@@ -1,16 +1,19 @@
-"""Pattern/binding reversal and anchor selection.
+"""Pattern reversal, annotation renumbering and anchor selection.
 
 The heart of the planner's correctness argument: a right-anchored run is
 the reversed pattern executed forward, with accepted bindings mapped back
 — so planned and naive engines must agree bag-for-bag on every query.
+(Row-for-row parity of reversed runs, groups and bag tags included, is
+pinned by the planner-reversed shapes of
+``tests/property/test_columnar_equivalence.py``.)
 """
 
 import pytest
 
 from repro.datasets import random_transfer_network
-from repro.gpml.bindings import ElementaryBinding, PathBinding
-from repro.gpml.engine import match, prepare
-from repro.gpml.matcher import Matcher, MatcherConfig
+from repro.gpml.bindings import forward_annotations
+from repro.gpml.engine import _Search, match, match_stages, prepare
+from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
 from repro.graph import GraphBuilder
@@ -19,7 +22,6 @@ from repro.planner.anchor import (
     RIGHT,
     is_reversible,
     pinned_end_nodes,
-    reverse_binding,
     reverse_pattern,
 )
 from repro.planner.plan import plan_query
@@ -97,39 +99,24 @@ class TestPatternReversal:
         assert pinned_end_nodes(pattern, RIGHT) is None
 
 
-class TestBindingReversal:
-    def test_iteration_annotations_renumber(self):
-        binding = PathBinding(
-            elements=("u", "e1", "v", "e2", "w"),
-            entries=(
-                ElementaryBinding("a", (), "u"),
-                ElementaryBinding("e", ((1, 1),), "e1"),
-                ElementaryBinding("n", ((1, 1),), "v"),
-                ElementaryBinding("e", ((1, 2),), "e2"),
-                ElementaryBinding("n", ((1, 2),), "w"),
-            ),
-        )
-        reversed_binding = reverse_binding(binding)
-        assert reversed_binding.elements == ("w", "e2", "v", "e1", "u")
-        # Iteration i of k becomes k+1-i, in reversed entry order.
-        assert reversed_binding.entries == (
-            ElementaryBinding("n", ((1, 1),), "w"),
-            ElementaryBinding("e", ((1, 1),), "e2"),
-            ElementaryBinding("n", ((1, 2),), "v"),
-            ElementaryBinding("e", ((1, 2),), "e1"),
-            ElementaryBinding("a", (), "u"),
-        )
+class TestAnnotationRenumbering:
+    """``forward_annotations``: how a reversed run's annotations turn forward."""
 
-    def test_bag_tags_renumber(self):
-        binding = PathBinding(
-            elements=("u",),
-            entries=(ElementaryBinding("x", ((2, 3),), "u"),),
-            bag_tags=frozenset({(5, 0, ((2, 1),)), (5, 1, ((2, 3),))}),
-        )
-        reversed_binding = reverse_binding(binding)
-        assert reversed_binding.bag_tags == frozenset(
-            {(5, 0, ((2, 3),)), (5, 1, ((2, 1),))}
-        )
+    def test_iteration_i_of_k_becomes_k_plus_1_minus_i(self):
+        forward = forward_annotations([(), ((1, 1),), ((1, 2),)])
+        assert [forward(ann) for ann in [((1, 1),), ((1, 2),), ()]] == [((1, 2),), ((1, 1),), ()]
+
+    def test_nested_iterations_renumber_within_their_enclosing_one(self):
+        # the inner quantifier ran 2 iterations in outer iteration 1, 1 in 2
+        annotations = [((2, 1), (3, 1)), ((2, 1), (3, 2)), ((2, 2), (3, 1))]
+        forward = forward_annotations(annotations)
+        assert [forward(ann) for ann in annotations] == [
+            ((2, 2), (3, 2)), ((2, 2), (3, 1)), ((2, 1), (3, 1)),
+        ]
+
+    def test_bag_tag_annotations_renumber(self):
+        forward = forward_annotations([((2, 3),), ((2, 1),)])
+        assert forward(((2, 1),)) == ((2, 3),) and forward(((2, 3),)) == ((2, 1),)
 
 
 DIFFERENTIAL_QUERIES = [
@@ -195,6 +182,20 @@ class TestAnchorChoice:
         )
 
 
+def searched(graph, prepared, config):
+    """The search stage of a drained run: what its kernel started from."""
+    tree = match_stages(graph, prepared, config)
+    list(tree.run())
+    (search,) = [op for op in walk(tree) if isinstance(op, _Search)]
+    return search
+
+
+def walk(op):
+    yield op
+    for child in op.children:
+        yield from walk(child)
+
+
 class TestCandidateReduction:
     """The acceptance criterion: fewer start candidates than the seed engine."""
 
@@ -203,11 +204,7 @@ class TestCandidateReduction:
         query = "MATCH (a:Account)-[t:Transfer]->(b:Account WHERE b.owner='owner11')"
         prepared = prepare(query)
 
-        naive_matcher = Matcher(
-            graph, prepared.nfas[0], prepared.normalized.paths[0].pattern, NAIVE
-        )
-        list(naive_matcher.enumerate_all())  # generator: drain to run the search
-        naive_count = naive_matcher.initial_candidate_count
+        naive_count = searched(graph, prepared, NAIVE).matcher.initial_candidate_count
 
         plan = plan_query(graph, prepared)
         match(graph, prepared)
@@ -226,10 +223,7 @@ class TestCandidateReduction:
             builder.directed(f"e{i}", f"v{i}", f"v{i + 1}", "E")
         graph = builder.build()
         prepared = prepare("MATCH (x WHERE x.id = 5)-[e:E]->(y)")
-        matcher = Matcher(
-            graph, prepared.nfas[0], prepared.normalized.paths[0].pattern, NAIVE
-        )
-        result = list(matcher.enumerate_all())
-        assert matcher.initial_candidate_count == 1  # index, not a full scan
-        assert len(result) == 1
+        search = searched(graph, prepared, NAIVE)
+        assert search.matcher.initial_candidate_count == 1  # index, not a full scan
+        assert len(match(graph, prepared, NAIVE)) == 1
         assert graph.has_index(None, "id")

@@ -9,6 +9,23 @@ sorted member lists.  Those must be identical.
 
 from repro.gpml.label_expr import LabelAnd, LabelAtom, LabelNot, LabelOr, LabelWildcard
 from repro.graph.columnar import MISSING, ColumnarGraph, snapshot_for
+from repro.graph.model import PropertyGraph
+
+
+def fresh_copy(graph):
+    """The graph rebuilt element by element in its insertion order: a
+    search over the copy runs on a snapshot built from scratch, and must
+    read exactly like one over the original's advanced snapshot."""
+    copy = PropertyGraph(graph.name)
+    for node in graph.nodes():
+        copy.add_node(node.id, labels=node.labels, properties=dict(node.properties))
+    for edge in graph.edges():
+        first, second = edge.endpoint_ids
+        copy.add_edge(
+            edge.id, first, second, labels=edge.labels,
+            properties=dict(edge.properties), directed=edge.is_directed,
+        )
+    return copy
 
 #: entry directions a hop scanning a (label, need) block admits
 _ADMITTED = {"out": {0}, "in": {1}, "any": {0, 1, 2}}

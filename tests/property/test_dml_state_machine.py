@@ -11,11 +11,11 @@ structure must be consistent for the *current* version:
 * the statistics catalog rebuilds to the live node/edge counts,
 * the columnar snapshot is brought up to the current version — by
   advancing the cached one, which must then read back exactly like a
-  fresh build — and the frontier engine agrees with the object matcher
-  on a probe query,
+  fresh build — and a probe query over it returns the records, in order,
+  and the step counts of a copy of the graph whose snapshot is built
+  from scratch, and the reference engine's bag of rows,
 
-in both engine modes (columnar on and off — the same toggle the
-``REPRO_DISABLE_COLUMNAR=1`` CI leg flips globally).
+with the planner on and off.
 """
 
 import pytest
@@ -27,16 +27,20 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
-from snapshot_checks import assert_advanced_equals_fresh
+from snapshot_checks import assert_advanced_equals_fresh, fresh_copy
 
 from repro.errors import GqlError, GraphError, ReproError
 from repro.graph.columnar import cached_snapshot, snapshot_for
 from repro.graph.model import PropertyGraph
+from repro.gpml import match
 from repro.gpml.matcher import MatcherConfig
-from repro.gql import execute_gql
+from repro.gpml.reference import reference_match
+from repro.gpml.streaming import PipelineStats
+from repro.gql import execute_gql, execute_gql_iter
 from repro.planner.stats import StatisticsCatalog
 
-PROBE = "MATCH (a)-[e]->(b) RETURN a.v AS src, b.v AS dst"
+PATTERN = "MATCH (a)-[e]->(b)"
+PROBE = f"{PATTERN} RETURN a.v AS src, b.v AS dst"
 LABELS = ("A", "B")
 VALUES = st.integers(min_value=0, max_value=4)
 
@@ -46,13 +50,13 @@ def canon(rows):
 
 
 class DmlMachine(RuleBasedStateMachine):
-    use_columnar = True
+    use_planner = True
 
     def __init__(self):
         super().__init__()
         self.graph = PropertyGraph("dml")
         self.graph.create_index("A", "v")
-        self.config = MatcherConfig(use_columnar=self.use_columnar)
+        self.config = MatcherConfig(use_planner=self.use_planner)
         # oracle: node id -> [labels, props]; edge id -> [first, second,
         # directed, labels, props]
         self.nodes: dict = {}
@@ -215,23 +219,19 @@ class DmlMachine(RuleBasedStateMachine):
         assert catalog.num_edges == len(self.edges)
         assert StatisticsCatalog.for_graph(self.graph) is catalog  # cached
 
+    def probe(self, graph):
+        stats = PipelineStats()
+        records = [
+            tuple(repr(value) for value in record.values())
+            for record in execute_gql_iter(graph, PROBE, config=self.config, stats=stats)
+        ]
+        return records, stats.steps, stats.matches
+
     @invariant()
-    def engines_agree_on_probe(self):
-        cols = canon(
-            list(
-                execute_gql(
-                    self.graph, PROBE, config=MatcherConfig(use_columnar=True)
-                )
-            )
-        )
-        oracle = canon(
-            list(
-                execute_gql(
-                    self.graph, PROBE, config=MatcherConfig(use_columnar=False)
-                )
-            )
-        )
-        assert cols == oracle
+    def advanced_snapshot_searches_like_a_scratch_build(self):
+        assert self.probe(self.graph) == self.probe(fresh_copy(self.graph))
+        rows = [row.values for row in match(self.graph, PATTERN, self.config)]
+        assert canon(rows) == canon(row.values for row in reference_match(self.graph, PATTERN))
         snapshot = cached_snapshot(self.graph)
         if snapshot is not None:
             assert snapshot.version == self.graph.version
@@ -242,19 +242,19 @@ class DmlMachine(RuleBasedStateMachine):
         assert_advanced_equals_fresh(self.graph)
 
 
-class ColumnarDmlMachine(DmlMachine):
-    use_columnar = True
+class PlannedDmlMachine(DmlMachine):
+    use_planner = True
 
 
-class OracleDmlMachine(DmlMachine):
-    """The REPRO_DISABLE_COLUMNAR=1 shape: object-graph matcher only."""
+class UnplannedDmlMachine(DmlMachine):
+    """The naive left-anchored search: no planner, no index probes."""
 
-    use_columnar = False
+    use_planner = False
 
 
 _SETTINGS = settings(max_examples=15, stateful_step_count=25, deadline=None)
 
-TestDmlColumnar = ColumnarDmlMachine.TestCase
-TestDmlColumnar.settings = _SETTINGS
-TestDmlOracle = OracleDmlMachine.TestCase
-TestDmlOracle.settings = _SETTINGS
+TestDmlPlanned = PlannedDmlMachine.TestCase
+TestDmlPlanned.settings = _SETTINGS
+TestDmlUnplanned = UnplannedDmlMachine.TestCase
+TestDmlUnplanned.settings = _SETTINGS

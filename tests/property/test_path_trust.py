@@ -4,7 +4,7 @@
 trusted constructor (``Path._from_search``), which skips the node / edge
 / ``connects`` checks on the grounds that the search has just traversed
 those elements.  Here every path the engine produces over the existing
-query pools — both kernels, planner-reversed runs included — is rebuilt
+query pools — planned and unplanned, planner-reversed runs included — is rebuilt
 from its ids through the validating public constructor and compared.
 """
 
@@ -19,10 +19,7 @@ from repro.graph.path import Path
 
 CONFIGS = [
     MatcherConfig(max_steps=500_000, max_results=100_000),
-    MatcherConfig(max_steps=500_000, max_results=100_000, use_columnar=False),
-    MatcherConfig(
-        max_steps=500_000, max_results=100_000, use_columnar=False, use_planner=False
-    ),
+    MatcherConfig(max_steps=500_000, max_results=100_000, use_planner=False),
 ]
 POOL = sorted(set(engines.QUERIES) | set(columnar.QUERIES)) + [
     "MATCH ANY SHORTEST p = (a)-[e]->+(b:B)",

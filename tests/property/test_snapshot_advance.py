@@ -6,8 +6,9 @@ batch of mutations — applied directly, inside a committed transaction or
 inside a rolled-back one, with and without a query in the middle of the
 window — the advanced snapshot must read back exactly like
 ``ColumnarGraph(graph)`` built from scratch (``snapshot_checks``), and
-``match()`` over it must equal the object-matcher oracle in rows, order
-and step counts.
+``match()`` over it must equal ``match()`` over a copy of the graph whose
+snapshot is built from scratch in rows, order and step counts, and the
+reference engine's bag of rows.
 
 The named unit tests below pin the corners the random batches only hit
 by luck: an undirected edge arriving in a directed-only block, a
@@ -19,11 +20,12 @@ log-too-long rebuild, and the concurrent-modification error.
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from snapshot_checks import assert_advanced_equals_fresh, block_rows
+from snapshot_checks import assert_advanced_equals_fresh, block_rows, fresh_copy
 
 from repro.errors import ReproError
 from repro.gpml.engine import match_iter, prepare
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.reference import reference_match
 from repro.gpml.streaming import PipelineStats
 from repro.graph.columnar import (
     COMPACTION_RATIO,
@@ -34,8 +36,7 @@ from repro.graph.columnar import (
 )
 from repro.graph.model import PropertyGraph
 
-COLUMNAR = MatcherConfig(max_steps=500_000, max_results=100_000, use_columnar=True)
-ORACLE = MatcherConfig(max_steps=500_000, max_results=100_000, use_columnar=False)
+CONFIG = MatcherConfig(max_steps=500_000, max_results=100_000)
 
 QUERIES = [
     "MATCH (x)",
@@ -94,21 +95,29 @@ def warm(graph):
     return snapshot
 
 
-def run(graph, prepared, config):
+def row_key(row):
+    return (
+        tuple(sorted((k, repr(v)) for k, v in row.values.items())),
+        tuple(str(p) for p in row.paths),
+    )
+
+
+def run(graph, prepared):
     stats = PipelineStats()
-    rows = [
-        (
-            tuple(sorted((k, repr(v)) for k, v in row.values.items())),
-            tuple(str(p) for p in row.paths),
-        )
-        for row in match_iter(graph, prepared, config, stats=stats)
-    ]
+    rows = [row_key(row) for row in match_iter(graph, prepared, CONFIG, stats=stats)]
     return rows, stats.steps, stats.matches
 
 
-def assert_engines_agree(graph):
+def assert_searches_agree(graph):
+    """Over the advanced snapshot as over a copy of the graph whose
+    snapshot is built from scratch: rows, order, steps; and the reference
+    engine's bag of rows."""
+    scratch = fresh_copy(graph)
     for prepared in PREPARED:
-        assert run(graph, prepared, COLUMNAR) == run(graph, prepared, ORACLE)
+        rows, *counts = run(graph, prepared)
+        assert (rows, *counts) == run(scratch, prepared)
+        reference = reference_match(graph, prepared)
+        assert sorted(rows) == sorted(row_key(row) for row in reference.rows)
 
 
 # ----------------------------------------------------------------------
@@ -221,14 +230,14 @@ def test_advanced_snapshot_equals_fresh_build(batches):
             for position, op in enumerate(ops):
                 apply_op(graph, op, fresh_ids)
                 if mode == "rollback_after_query" and position == 0:
-                    assert_engines_agree(graph)  # advances inside the window
+                    assert_searches_agree(graph)  # advances inside the window
             if mode == "commit":
                 txn.commit()
             else:
                 txn.rollback()
                 assert graph_state(graph) == before
         assert_advanced_equals_fresh(graph)
-        assert_engines_agree(graph)
+        assert_searches_agree(graph)
 
 
 @given(st.lists(OPS, min_size=1, max_size=12))
@@ -242,7 +251,7 @@ def test_unbuilt_parts_stay_lazy_and_correct(ops):
     for op in ops:
         apply_op(graph, op, fresh_ids)
     assert snapshot_for(graph) is snapshot or storage_stats(graph)["misses"] == 2
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
     assert_advanced_equals_fresh(graph)
 
 
@@ -279,7 +288,7 @@ def test_undirected_edge_arrives_in_directed_only_block():
     full = block_rows(snapshot, snapshot.csr("E", "any"))
     assert ("u9", "n1", DIR_UNDIRECTED) in full["n0"]
     assert ("u9", "n0", DIR_UNDIRECTED) in full["n1"]
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
 
 
 def test_non_string_value_drops_the_dictionary():
@@ -290,13 +299,13 @@ def test_non_string_value_drops_the_dictionary():
     graph.set_property("n0", "s", "brand-new")  # new string: new code, stays encoded
     snapshot_for(graph)
     assert column.codes is not None and "brand-new" in column.code_of
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
     graph.set_property("n1", "s", 7)
     assert snapshot_for(graph) is snapshot
     assert snapshot.node_column("s") is column and column.codes is None
     assert column.values[snapshot.node_code["n1"]] == 7
     assert_advanced_equals_fresh(graph)
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
     # the same on an edge column of a block
     edge_column = snapshot.csr("E", "out").column("t")
     assert edge_column.codes is not None
@@ -304,7 +313,7 @@ def test_non_string_value_drops_the_dictionary():
     snapshot_for(graph)
     assert edge_column.codes is None
     assert_advanced_equals_fresh(graph)
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
 
 
 def test_negated_label_mask_over_tombstones():
@@ -316,7 +325,7 @@ def test_negated_label_mask_over_tombstones():
     assert snapshot.node_ids.count(None) == 2 and snapshot.num_nodes == 35
     assert "n0" not in snapshot.node_code
     assert_advanced_equals_fresh(graph)
-    assert_engines_agree(graph)  # QUERIES include (x:!A) and (y:!B)
+    assert_searches_agree(graph)  # QUERIES include (x:!A) and (y:!B)
 
 
 def test_delete_then_readd_same_id_gets_a_new_code():
@@ -332,7 +341,7 @@ def test_delete_then_readd_same_id_gets_a_new_code():
     assert snapshot.node_ids[old] is None
     assert snapshot.node_code["n1"] == snapshot.num_nodes - 1
     assert_advanced_equals_fresh(graph)
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
 
 
 def test_churn_crosses_the_compaction_ratio():
@@ -353,7 +362,7 @@ def test_churn_crosses_the_compaction_ratio():
     assert stats["misses"] == before["misses"]  # a block rebuild is no full build
     assert block.dead > COMPACTION_RATIO * (len(block.local) - block.dead)
     assert_advanced_equals_fresh(graph)
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
     rebuilt = snapshot.csr("E", "any")  # lazily, by the ordinary bulk path
     assert rebuilt is not block and rebuilt.dead == 0
 
@@ -374,7 +383,7 @@ def test_tombstones_outnumbering_nodes_rebuild_the_snapshot():
     assert stats["misses"] == before["misses"] + 1
     assert stats["compactions"] == before["compactions"] + 1
     assert current.num_nodes == graph.num_nodes
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
 
 
 def test_long_log_takes_the_bulk_path():
@@ -389,7 +398,7 @@ def test_long_log_takes_the_bulk_path():
     assert stats["misses"] == before["misses"] + 1
     assert stats["advances"] == before["advances"]
     assert graph._dirty == []
-    assert_engines_agree(graph)
+    assert_searches_agree(graph)
 
 
 def test_bulk_load_allocates_no_change_records():
@@ -404,7 +413,7 @@ def test_bulk_load_allocates_no_change_records():
 def test_resumed_matcher_raises_after_the_snapshot_advanced():
     graph = seed_graph()
     warm(graph)
-    rows = match_iter(graph, "MATCH (x)-[e]->(y)", COLUMNAR)
+    rows = match_iter(graph, "MATCH (x)-[e]->(y)", CONFIG)
     next(rows)
     graph.add_node("n9", labels=["A"])  # a code beyond every compiled mask
     graph.add_edge("e9", "n9", "n0", labels=["E"])
@@ -412,11 +421,12 @@ def test_resumed_matcher_raises_after_the_snapshot_advanced():
     with pytest.raises(ReproError, match="graph changed during iteration"):
         list(rows)
     # a matcher built but not started before the advance fails the same way
-    pending = match_iter(graph, "MATCH (x)-[e]->(y)", COLUMNAR)
-    stale = match_iter(graph, "MATCH (x:A)-[e]->(y)", COLUMNAR)
+    pending = match_iter(graph, "MATCH (x)-[e]->(y)", CONFIG)
+    stale = match_iter(graph, "MATCH (x:A)-[e]->(y)", CONFIG)
     next(stale)
     graph.remove_edge("e9")
-    assert len(list(pending)) == len(list(match_iter(graph, "MATCH (x)-[e]->(y)", ORACLE)))
+    scratch = fresh_copy(graph)
+    assert len(list(pending)) == len(list(match_iter(scratch, "MATCH (x)-[e]->(y)", CONFIG)))
     with pytest.raises(ReproError, match="graph changed during iteration"):
         next(stale)
 
@@ -427,16 +437,16 @@ def test_compiled_program_is_keyed_on_the_snapshot_version():
     graph = seed_graph()
     snapshot = warm(graph)
     prepared = prepare("MATCH (x:A WHERE x.s = 'x')-[e:E]->(y)")
-    first = run(graph, prepared, COLUMNAR)
-    assert first == run(graph, prepared, ORACLE)
+    first = run(graph, prepared)
+    assert first == run(fresh_copy(graph), prepare(prepared.text))  # its own NFA, its own cache
     nfa = prepared.nfas[0]
     program = nfa._frontier_program[-1]
-    assert run(graph, prepared, COLUMNAR) == first
+    assert run(graph, prepared) == first
     assert nfa._frontier_program[-1] is program  # same version: reused
     graph.add_node("n9", labels=["A"], properties={"s": "x"})  # outgrows the mask
     graph.add_edge("e9", "n9", "n0", labels=["E"])
     graph.set_property("n2", "s", 5)  # drops the dictionary the program compared in
-    after = run(graph, prepared, COLUMNAR)
+    after = run(graph, prepared)
     assert snapshot_for(graph) is snapshot
     assert nfa._frontier_program[-1] is not program
-    assert after == run(graph, prepared, ORACLE) and after != first
+    assert after == run(fresh_copy(graph), prepare(prepared.text)) and after != first

@@ -18,9 +18,7 @@ The query pool deliberately crosses the registration surface: a plain
 filtered match, a chained OPTIONAL MATCH (NULL padding), an unbounded
 ``TRAIL`` pattern (depth ``None`` — the re-match region grows to the
 touched component), and a budget-truncated registration whose limited
-view must stay the canonical prefix of the full view.  The whole suite
-runs in both engine modes, mirroring the ``REPRO_DISABLE_COLUMNAR=1``
-CI leg.
+view must stay the canonical prefix of the full view.
 """
 
 from collections import Counter
@@ -143,12 +141,11 @@ def apply_op(graph, op, counter):
         )
 
 
-@pytest.mark.parametrize("use_columnar", [True, False], ids=["columnar", "oracle"])
 @given(graph_and_batches())
 @settings(max_examples=25, deadline=None)
-def test_deltas_replay_to_scratch(use_columnar, gb):
+def test_deltas_replay_to_scratch(gb):
     graph, batches = gb
-    config = MatcherConfig(use_columnar=use_columnar, **BUDGET)
+    config = MatcherConfig(**BUDGET)
     opened = []
     counter = iter(range(10_000))
     try:

@@ -12,8 +12,7 @@ Over random graphs and pools of first / second patterns:
   ``P1`` row without a partner,
 * ``MATCH P1 LET x = e FILTER c`` is ``MATCH P1 WHERE c[x := e]``,
 
-each under the default config, ``seed_chained_match=False`` and
-``use_columnar=False``.
+each under the default config and ``seed_chained_match=False``.
 
 The pin at the end needs no clock: for eight chain shapes of the repo
 benchmark the ordered records, ``stats.steps``, ``stats.matches`` and the
@@ -96,7 +95,6 @@ BUDGET = dict(max_steps=20_000, max_results=300)
 CONFIGS = [
     MatcherConfig(**BUDGET),
     MatcherConfig(seed_chained_match=False, **BUDGET),
-    MatcherConfig(use_columnar=False, **BUDGET),
 ]
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.datasets.generators import random_transfer_network
 from repro.errors import ExpressionError, SqlError
-from repro.gpml.matcher import MatcherConfig
 from repro.pgq import Table
 from repro.pgq.tabular import tabular_representation
 from repro.sql import Database
@@ -476,10 +475,9 @@ def bank():
     "mode",
     [
         {},
-        {"config": MatcherConfig(use_columnar=False)},
         {"sql_config": SqlConfig(optimizer_rules=frozenset())},
     ],
-    ids=["default", "object-matcher", "no-sql-optimizer"],
+    ids=["default", "no-sql-optimizer"],
 )
 @pytest.mark.parametrize("name", HOST_RELATIONAL_SQL)
 def test_host_relational_shape_returns_the_pinned_rows(bank, name, mode):

@@ -120,15 +120,15 @@ def defined_names(path: Path) -> set[str]:
     }
 
 
-def test_both_search_kernels_share_one_predicate_compiler():
+def test_the_search_kernel_takes_the_one_predicate_compiler():
     """``var.prop op literal`` conjuncts are compiled in one place; the
-    object matcher and the frontier kernel differ only in where the
-    property values come from."""
-    for kernel in ("gpml/matcher.py", "gpml/frontier.py"):
-        assert "repro.gpml.predicates" in imported_modules(SRC / kernel), kernel
-        assert not {"_value_test", "value_test", "_split_where", "split_where"} & (
-            defined_names(SRC / kernel)
-        ), kernel
+    kernel only says where the property values come from (snapshot
+    columns)."""
+    kernel = "gpml/frontier.py"
+    assert "repro.gpml.predicates" in imported_modules(SRC / kernel)
+    assert not {"_value_test", "value_test", "_split_where", "split_where"} & (
+        defined_names(SRC / kernel)
+    )
     assert {"value_test", "split_where"} <= defined_names(SRC / "gpml/predicates.py")
 
 
@@ -179,10 +179,12 @@ def test_the_frontier_kernel_is_one_scan_loop_over_hop_programs():
     assert from_matcher == {"MatcherConfig", "RunContext"}
 
 
-def test_the_matcher_derives_runs_through_explicit_fields():
+def test_the_kernel_walks_guarded_closures_through_explicit_fields():
     """No ``**overrides``-style run derivation (a kwargs dict and a
-    ``.get`` per field on every ε-step), and no second matcher beside it."""
-    tree = ast.parse((SRC / "gpml/matcher.py").read_text())
+    ``.get`` per field on every ε-step), one ε-walk for the closures that
+    need the cycle guard, and no second matcher beside the kernel: of
+    ``gpml/matcher.py`` only the config and the expression context are left."""
+    tree = ast.parse((SRC / "gpml/frontier.py").read_text())
     keyworded = [
         node.name
         for node in ast.walk(tree)
@@ -195,16 +197,19 @@ def test_the_matcher_derives_runs_through_explicit_fields():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_closure")
     ]
     assert closures == ["_closure"]
+    assert defined_names(SRC / "gpml/matcher.py") == {
+        "MatcherConfig", "RunContext", "__init__", "lookup", "group_items",
+    }
 
 
-def test_matcher_config_fields_are_the_seven_it_had():
+def test_matcher_config_fields_are_the_six_it_had():
     from dataclasses import fields
 
     from repro.gpml.matcher import MatcherConfig
 
     assert [f.name for f in fields(MatcherConfig)] == [
         "max_steps", "max_results", "max_depth", "default_edge_cost",
-        "use_planner", "seed_chained_match", "use_columnar",
+        "use_planner", "seed_chained_match",
     ]
 
 
@@ -214,9 +219,9 @@ HOST_CONSUMERS = (
 
 
 def test_the_hosts_compile_expressions_with_the_kernels_compiler():
-    """One compiler: the module the search kernels take ``value_test``
+    """One compiler: the module the search kernel takes ``value_test``
     from is the one every host operator takes its row closures from."""
-    for module in HOST_CONSUMERS + ("gpml/matcher.py", "gpml/frontier.py"):
+    for module in HOST_CONSUMERS + ("gpml/frontier.py",):
         assert "repro.gpml.predicates" in imported_modules(SRC / module), module
     assert {"row_value", "row_values", "row_test"} <= defined_names(
         SRC / "gpml/predicates.py"
