@@ -25,7 +25,7 @@ chain is the program whose every state has one transition and one route.
 (``PatternNFA.eps_tree`` false: node-only union branches or optionals,
 edge-less quantifier bodies, a quantifier directly inside another's
 loop) the routes are not a finite tree.  Such a closure is a
-:class:`_Closure` of one-action ε-steps, resolved per annotation like a
+:class:`_GuardedClosure` of one-action ε-steps, resolved per annotation like a
 route, and walked per arrival (:meth:`FrontierMatcher._closure`): a LIFO
 walk that cuts a run whose ``(state, counters, scopes, shadow, bag
 classes)`` it has met already (:func:`_guard`; the *shadow* is the set
@@ -237,7 +237,7 @@ class _Hop:
         return scan
 
 
-class _Closure:
+class _GuardedClosure:
     """An ε-closure whose routes reconverge or cycle, walked per arrival
     by :meth:`FrontierMatcher._closure`: ``steps`` maps each state it can
     reach to the one-action routes of its ε-transitions, in transition
@@ -263,7 +263,7 @@ class _Plan:
 
     A route is compiled to ``(target, edge_tests, node_tests, steps, pops,
     pushes)``: the state it deposits at (None: it accepts; a
-    :class:`_Closure`: it is walked per arrival), its total tests over the
+    :class:`_GuardedClosure`: it is walked per arrival), its total tests over the
     slice, its ``(code, argument, where)`` steps in ε-order, its net
     effect on the restrictor scopes.  The plan adds what depends on the
     annotation: the one it leaves the entry with, the joins to look up
@@ -282,7 +282,7 @@ class _Plan:
         self.checked = checked
         #: what a deposited entry scans (``_Hop.scan_at``), resolved by the first
         self.scan: Optional[tuple] = None
-        self.closure = self.target if type(self.target) is _Closure else None
+        self.closure = self.target if type(self.target) is _GuardedClosure else None
         #: an arrival is its parent's cell and scopes, deposited
         self.plain = not (
             ops or self.pops or self.pushes or self.target is None or self.closure
@@ -537,7 +537,7 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph, keyed: bool) -> _
             compile_routes(state, edge, eps.target, [*actions, eps.action], routes)
         return routes
 
-    def compile_closure(entry: int) -> _Closure:
+    def compile_closure(entry: int) -> _GuardedClosure:
         steps: dict = {}
         reach = [entry]
         while reach:
@@ -546,7 +546,7 @@ def _compile_program(nfa: PatternNFA, snapshot: ColumnarGraph, keyed: bool) -> _
                 epsilons = all_epsilons[at]
                 steps[at] = [compile_route(eps.target, at, [eps.action], None) for eps in epsilons]
                 reach += [eps.target for eps in epsilons]
-        return _Closure(entry, steps)
+        return _GuardedClosure(entry, steps)
 
     def compile_hop(state: int, transition) -> _Hop:
         pattern = transition.pattern
@@ -980,8 +980,9 @@ class FrontierMatcher:
             walk = (node_ids[seed],)
             for plan in plans:
                 if plan.closure is not None:
-                    closure = self._closure(plan.closure, plan.ann, seed, (), None, walk, push, accept)
-                    yield from closure
+                    yield from self._closure(
+                        plan.closure, plan.ann, seed, (), None, walk, push, accept
+                    )
                     continue
                 cell = self._apply(plan.ops, None, walk) if plan.ops else None
                 if cell is False:
@@ -1155,8 +1156,10 @@ class FrontierMatcher:
         finally:
             self._publish(steps, slices, entries, survived)
 
-    def _closure(self, closure: _Closure, ann: tuple, node: int, scopes: tuple, cell,
-                 walk: tuple, push, accept) -> Iterator[ReducedBinding]:
+    def _closure(
+        self, closure: _GuardedClosure, ann: tuple, node: int, scopes: tuple, cell,
+        walk: tuple, push, accept,
+    ) -> Iterator[ReducedBinding]:
         """Walk a guarded ε-closure for the arrival that ends *walk* at
         *node*: runs are popped LIFO, each one cut if :func:`_guard` met
         its key already, else accepted, deposited and expanded by every

@@ -17,7 +17,7 @@ import pytest
 from repro.datasets import random_transfer_network
 from repro.gpml.analysis import ENUMERATE
 from repro.gpml.engine import _Search, match_stages, prepare
-from repro.gpml.frontier import _Closure
+from repro.gpml.frontier import _GuardedClosure
 from repro.gpml.matcher import MatcherConfig
 from repro.graph.columnar import cached_snapshot, snapshot_for
 
@@ -110,7 +110,7 @@ def walked(program):
     """Whether some closure of the program is walked per arrival."""
     routes = [route for hop in program.hops if hop is not None for route in hop.routes]
     return any(plan.closure for plan in program.seeds) or any(
-        isinstance(route[0], _Closure) for route in routes
+        isinstance(route[0], _GuardedClosure) for route in routes
     )
 
 
