@@ -16,7 +16,7 @@ is exactly how the multiset semantics survives reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 #: An annotation is a tuple of (quantifier id, iteration number) pairs,
 #: outermost quantifier first.  The empty tuple annotates top-level
@@ -53,8 +53,7 @@ class PathBinding:
     bag_tags: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class ReducedBinding:
+class ReducedBinding(NamedTuple):
     """A reduced path binding: the walk plus annotation-free variable map.
 
     ``singletons`` maps variable name -> element id; ``groups`` maps
@@ -81,12 +80,6 @@ class ReducedBinding:
     def length(self) -> int:
         """Number of edges in the walk."""
         return len(self.elements) // 2
-
-    def singleton_map(self) -> dict[str, str]:
-        return dict(self.singletons)
-
-    def group_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.groups)
 
     def sort_key(self) -> tuple:
         """Deterministic order: by length, walk, then variable content."""

@@ -12,7 +12,8 @@ Pipeline (mirroring Section 6 of the paper):
 7. apply **selectors** per path pattern (Figure 8),
 8. **join** path patterns on shared singleton variables and apply the
    final WHERE postfilter (Sections 4.3, 6.6),
-9. materialize rows with element handles, group lists and Path values.
+9. build rows by the consumer's **row plan**: handles, group lists and
+   Path values for what it uses whole, element ids for the rest.
 
 Stages 5-9 form a lazy, pull-based pipeline, written down once: as the
 tree of :class:`~repro.rowops.Operator` stages :func:`match_stages`
@@ -66,7 +67,7 @@ from repro.gpml.frontier import FrontierMatcher, compiled_program
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
-from repro.gpml.predicates import row_test
+from repro.gpml.predicates import BindingContext, Reads, reads_of, row_test
 from repro.gpml.selectors import apply_selector
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.columnar import snapshot_for
@@ -106,6 +107,13 @@ class PreparedQuery:
             if name not in names:
                 names.append(name)
         return names
+
+    def element_kinds(self) -> dict[str, bool]:
+        """Name -> is a node, per singleton element variable."""
+        return {
+            name: is_node for analysis in self.analysis.paths
+            for name, is_node, group in analysis.row_vars if not group
+        }
 
 
 class BindingRow:
@@ -338,6 +346,7 @@ def match_stages(
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
     count_rows: bool = True,
+    reads: Optional[Reads] = None,
 ) -> Operator:
     """The stage tree of one MATCH execution — its only description.
 
@@ -353,7 +362,9 @@ def match_stages(
     search plans and opens its matcher when first pulled.
 
     ``limit`` / ``budget`` / ``stats`` / ``count_rows`` are
-    :func:`match_iter`'s.
+    :func:`match_iter`'s.  ``reads`` (:func:`~repro.gpml.predicates.reads_of`
+    of the consumer's expressions; None builds every value) is the row
+    plan: element ids where nothing needs more.
     """
     if limit is not None and budget is not None:
         raise GpmlEvaluationError(
@@ -364,7 +375,8 @@ def match_stages(
     own_budget = budget is None
     if own_budget:
         budget = RowBudget(limit)
-    tree = _pattern_stages(_Search(graph, prepared, 0, config, budget, stats))
+    reads = _row_reads(prepared, reads)
+    tree = _pattern_stages(_Search(graph, prepared, 0, config, budget, stats), reads)
     if prepared.num_path_patterns > 1:
         # Build sides in textual order, each keyed on the variables it
         # shares with the patterns before it; a build side must be
@@ -375,33 +387,56 @@ def match_stages(
             own_vars = _singleton_vars(prepared, index)
             search = _Search(graph, prepared, index, config, None, stats)
             builds.append(
-                _Build(_pattern_stages(search), index, sorted(own_vars & bound_vars))
+                _Build(_pattern_stages(search, reads), index, sorted(own_vars & bound_vars))
             )
             bound_vars |= own_vars
         tree = _Probe(tree, builds)
-    tree = _postfilter_stages(tree, graph, prepared)
+    tree = _postfilter_stages(tree, graph, prepared, reads is not None)
     return _Delivery(tree, budget, own_budget, stats if count_rows else None)
 
 
-def _pattern_stages(search: "_Search") -> "_Stage":
+def _row_reads(prepared: PreparedQuery, reads: Optional[Reads]) -> Optional[Reads]:
+    """The consumer's reads plus the final WHERE's; KEEP, which sorts
+    and costs whole rows, needs every value."""
+    where = prepared.normalized.where
+    if reads is None or prepared.normalized.keep is not None:
+        return None
+    return reads if where is None else reads | reads_of([where])
+
+
+def _pattern_stages(search: "_Search", reads: Optional[Reads]) -> "_Stage":
     """search → reduce + dedup → [selector]: one path pattern's solutions.
 
     Shared by the full run and the seeded one, so dedup keys, reversal
     and selector handling cannot drift between the two.  The subtree's
-    top stage materializes: what leaves it are :class:`BindingRow`s.
+    top stage builds the rows by the row plan of ``reads``.
     """
-    bind = partial(_materialize, search.graph, search.analysis, search.path.path_var)
+    analysis, path_var = search.analysis, search.path.path_var
+    whole = None
+    if reads is not None:  # a group or path variable read at all is built
+        built = analysis.group_vars | {path_var}
+        whole = reads.whole | {var for var, _ in reads.props if var in built}
+
+    def plan() -> str:  # EXPLAIN's line, rendered on demand
+        names = [name for name, _, _ in analysis.row_vars] + [path_var] * (path_var is not None)
+        handles = [name for name in names if whole is None or name in whole]
+        props = reads.props if reads is not None else ()
+        by_id = sorted({f"{v}.{p}" if p else v for v, p in props if v in names} - set(handles))
+        return f"row plan: by id {', '.join(by_id) or '—'}; handles: {', '.join(handles) or '—'}"
+
+    bind = _row_plan(search.graph, analysis, path_var, whole, search)
     if search.path.selector is None:
-        return _Dedup(search, bind)
-    return _Selector(_Dedup(search, None), bind)
+        return _Dedup(search, bind, plan)
+    return _Selector(_Dedup(search, None, plan), bind)
 
 
 def _postfilter_stages(
-    tree: Operator, graph: Optional[PropertyGraph], prepared: PreparedQuery
+    tree: Operator, graph: Optional[PropertyGraph], prepared: PreparedQuery, by_id: bool
 ) -> Operator:
     """The final WHERE, then KEEP, over joined binding rows."""
     if prepared.normalized.where is not None:
         tree = _Where(tree, prepared.normalized.where)
+        tree.context = BindingContext(graph, prepared.element_kinds()) if by_id else EvalContext
     if prepared.normalized.keep is not None:
         tree = _Keep(tree, graph, prepared.normalized.keep)
     return tree
@@ -492,6 +527,7 @@ class _Search(_Stage):
             start_candidates=start, budget=self.budget, stats=self.stats,
             reverse=self.reverse,
         )
+        self.version = graph.version  # what the snapshot shows (see _row_plan)
         return _run_strategy(self.matcher, self.path, self.analysis)
 
     def finish(self) -> None:
@@ -532,14 +568,18 @@ class _Search(_Stage):
 class _Dedup(_Stage):
     """Stage 6: drop duplicate solutions, streaming — the search hands
     over singletons, groups and bag tags reduced, in forward orientation.
-    ``bind`` (None when a selector follows) materializes the survivors."""
+    ``bind`` (None when a selector follows) builds the survivors' rows."""
 
     detail = "incremental seen-set over reduced bindings"
 
-    def __init__(self, search: _Search, bind: Optional[Callable]):
+    def __init__(self, search: _Search, bind: Optional[Callable], plan: Callable[[], str]):
         self.search = search
         self.bind = bind
+        self.plan = plan
         self.children = [search]
+
+    def detail_lines(self) -> list[str]:
+        return [self.detail, self.plan()]
 
     def rows(self) -> Iterator[Any]:
         search, bind = self.search, self.bind
@@ -672,7 +712,7 @@ class _Where(Filter):
 
     @cached_property
     def test(self):
-        test = row_test(self.predicate, EvalContext)
+        test = row_test(self.predicate, self.context)
         return lambda row: test(row.values)
 
     def describe(self) -> str:
@@ -725,6 +765,9 @@ class _Delivery(_Stage):
     def rows(self) -> Iterator["BindingRow"]:
         budget, own_budget, stats = self.budget, self.own_budget, self.stats
         if budget.satisfied:
+            return
+        if budget.needed is None and stats is None:  # nothing to take or count
+            yield from self.children[0].run()
             return
         for row in self.children[0].run():
             if own_budget:
@@ -799,6 +842,7 @@ def seeded_stages(
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
     owner: Optional[Operator] = None,
+    reads: Optional[Reads] = None,
 ) -> Operator:
     """The stage tree of a single-pattern query anchored at explicit nodes.
 
@@ -823,7 +867,7 @@ def seeded_stages(
     MATCH statement may run thousands of seeded searches, so instead of
     one span per seed the owning operator's span accumulates the step
     total and a ``seeded_runs`` tally.  Each matcher's steps are added
-    exactly once, when its run closes.
+    exactly once, when its run closes.  ``reads`` is :func:`match_stages`'.
     """
     if prepared.num_path_patterns != 1:
         raise GpmlEvaluationError(
@@ -834,7 +878,8 @@ def seeded_stages(
         graph, prepared, 0, config, budget, stats,
         seeds=start_nodes, reversed_run=reversed_run, owner=owner,
     )
-    return _postfilter_stages(_pattern_stages(search), graph, prepared)
+    reads = _row_reads(prepared, reads)
+    return _postfilter_stages(_pattern_stages(search, reads), graph, prepared, reads is not None)
 
 
 class SeededSearch:
@@ -844,7 +889,7 @@ class SeededSearch:
     GQL's chained MATCH seeds one run per incoming binding row, and the
     SQL planner's join-through-GRAPH_TABLE rewrite seeds one run per probe
     row.  Each :meth:`run` runs :func:`seeded_stages` for one seed node
-    and yields ``(values, paths)`` items.
+    and yields its :class:`BindingRow`s.
 
     Probe streams repeat seeds (hub nodes), and re-running the identical
     anchored search per duplicate would cost more than the hash join it
@@ -867,6 +912,7 @@ class SeededSearch:
         budget: Optional[RowBudget] = None,
         stats: Optional[PipelineStats] = None,
         owner: Operator,
+        reads: Optional[Reads] = None,
     ):
         self.graph = graph
         self.prepared = prepared
@@ -875,25 +921,25 @@ class SeededSearch:
         self.budget = budget
         self.stats = stats
         self.owner = owner
-        self._memo: dict[str, list[tuple[dict, list]]] = {}
+        self.reads = reads
+        self._memo: dict[str, list[BindingRow]] = {}
 
-    def run(self, seed_id: str) -> Iterator[tuple[dict[str, Any], list]]:
-        """All ``(values, paths)`` rows whose anchored end is *seed_id*."""
+    def run(self, seed_id: str) -> Iterator[BindingRow]:
+        """All rows whose anchored end is *seed_id*."""
         cached = self._memo.get(seed_id)
         if cached is not None:
             self.owner.trace_bump("seed_memo_hit")
             yield from cached
             return
         self.owner.trace_bump("seed_memo_miss")
-        acc: list[tuple[dict, list]] = []
+        acc: list[BindingRow] = []
         for m in seeded_stages(
             self.graph, self.prepared, self.config, [seed_id],
             reversed_run=self.reversed_run, budget=self.budget,
-            stats=self.stats, owner=self.owner,
+            stats=self.stats, owner=self.owner, reads=self.reads,
         ).run():
-            item = (m.values, m.paths)
-            acc.append(item)
-            yield item
+            acc.append(m)
+            yield m
         self._memo[seed_id] = acc
 
 
@@ -987,10 +1033,9 @@ def _join_patterns(
         own_vars = _singleton_vars(prepared, index)
         shared = sorted(own_vars & bound_vars)
         buckets: dict[tuple, list[BindingRow]] = {}
+        bind = _row_plan(graph, prepared.analysis.paths[index], path.path_var, None)
         for solution in solutions:
-            partner = _materialize(
-                graph, prepared.analysis.paths[index], path.path_var, solution
-            )
+            partner = bind(solution)
             key = tuple(_join_key(partner.values.get(name)) for name in shared)
             buckets.setdefault(key, []).append(partner)
         rows = [
@@ -1010,26 +1055,48 @@ def _join_key(value: Any) -> Any:
     return value
 
 
-def _materialize(
+def _row_plan(
     graph: PropertyGraph,
     analysis: PathAnalysis,
     path_var: Optional[str],
-    solution: ReducedBinding,
-) -> BindingRow:
-    """Stage 9: one solution as a row of element handles, group lists
-    and the matched :class:`Path`."""
-    values: dict[str, Any] = {}
-    singles = solution.singleton_map()
-    groups = solution.group_map()
+    whole: Optional[frozenset],
+    search: Optional[_Search] = None,
+) -> Callable[[ReducedBinding], BindingRow]:
+    """Stage 9: one solution as a binding row — handles, group lists and
+    the :class:`Path` for the variables in ``whole`` (all when None), the
+    id of every other singleton.  Handles are built on trust, unless the
+    search resumed after a write: then ``graph.node`` / ``graph.edge``
+    check every element first, as they always did."""
+    built = analysis.row_vars
+    if whole is not None:
+        built = [var for var in built if var[0] in whole]
+    keep_path = whole is None or path_var in whole
+
+    def bind(solution: ReducedBinding) -> BindingRow:
+        if search is not None and graph.version != search.version:
+            _check_elements(graph, analysis, solution)
+        values = dict(solution.singletons)  # an unbound one is NULL, read by id or not
+        for name, is_node, group in built:
+            handle = Node if is_node else Edge
+            if group:
+                values[name] = [handle(graph, el) for el in dict(solution.groups).get(name, ())]
+            else:
+                el = values.get(name, NULL)
+                values[name] = el if el is NULL else handle(graph, el)
+        path = Path._from_search(graph, solution.elements) if keep_path else None
+        if keep_path and path_var is not None:
+            values[path_var] = path
+        return BindingRow(values, [path])
+
+    return bind
+
+
+def _check_elements(
+    graph: PropertyGraph, analysis: PathAnalysis, solution: ReducedBinding
+) -> None:
+    """``graph.node`` / ``graph.edge`` on every element of *solution*."""
+    found, groups = dict(solution.singletons), dict(solution.groups)
     for name, is_node, group in analysis.row_vars:
-        handle = graph.node if is_node else graph.edge
-        if group:
-            values[name] = [handle(el) for el in groups.get(name, ())]
-        elif name in singles:
-            values[name] = handle(singles[name])
-        else:
-            values[name] = NULL  # unbound conditional singleton
-    path_obj = Path._from_search(graph, solution.elements)
-    if path_var is not None:
-        values[path_var] = path_obj
-    return BindingRow(values, [path_obj])
+        ids = groups.get(name, ()) if group else [found[name]] if name in found else []
+        for el in ids:
+            (graph.node if is_node else graph.edge)(el)

@@ -24,18 +24,22 @@ every other node runs ``evaluate`` itself.
   any other ``context`` — falls back to ``expr.evaluate(context(row))``.
   Compiled conjuncts short-circuit and run before the rest: the one
   deviation from ``And.evaluate`` (docs/sql_pgq.md, "Expression errors").
+* A MATCH's row plan: :func:`reads_of` says what those closures read
+  off a binding dict; over a :class:`BindingContext` a variable may hold
+  an element id, whose ``var.prop`` reads the graph's live element data.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.gpml.expr import (
     BoundColumn, Comparison, EvalContext, Expr, Literal, PropertyRef, RowContext, VarRef,
     compare_values, conjoin, property_value,
 )
 from repro.graph.columnar import MISSING
+from repro.graph.model import Edge, Node
 from repro.planner.indexes import conjuncts
 from repro.values import NULL, TRUE
 
@@ -127,6 +131,70 @@ def _plain_literal(expr: Expr) -> bool:
 # ----------------------------------------------------------------------
 # Expressions over an operator's rows
 # ----------------------------------------------------------------------
+class Reads(NamedTuple):
+    """What expressions read off binding dicts: ``(var, prop)`` pairs an
+    element id answers (``prop`` None: the id), and variables used whole."""
+
+    props: frozenset = frozenset()
+    whole: frozenset = frozenset()
+
+    def __or__(self, other: "Reads") -> "Reads":
+        if not (other.props or other.whole):
+            return self
+        return Reads(self.props | other.props, self.whole | other.whole)
+
+
+def reads_of(exprs: Sequence[Expr]) -> Reads:
+    """The reads of :func:`row_test` / :func:`row_value` closures of
+    *exprs*: a conjunct that falls back to ``Expr.evaluate`` uses every
+    variable whole (an id there still evaluates right, only slower)."""
+    props: set = set()
+    whole: set = set()
+    for conjunct in [part for expr in exprs for part in conjuncts(expr)]:
+        operands = (conjunct,)
+        if isinstance(conjunct, Comparison) and conjunct.op in _SAME_TYPE:
+            operands = (conjunct.left, conjunct.right)
+        for operand in operands:
+            if isinstance(operand, PropertyRef):
+                props.add((operand.var, operand.prop))
+            elif isinstance(operand, VarRef):
+                whole.add(operand.name)
+            elif not isinstance(operand, Literal):
+                whole |= conjunct.variables()
+    return Reads(frozenset(props), frozenset(whole))
+
+
+class BindingContext:
+    """Binding dicts whose element variables (``kinds``: name -> is a
+    node) may hold ids: a compiled ``var.prop`` reads by id what
+    ``Node.get`` / ``Edge.get`` read, NULL or the deleted element's
+    ``GraphError`` included; the interpreted fallback sees handles."""
+
+    def __init__(self, graph, kinds: dict[str, bool]):
+        self.graph = graph
+        self.kinds = kinds
+
+    def handle(self, name: str, value: Any) -> Any:
+        is_node = self.kinds.get(name)
+        if is_node is None or value.__class__ is not str:
+            return value
+        return (Node if is_node else Edge)(self.graph, value)
+
+    def __call__(self, row: dict) -> EvalContext:
+        return EvalContext({name: self.handle(name, v) for name, v in row.items()}, self.graph)
+
+    def property_read(self, var: str, prop: str) -> Callable[[dict], Any]:
+        elements = self.graph._nodes if self.kinds[var] else self.graph._edges
+
+        def read(row: dict) -> Any:
+            try:
+                return elements[row[var]].properties.get(prop, NULL)
+            except (KeyError, TypeError):  # not a live id: NULL, a handle, a list, deleted
+                return property_value(self.handle(var, row.get(var, NULL)), prop, var)
+
+        return read
+
+
 def _read(expr: Expr, context) -> Optional[Callable[[Any], Any]]:
     """``row -> value`` when *expr* reads straight off the row, else None."""
     if isinstance(expr, Literal):
@@ -135,12 +203,14 @@ def _read(expr: Expr, context) -> Optional[Callable[[Any], Any]]:
     if context is RowContext:
         if isinstance(expr, BoundColumn):
             return operator.itemgetter(expr.index)
-    elif context is EvalContext:
+    elif context is EvalContext or type(context) is BindingContext:
         if isinstance(expr, VarRef):
             name = expr.name
             return lambda row: row.get(name, NULL)
         if isinstance(expr, PropertyRef):
             var, prop = expr.var, expr.prop
+            if var in getattr(context, "kinds", ()):
+                return context.property_read(var, prop)
             return lambda row: property_value(row.get(var, NULL), prop, var)
     return None
 
@@ -170,6 +240,12 @@ def row_values(exprs: Sequence[Expr], context) -> Callable[[Any], tuple]:
     if len(reads) == 1:
         (read,) = reads
         return lambda row: (read(row),)
+    if len(reads) == 2:  # the common thin projections, without a list per row
+        first, second = reads
+        return lambda row: (first(row), second(row))
+    if len(reads) == 3:
+        first, second, third = reads
+        return lambda row: (first(row), second(row), third(row))
     return lambda row: tuple([read(row) for read in reads])
 
 

@@ -24,6 +24,10 @@ Every read operator streams, and all pattern searches of a chain share
 one :class:`~repro.gpml.streaming.RowBudget`: a satisfied ``LIMIT 1``
 stops the *first* statement's NFA search, not just the last stage.
 
+Patterns run by the row plan of the expressions after them: a variable
+only read as ``x.prop`` stays an element id; what a write could touch
+is a handle.
+
 How a chained MATCH executes — three modes, chosen at compile time and
 rendered by ``EXPLAIN``; each is one shape of the join operator's second
 child, the pattern subtree it pulls:
@@ -63,6 +67,7 @@ Semantics notes (documented refinements, see docs/gql.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import GqlError
@@ -80,7 +85,7 @@ from repro.gpml.engine import (
 )
 from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
-from repro.gpml.predicates import row_test, row_value
+from repro.gpml.predicates import Reads, reads_of, row_test, row_value
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
 from repro.planner.anchor import SeedSpec, plan_seed
@@ -132,11 +137,13 @@ class Rows(Operator):
 
     columns: list = []  # binding rows are keyed by variable, not position
     children: list = []
-    context = EvalContext
 
-    def __init__(self, table: Iterable[dict[str, Any]] = ({},), label: str = "unit table"):
+    def __init__(
+        self, table: Iterable[dict] = ({},), label: str = "unit table", context=EvalContext
+    ):
         self.table = table
         self.label = label
+        self.context = context
 
     def rows(self) -> Iterator[dict[str, Any]]:
         return iter(self.table)
@@ -154,10 +161,10 @@ class Statement(Operator):
 
     span_kind = STATEMENT
     columns: list = []
-    context = EvalContext
 
     def __init__(self, upstream: Operator, label: str, statement: Any):
         self.upstream = upstream
+        self.context = upstream.context
         self.label = label
         self.statement = statement
         self.children = [upstream]
@@ -214,12 +221,15 @@ class Match(Statement):
         config: MatcherConfig,
         budget: Optional[RowBudget],
         stats: Optional[PipelineStats],
+        reads: Optional[Reads],
     ):
         super().__init__(upstream, label, compiled.statement)
         self.compiled = compiled
         self.graph = graph
         self.config = config
         self.stats = stats
+        # a KEEP per incoming row sorts and costs whole rows
+        self.reads = reads = None if compiled.residual_keep is not None else reads
         seed = compiled.seed
         self.hashed = seed is None and not compiled.direct
         # a build side must be complete: it never sees the shared row budget
@@ -227,12 +237,12 @@ class Match(Statement):
         if seed is not None:
             pattern = seeded_stages(
                 graph, compiled.prepared, config, None,
-                reversed_run=seed.reversed_run, budget=budget, stats=stats,
+                reversed_run=seed.reversed_run, budget=budget, stats=stats, reads=reads,
             )
         else:
             pattern = match_stages(
                 graph, compiled.prepared, config,
-                budget=self.budget, stats=stats, count_rows=False,
+                budget=self.budget, stats=stats, count_rows=False, reads=reads,
             )
             if self.hashed:
                 pattern = _MatchTable(pattern, 0, compiled.shared_vars)
@@ -283,18 +293,22 @@ class Match(Statement):
     def rows(self) -> Iterator[dict[str, Any]]:
         compiled = self.compiled
         where, keep = compiled.residual_where, compiled.residual_keep
-        residual = None if where is None else row_test(where, EvalContext)
+        residual = None if where is None else row_test(where, self.context)
         partners = self._partners()
         padding = dict.fromkeys(compiled.new_vars, NULL) if compiled.optional else None
 
         def joined(row: dict[str, Any], key: tuple) -> Iterator[tuple[dict, list]]:
-            for values, paths in partners(key):
-                merged = {**row, **values}
+            for match in partners(key):
+                merged = {**row, **match.values}
                 if residual is None or residual(merged):
-                    yield merged, paths
+                    yield merged, match.paths
 
+        plain = residual is None and keep is None and padding is None
         for row in self.upstream.run():
             key = self._key(row)
+            if plain and not row and key == ():  # the match rows are the output
+                yield from map(attrgetter("values"), partners(key))
+                continue
             merged_rows = () if key is None else joined(row, key)
             if keep is not None:
                 # KEEP selects among this row's partners that survived
@@ -311,33 +325,31 @@ class Match(Statement):
             if not produced and padding is not None:
                 yield {**row, **padding}
 
-    def _partners(self) -> Callable[[tuple], Iterable[tuple[dict, list]]]:
-        """``key -> (values, paths)`` of the pattern's matches that join
-        an incoming row with that key, by this statement's mode."""
+    def _partners(self) -> Callable[[tuple], Iterable[BindingRow]]:
+        """``key ->`` the pattern's binding rows that join an incoming row
+        with that key, by this statement's mode."""
         compiled, graph = self.compiled, self.graph
         if self.hashed:
-            table: Optional[dict[Optional[tuple], list[tuple[dict, list]]]] = None
+            table: Optional[dict[Optional[tuple], list[BindingRow]]] = None
 
-            def probe(key: tuple) -> Iterable[tuple[dict, list]]:
+            def probe(key: tuple) -> Iterable[BindingRow]:
                 nonlocal table
                 if table is None:
                     # Enumerated lazily: only once some incoming row has
                     # a joinable key.
                     table = {}
                     for m in self.pattern.run():
-                        table.setdefault(self._key(m.values), []).append(
-                            (m.values, m.paths)
-                        )
+                        table.setdefault(self._key(m.values), []).append(m)
                 return table.get(key, ())
 
             return probe
         if compiled.seed is None:
 
-            def direct(key: tuple) -> Iterable[tuple[dict, list]]:
-                matches = ((m.values, m.paths) for m in self.pattern.run())
+            def direct(key: tuple) -> Iterable[BindingRow]:
+                matches = self.pattern.run()
                 if not key:  # nothing shared: every match joins
                     return matches
-                return (item for item in matches if self._key(item[0]) == key)
+                return (m for m in matches if self._key(m.values) == key)
 
             return direct
         # One anchored run per distinct seed, hub-skew memoization
@@ -345,15 +357,15 @@ class Match(Statement):
         search = SeededSearch(
             graph, compiled.prepared, self.config,
             reversed_run=compiled.seed.reversed_run,
-            budget=self.budget, stats=self.stats, owner=self,
+            budget=self.budget, stats=self.stats, owner=self, reads=self.reads,
         )
         position = compiled.shared_vars.index(compiled.seed.var)
 
-        def seeded(key: tuple) -> Iterable[tuple[dict, list]]:
+        def seeded(key: tuple) -> Iterable[BindingRow]:
             seed_id = key[position]
             if not isinstance(seed_id, str) or not graph.has_node(seed_id):
                 return ()
-            return (item for item in search.run(seed_id) if self._key(item[0]) == key)
+            return (m for m in search.run(seed_id) if self._key(m.values) == key)
 
         return seeded
 
@@ -384,7 +396,7 @@ class Let(Statement):
 
     def rows(self) -> Iterator[dict[str, Any]]:
         assignments = [
-            (name, row_value(expr, EvalContext))
+            (name, row_value(expr, self.context))
             for name, expr in self.statement.assignments
         ]
         for row in self.upstream.run():
@@ -423,6 +435,10 @@ class CompiledPipeline:
     #: True when the chain contains INSERT/SET/DELETE — the executor then
     #: wraps the run in a graph transaction and never pushes a row budget
     has_writes: bool = False
+    #: what the statements read off binding rows, and which element
+    #: variables (name -> is a node) the rows may hold ids of
+    reads: Reads = Reads()
+    kinds: Optional[dict[str, bool]] = None
 
 
 def build_chain(
@@ -433,6 +449,7 @@ def build_chain(
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
     first: int = 1,
+    reads: Optional[Reads] = None,
 ) -> Operator:
     """Stack one operator per compiled statement on *source*.
 
@@ -442,7 +459,8 @@ def build_chain(
     ``budget`` — owned by the caller, who takes per delivered record —
     reaches every seeded and direct pattern search, so a satisfied
     consumer stops the earliest statement's NFA search; ``graph`` may be
-    None to render the chain.
+    None to render the chain.  ``reads`` (None: every value built) is
+    the patterns' row plan; rows are read over ``source.context``.
     """
     from repro.gql import dml  # see compile_pipeline
 
@@ -451,7 +469,7 @@ def build_chain(
     for number, item in enumerate(statements, first):
         if isinstance(item, CompiledMatch):
             label = f"statement #{number}: {item.statement.text}"
-            op = Match(op, label, item, graph, config, budget, stats)
+            op = Match(op, label, item, graph, config, budget, stats, reads)
             continue
         label = f"statement #{number}: {item.text}"
         if isinstance(item, LetStatement):
@@ -488,14 +506,19 @@ def compile_pipeline(
     group_vars: set[str] = set()
     unit_input = True  # incoming table guaranteed at most one row
     has_writes = False
+    reads = Reads()
+    kinds: dict[str, bool] = {}
     for statement in statements:
         if isinstance(statement, MatchStatement):
             match = _compile_match(statement, bound, unit_input, seed_enabled)
             compiled.append(match)
             for analysis in match.prepared.analysis.paths:
                 group_vars |= set(analysis.group_vars)
+            kinds = {**match.prepared.element_kinds(), **kinds}
             for name, kind in _match_var_kinds(match.prepared).items():
                 bound.setdefault(name, kind)
+            if match.residual_where is not None:
+                reads |= reads_of([match.residual_where])
             unit_input = False
             continue
         compiled.append(statement)
@@ -508,15 +531,19 @@ def compile_pipeline(
                     )
                 check_known_variables(expr, bound, statement.text)
                 bound[name] = VALUE
+                reads |= reads_of([expr]) | Reads(whole=frozenset({name}))
         elif isinstance(statement, FilterStatement):
             check_known_variables(statement.condition, bound, statement.text)
+            reads |= reads_of([statement.condition])
         else:
+            reads |= Reads(whole=frozenset(bound))
             check, _ = dml.WRITES[type(statement)]
             for name in check(statement, bound):
                 bound[name] = SINGLETON
             has_writes = True
             unit_input = False  # conservatively: writes break streaming anyway
-    return CompiledPipeline(compiled, frozenset(group_vars), has_writes)
+    kinds = {name: is_node for name, is_node in kinds.items() if bound[name] == SINGLETON}
+    return CompiledPipeline(compiled, frozenset(group_vars), has_writes, reads, kinds)
 
 
 def check_known_variables(

@@ -53,6 +53,7 @@ from repro.gpml.expr import Aggregate, EvalContext, Expr, PropertyRef, VarRef, r
 from repro.gpml.lexer import IDENT
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
+from repro.gpml.predicates import BindingContext, reads_of
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.gql.dml import (
     parse_delete_statement,
@@ -447,12 +448,18 @@ def plan_gql(
         vertical or parsed.order_by or compiled.has_writes
     ):
         budget = RowBudget((parsed.offset or 0) + parsed.limit)
-    chain = build_chain(compiled.statements, Rows(), graph, config, budget, stats)
+    reads = compiled.reads | reads_of(
+        [item.expr for item in parsed.items] + [key.expr for key in parsed.order_by]
+    )
+    context = BindingContext(graph, compiled.kinds)
+    chain = build_chain(
+        compiled.statements, Rows(context=context), graph, config, budget, stats, reads=reads
+    )
     table: list[dict[str, Any]] = []  # a write query's final binding rows
     plan: Optional[Operator] = chain
     if compiled.has_writes:
         plan = (
-            Rows(table, "binding table of the completed statements")
+            Rows(table, "binding table of the completed statements", context)
             if parsed.items
             else None
         )

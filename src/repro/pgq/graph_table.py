@@ -7,9 +7,11 @@ the SQL host then composes freely (the paper's SELECT around
 GRAPH_TABLE).  The :mod:`repro.sql` engine embeds the same machinery as a
 first-class table operator in FROM: it parses the COLUMNS clause with
 :func:`parse_columns_clause` and runs the pattern's stage tree under its
-scan operator, projecting with :func:`project_columns`, so outer
-LIMIT/FETCH FIRST budgets and pushed-down WHERE predicates reach the
-streaming NFA search.
+scan operator, projecting with :meth:`GraphTableStatement.projection`, so
+outer LIMIT/FETCH FIRST budgets and pushed-down WHERE predicates reach
+the streaming NFA search.  The stage tree runs by the clause's row plan
+(:attr:`GraphTableStatement.reads`): COLUMNS reads ``x.owner`` by the
+element id, and ``x AS el`` is that id — it never sees a handle.
 
 COLUMNS expressions are regular GPML value expressions, so horizontal
 aggregates over group variables work exactly as PGQL's group variables do
@@ -23,15 +25,16 @@ from typing import Callable, Iterator, Optional
 
 from repro.errors import GpmlSyntaxError, PgqError
 from repro.gpml import ast
-from repro.gpml.engine import PreparedQuery, match_iter, prepare
-from repro.gpml.expr import EvalContext, Expr
+from repro.gpml.engine import PreparedQuery, match_stages, prepare
+from repro.gpml.expr import Expr, VarRef
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
-from repro.gpml.predicates import row_values
+from repro.gpml.predicates import BindingContext, Reads, reads_of, row_values
 from repro.gpml.streaming import PipelineStats
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
 from repro.pgq.table import Table
+from repro.rowops import attach_spans
 
 
 class GraphTableStatement:
@@ -54,10 +57,18 @@ class GraphTableStatement:
         return [name for name, _ in self.columns]
 
     @cached_property
-    def project(self) -> Callable[[dict], tuple]:
-        """One binding row's value dict through the COLUMNS clause, the
-        expressions compiled on first use."""
-        values = row_values([expr for _, expr in self.columns], EvalContext)
+    def reads(self) -> Reads:
+        """The row plan COLUMNS asks for; a bare element variable projects
+        as its id (:func:`_to_sql_value`), so the id serves it."""
+        exprs = [expr for _, expr in self.columns]
+        bare = frozenset((expr.name, None) for expr in exprs if isinstance(expr, VarRef))
+        return reads_of([expr for expr in exprs if not isinstance(expr, VarRef)]) | Reads(bare)
+
+    def projection(self, graph, prepared: PreparedQuery) -> Callable[[dict], tuple]:
+        """One binding row's value dict through the COLUMNS clause, compiled
+        over the rows of a stage tree run by :attr:`reads`."""
+        context = BindingContext(graph, prepared.element_kinds())
+        values = row_values([expr for _, expr in self.columns], context)
         return lambda bindings: tuple(map(_to_sql_value, values(bindings)))
 
 
@@ -98,24 +109,16 @@ def iter_graph_table_rows(
     """Stream COLUMNS-projected value rows for a GRAPH_TABLE statement.
 
     The streaming core behind :func:`graph_table`: binding rows come
-    straight from :func:`~repro.gpml.engine.match_iter` (so ``limit``
-    cancels the NFA search itself), and each is projected through the
-    COLUMNS expressions into a tuple of SQL values.
+    straight from the pattern's stage tree, run by the clause's row plan
+    (so ``limit`` cancels the NFA search itself), and each is projected
+    through the COLUMNS expressions into a tuple of SQL values.
     """
-    for row in match_iter(graph, prepared, config, limit=limit, stats=stats):
-        yield project_columns(graph, statement, row.values)
-
-
-def project_columns(
-    graph: PropertyGraph, statement: GraphTableStatement, values: dict
-) -> tuple:
-    """Project one binding-row value dict through the COLUMNS clause.
-
-    Shared by the streaming enumeration above and the SQL engine's graph
-    scans, which pull binding rows from their own stage tree or, seeded,
-    per probe row.  The expressions run as compiled on the statement.
-    """
-    return statement.project(values)
+    tree = match_stages(graph, prepared, config, limit=limit, stats=stats, reads=statement.reads)
+    if stats is not None and stats.trace is not None:
+        attach_spans(tree, stats.trace.root)
+    project = statement.projection(graph, prepared)
+    for row in tree.run():
+        yield project(row.values)
 
 
 def _parse_graph_table(query: str, name: str) -> GraphTableStatement:
@@ -178,8 +181,13 @@ def _default_column_name(expr: Expr, index: int) -> str:
     return f"col{index + 1}"
 
 
+_SCALARS = frozenset((str, int, float, bool))
+
+
 def _to_sql_value(value):
     """Graph elements project as their ids; paths as their text form."""
+    if value.__class__ in _SCALARS:  # the common case, first
+        return value
     if isinstance(value, (Node, Edge)):
         return value.id
     if isinstance(value, Path):

@@ -28,7 +28,7 @@ from repro.gpml.matcher import MatcherConfig
 from repro.gpml.predicates import row_test, row_value, row_values
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
-from repro.pgq.graph_table import GraphTableStatement, project_columns
+from repro.pgq.graph_table import GraphTableStatement
 from repro.pgq.table import Table
 from repro.planner.anchor import SeedSpec
 from repro.rowops import Column, Operator, RowContext, attach_spans, row_key
@@ -64,7 +64,8 @@ class GraphTableScan(Operator):
     into the pattern's WHERE; ``budget`` is the outer LIMIT's shared
     :class:`RowBudget` (None when the statement is unbounded).  The
     pattern's stage tree is the scan's child, so EXPLAIN and a trace
-    descend into the pattern stages as into any operator.
+    descend into the pattern stages as into any operator.  It runs by the
+    COLUMNS clause's row plan.
     """
 
     def __init__(
@@ -107,13 +108,18 @@ class GraphTableScan(Operator):
             match_stages(
                 self.graph, prepared, self.config,
                 budget=self.budget, stats=self.stats, count_rows=False,
+                reads=self.statement.reads,
             )
         ]
 
+    @cached_property
+    def project(self) -> Callable[[dict], tuple]:
+        return self.statement.projection(self.graph, self.prepared)
+
     def rows(self) -> Iterator[tuple]:
-        graph, statement = self.graph, self.statement
+        project = self.project
         for row in self.children[0].run():
-            yield project_columns(graph, statement, row.values)
+            yield project(row.values)
 
     def reduced_rows(self, values: tuple) -> Iterator[tuple]:
         """Enumerate with the probe side's distinct keys pushed as an IN.
@@ -228,10 +234,12 @@ class SeededGraphTableScan(GraphTableScan):
                 self.graph, self.prepared, self.config,
                 reversed_run=self.seed.reversed_run,
                 budget=self.budget, stats=self.stats, owner=self,
+                reads=self.statement.reads,
             )
+        project = self.project
         for seed_id in seeds:
-            for values, _paths in self._search.run(seed_id):
-                yield project_columns(self.graph, self.statement, values)
+            for row in self._search.run(seed_id):
+                yield project(row.values)
 
     def _seed_ids(self, value: Any) -> Optional[list[str]]:
         """Anchor node ids for one probe value; None = cannot narrow.

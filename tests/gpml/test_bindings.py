@@ -23,7 +23,7 @@ class TestReduction:
             entries=(eb("x", (), "a"), eb("e", (), "t"), eb("y", (), "b")),
         )
         reduced = reduce_binding(binding, frozenset(), frozenset())
-        assert reduced.singleton_map() == {"x": "a", "e": "t", "y": "b"}
+        assert dict(reduced.singletons) == {"x": "a", "e": "t", "y": "b"}
         assert reduced.groups == ()
 
     def test_group_collects_in_iteration_order(self):
@@ -35,7 +35,7 @@ class TestReduction:
             ),
         )
         reduced = reduce_binding(binding, frozenset({"e"}), frozenset())
-        assert reduced.group_map() == {"e": ("t1", "t2")}
+        assert dict(reduced.groups) == {"e": ("t1", "t2")}
 
     def test_anonymous_dropped(self):
         binding = PathBinding(
@@ -43,7 +43,7 @@ class TestReduction:
             entries=(eb("__n1", (), "a"), eb("x", (), "a")),
         )
         reduced = reduce_binding(binding, frozenset(), frozenset({"__n1"}))
-        assert reduced.singleton_map() == {"x": "a"}
+        assert dict(reduced.singletons) == {"x": "a"}
 
     def test_paper_reduction_merges_variants(self):
         # Section 6.5: two rigid patterns differing only in anonymous

@@ -219,8 +219,13 @@ class TestPipelineClassification:
     def test_every_stage_is_labeled(self, fig1):
         text = explain_plan(fig1, "MATCH ANY CHEAPEST COST amount p = (a)-[e]->+(b)")
         lines = text.split("pipeline:\n")[1].splitlines()
-        # every stage is tagged; the line below it, one level deeper, says why
-        for stage, detail in zip(lines[::2], lines[1::2], strict=True):
+        # every stage is tagged; the line below it, one level deeper, says
+        # why (reduce + dedup adds its row plan on a second line)
+        stages = [line for line in lines if "[" in line]
+        assert len(lines) == 2 * len(stages) + 1
+        for stage in stages:
+            at = lines.index(stage)
             indent = stage[: -len(stage.lstrip())]
             assert stage.startswith((f"{indent}[streaming] ", f"{indent}[blocking] "))
-            assert detail.startswith(f"{indent}  ") and "[" not in detail
+            assert lines[at + 1].startswith(f"{indent}  ") and "[" not in lines[at + 1]
+        assert "row plan: by id —; handles: a, e, b, p" in text

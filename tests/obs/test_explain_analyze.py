@@ -238,6 +238,39 @@ def test_sql_plain_explain_stays_static(db):
     assert not any("rows=" in line or "time=" in line for line in lines)
 
 
+# ----------------------------------------------------------------------
+# Row plans: what the dedup stage builds handles for, and what it reads by id
+# ----------------------------------------------------------------------
+ROW_PLANS = [
+    (
+        "sql",
+        "SELECT src, dst, amt FROM GRAPH_TABLE(figure1 "
+        "MATCH (a:Account)-[t:Transfer]->(b:Account) "
+        "COLUMNS (a.owner AS src, b.owner AS dst, t.amount AS amt))",
+        "row plan: by id a.owner, b.owner, t.amount; handles: —",
+    ),
+    (
+        "gql",
+        "MATCH (a:Account)-[t:Transfer]->(b:Account) WHERE t.amount > 5M "
+        "RETURN a.owner AS src, b AS dst",
+        "row plan: by id a.owner, t.amount; handles: b",
+    ),
+    (
+        "gql",
+        "MATCH p = (a:Account)-[t:Transfer]->(b:Account) RETURN p",
+        "row plan: by id —; handles: p",
+    ),
+]
+
+
+@pytest.mark.parametrize("host, query, line", ROW_PLANS)
+def test_explain_shows_the_row_plan(db, fig1, host, query, line):
+    text = db.explain(query) if host == "sql" else GqlSession(fig1).explain(query)
+    lines = [row.strip() for row in text.splitlines()]
+    (dedup,) = [at for at, row in enumerate(lines) if row.endswith("reduce + dedup")]
+    assert lines[dedup + 1 : dedup + 3] == ["incremental seen-set over reduced bindings", line]
+
+
 def test_sql_explain_analyze_rejects_non_select(db):
     from repro.errors import SqlError
 
