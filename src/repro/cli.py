@@ -344,6 +344,7 @@ def metrics_main(argv: list[str]) -> int:
 def _print_stats_lines(stats, elapsed_ms: float, graph=None) -> None:
     """The ``--stats`` footer: counters + wall time, then planner info."""
     from repro.obs.analyze import plan_summary
+    from repro.statements import cache_line
 
     print(
         f"-- stats: {stats.steps} matcher steps, "
@@ -354,6 +355,9 @@ def _print_stats_lines(stats, elapsed_ms: float, graph=None) -> None:
         summary = plan_summary(stats.trace)
         if summary is not None:
             print(f"-- plan: {summary}")
+    cache = cache_line(stats)
+    if cache is not None:
+        print(f"-- {cache}")
     if graph is not None:
         from repro.graph.columnar import storage_stats
 
@@ -372,7 +376,8 @@ def gql_main(argv: list[str]) -> int:
     from time import perf_counter
 
     from repro.gpml.streaming import PipelineStats
-    from repro.gql.query import execute_gql_iter, explain_gql, parse_gql_query
+    from repro.gql.query import execute_gql_iter, explain_gql
+    from repro.statements import parsed_gql
 
     args = build_gql_parser().parse_args(argv)
     query = args.query
@@ -387,7 +392,9 @@ def gql_main(argv: list[str]) -> int:
             print(explain_gql(query))
             return 0
         graph = _load_graph(args.graph)
-        parsed = parse_gql_query(query)
+        observed = args.stats or args.trace_json or args.analyze or args.metrics_out
+        stats = PipelineStats.traced(query=query, engine="gql") if observed else PipelineStats()
+        parsed = parsed_gql(query, stats)
         if limit is not None:
             tightened = limit if parsed.limit is None else min(parsed.limit, limit)
             parsed = dataclasses.replace(parsed, limit=tightened)
@@ -402,11 +409,8 @@ def gql_main(argv: list[str]) -> int:
             isinstance(statement, WRITE_STATEMENTS)
             for statement in parsed.statements
         )
-        stats = None
-        if args.stats or args.trace_json or args.analyze or telemetry:
-            stats = PipelineStats.traced(query=query, engine="gql")
-        elif has_writes:
-            stats = PipelineStats()  # carries the mutation summary
+        if not (observed or has_writes):
+            stats = None  # a write's plain stats carry the mutation summary
         start = perf_counter()
         if args.analyze:
             from repro.obs.analyze import explain_analyze_gql

@@ -77,6 +77,7 @@ from repro.obs.trace import STAGE
 from repro.planner.anchor import RIGHT
 from repro.planner.plan import PatternPlan, plan_query
 from repro.rowops import Filter, Operator, attach_spans
+from repro.statements import prepared_match
 from repro.values import NULL, hashable
 
 
@@ -225,6 +226,15 @@ def prepare(query: "str | ast.GraphPattern") -> PreparedQuery:
     )
 
 
+def _prepared(query, stats: Optional[PipelineStats]) -> PreparedQuery:
+    """A text through the statement cache; an AST prepared afresh."""
+    if isinstance(query, PreparedQuery):
+        return query
+    if isinstance(query, str):
+        return prepared_match(query, stats)
+    return prepare(query)
+
+
 def match(
     graph: PropertyGraph,
     query: "str | ast.GraphPattern | PreparedQuery",
@@ -235,7 +245,7 @@ def match(
     A thin materializing wrapper over :func:`match_iter`: the result is
     exactly ``list(match_iter(graph, query, config))``, in the same order.
     """
-    prepared = query if isinstance(query, PreparedQuery) else prepare(query)
+    prepared = _prepared(query, None)
     return MatchResult(
         rows=list(match_iter(graph, prepared, config)),
         variables=prepared.visible_variables(),
@@ -277,9 +287,12 @@ def match_iter(
     the caller passed none.  The default ``None`` leaves every code path
     untouched.
     """
-    prepared = query if isinstance(query, PreparedQuery) else prepare(query)
     if telemetry is not None and stats is None:
-        stats = telemetry.stats_for(query=prepared.text, engine="gpml")
+        stats = telemetry.stats_for(
+            query=query if isinstance(query, str) else getattr(query, "text", None),
+            engine="gpml",
+        )
+    prepared = _prepared(query, stats)
     tree = match_stages(
         graph, prepared, config,
         limit=limit, budget=budget, stats=stats, count_rows=count_rows,

@@ -103,6 +103,9 @@ class PipelineStats:
     #: ...}) and "commit" / "rollback".  None for read queries.
     mutations: Optional[dict] = field(default=None, repr=False, compare=False)
     transaction: Optional[str] = field(default=None, repr=False, compare=False)
+    #: the statement cache's answer for this run's text: ``(outcome,
+    #: text)``, outcome "hit", "miss" or "evict" (see repro.statements)
+    cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def traced(

@@ -45,7 +45,7 @@ values, and ``length(p)`` / ``nodes(p)`` / ``edges(p)`` work on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.errors import GqlError
@@ -61,6 +61,7 @@ from repro.gql.dml import (
     parse_set_statement,
 )
 from repro.gql.pipeline import (
+    CompiledPipeline,
     FilterStatement,
     LetStatement,
     MatchStatement,
@@ -83,6 +84,7 @@ from repro.rowops import (
     delivered,
     render_plan,
 )
+from repro.statements import parsed_gql
 
 
 @dataclass
@@ -108,6 +110,18 @@ class GqlQuery:
     order_by: list[OrderItem]
     limit: Optional[int]
     offset: Optional[int]
+    #: compiled statement pipelines by ``seed_chained_match`` (see
+    #: :meth:`compiled`); ``dataclasses.replace`` shares it with the copy
+    pipelines: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def compiled(self, config: MatcherConfig | None = None) -> CompiledPipeline:
+        """The statement pipeline, compiled on first use.  It reads the
+        config only for ``seed_chained_match``, and nothing of a graph."""
+        seeded = config.seed_chained_match if config is not None else True
+        pipeline = self.pipelines.get(seeded)
+        if pipeline is None:
+            pipeline = self.pipelines[seeded] = compile_pipeline(self.statements, config)
+        return pipeline
 
     @property
     def pattern_text(self) -> str:
@@ -441,7 +455,7 @@ def plan_gql(
     to render the plan.  With ``stats.trace`` set every operator gets a
     span.
     """
-    compiled = compile_pipeline(parsed.statements, config)
+    compiled = parsed.compiled(config)
     vertical = vertical_items(parsed, compiled.group_vars)
     budget = None
     if parsed.limit is not None and not (
@@ -585,7 +599,7 @@ def execute_gql(
     Write queries additionally surface the transaction summary on
     :attr:`GqlResult.mutations`.
     """
-    parsed = parse_gql_query(query) if isinstance(query, str) else query
+    parsed = parsed_gql(query) if isinstance(query, str) else query
     plan = plan_gql(parsed, config, graph)
     return GqlResult(
         columns=[item.alias for item in parsed.items],
@@ -617,7 +631,7 @@ def execute_gql_iter(
     the iterator.  With ``stats`` given, ``stats.mutations`` and
     ``stats.transaction`` record the outcome.
     """
-    parsed = parse_gql_query(query) if isinstance(query, str) else query
+    parsed = parsed_gql(query, stats) if isinstance(query, str) else query
     return plan_records(plan_gql(parsed, config, graph, stats), stats)
 
 
@@ -645,7 +659,7 @@ def explain_gql(
     match (``seed_chained_match=False`` shows the hash-join fallback, not
     the seeded search).
     """
-    parsed = parse_gql_query(query) if isinstance(query, str) else query
+    parsed = parsed_gql(query) if isinstance(query, str) else query
     tail = "RETURN" if parsed.items else "no RETURN (write-only query)"
     lines = [f"GQL pipeline: {len(parsed.statements)} statement(s) + {tail}"]
     lines.extend(render_plan(plan_gql(parsed, config)))

@@ -35,9 +35,9 @@ from repro.gql.query import (
     execute_gql,
     execute_gql_iter,
     explain_gql,
-    parse_gql_query,
 )
 from repro.graph.model import PropertyGraph
+from repro.statements import parsed_gql
 
 
 class GqlSession:
@@ -111,10 +111,11 @@ class GqlSession:
         graph: PropertyGraph | None = None,
         config: MatcherConfig | None = None,
     ) -> GqlResult:
-        parsed = parse_gql_query(query)
         if self.telemetry is None:
+            parsed = parsed_gql(query)
             return execute_gql(self._resolve(parsed, graph), parsed, config)
         stats = self.telemetry.stats_for(query=query, engine="gql")
+        parsed = parsed_gql(query, stats)
         records = list(self._iter_records(query, parsed, graph, config, stats))
         return GqlResult(
             columns=[item.alias for item in parsed.items],
@@ -130,7 +131,9 @@ class GqlSession:
         stats: PipelineStats | None = None,
     ) -> Iterator[dict[str, Any]]:
         """Execute a read query as a lazy stream of projected records."""
-        parsed = parse_gql_query(query)
+        if self.telemetry is not None and stats is None:
+            stats = self.telemetry.stats_for(query=query, engine="gql")
+        parsed = parsed_gql(query, stats)
         return self._iter_records(query, parsed, graph, config, stats)
 
     def first(
@@ -145,11 +148,14 @@ class GqlSession:
         OFFSET): the row budget stops the underlying NFA search as soon
         as one record has been delivered.
         """
-        parsed = parse_gql_query(query)
+        stats = None
+        if self.telemetry is not None:
+            stats = self.telemetry.stats_for(query=query, engine="gql")
+        parsed = parsed_gql(query, stats)
         limit = 1 if parsed.limit is None else min(parsed.limit, 1)
         limited = dataclasses.replace(parsed, limit=limit)
         return next(
-            iter(self._iter_records(query, limited, graph, config, None)),
+            iter(self._iter_records(query, limited, graph, config, stats)),
             None,
         )
 
@@ -180,7 +186,7 @@ class GqlSession:
         # Imported lazily: standing pulls in the planner index layer.
         from repro.gql.standing import StandingQuery
 
-        parsed = parse_gql_query(query)
+        parsed = parsed_gql(query)
         return StandingQuery(
             self._resolve(parsed, graph),
             parsed,
@@ -208,7 +214,9 @@ class GqlSession:
         # Imported lazily: repro.obs.analyze pulls in both hosts.
         from repro.obs.analyze import explain_analyze_gql
 
-        parsed = parse_gql_query(query)
+        if stats is None:
+            stats = PipelineStats()
+        parsed = parsed_gql(query, stats)
         return explain_analyze_gql(
             self._resolve(parsed, graph), parsed, config, stats
         )

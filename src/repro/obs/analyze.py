@@ -22,6 +22,7 @@ from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
 from repro.graph.model import PropertyGraph
 from repro.obs.trace import QueryTrace, Span
+from repro.statements import cache_line
 
 
 # --------------------------------------------------------------------------
@@ -123,10 +124,12 @@ def render_analyzed(
     start = perf_counter()
     count = sum(1 for _ in run())
     elapsed_ms = (perf_counter() - start) * 1000.0
+    cache = cache_line(stats)
     return [
         f"EXPLAIN ANALYZE ({engine})",
         f"actual: {count} {unit}(s), {stats.steps} matcher steps, "
         f"{stats.matches} raw matches, {elapsed_ms:.2f}ms",
+        *([cache] if cache else []),
         *render_trace(stats.trace, indent="  "),
     ]
 

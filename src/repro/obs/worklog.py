@@ -227,6 +227,12 @@ class Telemetry:
             "DML transactions finished, by outcome.",
             ("engine", "outcome"),
         )
+        self.statement_cache_total = r.counter(
+            "repro_statement_cache_total",
+            "Statement cache lookups, by outcome (hit / miss / evict: a "
+            "miss that evicted the least recently used entry).",
+            ("engine", "outcome"),
+        )
         self.sql_rewrites_total = r.counter(
             "repro_sql_rewrites_total",
             "Cross-model SQL plan rewrite rules fired, by rule.",
@@ -313,6 +319,8 @@ class Telemetry:
         self.latency.observe(wall_ms, **labels)
         self.steps_hist.observe(steps, **labels)
         if stats is not None:
+            if stats.cache is not None:
+                self.statement_cache_total.inc(engine=engine, outcome=stats.cache[0])
             if stats.transaction is not None:
                 self.transactions_total.inc(
                     engine=engine, outcome=stats.transaction

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 from repro.errors import GpmlSyntaxError, PgqError
 from repro.gpml import ast
 from repro.gpml.engine import PreparedQuery, match_stages, prepare
-from repro.gpml.expr import Expr, VarRef
+from repro.gpml.expr import Expr, VarRef, conjoin
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
 from repro.gpml.predicates import BindingContext, Reads, reads_of, row_values
@@ -51,10 +51,27 @@ class GraphTableStatement:
         #: the pattern AST when the caller parsed it inline (the SQL host
         #: keeps it to conjoin pushed-down predicates before preparing)
         self.pattern = pattern
+        self._prepared: dict = {}
 
     @property
     def column_names(self) -> list[str]:
         return [name for name, _ in self.columns]
+
+    def prepared(self, pushed: tuple = ()) -> PreparedQuery:
+        """The pattern prepared with the *pushed* predicates conjoined
+        into its WHERE, kept per predicate list: a statement the statement
+        cache hands out again prepares once.  Keyed by ``repr``, which
+        tells ``1`` from ``TRUE`` where ``==`` does not."""
+        key = tuple(map(repr, pushed))
+        prepared = self._prepared.get(key)
+        if prepared is None:
+            pattern = self.pattern
+            if pushed:
+                pattern = ast.GraphPattern(
+                    paths=pattern.paths, where=conjoin(pattern.where, *pushed), keep=pattern.keep
+                )
+            prepared = self._prepared[key] = prepare(pattern)
+        return prepared
 
     @cached_property
     def reads(self) -> Reads:
@@ -90,7 +107,7 @@ def graph_table(
     statement = _parse_graph_table(query, name)
     rows = list(
         iter_graph_table_rows(
-            graph, statement, prepare(statement.pattern), config,
+            graph, statement, statement.prepared(), config,
             limit=limit, stats=stats,
         )
     )
@@ -133,8 +150,8 @@ def _parse_graph_table(query: str, name: str) -> GraphTableStatement:
         pattern = parser.parse_graph_pattern_body()
         if not parser.at_keyword("COLUMNS"):
             raise PgqError("GRAPH_TABLE query must end with a COLUMNS clause")
-        # The MATCH text (everything before COLUMNS) is re-parsed by the
-        # engine; slicing by token position keeps one source of truth.
+        # The engine prepares the parsed pattern; the MATCH text (everything
+        # before COLUMNS, sliced by token position) is what EXPLAIN shows.
         columns_start = parser.peek().position
         pattern_text = query[:columns_start]
         parser.advance()  # COLUMNS

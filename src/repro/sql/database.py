@@ -33,8 +33,8 @@ from repro.pgq.table import Table
 from repro.rowops import attach_spans, delivered, render_plan
 from repro.sql import ast
 from repro.sql.config import SqlConfig
-from repro.sql.parser import parse_sql
 from repro.sql.planner import PlannerContext, plan_statement
+from repro.statements import parsed_sql
 
 
 class Database:
@@ -94,21 +94,23 @@ class Database:
         them unless ``REPRO_DISABLE_SQL_OPTIMIZER=1``); like pushdown,
         rules never change results, only plans.
         """
-        statement = parse_sql(sql)
+        if self.telemetry is not None and stats is None:
+            stats = self.telemetry.stats_for(query=sql, engine="sql")
+        # the lookup's outcome is kept for an EXPLAIN ANALYZE to report
+        looked_up = stats if stats is not None else PipelineStats()
+        statement = parsed_sql(sql, looked_up)
         if isinstance(statement, ast.CreateGraphStatement):
             return self.catalog.execute(statement.text)
         if isinstance(statement, ast.ExplainStatement):
             if statement.analyze:
                 lines = self._explain_analyze_lines(
-                    statement.inner, config, stats, pushdown, sql_config
+                    statement.inner, config, looked_up, pushdown, sql_config
                 )
             else:
                 lines = self._plan_lines(
                     statement.inner, config, pushdown, sql_config
                 )
             return Table(["plan"], [(line,) for line in lines], name="explain")
-        if self.telemetry is not None and stats is None:
-            stats = self.telemetry.stats_for(query=sql, engine="sql")
         plan = self._plan(statement, config, stats, pushdown, sql_config)
         names = [column.name for column in plan.columns]
         rows = delivered(plan.run(), stats)
@@ -125,11 +127,11 @@ class Database:
         sql_config: Optional[SqlConfig] = None,
     ) -> Iterator[dict[str, Any]]:
         """Execute a SELECT as a lazy stream of dict records."""
-        statement = parse_sql(sql)
-        if not isinstance(statement, ast.SelectStatement):
-            raise SqlError("execute_iter only streams SELECT statements")
         if self.telemetry is not None and stats is None:
             stats = self.telemetry.stats_for(query=sql, engine="sql")
+        statement = parsed_sql(sql, stats)
+        if not isinstance(statement, ast.SelectStatement):
+            raise SqlError("execute_iter only streams SELECT statements")
         plan = self._plan(statement, config, stats, pushdown, sql_config)
         names = [column.name for column in plan.columns]
         rows = delivered(plan.run(), stats)
@@ -145,7 +147,7 @@ class Database:
         sql_config: Optional[SqlConfig] = None,
     ) -> str:
         """The relational plan (with embedded GPML pipelines) as text."""
-        statement = parse_sql(sql)
+        statement = parsed_sql(sql)
         if isinstance(statement, ast.ExplainStatement):
             statement = statement.inner
         if not isinstance(statement, ast.SelectStatement):
@@ -167,7 +169,9 @@ class Database:
         pipeline breakers), measured by a trace attached to ``stats``
         (a traced ``stats`` may be passed in to keep the span tree).
         """
-        statement = parse_sql(sql)
+        if stats is None:
+            stats = PipelineStats()
+        statement = parsed_sql(sql, stats)
         if isinstance(statement, ast.ExplainStatement):
             statement = statement.inner
         if not isinstance(statement, ast.SelectStatement):

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Optional
 
 from repro.errors import SqlError
-from repro.gpml import ast as gpml_ast
-from repro.gpml.engine import prepare
 from repro.gpml.expr import (
     And,
     Arithmetic,
@@ -434,18 +432,11 @@ def _check_duplicate_binding_names(sources: list[ast.FromSource]) -> None:
 def _materialize_leaf(leaf: _Leaf, ctx: PlannerContext) -> Operator:
     if leaf.is_graph:
         item = leaf.source.item
-        pattern = leaf.statement.pattern
-        if leaf.pushed:
-            pattern = gpml_ast.GraphPattern(
-                paths=pattern.paths,
-                where=conjoin(pattern.where, *leaf.pushed),
-                keep=pattern.keep,
-            )
         scan = GraphTableScan(
             graph=leaf.graph,
             graph_name=item.graph_name,
             statement=leaf.statement,
-            prepared=prepare(pattern),
+            prepared=leaf.statement.prepared(tuple(leaf.pushed)),
             alias=item.alias,
             source=leaf.index,
             config=ctx.config,

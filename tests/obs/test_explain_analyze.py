@@ -8,7 +8,7 @@ from repro.cli import main as cli_main
 from repro.gpml.explain import explain_analyze
 from repro.gpml.streaming import PipelineStats
 from repro.gql import GqlSession
-from repro.obs import validate_trace_document
+from repro.obs import query_fingerprint, validate_trace_document
 from repro.pgq.tabular import tabular_representation
 from repro.sql import Database
 
@@ -359,3 +359,55 @@ def test_cli_has_no_engine_switch(capsys):
             cli_main(argv)
         assert exit_info.value.code == 2
     assert "unrecognized arguments: --no-columnar" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The statement cache's line
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def empty_cache(monkeypatch):
+    from repro import statements
+
+    monkeypatch.setattr(statements, "CACHE", statements.StatementCache())
+
+
+def cache_lines(report: str) -> list[str]:
+    return [line for line in report.splitlines() if line.startswith("cache: ")]
+
+
+def test_explain_analyze_says_whether_the_text_was_cached(fig1, db, empty_cache):
+    """``cache: miss`` until the second sighting stores the text, then
+    ``hit`` — on all three surfaces, under the text's fingerprint."""
+    gpml = "MATCH (a:Account WHERE a.owner='Mike')-[t:Transfer]->(b:Account)"
+    gql = f"{gpml} RETURN b.owner AS b"
+    sql = (
+        "SELECT b FROM GRAPH_TABLE(figure1 MATCH (a:Account WHERE a.owner='Mike')"
+        "-[t:Transfer]->(b:Account) COLUMNS (b.owner AS b))"
+    )
+    session = GqlSession(fig1)
+    runs = {
+        gpml: lambda: explain_analyze(fig1, gpml),
+        gql: lambda: session.explain_analyze(gql),
+        sql: lambda: db.explain_analyze(sql),
+        f"EXPLAIN ANALYZE {sql}": lambda: "\n".join(
+            row[0] for row in db.execute(f"EXPLAIN ANALYZE {sql}").rows
+        ),
+    }
+    for text, run in runs.items():
+        seen = [cache_lines(run()) for _ in range(3)]
+        fingerprint = query_fingerprint(text)
+        assert seen == [
+            [f"cache: {outcome} fingerprint={fingerprint}"] for outcome in ("miss", "miss", "hit")
+        ], text
+    # plain EXPLAIN and EXPLAIN PLAN stay static: no cache line
+    assert not cache_lines(session.explain(gql)) and not cache_lines(db.explain(sql))
+
+
+def test_cli_stats_reports_the_cache_line(capsys, empty_cache):
+    query = "MATCH (a:Account)-[t:Transfer]->(b:Account) RETURN a.owner AS owner"
+    for outcome in ("miss", "miss", "hit"):
+        assert cli_main(["gql", query, "--stats"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [l for l in printed if l.startswith("-- cache: ")] == [
+            f"-- cache: {outcome} fingerprint={query_fingerprint(query)}"
+        ]

@@ -259,3 +259,30 @@ def test_sql_config_fields_are_the_two_it_had():
     from repro.sql.config import SqlConfig
 
     assert [f.name for f in fields(SqlConfig)] == ["optimizer_rules", "semi_join_max_keys"]
+
+
+def test_public_surfaces_prepare_through_the_statement_cache():
+    """One module decides whether a text is parsed and prepared again:
+    the session objects never call a parser or ``prepare`` themselves,
+    and the GPML entry points turn a text into a prepared query only
+    through ``repro.statements``."""
+    parsers = {"parse_gql_query", "parse_sql", "parse_match", "prepare"}
+
+    def called(path: Path, functions=None) -> set[str]:
+        names = set()
+        for owner in ast.walk(ast.parse(path.read_text())):
+            if functions is not None and not (
+                isinstance(owner, ast.FunctionDef) and owner.name in functions
+            ):
+                continue
+            for node in ast.walk(owner):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    names.add(node.func.id)
+        return names
+
+    for host in ("gql/session.py", "sql/database.py"):
+        assert not parsers & called(SRC / host), host
+        assert "repro.statements" in imported_modules(SRC / host), host
+    surfaces = {"match", "match_iter", "first", "exists"}
+    assert not parsers & called(SRC / "gpml/engine.py", surfaces)
+    assert "repro.statements" in imported_modules(SRC / "gpml/engine.py")
