@@ -13,18 +13,12 @@ from repro.graph.model import Edge, Incidence, Node, PropertyGraph
 from repro.graph.path import Path
 from repro.graph.builder import GraphBuilder
 from repro.graph.serialization import graph_from_dict, graph_from_json, graph_to_dict, graph_to_json
-from repro.graph.statistics import (
-    CardinalityStatistics,
-    GraphStatistics,
-    cardinality_statistics,
-    graph_statistics,
-)
+from repro.graph.statistics import CardinalityStatistics, cardinality_statistics
 
 __all__ = [
     "CardinalityStatistics",
     "Edge",
     "GraphBuilder",
-    "GraphStatistics",
     "cardinality_statistics",
     "Incidence",
     "Node",
@@ -32,7 +26,6 @@ __all__ = [
     "PropertyGraph",
     "graph_from_dict",
     "graph_from_json",
-    "graph_statistics",
     "graph_to_dict",
     "graph_to_json",
 ]

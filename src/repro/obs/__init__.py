@@ -36,9 +36,7 @@ from repro.obs.metrics import (
     summarize_fingerprints,
 )
 from repro.obs.schema import (
-    BENCH_SCHEMA,
     SchemaError,
-    validate_bench_document,
     validate_document,
     validate_metrics_document,
     validate_trace_document,
@@ -47,7 +45,6 @@ from repro.obs.trace import TRACE_SCHEMA, QueryTrace, Span, timed_rows
 from repro.obs.worklog import QueryRecord, Telemetry, WorkLog
 
 __all__ = [
-    "BENCH_SCHEMA",
     "METRICS_SCHEMA",
     "TRACE_SCHEMA",
     "MetricsRegistry",
@@ -63,7 +60,6 @@ __all__ = [
     "summarize_fingerprints",
     "timed_rows",
     "tracing_stats",
-    "validate_bench_document",
     "validate_document",
     "validate_metrics_document",
     "validate_trace_document",

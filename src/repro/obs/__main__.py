@@ -1,8 +1,7 @@
-"""``python -m repro.obs FILE...`` — validate trace / metrics / bench JSON.
+"""``python -m repro.obs FILE...`` — validate trace / metrics JSON.
 
 Auto-detects the document family from its ``schema`` tag
-(``repro.trace/v1``, ``repro.metrics/v1`` or ``repro.bench/v1``) and
-validates accordingly.
+(``repro.trace/v1`` or ``repro.metrics/v1``) and validates accordingly.
 
 Thin wrapper over :func:`repro.obs.schema.main`; preferred over
 ``python -m repro.obs.schema`` (which works too, but triggers Python's

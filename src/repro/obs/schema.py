@@ -1,6 +1,6 @@
 """Validators for the machine-readable observability documents.
 
-Three document families share this module:
+Two document families share this module:
 
 * ``repro.trace/v1`` — a :class:`~repro.obs.trace.QueryTrace` export
   (``trace.to_dict()`` / ``--trace-json FILE``).
@@ -9,9 +9,6 @@ Three document families share this module:
   :meth:`~repro.obs.worklog.Telemetry.to_dict` / ``--metrics-out FILE``),
   optionally carrying the worklog (whose slow queries embed full
   ``repro.trace/v1`` sub-documents, validated recursively).
-* ``repro.bench/v1`` — the perf-trajectory file
-  (``BENCH_observability.json``) written by ``benchmarks/reporting.py``
-  and appended to by later perf PRs.
 
 :func:`validate_document` dispatches on the ``schema`` tag, so
 ``python -m repro.obs FILE...`` auto-detects which family a file is.
@@ -27,9 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import METRICS_SCHEMA
 from repro.obs.trace import TRACE_SCHEMA
-
-#: schema tag for the benchmark trajectory document.
-BENCH_SCHEMA = "repro.bench/v1"
 
 
 class SchemaError(ValueError):
@@ -265,49 +259,6 @@ def validate_metrics_document(document: Any) -> None:
             validate_worklog_entry(entry, f"$.worklog[{index}]")
 
 
-# --------------------------------------------------------------------------
-# repro.bench/v1
-
-
-def validate_bench_result(result: Any, path: str) -> None:
-    """Validate one per-benchmark measurement of a trajectory entry."""
-    _require(isinstance(result, dict), path, "result must be an object")
-    for field in ("name", "engine", "query"):
-        _str(result.get(field), f"{path}.{field}")
-    for counter in ("rows", "steps", "matches"):
-        _int(result.get(counter), f"{path}.{counter}")
-    _number(result.get("wall_ms"), f"{path}.wall_ms")
-
-
-def validate_bench_document(document: Any) -> None:
-    """Validate a ``repro.bench/v1`` document (BENCH_observability.json)."""
-    _require(isinstance(document, dict), "$", "document must be an object")
-    _require(
-        document.get("schema") == BENCH_SCHEMA,
-        "$.schema",
-        f"expected {BENCH_SCHEMA!r}, got {document.get('schema')!r}",
-    )
-    _str(document.get("suite"), "$.suite")
-    entries = document.get("entries")
-    _require(isinstance(entries, list) and entries, "$.entries", "must be a non-empty list")
-    for index, entry in enumerate(entries):
-        path = f"$.entries[{index}]"
-        _require(isinstance(entry, dict), path, "entry must be an object")
-        _str(entry.get("label"), f"{path}.label")
-        graph = entry.get("graph")
-        _require(isinstance(graph, dict), f"{path}.graph", "must be an object")
-        _int(graph.get("nodes"), f"{path}.graph.nodes")
-        _int(graph.get("edges"), f"{path}.graph.edges")
-        results = entry.get("results")
-        _require(
-            isinstance(results, list) and results,
-            f"{path}.results",
-            "must be a non-empty list",
-        )
-        for rindex, result in enumerate(results):
-            validate_bench_result(result, f"{path}.results[{rindex}]")
-
-
 def validate_document(document: Any) -> str:
     """Dispatch on the ``schema`` tag; return the recognized tag."""
     tag = document.get("schema") if isinstance(document, dict) else None
@@ -315,8 +266,6 @@ def validate_document(document: Any) -> str:
         validate_trace_document(document)
     elif tag == METRICS_SCHEMA:
         validate_metrics_document(document)
-    elif tag == BENCH_SCHEMA:
-        validate_bench_document(document)
     else:
         raise SchemaError(f"$.schema: unrecognized schema tag {tag!r}")
     return tag
@@ -328,7 +277,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.schema",
-        description="Validate repro trace/metrics/bench JSON documents.",
+        description="Validate repro trace/metrics JSON documents.",
     )
     parser.add_argument("files", nargs="+", help="JSON files to validate")
     args = parser.parse_args(argv)

@@ -95,11 +95,3 @@ class StatisticsCatalog:
         if not self.stats.num_nodes:
             return 0.0
         return self.stats.edge_count(edge_label) / self.stats.num_nodes
-
-    def pair_selectivity(
-        self,
-        edge_label: Optional[str],
-        source_label: Optional[str],
-        target_label: Optional[str],
-    ) -> float:
-        return self.stats.pair_selectivity(edge_label, source_label, target_label)

@@ -5,6 +5,7 @@ Fixture graph: directed d: a->b, undirected u: a~c, directed self-loop on a.
 
 import pytest
 
+from repro.datasets import random_transfer_network
 from repro.gpml import match
 
 
@@ -86,6 +87,28 @@ class TestAbbreviations:
             (row["x"].id, row["y"].id) for row in match(mixed_graph, f"MATCH {abbrev}")
         }
         assert with_spec == without
+
+
+class TestOrientationAlgebra:
+    def test_combined_orientations_are_unions(self):
+        """Figure 5's combined orientations count as unions on a generated
+        bank.  Left and right traversals of a directed self-loop are one
+        reduced binding, which dedup (Section 6.5) keeps once."""
+        graph = random_transfer_network(100, 250, seed=42)
+        counts = {
+            name: len(match(graph, f"MATCH (x){pattern}(y)"))
+            for name, pattern in {
+                "left": "<-[e]-", "undirected": "~[e]~", "right": "-[e]->",
+                "left_or_undirected": "<~[e]~", "undirected_or_right": "~[e]~>",
+                "left_or_right": "<-[e]->", "any": "-[e]-",
+            }.items()
+        }
+        loops = sum(1 for e in graph.edges() if e.is_directed and e.is_self_loop)
+        assert counts["left"] == counts["right"]
+        assert counts["left_or_right"] == counts["left"] + counts["right"] - loops
+        assert counts["left_or_undirected"] == counts["left"] + counts["undirected"]
+        assert counts["undirected_or_right"] == counts["undirected"] + counts["right"]
+        assert counts["any"] == counts["left_or_right"] + counts["undirected"]
 
 
 class TestPaperStatements:

@@ -7,13 +7,18 @@ from repro.gpml import match
 
 
 class TestBoundedQuantifiers:
-    def test_range_on_chain(self):
-        g = chain_graph(6)
-        # windows of length 2..4 in a 6-edge chain: 5 + 4 + 3
-        result = match(g, "MATCH (a)-[e:E]->{2,4}(b)")
-        assert len(result) == 12
+    @pytest.mark.parametrize(
+        "edges,lower,upper",
+        [(6, 2, 4), (32, 1, 2), (32, 2, 4), (32, 4, 8), (32, 8, 16)],
+    )
+    def test_range_on_chain(self, edges, lower, upper):
+        g = chain_graph(edges)
+        # an n-edge chain holds edges - n + 1 windows of length n
+        result = match(g, f"MATCH (a)-[e:E]->{{{lower},{upper}}}(b)")
         lengths = sorted(row.paths[0].length for row in result)
-        assert lengths.count(2) == 5 and lengths.count(3) == 4 and lengths.count(4) == 3
+        counts = {n: edges - n + 1 for n in range(lower, upper + 1)}
+        assert len(result) == sum(counts.values())
+        assert {n: lengths.count(n) for n in counts} == counts
 
     def test_exact_count(self):
         g = chain_graph(5)

@@ -74,10 +74,17 @@ class TestAcyclic:
             "path(a6,t6,a5,t8,a1,t1,a3,t2,a2)",
         ]
 
-    def test_cycle_graph_bounded_by_size(self):
-        g = cycle_graph(4)
-        result = match(g, "MATCH ACYCLIC p = (a WHERE a.index=0)-[e]->*(b)")
-        assert max(p.length for p in result.paths()) == 3
+
+@pytest.mark.parametrize("restrictor", ["TRAIL", "ACYCLIC", "SIMPLE"])
+@pytest.mark.parametrize("size", [4, 8, 12])
+def test_cycle_graph_bounded_by_size(restrictor, size):
+    result = match(cycle_graph(size), f"MATCH {restrictor} p = (a)-[e:E]->*(b)")
+    lengths = [p.length for p in result.paths()]
+    # walks of length 0..n-1 from each of n starts; TRAIL and SIMPLE
+    # also admit the full loop back to the start
+    longest = size - 1 if restrictor == "ACYCLIC" else size
+    assert len(lengths) == size * (longest + 1)
+    assert max(lengths) == longest
 
 
 class TestSimple:
@@ -104,6 +111,16 @@ class TestSimple:
 
 
 class TestRestrictorScoping:
+    def test_acyclic_within_simple_within_trail(self, fig1):
+        """Figure 7: ACYCLIC ⊆ SIMPLE ⊆ TRAIL on directed walks."""
+        results = {
+            restrictor: set(
+                paths_of(fig1, f"MATCH {restrictor} p = (a:Account)-[:Transfer]->*(b)")
+            )
+            for restrictor in ("ACYCLIC", "SIMPLE", "TRAIL")
+        }
+        assert results["ACYCLIC"] <= results["SIMPLE"] <= results["TRAIL"]
+
     def test_paren_restrictor_scopes_subpattern(self, fig1):
         # each [TRAIL ...] instance is a trail on its own; the two
         # instances may reuse each other's edges.

@@ -52,13 +52,14 @@ class TestShortestFamily:
         paths = st_paths(g, "MATCH ALL SHORTEST p = (a)-[e]->+(b)")
         assert [length for length, _ in paths] == [2, 2]
 
-    def test_all_shortest_exponential_ties(self):
-        g = diamond_chain(5)
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_all_shortest_exponential_ties(self, size):
+        g = diamond_chain(size)
         result = match(g, "MATCH ALL SHORTEST p = (a WHERE a.branch IS NULL)->*(b)")
         ties = [
-            p for p in result.paths() if p.source_id == "s0" and p.target_id == "s5"
+            p for p in result.paths() if p.source_id == "s0" and p.target_id == f"s{size}"
         ]
-        assert len(ties) == 2**5
+        assert len(ties) == 2**size
 
     def test_shortest_k(self, lengths_graph):
         paths = st_paths(lengths_graph, "MATCH SHORTEST 3 p = (a)-[e]->+(b)")
@@ -145,14 +146,16 @@ class TestCombination:
         paths = [str(p) for p in result.paths()]
         assert paths == ["path(a6,t5,a3,t2,a2,t3,a4,t4,a6,t5,a3)"]
 
-    def test_grid_all_shortest_counts(self):
-        g = grid_graph(4, 4)
+    @pytest.mark.parametrize("side,paths", [(4, 20), (5, 70)])
+    def test_grid_all_shortest_counts(self, side, paths):
+        g = grid_graph(side, side)
+        far = side - 1
         result = match(
             g,
             "MATCH ALL SHORTEST p = (a WHERE a.x=0 AND a.y=0)->*"
-            "(b WHERE b.x=3 AND b.y=3)",
+            f"(b WHERE b.x={far} AND b.y={far})",
         )
-        assert len(result) == 20  # C(6,3) lattice paths
+        assert len(result) == paths  # C(2(side-1), side-1) lattice paths
 
 
 class TestCheapestExtension:

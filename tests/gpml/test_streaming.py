@@ -18,12 +18,14 @@ from itertools import islice
 
 import pytest
 
+from repro.datasets import figure1_graph
 from repro.datasets.generators import random_transfer_network
 from repro.errors import BudgetExceededError
 from repro.gpml import PipelineStats, match, match_iter, prepare
 from repro.gpml.engine import exists, first
 from repro.gpml.explain import explain, explain_plan
 from repro.gpml.matcher import MatcherConfig
+from repro.graph import GraphBuilder
 from repro.extensions.match_modes import iter_edge_isomorphic, iter_node_isomorphic
 
 
@@ -152,19 +154,71 @@ class TestBudgetSemanticsUnderStreaming:
             list(match_iter(fig1, "MATCH (x)-[e]-(y)", config, limit=10**6))
 
 
-class TestEarlyTerminationIsReal:
-    def test_limit_one_examines_fraction_of_search_space(self):
-        graph = random_transfer_network(2000, 5000, seed=1)
-        query = "MATCH (a:Account)-[t:Transfer]->(b:Account)"
+def skewed_transfer_graph(num_accounts, num_transfers):
+    """A hub-skewed bank: 90% of transfers run between 1% of the accounts.
 
+    Skew is the best case for streaming — the first match comes at once,
+    while full enumeration must visit every hub combination.
+    """
+    builder = GraphBuilder(f"skewed_{num_accounts}x{num_transfers}")
+    for i in range(num_accounts):
+        builder.node(f"a{i}", "Account", owner=f"owner{i}", isBlocked="no")
+    hubs = max(num_accounts // 100, 1)
+    for t in range(num_transfers):
+        if t % 10 < 9:
+            src, dst = f"a{(t * 7) % hubs}", f"a{(t * 13) % hubs}"
+        else:
+            src, dst = f"a{(t * 31) % num_accounts}", f"a{(t * 37) % num_accounts}"
+        builder.directed(f"t{t}", src, dst, "Transfer", amount=(t % 20 + 1) * 1_000_000)
+    return builder.build()
+
+
+ONE_HOP = "MATCH (a:Account)-[t:Transfer]->(b:Account)"
+
+#: (graph, query, full rows, full steps, LIMIT 1 steps)
+EARLY_TERMINATION = [
+    pytest.param(figure1_graph, ONE_HOP, 8, 8, 1, id="figure1"),
+    pytest.param(
+        figure1_graph, "MATCH (a:Account)-[t:Transfer]->(b)-[u:Transfer]->(c)",
+        11, 19, 2, id="figure1-two-hop",
+    ),
+    pytest.param(
+        lambda: random_transfer_network(2000, 5000, seed=1), ONE_HOP,
+        5000, 5000, 1, id="uniform",
+    ),
+    pytest.param(
+        lambda: random_transfer_network(1000, 2000, seed=7),
+        "MATCH (a:Account WHERE a.isBlocked='no')-[t:Transfer]->(b:Account)",
+        1734, 1734, 1, id="uniform-filtered",
+    ),
+    pytest.param(
+        lambda: skewed_transfer_graph(1000, 2000), ONE_HOP,
+        2000, 2000, 1, id="skewed",
+    ),
+    pytest.param(
+        lambda: skewed_transfer_graph(1000, 2000),
+        "MATCH (a:Account)-[t:Transfer WHERE t.amount > 5M]->(b:Account)",
+        1500, 2000, 2, id="skewed-filtered",
+    ),
+]
+
+
+class TestEarlyTerminationIsReal:
+    @pytest.mark.parametrize("graph,query,rows,steps,limit_steps", EARLY_TERMINATION)
+    def test_limit_one_examines_fraction_of_search_space(
+        self, graph, query, rows, steps, limit_steps
+    ):
+        graph = graph()
         full = PipelineStats()
         list(match_iter(graph, query, stats=full))
         limited = PipelineStats()
         list(match_iter(graph, query, limit=1, stats=limited))
 
-        assert full.rows > 1000
-        assert limited.rows == 1
-        assert limited.steps * 20 < full.steps  # <5% of the edge expansions
+        assert (full.rows, full.steps) == (rows, steps)
+        assert (limited.rows, limited.steps) == (1, limit_steps)
+        assert exists(graph, query)
+        if full.steps >= 1000:  # big enough for a ratio to mean something
+            assert limited.steps * 20 < full.steps  # <5% of the edge expansions
 
     def test_exists_probe_is_cheap(self):
         graph = random_transfer_network(2000, 5000, seed=1)

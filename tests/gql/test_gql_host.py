@@ -68,11 +68,24 @@ class TestProjection:
         )
         assert len(dup) == 8 and len(distinct) == 2
 
-    def test_order_limit_offset(self, session):
-        result = session.execute(
-            "MATCH (x:Account) RETURN x.owner AS o ORDER BY o LIMIT 2 OFFSET 1"
-        )
-        assert [r["o"] for r in result] == ["Charles", "Dave"]
+    @pytest.mark.parametrize(
+        "query,expected",
+        [
+            (
+                "MATCH (x:Account) RETURN x.owner AS o ORDER BY o LIMIT 2 OFFSET 1",
+                ["Charles", "Dave"],
+            ),
+            (  # Figure 9's GQL host over the >5M transfers
+                "MATCH (a:Account)-[t:Transfer WHERE t.amount > 5M]->(b:Account) "
+                "RETURN t.amount AS o ORDER BY o DESC LIMIT 5",
+                [10_000_000] * 4 + [9_000_000],
+            ),
+        ],
+        ids=["owners", "figure9"],
+    )
+    def test_order_limit_offset(self, session, query, expected):
+        result = session.execute(query)
+        assert [r["o"] for r in result] == expected
 
     def test_order_by_desc_nulls(self, session):
         result = session.execute(

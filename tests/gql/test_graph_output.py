@@ -47,10 +47,21 @@ class TestBindingSubgraph:
 
 
 class TestResultGraph:
-    def test_union_over_rows(self, fig1):
-        result = match(fig1, "MATCH (x:Account)-[e:Transfer]->(y)")
-        view = result_graph(fig1, result)
-        assert view.num_edges == 8  # all transfers
+    @pytest.mark.parametrize(
+        "query,edges",
+        [
+            ("MATCH (x:Account)-[e:Transfer]->(y)", 8),  # all transfers
+            (  # Figure 9's "new graph": every trail into a blocked account
+                "MATCH TRAIL (x:Account WHERE x.isBlocked='no')"
+                "-[t:Transfer]->+(y:Account WHERE y.isBlocked='yes')",
+                7,
+            ),
+        ],
+        ids=["transfers", "figure9"],
+    )
+    def test_union_over_rows(self, fig1, query, edges):
+        view = result_graph(fig1, match(fig1, query))
+        assert view.num_edges == edges
         assert view.num_nodes == 6  # all accounts
 
     def test_view_is_queryable(self, fig1):

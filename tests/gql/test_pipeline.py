@@ -323,23 +323,36 @@ class TestStreaming:
         limited = execute_gql(fig1, query + " LIMIT 2").records
         assert limited == full[:2]
 
-    def test_budget_cancels_first_statement(self):
-        graph = random_transfer_network(2000, 5000, seed=2)
+    @pytest.mark.parametrize(
+        "seed,accounts,transfers,rows,full_steps",
+        [(2, 2000, 5000, 12421, 9591), (7, 1000, 2000, 4105, 3731)],
+        ids=["seed2", "seed7"],
+    )
+    def test_budget_cancels_first_statement(self, seed, accounts, transfers, rows, full_steps):
+        graph = random_transfer_network(accounts, transfers, seed=seed)
         query = (
             "MATCH (a:Account)-[t:Transfer]->(b:Account) "
             "MATCH (b)-[u:Transfer]->(c:Account) RETURN a.owner AS a, c.owner AS c"
         )
         full = PipelineStats()
-        list(execute_gql_iter(graph, query, stats=full))
+        everything = list(execute_gql_iter(graph, query, stats=full))
         limited = PipelineStats()
         records = list(execute_gql_iter(graph, query + " LIMIT 1", stats=limited))
-        assert len(records) == 1
+        assert records == everything[:1]
+        assert (len(everything), full.steps, limited.steps) == (rows, full_steps, 2)
         assert limited.steps * 20 < full.steps
 
-    def test_seeding_beats_hash_join_on_steps(self):
-        graph = random_transfer_network(2000, 5000, seed=2)
+    @pytest.mark.parametrize(
+        "seed,accounts,transfers,owner,rows,seeded_steps,hashed_steps",
+        [(2, 2000, 5000, "owner7", 3, 6, 5003), (7, 1000, 2000, "owner617", 6, 9, 2003)],
+        ids=["seed2", "seed7"],
+    )
+    def test_seeding_beats_hash_join_on_steps(
+        self, seed, accounts, transfers, owner, rows, seeded_steps, hashed_steps
+    ):
+        graph = random_transfer_network(accounts, transfers, seed=seed)
         query = (
-            "MATCH (a:Account WHERE a.owner='owner7')-[t:Transfer]->(b:Account) "
+            f"MATCH (a:Account WHERE a.owner='{owner}')-[t:Transfer]->(b:Account) "
             "MATCH (b)-[u:Transfer]->(c:Account) RETURN c.owner AS c"
         )
         seeded = PipelineStats()
@@ -349,6 +362,9 @@ class TestStreaming:
             execute_gql_iter(graph, query, HASH_ONLY, stats=hashed)
         )
         assert record_keys(seeded_records) == record_keys(hashed_records)
+        assert (len(seeded_records), seeded.steps, hashed.steps) == (
+            rows, seeded_steps, hashed_steps
+        )
         assert seeded.steps * 20 < hashed.steps
 
     def test_session_first_on_pipeline(self, fig1):

@@ -6,11 +6,17 @@ API contract — what registers, what is rejected and why, what a delta
 carries, how the limited view truncates, and how a closed query behaves.
 """
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
+from repro.datasets import random_transfer_network
 from repro.errors import GqlError
+from repro.gpml import PipelineStats
 from repro.graph.model import PropertyGraph
-from repro.gql import execute_gql
+from repro.gql import execute_gql, execute_gql_iter
 from repro.gql.session import GqlSession
 from repro.gql.standing import StandingQuery, _max_edges
 from repro.gql.query import parse_gql_query
@@ -35,6 +41,42 @@ def scratch(graph, text):
 
 
 QUERY = "MATCH (a:N)-[:E]->(b:N) RETURN a.v AS src, b.v AS dst"
+
+FRAUD = (
+    "MATCH (a:Account WHERE a.isBlocked='yes')"
+    "-[t:Transfer]->(b:Account WHERE b.isBlocked='yes') "
+    "RETURN a.owner AS src, b.owner AS dst, t.amount AS amount"
+)
+
+
+def mutate(graph, rng, accounts, ids):
+    """One random write to a generated bank: a new transfer, a blocked
+    flip, an edge removal or a GQL INSERT of a blocked pair."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        graph.add_edge(
+            f"x{next(ids)}",
+            f"a{rng.randrange(accounts)}",
+            f"a{rng.randrange(accounts)}",
+            labels=["Transfer"],
+            properties={"amount": rng.randrange(1, 20) * 1_000_000},
+        )
+    elif kind == 1:
+        account = f"a{rng.randrange(accounts)}"
+        flipped = "no" if graph.property_of(account, "isBlocked") == "yes" else "yes"
+        graph.set_property(account, "isBlocked", flipped)
+    elif kind == 2:
+        edge = f"t{rng.randrange(10**9) % max(1, graph.num_edges)}"
+        if graph.has_edge(edge):
+            graph.remove_edge(edge)
+    else:
+        k = next(ids)
+        execute_gql(
+            graph,
+            f"INSERT (p:Account {{owner: 'fresh{k}', isBlocked: 'yes'}})"
+            f"-[:Transfer {{amount: 5000000}}]->"
+            f"(q:Account {{owner: 'fresh{k}b', isBlocked: 'yes'}})",
+        )
 
 
 class TestRegistration:
@@ -172,6 +214,34 @@ class TestDeltas:
         assert sq.pending == 0
         with pytest.raises(GqlError):
             sq.refresh()
+
+    def test_refresh_costs_a_fraction_of_rematching(self):
+        """The fraud query on a 3000-account bank under 20 batches of 4
+        random writes: the deltas replay to the from-scratch result after
+        every batch, and the refreshes cost under 5% of the steps of
+        re-running the query after every batch."""
+        graph = random_transfer_network(3000, 6000, seed=7)
+        rng, ids = random.Random(7), itertools.count()
+        sq = StandingQuery(graph, FRAUD)
+        view = Counter(canon(sq.rows()))
+        assert sorted(view.elements()) == scratch(graph, FRAUD)
+        refresh_steps = scratch_steps = 0
+        for _ in range(20):
+            for _ in range(4):
+                mutate(graph, rng, 3000, ids)
+            delta = sq.refresh()
+            refresh_steps += delta.steps
+            for record in canon(delta.retracted):
+                assert view[record] > 0, "retracted an instance not in the view"
+                view[record] -= 1
+            view.update(canon(delta.added))
+            stats = PipelineStats()
+            expected = canon(execute_gql_iter(graph, FRAUD, stats=stats))
+            scratch_steps += stats.steps
+            assert sorted(view.elements()) == expected == canon(sq.rows())
+        sq.close()
+        assert (refresh_steps, scratch_steps) == (176, 13527)
+        assert refresh_steps < 0.05 * scratch_steps
 
     def test_limited_view_is_canonical_prefix(self):
         g = chain()

@@ -1,4 +1,4 @@
-"""Unit tests for GraphBuilder, JSON serialization and statistics."""
+"""Unit tests for GraphBuilder and JSON serialization."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.graph import (
     GraphBuilder,
     graph_from_dict,
     graph_from_json,
-    graph_statistics,
     graph_to_dict,
     graph_to_json,
 )
@@ -80,26 +79,3 @@ class TestSerialization:
             graph_from_json("{not json")
         with pytest.raises(GraphError):
             graph_from_json("[1, 2, 3]")
-
-
-class TestStatistics:
-    def test_figure1_statistics(self, fig1):
-        stats = graph_statistics(fig1)
-        assert stats.num_nodes == 14
-        assert stats.num_edges == 22
-        assert stats.num_directed_edges == 16  # 8 transfers + 6 li + 2 sip
-        assert stats.num_undirected_edges == 6  # hasPhone
-        assert stats.num_self_loops == 0
-        assert stats.node_label_histogram["Account"] == 6
-        assert stats.node_label_histogram["Country"] == 2  # c1 and c2
-        assert stats.node_label_histogram["City"] == 1
-        assert stats.edge_label_histogram["Transfer"] == 8
-        assert stats.max_out_degree >= 2
-        assert "14 nodes" in str(stats)
-
-    def test_empty_graph(self):
-        from repro.graph import PropertyGraph
-
-        stats = graph_statistics(PropertyGraph())
-        assert stats.num_nodes == 0
-        assert stats.mean_degree == 0.0

@@ -7,14 +7,12 @@ import pytest
 from repro.gpml.engine import match_iter
 from repro.gpml.streaming import PipelineStats
 from repro.obs import (
-    BENCH_SCHEMA,
     TRACE_SCHEMA,
     QueryTrace,
     SchemaError,
     Span,
     timed_rows,
     tracing_stats,
-    validate_bench_document,
     validate_trace_document,
 )
 from repro.obs.schema import main as schema_main
@@ -108,61 +106,17 @@ def test_validate_trace_rejects_wrong_schema_tag():
 
 
 # ----------------------------------------------------------------------
-# repro.bench/v1
-# ----------------------------------------------------------------------
-def _bench_doc():
-    return {
-        "schema": BENCH_SCHEMA,
-        "suite": "observability",
-        "entries": [
-            {
-                "label": "baseline",
-                "graph": {"nodes": 10, "edges": 20},
-                "results": [
-                    {
-                        "name": "q1", "engine": "gql", "query": "MATCH (a) RETURN a",
-                        "rows": 5, "steps": 9, "matches": 5, "wall_ms": 1.25,
-                    }
-                ],
-            }
-        ],
-    }
-
-
-def test_validate_bench_document_accepts_reporting_shape():
-    validate_bench_document(_bench_doc())
-
-
-@pytest.mark.parametrize(
-    "mutate,fragment",
-    [
-        (lambda d: d.pop("suite"), "suite"),
-        (lambda d: d["entries"].clear(), "entries"),
-        (lambda d: d["entries"][0]["graph"].pop("edges"), "edges"),
-        (lambda d: d["entries"][0]["results"][0].pop("wall_ms"), "wall_ms"),
-        (
-            lambda d: d["entries"][0]["results"][0].update(steps="many"),
-            "steps",
-        ),
-    ],
-)
-def test_validate_bench_document_rejects_corruption(mutate, fragment):
-    document = _bench_doc()
-    mutate(document)
-    with pytest.raises(SchemaError, match=fragment):
-        validate_bench_document(document)
-
-
-# ----------------------------------------------------------------------
 # the command-line validator
 # ----------------------------------------------------------------------
-def test_schema_cli_validates_and_rejects(tmp_path, capsys):
+def test_schema_cli_validates_and_rejects(fig1, tmp_path, capsys):
+    stats = tracing_stats(engine="gpml")
+    list(match_iter(fig1, "MATCH (a:Account)", stats=stats))
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(_bench_doc()), encoding="utf-8")
+    good.write_text(json.dumps(stats.trace.to_dict()), encoding="utf-8")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "nope"}), encoding="utf-8")
 
     assert schema_main([str(good)]) == 0
-    assert BENCH_SCHEMA in capsys.readouterr().out
+    assert TRACE_SCHEMA in capsys.readouterr().out
     assert schema_main([str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().out

@@ -10,6 +10,9 @@ from repro.pgq import tabular_representation
 class TestFigure1Inventory:
     def test_node_census(self, fig1):
         assert fig1.num_nodes == 14
+        assert fig1.num_edges == 22
+        # every edge here joins two distinct nodes: two incidences each
+        assert sum(len(fig1.incidences(n)) for n in fig1.node_ids()) == 44
         assert {n.id for n in fig1.nodes_with_label("Account")} == set(FIGURE1_OWNERS)
         assert {n.id for n in fig1.nodes_with_label("Phone")} == {"p1", "p2", "p3", "p4"}
         assert {n.id for n in fig1.nodes_with_label("IP")} == {"ip1", "ip2"}
@@ -96,6 +99,7 @@ class TestFigure2TabularRepresentation:
 
     def test_account_rows_match_figure2(self, fig1):
         account = tabular_representation(fig1)["Account"]
+        assert len(account) == 6
         rows = {d["ID"]: (d["owner"], d["isBlocked"]) for d in account.to_dicts()}
         assert rows["a1"] == ("Scott", "no")
         assert rows["a2"] == ("Aretha", "no")
@@ -104,6 +108,7 @@ class TestFigure2TabularRepresentation:
 
     def test_transfer_rows_match_figure2(self, fig1):
         transfer = tabular_representation(fig1)["Transfer"]
+        assert len(transfer) == 8
         rows = {d["ID"]: (d["SRC"], d["DST"], d["date"], d["amount"])
                 for d in transfer.to_dicts()}
         assert rows["t1"] == ("a1", "a3", "1/1/2020", 8_000_000)

@@ -53,6 +53,9 @@ class TestDdlParser:
         assert [v.table for v in spec.vertex_tables] == [
             "Account", "Country", "CityCountry", "Phone", "IP",
         ]
+        assert [e.table for e in spec.edge_tables] == [
+            "Transfer", "isLocatedIn", "hasPhone", "signInWithIP",
+        ]
         city_country = spec.vertex_tables[2]
         assert city_country.labels == ("City", "Country")
         has_phone = next(e for e in spec.edge_tables if e.table == "hasPhone")

@@ -154,6 +154,9 @@ class TestPlannedEqualsNaive:
             "MATCH TRAIL (a:Account WHERE a.isBlocked='yes')"
             "-[t:Transfer]->{1,2}(b:Account WHERE b.owner='owner3')",
             "MATCH (p:Phone)~[h:hasPhone]~(a:Account)-[l:isLocatedIn]->(c:City)",
+            "MATCH TRAIL (a:Account)-[t:Transfer]->{1,2}(b:Account WHERE b.owner='owner23')",
+            "MATCH (a:Account WHERE a.isBlocked='yes')-[t:Transfer]->(b:Account), "
+            "(b)-[l:isLocatedIn]->(c:City WHERE c.name='city1')",
         ]:
             assert canon(match(graph, query)) == canon(match(graph, query, NAIVE))
 
@@ -199,9 +202,16 @@ def walk(op):
 class TestCandidateReduction:
     """The acceptance criterion: fewer start candidates than the seed engine."""
 
-    def test_right_anchor_counts(self):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "MATCH (a:Account)-[t:Transfer]->(b:Account WHERE b.owner='owner11')",
+            "MATCH TRAIL (a:Account)-[t:Transfer]->{1,2}(b:Account WHERE b.owner='owner23')",
+        ],
+        ids=["one-hop", "two-hop"],
+    )
+    def test_right_anchor_counts(self, query):
         graph = random_transfer_network(200, 400, seed=3)
-        query = "MATCH (a:Account)-[t:Transfer]->(b:Account WHERE b.owner='owner11')"
         prepared = prepare(query)
 
         naive_count = searched(graph, prepared, NAIVE).matcher.initial_candidate_count

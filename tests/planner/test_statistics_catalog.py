@@ -27,30 +27,6 @@ class TestCardinalityStatistics:
         # The None label aggregates across labels.
         assert stats.distinct("node", None, "number") == 6  # 4 phones + 2 IPs
 
-    def test_label_pair_counts(self, fig1):
-        stats = cardinality_statistics(fig1)
-        # Every Transfer edge connects Account -> Account.
-        assert stats.pair_selectivity("Transfer", "Account", "Account") == 1.0
-        assert stats.pair_selectivity("Transfer", "Phone", "Account") == 0.0
-        pairs = stats.edge_label_pairs["isLocatedIn"]
-        # All 6 isLocatedIn edges end at a Country; 3 of the targets are
-        # also the City Ankh-Morpork (multi-label endpoints count per label).
-        assert pairs[("Account", "Country")] == 6
-        assert pairs[("Account", "City")] == 3
-
-    def test_undirected_edges_count_both_orientations(self):
-        graph = (
-            GraphBuilder("u")
-            .node("a", "A")
-            .node("b", "B")
-            .undirected("e", "a", "b", "E")
-            .build()
-        )
-        stats = cardinality_statistics(graph)
-        pairs = stats.edge_label_pairs["E"]
-        assert pairs[("A", "B")] == 1
-        assert pairs[("B", "A")] == 1
-
     def test_unlabeled_bucket(self):
         graph = GraphBuilder("plain").node("x", v=1).node("y", v=2).build()
         stats = cardinality_statistics(graph)
@@ -65,11 +41,11 @@ class TestCatalogCache:
 
     def test_mutation_invalidates_catalog(self, fig1):
         stale = StatisticsCatalog.for_graph(fig1)
-        assert stale.stats.node_label_counts["Account"] == 6
+        assert stale.stats.node_count("Account") == 6
         fig1.add_node("extra", labels=["Account"], properties={"owner": "Zed"})
         fresh = StatisticsCatalog.for_graph(fig1)
         assert fresh is not stale
-        assert fresh.stats.node_label_counts["Account"] == 7
+        assert fresh.stats.node_count("Account") == 7
         assert fresh.version == fig1.version
 
     def test_property_mutation_invalidates_catalog(self, fig1):

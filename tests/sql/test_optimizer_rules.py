@@ -10,9 +10,10 @@ lives in ``tests/property/test_cross_model_equivalence.py``.
 import pytest
 
 from repro.cli import main
+from repro.datasets import random_transfer_network
 from repro.gpml import PipelineStats
 from repro.obs import Telemetry
-from repro.pgq import tabular_representation
+from repro.pgq import Table, tabular_representation
 from repro.sql import (
     ALL_RULES,
     Database,
@@ -33,10 +34,23 @@ def db(fig1):
     return database
 
 
+@pytest.fixture(scope="module")
+def bank():
+    """The cross-model benchmark's shape at small scale: a 1000-account
+    bank and two 20-row probe tables, one of ids and one of owners."""
+    database = Database()
+    database.register_graph("bank", random_transfer_network(1000, 2000, seed=7))
+    probes = range(0, 1000, 50)
+    database.register_table("Watchlist", Table(["ID"], [[f"a{i}"] for i in probes]))
+    database.register_table("Suspects", Table(["owner"], [[f"owner{i}"] for i in probes]))
+    return database
+
+
 TRANSFERS_GT = (
     "GRAPH_TABLE(fig1 MATCH (a:Account)-[t:Transfer]->(b:Account) "
     "COLUMNS (a AS src_el, a.owner AS src, b.owner AS dst))"
 )
+BANK_TRANSFERS_GT = TRANSFERS_GT.replace("GRAPH_TABLE(fig1", "GRAPH_TABLE(bank")
 OFF = SqlConfig(optimizer_rules=frozenset())
 
 
@@ -67,14 +81,32 @@ class TestSeededJoin:
         "ON gt.src = acc.owner"
     )
 
-    def test_element_probe_rewrites_and_agrees(self, db):
-        plan = db.explain(self.ELEMENT_QUERY, sql_config=only(SEEDED_JOIN))
-        assert "seeded graph_table scan fig1" in plan
+    WATCHLIST_QUERY = (
+        f"SELECT w.ID, gt.dst FROM Watchlist AS w JOIN {BANK_TRANSFERS_GT} AS gt "
+        "ON gt.src_el = w.ID"
+    )
+
+    @pytest.mark.parametrize(
+        "database,query,seeded_steps,naive_steps",
+        [("db", ELEMENT_QUERY, 8, 8), ("bank", WATCHLIST_QUERY, 42, 2000)],
+        ids=["figure1", "bank"],
+    )
+    def test_element_probe_rewrites_and_agrees(
+        self, request, database, query, seeded_steps, naive_steps
+    ):
+        db = request.getfixturevalue(database)
+        graph = "bank" if database == "bank" else "fig1"
+        plan = db.explain(query, sql_config=only(SEEDED_JOIN))
+        assert f"seeded graph_table scan {graph}" in plan
         assert "mode: seeded join" in plan
         assert "anchors a (left end)" in plan
-        on = db.execute(self.ELEMENT_QUERY, sql_config=only(SEEDED_JOIN))
-        off = db.execute(self.ELEMENT_QUERY, sql_config=OFF)
+        seeded, naive = PipelineStats(), PipelineStats()
+        on = db.execute(query, stats=seeded, sql_config=only(SEEDED_JOIN))
+        off = db.execute(query, stats=naive, sql_config=OFF)
         assert bag(on) == bag(off)
+        assert (seeded.steps, naive.steps) == (seeded_steps, naive_steps)
+        if database == "bank":  # 20 probe rows: <5% of the enumeration
+            assert seeded.steps * 20 < naive.steps
 
     def test_property_probe_rewrites_and_agrees(self, db):
         plan = db.explain(self.PROPERTY_QUERY, sql_config=only(SEEDED_JOIN))
@@ -155,14 +187,26 @@ class TestSharedScan:
         off = db.execute(self.TWO_SCANS, sql_config=OFF)
         assert bag(on) == bag(off)
 
-    def test_enumerates_the_pattern_once(self, db):
+    BANK_TWO_SCANS = TWO_SCANS.replace(TRANSFERS_GT, BANK_TRANSFERS_GT)
+
+    @pytest.mark.parametrize(
+        "database,query,shared_steps,naive_steps",
+        [("db", TWO_SCANS, 8, 16), ("bank", BANK_TWO_SCANS, 2000, 4000)],
+        ids=["figure1", "bank"],
+    )
+    def test_enumerates_the_pattern_once(
+        self, request, database, query, shared_steps, naive_steps
+    ):
+        db = request.getfixturevalue(database)
         shared, naive = (
-            PipelineStats.traced(query=self.TWO_SCANS, engine="sql")
-            for _ in range(2)
+            PipelineStats.traced(query=query, engine="sql") for _ in range(2)
         )
-        db.execute(self.TWO_SCANS, stats=shared, sql_config=only(SHARED_SCAN))
-        db.execute(self.TWO_SCANS, stats=naive, sql_config=OFF)
-        assert shared.steps < naive.steps
+        on = db.execute(query, stats=shared, sql_config=only(SHARED_SCAN))
+        off = db.execute(query, stats=naive, sql_config=OFF)
+        assert bag(on) == bag(off)
+        assert (shared.steps, naive.steps) == (shared_steps, naive_steps)
+        # one enumeration instead of two: about half the steps
+        assert shared.steps * 1.9 < naive.steps
         events = rewrite_events(shared)
         assert events and events[0]["rule"] == SHARED_SCAN
         assert events[0]["consumers"] == 2
@@ -242,17 +286,40 @@ class TestSemiJoinReduction:
         assert applied and applied[0]["applied"] is True
         assert applied[0]["keys"] >= 1
 
-    def test_reduction_shrinks_enumeration(self, db):
-        query = (
-            f"SELECT acc.owner, gt.dst FROM Account AS acc JOIN {TRANSFERS_GT} AS gt "
-            "ON gt.src = acc.owner WHERE acc.ID = 'a1'"
-        )
+    @pytest.mark.parametrize(
+        "database,query,reduced_steps,naive_steps",
+        [
+            (
+                "db",
+                f"SELECT acc.owner, gt.dst FROM Account AS acc JOIN {TRANSFERS_GT} AS gt "
+                "ON gt.src = acc.owner WHERE acc.ID = 'a1'",
+                1,
+                8,
+            ),
+            (
+                "bank",
+                f"SELECT s.owner, gt.dst FROM Suspects AS s JOIN {BANK_TRANSFERS_GT} AS gt "
+                "ON gt.src = s.owner",
+                42,
+                2000,
+            ),
+        ],
+        ids=["figure1", "bank"],
+    )
+    def test_reduction_shrinks_enumeration(
+        self, request, database, query, reduced_steps, naive_steps
+    ):
+        db = request.getfixturevalue(database)
         reduced, naive = (
             PipelineStats.traced(query=query, engine="sql") for _ in range(2)
         )
-        db.execute(query, stats=reduced, sql_config=only(SEMI_JOIN))
-        db.execute(query, stats=naive, sql_config=OFF)
+        on = db.execute(query, stats=reduced, sql_config=only(SEMI_JOIN))
+        off = db.execute(query, stats=naive, sql_config=OFF)
+        assert bag(on) == bag(off)
         assert reduced.steps < naive.steps
+        assert (reduced.steps, naive.steps) == (reduced_steps, naive_steps)
+        if database == "bank":  # 20 index probes: <5% of the enumeration
+            assert reduced.steps * 20 < naive.steps
 
     def test_key_cap_aborts_but_agrees(self, db):
         config = only(SEMI_JOIN, semi_join_max_keys=1)

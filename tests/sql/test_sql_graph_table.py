@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import figure1_graph, random_transfer_network
 from repro.gpml import PipelineStats
 from repro.pgq import Table, tabular_representation
 from repro.sql import Database
@@ -21,6 +22,20 @@ TRANSFERS = (
     "GRAPH_TABLE(fig1 MATCH (a:Account)-[t:Transfer]->(b:Account) "
     "COLUMNS (a.owner AS src, b.owner AS dst, t.amount AS amount)) AS gt"
 )
+
+
+#: the pushdown benchmark's bank at small scale: 2003 nodes, 2000 transfers
+BANK = "bank", lambda: random_transfer_network(1000, 2000, seed=7)
+FIG1 = "fig1", figure1_graph
+BANK_TRANSFERS = TRANSFERS.replace("GRAPH_TABLE(fig1", "GRAPH_TABLE(bank")
+
+
+def over(graph):
+    """A database holding only the graph of a (name, factory) pair."""
+    name, build = graph
+    database = Database()
+    database.register_graph(name, build())
+    return database
 
 
 class TestBasics:
@@ -110,15 +125,26 @@ class TestPredicatePushdown:
         unpushed = db.execute(query, pushdown=False)
         assert pushed.rows == unpushed.rows == [("Aretha",), ("Charles",)]
 
-    def test_pushdown_reduces_matcher_steps(self, db):
-        query = f"SELECT gt.dst FROM {TRANSFERS} WHERE gt.src = 'Dave'"
+    @pytest.mark.parametrize(
+        "graph,query,pushed_steps,unpushed_steps",
+        [
+            (FIG1, f"SELECT gt.dst FROM {TRANSFERS} WHERE gt.src = 'Dave'", 2, 8),
+            (BANK, f"SELECT gt.dst FROM {BANK_TRANSFERS} WHERE gt.src = 'owner617'", 3, 2000),
+        ],
+        ids=["figure1", "bank"],
+    )
+    def test_pushdown_reduces_matcher_steps(self, graph, query, pushed_steps, unpushed_steps):
+        db = over(graph)
         pushed, unpushed = PipelineStats(), PipelineStats()
-        db.execute(query, stats=pushed)
-        db.execute(query, stats=unpushed, pushdown=False)
+        pushed_rows = db.execute(query, stats=pushed).rows
+        unpushed_rows = db.execute(query, stats=unpushed, pushdown=False).rows
+        assert pushed_rows and sorted(pushed_rows) == sorted(unpushed_rows)
         # the pushed predicate narrows the anchor candidates, so the
         # search expands fewer edges and delivers fewer raw matches
         assert pushed.matches < unpushed.matches
-        assert pushed.steps < unpushed.steps
+        assert (pushed.steps, unpushed.steps) == (pushed_steps, unpushed_steps)
+        if graph is BANK:  # a property-index anchor: <5% of the steps
+            assert pushed.steps * 20 < unpushed.steps
 
     def test_pushed_predicate_shown_in_explain(self, db):
         plan = db.explain(f"SELECT gt.dst FROM {TRANSFERS} WHERE gt.src = 'Dave'")
@@ -193,13 +219,33 @@ class TestPredicatePushdown:
 
 
 class TestRowBudgetPushdown:
-    def test_limit_stops_the_search(self, db):
+    @pytest.mark.parametrize(
+        "graph,query,full_steps,limited_steps",
+        [
+            (FIG1, f"SELECT gt.src FROM {TRANSFERS}", 8, 1),
+            (BANK, f"SELECT gt.src, gt.dst FROM {BANK_TRANSFERS}", 2000, 1),
+            (
+                BANK,
+                f"SELECT gt.src, gt.amount FROM {BANK_TRANSFERS} "
+                "JOIN GRAPH_TABLE(bank MATCH (c:Account WHERE c.isBlocked='no') "
+                "COLUMNS (c.owner AS owner)) AS ok ON ok.owner = gt.src "
+                "WHERE gt.amount >= 15000000",
+                2000,
+                1,
+            ),
+        ],
+        ids=["figure1", "bank", "bank-join-probe"],
+    )
+    def test_limit_stops_the_search(self, graph, query, full_steps, limited_steps):
+        db = over(graph)
         full, limited = PipelineStats(), PipelineStats()
-        query = f"SELECT gt.src FROM {TRANSFERS}"
-        db.execute(query, stats=full)
-        db.execute(query + " LIMIT 1", stats=limited)
-        assert limited.steps < full.steps
+        full_rows = db.execute(query, stats=full).rows
+        limited_rows = db.execute(query + " LIMIT 1", stats=limited).rows
+        assert list(limited_rows) == list(full_rows)[:1]
         assert limited.rows == 1
+        assert (full.steps, limited.steps) == (full_steps, limited_steps)
+        if graph is BANK:  # the budget stops the search: <5% of the steps
+            assert limited.steps * 20 < full.steps
 
     def test_limit_prefix_of_full_result(self, db):
         query = f"SELECT gt.src, gt.dst FROM {TRANSFERS}"

@@ -286,3 +286,26 @@ def test_public_surfaces_prepare_through_the_statement_cache():
     surfaces = {"match", "match_iter", "first", "exists"}
     assert not parsers & called(SRC / "gpml/engine.py", surfaces)
     assert "repro.statements" in imported_modules(SRC / "gpml/engine.py")
+
+
+def test_every_bench_script_outside_the_suite_runs_in_ci():
+    """A script under ``benchmarks/`` that no CI step runs rots unseen;
+    ``benchmarks/suite/`` is the repo benchmark and has its own tests."""
+    repo = Path(__file__).resolve().parents[1]
+    workflow = (repo / ".github/workflows/ci.yml").read_text().splitlines()
+    commands = []
+    for at, line in enumerate(workflow):
+        head = re.match(r"(\s*)(?:- )?run:\s*(.*)", line)
+        if head is None:
+            continue
+        if head.group(2) not in ("|", ">"):
+            commands.append(head.group(2))
+            continue
+        indent = len(head.group(1))
+        for body in workflow[at + 1:]:
+            if body.strip() and len(body) - len(body.lstrip()) <= indent:
+                break
+            commands.append(body)
+    run = "\n".join(commands)
+    scripts = sorted(path.name for path in (repo / "benchmarks").glob("*.py"))
+    assert [name for name in scripts if f"benchmarks/{name}" not in run] == []
