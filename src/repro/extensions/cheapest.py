@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.gpml.engine import match
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.selectors import walk_cost
 from repro.graph.model import PropertyGraph
 from repro.graph.path import Path
 
@@ -36,10 +37,7 @@ def any_cheapest_path(
     result = match(graph, query, config)
     if not result.rows:
         return None
-    paths = sorted(
-        result.paths(0), key=lambda p: (p.cost(cost_property), p.element_ids)
-    )
-    return paths[0]
+    return min(result.paths(0), key=lambda p: _cost_order(graph, p, cost_property))
 
 
 def top_k_cheapest_paths(
@@ -52,6 +50,8 @@ def top_k_cheapest_paths(
     """Up to k cheapest paths per endpoint pair, cheapest first."""
     query = f"MATCH TOP {k} CHEAPEST COST {cost_property} p = {pattern}"
     result = match(graph, query, config)
-    return sorted(
-        result.paths(0), key=lambda p: (p.cost(cost_property), p.element_ids)
-    )
+    return sorted(result.paths(0), key=lambda p: _cost_order(graph, p, cost_property))
+
+
+def _cost_order(graph: PropertyGraph, path: Path, cost_property: str) -> tuple:
+    return (walk_cost(graph, path.edge_ids, cost_property), path.element_ids)

@@ -68,7 +68,7 @@ from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
 from repro.gpml.predicates import BindingContext, Reads, reads_of, row_test
-from repro.gpml.selectors import apply_selector
+from repro.gpml.selectors import apply_selector, select, walk_cost
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.columnar import snapshot_for
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -343,7 +343,7 @@ def assemble_result(
             if condition.truth(EvalContext(bindings=row.values, graph=graph))
         ]
     if prepared.normalized.keep is not None:
-        rows = _apply_keep(graph, rows, prepared.normalized.keep)
+        rows = apply_keep(graph, rows, prepared.normalized.keep)
     return MatchResult(rows=rows, variables=prepared.visible_variables())
 
 
@@ -528,15 +528,15 @@ class _Search(_Stage):
 
     def rows(self) -> Iterator[ReducedBinding]:
         graph, run, start = self.graph, self.reversed_run, self.seeds
-        if start is None and self.config.use_planner:
+        if start is None:
             plan = self.plan = plan_query(graph, self.prepared).patterns[self.index]
             start = partial(plan.start_candidates, graph)
             if plan.side == RIGHT and plan.reversed_nfa is not None:
                 run = (plan.reversed_path, plan.reversed_nfa)
         self.reverse = run is not None
-        run_path, nfa = run or (self.path, self.prepared.nfas[self.index])
+        nfa = run[1] if run is not None else self.prepared.nfas[self.index]
         self.matcher = _make_matcher(
-            graph, nfa, run_path.pattern, self.config, self.analysis,
+            graph, nfa, self.config, self.analysis,
             start_candidates=start, budget=self.budget, stats=self.stats,
             reverse=self.reverse,
         )
@@ -630,10 +630,7 @@ class _Selector(_Stage):
         self.trace_peak(len(complete))
         yield from map(
             self.bind,
-            apply_selector(
-                search.path.selector, complete, search.graph,
-                search.config.default_edge_cost,
-            ),
+            apply_selector(search.path.selector, complete, search.graph),
         )
 
     def describe(self) -> str:
@@ -750,7 +747,7 @@ class _Keep(_Stage):
     def rows(self) -> Iterator["BindingRow"]:
         survivors = list(self.children[0].run())
         self.trace_peak(len(survivors))
-        yield from _apply_keep(self.graph, survivors, self.keep)
+        yield from apply_keep(self.graph, survivors, self.keep)
 
     def describe(self) -> str:
         return f"KEEP {self.keep.kind}"
@@ -799,7 +796,6 @@ class _Delivery(_Stage):
 def _make_matcher(
     graph: PropertyGraph,
     nfa: PatternNFA,
-    pattern,
     config: MatcherConfig,
     analysis,
     *,
@@ -812,8 +808,8 @@ def _make_matcher(
     graph's columnar snapshot, built (or advanced) first — a LIMIT on a
     cold graph builds the blocks its hops scan, once.  The selector
     strategies compile their program *keyed* (every binding rides the
-    entries cell, for their pruning keys).  ``reverse`` says *pattern*
-    is the reversed one (the matcher turns its solutions forward).
+    entries cell, for their pruning keys).  ``reverse`` says *nfa* is
+    the reversed pattern's (the matcher turns its solutions forward).
 
     ``start_candidates`` may be a zero-arg callable: it is materialized
     only after the snapshot is up to date, so the planner's label-scan
@@ -823,7 +819,7 @@ def _make_matcher(
     if callable(start_candidates):
         start_candidates = start_candidates()
     return FrontierMatcher(
-        graph, pattern, program, config,
+        graph, program, config,
         start_candidates=start_candidates, budget=budget, stats=stats, reverse=reverse,
     )
 
@@ -959,7 +955,7 @@ class SeededSearch:
 # ----------------------------------------------------------------------
 # KEEP: post-WHERE selection (Section 7.2 syntax)
 # ----------------------------------------------------------------------
-def _apply_keep(graph: PropertyGraph, rows: list["BindingRow"], keep) -> list["BindingRow"]:
+def apply_keep(graph: PropertyGraph, rows: list["BindingRow"], keep) -> list["BindingRow"]:
     """Select rows per endpoint partition *after* the final WHERE.
 
     This is the semantic difference from head selectors (Section 5.2):
@@ -968,64 +964,19 @@ def _apply_keep(graph: PropertyGraph, rows: list["BindingRow"], keep) -> list["B
     that survived the filter.  Partitions are keyed by the endpoint pairs
     of all matched paths; lengths/costs sum over them.
     """
-    partitions: dict[tuple, list[BindingRow]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key = tuple((p.source_id, p.target_id) for p in row.paths)
-        if key not in partitions:
-            order.append(key)
-        partitions.setdefault(key, []).append(row)
-    out: list[BindingRow] = []
-    for key in order:
-        out.extend(_select_rows(graph, partitions[key], keep))
-    return out
-
-
-def _row_length(row: "BindingRow") -> int:
-    return sum(p.length for p in row.paths)
-
-
-def _row_sort_key(row: "BindingRow") -> tuple:
-    elements = tuple(p.element_ids for p in row.paths)
-    values = tuple(sorted((k, hashable(_to_ids(v))) for k, v in row.values.items()))
-    return (_row_length(row), elements, values)
-
-
-def _select_rows(graph: PropertyGraph, partition: list["BindingRow"], keep) -> list["BindingRow"]:
-    ordered = sorted(partition, key=_row_sort_key)
-    kind = keep.kind
-    if kind == "ANY":
-        return ordered[:1]
-    if kind == "ANY_K":
-        return ordered[: keep.k or 1]
-    if kind == "ANY_SHORTEST":
-        return ordered[:1]  # ordered by total length first
-    if kind == "ALL_SHORTEST":
-        shortest = _row_length(ordered[0])
-        return [row for row in ordered if _row_length(row) == shortest]
-    if kind == "SHORTEST_K":
-        return ordered[: keep.k or 1]
-    if kind == "SHORTEST_K_GROUP":
-        kept: list[BindingRow] = []
-        groups: list[int] = []
-        for row in ordered:
-            length = _row_length(row)
-            if length not in groups:
-                if len(groups) >= (keep.k or 1):
-                    break
-                groups.append(length)
-            kept.append(row)
-        return kept
-    if kind in ("ANY_CHEAPEST", "TOP_K_CHEAPEST"):
-        cost_property = keep.cost_property or "cost"
-        costed = sorted(
-            ordered,
-            key=lambda row: (sum(p.cost(cost_property) for p in row.paths),)
-            + _row_sort_key(row),
-        )
-        k = 1 if kind == "ANY_CHEAPEST" else (keep.k or 1)
-        return costed[:k]
-    raise GpmlEvaluationError(f"unknown KEEP selector {kind!r}")
+    return select(
+        keep,
+        rows,
+        endpoints=lambda row: tuple((p.source_id, p.target_id) for p in row.paths),
+        length=lambda row: sum(p.length for p in row.paths),
+        cost=lambda row: sum(
+            walk_cost(graph, p.edge_ids, keep.cost_property) for p in row.paths
+        ),
+        sort_key=lambda row: (
+            tuple(p.element_ids for p in row.paths),
+            tuple(sorted((k, hashable(_to_ids(v))) for k, v in row.values.items())),
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -86,12 +86,12 @@ deposit goes, where an accept goes, and which entry the loop takes next
   scopes, bindings, walk, bag tags).  k-SHORTEST stops at ``max_depth``
   (default ``(nodes × states + 1) × (k + 1)``).
 * :meth:`~FrontierMatcher.search_cheapest` — Dijkstra over edge costs
-  (the cost property of the graph's edges; ``default_edge_cost`` for a
-  missing or NULL value; a negative one is an error): deposits go to a
-  cost heap, the round takes its cheapest entry (up to *k* costs per
-  product state), accepts wait in a pending heap, charged at acceptance,
-  and leave once the queue's minimum cost passes them — the stable
-  sort-by-cost order of a materialized run.
+  (:func:`~repro.gpml.selectors.edge_cost`: the cost property of the
+  graph's edges, 1 for a missing or NULL value; a negative one is an
+  error): deposits go to a cost heap, the round takes its cheapest entry
+  (up to *k* costs per product state), accepts wait in a pending heap,
+  charged at acceptance, and leave once the queue's minimum cost passes
+  them — the stable sort-by-cost order of a materialized run.
 
 Steps are added a slice at a time and are **exact wherever the scan can
 stop**: before a yield, a residual evaluation, a guarded walk or a raise
@@ -141,11 +141,10 @@ from repro.gpml.expr import Expr
 from repro.gpml.label_expr import LabelAtom
 from repro.gpml.matcher import MatcherConfig, RunContext
 from repro.gpml.predicates import split_where, value_test
+from repro.gpml.selectors import edge_cost
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import PropertyGraph
-from repro.planner.indexes import initial_node_candidates
-from repro.values import is_null
 
 #: restrictor kinds of a scope
 _TRAIL, _ACYCLIC, _SIMPLE = "TRAIL", "ACYCLIC", "SIMPLE"
@@ -725,7 +724,6 @@ class FrontierMatcher:
     def __init__(
         self,
         graph: PropertyGraph,
-        pattern: ast.Pattern,
         program: _Program,
         config: MatcherConfig | None = None,
         start_candidates=None,
@@ -735,7 +733,6 @@ class FrontierMatcher:
         reverse: bool = False,
     ):
         self.graph = graph
-        self.pattern = pattern
         self.config = config or MatcherConfig()
         self.program = program
         self.snapshot = program.snapshot
@@ -876,7 +873,7 @@ class FrontierMatcher:
         def cost_of(walk: tuple) -> float:
             if len(walk) == 1:
                 return 0.0
-            return current + self._edge_cost(walk[-2], cost_property)
+            return current + edge_cost(self.graph, walk[-2], cost_property)
 
         def push(entry: tuple) -> None:
             heappush(queue, (cost_of(entry[4]), next(order), entry))
@@ -908,26 +905,11 @@ class FrontierMatcher:
 
         return self._scan(rounds(), stack, push, accept)
 
-    def _edge_cost(self, edge_id: str, cost_property: str) -> float:
-        value = self.graph.property_of(edge_id, cost_property, None)
-        if value is None or is_null(value):
-            return self.config.default_edge_cost
-        cost = float(value)
-        if cost < 0:
-            raise GpmlEvaluationError(
-                f"negative cost {cost} on edge {edge_id!r}; cheapest-path "
-                f"search requires non-negative costs"
-            )
-        return cost
-
     # -- seeds ---------------------------------------------------------
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
             return self._start_candidates
-        candidates = initial_node_candidates(self.graph, self.pattern)
-        if candidates is None:
-            return sorted(self.graph.node_ids())
-        return candidates
+        return sorted(self.graph.node_ids())
 
     def _seeding(self, push, accept, stack: Optional[list] = None):
         """Start every candidate — a block of seeds at a time, each seed

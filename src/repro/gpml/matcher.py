@@ -18,16 +18,11 @@ from repro.values import NULL, is_null
 
 @dataclass
 class MatcherConfig:
-    """Safety budgets and knobs; defaults suit laptop-scale graphs."""
+    """Safety budgets; defaults suit laptop-scale graphs."""
 
     max_steps: int = 5_000_000
     max_results: int = 1_000_000
     max_depth: Optional[int] = None  # k-shortest search safety bound
-    default_edge_cost: float = 1.0
-    use_planner: bool = True  # cost-based anchor/join planning (repro.planner)
-    #: seed a chained GQL MATCH from variables bound by earlier statements
-    #: (per-incoming-row anchored search; off = always hash-join fallback)
-    seed_chained_match: bool = True
 
 
 class RunContext(EvalContext):

@@ -42,7 +42,7 @@ from repro.gpml.bindings import (
     reduce_binding,
 )
 from repro.gpml.engine import MatchResult, PreparedQuery, assemble_result, prepare
-from repro.gpml.matcher import MatcherConfig, RunContext
+from repro.gpml.matcher import RunContext
 from repro.gpml.selectors import apply_selector
 from repro.graph.model import IN, OUT, UNDIRECTED, PropertyGraph
 
@@ -451,7 +451,7 @@ def reference_solve_path_pattern(
     ]
     solutions = deduplicate(reduced)
     solutions.sort(key=lambda s: s.sort_key())
-    return apply_selector(path.selector, solutions, graph, MatcherConfig().default_edge_cost)
+    return apply_selector(path.selector, solutions, graph)
 
 
 def reference_match(

@@ -76,9 +76,9 @@ from repro.gpml.engine import (
     BindingRow,
     PreparedQuery,
     SeededSearch,
-    _apply_keep,
     _Build,
     _join_key,
+    apply_keep,
     match_stages,
     prepare,
     seeded_stages,
@@ -316,7 +316,7 @@ class Match(Statement):
                 survivors = [BindingRow(merged, paths) for merged, paths in merged_rows]
                 merged_rows = (
                     (kept.values, kept.paths)
-                    for kept in _apply_keep(self.graph, survivors, keep)
+                    for kept in apply_keep(self.graph, survivors, keep)
                 )
             produced = False
             for merged, _ in merged_rows:
@@ -484,23 +484,19 @@ def build_chain(
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-def compile_pipeline(
-    statements: list, config: MatcherConfig | None = None
-) -> CompiledPipeline:
+def compile_pipeline(statements: list) -> CompiledPipeline:
     """Check a parsed statement list and compile its patterns.
 
     Performs the cross-statement variable checks (re-declaration rules),
     splits correlated WHERE/KEEP out of chained patterns, and decides per
-    MATCH how it will execute (seeded / direct / hash join) — the one
-    place ``seed_chained_match`` is read.  :func:`build_chain` turns the
-    result into operators.
+    MATCH how it will execute (seeded / direct / hash join).
+    :func:`build_chain` turns the result into operators.
     """
     # Local import: dml takes Statement and the variable kinds from this
     # module, so the write statements resolve lazily to keep the import
     # DAG acyclic.
     from repro.gql import dml
 
-    seed_enabled = config.seed_chained_match if config is not None else True
     compiled: list = []
     bound: dict[str, str] = {}  # name -> kind
     group_vars: set[str] = set()
@@ -510,7 +506,7 @@ def compile_pipeline(
     kinds: dict[str, bool] = {}
     for statement in statements:
         if isinstance(statement, MatchStatement):
-            match = _compile_match(statement, bound, unit_input, seed_enabled)
+            match = _compile_match(statement, bound, unit_input)
             compiled.append(match)
             for analysis in match.prepared.analysis.paths:
                 group_vars |= set(analysis.group_vars)
@@ -591,7 +587,6 @@ def _compile_match(
     statement: MatchStatement,
     bound: dict[str, str],
     unit_input: bool,
-    seed_enabled: bool,
 ) -> CompiledMatch:
     pattern = statement.pattern
 
@@ -652,9 +647,7 @@ def _compile_match(
         name for name in prepared.visible_variables() if name not in bound
     ]
 
-    seed = None
-    if seed_enabled and shared_vars:
-        seed = plan_seed(prepared, shared_vars)
+    seed = plan_seed(prepared, shared_vars)
     direct = seed is None and unit_input
     return CompiledMatch(
         statement=statement,

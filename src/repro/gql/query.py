@@ -110,18 +110,15 @@ class GqlQuery:
     order_by: list[OrderItem]
     limit: Optional[int]
     offset: Optional[int]
-    #: compiled statement pipelines by ``seed_chained_match`` (see
-    #: :meth:`compiled`); ``dataclasses.replace`` shares it with the copy
-    pipelines: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the compiled statement pipeline (see :meth:`compiled`)
+    pipeline: Optional[CompiledPipeline] = field(default=None, repr=False, compare=False)
 
-    def compiled(self, config: MatcherConfig | None = None) -> CompiledPipeline:
-        """The statement pipeline, compiled on first use.  It reads the
-        config only for ``seed_chained_match``, and nothing of a graph."""
-        seeded = config.seed_chained_match if config is not None else True
-        pipeline = self.pipelines.get(seeded)
-        if pipeline is None:
-            pipeline = self.pipelines[seeded] = compile_pipeline(self.statements, config)
-        return pipeline
+    def compiled(self) -> CompiledPipeline:
+        """The statement pipeline, compiled on first use; it reads
+        nothing of a graph or a config."""
+        if self.pipeline is None:
+            self.pipeline = compile_pipeline(self.statements)
+        return self.pipeline
 
     @property
     def pattern_text(self) -> str:
@@ -455,7 +452,7 @@ def plan_gql(
     to render the plan.  With ``stats.trace`` set every operator gets a
     span.
     """
-    compiled = parsed.compiled(config)
+    compiled = parsed.compiled()
     vertical = vertical_items(parsed, compiled.group_vars)
     budget = None
     if parsed.limit is not None and not (
@@ -644,9 +641,7 @@ def plan_records(
     return (dict(zip(names, row)) for row in delivered(plan.run(), stats))
 
 
-def explain_gql(
-    query: "str | GqlQuery", config: MatcherConfig | None = None
-) -> str:
+def explain_gql(query: "str | GqlQuery") -> str:
     """Render the plan of a GQL query as text.
 
     A header line, then the tree :func:`plan_gql` builds in SQL's
@@ -655,14 +650,11 @@ def explain_gql(
     statement its execution mode (seeded / direct / hash join, LET/FILTER
     row transforms) and whether LIMIT's row budget reaches it, the
     statement before it, and — for a MATCH — the pattern stages it pulls.
-    Pass the same ``config`` execution will use so the rendered modes
-    match (``seed_chained_match=False`` shows the hash-join fallback, not
-    the seeded search).
     """
     parsed = parsed_gql(query) if isinstance(query, str) else query
     tail = "RETURN" if parsed.items else "no RETURN (write-only query)"
     lines = [f"GQL pipeline: {len(parsed.statements)} statement(s) + {tail}"]
-    lines.extend(render_plan(plan_gql(parsed, config)))
+    lines.extend(render_plan(plan_gql(parsed)))
     return "\n".join(lines)
 
 

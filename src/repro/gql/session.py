@@ -153,7 +153,7 @@ class GqlSession:
             stats = self.telemetry.stats_for(query=query, engine="gql")
         parsed = parsed_gql(query, stats)
         limit = 1 if parsed.limit is None else min(parsed.limit, 1)
-        limited = dataclasses.replace(parsed, limit=limit)
+        limited = dataclasses.replace(parsed, limit=limit, pipeline=parsed.compiled())
         return next(
             iter(self._iter_records(query, limited, graph, config, stats)),
             None,
@@ -221,12 +221,11 @@ class GqlSession:
             self._resolve(parsed, graph), parsed, config, stats
         )
 
-    def explain(self, query: str, config: MatcherConfig | None = None) -> str:
+    def explain(self, query: str) -> str:
         """Render the query's statement pipeline (see :func:`explain_gql`).
 
         Graph-independent: shows per-statement execution modes (seeded /
         direct / hash-join chained MATCH, LET/FILTER row transforms) and
-        the [streaming]/[blocking] classification of every stage.  Pass
-        the ``config`` you execute with so the modes match.
+        the [streaming]/[blocking] classification of every stage.
         """
-        return explain_gql(query, config)
+        return explain_gql(query)

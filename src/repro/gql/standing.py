@@ -172,7 +172,7 @@ class StandingQuery:
         self.config = config or MatcherConfig()
         self.limit = limit if limit is not None else parsed.limit
         self.telemetry = telemetry
-        self.compiled = compile_pipeline(parsed.statements, config)
+        self.compiled = compile_pipeline(parsed.statements)
         self._validate()
         self.depth = self._total_depth()
         #: start node id -> result keys produced from that start

@@ -249,18 +249,14 @@ def initial_node_candidates(
 ) -> Optional[list[str]]:
     """Start candidates for a pattern anchored at its leftmost element.
 
-    The matcher's fallback when no plan supplies candidates: pins the left
-    end, then serves it from a property index or label scan.  ``None``
-    means nothing could be narrowed — scan all nodes.  This is the
-    sargable upgrade of the old label-only narrowing: ``(x WHERE
-    x.id = 5)`` without a label now probes the (None, 'id') hash index
-    instead of scanning every node.
+    Pins the left end, then serves it from a property index or label
+    scan.  ``None`` means nothing could be narrowed — scan all nodes.
+    A standing query's registration takes its start nodes from here.
 
-    Deliberately statistics-free: this path also serves the planner-off
-    configuration, where rebuilding the cardinality catalog after every
-    mutation would cost a full graph pass per query.  Correctness needs
-    no estimates — any sargable equality is at least as narrow as the
-    label scan it replaces.
+    Deliberately statistics-free: registration must not build the
+    cardinality catalog, a full graph pass.  Correctness needs no
+    estimates — any sargable equality is at least as narrow as the label
+    scan it replaces.
     """
     from repro.planner.anchor import LEFT, pinned_end_nodes
 

@@ -39,6 +39,3 @@ class SqlConfig:
 
     #: rewrite rules allowed to fire (subset of :data:`ALL_RULES`)
     optimizer_rules: FrozenSet[str] = field(default_factory=_optimizer_default)
-    #: semi-join reduction aborts above this many distinct probe keys —
-    #: a huge IN costs more to push than the enumeration it would save
-    semi_join_max_keys: int = 1024

@@ -51,6 +51,10 @@ from repro.sql.operators import (
     SharedScanConsumer,
 )
 
+#: semi-join reduction aborts above this many distinct probe keys — a
+#: huge IN costs more to push than the enumeration it would save
+SEMI_JOIN_MAX_KEYS = 1024
+
 #: defining expressions whose SQL projection equals the GPML value — the
 #: same scalar gate the planner's predicate pushdown applies
 _SCALAR_DEFINING_NODES = (Literal, PropertyRef, Arithmetic, Negate)
@@ -225,7 +229,6 @@ def _fingerprint(scan: GraphTableScan) -> tuple:
 # ----------------------------------------------------------------------
 def _apply_semi_join(root: Operator, ctx) -> int:
     fired = 0
-    max_keys = ctx.sql_config.semi_join_max_keys
     for op, _parent in list(_walk_ops(root)):
         if not isinstance(op, Join) or not op.left_keys or op.semi_join is not None:
             continue
@@ -248,11 +251,11 @@ def _apply_semi_join(root: Operator, ctx) -> int:
         if choice is None:
             continue
         position, defining = choice
-        op.semi_join = SemiJoinSpec(key_position=position, max_keys=max_keys)
+        op.semi_join = SemiJoinSpec(key_position=position, max_keys=SEMI_JOIN_MAX_KEYS)
         scan.reduction_expr = defining
         fired += 1
         _record(
             ctx, SEMI_JOIN,
-            graph_table=scan.graph_name, key=str(defining), cap=max_keys,
+            graph_table=scan.graph_name, key=str(defining), cap=SEMI_JOIN_MAX_KEYS,
         )
     return fired

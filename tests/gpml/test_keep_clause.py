@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import NonTerminationError
+from repro.errors import GpmlEvaluationError, NonTerminationError
 from repro.gpml import match, prepare
+from repro.graph import GraphBuilder
 from repro.gpml.parser import parse_match
 
 
@@ -108,3 +109,45 @@ class TestSemantics:
         assert len(result) == 1
         # the 2-hop trail (20M) beats the 4-hop (31M) and 5-hop (43M)
         assert result.rows[0].paths[0].length == 2
+
+
+class TestSameRuleAsHeadSelectors:
+    """KEEP and head selectors are one selection rule: same k check,
+    same edge costs."""
+
+    @pytest.mark.parametrize("selector", ["ANY 0", "SHORTEST 0"])
+    def test_k_below_one_is_an_error(self, fig1, selector):
+        head = f"MATCH {selector} p = (a:Account)-[:Transfer]->(b:Account)"
+        keep = f"MATCH p = (a:Account)-[:Transfer]->(b:Account) KEEP {selector}"
+        for query in (head, keep):
+            with pytest.raises(GpmlEvaluationError, match="requires a positive k"):
+                match(fig1, query)
+
+    def test_negative_cost_is_an_error(self):
+        graph = (
+            GraphBuilder("negative")
+            .nodes("a", "b", "c")
+            .directed("e1", "a", "b", cost=-4)
+            .directed("e2", "b", "c", cost=1)
+            .build()
+        )
+        head = "MATCH ANY CHEAPEST p = (x)->+(y)"
+        keep = "MATCH TRAIL p = (x)->+(y) KEEP ANY CHEAPEST"
+        for query in (head, keep):
+            with pytest.raises(GpmlEvaluationError, match="negative cost -4.0 on edge 'e1'"):
+                match(graph, query)
+
+    def test_missing_cost_is_one_for_both(self):
+        graph = (
+            GraphBuilder("detour")
+            .nodes("a", "b", "c")
+            .directed("e1", "a", "b")
+            .directed("e2", "b", "c")
+            .directed("e3", "a", "c", cost=1.5)
+            .build()
+        )
+        head = "MATCH ANY CHEAPEST p = (x)->+(y)"
+        keep = "MATCH TRAIL p = (x)->+(y) KEEP ANY CHEAPEST"
+        for query in (head, keep):  # e3 (1.5) beats e1, e2 at 1 each
+            a_to_c = [p for p in match(graph, query).paths() if p.target_id == "c"]
+            assert [str(p) for p in a_to_c if p.source_id == "a"] == ["path(a,e3,c)"]

@@ -1,7 +1,7 @@
 """GQL linear composition: MATCH / OPTIONAL MATCH / LET / FILTER chains.
 
 Covers parsing of the statement list, the join semantics of chained
-MATCH (seeded and hash-join modes must agree), OPTIONAL MATCH NULL
+MATCH (each chain equals its unseeded form), OPTIONAL MATCH NULL
 padding, LET/FILTER row transforms, correlated WHERE, selectors and KEEP
 inside chained statements, cross-statement variable rules, streaming
 early termination through the chain, and the EXPLAIN rendering.
@@ -12,9 +12,8 @@ import dataclasses
 import pytest
 
 from repro.datasets.generators import random_transfer_network
-from repro.errors import GpmlSyntaxError, GqlError
+from repro.errors import GpmlEvaluationError, GpmlSyntaxError, GqlError
 from repro.gpml import PipelineStats
-from repro.gpml.matcher import MatcherConfig
 from repro.gql import (
     FilterStatement,
     GqlSession,
@@ -26,8 +25,6 @@ from repro.gql import (
     parse_gql_query,
 )
 from repro.values import is_null
-
-HASH_ONLY = MatcherConfig(seed_chained_match=False)
 
 
 def record_keys(records):
@@ -80,69 +77,85 @@ class TestParsing:
             parse_gql_query("RETURN 1")
 
 
-#: chained-pipeline corpus run under both execution modes
-PIPELINES = [
+#: chained pipelines, each with an oracle that runs no seeded search: the
+#: one-statement comma form where there is one (the law
+#: ``MATCH P1 MATCH P2`` == ``MATCH P1, P2``), else a chain that renames
+#: the join variable and tests it by equality, so the join is a cross
+#: product.
+CHAINS = [
     # plain chained MATCH, left-end seeded
-    "MATCH (a:Account)-[t:Transfer]->(b) MATCH (b)-[u:Transfer]->(c) "
-    "RETURN a.owner AS a, b.owner AS b, c.owner AS c",
+    ("MATCH (a:Account)-[t:Transfer]->(b) MATCH (b)-[u:Transfer]->(c) "
+     "RETURN a.owner AS a, b.owner AS b, c.owner AS c",
+     "MATCH (a:Account)-[t:Transfer]->(b), (b)-[u:Transfer]->(c) "
+     "RETURN a.owner AS a, b.owner AS b, c.owner AS c"),
     # right-end seeded (b is the right end of the chained pattern)
-    "MATCH (a:Account)-[t:Transfer]->(b) MATCH (c:Account)-[u:Transfer]->(b) "
-    "RETURN a.owner AS a, b.owner AS b, c.owner AS c",
+    ("MATCH (a:Account)-[t:Transfer]->(b) MATCH (c:Account)-[u:Transfer]->(b) "
+     "RETURN a.owner AS a, b.owner AS b, c.owner AS c",
+     "MATCH (a:Account)-[t:Transfer]->(b), (c:Account)-[u:Transfer]->(b) "
+     "RETURN a.owner AS a, b.owner AS b, c.owner AS c"),
     # two shared variables (seed + residual equi-join)
-    "MATCH (a:Account)-[t:Transfer]->(b) MATCH (a)-[u:Transfer]->(b) "
-    "RETURN a.owner AS a, b.owner AS b",
+    ("MATCH (a:Account)-[t:Transfer]->(b) MATCH (a)-[u:Transfer]->(b) "
+     "RETURN a.owner AS a, b.owner AS b",
+     "MATCH (a:Account)-[t:Transfer]->(b), (a)-[u:Transfer]->(b) "
+     "RETURN a.owner AS a, b.owner AS b"),
     # selector inside the chained statement
-    "MATCH (a:Account WHERE a.owner='Dave')-[t:Transfer]->(b) "
-    "MATCH ANY SHORTEST p = (b)-[:Transfer]->*(c:Account WHERE c.owner='Aretha') "
-    "RETURN b.owner AS mid, length(p) AS len",
+    ("MATCH (a:Account WHERE a.owner='Dave')-[t:Transfer]->(b) "
+     "MATCH ANY SHORTEST p = (b)-[:Transfer]->*(c:Account WHERE c.owner='Aretha') "
+     "RETURN b.owner AS mid, length(p) AS len",
+     "MATCH (a:Account WHERE a.owner='Dave')-[t:Transfer]->(b), "
+     "ANY SHORTEST p = (b)-[:Transfer]->*(c:Account WHERE c.owner='Aretha') "
+     "RETURN b.owner AS mid, length(p) AS len"),
     # KEEP inside the chained statement (uncorrelated)
-    "MATCH (a:Account WHERE a.owner='Dave')-[t:Transfer]->(b) "
-    "MATCH TRAIL (b)-[:Transfer]->*(c:Account WHERE c.owner='Aretha') KEEP SHORTEST 1 "
-    "RETURN b.owner AS mid, c.owner AS dst",
+    ("MATCH (a:Account WHERE a.owner='Dave')-[t:Transfer]->(b) "
+     "MATCH TRAIL (b)-[:Transfer]->*(c:Account WHERE c.owner='Aretha') KEEP SHORTEST 1 "
+     "RETURN b.owner AS mid, c.owner AS dst",
+     "MATCH (a:Account WHERE a.owner='Dave')-[t:Transfer]->(b) "
+     "MATCH TRAIL (b2)-[:Transfer]->*(c:Account WHERE c.owner='Aretha') KEEP SHORTEST 1 "
+     "FILTER b2 = b RETURN b.owner AS mid, c.owner AS dst"),
     # correlated WHERE referencing a LET value
-    "MATCH (a:Account)-[t:Transfer]->(b) LET lo = 9000000 "
-    "MATCH (b)-[u:Transfer]->(c) WHERE u.amount > lo "
-    "RETURN a.owner AS a, c.owner AS c",
+    ("MATCH (a:Account)-[t:Transfer]->(b) LET lo = 9000000 "
+     "MATCH (b)-[u:Transfer]->(c) WHERE u.amount > lo "
+     "RETURN a.owner AS a, c.owner AS c",
+     "MATCH (a:Account)-[t:Transfer]->(b), (b)-[u:Transfer]->(c) "
+     "WHERE u.amount > 9000000 RETURN a.owner AS a, c.owner AS c"),
     # correlated WHERE referencing an upstream element
-    "MATCH (a:Account)-[t:Transfer]->(b) MATCH (b)-[u:Transfer]->(c) "
-    "WHERE u.amount > t.amount RETURN a.owner AS a, c.owner AS c",
+    ("MATCH (a:Account)-[t:Transfer]->(b) MATCH (b)-[u:Transfer]->(c) "
+     "WHERE u.amount > t.amount RETURN a.owner AS a, c.owner AS c",
+     "MATCH (a:Account)-[t:Transfer]->(b), (b)-[u:Transfer]->(c) "
+     "WHERE u.amount > t.amount RETURN a.owner AS a, c.owner AS c"),
     # OPTIONAL chained MATCH
-    "MATCH (a:Account) OPTIONAL MATCH (a)-[t:Transfer]->(b:Account) "
-    "RETURN a.owner AS a, b",
+    ("MATCH (a:Account) OPTIONAL MATCH (a)-[t:Transfer]->(b:Account) "
+     "RETURN a.owner AS a, b",
+     "MATCH (a:Account) OPTIONAL MATCH (a2)-[t:Transfer]->(b:Account) WHERE a2 = a "
+     "RETURN a.owner AS a, b"),
     # cross product (no shared variables)
-    "MATCH (a:City) MATCH (b:Country) RETURN a.name AS a, b.name AS b",
+    ("MATCH (a:City) MATCH (b:Country) RETURN a.name AS a, b.name AS b",
+     "MATCH (a:City), (b:Country) RETURN a.name AS a, b.name AS b"),
     # LET + FILTER midway
-    "MATCH (a:Account)-[t:Transfer]->(b) LET m = t.amount / 1000000 "
-    "FILTER m >= 8 MATCH (b)-[u:Transfer]->(c) "
-    "RETURN a.owner AS a, c.owner AS c, m",
+    ("MATCH (a:Account)-[t:Transfer]->(b) LET m = t.amount / 1000000 "
+     "FILTER m >= 8 MATCH (b)-[u:Transfer]->(c) "
+     "RETURN a.owner AS a, c.owner AS c, m",
+     "MATCH (a:Account)-[t:Transfer]->(b), (b)-[u:Transfer]->(c) "
+     "WHERE t.amount / 1000000 >= 8 LET m = t.amount / 1000000 "
+     "RETURN a.owner AS a, c.owner AS c, m"),
     # group variable in the chained statement (horizontal aggregate)
-    "MATCH (a:Account WHERE a.owner='Dave')-[:Transfer]->(b) "
-    "MATCH TRAIL (b)-[e:Transfer]->*(c WHERE c.owner='Aretha') "
-    "RETURN b.owner AS mid, COUNT(e) AS hops, SUM(e.amount) AS total",
+    ("MATCH (a:Account WHERE a.owner='Dave')-[:Transfer]->(b) "
+     "MATCH TRAIL (b)-[e:Transfer]->*(c WHERE c.owner='Aretha') "
+     "RETURN b.owner AS mid, COUNT(e) AS hops, SUM(e.amount) AS total",
+     "MATCH (a:Account WHERE a.owner='Dave')-[:Transfer]->(b), "
+     "TRAIL (b)-[e:Transfer]->*(c WHERE c.owner='Aretha') "
+     "RETURN b.owner AS mid, COUNT(e) AS hops, SUM(e.amount) AS total"),
 ]
+PIPELINES = [chained for chained, _ in CHAINS]
 
 
 class TestChainedSemantics:
-    @pytest.mark.parametrize("query", PIPELINES)
-    def test_seeded_equals_hash_join(self, fig1, query):
-        seeded = execute_gql(fig1, query).records
-        hashed = execute_gql(fig1, query, HASH_ONLY).records
-        assert record_keys(seeded) == record_keys(hashed)
-
-    def test_chained_match_is_a_join(self, fig1):
-        # The chained result equals the equivalent single-statement
-        # multi-pattern query (same comma-join semantics).
-        chained = execute_gql(
-            fig1,
-            "MATCH (a:Account)-[t:Transfer]->(b) MATCH (b)-[u:Transfer]->(c) "
-            "RETURN a.owner AS a, b.owner AS b, c.owner AS c",
-        ).records
-        joined = execute_gql(
-            fig1,
-            "MATCH (a:Account)-[t:Transfer]->(b), (b)-[u:Transfer]->(c) "
-            "RETURN a.owner AS a, b.owner AS b, c.owner AS c",
-        ).records
-        assert record_keys(chained) == record_keys(joined)
+    @pytest.mark.parametrize("chained,oracle", CHAINS)
+    def test_chain_equals_its_unseeded_form(self, fig1, chained, oracle):
+        assert "seeded search" not in explain_gql(oracle)
+        expected = execute_gql(fig1, oracle).records
+        assert expected
+        assert record_keys(execute_gql(fig1, chained).records) == record_keys(expected)
 
     def test_optional_match_pads_with_null(self, fig1):
         records = execute_gql(
@@ -269,6 +282,16 @@ class TestVariableRules:
         ).records
         assert {r["b"] for r in records} == {"Mike", "Charles"}
 
+    def test_correlated_keep_checks_k_like_a_head_selector(self, fig1):
+        # KEEP after a correlated WHERE selects per incoming row, by the
+        # head selectors' rule: k below 1 is an error, not one row.
+        query = (
+            "MATCH (a:Account WHERE a.owner='Dave') "
+            "MATCH TRAIL (x:Account)-[:Transfer]->+(c) WHERE x = a KEEP ANY 0 RETURN c"
+        )
+        with pytest.raises(GpmlEvaluationError, match="requires a positive k"):
+            execute_gql(fig1, query)
+
     def test_element_where_cannot_see_upstream(self, fig1):
         # Prefilters run inside the NFA search; a clear error points at
         # the final WHERE / FILTER instead of a deep scope error.
@@ -280,14 +303,20 @@ class TestVariableRules:
             )
 
     def test_unjoinable_let_value_never_joins(self, fig1):
-        # A LET-bound list has no join partners in either execution mode
-        # (and must not crash the hash-join probe).
-        query = (
+        # A LET-bound list has no join partners, seeding from an end or
+        # joined as an interior node (and must not crash the hash-join
+        # probe).
+        seeded = (
             "MATCH p = (a:Account)-[t:Transfer]->(b) LET l = nodes(p) "
             "MATCH (l)-[v:Transfer]->(c) RETURN c"
         )
-        assert execute_gql(fig1, query).records == []
-        assert execute_gql(fig1, query, HASH_ONLY).records == []
+        hashed = (
+            "MATCH p = (a:Account)-[t:Transfer]->(b) LET l = nodes(p) "
+            "MATCH (x)-[w:Transfer]->(l)-[v:Transfer]->(c) RETURN c"
+        )
+        assert "hash-join build" in explain_gql(hashed)
+        assert execute_gql(fig1, seeded).records == []
+        assert execute_gql(fig1, hashed).records == []
 
     def test_null_probe_skips_hash_build(self, fig1):
         # A probe row that cannot join must not trigger the build-side
@@ -297,8 +326,7 @@ class TestVariableRules:
             fig1,
             "MATCH (a:Account WHERE a.owner='nobody') "
             "OPTIONAL MATCH (a)-[t:Transfer]->(b) "
-            "MATCH (x:Account)-[u:Transfer]->(b) RETURN x",
-            HASH_ONLY,
+            "MATCH (x:Account)-[u:Transfer]->(b)-[w:Transfer]->(y) RETURN x",
             stats=stats,
         ))
         assert records == []
@@ -343,29 +371,31 @@ class TestStreaming:
         assert limited.steps * 20 < full.steps
 
     @pytest.mark.parametrize(
-        "seed,accounts,transfers,owner,rows,seeded_steps,hashed_steps",
+        "seed,accounts,transfers,owner,rows,seeded_steps,joined_steps",
         [(2, 2000, 5000, "owner7", 3, 6, 5003), (7, 1000, 2000, "owner617", 6, 9, 2003)],
         ids=["seed2", "seed7"],
     )
     def test_seeding_beats_hash_join_on_steps(
-        self, seed, accounts, transfers, owner, rows, seeded_steps, hashed_steps
+        self, seed, accounts, transfers, owner, rows, seeded_steps, joined_steps
     ):
+        # the comma form hash-joins the two patterns: the chain's law
+        # partner, and the plan seeding replaces
         graph = random_transfer_network(accounts, transfers, seed=seed)
-        query = (
-            f"MATCH (a:Account WHERE a.owner='{owner}')-[t:Transfer]->(b:Account) "
-            "MATCH (b)-[u:Transfer]->(c:Account) RETURN c.owner AS c"
-        )
+        first = f"(a:Account WHERE a.owner='{owner}')-[t:Transfer]->(b:Account)"
+        second = "(b)-[u:Transfer]->(c:Account) RETURN c.owner AS c"
         seeded = PipelineStats()
-        seeded_records = list(execute_gql_iter(graph, query, stats=seeded))
-        hashed = PipelineStats()
-        hashed_records = list(
-            execute_gql_iter(graph, query, HASH_ONLY, stats=hashed)
+        seeded_records = list(
+            execute_gql_iter(graph, f"MATCH {first} MATCH {second}", stats=seeded)
         )
-        assert record_keys(seeded_records) == record_keys(hashed_records)
-        assert (len(seeded_records), seeded.steps, hashed.steps) == (
-            rows, seeded_steps, hashed_steps
+        joined = PipelineStats()
+        joined_records = list(
+            execute_gql_iter(graph, f"MATCH {first}, {second}", stats=joined)
         )
-        assert seeded.steps * 20 < hashed.steps
+        assert record_keys(seeded_records) == record_keys(joined_records)
+        assert (len(seeded_records), seeded.steps, joined.steps) == (
+            rows, seeded_steps, joined_steps
+        )
+        assert seeded.steps * 20 < joined.steps
 
     def test_session_first_on_pipeline(self, fig1):
         session = GqlSession(fig1)
@@ -390,13 +420,17 @@ class TestStreaming:
             builder.directed(f"in{i}", f"s{i}", "hub", "E")
             builder.directed(f"out{i}", "hub", f"d{i}", "E")
         graph = builder.build()
-        query = "MATCH (x)-[e:E]->(y) MATCH (y)-[f:E]->(z) RETURN x, z"
         seeded = PipelineStats()
-        seeded_records = list(execute_gql_iter(graph, query, stats=seeded))
-        hashed = PipelineStats()
-        hashed_records = list(execute_gql_iter(graph, query, HASH_ONLY, stats=hashed))
-        assert record_keys(seeded_records) == record_keys(hashed_records)
-        assert seeded.steps <= 2 * hashed.steps
+        seeded_records = list(execute_gql_iter(
+            graph, "MATCH (x)-[e:E]->(y) MATCH (y)-[f:E]->(z) RETURN x, z", stats=seeded
+        ))
+        joined = PipelineStats()
+        joined_records = list(execute_gql_iter(
+            graph, "MATCH (x)-[e:E]->(y), (y)-[f:E]->(z) RETURN x, z", stats=joined
+        ))
+        assert record_keys(seeded_records) == record_keys(joined_records)
+        assert joined.steps == 160
+        assert seeded.steps <= 2 * joined.steps
 
     def test_limit_zero_runs_no_search(self, fig1):
         stats = PipelineStats()
@@ -439,16 +473,16 @@ class TestExplain:
         session = GqlSession(fig1)
         assert "GQL pipeline" in session.explain("MATCH (a) RETURN a")
 
-    def test_explain_respects_config(self):
-        # EXPLAIN must render the mode the given config will execute.
-        query = (
-            "MATCH (a:Account)-[t:Transfer]->(b) MATCH (b)-[u:Transfer]->(c) "
-            "RETURN c"
+    def test_interior_join_variable_renders_the_hash_join(self):
+        # EXPLAIN renders the mode execution takes: an end bound upstream
+        # seeds, a join variable inside the pattern hash-joins.
+        first = "MATCH (a:Account)-[t:Transfer]->(b) "
+        assert "seeded search on b" in explain_gql(
+            first + "MATCH (b)-[u:Transfer]->(c) RETURN c"
         )
-        assert "seeded search on b" in explain_gql(query)
-        fallback = explain_gql(query, HASH_ONLY)
-        assert "seeded search" not in fallback
-        assert "hash-join build" in fallback
+        interior = explain_gql(first + "MATCH (x)-[w:Transfer]->(b)-[u:Transfer]->(c) RETURN c")
+        assert "seeded search" not in interior
+        assert "hash-join build" in interior
 
     def test_offset_only_has_no_budget_line(self):
         # OFFSET without LIMIT runs to exhaustion; EXPLAIN must not

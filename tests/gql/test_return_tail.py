@@ -13,7 +13,6 @@ import pytest
 from repro.datasets.generators import random_transfer_network
 from repro.errors import ExpressionError, GqlError
 from repro.gpml import PipelineStats
-from repro.gpml.matcher import MatcherConfig
 from repro.gql import GqlSession, explain_gql
 from repro.gql.query import execute_gql, execute_gql_iter, parse_gql_query, plan_gql
 from repro.graph import GraphBuilder
@@ -328,16 +327,35 @@ def bank():
     return random_transfer_network(60, 240, seed=7, blocked_fraction=0.25)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [None, MatcherConfig(seed_chained_match=False)],
-    ids=["default", "hash-join-chain"],
-)
+#: the chained shapes in a form no search of which is seeded: the
+#: one-statement comma form, and for OPTIONAL MATCH a renamed join
+#: variable tested by the correlated WHERE
+UNSEEDED = {
+    "hr_gql_chain": (
+        f"{P_BIG}, (b)-[:isLocatedIn]->(c:City) LET big = t.amount > 16M "
+        "FILTER big RETURN a.owner AS src, c.name AS city"
+    ),
+    "hr_gql_optional": (
+        f"MATCH {BLOCKED_A} OPTIONAL MATCH (a2)-[t:Transfer WHERE t.amount > 14M]->"
+        "(b:Account WHERE b.isBlocked='yes') WHERE a2 = a "
+        "RETURN a.owner AS src, COUNT(b) AS n"
+    ),
+}
+
+
 @pytest.mark.parametrize("name", HOST_RELATIONAL_GQL)
-def test_host_relational_shape_returns_the_pinned_records(bank, name, config):
+def test_host_relational_shape_returns_the_pinned_records(bank, name):
     text, ordered, expected = HOST_RELATIONAL_GQL[name]
-    got = [tuple(record.values()) for record in execute_gql_iter(bank, text, config)]
+    got = [tuple(record.values()) for record in execute_gql_iter(bank, text)]
     assert (got if ordered else sorted(got, key=repr)) == expected
+
+
+@pytest.mark.parametrize("name", UNSEEDED)
+def test_unseeded_form_returns_the_pinned_records(bank, name):
+    text = UNSEEDED[name]
+    assert "seeded search" not in explain_gql(text)
+    got = [tuple(record.values()) for record in execute_gql_iter(bank, text)]
+    assert sorted(got, key=repr) == HOST_RELATIONAL_GQL[name][2]
 
 
 # ----------------------------------------------------------------------

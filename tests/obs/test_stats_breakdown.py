@@ -10,7 +10,6 @@ exactly once when the budget closes it mid-flight).
 """
 
 from repro.gpml.engine import match_iter
-from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
 from repro.gql.query import execute_gql_iter, parse_gql_query
 from repro.graph import GraphBuilder
@@ -152,14 +151,14 @@ def test_match_iter_limit_steps_counted_once(fig1):
 
 
 def test_hash_join_fallback_steps_counted_once(fig1):
-    config = MatcherConfig(seed_chained_match=False)
+    # b is interior to the chained pattern, so no end seeds it
     stats = PipelineStats.traced()
     query = parse_gql_query(
         "MATCH (a:Account)-[:Transfer]->(b:Account) "
-        "MATCH (b)-[:Transfer]->(c:Account) "
+        "MATCH (x)-[:Transfer]->(b)-[:Transfer]->(c:Account) "
         "RETURN a.owner AS src, c.owner AS dst"
     )
-    records = list(execute_gql_iter(fig1, query, config, stats=stats))
+    records = list(execute_gql_iter(fig1, query, stats=stats))
     assert records
     assert stats.trace.total_steps() == stats.steps
     assert stats.trace.find("hash-join build of the match table") is not None

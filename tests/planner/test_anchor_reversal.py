@@ -2,7 +2,8 @@
 
 The heart of the planner's correctness argument: a right-anchored run is
 the reversed pattern executed forward, with accepted bindings mapped back
-— so planned and naive engines must agree bag-for-bag on every query.
+— so the planned run and the Section 6 reference engine must agree
+bag-for-bag on every query.
 (Row-for-row parity of reversed runs, groups and bag tags included, is
 pinned by the planner-reversed shapes of
 ``tests/property/test_columnar_equivalence.py``.)
@@ -13,9 +14,9 @@ import pytest
 from repro.datasets import random_transfer_network
 from repro.gpml.bindings import forward_annotations
 from repro.gpml.engine import _Search, match, match_stages, prepare
-from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
+from repro.gpml.reference import reference_match
 from repro.graph import GraphBuilder
 from repro.planner.anchor import (
     LEFT,
@@ -25,8 +26,6 @@ from repro.planner.anchor import (
     reverse_pattern,
 )
 from repro.planner.plan import plan_query
-
-NAIVE = MatcherConfig(use_planner=False)
 
 
 @pytest.fixture()
@@ -134,10 +133,10 @@ DIFFERENTIAL_QUERIES = [
 ]
 
 
-class TestPlannedEqualsNaive:
+class TestPlannedEqualsReference:
     @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
     def test_chain_rare(self, chain_rare, query):
-        assert canon(match(chain_rare, query)) == canon(match(chain_rare, query, NAIVE))
+        assert canon(match(chain_rare, query)) == canon(reference_match(chain_rare, query))
 
     def test_group_variable_order_survives_reversal(self, chain_rare):
         prepared = prepare("MATCH (a) (-[e:E]->(n)){1,4} (b:Rare)")
@@ -158,7 +157,7 @@ class TestPlannedEqualsNaive:
             "MATCH (a:Account WHERE a.isBlocked='yes')-[t:Transfer]->(b:Account), "
             "(b)-[l:isLocatedIn]->(c:City WHERE c.name='city1')",
         ]:
-            assert canon(match(graph, query)) == canon(match(graph, query, NAIVE))
+            assert canon(match(graph, query)) == canon(reference_match(graph, query))
 
 
 class TestAnchorChoice:
@@ -181,13 +180,13 @@ class TestAnchorChoice:
         assert plan.patterns[0].side == LEFT
         # And the query still runs correctly on the left anchor.
         assert canon(match(chain_rare, prepared)) == canon(
-            match(chain_rare, prepared.text, NAIVE)
+            reference_match(chain_rare, prepared)
         )
 
 
-def searched(graph, prepared, config):
+def searched(graph, prepared):
     """The search stage of a drained run: what its kernel started from."""
-    tree = match_stages(graph, prepared, config)
+    tree = match_stages(graph, prepared)
     list(tree.run())
     (search,) = [op for op in walk(tree) if isinstance(op, _Search)]
     return search
@@ -200,7 +199,8 @@ def walk(op):
 
 
 class TestCandidateReduction:
-    """The acceptance criterion: fewer start candidates than the seed engine."""
+    """The acceptance criterion: fewer start candidates than the plan's
+    own left option, a label scan."""
 
     @pytest.mark.parametrize(
         "query",
@@ -214,15 +214,14 @@ class TestCandidateReduction:
         graph = random_transfer_network(200, 400, seed=3)
         prepared = prepare(query)
 
-        naive_count = searched(graph, prepared, NAIVE).matcher.initial_candidate_count
-
         plan = plan_query(graph, prepared)
-        match(graph, prepared)
-        planned_count = plan.patterns[0].observed_candidates
+        (left,) = [option for option in plan.patterns[0].options if option.side == LEFT]
+        left_count = len(left.source.candidate_ids(graph))
+        planned_count = searched(graph, prepared).matcher.initial_candidate_count
 
-        assert naive_count == 200  # label scan over every account
-        assert planned_count == 1  # property-index probe on owner
-        assert planned_count < naive_count
+        assert left_count == 200  # label scan over every account
+        assert planned_count == plan.patterns[0].observed_candidates == 1  # owner index probe
+        assert planned_count < left_count
 
     def test_sargable_unlabeled_left_end(self):
         """Satellite: (x WHERE x.id = 5) without a label is index-assisted."""
@@ -233,7 +232,7 @@ class TestCandidateReduction:
             builder.directed(f"e{i}", f"v{i}", f"v{i + 1}", "E")
         graph = builder.build()
         prepared = prepare("MATCH (x WHERE x.id = 5)-[e:E]->(y)")
-        search = searched(graph, prepared, NAIVE)
+        search = searched(graph, prepared)
         assert search.matcher.initial_candidate_count == 1  # index, not a full scan
-        assert len(match(graph, prepared, NAIVE)) == 1
+        assert len(match(graph, prepared)) == 1
         assert graph.has_index(None, "id")

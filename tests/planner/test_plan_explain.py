@@ -4,10 +4,8 @@ from repro.cli import main
 from repro.datasets import random_transfer_network
 from repro.gpml.engine import match, prepare
 from repro.gpml.explain import explain_plan
-from repro.gpml.matcher import MatcherConfig
+from repro.gpml.reference import reference_match
 from repro.planner.plan import plan_query
-
-NAIVE = MatcherConfig(use_planner=False)
 
 
 def canon(result):
@@ -47,13 +45,14 @@ class TestJoinOrdering:
             "(p:Phone)~[h:hasPhone]~(a)"
         )
         planned = match(fig1, query)
-        naive = match(fig1, query, NAIVE)
-        assert canon(planned) == canon(naive)
+        assert canon(planned) == canon(reference_match(fig1, query))
         # Not just the same bag: the same row order (textual nested-loop).
-        assert planned.to_dicts() == naive.to_dicts()
         assert [
             [str(p) for p in row.paths] for row in planned.rows
-        ] == [[str(p) for p in row.paths] for row in naive.rows]
+        ] == [
+            ["path(a4,t4,a6)", "path(a6,t5,a3)", "path(p3,hp4,a4)"],
+            ["path(a5,t8,a1)", "path(a1,t1,a3)", "path(p1,hp5,a5)"],
+        ]
 
 
 class TestExplainPlan:

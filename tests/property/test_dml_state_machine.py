@@ -13,9 +13,7 @@ structure must be consistent for the *current* version:
   advancing the cached one, which must then read back exactly like a
   fresh build — and a probe query over it returns the records, in order,
   and the step counts of a copy of the graph whose snapshot is built
-  from scratch, and the reference engine's bag of rows,
-
-with the planner on and off.
+  from scratch, and the reference engine's bag of rows.
 """
 
 import pytest
@@ -50,13 +48,11 @@ def canon(rows):
 
 
 class DmlMachine(RuleBasedStateMachine):
-    use_planner = True
-
     def __init__(self):
         super().__init__()
         self.graph = PropertyGraph("dml")
         self.graph.create_index("A", "v")
-        self.config = MatcherConfig(use_planner=self.use_planner)
+        self.config = MatcherConfig()
         # oracle: node id -> [labels, props]; edge id -> [first, second,
         # directed, labels, props]
         self.nodes: dict = {}
@@ -242,19 +238,7 @@ class DmlMachine(RuleBasedStateMachine):
         assert_advanced_equals_fresh(self.graph)
 
 
-class PlannedDmlMachine(DmlMachine):
-    use_planner = True
-
-
-class UnplannedDmlMachine(DmlMachine):
-    """The naive left-anchored search: no planner, no index probes."""
-
-    use_planner = False
-
-
 _SETTINGS = settings(max_examples=15, stateful_step_count=25, deadline=None)
 
-TestDmlPlanned = PlannedDmlMachine.TestCase
+TestDmlPlanned = DmlMachine.TestCase
 TestDmlPlanned.settings = _SETTINGS
-TestDmlUnplanned = UnplannedDmlMachine.TestCase
-TestDmlUnplanned.settings = _SETTINGS

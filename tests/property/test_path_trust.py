@@ -4,8 +4,10 @@
 trusted constructor (``Path._from_search``), which skips the node / edge
 / ``connects`` checks on the grounds that the search has just traversed
 those elements.  Here every path the engine produces over the existing
-query pools — planned and unplanned, planner-reversed runs included — is rebuilt
-from its ids through the validating public constructor and compared.
+query pools — planner-reversed runs included — is rebuilt from its ids
+through the validating public constructor and compared, and the bag of
+paths is the Section 6 reference engine's (but where the two knowingly
+part).
 """
 
 import hypothesis.strategies as st
@@ -13,14 +15,13 @@ from hypothesis import given, settings
 
 import test_columnar_equivalence as columnar
 import test_engine_equivalence as engines
+from repro.errors import BudgetExceededError
 from repro.gpml import match
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.reference import ReferenceConfig, reference_match
 from repro.graph.path import Path
 
-CONFIGS = [
-    MatcherConfig(max_steps=500_000, max_results=100_000),
-    MatcherConfig(max_steps=500_000, max_results=100_000, use_planner=False),
-]
+CONFIG = MatcherConfig(max_steps=500_000, max_results=100_000)
 POOL = sorted(set(engines.QUERIES) | set(columnar.QUERIES)) + [
     "MATCH ANY SHORTEST p = (a)-[e]->+(b:B)",
     "MATCH ALL SHORTEST p = (a:A)-[e]-{1,3}(b)",
@@ -29,19 +30,31 @@ POOL = sorted(set(engines.QUERIES) | set(columnar.QUERIES)) + [
 ]
 
 
-def assert_paths_validate(graph, query, config):
-    for row in match(graph, query, config).rows:
+def path_bag(result):
+    return sorted(tuple(path.element_ids for path in row.paths) for row in result.rows)
+
+
+def assert_paths_validate(graph, query):
+    result = match(graph, query, CONFIG)
+    for row in result.rows:
         paths = list(row.paths) + [v for v in row.values.values() if isinstance(v, Path)]
         assert paths
         for path in paths:
             assert Path.from_element_ids(graph, path.element_ids) == path
             assert Path(graph, path.node_ids, path.edge_ids) == path
+    if query in columnar.NOT_REFERENCE:
+        return
+    try:
+        reference = reference_match(graph, query, ReferenceConfig(max_unroll=7))
+    except BudgetExceededError:
+        return
+    assert path_bag(result) == path_bag(reference)
 
 
-@given(columnar.tiny_graphs(), st.sampled_from(POOL), st.sampled_from(CONFIGS))
+@given(columnar.tiny_graphs(), st.sampled_from(POOL))
 @settings(max_examples=150, deadline=None)
-def test_engine_paths_pass_public_validation(graph, query, config):
-    assert_paths_validate(graph, query, config)
+def test_engine_paths_pass_public_validation(graph, query):
+    assert_paths_validate(graph, query)
 
 
 FIGURE1_POOL = [
@@ -57,5 +70,4 @@ FIGURE1_POOL = [
 
 def test_engine_paths_pass_public_validation_on_figure1(fig1):
     for query in FIGURE1_POOL:
-        for config in CONFIGS:
-            assert_paths_validate(fig1, query, config)
+        assert_paths_validate(fig1, query)

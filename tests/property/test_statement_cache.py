@@ -334,21 +334,21 @@ def test_surfaces_report_the_lookup():
     assert by_outcome == {"miss": 2, "hit": 2}
 
 
-def test_a_cached_gql_text_compiles_per_seeding_mode():
-    """The compiled pipeline is kept per ``seed_chained_match``: a text
-    cached under one mode still explains and runs under the other."""
-    from repro.gpml.matcher import MatcherConfig
-    from repro.gql.query import explain_gql
+def test_a_cached_gql_text_compiles_once(monkeypatch):
+    """One compiled pipeline per text: ``first`` tightens LIMIT on a
+    copy of the cached query that shares its pipeline."""
+    from repro.gql import query as gql_query
 
-    graph = bank()
-    session = GqlSession(graph)
+    compiled = []
+    compile_pipeline = gql_query.compile_pipeline
+    monkeypatch.setattr(
+        gql_query, "compile_pipeline", lambda s: compiled.append(s) or compile_pipeline(s)
+    )
+    session = GqlSession(bank())
     text = (
         "MATCH (a:Account WHERE a.owner='o1')-[t:Transfer]->(b) "
         "MATCH (b)-[u:Transfer]->(c) RETURN c.owner AS c"
     )
-    hashed = MatcherConfig(seed_chained_match=False)
     for _ in range(3):
-        assert session.execute(text).records == session.execute(text, config=hashed).records
-    assert "seeded search" in explain_gql(text)
-    assert "seeded search" not in explain_gql(text, hashed)
-    assert "hash-join build" in explain_gql(text, hashed)
+        assert session.first(text) == session.execute(text).records[0]
+    assert len(compiled) == 2  # the cache stores a text on its second miss

@@ -10,9 +10,7 @@ Over random graphs and pools of first / second patterns:
   join variable,
 * ``MATCH P1 OPTIONAL MATCH P2`` is that bag plus one NULL-padded row per
   ``P1`` row without a partner,
-* ``MATCH P1 LET x = e FILTER c`` is ``MATCH P1 WHERE c[x := e]``,
-
-each under the default config and ``seed_chained_match=False``.
+* ``MATCH P1 LET x = e FILTER c`` is ``MATCH P1 WHERE c[x := e]``.
 
 The pin at the end needs no clock: for eight chain shapes of the repo
 benchmark the ordered records, ``stats.steps``, ``stats.matches`` and the
@@ -94,7 +92,6 @@ LET_FILTER = [
 BUDGET = dict(max_steps=20_000, max_results=300)
 CONFIGS = [
     MatcherConfig(**BUDGET),
-    MatcherConfig(seed_chained_match=False, **BUDGET),
 ]
 
 

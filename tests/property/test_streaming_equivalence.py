@@ -15,8 +15,8 @@ FILTER),
 * a ``LIMIT k`` query (budget-cancelled through the whole chain) and an
   ``islice`` of the streaming iterator both equal the first k records of
   the full run, and
-* seeded chained-MATCH execution produces the same bag of records as the
-  hash-join fallback.
+* a chained MATCH produces the same bag of records as its unseeded form
+  (the one-statement comma form, or a cross product tested by equality).
 """
 
 from itertools import islice
@@ -28,7 +28,7 @@ from repro.errors import BudgetExceededError
 from repro.graph import GraphBuilder
 from repro.gpml import match, match_iter
 from repro.gpml.matcher import MatcherConfig
-from repro.gql.query import execute_gql_iter, parse_gql_query
+from repro.gql.query import execute_gql_iter
 
 
 @st.composite
@@ -112,24 +112,37 @@ def test_prefix_equals_materialized_prefix(graph, query, k):
 # ----------------------------------------------------------------------
 # GQL statement pipelines (chained MATCH / OPTIONAL MATCH / LET / FILTER)
 # ----------------------------------------------------------------------
-GQL_PIPELINES = [
-    "MATCH (x)-[e]->(y) MATCH (y)-[f]->(z) RETURN x, e, z",
-    "MATCH (x)-[e]->(y) MATCH (z:B)-[f]->(y) RETURN x, y, z",
-    "MATCH (x:A)-[e]->(y) OPTIONAL MATCH (y)-[f:F]->(z) RETURN x, y, z",
-    "MATCH (x)-[e]->(y) LET s = x.v + y.v FILTER s > 1 "
-    "MATCH (y)-[f]-(z WHERE z.v < 3) RETURN x, z, s",
-    "MATCH (x)-[e]->(y) MATCH (y)-[f]->(z) WHERE z.v >= x.v RETURN x, z",
-    "MATCH (x)-[e]->(y) "
-    "MATCH ANY SHORTEST p = (y)-[f]->*(w:B) RETURN x, w, length(p) AS len",
-    "MATCH (x)-[e]->(y) MATCH TRAIL (y)-[f]->*(z) KEEP SHORTEST 2 RETURN x, z",
-    "MATCH (x:A) MATCH (y:B) RETURN x, y",
-    "MATCH (x)-[e]->(y) MATCH (y)-[f]->(z) RETURN DISTINCT x, z",
+#: chained pipelines, each with a form no search of which is seeded: the
+#: one-statement comma form, or a renamed join variable tested by
+#: equality (a cross product)
+GQL_CHAINS = [
+    ("MATCH (x)-[e]->(y) MATCH (y)-[f]->(z) RETURN x, e, z",
+     "MATCH (x)-[e]->(y), (y)-[f]->(z) RETURN x, e, z"),
+    ("MATCH (x)-[e]->(y) MATCH (z:B)-[f]->(y) RETURN x, y, z",
+     "MATCH (x)-[e]->(y), (z:B)-[f]->(y) RETURN x, y, z"),
+    ("MATCH (x:A)-[e]->(y) OPTIONAL MATCH (y)-[f:F]->(z) RETURN x, y, z",
+     "MATCH (x:A)-[e]->(y) OPTIONAL MATCH (y2)-[f:F]->(z) WHERE y2 = y RETURN x, y, z"),
+    ("MATCH (x)-[e]->(y) LET s = x.v + y.v FILTER s > 1 "
+     "MATCH (y)-[f]-(z WHERE z.v < 3) RETURN x, z, s",
+     "MATCH (x)-[e]->(y), (y)-[f]-(z WHERE z.v < 3) LET s = x.v + y.v FILTER s > 1 "
+     "RETURN x, z, s"),
+    ("MATCH (x)-[e]->(y) MATCH (y)-[f]->(z) WHERE z.v >= x.v RETURN x, z",
+     "MATCH (x)-[e]->(y), (y)-[f]->(z) WHERE z.v >= x.v RETURN x, z"),
+    ("MATCH (x)-[e]->(y) "
+     "MATCH ANY SHORTEST p = (y)-[f]->*(w:B) RETURN x, w, length(p) AS len",
+     "MATCH (x)-[e]->(y), "
+     "ANY SHORTEST p = (y)-[f]->*(w:B) RETURN x, w, length(p) AS len"),
+    ("MATCH (x)-[e]->(y) MATCH TRAIL (y)-[f]->*(z) KEEP SHORTEST 2 RETURN x, z",
+     "MATCH (x)-[e]->(y) MATCH TRAIL (y2)-[f]->*(z) KEEP SHORTEST 2 "
+     "FILTER y2 = y RETURN x, z"),
+    ("MATCH (x:A) MATCH (y:B) RETURN x, y",
+     "MATCH (x:A), (y:B) RETURN x, y"),
+    ("MATCH (x)-[e]->(y) MATCH (y)-[f]->(z) RETURN DISTINCT x, z",
+     "MATCH (x)-[e]->(y), (y)-[f]->(z) RETURN DISTINCT x, z"),
 ]
+GQL_PIPELINES = [chained for chained, _ in GQL_CHAINS]
 
-SEEDED = MatcherConfig(max_steps=40_000, max_results=10_000)
-HASH_ONLY = MatcherConfig(
-    max_steps=40_000, max_results=10_000, seed_chained_match=False
-)
+CONFIG = MatcherConfig(max_steps=40_000, max_results=10_000)
 
 
 def record_key(record):
@@ -144,13 +157,13 @@ def record_key(record):
 @settings(max_examples=60, deadline=None)
 def test_gql_pipeline_stream_equals_materialized(graph, query, k):
     try:
-        full = [record_key(r) for r in execute_gql_iter(graph, query, SEEDED)]
+        full = [record_key(r) for r in execute_gql_iter(graph, query, CONFIG)]
         limited = [
             record_key(r)
-            for r in execute_gql_iter(graph, query + f" LIMIT {k}", SEEDED)
+            for r in execute_gql_iter(graph, query + f" LIMIT {k}", CONFIG)
         ]
         sliced = [
-            record_key(r) for r in islice(execute_gql_iter(graph, query, SEEDED), k)
+            record_key(r) for r in islice(execute_gql_iter(graph, query, CONFIG), k)
         ]
     except BudgetExceededError:
         assume(False)
@@ -158,13 +171,13 @@ def test_gql_pipeline_stream_equals_materialized(graph, query, k):
     assert sliced == full[:k]
 
 
-@given(small_graphs(), st.sampled_from(GQL_PIPELINES))
+@given(small_graphs(), st.sampled_from(GQL_CHAINS))
 @settings(max_examples=60, deadline=None)
-def test_gql_pipeline_seeded_equals_hash_join(graph, query):
-    parsed = parse_gql_query(query)
+def test_gql_pipeline_equals_its_unseeded_form(graph, chain):
+    chained, unseeded = chain
     try:
-        seeded = [record_key(r) for r in execute_gql_iter(graph, parsed, SEEDED)]
-        hashed = [record_key(r) for r in execute_gql_iter(graph, parsed, HASH_ONLY)]
+        seeded = [record_key(r) for r in execute_gql_iter(graph, chained, CONFIG)]
+        joined = [record_key(r) for r in execute_gql_iter(graph, unseeded, CONFIG)]
     except BudgetExceededError:
         assume(False)
-    assert sorted(seeded) == sorted(hashed)
+    assert sorted(seeded) == sorted(joined)

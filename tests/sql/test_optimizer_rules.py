@@ -10,7 +10,7 @@ lives in ``tests/property/test_cross_model_equivalence.py``.
 import pytest
 
 from repro.cli import main
-from repro.datasets import random_transfer_network
+from repro.datasets import FIGURE1_OWNERS, random_transfer_network
 from repro.gpml import PipelineStats
 from repro.obs import Telemetry
 from repro.pgq import Table, tabular_representation
@@ -54,8 +54,8 @@ BANK_TRANSFERS_GT = TRANSFERS_GT.replace("GRAPH_TABLE(fig1", "GRAPH_TABLE(bank")
 OFF = SqlConfig(optimizer_rules=frozenset())
 
 
-def only(rule, **kwargs):
-    return SqlConfig(optimizer_rules=frozenset({rule}), **kwargs)
+def only(rule):
+    return SqlConfig(optimizer_rules=frozenset({rule}))
 
 
 def rewrite_events(stats):
@@ -321,20 +321,30 @@ class TestSemiJoinReduction:
         if database == "bank":  # 20 index probes: <5% of the enumeration
             assert reduced.steps * 20 < naive.steps
 
-    def test_key_cap_aborts_but_agrees(self, db):
-        config = only(SEMI_JOIN, semi_join_max_keys=1)
-        stats = PipelineStats.traced(query=self.QUERY, engine="sql")
-        on = db.execute(self.QUERY, stats=stats, sql_config=config)
+    @pytest.mark.parametrize("keys,applied", [(1024, True), (1025, False)])
+    def test_key_cap_aborts_but_agrees(self, db, keys, applied):
+        owners = sorted(FIGURE1_OWNERS.values())
+        fillers = [f"nobody{i}" for i in range(keys - len(owners))]
+        db.register_table("Probe", Table(["owner"], [[o] for o in owners + fillers]))
+        query = (
+            f"SELECT p.owner, gt.dst FROM Probe AS p JOIN {TRANSFERS_GT} AS gt "
+            "ON gt.src = p.owner"
+        )
+        stats = PipelineStats.traced(query=query, engine="sql")
+        on = db.execute(query, stats=stats, sql_config=only(SEMI_JOIN))
         events = [
             event
             for span in stats.trace.walk()
             for event in span.events
             if event["event"] == "semi_join_reduction"
         ]
-        # the rewrite still fires at plan time; the runtime guard aborts
+        # the rewrite fires at plan time; above the cap the runtime guard aborts
         assert rewrite_events(stats)
-        off = db.execute(self.QUERY, sql_config=OFF)
-        assert bag(on) == bag(off)
+        assert [event["applied"] for event in events] == [applied]
+        if not applied:
+            assert events[0]["reason"] == "over 1024 distinct keys"
+        off = db.execute(query, sql_config=OFF)
+        assert bag(on) == bag(off) and on.rows
 
     def test_keep_blocks_reduction(self, db):
         query = (

@@ -202,15 +202,44 @@ def test_the_kernel_walks_guarded_closures_through_explicit_fields():
     }
 
 
-def test_matcher_config_fields_are_the_six_it_had():
+def test_matcher_config_holds_only_the_budgets():
+    """No switch that picks between two paths with the same results:
+    every unseeded search plans, a chained MATCH seeds where it can, and
+    an edge without the cost property costs 1."""
     from dataclasses import fields
 
     from repro.gpml.matcher import MatcherConfig
 
-    assert [f.name for f in fields(MatcherConfig)] == [
-        "max_steps", "max_results", "max_depth", "default_edge_cost",
-        "use_planner", "seed_chained_match",
-    ]
+    assert [f.name for f in fields(MatcherConfig)] == ["max_steps", "max_results", "max_depth"]
+
+
+def test_the_search_kernel_plans_nothing():
+    """The kernel starts from the candidates it is given, or every node."""
+    frontier = imported_modules(SRC / "gpml/frontier.py")
+    assert not [module for module in frontier if module.startswith("repro.planner")]
+
+
+SELECTOR_KINDS = {
+    "ANY", "ANY_K", "ANY_SHORTEST", "ALL_SHORTEST", "SHORTEST_K",
+    "SHORTEST_K_GROUP", "ANY_CHEAPEST", "TOP_K_CHEAPEST",
+}
+
+
+def test_one_selection_rule_serves_head_selectors_and_keep():
+    """``selectors.select`` is the only code that branches on a selector
+    kind (``gpml/ast.py`` only renders one); KEEP keeps no copy of it."""
+    branching = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in [node.left, *node.comparators]:
+                items = operand.elts if isinstance(operand, (ast.Tuple, ast.Set)) else [operand]
+                if any(isinstance(i, ast.Constant) and i.value in SELECTOR_KINDS for i in items):
+                    branching.add(str(path.relative_to(SRC)))
+    assert branching == {"gpml/selectors.py", "gpml/ast.py"}
+    gone = {"_select", "_select_rows", "_row_sort_key", "_row_length", "_apply_keep"}
+    assert not gone & defined_names(SRC / "gpml/engine.py")
 
 
 HOST_CONSUMERS = (
@@ -253,12 +282,13 @@ def test_no_operator_interprets_an_expression_per_row():
     assert found == []
 
 
-def test_sql_config_fields_are_the_two_it_had():
+def test_sql_config_holds_only_the_rule_gates():
+    """The semi-join key cap is the constant ``SEMI_JOIN_MAX_KEYS``."""
     from dataclasses import fields
 
     from repro.sql.config import SqlConfig
 
-    assert [f.name for f in fields(SqlConfig)] == ["optimizer_rules", "semi_join_max_keys"]
+    assert [f.name for f in fields(SqlConfig)] == ["optimizer_rules"]
 
 
 def test_public_surfaces_prepare_through_the_statement_cache():
