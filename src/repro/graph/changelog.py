@@ -11,8 +11,9 @@ what it did.  Two consumers share the journal hooks:
   order (the removed entries with their positions), property-index
   membership, the ``version`` counter and the auto-id counter all come
   back exactly as they were.  An undo entry costs O(degree) to record
-  and, except when an element older than a surviving one is re-inserted,
-  O(degree) to replay.  Bit-identical matters because downstream caches
+  and O(degree) to replay; a rollback that re-inserted elements older
+  than a surviving one then restores sequence order with one rebuild of
+  each store it disturbed.  Bit-identical matters because downstream caches
   (the columnar snapshot, the statistics catalog) are keyed on
   ``graph.version``: a rollback restores the pre-transaction version, so
   the restored state must be indistinguishable from the state that
@@ -75,7 +76,7 @@ SUMMARY_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeRecord:
     """One published mutation, as watchers see it.
 
@@ -154,8 +155,13 @@ class GraphTransaction:
         """Undo every journaled mutation (LIFO) and restore the version."""
         self._finish()
         graph = self.graph
+        disordered: dict[int, dict] = {}
         for entry in reversed(self._undo):
-            _undo_entry(graph, entry)
+            store = _undo_entry(graph, entry)
+            if store is not None:
+                disordered[id(store)] = store
+        for store in disordered.values():
+            _restore_seq_order(store)
         graph._version = self._start_version
         graph._auto_counter = self._start_counter
         _evict_stale_caches(graph, self)
@@ -181,32 +187,38 @@ class GraphTransaction:
 # ----------------------------------------------------------------------
 # Undo replay
 # ----------------------------------------------------------------------
-def _reinsert(store: dict, key: str, value: Any) -> None:
-    """Re-add ``key`` where its sequence number puts it.
+def _reinsert(store: dict, key: str, value: Any) -> dict | None:
+    """Append ``key``; return *store* when that broke sequence order.
 
-    A plain append when it is the newest element.  Otherwise the dict is
-    rebuilt, O(n), paid only when rolling back the removal of an element
-    older than a surviving one — the price of keeping iteration order
-    (and therefore columnar snapshot layouts and result emission order)
-    bit-identical.
+    An element older than the newest one belongs further up.  The caller
+    collects such stores and calls :func:`_restore_seq_order` once per
+    store after the whole replay, so k re-insertions cost one rebuild,
+    not k.
     """
-    if not store or store[next(reversed(store))].seq < value.seq:
-        store[key] = value
-        return
-    items = list(store.items())
-    position = next(i for i, (_, data) in enumerate(items) if data.seq > value.seq)
-    items.insert(position, (key, value))
+    out_of_order = bool(store) and store[next(reversed(store))].seq > value.seq
+    store[key] = value
+    return store if out_of_order else None
+
+
+def _restore_seq_order(store: dict) -> None:
+    """Rebuild *store* in sequence order — the price of keeping iteration
+    order (and therefore columnar snapshot layouts and result emission
+    order) bit-identical.  Sorts keys, not ``items()`` pairs: a pair per
+    element is an allocation the collector tracks, and on a large store
+    the collections they trigger cost more than the sort."""
+    rebuilt = {key: store[key] for key in sorted(store, key=lambda key: store[key].seq)}
     store.clear()
-    store.update(items)
+    store.update(rebuilt)
 
 
-def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
+def _undo_entry(graph: "PropertyGraph", entry: tuple) -> dict | None:
+    """Replay one undo entry; return the store it left out of sequence
+    order (see :func:`_reinsert`), if any."""
     op = entry[0]
     if op == ADD_NODE:
         _, node_id = entry
         data = graph._nodes.pop(node_id)
         del graph._incidence[node_id]
-        graph._incidence_changed(node_id)
         for label in data.labels:
             graph._node_label_index[label].discard(node_id)
         graph._index_element_removed("node", node_id, data)
@@ -215,32 +227,32 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
         data = graph._edges.pop(edge_id)
         for endpoint in {data.first, data.second}:
             graph._incidence[endpoint] = [
-                inc for inc in graph._incidence[endpoint] if inc.edge != edge_id
+                inc for inc in graph._incidence[endpoint] if inc[0] != edge_id
             ]
-            graph._incidence_changed(endpoint)
         for label in data.labels:
             graph._edge_label_index[label].discard(edge_id)
         graph._index_element_removed("edge", edge_id, data)
     elif op == REMOVE_EDGE:
         _, edge_id, data, removed = entry
-        _reinsert(graph._edges, edge_id, data)
+        disordered = _reinsert(graph._edges, edge_id, data)
         for endpoint, entries in removed.items():
             incidence = graph._incidence[endpoint]
             for position, inc in entries:  # ascending: each lands where it was
                 incidence.insert(position, inc)
-            graph._incidence_changed(endpoint)
         for label in data.labels:
             graph._edge_label_index.setdefault(label, set()).add(edge_id)
         graph._index_element_added("edge", edge_id, data)
+        return disordered
     elif op == REMOVE_NODE:
         _, node_id, data = entry
-        _reinsert(graph._nodes, node_id, data)
+        disordered = _reinsert(graph._nodes, node_id, data)
         # Incident edges come back via their own (later-undone) entries,
         # which re-insert into this empty list.
         graph._incidence[node_id] = []
         for label in data.labels:
             graph._node_label_index.setdefault(label, set()).add(node_id)
         graph._index_element_added("node", node_id, data)
+        return disordered
     elif op == SET_PROPERTY:
         _, kind, element_id, key, old = entry
         store = graph._nodes if kind == "node" else graph._edges
@@ -251,6 +263,7 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
         graph._set_labels_impl(kind, store[element_id], element_id, old_labels)
     else:  # pragma: no cover - the mutators produce only the six kinds
         raise GraphError(f"unknown undo entry {op!r}")
+    return None
 
 
 def _evict_stale_caches(graph: "PropertyGraph", txn: GraphTransaction) -> None:
@@ -260,8 +273,7 @@ def _evict_stale_caches(graph: "PropertyGraph", txn: GraphTransaction) -> None:
     describing the discarded state.  Caches from *before* the
     transaction stay: the restored state is bit-identical to what they
     describe — for the columnar snapshot, once the window's records are
-    cut off the dirty log it has yet to consume.  (The ``incidences()``
-    memo needs no pass: every undo entry evicts the nodes it touches.)
+    cut off the dirty log it has yet to consume.
     """
     from repro.graph.columnar import _SNAPSHOT_ATTR
     from repro.planner.stats import _CACHE_ATTR

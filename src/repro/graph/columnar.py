@@ -1,8 +1,8 @@
 """Columnar snapshot of a property graph: CSR adjacency + property columns.
 
 The object model (:mod:`repro.graph.model`) stores the graph as dicts of
-objects — ideal for mutation, slow to traverse: every matcher step chases
-pointers and rebuilds ``Incidence`` lists.  This module compiles a
+objects — ideal for mutation, slow to traverse: every matcher step would
+chase pointers through per-node incidence lists.  This module compiles a
 **columnar snapshot** of a graph on demand, which only this module writes:
 
 * nodes and edges get integer codes (insertion order, so code order
@@ -548,12 +548,12 @@ class ColumnarGraph:
         label = block.label
         only = _NEED_DIR.get(block.need)
         row: list[tuple[str, int, int]] = []  # (edge id, neighbour code, direction)
-        for inc in self.graph._incidence[nid]:
-            if label is not None and label not in edges[inc.edge].labels:
+        for edge_id, other_id, direction_name in self.graph._incidence[nid]:
+            if label is not None and label not in edges[edge_id].labels:
                 continue
-            direction = _DIR_CODE[inc.direction]
+            direction = _DIR_CODE[direction_name]
             if only is None or direction == only:
-                row.append((inc.edge, node_code[inc.other], direction))
+                row.append((edge_id, node_code[other_id], direction))
         edge_ids = block.edge_ids
         start, end = block.starts[code], block.ends[code]
         if row == [

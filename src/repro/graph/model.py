@@ -18,8 +18,8 @@ keys and in result bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import GraphError
 from repro.graph.changelog import ChangeRecord, GraphTransaction
@@ -31,13 +31,16 @@ IN = "in"
 UNDIRECTED = "undirected"
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     """One way of leaving a node along an incident edge.
 
     ``direction`` is OUT (a directed edge leaving the node), IN (a directed
     edge entering the node, traversed against its direction), or UNDIRECTED.
     ``other`` is the node reached by the traversal.
+
+    The graph stores each incidence as a plain ``(edge, other, direction)``
+    tuple of strings, which the cyclic collector untracks; this named
+    view is built by :meth:`PropertyGraph.incidences` per call.
     """
 
     edge: str
@@ -45,15 +48,15 @@ class Incidence:
     direction: str
 
 
-@dataclass
+@dataclass(slots=True)
 class _ElementData:
-    labels: frozenset[str]
-    properties: dict[str, Any] = field(default_factory=dict)
+    labels: frozenset[str]  # interned: shared by every element with this set
+    properties: dict[str, Any]
     #: monotone insertion sequence number (the graph version at creation:
     #: every add bumps it, and a rollback that restores an older version
     #: has removed every element created after it).  Insertion order is
     #: sequence order, so undoing a removal needs no recorded position.
-    seq: int = 0
+    seq: int
 
 
 #: sentinel for "property absent" (None is a legal property value)
@@ -88,11 +91,11 @@ def _index_discard(buckets: dict[Any, set[str]], value: Any, element_id: str) ->
             del buckets[key]
 
 
-@dataclass
+@dataclass(slots=True)
 class _EdgeData(_ElementData):
-    first: str = ""
-    second: str = ""
-    directed: bool = True
+    first: str
+    second: str
+    directed: bool
 
 
 class _Element:
@@ -265,14 +268,14 @@ class PropertyGraph:
         self.name = name
         self._nodes: dict[str, _ElementData] = {}
         self._edges: dict[str, _EdgeData] = {}
-        self._incidence: dict[str, list[Incidence]] = {}
+        # Per node, its incidences as plain (edge, other, direction) string
+        # tuples: atoms only, so the cyclic collector untracks them.
+        self._incidence: dict[str, list[tuple[str, str, str]]] = {}
         self._node_label_index: dict[str, set[str]] = {}
         self._edge_label_index: dict[str, set[str]] = {}
-        self._incidence_label_cache: dict[str, dict[str, list[Incidence]]] = {}
-        # Memo of incidences() results: traversal loops revisit the same
-        # nodes, so the per-call defensive copy is paid once per node
-        # until a mutation touches that node's incidence list.
-        self._incidence_memo: dict[str, list[Incidence]] = {}
+        # One frozenset per distinct label combination, shared by every
+        # element that carries it (see _interned).
+        self._label_sets: dict[frozenset[str], frozenset[str]] = {}
         # Property-value hash indexes, keyed (kind, label-or-None, property).
         # Maintained incrementally by every mutation below; see create_index.
         self._property_indexes: dict[
@@ -343,6 +346,11 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _interned(self, labels: Iterable[str]) -> frozenset[str]:
+        """The graph's one frozenset equal to *labels*."""
+        key = frozenset(labels)
+        return self._label_sets.setdefault(key, key)
+
     def _fresh_id(self, prefix: str) -> str:
         while True:
             self._auto_counter += 1
@@ -361,7 +369,7 @@ class PropertyGraph:
         if node_id in self._nodes or node_id in self._edges:
             raise GraphError(f"duplicate element id {node_id!r}")
         data = _ElementData(
-            labels=frozenset(labels),
+            labels=self._interned(labels),
             properties=dict(properties or {}),
             seq=self._version,
         )
@@ -394,7 +402,7 @@ class PropertyGraph:
             if endpoint not in self._nodes:
                 raise GraphError(f"unknown endpoint node {endpoint!r}")
         data = _EdgeData(
-            labels=frozenset(labels),
+            labels=self._interned(labels),
             properties=dict(properties or {}),
             seq=self._version,
             first=first,
@@ -403,16 +411,14 @@ class PropertyGraph:
         )
         self._edges[edge_id] = data
         if directed:
-            self._incidence[first].append(Incidence(edge_id, second, OUT))
-            self._incidence[second].append(Incidence(edge_id, first, IN))
+            self._incidence[first].append((edge_id, second, OUT))
+            self._incidence[second].append((edge_id, first, IN))
         else:
-            self._incidence[first].append(Incidence(edge_id, second, UNDIRECTED))
+            self._incidence[first].append((edge_id, second, UNDIRECTED))
             if first != second:
-                self._incidence[second].append(Incidence(edge_id, first, UNDIRECTED))
+                self._incidence[second].append((edge_id, first, UNDIRECTED))
         for label in data.labels:
             self._edge_label_index.setdefault(label, set()).add(edge_id)
-        self._incidence_changed(first)
-        self._incidence_changed(second)
         self._index_element_added("edge", edge_id, data)
         if self._journaling():
             self._record_change(
@@ -449,7 +455,7 @@ class PropertyGraph:
                     endpoint: [
                         (position, inc)
                         for position, inc in enumerate(self._incidence[endpoint])
-                        if inc.edge == edge_id
+                        if inc[0] == edge_id
                     ]
                     for endpoint in {data.first, data.second}
                 },
@@ -457,9 +463,8 @@ class PropertyGraph:
         del self._edges[edge_id]
         for endpoint in {data.first, data.second}:
             self._incidence[endpoint] = [
-                inc for inc in self._incidence[endpoint] if inc.edge != edge_id
+                inc for inc in self._incidence[endpoint] if inc[0] != edge_id
             ]
-            self._incidence_changed(endpoint)
         for label in data.labels:
             self._edge_label_index[label].discard(edge_id)
         self._index_element_removed("edge", edge_id, data)
@@ -474,12 +479,11 @@ class PropertyGraph:
         """Remove a node and every incident edge."""
         if node_id not in self._nodes:
             raise GraphError(f"unknown node {node_id!r}")
-        for inc in list(self._incidence[node_id]):
-            if inc.edge in self._edges:
-                self.remove_edge(inc.edge)
+        for edge_id, _, _ in list(self._incidence[node_id]):
+            if edge_id in self._edges:
+                self.remove_edge(edge_id)
         data = self._nodes.pop(node_id)
         del self._incidence[node_id]
-        self._incidence_changed(node_id)
         for label in data.labels:
             self._node_label_index[label].discard(node_id)
         self._index_element_removed("node", node_id, data)
@@ -548,7 +552,7 @@ class PropertyGraph:
         data = self._element_data(element_id)
         kind = "node" if element_id in self._nodes else "edge"
         old_labels = data.labels
-        new_labels = frozenset(labels)
+        new_labels = self._interned(labels)
         if new_labels == old_labels:
             return  # no logical change: no version bump, no journal entry
         self._set_labels_impl(kind, data, element_id, new_labels)
@@ -567,11 +571,11 @@ class PropertyGraph:
         kind: str,
         data: _ElementData,
         element_id: str,
-        labels: frozenset[str],
+        new_labels: frozenset[str],
     ) -> None:
-        """Replace labels + maintain label and label-scoped property indexes."""
+        """Replace labels (an interned set) + maintain label and
+        label-scoped property indexes."""
         old_labels = data.labels
-        new_labels = frozenset(labels)
         data.labels = new_labels
         label_index = (
             self._node_label_index if kind == "node" else self._edge_label_index
@@ -580,10 +584,6 @@ class PropertyGraph:
             label_index[label].discard(element_id)
         for label in new_labels - old_labels:
             label_index.setdefault(label, set()).add(element_id)
-        if kind == "edge":
-            edge_data = self._edges[element_id]
-            self._incidence_label_cache.pop(edge_data.first, None)
-            self._incidence_label_cache.pop(edge_data.second, None)
         for (index_kind, label, prop), buckets in self._property_indexes.items():
             if index_kind != kind or label is None:
                 continue
@@ -760,47 +760,13 @@ class PropertyGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def _incidence_changed(self, node_id: str) -> None:
-        """Drop the per-node caches derived from *node_id*'s incidence list."""
-        self._incidence_label_cache.pop(node_id, None)
-        self._incidence_memo.pop(node_id, None)
-
     def incidences(self, node_id: str) -> list[Incidence]:
-        """All ways of leaving *node_id* along an incident edge.
-
-        Memoized per node: repeat calls return the same list object until
-        a mutation touches the node's incidence list, so callers must
-        treat the result as read-only.
-        """
-        cached = self._incidence_memo.get(node_id)
-        if cached is None:
-            if node_id not in self._incidence:
-                raise GraphError(f"unknown node {node_id!r}")
-            cached = list(self._incidence[node_id])
-            self._incidence_memo[node_id] = cached
-        return cached
-
-    def incidences_with_label(self, node_id: str, label: str) -> list[Incidence]:
-        """Incidences whose edge carries *label* (lazily cached per node).
-
-        The traversal fast path for edge patterns with a single required
-        label; the cache is invalidated by mutations touching the node.
-        """
-        if node_id not in self._incidence:
+        """All ways of leaving *node_id* along an incident edge, in
+        edge-insertion order (a new list per call)."""
+        stored = self._incidence.get(node_id)
+        if stored is None:
             raise GraphError(f"unknown node {node_id!r}")
-        per_node = self._incidence_label_cache.get(node_id)
-        if per_node is None:
-            per_node = {}
-            self._incidence_label_cache[node_id] = per_node
-        cached = per_node.get(label)
-        if cached is None:
-            cached = [
-                inc
-                for inc in self._incidence[node_id]
-                if label in self._edges[inc.edge].labels
-            ]
-            per_node[label] = cached
-        return cached
+        return list(map(Incidence._make, stored))
 
     def labels_of(self, element_id: str) -> frozenset[str]:
         return self._element_data(element_id).labels

@@ -31,7 +31,10 @@ class TestShortestOnCycles:
         assert (len(rows), stats.steps, stats.matches) == (36, 48, 48)
         counter_values = 2  # the {1,} counter saturates at 1
         product_states = fig1.num_nodes ** 2 * prepared.nfas[0].num_states * counter_values
-        degree = max(len(fig1.incidences_with_label(node, "Transfer")) for node in fig1.node_ids())
+        degree = max(
+            sum(fig1.edge(inc.edge).has_label("Transfer") for inc in fig1.incidences(node))
+            for node in fig1.node_ids()
+        )
         assert stats.steps <= product_states * degree
 
     def test_shortest_with_min_iterations(self):
