@@ -8,12 +8,11 @@ on the tracked-object count, the layout's count law (see the "What the
 graph stores per element" section of docs/architecture.md); bytes and
 pauses are reported, not gated.
 
-    PYTHONPATH=src python benchmarks/heap_shape.py [--accounts N] [--seed S]
+    PYTHONPATH=src python benchmarks/heap_shape.py
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import statistics
 import sys
@@ -34,15 +33,13 @@ from suite.gen import build_graph, generate  # noqa: E402
 #: with a frozenset each and an ``Incidence`` object per edge end measured
 #: 3.67
 MAX_TRACKED_PER_ELEMENT = 1.6
+ACCOUNTS = 30_000
+SEED = 1
 PAUSES = 7
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--accounts", type=int, default=30_000)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-    data = generate(args.seed, args.accounts, 2 * args.accounts)
+    data = generate(SEED, ACCOUNTS, 2 * ACCOUNTS)
     gc.collect()
     tracked_before = len(gc.get_objects())
     tracemalloc.start()

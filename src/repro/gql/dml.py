@@ -481,7 +481,7 @@ class Delete(_Write):
                     graph.remove_edge(target.id)
             for target in targets:
                 if isinstance(target, Node) and graph.has_node(target.id):
-                    if not self.statement.detach and graph.incidences(target.id):
+                    if not self.statement.detach and graph.node(target.id).degree():
                         raise GqlError(
                             f"cannot DELETE node {target.id!r}: it still has "
                             f"incident edges (use DETACH DELETE)"

@@ -176,7 +176,10 @@ class Node(_Element):
         return self._graph.incidences(self._id)
 
     def degree(self) -> int:
-        return len(self._graph.incidences(self._id))
+        stored = self._graph._incidence.get(self._id)
+        if stored is None:
+            raise GraphError(f"unknown node {self._id!r}")
+        return len(stored)
 
     def __repr__(self) -> str:
         if self._id not in self._graph._nodes:
@@ -274,7 +277,9 @@ class PropertyGraph:
         self._node_label_index: dict[str, set[str]] = {}
         self._edge_label_index: dict[str, set[str]] = {}
         # One frozenset per distinct label combination, shared by every
-        # element that carries it (see _interned).
+        # element that carries it (see _interned).  Bounded by the
+        # combinations ever used; deliberately neither pruned when the last
+        # holder goes nor rolled back, since an unused entry is harmless.
         self._label_sets: dict[frozenset[str], frozenset[str]] = {}
         # Property-value hash indexes, keyed (kind, label-or-None, property).
         # Maintained incrementally by every mutation below; see create_index.

@@ -230,3 +230,12 @@ class TestIncidencesByLabel:
     def test_unknown_node(self, small):
         with pytest.raises(GraphError):
             small.incidences("zzz")
+
+    def test_degree_counts_incidences(self, small):
+        assert [small.node(n).degree() for n in "abc"] == [1, 2, 1]
+        assert [len(small.incidences(n)) for n in "abc"] == [1, 2, 1]
+        gone = small.node("c")
+        small.remove_node("c")
+        assert small.node("b").degree() == 1
+        with pytest.raises(GraphError):
+            gone.degree()
