@@ -1,12 +1,12 @@
 """Guard: a commit costs the size of the change, not the size of the graph.
 
-Runs the same write → read cycles on a banking graph and on one twice
-its size, and holds the ROADMAP's O(change) gates:
+Runs the same write → refresh → read cycles on a banking graph and on
+one twice its size, and holds the ROADMAP's O(change) gates:
 
 * **counters identical** — snapshot advances, CSR row entries patched,
-  compactions, full builds (none) and matcher steps of the reads are the
-  same numbers on both graphs: nothing the cycle does scales with the
-  graph;
+  compactions, full builds (none), matcher steps of the reads, and the
+  standing fraud query's refresh steps and region nodes are the same
+  numbers on both graphs: nothing the cycle does scales with the graph;
 * **wall ratio ≤ :data:`MAX_WALL_RATIO` (2.5) for the 2x graph** —
   best-of-:data:`REPEATS` over the whole cycle sequence (measured ≈ 1.0;
   the ROADMAP measured ≈ 4 for the delete round trip of the
@@ -14,14 +14,16 @@ its size, and holds the ROADMAP's O(change) gates:
 * **``remove_edge`` ≤ :data:`MAX_REMOVE_EDGE_US` (100 µs)** inside a
   transaction, where the undo entry is recorded.
 
-One cycle is three transactions with a point read after each (the read
-is what brings the columnar snapshot up to date): INSERT a transfer +
-SET a flag; INSERT a review node + edge and DETACH DELETE them; DELETE
-the inserted transfer.  Net-zero on the structure, so every repeat does
-identical work.  The graph is built here, not drawn at random: every
-account sends to the next and the seventh-next one, so the touched
-accounts have the same degree at every size and the counters can be
-compared with ``==``.
+One cycle is three transactions, each followed by a refresh of the
+standing fraud query (registered once per graph, :data:`FRAUD`) and a
+point read (the refresh's search is what brings the columnar snapshot up
+to date): INSERT a transfer + SET a flag; INSERT a review node + edge and
+DETACH DELETE them; DELETE the inserted transfer.  The standing view is
+checked against a from-scratch run of the query at the end.  Net-zero on
+the structure, so every repeat does identical work.  The graph is built
+here, not drawn at random: every account sends to the next and the
+seventh-next one, so the touched accounts have the same degree at every
+size and the counters can be compared with ``==``.
 
 CI runs this at 3k/6k vs 6k/12k accounts/transfers (the defaults).
 """
@@ -39,6 +41,7 @@ if _SRC not in sys.path:
 
 from repro.gpml.streaming import PipelineStats  # noqa: E402
 from repro.gql.query import execute_gql_iter, parse_gql_query  # noqa: E402
+from repro.gql.standing import StandingQuery  # noqa: E402
 from repro.graph import GraphBuilder  # noqa: E402
 from repro.graph.columnar import snapshot_for, storage_stats  # noqa: E402
 
@@ -51,6 +54,10 @@ REMOVE_BATCH = 200
 POINT_READ = (
     "MATCH (a:Account WHERE a.owner='o{i}')-[t:Transfer]->(b:Account) "
     "RETURN b.owner AS dst, t.amount AS amount"
+)
+FRAUD = (
+    "MATCH (a:Account WHERE a.isBlocked='yes')-[t:Transfer]->"
+    "(b:Account WHERE b.isBlocked='yes') RETURN a.owner AS src, b.owner AS dst, t.amount AS amount"
 )
 WRITES = (
     "MATCH (a:Account WHERE a.owner='o{i}'), (b:Account WHERE b.owner='o{j}') "
@@ -85,17 +92,29 @@ def drain(graph, text: str, stats: PipelineStats) -> int:
     return sum(1 for _ in execute_gql_iter(graph, parse_gql_query(text), stats=stats))
 
 
-def run_cycles(graph, repeat: int) -> tuple[float, int]:
-    """Seconds and matcher steps for :data:`CYCLES` write → read cycles."""
+def run_cycles(graph, standing: StandingQuery, repeat: int) -> tuple[float, dict]:
+    """Seconds and step counters for :data:`CYCLES` write → refresh →
+    read cycles."""
     stats = PipelineStats()
+    refresh_steps = region_nodes = 0
     start = perf_counter()
     for cycle in range(CYCLES):
         i, j = 10 + 13 * cycle, 500 + 17 * cycle
         for write in WRITES:
             drain(graph, write.format(i=i, j=j, k=repeat * CYCLES + cycle), stats)
+            delta = standing.refresh()
+            refresh_steps += delta.steps
+            region_nodes += delta.region_size
             rows = drain(graph, POINT_READ.format(i=i), stats)
             assert rows >= 2, f"point read of o{i} lost its transfers"
-    return perf_counter() - start, stats.steps
+    counters = {
+        "read_steps": stats.steps, "refresh_steps": refresh_steps, "region_nodes": region_nodes,
+    }
+    return perf_counter() - start, counters
+
+
+def canonical(records) -> list:
+    return sorted(tuple(sorted(record.items())) for record in records)
 
 
 def remove_edge_us(graph) -> float:
@@ -117,22 +136,27 @@ def measure(accounts: int) -> dict:
     # Warm: the analytic read builds the snapshot, its blocks and columns;
     # one untimed pass creates the property indexes the writes probe.
     drain(graph, "MATCH (a:Account)-[t:Transfer]->(b:Account) RETURN t.amount", PipelineStats())
-    run_cycles(graph, 0)
+    standing = StandingQuery(graph, FRAUD)
+    run_cycles(graph, standing, 0)
     snapshot = snapshot_for(graph)
     before = dict(storage_stats(graph))
-    best, steps = float("inf"), set()
+    best, work = float("inf"), set()
     for repeat in range(1, REPEATS + 1):
-        elapsed, repeat_steps = run_cycles(graph, repeat)
+        elapsed, repeat_counters = run_cycles(graph, standing, repeat)
         best = min(best, elapsed)
-        steps.add(repeat_steps)
+        work.add(tuple(repeat_counters.items()))
     assert snapshot_for(graph) is snapshot, "the snapshot was rebuilt, not advanced"
     after = storage_stats(graph)
     counters = {
         key: after[key] - before[key]
         for key in ("misses", "advances", "patched_rows", "compactions")
     }
-    assert len(steps) == 1, f"repeats did different work: {steps}"
-    counters["read_steps"] = steps.pop()
+    assert len(work) == 1, f"repeats did different work: {work}"
+    counters.update(work.pop())
+    assert canonical(standing.rows()) == canonical(
+        dict(row) for row in execute_gql_iter(graph, parse_gql_query(FRAUD))
+    ), "the standing view diverged from a from-scratch run"
+    standing.close()
     return {
         "accounts": accounts,
         "elements": graph.num_nodes + graph.num_edges,

@@ -528,6 +528,8 @@ class _Search(_Stage):
 
     def rows(self) -> Iterator[ReducedBinding]:
         graph, run, start = self.graph, self.reversed_run, self.seeds
+        # a seed list runs seed by seed; a single seed is one run either way
+        per_seed = start is not None and len(start) > 1
         if start is None:
             plan = self.plan = plan_query(graph, self.prepared).patterns[self.index]
             start = partial(plan.start_candidates, graph)
@@ -541,7 +543,7 @@ class _Search(_Stage):
             reverse=self.reverse,
         )
         self.version = graph.version  # what the snapshot shows (see _row_plan)
-        return _run_strategy(self.matcher, self.path, self.analysis)
+        return _run_strategy(self.matcher, self.path, self.analysis, per_seed)
 
     def finish(self) -> None:
         """Record what the search did, once, when its consumer closes —
@@ -824,21 +826,25 @@ def _make_matcher(
     )
 
 
-def _run_strategy(matcher: FrontierMatcher, path, analysis) -> Iterator[ReducedBinding]:
-    """Run the search strategy the analysis chose for one path pattern."""
+def _run_strategy(
+    matcher: FrontierMatcher, path, analysis, per_seed: bool = False
+) -> Iterator[ReducedBinding]:
+    """Run the search strategy the analysis chose for one path pattern —
+    once per start candidate when *per_seed* (an explicit seed list)."""
     strategy = analysis.strategy
     if strategy == ENUMERATE:
-        return matcher.enumerate_all()
-    if strategy == SHORTEST:
-        return matcher.search_shortest()
-    if strategy == K_SEARCH:
-        return matcher.search_k_shortest(path.selector.k or 1)
-    if strategy == CHEAPEST:
+        search = matcher.enumerate_all
+    elif strategy == SHORTEST:
+        search = matcher.search_shortest
+    elif strategy == K_SEARCH:
+        search = partial(matcher.search_k_shortest, path.selector.k or 1)
+    elif strategy == CHEAPEST:
         selector = path.selector
-        return matcher.search_cheapest(
-            selector.k or 1, selector.cost_property or "cost"
-        )
-    raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
+        cost = selector.cost_property or "cost"
+        search = partial(matcher.search_cheapest, selector.k or 1, cost)
+    else:
+        raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
+    return matcher.seed_by_seed(search) if per_seed else search()
 
 
 def seeded_stages(
@@ -871,6 +877,11 @@ def seeded_stages(
     start candidates to one node selects whole endpoint partitions, so
     selectors and KEEP — which choose per endpoint partition — see
     exactly the partitions a full run would have produced for that node.
+    Several seeds run seed by seed (:meth:`FrontierMatcher.seed_by_seed`):
+    the rows are the one-seed runs' rows concatenated, the steps their
+    sum, ``max_steps`` / ``max_results`` hold per seed; dedup keys and
+    endpoint partitions contain the walk's start, so no seed's rows
+    meet another's.
 
     ``owner``, when given, *aggregates* across seeded runs: one chained
     MATCH statement may run thousands of seeded searches, so instead of

@@ -93,6 +93,12 @@ deposit goes, where an accept goes, and which entry the loop takes next
   charged at acceptance, and leave once the queue's minimum cost passes
   them — the stable sort-by-cost order of a materialized run.
 
+*Seed by seed.*  A seeded run — an explicit seed list, one anchored
+search per start — runs its strategy once per seed
+(:meth:`~FrontierMatcher.seed_by_seed`) on one matcher and one program:
+its rows are the one-seed runs' rows, concatenated, its steps their sum,
+and ``max_steps`` / ``max_results`` hold for each seed on its own.
+
 Steps are added a slice at a time and are **exact wherever the scan can
 stop**: before a yield, a residual evaluation, a guarded walk or a raise
 the count is stepped back to the entry in hand; a slice that would cross
@@ -773,13 +779,13 @@ class FrontierMatcher:
         self._counts = counts
 
     # -- strategies ----------------------------------------------------
-    def enumerate_all(self) -> Iterator[ReducedBinding]:
+    def enumerate_all(self, candidates: Optional[list] = None) -> Iterator[ReducedBinding]:
         """DFS: each seed drained before the next, accepts yielded as found."""
         stack: list = []
         push, accept = stack.append, self._accept
-        return self._scan(self._seeding(push, accept, stack), stack, push, accept)
+        return self._scan(self._seeding(push, accept, stack, candidates), stack, push, accept)
 
-    def search_shortest(self) -> Iterator[ReducedBinding]:
+    def search_shortest(self, candidates: Optional[list] = None) -> Iterator[ReducedBinding]:
         """Layered BFS: a product state is expanded at its first depth only."""
         visited: dict[tuple, int] = {}
 
@@ -787,9 +793,11 @@ class FrontierMatcher:
             # later arrivals at a product state cannot be minimal
             return visited.setdefault(key, depth) >= depth
 
-        return self._layered(admit, None)
+        return self._layered(admit, None, candidates)
 
-    def search_k_shortest(self, k: int) -> Iterator[ReducedBinding]:
+    def search_k_shortest(
+        self, k: int, candidates: Optional[list] = None
+    ) -> Iterator[ReducedBinding]:
         """Layered search keeping up to *k* path lengths per product state."""
         allowed: dict[tuple, set[int]] = {}
 
@@ -804,9 +812,11 @@ class FrontierMatcher:
         max_depth = self.config.max_depth
         if max_depth is None:
             max_depth = (self.graph.num_nodes * len(self.program.hops) + 1) * (k + 1)
-        return self._layered(admit, max_depth)
+        return self._layered(admit, max_depth, candidates)
 
-    def _layered(self, admit, max_depth: Optional[int]) -> Iterator[ReducedBinding]:
+    def _layered(
+        self, admit, max_depth: Optional[int], candidates: Optional[list]
+    ) -> Iterator[ReducedBinding]:
         stack: list = []
         layer: list = []  # the next layer's entries
         held: list = []  # this layer's accepts
@@ -817,7 +827,7 @@ class FrontierMatcher:
                 held.append(solution)
 
         def rounds():
-            yield from self._seeding(layer.append, accept)
+            yield from self._seeding(layer.append, accept, candidates=candidates)
             prune_key = _pruner()
             depth = 0
             while True:
@@ -853,7 +863,9 @@ class FrontierMatcher:
 
         return self._scan(rounds(), stack, layer.append, accept)
 
-    def search_cheapest(self, k: int, cost_property: str) -> Iterator[ReducedBinding]:
+    def search_cheapest(
+        self, k: int, cost_property: str, candidates: Optional[list] = None
+    ) -> Iterator[ReducedBinding]:
         """Dijkstra, yielding accepts in final (stable) cost order.
 
         An accepted binding of cost *c* becomes emittable once the queue's
@@ -886,7 +898,7 @@ class FrontierMatcher:
 
         def rounds():
             nonlocal current
-            yield from self._seeding(push, accept)
+            yield from self._seeding(push, accept, candidates=candidates)
             prune_key = _pruner()
             while queue:
                 cost, _, entry = heappop(queue)
@@ -905,18 +917,51 @@ class FrontierMatcher:
 
         return self._scan(rounds(), stack, push, accept)
 
+    def seed_by_seed(self, search) -> Iterator[ReducedBinding]:
+        """*search* — a strategy method, or a partial of one — run once per
+        start candidate, each run as if it were the only one: the layered
+        and cost strategies start a fresh layer and heap, and ``max_steps``
+        / ``max_results`` are measured from the seed's start.  Rows come
+        seed after seed; ``steps``, the stats and the frontier counters
+        add up across the runs."""
+        budget = self._budget
+        candidates = self._initial_candidates()
+        self.initial_candidate_count = len(candidates)
+        for seed in self._startable(candidates):
+            self._emitted = 0
+            yield from search(candidates=[seed])
+            if budget is not None and budget.satisfied:
+                return
+
+    def _startable(self, candidates: list) -> list:
+        """*candidates* less the nodes no start route's node tests admit:
+        a run seeded from one of those starts nothing and costs no step.
+        An unknown id stays, for its run to raise."""
+        codes = list(map(self.snapshot.node_code.get, candidates))
+        known = [code for code in codes if code is not None]
+        admitted: set = set()
+        for plan in self.program.seeds:
+            if not plan.node_tests:
+                return candidates
+            admitted.update(compress(known, _verdicts(plan.node_tests, known)))
+        return [seed for seed, code in zip(candidates, codes) if code is None or code in admitted]
+
     # -- seeds ---------------------------------------------------------
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
             return self._start_candidates
         return sorted(self.graph.node_ids())
 
-    def _seeding(self, push, accept, stack: Optional[list] = None):
-        """Start every candidate — a block of seeds at a time, each seed
-        drained before the next when *stack* is the DFS stack to drain —
-        and raise for an unknown id once the seeds before it are started."""
-        candidates = self._initial_candidates()
-        self.initial_candidate_count = len(candidates)
+    def _seeding(
+        self, push, accept, stack: Optional[list] = None, candidates: Optional[list] = None
+    ):
+        """Start every candidate (default: the matcher's) — a block of
+        seeds at a time, each seed drained before the next when *stack*
+        is the DFS stack to drain — and raise for an unknown id once the
+        seeds before it are started."""
+        if candidates is None:
+            candidates = self._initial_candidates()
+            self.initial_candidate_count = len(candidates)
         node_code = self.snapshot.node_code
         for at, size in _seed_blocks(len(candidates)):
             seeds = list(map(node_code.get, candidates[at : at + size]))
@@ -991,6 +1036,9 @@ class FrontierMatcher:
         after a write was folded in stops with an error instead of
         reading relocated rows or outgrown masks: the version is checked
         wherever the generator hands control to its consumer.
+
+        The counters go on from where the matcher's last run left them;
+        ``max_steps`` is measured from this run's start.
         """
         program = self.program
         snapshot = self.snapshot
@@ -1007,7 +1055,8 @@ class FrontierMatcher:
         # here: a slice adds its admitted entries at once, and whatever
         # can stop the scan inside a slice first steps it back to the
         # entry in hand.
-        steps = slices = entries = survived = 0
+        steps, (slices, entries, survived) = self._steps, self._counts
+        limit = steps + max_steps
         try:
             for found in rounds:
                 if found is not None:
@@ -1034,9 +1083,9 @@ class FrontierMatcher:
                         others = list(compress(others, admitted))
                     base, count = steps, len(others)
                     steps += count
-                    over = steps > max_steps
+                    over = steps > limit
                     if over:  # scan the prefix the budget allows, then raise
-                        steps, count = max_steps, max_steps - base
+                        steps, count = limit, limit - base
                         del locals_[count:], others[count:]
                     verdicts = _verdicts(edge_tests, locals_) if edge_tests else None
                     if edge_join is not None:

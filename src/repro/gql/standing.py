@@ -4,9 +4,9 @@ This is the paper's fraud scenario run *continuously*: instead of
 re-running ``MATCH (a:Account WHERE ...)-[:Transfer]->(b ...)`` after
 every mutation, a :class:`StandingQuery` subscribes to the graph's
 change feed (:meth:`PropertyGraph.add_watcher`) and maintains its result
-incrementally, re-matching **only around touched nodes** via the seeded
-per-row search (:func:`repro.gpml.engine.seeded_stages`) — never a
-full re-run.
+incrementally, re-matching **only around touched nodes** with one
+seeded search (:func:`repro.gpml.engine.seeded_stages`) over them — never
+a full re-run.
 
 How incremental maintenance works
 ---------------------------------
@@ -16,12 +16,16 @@ first MATCH's (single) path pattern.  A seeded run restricted to
 one start ``s`` produces exactly the query rows whose first pattern
 begins at ``s`` (the NFA's entry node test validates the seed, so
 seeding arbitrary node ids is sound), and the union over all nodes is
-the full result.  The standing query keeps one *bucket* of result keys
-per start, plus a support count per key; the visible result is a **bag**
-— each key appears with its total multiplicity.  Bag semantics matter:
-the engine deduplicates on the full walk (elements + singletons +
-groups), so two different walks may project to identical visible
-records, and a from-scratch run reports both.
+the full result.  The engine runs a seed list seed by seed, each seed
+with a fresh search and a budget of its own, so one seeded search over
+many starts yields each start's rows exactly as a run of its own would,
+and each row names its start: the first node of its walk.  The standing
+query keeps one *bucket* of result keys per start, plus a support count
+per key; the visible result is a **bag** — each key appears with its
+total multiplicity.  Bag semantics matter: the engine deduplicates on
+the full walk (elements + singletons + groups), so two different walks
+may project to identical visible records, and a from-scratch run
+reports both.
 
 On :meth:`refresh`, the buffered change records are turned into a
 re-match **region**: a breadth-first ball of radius ``D`` around every
@@ -33,10 +37,11 @@ whose paths chain through shared variables, so every element of the row
 the row touches.  Removed edges still contribute adjacency (their
 endpoints arrive on the change records), so old rows through deleted
 elements are reachable too.  Every bucket whose start falls inside the
-region is retracted and, if the start is still alive, recomputed by a
-fresh seeded run; starts outside the region are untouched — that is the
-incremental claim the benchmark quantifies (<5% of from-scratch matcher
-steps per mutation batch).
+region is retracted and, if the start is still alive, recomputed — the
+refresh runs one seeded search over the region's alive nodes.  Starts
+outside the region are untouched: that is the incremental claim the
+benchmark quantifies (<5% of from-scratch matcher steps per mutation
+batch).
 
 A per-refresh :class:`StandingDelta` reports the *net* added/retracted
 record instances (a row retracted and immediately re-derived in the same
@@ -283,27 +288,32 @@ class StandingQuery:
     ) -> Iterator[dict[str, Any]]:
         """The query's final binding rows, tagged with their start node.
 
-        One seeded run *per start* for the first statement — per-start
-        deduplication then matches what any later refresh of that start
-        produces, keeping buckets comparable across time — then a single
-        pass through the remaining statements' operators (their per-row
-        processing is independent row to row, so batching only shares
-        hash-join builds and seed memos, never changes the result).
+        One seeded search over all *starts* for the first statement (none
+        when there are no starts).  The engine runs a seed list seed by
+        seed — a fresh search and budget per start, rows in seed order —
+        and its dedup keys and selector partitions contain the walk's
+        start, so each start's rows are exactly what a run seeded from
+        that start alone produces, keeping buckets comparable across
+        time.  A row's start is the first node of its walk.  Then a
+        single pass through the remaining statements' operators (their
+        per-row processing is independent row to row, so batching only
+        shares hash-join builds and seed memos, never changes the result).
         """
+        if not starts:
+            return iter(())
         first = self._first_match()
 
         def tagged() -> Iterator[dict[str, Any]]:
-            for start in starts:
-                for match in seeded_stages(
-                    self.graph, first.prepared, self.config, [start], stats=stats
-                ).run():
-                    row = dict(match.values)
-                    row[START_TAG] = start
-                    yield row
+            for match in seeded_stages(
+                self.graph, first.prepared, self.config, starts, stats=stats
+            ).run():
+                row = dict(match.values)
+                row[START_TAG] = match.paths[0].source_id
+                yield row
 
         return build_chain(
             self.compiled.statements[1:],
-            Rows(tagged(), "statement #1, one seeded run per start"),
+            Rows(tagged(), "statement #1, one seeded search over the starts"),
             self.graph, self.config, stats=stats, first=2,
         ).run()
 
@@ -381,9 +391,7 @@ class StandingQuery:
             for node in frontier:
                 neighbours: set[str] = set(extra_adj.get(node, ()))
                 if self.graph.has_node(node):
-                    neighbours.update(
-                        inc.other for inc in self.graph.incidences(node)
-                    )
+                    neighbours.update(self.graph.neighbour_ids(node))
                 next_frontier |= neighbours - region
             region |= next_frontier
             frontier = next_frontier
@@ -411,7 +419,7 @@ class StandingQuery:
             for key in keys:
                 removed[key] = removed.get(key, 0) + 1
                 self._support[key] -= 1
-        # Re-match the alive part of the region, one seeded run per start.
+        # Re-match the alive part of the region in one seeded search.
         starts = sorted(node for node in region if self.graph.has_node(node))
         stats = PipelineStats()
         produced = self._fill_starts(starts, stats)

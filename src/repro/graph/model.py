@@ -773,6 +773,15 @@ class PropertyGraph:
             raise GraphError(f"unknown node {node_id!r}")
         return list(map(Incidence._make, stored))
 
+    def neighbour_ids(self, node_id: str) -> list[str]:
+        """The node at the other end of each of :meth:`incidences`, in the
+        same order (a node twice for parallel edges), without building
+        an :class:`Incidence` per edge."""
+        stored = self._incidence.get(node_id)
+        if stored is None:
+            raise GraphError(f"unknown node {node_id!r}")
+        return [other for _, other, _ in stored]
+
     def labels_of(self, element_id: str) -> frozenset[str]:
         return self._element_data(element_id).labels
 

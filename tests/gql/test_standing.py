@@ -15,8 +15,9 @@ import pytest
 from repro.datasets import random_transfer_network
 from repro.errors import GqlError
 from repro.gpml import PipelineStats
+from repro.gpml.engine import seeded_stages
 from repro.graph.model import PropertyGraph
-from repro.gql import execute_gql, execute_gql_iter
+from repro.gql import execute_gql, execute_gql_iter, standing
 from repro.gql.session import GqlSession
 from repro.gql.standing import StandingQuery, _max_edges
 from repro.gql.query import parse_gql_query
@@ -185,6 +186,30 @@ class TestDeltas:
         sq = StandingQuery(g, QUERY)
         delta = sq.refresh()
         assert delta.empty and delta.steps == 0 and delta.region_size == 0
+
+    def test_one_seeded_tree_per_fill_and_refresh(self, monkeypatch):
+        """The fill and every refresh re-match all their starts in one
+        seeded search; a refresh with no alive start builds none."""
+        trees = []
+
+        def counted(graph, prepared, config, starts, **kwargs):
+            trees.append(list(starts))
+            return seeded_stages(graph, prepared, config, starts, **kwargs)
+
+        monkeypatch.setattr(standing, "seeded_stages", counted)
+        g = chain()
+        sq = StandingQuery(g, QUERY)
+        assert trees == [["n0", "n1", "n2", "n3", "n4"]]
+        g.add_edge("x", "n4", "n0", labels=["E"])
+        delta = sq.refresh()
+        assert len(trees) == 2 and len(trees[1]) == delta.region_size > 1
+        sq.refresh()  # no changes
+        g.add_node("gone", labels=["N"])
+        g.remove_node("gone")
+        delta = sq.refresh()  # a region with no alive start
+        assert delta.region_size == 1 and delta.steps == 0
+        assert len(trees) == 2
+        assert canon(sq.rows()) == scratch(g, QUERY)
 
     def test_rolled_back_transaction_emits_nothing(self):
         g = chain()

@@ -239,3 +239,11 @@ class TestIncidencesByLabel:
         assert small.node("b").degree() == 1
         with pytest.raises(GraphError):
             gone.degree()
+
+    def test_neighbour_ids_follow_incidences(self, small):
+        small.add_edge("t2", "b", "a", labels=["Transfer"])  # a parallel neighbour
+        for node in "abc":
+            assert small.neighbour_ids(node) == [i.other for i in small.incidences(node)]
+        assert small.neighbour_ids("a") == ["b", "b"]
+        with pytest.raises(GraphError):
+            small.neighbour_ids("zzz")
