@@ -64,6 +64,19 @@ def _gpml_case(graph):
     return run, "gpml", prepared.text
 
 
+def _join_case(graph):
+    prepared = prepare(
+        "MATCH (a:Account WHERE a.isBlocked='yes')-[t:Transfer]->(b:Account), "
+        "(b)-[u:Transfer]->(c:Account WHERE c.isBlocked='yes')"
+    )
+
+    def run(stats):
+        rows = match_iter(graph, prepared, stats=stats)
+        return [(row.values["a"].id, row.values["c"].id) for row in rows]
+
+    return run, "gpml", prepared.text
+
+
 def _gql_case(graph):
     query = (
         "MATCH (a:Account WHERE a.isBlocked='yes')-[:Transfer]->(b:Account) "
@@ -96,7 +109,12 @@ def _sql_case(graph):
     return run, "sql", sql
 
 
-CASES = [("gpml", _gpml_case), ("gql", _gql_case), ("sql", _sql_case)]
+CASES = [
+    ("gpml", _gpml_case),
+    ("gpml-hash-join", _join_case),
+    ("gql", _gql_case),
+    ("sql", _sql_case),
+]
 
 
 def compare(run, engine, query):

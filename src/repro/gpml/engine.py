@@ -23,8 +23,9 @@ discovers them, EXPLAIN renders it, and a traced run mirrors it as
 spans.  A :class:`~repro.gpml.streaming.RowBudget` handed down to the
 matcher lets consumers (GQL ``LIMIT``, :func:`exists`,
 ``graph_table(..., limit=N)``) terminate the NFA search early.  Stages
-that cannot stream — selectors, hash-join builds, KEEP — say so through
-``blocking`` and materialize exactly their own input and nothing more.
+that cannot stream — selectors, KEEP — say so through ``blocking`` and
+materialize exactly their own input and nothing more; a cross-pattern
+join holds each later pattern's solutions.
 
 Row order is deterministic: per pattern, solutions come out in discovery
 order of the (planned) search from sorted start candidates; selectors
@@ -62,7 +63,7 @@ from repro.gpml.analysis import (
 )
 from repro.gpml.automaton import PatternNFA, compile_path_pattern
 from repro.gpml.bindings import ReducedBinding
-from repro.gpml.expr import EvalContext
+from repro.gpml.expr import EvalContext, VarRef
 from repro.gpml.frontier import FrontierMatcher, compiled_program
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
@@ -76,7 +77,7 @@ from repro.graph.path import Path
 from repro.obs.trace import STAGE
 from repro.planner.anchor import RIGHT
 from repro.planner.plan import PatternPlan, plan_query
-from repro.rowops import Filter, Operator, attach_spans
+from repro.rowops import Filter, HashJoin, Operator, attach_spans
 from repro.statements import prepared_match
 from repro.values import NULL, hashable
 
@@ -323,30 +324,6 @@ def exists(
     return first(graph, query, config) is not None
 
 
-def assemble_result(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    per_pattern: list[list[ReducedBinding]],
-) -> MatchResult:
-    """Join per-pattern solutions, apply the postfilter, build rows.
-
-    The materializing assembly used by the Section 6 reference engine
-    (the production engine streams — see :func:`match_stages`); both
-    produce the same textual nested-loop row order.
-    """
-    rows = _join_patterns(graph, prepared, per_pattern)
-    if prepared.normalized.where is not None:
-        condition = prepared.normalized.where
-        rows = [
-            row
-            for row in rows
-            if condition.truth(EvalContext(bindings=row.values, graph=graph))
-        ]
-    if prepared.normalized.keep is not None:
-        rows = apply_keep(graph, rows, prepared.normalized.keep)
-    return MatchResult(rows=rows, variables=prepared.visible_variables())
-
-
 # ----------------------------------------------------------------------
 # The stage tree: stages 5-9 of one MATCH, as operators
 # ----------------------------------------------------------------------
@@ -364,9 +341,9 @@ def match_stages(
     """The stage tree of one MATCH execution — its only description.
 
     Per path pattern: search → reduce + dedup → [selector]; with several
-    patterns a hash join (the textual-first pattern is the streaming
-    probe side, every other pattern one blocking build); then the
-    postfilter WHERE, [KEEP] and row delivery.  :func:`match_iter` runs
+    patterns a left-deep chain of hash joins (the textual-first pattern
+    is the streaming probe side, every other pattern one build); then
+    the postfilter WHERE, [KEEP] and row delivery.  :func:`match_iter` runs
     the tree (``run()``), EXPLAIN renders it
     (:func:`~repro.rowops.render_plan` — ``graph`` may be None for
     that), and a traced run mirrors it as spans
@@ -390,20 +367,16 @@ def match_stages(
         budget = RowBudget(limit)
     reads = _row_reads(prepared, reads)
     tree = _pattern_stages(_Search(graph, prepared, 0, config, budget, stats), reads)
-    if prepared.num_path_patterns > 1:
-        # Build sides in textual order, each keyed on the variables it
-        # shares with the patterns before it; a build side must be
-        # complete, so its search never sees the row budget.
-        builds = []
-        bound_vars = _singleton_vars(prepared, 0)
-        for index in range(1, prepared.num_path_patterns):
-            own_vars = _singleton_vars(prepared, index)
-            search = _Search(graph, prepared, index, config, None, stats)
-            builds.append(
-                _Build(_pattern_stages(search, reads), index, sorted(own_vars & bound_vars))
-            )
-            bound_vars |= own_vars
-        tree = _Probe(tree, builds)
+    bound_vars: set[str] = set()
+    for index in range(1, prepared.num_path_patterns):
+        # A left-deep chain in textual order, each later pattern hashed on
+        # the variables it shares with the ones before it; a build side
+        # must be complete, so its search never sees the row budget.
+        bound_vars |= _singleton_vars(prepared, index - 1)
+        keys = [VarRef(name) for name in sorted(_singleton_vars(prepared, index) & bound_vars)]
+        search = _Search(graph, prepared, index, config, None, stats)
+        tree = HashJoin(tree, _pattern_stages(search, reads), keys, keys, merge=_merged)
+        tree.span_kind = STAGE
     tree = _postfilter_stages(tree, graph, prepared, reads is not None)
     return _Delivery(tree, budget, own_budget, stats if count_rows else None)
 
@@ -455,6 +428,11 @@ def _postfilter_stages(
     return tree
 
 
+def _merged(row: BindingRow, partner: BindingRow) -> BindingRow:
+    """One row of the natural join of two patterns' binding rows."""
+    return BindingRow({**row.values, **partner.values}, row.paths + partner.paths)
+
+
 def _singleton_vars(prepared: PreparedQuery, index: int) -> set[str]:
     return {
         name
@@ -470,6 +448,8 @@ class _Stage(Operator):
     span_kind = STAGE
     columns: list = []
     children: list = []
+    #: binding rows are read by variable (``row.get``), as dicts are
+    context = EvalContext
     #: why the stage streams, or why it cannot
     detail = ""
 
@@ -638,82 +618,6 @@ class _Selector(_Stage):
     def describe(self) -> str:
         search = self.search
         return f"pattern #{search.index + 1} selector {search.path.selector.kind}"
-
-
-class _Build(_Stage):
-    """One non-first pattern's complete solution set: the build side of
-    the cross-pattern hash join (a pipeline breaker, like any build)."""
-
-    blocking = True
-
-    def __init__(self, solutions: _Stage, index: int, keys: list[str]):
-        self.index = index
-        self.keys = keys
-        self.children = [solutions]
-
-    def rows(self) -> Iterator["BindingRow"]:
-        complete = list(self.children[0].run())
-        self.trace_peak(len(complete))
-        yield from complete
-
-    def describe(self) -> str:
-        return f"pattern #{self.index + 1} hash-join build"
-
-    def detail_lines(self) -> list[str]:
-        keyed = f"keyed on {', '.join(self.keys)}" if self.keys else "cross product"
-        return [f"materializes the build side ({keyed})"]
-
-
-class _Probe(_Stage):
-    """Stage 8: natural-join the path patterns on shared singleton
-    variables (Section 6.6).
-
-    The textual-first pattern streams as the probe side; every build is
-    hashed once on the variables it shares with the textual prefix.
-    Probing a bucket preserves the build pattern's solution order, so
-    rows come out in textual nested-loop order, row for row what the
-    materializing assembly produces — a row budget therefore only ever
-    cuts a suffix.
-    """
-
-    detail = "probe side streams in textual nested-loop order"
-
-    def __init__(self, outer: _Stage, builds: list[_Build]):
-        self.children = [outer, *builds]
-
-    def rows(self) -> Iterator["BindingRow"]:
-        outer, *builds = self.children
-        tables: list[tuple[list[str], dict[tuple, list[BindingRow]]]] = []
-        for build in builds:
-            keys = build.keys
-            buckets: dict[tuple, list[BindingRow]] = {}
-            for row in build.run():
-                key = tuple(_join_key(row.values.get(name)) for name in keys)
-                buckets.setdefault(key, []).append(row)
-            if not buckets:
-                return  # an empty pattern empties the whole join
-            tables.append((keys, buckets))
-
-        def expand(
-            values: dict[str, Any], paths: list[Path], level: int
-        ) -> Iterator[BindingRow]:
-            if level == len(tables):
-                yield BindingRow(values, list(paths))
-                return
-            keys, buckets = tables[level]
-            key = tuple(_join_key(values.get(name)) for name in keys)
-            for partner in buckets.get(key, ()):
-                merged = dict(values)
-                merged.update(partner.values)
-                paths.append(partner.paths[0])
-                yield from expand(merged, paths, level + 1)
-                paths.pop()
-
-        for row in outer.run():
-            yield from expand(row.values, row.paths, 0)
-
-    def describe(self) -> str:
-        return "hash-join probe (pattern #1 outer)"
 
 
 class _Where(Filter):
@@ -903,13 +807,10 @@ def seeded_stages(
 
 
 class SeededSearch:
-    """The shared seeded-search entry point, with per-distinct-seed memo.
-
-    Both hosts anchor searches at runtime-known nodes through this object:
-    GQL's chained MATCH seeds one run per incoming binding row, and the
-    SQL planner's join-through-GRAPH_TABLE rewrite seeds one run per probe
-    row.  Each :meth:`run` runs :func:`seeded_stages` for one seed node
-    and yields its :class:`BindingRow`s.
+    """The shared seeded-search entry point, with per-distinct-seed memo:
+    the seeded build side of GQL's chained MATCH and of SQL's
+    join-through-GRAPH_TABLE rewrite.  Each :meth:`run` runs
+    :func:`seeded_stages` for one seed node and yields its rows.
 
     Probe streams repeat seeds (hub nodes), and re-running the identical
     anchored search per duplicate would cost more than the hash join it
@@ -988,46 +889,6 @@ def apply_keep(graph: PropertyGraph, rows: list["BindingRow"], keep) -> list["Bi
             tuple(sorted((k, hashable(_to_ids(v))) for k, v in row.values.items())),
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Joining path patterns, materialized (Section 6.6, "Multiple patterns")
-# ----------------------------------------------------------------------
-def _join_patterns(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    per_pattern: list[list[ReducedBinding]],
-) -> list[BindingRow]:
-    """Natural-join the per-pattern solutions on shared singleton vars,
-    pattern by pattern in textual order: the nested-loop row order the
-    streaming join reproduces."""
-    rows: list[tuple[dict[str, Any], list[Path]]] = [({}, [])]
-    bound_vars: set[str] = set()
-    for index, solutions in enumerate(per_pattern):
-        path = prepared.normalized.paths[index]
-        own_vars = _singleton_vars(prepared, index)
-        shared = sorted(own_vars & bound_vars)
-        buckets: dict[tuple, list[BindingRow]] = {}
-        bind = _row_plan(graph, prepared.analysis.paths[index], path.path_var, None)
-        for solution in solutions:
-            partner = bind(solution)
-            key = tuple(_join_key(partner.values.get(name)) for name in shared)
-            buckets.setdefault(key, []).append(partner)
-        rows = [
-            (values | partner.values, paths + partner.paths)
-            for values, paths in rows
-            for partner in buckets.get(
-                tuple(_join_key(values.get(name)) for name in shared), ()
-            )
-        ]
-        bound_vars |= own_vars
-    return [BindingRow(values, paths) for values, paths in rows]
-
-
-def _join_key(value: Any) -> Any:
-    if isinstance(value, (Node, Edge)):
-        return value.id
-    return value
 
 
 def _row_plan(

@@ -224,6 +224,8 @@ def row_value(expr: Expr, context) -> Callable[[Any], Any]:
 def row_values(exprs: Sequence[Expr], context) -> Callable[[Any], tuple]:
     """The tuple of *exprs* over a row (a projection, a key) as one closure;
     if one falls back, all are evaluated through one context per row."""
+    if not exprs:  # a join without keys
+        return lambda row: ()
     reads = [_read(expr, context) for expr in exprs]
     if None in reads:
         evaluators = [expr.evaluate for expr in exprs]

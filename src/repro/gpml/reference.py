@@ -41,7 +41,15 @@ from repro.gpml.bindings import (
     deduplicate,
     reduce_binding,
 )
-from repro.gpml.engine import MatchResult, PreparedQuery, assemble_result, prepare
+from repro.gpml.engine import (
+    BindingRow,
+    MatchResult,
+    PreparedQuery,
+    _row_plan,
+    apply_keep,
+    prepare,
+)
+from repro.gpml.expr import EvalContext
 from repro.gpml.matcher import RunContext
 from repro.gpml.selectors import apply_selector
 from repro.graph.model import IN, OUT, UNDIRECTED, PropertyGraph
@@ -459,11 +467,48 @@ def reference_match(
     query: "str | PreparedQuery",
     config: ReferenceConfig | None = None,
 ) -> MatchResult:
-    """Evaluate a MATCH statement with the Section 6 reference pipeline."""
+    """Evaluate a MATCH statement with the Section 6 reference pipeline:
+    each path pattern's solutions, their join, the final WHERE, KEEP."""
     prepared = query if isinstance(query, PreparedQuery) else prepare(query)
     config = config or ReferenceConfig()
-    per_pattern = [
+    rows = _join_patterns(graph, prepared, [
         reference_solve_path_pattern(graph, prepared, index, config)
         for index in range(prepared.num_path_patterns)
-    ]
-    return assemble_result(graph, prepared, per_pattern)
+    ])
+    where = prepared.normalized.where
+    if where is not None:
+        rows = [
+            row for row in rows
+            if where.truth(EvalContext(bindings=row.values, graph=graph))
+        ]
+    if prepared.normalized.keep is not None:
+        rows = apply_keep(graph, rows, prepared.normalized.keep)
+    return MatchResult(rows=rows, variables=prepared.visible_variables())
+
+
+def _join_patterns(
+    graph: PropertyGraph,
+    prepared: PreparedQuery,
+    per_pattern: list[list[ReducedBinding]],
+) -> list[BindingRow]:
+    """Natural-join the per-pattern solutions (Section 6.6), pattern by
+    pattern in textual order, as a materialized nested loop: a row joins
+    a later pattern's solution when the two agree on every variable both
+    bind (only unconditional singletons can be shared across patterns).
+    The engine's left-deep hash joins must give these rows in this order."""
+    rows = [BindingRow({}, [])]
+    for index, solutions in enumerate(per_pattern):
+        path = prepared.normalized.paths[index]
+        bind = _row_plan(graph, prepared.analysis.paths[index], path.path_var, None)
+        partners = [bind(solution) for solution in solutions]
+        rows = [
+            BindingRow(row.values | partner.values, row.paths + partner.paths)
+            for row in rows
+            for partner in partners
+            if all(
+                row.values[name] == value
+                for name, value in partner.values.items()
+                if name in row.values
+            )
+        ]
+    return rows

@@ -28,9 +28,10 @@ Patterns run by the row plan of the expressions after them: a variable
 only read as ``x.prop`` stays an element id; what a write could touch
 is a handle.
 
-How a chained MATCH executes — three modes, chosen at compile time and
-rendered by ``EXPLAIN``; each is one shape of the join operator's second
-child, the pattern subtree it pulls:
+A MATCH statement is the shared :class:`~repro.rowops.HashJoin` of the
+incoming rows (the probe side) with the pattern's binding rows.  Three
+modes, chosen at compile time and rendered by ``EXPLAIN``, say what
+answers an incoming row; each is one shape of the join's second child:
 
 * **seeded** (streaming): when the pattern pins an end element to a
   variable bound upstream (an unconditional singleton), each incoming
@@ -42,13 +43,12 @@ child, the pattern subtree it pulls:
   search instead of being joined after a full enumeration.  The child is
   the seeded search's stages, once; the runs aggregate on the statement.
 * **direct** (streaming): while the incoming table is still the unit
-  table (at most one row — before any MATCH), the pattern streams
-  straight out of its stage tree
-  (:func:`~repro.gpml.engine.match_stages`), the child.
-* **hash join** (build blocks, probe streams): otherwise the pattern's
-  match table is enumerated once — the stage tree under a blocking build
-  child — into buckets keyed on the shared variables, and each incoming
-  row probes its bucket.
+  table (at most one row — before any MATCH), the pattern's stage tree
+  (:func:`~repro.gpml.engine.match_stages`), the child, streams straight
+  through the join: no hash table.
+* **hash join** (build blocks, probe streams): otherwise the join hashes
+  the child, the pattern's match table, once on the shared variables,
+  when the first incoming row with a joinable key arrives.
 
 Semantics notes (documented refinements, see docs/gql.md):
 
@@ -67,7 +67,6 @@ Semantics notes (documented refinements, see docs/gql.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import GqlError
@@ -76,21 +75,19 @@ from repro.gpml.engine import (
     BindingRow,
     PreparedQuery,
     SeededSearch,
-    _Build,
-    _join_key,
     apply_keep,
     match_stages,
     prepare,
     seeded_stages,
 )
-from repro.gpml.expr import EvalContext, Expr
+from repro.gpml.expr import EvalContext, Expr, VarRef
 from repro.gpml.matcher import MatcherConfig
-from repro.gpml.predicates import Reads, reads_of, row_test, row_value
+from repro.gpml.predicates import Reads, reads_of, row_value
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
-from repro.graph.model import PropertyGraph
+from repro.graph.model import Edge, Node, PropertyGraph
 from repro.planner.anchor import SeedSpec, plan_seed
-from repro.rowops import STATEMENT, Filter, Operator
-from repro.values import NULL, is_null
+from repro.rowops import STATEMENT, Filter, HashJoin, Operator
+from repro.values import NULL
 
 #: variable kinds tracked across statements (for re-declaration checks)
 SINGLETON = "singleton"
@@ -193,23 +190,21 @@ class CompiledMatch:
         return self.statement.optional
 
 
-class _MatchTable(_Build):
-    """The build side of a hash-joined MATCH: the pattern's whole match
-    table, enumerated once."""
-
-    def describe(self) -> str:
-        keyed = ", ".join(self.keys) or "cross product"
-        return f"hash-join build of the match table ({keyed})"
+def _merged(row: dict[str, Any], match: BindingRow) -> dict[str, Any]:
+    """An incoming row extended by a pattern's binding row (that row's
+    own dict when the incoming row is empty)."""
+    return {**row, **match.values} if row else match.values
 
 
-class Match(Statement):
-    """``[OPTIONAL] MATCH``: joins the incoming rows with the pattern's
-    match table on the variables they share.
-
-    The second child is the pattern subtree the join pulls — the mode:
-    the seeded search's stages (a template: each incoming row runs its
-    own copy, aggregated onto this operator), the pattern's full stage
-    tree (direct), or that tree under a blocking build (hash join).
+class Match(Statement, HashJoin):
+    """``[OPTIONAL] MATCH``: the shared hash join of the incoming rows with
+    the pattern's binding rows on the variables they share.  Its second
+    child is the pattern subtree the join pulls — the mode: the seeded
+    search's stages (a template: each incoming row runs its own copy,
+    aggregated onto this operator), the pattern's stage tree streamed per
+    incoming row (direct), or that tree hashed (hash join).  A correlated
+    WHERE is the join's residual; a KEEP beside it selects per incoming
+    row among the partners the join finds for it.
     """
 
     def __init__(
@@ -223,7 +218,7 @@ class Match(Statement):
         stats: Optional[PipelineStats],
         reads: Optional[Reads],
     ):
-        super().__init__(upstream, label, compiled.statement)
+        Statement.__init__(self, upstream, label, compiled.statement)
         self.compiled = compiled
         self.graph = graph
         self.config = config
@@ -231,9 +226,8 @@ class Match(Statement):
         # a KEEP per incoming row sorts and costs whole rows
         self.reads = reads = None if compiled.residual_keep is not None else reads
         seed = compiled.seed
-        self.hashed = seed is None and not compiled.direct
         # a build side must be complete: it never sees the shared row budget
-        self.budget = None if self.hashed else budget
+        self.budget = budget if seed is not None or compiled.direct else None
         if seed is not None:
             pattern = seeded_stages(
                 graph, compiled.prepared, config, None,
@@ -244,10 +238,13 @@ class Match(Statement):
                 graph, compiled.prepared, config,
                 budget=self.budget, stats=stats, count_rows=False, reads=reads,
             )
-            if self.hashed:
-                pattern = _MatchTable(pattern, 0, compiled.shared_vars)
-        self.pattern = pattern
-        self.children = [upstream, pattern]
+        keys = [VarRef(name) for name in compiled.shared_vars]
+        pad = BindingRow(dict.fromkeys(compiled.new_vars, NULL), []) if compiled.optional else None
+        HashJoin.__init__(
+            self, upstream, pattern, keys, keys, compiled.residual_where, merge=_merged, pad=pad
+        )
+        if compiled.direct:
+            self.seeded = lambda values: pattern.run()
 
     def detail_lines(self) -> list[str]:
         """The mode and what else happens per incoming row, each tagged
@@ -267,15 +264,11 @@ class Match(Statement):
                 f"[{BLOCKING}] hash-join build of the full match table ({keyed})",
                 f"[{STREAMING}] probe per incoming row",
             ]
-        if compiled.residual_where is not None:
-            lines.append(
-                f"[{STREAMING}] correlated WHERE per merged row: "
-                f"{compiled.residual_where}"
-            )
-        if compiled.residual_keep is not None:
-            lines.append(
-                f"[{BLOCKING}] KEEP {compiled.residual_keep.kind} per incoming row"
-            )
+        where, keep = compiled.residual_where, compiled.residual_keep
+        if where is not None:
+            lines.append(f"[{STREAMING}] correlated WHERE per merged row: {where}")
+        if keep is not None:
+            lines.append(f"[{BLOCKING}] KEEP {keep.kind} per incoming row")
         if compiled.optional:
             lines.append(
                 f"[{STREAMING}] NULL-pad rows without join partners "
@@ -291,69 +284,17 @@ class Match(Statement):
         return lines
 
     def rows(self) -> Iterator[dict[str, Any]]:
-        compiled = self.compiled
-        where, keep = compiled.residual_where, compiled.residual_keep
-        residual = None if where is None else row_test(where, self.context)
-        partners = self._partners()
-        padding = dict.fromkeys(compiled.new_vars, NULL) if compiled.optional else None
+        if self.compiled.seed is not None:
+            self.seeded = self._seeded_runs()
+        if self.compiled.residual_keep is None:
+            return HashJoin.rows(self)
+        return self._kept()
 
-        def joined(row: dict[str, Any], key: tuple) -> Iterator[tuple[dict, list]]:
-            for match in partners(key):
-                merged = {**row, **match.values}
-                if residual is None or residual(merged):
-                    yield merged, match.paths
-
-        plain = residual is None and keep is None and padding is None
-        for row in self.upstream.run():
-            key = self._key(row)
-            if plain and not row and key == ():  # the match rows are the output
-                yield from map(attrgetter("values"), partners(key))
-                continue
-            merged_rows = () if key is None else joined(row, key)
-            if keep is not None:
-                # KEEP selects among this row's partners that survived
-                # the correlated WHERE
-                survivors = [BindingRow(merged, paths) for merged, paths in merged_rows]
-                merged_rows = (
-                    (kept.values, kept.paths)
-                    for kept in apply_keep(self.graph, survivors, keep)
-                )
-            produced = False
-            for merged, _ in merged_rows:
-                produced = True
-                yield merged
-            if not produced and padding is not None:
-                yield {**row, **padding}
-
-    def _partners(self) -> Callable[[tuple], Iterable[BindingRow]]:
-        """``key ->`` the pattern's binding rows that join an incoming row
-        with that key, by this statement's mode."""
+    def _seeded_runs(self) -> Callable[[tuple], Iterable[BindingRow]]:
+        """``key values ->`` the run anchored at the seed variable's node:
+        one per distinct seed, hub-skew memoization included (the entry
+        point shared with SQL's seeded scan)."""
         compiled, graph = self.compiled, self.graph
-        if self.hashed:
-            table: Optional[dict[Optional[tuple], list[BindingRow]]] = None
-
-            def probe(key: tuple) -> Iterable[BindingRow]:
-                nonlocal table
-                if table is None:
-                    # Enumerated lazily: only once some incoming row has
-                    # a joinable key.
-                    table = {}
-                    for m in self.pattern.run():
-                        table.setdefault(self._key(m.values), []).append(m)
-                return table.get(key, ())
-
-            return probe
-        if compiled.seed is None:
-
-            def direct(key: tuple) -> Iterable[BindingRow]:
-                matches = self.pattern.run()
-                if not key:  # nothing shared: every match joins
-                    return matches
-                return (m for m in matches if self._key(m.values) == key)
-
-            return direct
-        # One anchored run per distinct seed, hub-skew memoization
-        # included (the entry point shared with SQL's seeded scan).
         search = SeededSearch(
             graph, compiled.prepared, self.config,
             reversed_run=compiled.seed.reversed_run,
@@ -361,34 +302,33 @@ class Match(Statement):
         )
         position = compiled.shared_vars.index(compiled.seed.var)
 
-        def seeded(key: tuple) -> Iterable[BindingRow]:
-            seed_id = key[position]
+        def runs(values: tuple) -> Iterable[BindingRow]:
+            seed_id = values[position]
+            if isinstance(seed_id, (Node, Edge)):
+                seed_id = seed_id.id
             if not isinstance(seed_id, str) or not graph.has_node(seed_id):
                 return ()
-            return (m for m in search.run(seed_id) if self._key(m.values) == key)
+            return search.run(seed_id)
 
-        return seeded
+        return runs
 
-    def _key(self, row: dict[str, Any]) -> Optional[tuple]:
-        """The row's join key over the shared variables, or None when it
-        cannot join.
-
-        NULL never joins; neither does a value with no hashable join key
-        (e.g. a LET-bound list) — the pattern side only ever produces
-        element/scalar keys, so such a row has no partners by definition.
-        """
-        keys = []
-        for name in self.compiled.shared_vars:
-            value = row.get(name, NULL)
-            if is_null(value):
-                return None
-            key = _join_key(value)
-            try:
-                hash(key)
-            except TypeError:
-                return None
-            keys.append(key)
-        return tuple(keys)
+    def _kept(self) -> Iterator[dict[str, Any]]:
+        """KEEP per incoming row, among that row's partners that survived
+        the correlated WHERE."""
+        keep, pad = self.compiled.residual_keep, self.pad
+        partners = self.partners()
+        residual = self.readers[2]
+        for row in self.upstream.run():
+            survivors = []
+            for match in partners(row) or ():  # None: the build side is empty
+                merged = {**row, **match.values}
+                if residual is None or residual(merged):
+                    survivors.append(BindingRow(merged, match.paths))
+            kept = apply_keep(self.graph, survivors, keep)
+            if kept:
+                yield from (survivor.values for survivor in kept)
+            elif pad is not None:
+                yield _merged(row, pad)
 
 
 class Let(Statement):

@@ -3,11 +3,12 @@
 GQL and SQL/PGQ are two thin hosts around one GPML core (Figure 9 of the
 paper), and both finish a query the same way: filter, project, group
 with vertical aggregates, de-duplicate, sort, slice.  This module holds
-that tail once.  :mod:`repro.sql.operators` adds SQL's leaves (table and
-GRAPH_TABLE scans, spools) and its join on top; :mod:`repro.gql.pipeline`
-adds GQL's statements, each an operator over the statement before it.
-The module imports neither host — ``tests/test_layering.py`` enforces
-the direction.
+that tail once, and the one hash join all three joiners build: GPML's
+``MATCH P1, P2``, GQL's chained MATCH and SQL's JOIN.
+:mod:`repro.sql.operators` adds SQL's leaves (table and GRAPH_TABLE
+scans, spools); :mod:`repro.gql.pipeline` adds GQL's statements, each an
+operator over the statement before it.  The module imports neither host
+— ``tests/test_layering.py`` enforces the direction.
 
 Every operator exposes its output schema (``columns``), a lazy ``rows()``
 generator and an EXPLAIN description.  Streaming operators (filter,
@@ -34,14 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import add
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.gpml.expr import BoundColumn, EvalContext, Expr, RowContext, fold_aggregate, rebuild
 from repro.gpml.predicates import row_test, row_value, row_values
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
+from repro.graph.model import Edge, Node
 from repro.obs.trace import OPERATOR, STATEMENT, Span, timed_rows  # noqa: F401 (STATEMENT: for repro.gql)
-from repro.values import first_occurrences, hashable, is_null
+from repro.values import NULL, first_occurrences, hashable, is_null
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,21 @@ def row_key(row: Iterable[Any]) -> tuple:
     """Hashable identity of a row's values (DISTINCT, GROUP BY, UNION, join
     keys): equal exactly where ``=`` holds column by column, NULLs aside."""
     return tuple(map(hashable, row))
+
+
+def join_key(values: Iterable[Any]) -> Optional[tuple]:
+    """A row's join key: :func:`row_key` of its key values, an element
+    standing for its id (a row plan may hold either) — or None, which
+    never joins, when one is NULL."""
+    key = tuple(map(_join_part, values))
+    return None if NULL in key or None in key else key
+
+
+def _join_part(value: Any) -> Any:
+    kind = type(value)
+    if kind is str or kind is int or kind is float:  # as hashable() keeps them
+        return value
+    return value.id if kind is Node or kind is Edge else hashable(value)
 
 
 def sort_key(value: Any) -> tuple:
@@ -453,8 +471,6 @@ class Union(Operator):
     deduplicates with a streaming seen-set."""
 
     def __init__(self, left: Operator, right: Operator, all_rows: bool):
-        self.left = left
-        self.right = right
         self.all_rows = all_rows
         self.columns = left.columns
         self.context = left.context
@@ -466,3 +482,193 @@ class Union(Operator):
 
     def describe(self) -> str:
         return "union all" if self.all_rows else "union (distinct)"
+
+
+# ----------------------------------------------------------------------
+# Join
+# ----------------------------------------------------------------------
+class HashJoin(Operator):
+    """The equi-join of all three joiners: GPML's ``MATCH P1, P2`` (a
+    left-deep chain of it, Section 6.6), GQL's chained MATCH, SQL's JOIN.
+
+    The probe side (first child) streams; the build side (second child)
+    is hashed once, when the first probe row with a joinable key comes,
+    and if empty ends the join without draining the probe.  Buckets keep
+    build order, so partners come in nested-loop order.  A key is
+    :func:`join_key` of the key expressions over a side's row: NULL never
+    joins, nor does a key that cannot be hashed; without keys every row
+    joins every row.
+
+    ``residual`` tests each ``merge(probe row, build row)`` (tuple
+    concatenation by default); ``pad``, when given, is merged with a probe
+    row that has no partner (OPTIONAL MATCH).  A host may set ``seeded``:
+    a build side answering one probe key (``key values -> candidate
+    rows``, read before :func:`hashable` tags them) instead of the hash
+    table, each candidate's key re-checked, so it need only never lose a
+    row; and ``semi_join`` (key position, cap), SQL's reduction: the probe
+    side is materialized first and its distinct scalar keys at that
+    position go to the build child's ``reduced_rows``.
+    """
+
+    def __init__(
+        self,
+        probe: Operator,
+        build: Operator,
+        probe_keys: list[Expr],
+        build_keys: list[Expr],
+        residual: Optional[Expr] = None,
+        *,
+        merge: Callable[[Any, Any], Any] = add,
+        pad: Any = None,
+    ):
+        self.probe_keys = probe_keys
+        self.build_keys = build_keys
+        self.residual = residual
+        self.merge = merge
+        self.pad = pad
+        self.seeded: Optional[Callable[[tuple], Iterable[Any]]] = None
+        self.semi_join: Optional[tuple[int, int]] = None
+        self.columns = probe.columns + build.columns
+        self.context = probe.context
+        self.children = [probe, build]
+
+    @cached_property
+    def readers(self) -> tuple[Callable, Callable, Optional[Callable]]:
+        """Each side's ``row -> key values`` and the residual's test."""
+        probe, build = self.children
+        residual = self.residual
+        return (
+            row_values(self.probe_keys, probe.context),
+            row_values(self.build_keys, build.context),
+            None if residual is None else row_test(residual, self.context),
+        )
+
+    def rows(self) -> Iterator[Any]:
+        probe_rows = self.children[0].run()
+        build_rows = None
+        if self.semi_join is not None:
+            held = list(probe_rows)
+            probe_rows = iter(held)
+            build_rows = self._reduced_build(held)
+        partners = self.partners(build_rows)
+        merge, pad = self.merge, self.pad
+        residual = self.readers[2]
+        for row in probe_rows:
+            found = partners(row)
+            if found is None:
+                return
+            if residual is None and pad is None:  # every partner joins
+                yield from map(merge, repeat(row), found)
+                continue
+            produced = False
+            for other in found:
+                merged = merge(row, other)
+                if residual is None or residual(merged):
+                    produced = True
+                    yield merged
+            if not produced and pad is not None:
+                yield merge(row, pad)
+
+    def partners(self, build_rows: Optional[Iterable] = None) -> Callable[[Any], Any]:
+        """``probe row ->`` the build rows that join it, in build order, or
+        None once the build side turned out empty and nothing pads;
+        ``build_rows`` stands in for the build child's (a reduced build)."""
+        probe_values, build_values, _ = self.readers
+        seeded = self.seeded
+        if seeded is not None:
+            recheck = bool(self.build_keys)
+
+            def candidates(row: Any) -> Iterable:
+                values = probe_values(row)
+                key = join_key(values)
+                if key is None:
+                    return ()
+                found = seeded(values)
+                if not recheck:
+                    return found
+                return (other for other in found if join_key(build_values(other)) == key)
+
+            return candidates
+        table: Optional[dict] = None
+        padded = self.pad is not None
+
+        def bucket(row: Any) -> Optional[Iterable]:
+            nonlocal table
+            key = join_key(probe_values(row))
+            if key is None:
+                return ()
+            if table is None:
+                table = self._hash(build_rows)
+            if not (table or padded):
+                return None
+            try:
+                return table.get(key, ())
+            except TypeError:  # a key that cannot be hashed never joins
+                return ()
+
+        return bucket
+
+    def _hash(self, rows: Optional[Iterable]) -> dict[tuple, list]:
+        build_values = self.readers[1]
+        table: dict[tuple, list] = {}
+        count = 0
+        for row in self.children[1].run() if rows is None else rows:
+            key = join_key(build_values(row))
+            if key is not None:
+                try:
+                    table.setdefault(key, []).append(row)
+                except TypeError:  # as in bucket()
+                    continue
+                count += 1
+        self.trace_peak(count)
+        return table
+
+    def _reduced_build(self, probe_rows: list) -> Optional[Iterator[Any]]:
+        """The build child's ``reduced_rows`` over the probe side's distinct
+        keys at the semi-join position, or None (the full build) when one
+        is not a plain scalar or there are over ``cap``: for plain scalars
+        IN-membership agrees with key equality, so the reduction drops
+        only rows no probe row joins."""
+        position, cap = self.semi_join
+        read = row_value(self.probe_keys[position], self.children[0].context)
+        distinct: dict[Any, None] = {}
+        reason = None
+        for value in map(read, probe_rows):
+            if is_null(value):
+                continue
+            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+                reason = "non-scalar probe key"
+                break
+            distinct.setdefault(value)
+            if len(distinct) > cap:
+                reason = f"over {cap} distinct keys"
+                break
+        if reason is not None:
+            self.trace_event("semi_join_reduction", applied=False, reason=reason)
+            return None
+        self.trace_event("semi_join_reduction", applied=True, keys=len(distinct))
+        return self.children[1].reduced_rows(tuple(distinct))
+
+    def describe(self) -> str:
+        residual = self.residual
+        if not self.probe_keys:
+            return "cross join" if residual is None else f"nested-loop join on {residual}"
+        text = "hash join" if self.seeded is None else "seeded graph join"
+        text += " on " + ", ".join(  # a natural key once
+            str(left) if str(left) == str(right) else f"{left} = {right}"
+            for left, right in zip(self.probe_keys, self.build_keys)
+        )
+        return text if residual is None else f"{text} residual {residual}"
+
+    def detail_lines(self) -> list[str]:
+        if self.seeded is not None:
+            lines = ["probe side streams, one anchored search per distinct key"]
+        else:
+            lines = ["probe side streams; build side hashed once, at the first joinable probe row"]
+        if self.semi_join is not None:
+            position, cap = self.semi_join
+            lines.append(
+                f"semi-join reduction: distinct values of {self.probe_keys[position]} "
+                f"pushed as IN into the graph side (cap {cap} keys)"
+            )
+        return lines

@@ -1,10 +1,9 @@
-"""SQL's share of the operator tree: leaves, the shared spool, the join.
+"""SQL's share of the operator tree: its leaves and the shared spool.
 
 The host-neutral row operators (filter, project, aggregate, distinct,
-sort, limit, union) live in :mod:`repro.rowops` and run under both
-hosts.  What stays here is what only SQL has: base-table scans, the
-GRAPH_TABLE scans and their spool, and the inner join with its two
-cross-model variants.
+sort, limit, union) and the hash join live in :mod:`repro.rowops` and
+run under both hosts.  What stays here is what only SQL has: base-table
+scans, the GRAPH_TABLE scans a join can seed or reduce, and their spool.
 
 The graph leaf is :class:`GraphTableScan`: its child is the pattern's
 own stage tree (:func:`repro.gpml.engine.match_stages`), so a
@@ -17,7 +16,6 @@ cost-based planner turns them into index anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, Optional
 
@@ -25,14 +23,13 @@ from repro.gpml import ast as gpml_ast
 from repro.gpml.engine import PreparedQuery, SeededSearch, match_stages, prepare
 from repro.gpml.expr import Expr, In, conjoin
 from repro.gpml.matcher import MatcherConfig
-from repro.gpml.predicates import row_test, row_value, row_values
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.model import PropertyGraph
 from repro.pgq.graph_table import GraphTableStatement
 from repro.pgq.table import Table
 from repro.planner.anchor import SeedSpec
-from repro.rowops import Column, Operator, RowContext, attach_spans, row_key
-from repro.values import NULL, is_null
+from repro.rowops import Column, Operator, attach_spans
+from repro.values import is_null
 
 
 # ----------------------------------------------------------------------
@@ -124,13 +121,11 @@ class GraphTableScan(Operator):
     def reduced_rows(self, values: tuple) -> Iterator[tuple]:
         """Enumerate with the probe side's distinct keys pushed as an IN.
 
-        The semi-join runtime path: the pattern is re-prepared from its
-        pre-normalization form with ``reduction_expr IN (values)``
-        conjoined into the final WHERE, so the GPML planner's sargable
-        machinery can turn the value set into index-anchor probes.  The
-        IN's membership equality is Python hash-bucket equality — the
-        same the hash join applies to its keys — so only rows that could
-        never find a join partner are dropped.
+        The semi-join runtime path (see ``HashJoin._reduced_build``): the
+        pattern is re-prepared from its pre-normalization form with
+        ``reduction_expr IN (values)`` conjoined into the final WHERE, so
+        the GPML planner's sargable machinery can turn the value set into
+        index-anchor probes.
         """
         raw = self.prepared.raw
         reduced = gpml_ast.GraphPattern(
@@ -178,17 +173,15 @@ class SeededGraphTableScan(GraphTableScan):
 
     Planted by the join-through-GRAPH_TABLE rewrite: instead of
     enumerating the whole pattern and hash-joining, the enclosing
-    :class:`Join` calls :meth:`probe` with each probe row's join-key
-    value, and the scan runs a seeded search anchored at exactly the
-    matching nodes (:class:`~repro.gpml.engine.SeededSearch`, shared with
-    GQL's chained MATCH — hub-skew memoization included).
+    :class:`~repro.rowops.HashJoin` calls :meth:`probe` with each probe
+    row's seed key value, and the scan runs a seeded search anchored at
+    exactly the matching nodes (:class:`~repro.gpml.engine.SeededSearch`,
+    shared with GQL's chained MATCH — hub-skew memoization included).
 
-    Candidate soundness contract with the join: :meth:`probe` yields a
-    *superset* of the rows whose key equals the probe value — the join
-    re-checks every key pair before emitting, so element-id guards and
-    property-index bucket equality only need to never lose a row.  Probe
-    values no index can answer exactly (lists, exotic types) fall back to
-    one full enumeration, cached across probe rows.
+    :meth:`probe` may yield a superset of the rows whose key equals the
+    probe value, as the join re-checks every key; probe values no index
+    can answer exactly (lists, exotic types) fall back to one full
+    enumeration, cached across probe rows.
     """
 
     def __init__(
@@ -198,7 +191,6 @@ class SeededGraphTableScan(GraphTableScan):
         probe_mode: str,
         probe_prop: Optional[str],
         probe_column: str,
-        seed_key_position: int,
     ):
         super().__init__(
             graph=scan.graph,
@@ -216,8 +208,6 @@ class SeededGraphTableScan(GraphTableScan):
         self.probe_mode = probe_mode
         self.probe_prop = probe_prop
         self.probe_column = probe_column
-        #: index into the enclosing join's key lists of the seed key
-        self.seed_key_position = seed_key_position
         self._search: Optional[SeededSearch] = None
         self._fallback: Optional[list[tuple]] = None
 
@@ -364,200 +354,3 @@ class SingleRow(Operator):
 
     def describe(self) -> str:
         return "single row"
-
-
-# ----------------------------------------------------------------------
-# Join
-# ----------------------------------------------------------------------
-@dataclass
-class SemiJoinSpec:
-    """Semi-join reduction marker set on a join by the rewrite rule."""
-
-    #: index into left_keys/right_keys of the reducible key pair
-    key_position: int
-    #: abort the reduction above this many distinct probe keys
-    max_keys: int
-
-
-class Join(Operator):
-    """Inner join: hash join on equi-conjuncts, nested loop otherwise.
-
-    The build (right) side is a pipeline breaker; the probe (left) side
-    streams, so a graph scan on the left keeps its early-termination
-    behaviour.  NULL join keys never match (SQL semantics).
-
-    Two cross-model variants planted by the rewrite rules: with a
-    :class:`SeededGraphTableScan` on the right, each probe row drives one
-    anchored graph search instead of a build (probe side still streams);
-    with a :class:`SemiJoinSpec`, the probe side is materialized first
-    and its distinct keys shrink the graph enumeration before the build.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        left_keys: list[Expr],
-        right_keys: list[Expr],
-        residual: Optional[Expr] = None,
-    ):
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
-        self.residual = residual
-        #: set by the semi-join rewrite rule (None = plain hash join)
-        self.semi_join: Optional[SemiJoinSpec] = None
-        self.columns = left.columns + right.columns
-        self.children = [left, right]
-
-    def rows(self) -> Iterator[tuple]:
-        if isinstance(self.right, SeededGraphTableScan):
-            merged = self._seeded_rows()
-        else:  # without keys every row has the key (): the nested loop
-            merged = self._hash_rows()
-        _, _, residual = self.compiled
-        return merged if residual is None else filter(residual, merged)
-
-    @cached_property
-    def compiled(self) -> tuple[Callable, Callable, Optional[Callable]]:
-        """``row -> hashable key`` of either side (None when a value is
-        NULL: it never joins) and the residual's test over merged rows."""
-
-        def key_of(keys: list[Expr]) -> Callable[[tuple], Optional[tuple]]:
-            read = row_values(keys, RowContext)
-
-            def key(row: tuple) -> Optional[tuple]:
-                values = read(row)
-                if NULL in values or None in values:
-                    return None
-                return row_key(values)
-
-            return key
-
-        residual = self.residual
-        return (
-            key_of(self.left_keys),
-            key_of(self.right_keys),
-            None if residual is None else row_test(residual, RowContext),
-        )
-
-    def _seeded_rows(self) -> Iterator[tuple]:
-        scan = self.right
-        left_key_of, right_key_of, _ = self.compiled
-        probe_value = row_value(self.left_keys[scan.seed_key_position], RowContext)
-        probes = 0
-        for row in self.left.run():
-            left_key = left_key_of(row)
-            if left_key is None:
-                continue
-            probes += 1
-            for other in scan.probe(probe_value(row)):
-                # The probe yields a candidate superset; re-checking every
-                # key pair here is what makes that contract sufficient.
-                if right_key_of(other) == left_key:
-                    yield row + other
-        self.trace_event("seeded_join", probes=probes)
-
-    def _hash_rows(self) -> Iterator[tuple]:
-        left_source = self.left.run()
-        right_source = None
-        if self.semi_join is not None:
-            # Materialize the probe side first: its distinct keys bound
-            # the graph enumeration.  Trades probe streaming for build
-            # reduction; emitted rows are identical either way.
-            left_rows = list(left_source)
-            left_source = iter(left_rows)
-            right_source = self._reduced_right(left_rows)
-        if right_source is None:
-            right_source = self.right.run()
-        left_key_of, right_key_of, _ = self.compiled
-        build: dict[tuple, list[tuple]] = {}
-        for row in right_source:
-            key = right_key_of(row)
-            if key is not None:
-                build.setdefault(key, []).append(row)
-        self.trace_peak(sum(len(rows) for rows in build.values()))
-        if not build:
-            return
-        for row in left_source:
-            key = left_key_of(row)
-            if key is not None:
-                for other in build.get(key, ()):
-                    yield row + other
-
-    def _reduced_right(self, left_rows: list[tuple]) -> Optional[Iterator[tuple]]:
-        """The reduced graph-side stream, or None when reduction aborts.
-
-        Harvests the probe side's distinct key values at the spec
-        position.  Only all-plain-scalar key sets within the cap qualify
-        — for those, IN-membership equality provably agrees with the
-        hash join's bucket equality, so the filter drops exactly the
-        rows that could never find a partner.
-        """
-        spec = self.semi_join
-        read = row_value(self.left_keys[spec.key_position], RowContext)
-        distinct: dict[Any, None] = {}
-        abort_reason = None
-        for value in map(read, left_rows):
-            if is_null(value):
-                continue
-            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-                abort_reason = "non-scalar probe key"
-                break
-            distinct.setdefault(value)
-            if len(distinct) > spec.max_keys:
-                abort_reason = f"over {spec.max_keys} distinct keys"
-                break
-        if abort_reason is not None:
-            self.trace_event("semi_join_reduction", applied=False, reason=abort_reason)
-            return None
-        keys = tuple(distinct)
-        self.trace_event("semi_join_reduction", applied=True, keys=len(keys))
-        return self.right.reduced_rows(keys)
-
-    def describe(self) -> str:
-        keys = ", ".join(
-            f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        if isinstance(self.right, SeededGraphTableScan):
-            text = (
-                f"seeded graph join on {keys} "
-                f"(probe left streams, one anchored search per row)"
-            )
-        elif self.left_keys:
-            text = f"hash join on {keys} (build right, probe left streams)"
-        elif self.residual is not None:
-            text = f"nested-loop join on {self.residual}"
-        else:
-            text = "cross join"
-        if self.left_keys and self.residual is not None:
-            text += f" residual {self.residual}"
-        return text
-
-    def detail_lines(self) -> list[str]:
-        if isinstance(self.right, SeededGraphTableScan):
-            strategy = "seeded graph join (probe side streams into anchored searches)"
-        elif self.left_keys:
-            strategy = "hash join (build right, probe left streams)"
-        elif self.residual is not None:
-            strategy = "nested-loop join"
-        else:
-            strategy = "cross join"
-        lines = [f"join strategy: {strategy}"]
-        if self.left_keys:
-            lines.append(
-                "join keys: "
-                + ", ".join(
-                    f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
-                )
-            )
-        if self.residual is not None:
-            lines.append(f"join residual: {self.residual}")
-        if self.semi_join is not None:
-            lines.append(
-                f"semi-join reduction: distinct values of "
-                f"{self.left_keys[self.semi_join.key_position]} pushed as IN "
-                f"into the graph side (cap {self.semi_join.max_keys} keys)"
-            )
-        return lines

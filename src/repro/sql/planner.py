@@ -66,6 +66,7 @@ from repro.rowops import (
     Column,
     Distinct,
     Filter,
+    HashJoin,
     Limit,
     Operator,
     Project,
@@ -83,7 +84,7 @@ from repro.sql.binder import (
     substitute_columns,
 )
 from repro.sql.config import SqlConfig
-from repro.sql.operators import GraphTableScan, Join, SingleRow, TableScan
+from repro.sql.operators import GraphTableScan, SingleRow, TableScan
 from repro.sql.rules import apply_rewrite_rules
 
 #: node types every pushable conjunct (and pushable COLUMNS defining
@@ -381,13 +382,13 @@ def _plan_from_and_where(
     for leaf, right_op in zip(leaves[1:], leaf_ops[1:]):
         source = leaf.source
         if source.kind == "cross" or source.on is None:
-            op = Join(op, right_op, [], [], residual=None)
+            op = HashJoin(op, right_op, [], [])
         else:
             left_keys, right_keys, on_residual = _split_join_condition(
                 source.on, Scope(accumulated), Scope(leaf.columns),
                 Scope(accumulated + leaf.columns),
             )
-            op = Join(op, right_op, left_keys, right_keys, residual=on_residual)
+            op = HashJoin(op, right_op, left_keys, right_keys, on_residual)
         accumulated.extend(leaf.columns)
 
     if residual:

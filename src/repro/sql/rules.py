@@ -38,15 +38,13 @@ from typing import Iterator, Optional
 
 from repro.gpml.expr import Arithmetic, Expr, Literal, Negate, PropertyRef, VarRef
 from repro.planner.anchor import plan_seed
-from repro.rowops import BoundColumn, Operator
+from repro.rowops import BoundColumn, HashJoin, Operator
 from repro.sql.config import SEEDED_JOIN, SEMI_JOIN, SHARED_SCAN
 from repro.sql.operators import (
     PROBE_ELEMENT,
     PROBE_PROPERTY,
     GraphTableScan,
-    Join,
     SeededGraphTableScan,
-    SemiJoinSpec,
     SharedGraphSpool,
     SharedScanConsumer,
 )
@@ -94,9 +92,8 @@ def _walk_ops(
 
 
 def _replace(parent: Operator, old: Operator, new: Operator) -> None:
-    for attr in ("child", "left", "right"):
-        if getattr(parent, attr, None) is old:
-            setattr(parent, attr, new)
+    if getattr(parent, "child", None) is old:
+        parent.child = new
     parent.children = [new if c is old else c for c in parent.children]
 
 
@@ -121,17 +118,18 @@ def _record(ctx, rule: str, **meta) -> None:
 def _apply_seeded_join(root: Operator, ctx) -> int:
     fired = 0
     for op, _parent in list(_walk_ops(root)):
-        if not isinstance(op, Join) or not op.left_keys:
+        if not isinstance(op, HashJoin) or not op.probe_keys:
             continue
-        scan = op.right
+        scan = op.children[1]
         if type(scan) is not GraphTableScan:
             continue
-        choice = _seed_choice(scan, op.right_keys)
+        choice = _seed_choice(scan, op.build_keys)
         if choice is None:
             continue
         position, seed, mode, prop, column_name = choice
-        seeded = SeededGraphTableScan(scan, seed, mode, prop, column_name, position)
+        seeded = SeededGraphTableScan(scan, seed, mode, prop, column_name)
         _replace(op, scan, seeded)
+        op.seeded = lambda values, probe=seeded.probe, at=position: probe(values[at])
         ctx.graph_scans[:] = [seeded if s is scan else s for s in ctx.graph_scans]
         fired += 1
         _record(
@@ -230,15 +228,15 @@ def _fingerprint(scan: GraphTableScan) -> tuple:
 def _apply_semi_join(root: Operator, ctx) -> int:
     fired = 0
     for op, _parent in list(_walk_ops(root)):
-        if not isinstance(op, Join) or not op.left_keys or op.semi_join is not None:
+        if not isinstance(op, HashJoin) or not op.probe_keys or op.semi_join is not None:
             continue
-        scan = op.right
+        scan = op.children[1]
         if type(scan) is not GraphTableScan:
             continue
         if scan.prepared.raw.keep is not None:
             continue  # KEEP selects after the WHERE; cannot strengthen it
         choice = None
-        for position, key in enumerate(op.right_keys):
+        for position, key in enumerate(op.build_keys):
             if not isinstance(key, BoundColumn):
                 continue
             _name, defining = scan.statement.columns[key.index]
@@ -251,7 +249,7 @@ def _apply_semi_join(root: Operator, ctx) -> int:
         if choice is None:
             continue
         position, defining = choice
-        op.semi_join = SemiJoinSpec(key_position=position, max_keys=SEMI_JOIN_MAX_KEYS)
+        op.semi_join = (position, SEMI_JOIN_MAX_KEYS)
         scan.reduction_expr = defining
         fired += 1
         _record(

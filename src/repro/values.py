@@ -132,10 +132,10 @@ def compare(op: str, left: Any, right: Any) -> TruthValue:
         if op == "<>":
             return TRUE
         return UNKNOWN
-    if op == "=":
-        return truth_of(left == right)
-    if op == "<>":
-        return truth_of(left != right)
+    if op in ("=", "<>"):
+        if type(left) is list:  # as they hash: [TRUE] = [1] is FALSE, as TRUE = 1 is
+            left, right = hashable(left), hashable(right)
+        return truth_of(left == right if op == "=" else left != right)
     if op == "<":
         return truth_of(left < right)
     if op == "<=":

@@ -262,8 +262,8 @@ class TestPipelineClassification:
             "MATCH (p:Phone)~[:hasPhone]~(s:Account), "
             "(s)-[t:Transfer]->(d) WHERE t.amount > 1M",
         )
-        assert "[blocking] pattern #2 hash-join build" in text
-        assert "[streaming] hash-join probe (pattern #1 outer)" in text
+        assert "[streaming] hash join on s\n" in text
+        assert "probe side streams; build side hashed once, at the first joinable probe row" in text
         assert "[streaming] postfilter WHERE" in text
 
     def test_explain_labels_keep_blocking(self):

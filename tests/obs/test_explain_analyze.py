@@ -170,7 +170,7 @@ def test_gql_explain_analyze_fraud_query(fig1):
     # the RETURN operators render above the statement chain they pull from
     assert report.index("sort: ") < report.index("distinct") < report.index("project: ")
     assert report.index("project: ") < report.index("statement #1")
-    assert "hash-join build" in report and "peak=" in report
+    assert "hash join on a, b" in report and "peak=" in report
     # estimated-vs-actual cardinality on anchored searches
     assert "anchor: left via property index Account(isBlocked='no')" in report
     assert "est rows=" in report

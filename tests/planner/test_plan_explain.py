@@ -68,7 +68,7 @@ class TestExplainPlan:
         assert "[est 1 of 14 nodes]" in text
         assert "estimated result size:" in text
         assert "considered:" in text
-        assert "materializes the build side (keyed on b)" in text
+        assert "hash join on b\n" in text
 
     def test_full_scan_rendered(self, fig1):
         text = explain_plan(fig1, "MATCH (x)")

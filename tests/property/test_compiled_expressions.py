@@ -38,8 +38,17 @@ from repro.gpml.expr import (
 from repro.gpml.predicates import row_test, row_value, row_values
 from repro.pgq import Table
 from repro.planner.indexes import conjuncts
-from repro.rowops import Aggregate, BoundAggregate, Column, Filter, Operator, Project, Sort
-from repro.sql.operators import Join, TableScan
+from repro.rowops import (
+    Aggregate,
+    BoundAggregate,
+    Column,
+    Filter,
+    HashJoin,
+    Operator,
+    Project,
+    Sort,
+)
+from repro.sql.operators import TableScan
 from repro.values import NULL, TRUE
 
 FIG1 = figure1_graph()
@@ -252,7 +261,7 @@ class TestNoContextPerRow:
             ],
         )
         assert drained(aggregate) == 7
-        join = Join(scan("l"), scan("r"), [K], [K], residual=Comparison("=", V, Literal(0)))
+        join = HashJoin(scan("l"), scan("r"), [K], [K], Comparison("=", V, Literal(0)))
         assert drained(join) == len(range(0, N, 7))
         assert contexts == {"row": 0, "eval": 0}
 

@@ -104,8 +104,7 @@ STAGES = [
     r"pattern #(\d+) search \(\w+\)",
     r"pattern #(\d+) reduce \+ dedup",
     r"pattern #(\d+) selector \w+",
-    r"pattern #(\d+) hash-join build",
-    r"hash-join probe \(pattern #1 outer\)",
+    r"hash join on \w+(?:, \w+)*|cross join",
     r"postfilter WHERE",
     r"KEEP \w+",
     r"row delivery",

@@ -109,6 +109,16 @@ class TestJoins:
         )
         assert rows(table) == []
 
+    def test_list_keys_join_as_they_compare(self):
+        # JOIN hashes its keys; the cross join's WHERE compares them: both
+        # keep [True] apart from [1] and join [1] with [1.0]
+        database = Database()
+        database.register_table("l", Table(["k", "v"], [([True], "a"), ([1], "b")]))
+        database.register_table("r", Table(["k", "w"], [([1.0], "x"), ([True], "y")]))
+        joined = database.execute("SELECT l.v, r.w FROM l JOIN r ON l.k = r.k")
+        filtered = database.execute("SELECT l.v, r.w FROM l, r WHERE l.k = r.k")
+        assert rows(joined) == rows(filtered) == [("a", "y"), ("b", "x")]
+
     def test_cross_join(self, db):
         table = db.execute("SELECT a.owner, c.name FROM accounts a, cities c")
         assert len(table) == 12

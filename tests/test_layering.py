@@ -100,6 +100,36 @@ def test_span_sites_outside_the_trace_package_stay_few():
     assert count <= 14
 
 
+def test_only_rowops_defines_a_join():
+    """The three joiners (GPML's ``MATCH P1, P2``, GQL's chained MATCH,
+    SQL's JOIN) build ``rowops.HashJoin``: outside ``rowops.py`` and the
+    oracle's own materialized join in ``gpml/reference.py``, no module
+    defines a join operator, and the per-host copies stay gone."""
+    gone = {"_Build", "_Probe", "_MatchTable", "SemiJoinSpec"}
+    classes = []  # (module, class name, base names)
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                classes.append((str(path.relative_to(SRC)), node.name, bases))
+    assert not gone & {name for _, name, _ in classes}
+    assert "Join" not in defined_names(SRC / "sql/operators.py")
+    operators = {"Operator"}
+    while True:
+        derived = {name for _, name, bases in classes if bases & operators} - operators
+        if not derived:
+            break
+        operators |= derived
+    joiners = sorted(
+        f"{module}: {name}"
+        for module, name, _ in classes
+        if name in operators and re.search("Join|Probe|Build", name)
+        and module not in ("rowops.py", "gpml/reference.py")
+    )
+    assert joiners == []
+    assert "HashJoin" in operators
+
+
 def test_both_hosts_take_the_tail_from_the_shared_module():
     for host in ("gql/query.py", "sql/planner.py"):
         assert "repro.rowops" in imported_modules(SRC / host), host
@@ -242,9 +272,7 @@ def test_one_selection_rule_serves_head_selectors_and_keep():
     assert not gone & defined_names(SRC / "gpml/engine.py")
 
 
-HOST_CONSUMERS = (
-    "rowops.py", "sql/operators.py", "pgq/graph_table.py", "gql/pipeline.py", "gql/dml.py",
-)
+HOST_CONSUMERS = ("rowops.py", "pgq/graph_table.py", "gql/pipeline.py", "gql/dml.py")
 
 
 def test_the_hosts_compile_expressions_with_the_kernels_compiler():
@@ -255,7 +283,8 @@ def test_the_hosts_compile_expressions_with_the_kernels_compiler():
     assert {"row_value", "row_values", "row_test"} <= defined_names(
         SRC / "gpml/predicates.py"
     )
-    for module in HOST_CONSUMERS:
+    # SQL's leaves compile nothing: the join they fed is rowops'
+    for module in HOST_CONSUMERS + ("sql/operators.py",):
         assert not {"row_value", "row_values", "row_test"} & defined_names(SRC / module), module
     # the per-row interpreter helpers the join used to carry are gone
     assert not {"evaluate", "holds"} & defined_names(SRC / "sql/operators.py")

@@ -10,6 +10,7 @@ from repro.values import (
     TruthValue,
     compare,
     format_amount,
+    hashable,
     is_null,
     parse_number,
     truth_of,
@@ -117,6 +118,18 @@ class TestCompare:
 
     def test_bool_not_comparable_to_number(self):
         assert compare("=", True, 1) is FALSE
+
+    def test_lists_compare_as_they_hash(self):
+        # element by element as the scalars do, and as hashable() keys
+        # them for hash joins, DISTINCT and GROUP BY
+        assert compare("=", [True], [1]) is FALSE
+        assert compare("<>", [True], [1]) is TRUE
+        assert compare("=", [[1, True]], [[1.0, True]]) is TRUE
+        assert compare("=", [1, "a"], [1.0, "a"]) is TRUE
+        assert compare("<>", [1], [1, 2]) is TRUE
+        for left, right in (([True], [1]), ([1], [1.0]), ([[False]], [[0]])):
+            equal = hashable(left) == hashable(right)
+            assert compare("=", left, right) is (TRUE if equal else FALSE)
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
