@@ -34,6 +34,7 @@ from repro.gpml.streaming import PipelineStats  # noqa: E402
 from repro.gql.query import execute_gql_iter, parse_gql_query  # noqa: E402
 from repro.obs.worklog import Telemetry  # noqa: E402
 from repro.pgq.tabular import tabular_representation  # noqa: E402
+from repro.sql.config import SEEDED_JOIN, SqlConfig  # noqa: E402
 from repro.sql.database import Database  # noqa: E402
 
 #: traced_best <= ALLOWED_RATIO * untraced_best + EPSILON_S
@@ -91,11 +92,47 @@ def _gql_case(graph):
     return run, "gql", query
 
 
-def _sql_case(graph):
+def _seeded_chain_case(graph):
+    # no LIMIT: the seeded MATCH reads every block of probe rows
+    query = (
+        "MATCH (a:Account WHERE a.isBlocked='yes')-[:Transfer]->(b:Account) "
+        "MATCH (b)-[:isLocatedIn]->(c:City) RETURN a.owner AS src, c.name AS city"
+    )
+    parsed = parse_gql_query(query)
+
+    def run(stats):
+        return [tuple(r.values()) for r in execute_gql_iter(graph, parsed, stats=stats)]
+
+    return run, "gql", query
+
+
+def _database(graph):
     database = Database()
     database.register_graph("bank", graph)
     for name, table in tabular_representation(graph).items():
         database.register_table(name, table)
+    return database
+
+
+def _seeded_join_case(graph):
+    database = _database(graph)
+    sql = (
+        "SELECT acc.ID, gt.dst FROM Account AS acc JOIN GRAPH_TABLE(bank "
+        "MATCH (a:Account)-[t:Transfer]->(b:Account) "
+        "COLUMNS (a AS src_el, b.owner AS dst)) AS gt ON gt.src_el = acc.ID "
+        "WHERE acc.isBlocked = 'yes'"
+    )
+    seeded = SqlConfig(optimizer_rules=frozenset({SEEDED_JOIN}))
+
+    def run(stats):
+        rows = database.execute_iter(sql, stats=stats, sql_config=seeded)
+        return [tuple(r.values()) for r in rows]
+
+    return run, "sql", sql
+
+
+def _sql_case(graph):
+    database = _database(graph)
     sql = (
         "SELECT src, amount FROM GRAPH_TABLE(bank "
         "MATCH (a:Account)-[t:Transfer]->(b:Account WHERE b.isBlocked='yes') "
@@ -113,7 +150,9 @@ CASES = [
     ("gpml", _gpml_case),
     ("gpml-hash-join", _join_case),
     ("gql", _gql_case),
+    ("gql-seeded-chain", _seeded_chain_case),
     ("sql", _sql_case),
+    ("sql-seeded-join", _seeded_join_case),
 ]
 
 

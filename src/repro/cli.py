@@ -26,7 +26,8 @@ output incrementally instead of materializing every row up front.
 (``MATCH`` / ``OPTIONAL MATCH`` / ``LET`` / ``FILTER`` chained before
 ``RETURN``) — through the GQL host.  ``--explain`` prints the statement
 pipeline with per-statement [streaming]/[blocking] classification (and
-how a chained MATCH executes: seeded per incoming row, or hash join);
+how a chained MATCH executes: seeded per block of incoming rows, or
+hash join);
 ``--stats`` reports matcher counters; ``--limit`` / ``--first`` tighten
 the query's LIMIT, and the shared row budget stops even the *first*
 statement's NFA search once satisfied.

@@ -36,19 +36,21 @@ materializing wrappers :func:`match` / ``execute_gql`` produce exactly
 
 ``match(graph, "MATCH ...")`` is the one-call public entry point;
 ``prepare`` caches everything up to step 4 for repeated execution.
-:func:`seeded_stages` is the anchored variant behind GQL's chained
-MATCH: the stage tree of a single-pattern query run from explicit start
-nodes (forward or reversed), one seeded search per upstream binding row.
+:func:`seeded_stages` is the anchored variant behind the seeded joins:
+the stage tree of a single-pattern query run from explicit start nodes
+(forward or reversed), one seeded search per block of upstream rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.worklog import Telemetry
+    from repro.planner.anchor import SeedSpec
 
 from repro.errors import GpmlEvaluationError
 from repro.gpml import ast
@@ -534,7 +536,6 @@ class _Search(_Stage):
             plan.observed_candidates = matcher.initial_candidate_count
         if self.owner is not None and self.owner.span is not None:
             self.owner.span.steps += matcher.steps
-            self.owner.span.bump("seeded_runs")
         if span is None:
             return
         span.steps = matcher.steps
@@ -734,11 +735,12 @@ def _run_strategy(
     matcher: FrontierMatcher, path, analysis, per_seed: bool = False
 ) -> Iterator[ReducedBinding]:
     """Run the search strategy the analysis chose for one path pattern —
-    once per start candidate when *per_seed* (an explicit seed list)."""
+    each start candidate as if alone when *per_seed* (an explicit seed
+    list): one DFS drain of the list, or one layered / cost run per seed."""
     strategy = analysis.strategy
     if strategy == ENUMERATE:
-        search = matcher.enumerate_all
-    elif strategy == SHORTEST:
+        return matcher.enumerate_all(per_seed=per_seed)
+    if strategy == SHORTEST:
         search = matcher.search_shortest
     elif strategy == K_SEARCH:
         search = partial(matcher.search_k_shortest, path.selector.k or 1)
@@ -765,10 +767,12 @@ def seeded_stages(
 ) -> Operator:
     """The stage tree of a single-pattern query anchored at explicit nodes.
 
-    This is the engine primitive behind GQL's chained ``MATCH``: a later
-    statement whose pattern pins an end element to a variable bound
-    upstream runs one seeded search per incoming binding row, starting
-    from exactly the bound node instead of every candidate in the graph.
+    This is the engine primitive behind the seeded joins (GQL's chained
+    ``MATCH``, SQL's join-through-GRAPH_TABLE, through
+    :class:`SeededSearch`) and standing queries: a later statement whose
+    pattern pins an end element to a variable bound upstream runs one
+    seeded search per block of incoming binding rows, starting from
+    exactly the bound nodes instead of every candidate in the graph.
     ``reversed_run`` carries a pre-compiled reversed pattern + NFA (see
     :mod:`repro.planner.anchor`) when the bound variable pins the *right*
     end.  The tree is the per-pattern subtree of :func:`match_stages`
@@ -781,17 +785,20 @@ def seeded_stages(
     start candidates to one node selects whole endpoint partitions, so
     selectors and KEEP — which choose per endpoint partition — see
     exactly the partitions a full run would have produced for that node.
-    Several seeds run seed by seed (:meth:`FrontierMatcher.seed_by_seed`):
+    Several seeds run each as if it ran alone — one DFS drain of the
+    list (``FrontierMatcher.enumerate_all(per_seed=True)``), or one
+    layered / cost run per seed (:meth:`FrontierMatcher.seed_by_seed`):
     the rows are the one-seed runs' rows concatenated, the steps their
     sum, ``max_steps`` / ``max_results`` hold per seed; dedup keys and
     endpoint partitions contain the walk's start, so no seed's rows
     meet another's.
 
     ``owner``, when given, *aggregates* across seeded runs: one chained
-    MATCH statement may run thousands of seeded searches, so instead of
-    one span per seed the owning operator's span accumulates the step
-    total and a ``seeded_runs`` tally.  Each matcher's steps are added
-    exactly once, when its run closes.  ``reads`` is :func:`match_stages`'.
+    MATCH statement may run hundreds of seeded searches, so instead of
+    one span per search the owning operator's span accumulates the step
+    total (:class:`SeededSearch` adds the tallies).  Each matcher's
+    steps are added exactly once, when its run closes.  ``reads`` is
+    :func:`match_stages`'.
     """
     if prepared.num_path_patterns != 1:
         raise GpmlEvaluationError(
@@ -807,29 +814,38 @@ def seeded_stages(
 
 
 class SeededSearch:
-    """The shared seeded-search entry point, with per-distinct-seed memo:
-    the seeded build side of GQL's chained MATCH and of SQL's
-    join-through-GRAPH_TABLE rewrite.  Each :meth:`run` runs
-    :func:`seeded_stages` for one seed node and yields its rows.
+    """The seeded build side of GQL's chained MATCH and of SQL's
+    join-through-GRAPH_TABLE rewrite: a block of probe rows at a time,
+    one search per block, a memo per distinct seed.
+
+    :meth:`block` takes each probe row's anchor node ids and runs one
+    :func:`seeded_stages` search over the block's distinct seeds not
+    memoized yet, in order of first appearance.  A seed list runs seed by
+    seed, so that search's rows are each seed's own run's rows, one seed
+    after another; a row's seed is the node its anchor variable holds.
+    Each probe row gets its seeds' rows as soon as they are known: the
+    running seed's as they come, a memoized seed's at once.
 
     Probe streams repeat seeds (hub nodes), and re-running the identical
     anchored search per duplicate would cost more than the hash join it
-    replaces — so complete runs are memoized per seed id.  Only
-    *exhausted* runs are cached: a run abandoned mid-way (satisfied row
-    budget closed the generator) never populates the memo, so a truncated
-    candidate list can never be replayed as if complete.  ``owner``, the
-    operator the searches run for, aggregates ``seeded_runs`` /
-    ``seed_memo_hit`` / ``seed_memo_miss`` tallies and the matchers' step
-    totals on its span instead of exploding into one span per seed.
+    replaces — so complete runs are memoized per seed id.  A seed enters
+    the memo only once its run is known complete (a later seed's row
+    came, or the search ended with the row budget unsatisfied): a run
+    cut short by a satisfied budget, or abandoned by a consumer that
+    stopped reading, is never replayed as if complete.  ``owner``, the
+    operator the searches run for, aggregates ``seed_blocks`` (searches),
+    ``seeded_runs`` / ``seed_memo_miss`` (seeds run) and
+    ``seed_memo_hit`` tallies and the searches' step totals on its span
+    instead of exploding into one span per seed.
     """
 
     def __init__(
         self,
         graph: PropertyGraph,
         prepared: PreparedQuery,
-        config: Optional[MatcherConfig] = None,
+        config: Optional[MatcherConfig],
+        seed: "SeedSpec",
         *,
-        reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
         budget: Optional[RowBudget] = None,
         stats: Optional[PipelineStats] = None,
         owner: Operator,
@@ -838,30 +854,70 @@ class SeededSearch:
         self.graph = graph
         self.prepared = prepared
         self.config = config if config is not None else MatcherConfig()
-        self.reversed_run = reversed_run
+        self.seed = seed
         self.budget = budget
         self.stats = stats
         self.owner = owner
         self.reads = reads
         self._memo: dict[str, list[BindingRow]] = {}
 
-    def run(self, seed_id: str) -> Iterator[BindingRow]:
-        """All rows whose anchored end is *seed_id*."""
-        cached = self._memo.get(seed_id)
-        if cached is not None:
-            self.owner.trace_bump("seed_memo_hit")
-            yield from cached
-            return
-        self.owner.trace_bump("seed_memo_miss")
-        acc: list[BindingRow] = []
-        for m in seeded_stages(
-            self.graph, self.prepared, self.config, [seed_id],
-            reversed_run=self.reversed_run, budget=self.budget,
-            stats=self.stats, owner=self.owner, reads=self.reads,
-        ).run():
-            acc.append(m)
-            yield m
-        self._memo[seed_id] = acc
+    def block(self, seed_lists: list[list[str]]) -> Iterator[Iterable[BindingRow]]:
+        """Per entry of *seed_lists* (one probe row's anchor ids), in
+        order: the rows anchored at its ids, in that order.  Each is to be
+        read to its end before the next is asked for."""
+        memo, bump = self._memo, self.owner.trace_bump
+        fresh = [s for s in dict.fromkeys(chain.from_iterable(seed_lists)) if s not in memo]
+        order = dict(zip(fresh, range(len(fresh))))
+        var, budget = self.seed.var, self.budget
+        rows = held = None
+        known = 0  # fresh[:known] are complete; the search is on fresh[known]
+
+        def run_of(seed: str) -> Iterator[BindingRow]:
+            nonlocal rows, held, known
+            found: list[BindingRow] = []
+            at = order[seed]
+            if at >= known:  # its rows are the search's next ones
+                if rows is None:
+                    bump("seed_blocks")
+                    rows = seeded_stages(
+                        self.graph, self.prepared, self.config, fresh,
+                        reversed_run=self.seed.reversed_run, budget=budget,
+                        stats=self.stats, owner=self.owner, reads=self.reads,
+                    ).run()
+                while True:
+                    if held is None:
+                        held = next(rows, None)
+                        if held is None:
+                            break
+                    if order[_node_id(held.values[var])] != at:
+                        break
+                    found.append(held)
+                    row, held = held, None
+                    yield row
+                if held is not None:  # the seeds between had no rows
+                    known = order[_node_id(held.values[var])]
+                elif budget is not None and budget.satisfied:
+                    return  # cut short: not known complete
+                else:
+                    known = len(fresh)
+            memo[seed] = found
+
+        for seeds in seed_lists:
+            found = []
+            for seed in seeds:
+                if seed in memo:
+                    bump("seed_memo_hit")
+                    found.append(memo[seed])
+                else:
+                    bump("seed_memo_miss")
+                    bump("seeded_runs")
+                    found.append(run_of(seed))
+            yield found[0] if len(found) == 1 else chain.from_iterable(found)
+
+
+def _node_id(value: Any) -> str:
+    """A node variable's value in a row: its id, by id or by handle."""
+    return value if type(value) is str else value.id
 
 
 # ----------------------------------------------------------------------

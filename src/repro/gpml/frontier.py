@@ -94,10 +94,14 @@ deposit goes, where an accept goes, and which entry the loop takes next
   them — the stable sort-by-cost order of a materialized run.
 
 *Seed by seed.*  A seeded run — an explicit seed list, one anchored
-search per start — runs its strategy once per seed
-(:meth:`~FrontierMatcher.seed_by_seed`) on one matcher and one program:
-its rows are the one-seed runs' rows, concatenated, its steps their sum,
-and ``max_steps`` / ``max_results`` hold for each seed on its own.
+search per start — gives every seed the run it would have alone, on one
+matcher and one program: its rows are the one-seed runs' rows,
+concatenated, its steps their sum, and ``max_steps`` / ``max_results``
+hold for each seed on its own.  DFS does it in one drain of the list
+(``enumerate_all(per_seed=True)``): the seeding hands the scan a
+``_SEED`` mark where each seed starts, and the scan restarts both
+budgets there.  The layered and cost strategies run once per seed
+(:meth:`~FrontierMatcher.seed_by_seed`), each with a fresh layer or heap.
 
 Steps are added a slice at a time and are **exact wherever the scan can
 stop**: before a yield, a residual evaluation, a guarded walk or a raise
@@ -105,10 +109,11 @@ the count is stepped back to the entry in hand; a slice that would cross
 ``max_steps`` is cut to the prefix the budget allows and raises after
 it; ``steps``, ``PipelineStats.steps`` and ``metrics`` are published
 before every yield and on the way out.  Seeds pass the start routes'
-total tests ``_SEED_BLOCK`` at a time, so a LIMIT's first row does not
-wait for every candidate.  ``tests/property/test_columnar_equivalence.py``
-pins rows, steps and matches of each shape and the laws of every stop
-point (each ``max_steps`` / ``max_results`` / LIMIT / ``close()``).
+total tests a block at a time (up to ``streaming.SEED_BLOCK``), so a
+LIMIT's first row does not wait for every candidate.
+``tests/property/test_columnar_equivalence.py`` pins rows, steps and
+matches of each shape and the laws of every stop point (each
+``max_steps`` / ``max_results`` / LIMIT / ``close()``).
 
 Solutions leave as :class:`~repro.gpml.bindings.ReducedBinding` objects
 already in forward orientation: singletons, groups in event order
@@ -148,7 +153,7 @@ from repro.gpml.label_expr import LabelAtom
 from repro.gpml.matcher import MatcherConfig, RunContext
 from repro.gpml.predicates import split_where, value_test
 from repro.gpml.selectors import edge_cost
-from repro.gpml.streaming import PipelineStats, RowBudget
+from repro.gpml.streaming import SEED_BLOCK, PipelineStats, RowBudget, blocks
 from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import PropertyGraph
 
@@ -165,6 +170,9 @@ _NTH, _PLAN = itemgetter(0), itemgetter(1)
 #: stateless, so shared: the scopes and cell of a plain seed entry, and
 #: what :meth:`FrontierMatcher._seeds` answers once every one is pushed
 _NO_SCOPES, _NO_CELL, _DRAIN = repeat(()), repeat(None), (None,)
+#: what a seed list's seeding hands the scan where one seed's run starts:
+#: its ``max_steps`` / ``max_results`` count from here, then drain
+_SEED = object()
 
 
 # ----------------------------------------------------------------------
@@ -699,17 +707,11 @@ def _guard(state: int, counters: tuple, scopes: tuple, cell) -> tuple:
 # ----------------------------------------------------------------------
 # The frontier matcher
 # ----------------------------------------------------------------------
-#: seeds pass the start routes' total tests at most this many at a time:
-#: enough to amortize the filter set-up; the first blocks are a 16th and
-#: a 4th of it, so a LIMIT's first row waits for few candidates' tests
-_SEED_BLOCK = 256
-
-
-def _seed_blocks(count: int) -> Iterator[tuple[int, int]]:
-    at, size = 0, _SEED_BLOCK // 16
-    while at < count:
-        yield at, size
-        at, size = at + size, min(4 * size, _SEED_BLOCK)
+def _one_at_a_time(entries, push):
+    """Push seed entries one per :data:`_SEED`: each drains on its own."""
+    for entry in entries:
+        push(entry)
+        yield _SEED
 
 
 def _graph_changed() -> GpmlEvaluationError:
@@ -779,11 +781,16 @@ class FrontierMatcher:
         self._counts = counts
 
     # -- strategies ----------------------------------------------------
-    def enumerate_all(self, candidates: Optional[list] = None) -> Iterator[ReducedBinding]:
-        """DFS: each seed drained before the next, accepts yielded as found."""
+    def enumerate_all(
+        self, candidates: Optional[list] = None, per_seed: bool = False
+    ) -> Iterator[ReducedBinding]:
+        """DFS: each seed drained before the next, accepts yielded as found;
+        with *per_seed* (an explicit seed list) ``max_steps`` and
+        ``max_results`` start afresh at each seed, as if it ran alone."""
         stack: list = []
         push, accept = stack.append, self._accept
-        return self._scan(self._seeding(push, accept, stack, candidates), stack, push, accept)
+        seeding = self._seeding(push, accept, stack, candidates, per_seed)
+        return self._scan(seeding, stack, push, accept)
 
     def search_shortest(self, candidates: Optional[list] = None) -> Iterator[ReducedBinding]:
         """Layered BFS: a product state is expanded at its first depth only."""
@@ -918,12 +925,13 @@ class FrontierMatcher:
         return self._scan(rounds(), stack, push, accept)
 
     def seed_by_seed(self, search) -> Iterator[ReducedBinding]:
-        """*search* — a strategy method, or a partial of one — run once per
-        start candidate, each run as if it were the only one: the layered
-        and cost strategies start a fresh layer and heap, and ``max_steps``
-        / ``max_results`` are measured from the seed's start.  Rows come
-        seed after seed; ``steps``, the stats and the frontier counters
-        add up across the runs."""
+        """*search* — a layered or cost strategy method, or a partial of
+        one — run once per start candidate, each run as if it were the
+        only one: a fresh layer or heap, and ``max_steps`` /
+        ``max_results`` measured from the seed's start.  Rows come seed
+        after seed; ``steps``, the stats and the frontier counters add up
+        across the runs.  DFS needs no fresh run per seed:
+        ``enumerate_all(per_seed=True)`` is one drain of the list."""
         budget = self._budget
         candidates = self._initial_candidates()
         self.initial_candidate_count = len(candidates)
@@ -953,32 +961,37 @@ class FrontierMatcher:
         return sorted(self.graph.node_ids())
 
     def _seeding(
-        self, push, accept, stack: Optional[list] = None, candidates: Optional[list] = None
+        self, push, accept, stack: Optional[list] = None, candidates: Optional[list] = None,
+        per_seed: bool = False,
     ):
         """Start every candidate (default: the matcher's) — a block of
         seeds at a time, each seed drained before the next when *stack*
-        is the DFS stack to drain — and raise for an unknown id once the
-        seeds before it are started."""
+        is the DFS stack to drain, and handed over after a :data:`_SEED`
+        when *per_seed* — and raise for an unknown id once the seeds
+        before it are started."""
         if candidates is None:
             candidates = self._initial_candidates()
             self.initial_candidate_count = len(candidates)
         node_code = self.snapshot.node_code
-        for at, size in _seed_blocks(len(candidates)):
-            seeds = list(map(node_code.get, candidates[at : at + size]))
+        # the first block is a 16th of the largest, so a LIMIT's first
+        # row waits for few candidates' tests
+        for block in blocks(candidates, SEED_BLOCK // 16):
+            seeds = list(map(node_code.get, block))
             unknown = seeds.index(None) if None in seeds else None
             if unknown is not None:
                 del seeds[unknown:]
-            yield from self._seeds(seeds, push, accept, stack)
+            yield from self._seeds(seeds, push, accept, stack, per_seed)
             if unknown is not None:
-                raise GraphError(f"unknown node {candidates[at + unknown]!r}")
+                raise GraphError(f"unknown node {block[unknown]!r}")
 
-    def _seeds(self, seeds: list, push, accept, stack: Optional[list]):
+    def _seeds(self, seeds: list, push, accept, stack: Optional[list], per_seed: bool):
         """Start *seeds*: deposits go to *push*, accepts to *accept*; the
         solutions it answers are handed over, None whenever the stack is
-        to be drained — after each seed, under DFS.  When the one start
-        route is *plain*, DFS runs nothing per seed: every entry is pushed
-        at once, first seed on top, and the stack drains them one at a
-        time by itself."""
+        to be drained — after each seed, under DFS — and :data:`_SEED`
+        before each seed when *per_seed*.  When the one start route is
+        *plain*, DFS runs nothing per seed: every entry is pushed at once,
+        first seed on top, and the stack drains them one at a time by
+        itself — or, per seed, one entry is pushed per :data:`_SEED`."""
         plans = self.program.seeds
         if len(plans) == 1:
             (plan,) = plans
@@ -987,10 +1000,14 @@ class FrontierMatcher:
                 if not seeds:
                     return seeds  # nothing to start, nothing to drain
             if plan.plain and stack is not None:
-                seeds = seeds[::-1]
+                if not per_seed:
+                    seeds = seeds[::-1]
                 walks = zip(map(self.snapshot.node_ids.__getitem__, seeds))
                 scan = plan.scan or self.program.scan_of(plan)
-                stack.extend(zip(repeat(scan), seeds, _NO_SCOPES, _NO_CELL, walks))
+                entries = zip(repeat(scan), seeds, _NO_SCOPES, _NO_CELL, walks)
+                if per_seed:
+                    return _one_at_a_time(entries, stack.append)
+                stack.extend(entries)
                 return _DRAIN
             admitted = repeat(plans)
         else:
@@ -999,11 +1016,13 @@ class FrontierMatcher:
                 for plan in plans
             ]
             admitted = map(compress, repeat(plans), zip(*verdicts))
-        return self._arrive(zip(seeds, admitted), push, accept, stack is not None)
+        return self._arrive(zip(seeds, admitted), push, accept, stack is not None, per_seed)
 
-    def _arrive(self, admitted, push, accept, drain: bool):
+    def _arrive(self, admitted, push, accept, drain: bool, per_seed: bool = False):
         node_ids, scan_of = self.snapshot.node_ids, self.program.scan_of
         for seed, plans in admitted:
+            if per_seed:
+                yield _SEED
             walk = (node_ids[seed],)
             for plan in plans:
                 if plan.closure is not None:
@@ -1029,8 +1048,8 @@ class FrontierMatcher:
         """The one scan loop: expand every entry *rounds* leaves on *stack*
         a CSR slice at a time, deposits to *push*, accepts to *accept*
         (which answers the solution to yield, or None).  *rounds* hands
-        over what its strategy holds, and None when the stack is to be
-        drained.
+        over what its strategy holds, None when the stack is to be
+        drained, and :data:`_SEED` where a seed of a seed list starts.
 
         The snapshot is advanced in place, so a search that resumes
         after a write was folded in stops with an error instead of
@@ -1038,7 +1057,8 @@ class FrontierMatcher:
         wherever the generator hands control to its consumer.
 
         The counters go on from where the matcher's last run left them;
-        ``max_steps`` is measured from this run's start.
+        ``max_steps`` is measured from this run's start, or from the
+        seed's.
         """
         program = self.program
         snapshot = self.snapshot
@@ -1060,13 +1080,16 @@ class FrontierMatcher:
         try:
             for found in rounds:
                 if found is not None:
-                    self._publish(steps, slices, entries, survived)
-                    yield found
-                    if snapshot.version != version:
-                        raise _graph_changed()
-                    if budget is not None and budget.satisfied:
-                        return
-                    continue
+                    if found is not _SEED:
+                        self._publish(steps, slices, entries, survived)
+                        yield found
+                        if snapshot.version != version:
+                            raise _graph_changed()
+                        if budget is not None and budget.satisfied:
+                            return
+                        continue
+                    limit = steps + max_steps
+                    self._emitted = 0
                 while stack:
                     scan, node, scopes, cell, walk = stack.pop()
                     (

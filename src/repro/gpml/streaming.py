@@ -30,7 +30,8 @@ modes below):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import QueryTrace
@@ -38,6 +39,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: stage modes
 STREAMING = "streaming"
 BLOCKING = "blocking"
+
+#: the largest block of seeds a search starts at once (the kernel's start
+#: routes' tests) and of probe rows a seeded join answers with one search
+SEED_BLOCK = 256
+
+
+def blocks(items: Iterable, first: int) -> Iterator[list]:
+    """*items* as lists of *first*, then four times as many each, up to
+    :data:`SEED_BLOCK`: set-up is paid per block, and a consumer that
+    stops early has waited for (and read past) few items."""
+    items, size = iter(items), first
+    while True:
+        block = list(islice(items, size))
+        if block:
+            yield block
+        if len(block) < size:  # *items* ran out
+            return
+        size = min(4 * size, SEED_BLOCK)
 
 
 class RowBudget:

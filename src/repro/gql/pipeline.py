@@ -35,7 +35,8 @@ answers an incoming row; each is one shape of the join's second child:
 
 * **seeded** (streaming): when the pattern pins an end element to a
   variable bound upstream (an unconditional singleton), each incoming
-  row seeds one anchored search from exactly that node, reusing the
+  row's node seeds an anchored search from exactly that node, one search
+  per block of incoming rows over the block's new seeds, reusing the
   planner's pattern-reversal machinery for right ends
   (:class:`repro.gpml.engine.SeededSearch`, shared with the SQL
   planner's join-through-GRAPH_TABLE rewrite).  This is the
@@ -200,9 +201,9 @@ class Match(Statement, HashJoin):
     """``[OPTIONAL] MATCH``: the shared hash join of the incoming rows with
     the pattern's binding rows on the variables they share.  Its second
     child is the pattern subtree the join pulls — the mode: the seeded
-    search's stages (a template: each incoming row runs its own copy,
-    aggregated onto this operator), the pattern's stage tree streamed per
-    incoming row (direct), or that tree hashed (hash join).  A correlated
+    search's stages (a template: each block of incoming rows runs its
+    own copy, aggregated onto this operator), the pattern's stage tree
+    streamed per incoming row (direct), or that tree hashed (hash join).  A correlated
     WHERE is the join's residual; a KEEP beside it selects per incoming
     row among the partners the join finds for it.
     """
@@ -243,8 +244,6 @@ class Match(Statement, HashJoin):
         HashJoin.__init__(
             self, upstream, pattern, keys, keys, compiled.residual_where, merge=_merged, pad=pad
         )
-        if compiled.direct:
-            self.seeded = lambda values: pattern.run()
 
     def detail_lines(self) -> list[str]:
         """The mode and what else happens per incoming row, each tagged
@@ -285,42 +284,50 @@ class Match(Statement, HashJoin):
 
     def rows(self) -> Iterator[dict[str, Any]]:
         if self.compiled.seed is not None:
-            self.seeded = self._seeded_runs()
+            self.seeded = self._seeded_block()
         if self.compiled.residual_keep is None:
             return HashJoin.rows(self)
         return self._kept()
 
-    def _seeded_runs(self) -> Callable[[tuple], Iterable[BindingRow]]:
-        """``key values ->`` the run anchored at the seed variable's node:
-        one per distinct seed, hub-skew memoization included (the entry
-        point shared with SQL's seeded scan)."""
+    def partners(self, probe_rows: Iterable, build_rows: Optional[Iterable] = None):
+        """The join's partners; in direct mode the pattern's stage tree,
+        streamed for each incoming row (there is one, keyed on nothing)."""
+        if not self.compiled.direct:
+            return HashJoin.partners(self, probe_rows, build_rows)
+        pattern = self.children[1]
+        return ((row, pattern.run()) for row in probe_rows)
+
+    def _seeded_block(self) -> Callable[[list], Iterator[Iterable[BindingRow]]]:
+        """``block of key values ->`` per row, the rows anchored at its
+        seed variable's node: one search per block over its new seeds,
+        hub-skew memoization included (shared with SQL's seeded scan)."""
         compiled, graph = self.compiled, self.graph
         search = SeededSearch(
-            graph, compiled.prepared, self.config,
-            reversed_run=compiled.seed.reversed_run,
+            graph, compiled.prepared, self.config, compiled.seed,
             budget=self.budget, stats=self.stats, owner=self, reads=self.reads,
         )
         position = compiled.shared_vars.index(compiled.seed.var)
 
-        def runs(values: tuple) -> Iterable[BindingRow]:
+        def seeds(values: Optional[tuple]) -> list[str]:
+            if values is None:
+                return []
             seed_id = values[position]
             if isinstance(seed_id, (Node, Edge)):
                 seed_id = seed_id.id
             if not isinstance(seed_id, str) or not graph.has_node(seed_id):
-                return ()
-            return search.run(seed_id)
+                return []
+            return [seed_id]
 
-        return runs
+        return lambda block: search.block(list(map(seeds, block)))
 
     def _kept(self) -> Iterator[dict[str, Any]]:
         """KEEP per incoming row, among that row's partners that survived
         the correlated WHERE."""
         keep, pad = self.compiled.residual_keep, self.pad
-        partners = self.partners()
         residual = self.readers[2]
-        for row in self.upstream.run():
+        for row, found in self.partners(self.upstream.run()):
             survivors = []
-            for match in partners(row) or ():  # None: the build side is empty
+            for match in found:
                 merged = {**row, **match.values}
                 if residual is None or residual(merged):
                     survivors.append(BindingRow(merged, match.paths))

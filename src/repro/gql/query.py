@@ -23,8 +23,9 @@ iterator, same rows, same order.
 
 A chained ``MATCH`` joins on the variables already bound upstream.  When
 the pattern pins an end element to such a variable, the matcher is
-*seeded* with the bound node per incoming row (reusing the planner's
-anchor machinery); otherwise it falls back to hash-join semantics.
+*seeded* with the bound nodes, one search per block of incoming rows
+(reusing the planner's anchor machinery); otherwise it falls back to
+hash-join semantics.
 ``OPTIONAL MATCH`` NULL-pads rows without join partners.  ``EXPLAIN``
 (:func:`explain_gql`) renders the tree with a [streaming]/[blocking]
 classification per operator.

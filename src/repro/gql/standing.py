@@ -16,10 +16,10 @@ first MATCH's (single) path pattern.  A seeded run restricted to
 one start ``s`` produces exactly the query rows whose first pattern
 begins at ``s`` (the NFA's entry node test validates the seed, so
 seeding arbitrary node ids is sound), and the union over all nodes is
-the full result.  The engine runs a seed list seed by seed, each seed
-with a fresh search and a budget of its own, so one seeded search over
-many starts yields each start's rows exactly as a run of its own would,
-and each row names its start: the first node of its walk.  The standing
+the full result.  The engine runs a seed list as if each seed ran
+alone, with budgets of its own, so one seeded search over many starts
+yields each start's rows exactly as a run of its own would, and each
+row names its start: the first node of its walk.  The standing
 query keeps one *bucket* of result keys per start, plus a support count
 per key; the visible result is a **bag** — each key appears with its
 total multiplicity.  Bag semantics matter: the engine deduplicates on
@@ -289,8 +289,8 @@ class StandingQuery:
         """The query's final binding rows, tagged with their start node.
 
         One seeded search over all *starts* for the first statement (none
-        when there are no starts).  The engine runs a seed list seed by
-        seed — a fresh search and budget per start, rows in seed order —
+        when there are no starts).  The engine runs a seed list as if each
+        seed ran alone — budgets per start, rows in seed order —
         and its dedup keys and selector partitions contain the walk's
         start, so each start's rows are exactly what a run seeded from
         that start alone produces, keeping buckets comparable across

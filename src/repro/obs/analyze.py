@@ -213,9 +213,10 @@ def plan_summary(trace: QueryTrace) -> Optional[str]:
             parts.append(f"{label} anchor {anchor}")
         runs = span.counts.get("seeded_runs")
         if runs:
+            blocks = span.counts.get("seed_blocks", 0)
             hits = span.counts.get("seed_memo_hit", 0)
             label = span.name.split(":")[0]
-            parts.append(f"{label} seeded ({runs} runs, {hits} memo hits)")
+            parts.append(f"{label} seeded ({runs} runs in {blocks} blocks, {hits} memo hits)")
     if not parts:
         return None
     return "; ".join(parts)

@@ -21,7 +21,7 @@ The anchor machinery has a second consumer besides :func:`plan_query`:
 GQL's chained-MATCH seeding (:mod:`repro.gql.pipeline`) anchors a later
 statement's pattern search at a variable bound upstream, reusing
 :mod:`~repro.planner.anchor`'s pinned-end analysis and pattern reversal
-per incoming row.
+for every block of incoming rows.
 
 Modules: :mod:`~repro.planner.stats` (cardinality catalog + caching),
 :mod:`~repro.planner.indexes` (sargable predicates, candidate sources),

@@ -229,7 +229,7 @@ class SeedSpec:
     def describe(self) -> str:
         return (
             f"seeded search on {self.var} ({self.side} end bound upstream), "
-            f"one anchored run per incoming row"
+            f"one anchored search per block of incoming rows"
         )
 
 

@@ -41,7 +41,9 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.gpml.expr import BoundColumn, EvalContext, Expr, RowContext, fold_aggregate, rebuild
 from repro.gpml.predicates import row_test, row_value, row_values
-from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
+from repro.gpml.streaming import (
+    BLOCKING, SEED_BLOCK, STREAMING, PipelineStats, RowBudget, blocks,
+)
 from repro.graph.model import Edge, Node
 from repro.obs.trace import OPERATOR, STATEMENT, Span, timed_rows  # noqa: F401 (STATEMENT: for repro.gql)
 from repro.values import NULL, first_occurrences, hashable, is_null
@@ -502,12 +504,16 @@ class HashJoin(Operator):
     ``residual`` tests each ``merge(probe row, build row)`` (tuple
     concatenation by default); ``pad``, when given, is merged with a probe
     row that has no partner (OPTIONAL MATCH).  A host may set ``seeded``:
-    a build side answering one probe key (``key values -> candidate
-    rows``, read before :func:`hashable` tags them) instead of the hash
-    table, each candidate's key re-checked, so it need only never lose a
-    row; and ``semi_join`` (key position, cap), SQL's reduction: the probe
-    side is materialized first and its distinct scalar keys at that
-    position go to the build child's ``reduced_rows``.
+    a build side answering a block of probe keys instead of the hash
+    table.  The probe side is then read in blocks — one row, then four
+    times as many each, up to :data:`~repro.gpml.streaming.SEED_BLOCK` —
+    and ``seeded`` gets a block's key values (read before
+    :func:`hashable` tags them; None for a key that never joins) and
+    yields each probe row's candidate rows in probe order, as soon as it
+    knows them; each candidate's key is re-checked, so it need only never
+    lose a row.  And ``semi_join`` (key position, cap), SQL's reduction:
+    the probe side is materialized first and its distinct scalar keys at
+    that position go to the build child's ``reduced_rows``.
     """
 
     def __init__(
@@ -526,7 +532,7 @@ class HashJoin(Operator):
         self.residual = residual
         self.merge = merge
         self.pad = pad
-        self.seeded: Optional[Callable[[tuple], Iterable[Any]]] = None
+        self.seeded: Optional[Callable[[list], Iterator[Iterable[Any]]]] = None
         self.semi_join: Optional[tuple[int, int]] = None
         self.columns = probe.columns + build.columns
         self.context = probe.context
@@ -550,13 +556,9 @@ class HashJoin(Operator):
             held = list(probe_rows)
             probe_rows = iter(held)
             build_rows = self._reduced_build(held)
-        partners = self.partners(build_rows)
         merge, pad = self.merge, self.pad
         residual = self.readers[2]
-        for row in probe_rows:
-            found = partners(row)
-            if found is None:
-                return
+        for row, found in self.partners(probe_rows, build_rows):
             if residual is None and pad is None:  # every partner joins
                 yield from map(merge, repeat(row), found)
                 continue
@@ -569,44 +571,46 @@ class HashJoin(Operator):
             if not produced and pad is not None:
                 yield merge(row, pad)
 
-    def partners(self, build_rows: Optional[Iterable] = None) -> Callable[[Any], Any]:
-        """``probe row ->`` the build rows that join it, in build order, or
-        None once the build side turned out empty and nothing pads;
-        ``build_rows`` stands in for the build child's (a reduced build)."""
-        probe_values, build_values, _ = self.readers
-        seeded = self.seeded
-        if seeded is not None:
-            recheck = bool(self.build_keys)
+    def partners(
+        self, probe_rows: Iterable, build_rows: Optional[Iterable] = None
+    ) -> Iterator[tuple[Any, Iterable]]:
+        """Each probe row with the build rows that join it, in build order,
+        ending early once the build side turned out empty and nothing
+        pads; ``build_rows`` stands in for the build child's (a reduced
+        build)."""
+        if self.seeded is not None:
+            return self._seeded_partners(probe_rows)
+        return self._hashed_partners(probe_rows, build_rows)
 
-            def candidates(row: Any) -> Iterable:
-                values = probe_values(row)
-                key = join_key(values)
-                if key is None:
-                    return ()
-                found = seeded(values)
-                if not recheck:
-                    return found
-                return (other for other in found if join_key(build_values(other)) == key)
-
-            return candidates
+    def _hashed_partners(self, probe_rows: Iterable, build_rows: Optional[Iterable]):
+        probe_values = self.readers[0]
         table: Optional[dict] = None
-        padded = self.pad is not None
-
-        def bucket(row: Any) -> Optional[Iterable]:
-            nonlocal table
+        for row in probe_rows:
             key = join_key(probe_values(row))
             if key is None:
-                return ()
+                yield row, ()
+                continue
             if table is None:
                 table = self._hash(build_rows)
-            if not (table or padded):
-                return None
+                if not (table or self.pad is not None):
+                    return
             try:
-                return table.get(key, ())
+                found = table.get(key, ())
             except TypeError:  # a key that cannot be hashed never joins
-                return ()
+                found = ()
+            yield row, found
 
-        return bucket
+    def _seeded_partners(self, probe_rows: Iterable):
+        probe_values, build_values, _ = self.readers
+        recheck = bool(self.build_keys)
+        for block in blocks(probe_rows, 1):
+            values = list(map(probe_values, block))
+            keys = list(map(join_key, values))
+            answers = self.seeded([None if k is None else v for v, k in zip(values, keys)])
+            for row, key, found in zip(block, keys, answers):
+                if recheck and key is not None:
+                    found = (other for other in found if join_key(build_values(other)) == key)
+                yield row, found
 
     def _hash(self, rows: Optional[Iterable]) -> dict[tuple, list]:
         build_values = self.readers[1]
@@ -662,7 +666,10 @@ class HashJoin(Operator):
 
     def detail_lines(self) -> list[str]:
         if self.seeded is not None:
-            lines = ["probe side streams, one anchored search per distinct key"]
+            lines = [
+                "probe side read in blocks (1 row, then x4 up to "
+                f"{SEED_BLOCK}); one anchored search per block's new keys"
+            ]
         else:
             lines = ["probe side streams; build side hashed once, at the first joinable probe row"]
         if self.semi_join is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet
 
 #: join-through-GRAPH_TABLE: a join keyed on a COLUMNS output becomes a
-#: seeded per-probe-row graph search.
+#: graph search seeded by each block of probe rows.
 SEEDED_JOIN = "seeded_join"
 #: common-subpattern sharing: structurally identical GRAPH_TABLE calls in
 #: one query enumerate once through a shared spool.

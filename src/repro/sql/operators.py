@@ -17,7 +17,7 @@ cost-based planner turns them into index anchors.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.gpml import ast as gpml_ast
 from repro.gpml.engine import PreparedQuery, SeededSearch, match_stages, prepare
@@ -169,18 +169,20 @@ PROBE_PROPERTY = "property"  # COLUMNS output is a property of the element
 
 
 class SeededGraphTableScan(GraphTableScan):
-    """A GRAPH_TABLE scan driven one anchored NFA search per probe row.
+    """A GRAPH_TABLE scan that answers a join's probe keys a block at a
+    time, with one anchored NFA search per block.
 
     Planted by the join-through-GRAPH_TABLE rewrite: instead of
     enumerating the whole pattern and hash-joining, the enclosing
-    :class:`~repro.rowops.HashJoin` calls :meth:`probe` with each probe
-    row's seed key value, and the scan runs a seeded search anchored at
-    exactly the matching nodes (:class:`~repro.gpml.engine.SeededSearch`,
-    shared with GQL's chained MATCH — hub-skew memoization included).
+    :class:`~repro.rowops.HashJoin` hands :meth:`partners` the key values
+    of a block of probe rows, and the scan runs one seeded search
+    anchored at exactly the nodes the block's seed key values name
+    (:class:`~repro.gpml.engine.SeededSearch`, shared with GQL's chained
+    MATCH — hub-skew memoization included).
 
-    :meth:`probe` may yield a superset of the rows whose key equals the
-    probe value, as the join re-checks every key; probe values no index
-    can answer exactly (lists, exotic types) fall back to one full
+    Each probe row's answer may be a superset of the rows whose key
+    equals its value, as the join re-checks every key; probe values no
+    index can answer exactly (lists, exotic types) fall back to one full
     enumeration, cached across probe rows.
     """
 
@@ -211,25 +213,24 @@ class SeededGraphTableScan(GraphTableScan):
         self._search: Optional[SeededSearch] = None
         self._fallback: Optional[list[tuple]] = None
 
-    def probe(self, value: Any) -> Iterator[tuple]:
-        """COLUMNS-projected rows whose join key may equal *value*."""
-        seeds = self._seed_ids(value)
-        if seeds is None:
-            yield from self._enumerated()
-            return
-        if not seeds:
-            return
+    def partners(self, at: int, block: list) -> Iterator[Iterable[tuple]]:
+        """Per probe row's key values in *block* (None: a key that never
+        joins), the COLUMNS-projected rows whose join key may equal its
+        value at position *at*."""
+        seed_lists = [[] if values is None else self._seed_ids(values[at]) for values in block]
         if self._search is None:
             self._search = SeededSearch(
-                self.graph, self.prepared, self.config,
-                reversed_run=self.seed.reversed_run,
+                self.graph, self.prepared, self.config, self.seed,
                 budget=self.budget, stats=self.stats, owner=self,
                 reads=self.statement.reads,
             )
+        found = self._search.block([seeds or [] for seeds in seed_lists])
         project = self.project
-        for seed_id in seeds:
-            for row in self._search.run(seed_id):
-                yield project(row.values)
+        for seeds, rows in zip(seed_lists, found):
+            if seeds is None:
+                yield self._enumerated()
+            else:
+                yield (project(row.values) for row in rows)
 
     def _seed_ids(self, value: Any) -> Optional[list[str]]:
         """Anchor node ids for one probe value; None = cannot narrow.
@@ -267,7 +268,8 @@ class SeededGraphTableScan(GraphTableScan):
     def detail_lines(self) -> list[str]:
         lines = [
             f"mode: seeded join — probe value {self.probe_column} anchors "
-            f"{self.seed.var} ({self.seed.side} end), one run per probe row"
+            f"{self.seed.var} ({self.seed.side} end), "
+            "one anchored search per block of probe rows"
         ]
         lines.extend(super().detail_lines())
         return lines

@@ -29,9 +29,10 @@ Cross-Model Efficiency in SQL/PGQ*):
   before the first row is delivered, while the budget is still zero.
 * **Rule-driven plan rewrites.**  After the naive tree is built,
   :func:`repro.sql.rules.apply_rewrite_rules` runs the cross-model
-  optimizer v2 rules over it — join-through-GRAPH_TABLE (seeded per-row
-  search), common-subpattern sharing (spooled scans), and semi-join
-  reduction (probe keys as a sargable IN) — each gated individually by
+  optimizer v2 rules over it — join-through-GRAPH_TABLE (seeded search
+  per block of probe rows), common-subpattern sharing (spooled scans),
+  and semi-join reduction (probe keys as a sargable IN) — each gated
+  individually by
   :class:`~repro.sql.config.SqlConfig.optimizer_rules`.
 """
 

@@ -17,7 +17,8 @@ The three cross-model rules, in application order:
   is a bare graph scan and whose join key is a COLUMNS output projecting
   a pinned-end element (or one of its properties) becomes a
   :class:`~repro.sql.operators.SeededGraphTableScan` — one anchored NFA
-  search per probe row instead of a full enumeration plus hash build.
+  search per block of probe rows instead of a full enumeration plus hash
+  build.
 * **common-subpattern sharing** (``shared_scan``): structurally identical
   graph scans (same graph, same normalized pattern including pushed
   predicates and KEEP, COLUMNS lists in a prefix relation) enumerate once
@@ -34,6 +35,7 @@ than a reduced one for the same join (no enumeration at all), so
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Optional
 
 from repro.gpml.expr import Arithmetic, Expr, Literal, Negate, PropertyRef, VarRef
@@ -129,7 +131,7 @@ def _apply_seeded_join(root: Operator, ctx) -> int:
         position, seed, mode, prop, column_name = choice
         seeded = SeededGraphTableScan(scan, seed, mode, prop, column_name)
         _replace(op, scan, seeded)
-        op.seeded = lambda values, probe=seeded.probe, at=position: probe(values[at])
+        op.seeded = partial(seeded.partners, position)
         ctx.graph_scans[:] = [seeded if s is scan else s for s in ctx.graph_scans]
         fired += 1
         _record(
