@@ -9,7 +9,6 @@ answers it with the cheapest-path selectors plus bounded quantifiers.
 import _bootstrap  # noqa: F401
 
 from repro import GraphBuilder, match
-from repro.extensions import top_k_cheapest_paths
 
 
 def build_roads():
@@ -65,12 +64,12 @@ def main() -> None:
             print("   ", route_text(path, graph))
 
     print("\nthree most scenic routes (TOP 3 CHEAPEST COST dullness):")
-    for path in top_k_cheapest_paths(
+    result = match(
         graph,
+        "MATCH TOP 3 CHEAPEST COST dullness p = "
         "(a WHERE a.name='home')-[r:Road]->*(b WHERE b.name='airport')",
-        k=3,
-        cost_property="dullness",
-    ):
+    )
+    for path in sorted(result.paths(), key=lambda p: p.cost("dullness")):
         if path.source_id == "home" and path.target_id == "airport":
             print("   ", route_text(path, graph))
 

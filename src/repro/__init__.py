@@ -2,8 +2,8 @@
 
 The package implements GPML (the graph pattern matching language shared by
 the ISO GQL and SQL/PGQ standards) end to end on an in-memory property
-graph substrate, together with both host-language surfaces, baselines and
-the paper's worked examples.
+graph substrate, together with both host-language surfaces: GQL
+(:mod:`repro.gql`) and SQL with GRAPH_TABLE (:class:`Database`).
 
 Quickstart::
 

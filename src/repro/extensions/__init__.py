@@ -1,28 +1,6 @@
-"""Extensions: Section 7.1 Language Opportunities, implemented.
+"""Section 7.1 extension: exporting bindings and paths to JSON
+(:mod:`~repro.extensions.json_export`), the CLI's ``--format json``."""
 
-* cheapest-path search over weighted edges (``ANY CHEAPEST [COST p]``,
-  ``TOP k CHEAPEST [COST p]`` — wired into the main parser and engine;
-  helpers live in :mod:`~repro.extensions.cheapest`),
-* isomorphic match modes across a whole graph pattern
-  (:mod:`~repro.extensions.match_modes`),
-* exporting bindings and paths to JSON
-  (:mod:`~repro.extensions.json_export`).
-"""
-
-from repro.extensions.cheapest import any_cheapest_path, top_k_cheapest_paths
-from repro.extensions.macros import MacroRegistry
 from repro.extensions.json_export import result_to_json, result_to_jsonable
-from repro.extensions.match_modes import (
-    filter_edge_isomorphic,
-    filter_node_isomorphic,
-)
 
-__all__ = [
-    "MacroRegistry",
-    "any_cheapest_path",
-    "filter_edge_isomorphic",
-    "filter_node_isomorphic",
-    "result_to_json",
-    "result_to_jsonable",
-    "top_k_cheapest_paths",
-]
+__all__ = ["result_to_json", "result_to_jsonable"]

@@ -14,11 +14,6 @@ See :mod:`repro.gql.pipeline` for the statement operators and the
 seeded / hash-join execution of chained MATCH.
 """
 
-from repro.gql.graph_output import (
-    binding_subgraph,
-    execute_match_as_graph,
-    result_graph,
-)
 from repro.gql.pipeline import (
     FilterStatement,
     LetStatement,
@@ -42,12 +37,9 @@ __all__ = [
     "GqlSession",
     "LetStatement",
     "MatchStatement",
-    "binding_subgraph",
     "compile_pipeline",
     "execute_gql",
     "execute_gql_iter",
-    "execute_match_as_graph",
     "explain_gql",
     "parse_gql_query",
-    "result_graph",
 ]

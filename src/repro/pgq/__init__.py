@@ -5,7 +5,7 @@ and queries them read-only with GPML inside a ``GRAPH_TABLE`` operator
 whose ``COLUMNS`` clause projects bindings back into a table (Figure 9 of
 the paper, left output).  This package provides:
 
-* :mod:`~repro.pgq.table` — a miniature in-memory relational engine,
+* :mod:`~repro.pgq.table` — ``Table``, the stored relation of SQL/PGQ,
 * :mod:`~repro.pgq.catalog` — named tables and graphs,
 * :mod:`~repro.pgq.ddl` — a ``CREATE PROPERTY GRAPH`` statement parser,
 * :mod:`~repro.pgq.graph_view` — materializing the graph view (tables →

@@ -3,9 +3,8 @@
 ``REPRO_DISABLE_SQL_OPTIMIZER=1`` turns every rewrite rule off for a
 whole process, giving CI an oracle mode in which each plan is the naive
 bound tree.  Individual rules are toggled through
-``SqlConfig.optimizer_rules``; predicate/LIMIT pushdown (PR 3) is not a
-rule — it stays governed by the ``pushdown`` flag so the pre-existing
-oracle comparisons keep their meaning.
+``SqlConfig.optimizer_rules``.  Predicate and LIMIT pushdown into
+GRAPH_TABLE are not rules: they always apply, and never change results.
 """
 
 from __future__ import annotations

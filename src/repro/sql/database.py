@@ -77,7 +77,6 @@ class Database:
         sql: str,
         config: Optional[MatcherConfig] = None,
         stats: Optional[PipelineStats] = None,
-        pushdown: bool = True,
         sql_config: Optional[SqlConfig] = None,
     ):
         """Execute one statement.
@@ -86,13 +85,11 @@ class Database:
         one-column Table of plan lines (``EXPLAIN ANALYZE SELECT``
         executes first and annotates them with per-operator actuals);
         ``CREATE PROPERTY GRAPH`` builds and registers the graph view,
-        returning the :class:`PropertyGraph`.  ``pushdown=False``
-        disables predicate and row-budget pushdown into GRAPH_TABLE
-        (results are identical; the flag exists for tests and
-        benchmarks).  ``sql_config`` gates the rewrite rules of the
-        cross-model optimizer individually (the default enables all of
-        them unless ``REPRO_DISABLE_SQL_OPTIMIZER=1``); like pushdown,
-        rules never change results, only plans.
+        returning the :class:`PropertyGraph`.  ``sql_config`` gates the
+        rewrite rules of the cross-model optimizer individually (the
+        default enables all of them unless
+        ``REPRO_DISABLE_SQL_OPTIMIZER=1``); rules never change results,
+        only plans.
         """
         if self.telemetry is not None and stats is None:
             stats = self.telemetry.stats_for(query=sql, engine="sql")
@@ -104,14 +101,12 @@ class Database:
         if isinstance(statement, ast.ExplainStatement):
             if statement.analyze:
                 lines = self._explain_analyze_lines(
-                    statement.inner, config, looked_up, pushdown, sql_config
+                    statement.inner, config, looked_up, sql_config
                 )
             else:
-                lines = self._plan_lines(
-                    statement.inner, config, pushdown, sql_config
-                )
+                lines = self._plan_lines(statement.inner, config, sql_config)
             return Table(["plan"], [(line,) for line in lines], name="explain")
-        plan = self._plan(statement, config, stats, pushdown, sql_config)
+        plan = self._plan(statement, config, stats, sql_config)
         names = [column.name for column in plan.columns]
         rows = delivered(plan.run(), stats)
         if self.telemetry is not None:
@@ -123,7 +118,6 @@ class Database:
         sql: str,
         config: Optional[MatcherConfig] = None,
         stats: Optional[PipelineStats] = None,
-        pushdown: bool = True,
         sql_config: Optional[SqlConfig] = None,
     ) -> Iterator[dict[str, Any]]:
         """Execute a SELECT as a lazy stream of dict records."""
@@ -132,7 +126,7 @@ class Database:
         statement = parsed_sql(sql, stats)
         if not isinstance(statement, ast.SelectStatement):
             raise SqlError("execute_iter only streams SELECT statements")
-        plan = self._plan(statement, config, stats, pushdown, sql_config)
+        plan = self._plan(statement, config, stats, sql_config)
         names = [column.name for column in plan.columns]
         rows = delivered(plan.run(), stats)
         if self.telemetry is not None:
@@ -143,7 +137,6 @@ class Database:
         self,
         sql: str,
         config: Optional[MatcherConfig] = None,
-        pushdown: bool = True,
         sql_config: Optional[SqlConfig] = None,
     ) -> str:
         """The relational plan (with embedded GPML pipelines) as text."""
@@ -152,14 +145,13 @@ class Database:
             statement = statement.inner
         if not isinstance(statement, ast.SelectStatement):
             raise SqlError("EXPLAIN applies to SELECT statements")
-        return "\n".join(self._plan_lines(statement, config, pushdown, sql_config))
+        return "\n".join(self._plan_lines(statement, config, sql_config))
 
     def explain_analyze(
         self,
         sql: str,
         config: Optional[MatcherConfig] = None,
         stats: Optional[PipelineStats] = None,
-        pushdown: bool = True,
         sql_config: Optional[SqlConfig] = None,
     ) -> str:
         """Execute, then render the plan annotated with actuals.
@@ -177,7 +169,7 @@ class Database:
         if not isinstance(statement, ast.SelectStatement):
             raise SqlError("EXPLAIN ANALYZE applies to SELECT statements")
         return "\n".join(
-            self._explain_analyze_lines(statement, config, stats, pushdown, sql_config)
+            self._explain_analyze_lines(statement, config, stats, sql_config)
         )
 
     # -- internals ------------------------------------------------------
@@ -186,11 +178,10 @@ class Database:
         statement: ast.SelectStatement,
         config: Optional[MatcherConfig],
         stats: Optional[PipelineStats],
-        pushdown: bool,
         sql_config: Optional[SqlConfig] = None,
     ):
         ctx = PlannerContext(
-            database=self, config=config, stats=stats, pushdown=pushdown,
+            database=self, config=config, stats=stats,
             sql_config=sql_config if sql_config is not None else SqlConfig(),
         )
         plan = plan_statement(statement, ctx)
@@ -202,17 +193,15 @@ class Database:
         self,
         statement: ast.SelectStatement,
         config: Optional[MatcherConfig],
-        pushdown: bool,
         sql_config: Optional[SqlConfig] = None,
     ) -> list[str]:
-        return render_plan(self._plan(statement, config, None, pushdown, sql_config))
+        return render_plan(self._plan(statement, config, None, sql_config))
 
     def _explain_analyze_lines(
         self,
         statement: ast.SelectStatement,
         config: Optional[MatcherConfig],
         stats: Optional[PipelineStats],
-        pushdown: bool,
         sql_config: Optional[SqlConfig] = None,
     ) -> list[str]:
         # Imported lazily: repro.obs.analyze renders both hosts' traces
@@ -224,7 +213,7 @@ class Database:
             stats = PipelineStats()
         if stats.trace is None:
             stats.trace = QueryTrace(engine="sql")
-        plan = self._plan(statement, config, stats, pushdown, sql_config)
+        plan = self._plan(statement, config, stats, sql_config)
         return render_analyzed(
             "sql", "row", stats, lambda: delivered(plan.run(), stats)
         )

@@ -104,7 +104,6 @@ class PlannerContext:
     database: "object"  # repro.sql.database.Database (duck-typed)
     config: Optional[MatcherConfig] = None
     stats: Optional[PipelineStats] = None
-    pushdown: bool = True
     sql_config: SqlConfig = dataclass_field(default_factory=SqlConfig)
     graph_scans: list[GraphTableScan] = dataclass_field(default_factory=list)
     #: the statement LIMIT's row budget, handed to every graph scan
@@ -115,15 +114,15 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
     """Build the operator tree of a full SELECT statement.
 
     Two phases: the naive bound tree first (cores, set operations, the
-    outer sort), then — with pushdown enabled — the rule-driven rewrite
-    pass of :mod:`repro.sql.rules` over the whole tree, so cross-model
-    rules see every join and every graph scan of the statement at once
+    outer sort), then the rule-driven rewrite pass of
+    :mod:`repro.sql.rules` over the whole tree, so cross-model rules see
+    every join and every graph scan of the statement at once
     (common-subpattern sharing spans UNION branches).  The LIMIT's row
     budget exists before the first scan is planned: each scan builds its
     pattern's stage tree around it, and a rewrite that replaces a scan
     hands the budget on.
     """
-    if statement.limit is not None and ctx.pushdown:
+    if statement.limit is not None:
         ctx.budget = RowBudget(statement.limit + statement.offset)
     if len(statement.cores) == 1:
         root = _plan_core(statement.cores[0], ctx, statement.order_by)
@@ -151,8 +150,7 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
                 keys.append((bound, item.descending))
             root = Sort(root, keys)
 
-    if ctx.pushdown:
-        root = apply_rewrite_rules(root, ctx)
+    root = apply_rewrite_rules(root, ctx)
 
     if statement.limit is not None or statement.offset:
         trace = ctx.stats.trace if ctx.stats is not None else None
@@ -309,13 +307,13 @@ def _bind_order_keys(
             hits = [expr for name, expr in named_items if name == item.expr.name]
             if len(hits) == 1:
                 bound = hits[0]
-        if bound is None and distinct:
-            raise SqlError(
-                f"ORDER BY {item.expr} with SELECT DISTINCT must name an "
-                f"output column"
-            )
         if bound is None:
             bound = bind_order(item.expr)
+            if distinct and all(bound != expr for _, expr in named_items):
+                raise SqlError(
+                    f"ORDER BY {item.expr} with SELECT DISTINCT must name an "
+                    f"output column"
+                )
         keys.append((bound, item.descending))
     return keys
 
@@ -365,7 +363,7 @@ def _plan_from_and_where(
         sources = {all_columns[i].source for i in references}
         if len(sources) == 1:
             leaf = leaves[sources.pop()]
-            if leaf.is_graph and ctx.pushdown:
+            if leaf.is_graph:
                 substituted = _push_into_match(
                     conjunct, leaf, full_scope, references, offsets[leaf.index]
                 )

@@ -1,12 +1,12 @@
 """Rule-driven rewrites over the bound SQL operator tree.
 
 The planner first builds the naive tree (scans, filters, a left-deep
-join tree, projection), then — when the statement is planned with
-pushdown enabled — runs this pass.  Each rule walks the tree, proves its
-applicability conditions on concrete operators, and mutates the tree in
-place; every firing is recorded as a ``plan_rewrite`` trace event and a
-``repro_sql_rewrites_total{rule=...}`` telemetry tick.  Rules are gated
-individually through :class:`~repro.sql.config.SqlConfig.optimizer_rules`
+join tree, projection), then runs this pass.  Each rule walks the tree,
+proves its applicability conditions on concrete operators, and mutates
+the tree in place; every firing is recorded as a ``plan_rewrite`` trace
+event and a ``repro_sql_rewrites_total{rule=...}`` telemetry tick.
+Rules are gated individually through
+:class:`~repro.sql.config.SqlConfig.optimizer_rules`
 (`REPRO_DISABLE_SQL_OPTIMIZER=1` clears the whole set), and every rewrite
 is result-identical to the naive plan — the differential test suite runs
 each rule combination against the rules-off oracle.

@@ -1,17 +1,10 @@
-"""Extensions: match modes, cheapest paths, JSON export (§7.1 LOs)."""
+"""Section 7.1 language opportunities: cheapest paths, JSON export."""
 
 import json
 
 import pytest
 
-from repro.extensions import (
-    any_cheapest_path,
-    filter_edge_isomorphic,
-    filter_node_isomorphic,
-    result_to_json,
-    result_to_jsonable,
-    top_k_cheapest_paths,
-)
+from repro.extensions import result_to_json, result_to_jsonable
 from repro.graph import GraphBuilder
 from repro.gpml import match
 
@@ -30,57 +23,23 @@ def toll_graph():
     )
 
 
-class TestMatchModes:
-    def test_edge_isomorphic_filters_shared_edges(self, two_cycle):
-        result = match(two_cycle, "MATCH (x)-[r1]-(y), (y)-[r2]-(z)")
-        filtered = filter_edge_isomorphic(result)
-        assert len(filtered) < len(result)
-        for row in filtered:
-            edge_ids = [e for p in row.paths for e in p.edge_ids]
-            assert len(edge_ids) == len(set(edge_ids))
-
-    def test_node_isomorphic_is_stricter(self, fig1):
-        result = match(fig1, "MATCH (x)-[:Transfer]->(y)-[:Transfer]->(z)")
-        edge_iso = filter_edge_isomorphic(result)
-        node_iso = filter_node_isomorphic(result)
-        assert len(node_iso) <= len(edge_iso) <= len(result)
-        for row in node_iso:
-            node_ids = [n for p in row.paths for n in p.node_ids]
-            assert len(node_ids) == len(set(node_ids))
-
-    def test_variables_preserved(self, fig1):
-        result = match(fig1, "MATCH (x)-[t:Transfer]->(y)")
-        filtered = filter_edge_isomorphic(result)
-        assert filtered.variables == result.variables
-
-
 class TestCheapest:
+    PATTERN = "(a WHERE a.name='start')-[e:R]->{}(b WHERE b.name='goal')"
+
     def test_any_cheapest_path(self, toll_graph):
-        path = any_cheapest_path(
-            toll_graph,
-            "(a WHERE a.name='start')-[e:R]->*(b WHERE b.name='goal')",
-            cost_property="toll",
-        )
+        result = match(toll_graph, "MATCH ANY CHEAPEST COST toll p = " + self.PATTERN.format("*"))
+        [path] = result.paths()
         assert str(path) == "path(s,slow1,m,slow2,t)"
         assert path.cost("toll") == 5.0
 
-    def test_no_match_returns_none(self, toll_graph):
-        assert (
-            any_cheapest_path(
-                toll_graph,
-                "(a WHERE a.name='nope')-[e:R]->*(b WHERE b.name='goal')",
-                cost_property="toll",
-            )
-            is None
-        )
+    def test_no_match_returns_no_path(self, toll_graph):
+        pattern = self.PATTERN.format("*").replace("'start'", "'nope'")
+        assert len(match(toll_graph, "MATCH ANY CHEAPEST COST toll p = " + pattern)) == 0
 
     def test_top_k(self, toll_graph):
-        paths = top_k_cheapest_paths(
-            toll_graph,
-            "(a WHERE a.name='start')-[e:R]->+(b WHERE b.name='goal')",
-            k=2,
-            cost_property="toll",
-        )
+        query = "MATCH TOP 2 CHEAPEST COST toll p = " + self.PATTERN.format("+")
+        result = match(toll_graph, query)
+        paths = sorted(result.paths(), key=lambda p: p.cost("toll"))
         assert [str(p) for p in paths] == [
             "path(s,slow1,m,slow2,t)",
             "path(s,fast,t)",

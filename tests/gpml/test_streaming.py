@@ -26,7 +26,6 @@ from repro.gpml.engine import exists, first
 from repro.gpml.explain import explain, explain_plan
 from repro.gpml.matcher import MatcherConfig
 from repro.graph import GraphBuilder
-from repro.extensions.match_modes import iter_edge_isomorphic, iter_node_isomorphic
 
 
 #: one query per engine feature: plain enumeration, quantifiers,
@@ -228,20 +227,6 @@ class TestEarlyTerminationIsReal:
         )
         assert next(rows, None) is not None
         assert stats.steps < 200
-
-
-class TestStreamingMatchModes:
-    def test_iter_filters_lazy_and_equal(self, fig1):
-        query = "MATCH (a)-[e:Transfer]->(b), (b)-[f:Transfer]->(c)"
-        result = match(fig1, query)
-        lazy_edges = [row_key(r) for r in iter_edge_isomorphic(match_iter(fig1, query))]
-        from repro.extensions.match_modes import filter_edge_isomorphic
-
-        assert lazy_edges == [row_key(r) for r in filter_edge_isomorphic(result).rows]
-        lazy_nodes = [row_key(r) for r in iter_node_isomorphic(match_iter(fig1, query))]
-        from repro.extensions.match_modes import filter_node_isomorphic
-
-        assert lazy_nodes == [row_key(r) for r in filter_node_isomorphic(result).rows]
 
 
 class TestPipelineClassification:

@@ -1,11 +1,12 @@
-"""Baselines: SPARQL endpoint semantics, Cypher rule."""
+"""Section 3 baselines: SPARQL endpoint semantics, Cypher's relationship rule."""
 
 import pytest
 
-from repro.baselines import cypher_match, endpoint_pairs
+from cypher_semantics import cypher_match
 from repro.datasets import cycle_graph
 from repro.errors import GpmlEvaluationError
 from repro.gpml import match
+from sparql_paths import endpoint_pairs
 
 
 class TestEndpointSemantics:
@@ -70,3 +71,7 @@ class TestCypherSemantics:
     def test_agrees_when_no_repetition_possible(self, fig1):
         query = "MATCH (x:Account)-[t:Transfer]->(y)"
         assert len(cypher_match(fig1, query)) == len(match(fig1, query))
+
+    def test_variables_preserved(self, fig1):
+        query = "MATCH (x)-[t:Transfer]->(y)"
+        assert cypher_match(fig1, query).variables == match(fig1, query).variables

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.baselines import endpoint_pairs
 from repro.gpml import match
 from repro.pgq import graph_table
+from repro.sql import Database
+from sparql_paths import endpoint_pairs
 
 
 class TestFigure3Patterns:
@@ -118,11 +119,10 @@ class TestFigure4Query:
 
     def test_gsql_form_distinct_pairs(self, fig1):
         # GSQL §3: SELECT ... GROUP BY A, B — distinct owner pairs.
-        table = graph_table(
-            fig1,
-            self.GPML + " COLUMNS (x.owner AS A, y.owner AS B)",
-        ).project(["A", "B"]).distinct().order_by(["A"])
-        assert [tuple(r.values()) for r in table.to_dicts()] == [
-            ("Aretha", "Jay"),
-            ("Dave", "Jay"),
-        ]
+        database = Database()
+        database.register_graph("fig1", fig1)
+        table = database.execute(
+            f"SELECT DISTINCT gt.A, gt.B FROM GRAPH_TABLE(fig1 {self.GPML} "
+            "COLUMNS (x.owner AS A, y.owner AS B)) AS gt ORDER BY gt.A"
+        )
+        assert table.rows == [("Aretha", "Jay"), ("Dave", "Jay")]

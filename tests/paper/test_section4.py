@@ -62,6 +62,8 @@ class TestSection42Concatenation:
         result = match(fig1, "MATCH (s)-[e]->(m)-[f]->(t)")
         dicts = result.to_dicts()
         assert {"s": "a6", "e": "t5", "m": "a3", "f": "t2", "t": "a2"} in dicts
+        transfers = match(fig1, "MATCH (s)-[e:Transfer]->(m)-[f:Transfer]->(t)")
+        assert len(transfers) == 11  # every two-step walk of transfers
 
     def test_mixed_orientation_two_step(self, fig1):
         # blocked-phone version is empty on Figure 1 (no blocked phones);

@@ -14,6 +14,7 @@ from repro.pgq import (
     parse_create_property_graph,
     tabular_representation,
 )
+from repro.sql import Database
 
 BANK_DDL = """
 CREATE PROPERTY GRAPH bank
@@ -208,12 +209,14 @@ class TestGraphTable:
         assert limited.rows == full.rows[:2]
 
     def test_sql_composition_on_result(self, fig1):
-        table = graph_table(
-            fig1,
+        database = Database()
+        database.register_graph("fig1", fig1)
+        summary = database.execute(
+            "SELECT gt.sender, SUM(gt.amount) AS total FROM GRAPH_TABLE(fig1 "
             "MATCH (x:Account)-[t:Transfer]->(y) "
-            "COLUMNS (x.owner AS sender, t.amount AS amount)",
+            "COLUMNS (x.owner AS sender, t.amount AS amount)) AS gt "
+            "GROUP BY gt.sender"
         )
-        summary = table.group_by(["sender"], {"total": ("SUM", "amount")})
         totals = {d["sender"]: d["total"] for d in summary.to_dicts()}
         assert totals["Mike"] == 16_000_000
         assert totals["Dave"] == 14_000_000

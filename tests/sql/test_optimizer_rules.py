@@ -369,11 +369,6 @@ class TestGatesAndTelemetry:
         monkeypatch.delenv("REPRO_DISABLE_SQL_OPTIMIZER")
         assert _optimizer_default() == ALL_RULES
 
-    def test_no_rewrites_without_pushdown(self, db):
-        stats = PipelineStats.traced(query=self.QUERY, engine="sql")
-        db.execute(self.QUERY, stats=stats, pushdown=False)
-        assert rewrite_events(stats) == []
-
     def test_rewrites_ticked_in_telemetry(self, fig1):
         database = Database(telemetry=Telemetry())
         database.register_graph("fig1", fig1)

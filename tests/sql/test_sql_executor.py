@@ -65,6 +65,14 @@ class TestProjectionAndFilter:
         # Mike's balance is NULL -> comparison UNKNOWN -> row dropped
         table = db.execute("SELECT owner FROM accounts WHERE balance >= 100")
         assert rows(table) == [("Scott",), ("Aretha",), ("Jay",)]
+        # NOT UNKNOWN is UNKNOWN: the negation drops Mike's row too
+        negated = db.execute("SELECT owner FROM accounts WHERE NOT (balance >= 100)")
+        assert rows(negated) == []
+
+    def test_null_arithmetic_is_unknown(self, db):
+        # NULL + 1 is NULL, and NULL > 0 is UNKNOWN: Mike's row is dropped
+        table = db.execute("SELECT owner FROM accounts WHERE balance + 1 > 0")
+        assert rows(table) == [("Scott",), ("Aretha",), ("Jay",)]
 
     def test_is_null_predicate(self, db):
         table = db.execute("SELECT owner FROM accounts WHERE balance IS NULL")
@@ -98,6 +106,13 @@ class TestJoins:
             "SELECT a.owner FROM accounts a JOIN cities c ON a.city = c.name"
         )
         assert ("Jay",) not in rows(table)
+
+    def test_null_keys_never_join_null(self):
+        database = Database()
+        database.register_table("l", Table(["k"], [(NULL,), (1,)]))
+        database.register_table("r", Table(["k"], [(NULL,), (1,)]))
+        table = database.execute("SELECT l.k FROM l JOIN r ON l.k = r.k")
+        assert rows(table) == [(1,)]
 
     def test_join_with_empty_table(self, db):
         table = db.execute(
@@ -175,6 +190,22 @@ class TestAggregation:
             "SELECT city, COUNT(*) AS n FROM accounts GROUP BY city ORDER BY n DESC"
         )
         assert rows(table) == [("Ankh", 2), ("Quirm", 1), (NULL, 1)]
+
+    def test_nulls_form_one_group(self):
+        database = Database()
+        database.register_table(
+            "t", Table(["g", "v"], [(NULL, 1), ("a", 2), (NULL, 3)])
+        )
+        table = database.execute("SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY g")
+        assert rows(table) == [(NULL, 2, 4), ("a", 1, 2)]
+
+    def test_sum_of_a_group_of_nulls_is_null(self, db):
+        table = db.execute(
+            "SELECT city, SUM(balance) AS s FROM accounts "
+            "WHERE owner = 'Mike' GROUP BY city"
+        )
+        [(city, total)] = rows(table)
+        assert city == "Quirm" and is_null(total)
 
     def test_aggregates_skip_nulls(self, db):
         table = db.execute(
@@ -301,6 +332,13 @@ class TestOrderLimitUnion:
         with pytest.raises(SqlError, match="DISTINCT"):
             db.execute("SELECT DISTINCT owner FROM accounts ORDER BY id")
 
+    def test_order_by_distinct_accepts_a_select_list_expression(self, db):
+        table = db.execute(
+            "SELECT DISTINCT a.city FROM accounts a "
+            "WHERE a.city IS NOT NULL ORDER BY a.city DESC"
+        )
+        assert rows(table) == [("Quirm",), ("Ankh",)]
+
     def test_limit_offset(self, db):
         table = db.execute("SELECT owner FROM accounts ORDER BY id LIMIT 2 OFFSET 1")
         assert rows(table) == [("Aretha",), ("Mike",)]
@@ -330,8 +368,9 @@ class TestOrderLimitUnion:
         assert rows(table) == [("Ankh",), ("Aretha",), ("Genua",)]
 
     def test_union_arity_mismatch(self, db):
-        with pytest.raises(SqlError, match="arity"):
-            db.execute("SELECT owner, id FROM accounts UNION SELECT name FROM cities")
+        for union in ("UNION", "UNION ALL"):
+            with pytest.raises(SqlError, match="arity"):
+                db.execute(f"SELECT owner, id FROM accounts {union} SELECT name FROM cities")
 
 
 class TestErrorPaths:
@@ -364,6 +403,152 @@ class TestErrorPaths:
         assert next(records) == {"owner": "Scott"}
         assert next(records) == {"owner": "Aretha"}
         assert next(records, None) is None
+
+
+# ----------------------------------------------------------------------
+# The corner cases of the retired Table operators, as SQL over the host
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def ledger_db():
+    database = Database()
+    tables = {
+        "ledger": (
+            ["ID", "owner", "amount"],
+            [("a1", "Scott", 8), ("a2", "Aretha", 10), ("a3", "Mike", NULL), ("a4", "Jay", 4)],
+        ),
+        "branches": (["AID", "city"], [("a1", "Z"), ("a2", "AM"), ("a9", "X")]),
+        "keys_l": (["k"], [(NULL,), (1,)]),
+        "keys_r": (["k2"], [(NULL,), (1,)]),
+        "dups": (["x"], [(1,), (1,), (2,)]),
+        "nums": (["v"], [(3,), (NULL,), (2.5,), (1,)]),
+        "groups": (["grp", "v"], [("a", 1), ("a", 3), ("b", 5), ("b", NULL)]),
+        "buckets": (["g"], [(NULL,), ("x",), (NULL,)]),
+        "nothing": (["K"], []),
+        "pairs": (["y", "x2"], []),
+    }
+    for name, (columns, data) in tables.items():
+        database.register_table(name, Table(columns, data, name=name))
+    return database
+
+
+#: case -> (query, the rows it returns, in order)
+TABLE_CASES = {
+    "where_condition": ("SELECT ID FROM ledger WHERE amount > 5 ORDER BY ID", [("a1",), ("a2",)]),
+    "where_negation_drops_unknown": ("SELECT ID FROM ledger WHERE NOT (amount > 5)", [("a4",)]),
+    "where_null_arithmetic_is_unknown": (
+        "SELECT ID FROM ledger WHERE amount + 1 > 0 ORDER BY ID",
+        [("a1",), ("a2",), ("a4",)],
+    ),
+    "where_is_null": ("SELECT owner FROM ledger WHERE amount IS NULL", [("Mike",)]),
+    "where_is_not_null": ("SELECT COUNT(*) FROM ledger WHERE amount IS NOT NULL", [(3,)]),
+    "project_and_rename": ("SELECT owner AS name FROM ledger WHERE ID = 'a1'", [("Scott",)]),
+    "extend_propagates_null": (
+        "SELECT ID, amount * 2 AS double FROM ledger ORDER BY ID",
+        [("a1", 16), ("a2", 20), ("a3", NULL), ("a4", 8)],
+    ),
+    "distinct": ("SELECT DISTINCT x FROM dups", [(1,), (2,)]),
+    "distinct_on_empty_table": ("SELECT DISTINCT K FROM nothing", []),
+    "union_all_keeps_duplicates": (
+        "SELECT x FROM dups UNION ALL SELECT x FROM dups ORDER BY 1",
+        [(1,), (1,), (1,), (1,), (2,), (2,)],
+    ),
+    "union_removes_duplicates": (
+        "SELECT x FROM dups UNION SELECT v FROM nums WHERE v >= 2 ORDER BY 1",
+        [(1,), (2,), (2.5,), (3,)],
+    ),
+    "join": (
+        "SELECT l.ID, b.city FROM ledger l JOIN branches b ON l.ID = b.AID ORDER BY l.ID",
+        [("a1", "Z"), ("a2", "AM")],
+    ),
+    "join_nulls_never_match": ("SELECT l.k FROM keys_l l JOIN keys_r r ON l.k = r.k2", [(1,)]),
+    "join_with_empty_right_side": ("SELECT l.ID FROM ledger l JOIN nothing n ON l.ID = n.K", []),
+    "join_with_empty_left_side": ("SELECT l.ID FROM nothing n JOIN ledger l ON n.K = l.ID", []),
+    "join_of_two_empty_tables": ("SELECT n.K FROM nothing n JOIN pairs p ON n.K = p.x2", []),
+    "order_by_with_nulls_last": (
+        "SELECT ID FROM ledger ORDER BY amount",
+        [("a4",), ("a1",), ("a2",), ("a3",)],
+    ),
+    "order_by_descending_puts_nulls_first": (
+        "SELECT ID FROM ledger ORDER BY amount DESC",
+        [("a3",), ("a2",), ("a1",), ("a4",)],
+    ),
+    "order_by_interleaves_numbers": (
+        "SELECT v FROM nums ORDER BY v",
+        [(1,), (2.5,), (3,), (NULL,)],
+    ),
+    "order_by_interleaves_numbers_descending": (
+        "SELECT v FROM nums ORDER BY v DESC",
+        [(NULL,), (3,), (2.5,), (1,)],
+    ),
+    "order_by_descending_strings": ("SELECT owner FROM ledger ORDER BY owner DESC LIMIT 1", [("Scott",)]),
+    "order_by_empty_table": ("SELECT K FROM nothing ORDER BY K", []),
+    "limit": ("SELECT ID FROM ledger ORDER BY ID LIMIT 2", [("a1",), ("a2",)]),
+    "limit_offset": ("SELECT ID FROM ledger ORDER BY ID LIMIT 2 OFFSET 3", [("a4",)]),
+    "aggregates": (
+        "SELECT grp, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) "
+        "FROM groups GROUP BY grp ORDER BY grp",
+        [("a", 2, 2, 4, 2.0, 1, 3), ("b", 2, 1, 5, 5.0, 5, 5)],
+    ),
+    "aggregates_ignore_null_inputs": (
+        "SELECT COUNT(*), COUNT(amount), SUM(amount), AVG(amount) FROM ledger",
+        [(4, 3, 22, 22 / 3)],
+    ),
+    "sum_of_a_null_group_is_null": (
+        "SELECT owner, SUM(amount) FROM ledger WHERE ID = 'a3' GROUP BY owner",
+        [("Mike", NULL)],
+    ),
+    "group_by_treats_nulls_as_one_group": (
+        "SELECT g, COUNT(*) AS n FROM buckets GROUP BY g ORDER BY g",
+        [("x", 1), (NULL, 2)],
+    ),
+}
+
+#: case -> (query, the error's message)
+TABLE_ERROR_CASES = {
+    "union_all_arity_mismatch": ("SELECT ID, owner FROM ledger UNION ALL SELECT x FROM dups", "arity"),
+    "unknown_column": ("SELECT nope FROM ledger", "unknown column 'nope'"),
+    "count_star_only": ("SELECT SUM(*) FROM ledger", "only COUNT accepts the"),
+    "join_duplicate_column_aliases_rejected": (
+        "SELECT l.ID AS ref, b.AID AS ref FROM ledger l JOIN branches b ON l.ID = b.AID",
+        "duplicate output column 'ref'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_semantics(ledger_db, case):
+    query, expected = TABLE_CASES[case]
+    assert rows(ledger_db.execute(query)) == expected
+
+
+@pytest.mark.parametrize("case", TABLE_ERROR_CASES)
+def test_table_semantics_errors(ledger_db, case):
+    query, message = TABLE_ERROR_CASES[case]
+    with pytest.raises(SqlError, match=message):
+        ledger_db.execute(query)
+
+
+#: Kleene's three-valued AND / OR / NOT, written out: None is UNKNOWN.
+KLEENE = {
+    "TRUE AND TRUE": True, "TRUE AND FALSE": False, "TRUE AND NULL": None,
+    "FALSE AND TRUE": False, "FALSE AND FALSE": False, "FALSE AND NULL": False,
+    "NULL AND TRUE": None, "NULL AND FALSE": False, "NULL AND NULL": None,
+    "TRUE OR TRUE": True, "TRUE OR FALSE": True, "TRUE OR NULL": True,
+    "FALSE OR TRUE": True, "FALSE OR FALSE": False, "FALSE OR NULL": None,
+    "NULL OR TRUE": True, "NULL OR FALSE": None, "NULL OR NULL": None,
+    "NOT TRUE": False, "NOT FALSE": True, "NOT NULL": None,
+}
+
+
+@pytest.mark.parametrize("condition", KLEENE)
+def test_where_keeps_only_true(ledger_db, condition):
+    # WHERE c and WHERE NOT (c) together pin c's truth value: TRUE keeps
+    # the row under the first only, FALSE under the second, UNKNOWN under
+    # neither
+    kept = len(ledger_db.execute(f"SELECT 1 WHERE {condition}"))
+    kept_negated = len(ledger_db.execute(f"SELECT 1 WHERE NOT ({condition})"))
+    value = KLEENE[condition]
+    assert (kept, kept_negated) == (int(value is True), int(value is False))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ import doctest
 
 import pytest
 
-import repro.extensions.macros
 import repro.graph.builder
 import repro.graph.model
 
@@ -14,7 +13,6 @@ import repro.graph.model
     [
         repro.graph.model,
         repro.graph.builder,
-        repro.extensions.macros,
     ],
     ids=lambda m: m.__name__,
 )

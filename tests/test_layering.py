@@ -368,3 +368,61 @@ def test_every_bench_script_outside_the_suite_runs_in_ci():
     run = "\n".join(commands)
     scripts = sorted(path.name for path in (repo / "benchmarks").glob("*.py"))
     assert [name for name in scripts if f"benchmarks/{name}" not in run] == []
+
+
+#: the public entry points: the package, the two command lines
+PUBLIC_ENTRY_POINTS = ("repro", "repro.cli", "repro.__main__", "repro.obs.__main__")
+#: reached by no public surface on purpose: the Section 6 engine that the
+#: differential suites test every production path against
+TEST_ORACLES = {"repro.gpml.reference"}
+
+
+def module_name(path: Path) -> str:
+    parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def import_closure(roots) -> set[str]:
+    """Every ``repro`` module that importing *roots* can load: each
+    import (lazy ones too), the packages above it, and the submodules a
+    ``from package import name`` names."""
+    paths = {module_name(path): path for path in SRC.rglob("*.py")}
+    reached: set[str] = set()
+    pending = list(roots)
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in paths:
+            continue
+        reached.add(name)
+        parts = name.split(".")
+        pending.extend(".".join(parts[:end]) for end in range(1, len(parts)))
+        for node in ast.walk(ast.parse(paths[name].read_text())):
+            if isinstance(node, ast.Import):
+                pending.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                pending.append(node.module)
+                pending.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return reached
+
+
+def test_every_module_is_reached_from_a_public_entry_point():
+    """The production package holds production code: a module no public
+    surface imports is a test helper, and lives under ``tests/``."""
+    modules = {module_name(path) for path in SRC.rglob("*.py")}
+    unreached = modules - import_closure(PUBLIC_ENTRY_POINTS)
+    assert sorted(unreached - TEST_ORACLES) == []
+    assert TEST_ORACLES <= modules
+
+
+def test_no_sql_switch_that_only_a_test_flips():
+    """Predicate and LIMIT pushdown always apply; a test that wants the
+    unpushed result runs the GRAPH_TABLE without the WHERE."""
+    import inspect
+    from dataclasses import fields
+
+    from repro.sql.database import Database
+    from repro.sql.planner import PlannerContext
+
+    assert "pushdown" not in {f.name for f in fields(PlannerContext)}
+    for method in ("execute", "execute_iter", "explain", "explain_analyze"):
+        assert "pushdown" not in inspect.signature(getattr(Database, method)).parameters
