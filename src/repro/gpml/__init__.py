@@ -6,8 +6,8 @@ This package implements the paper's core contribution end to end:
   of Section 4 (node/edge patterns, quantifiers, unions, restrictors,
   selectors, graph patterns),
 * :mod:`~repro.gpml.normalize` — Section 6.2 normalization,
-* :mod:`~repro.gpml.analysis` — variable classification (Sections 4.4/4.6)
-  and the termination rules of Section 5,
+* :mod:`~repro.gpml.analysis` — the type system: variable kinds and
+  cardinalities (Sections 4.4–4.6) and the termination rules of Section 5,
 * :mod:`~repro.gpml.automaton` / :mod:`~repro.gpml.frontier` — the
   production engine (counter-NFA product search over the columnar
   snapshot; :mod:`~repro.gpml.matcher` holds its configuration),

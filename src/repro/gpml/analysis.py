@@ -1,40 +1,40 @@
-"""Static analysis of normalized graph patterns.
+"""Static analysis of normalized graph patterns: GPC's type system.
 
-Implements, ahead of execution:
+Every variable of a path pattern gets a *type*, computed bottom-up by one
+typing rule per construct in :func:`_type` — the rules "GPC: A Pattern
+Calculus for Property Graphs" states for Sections 4.4–4.6 and 5 of the
+paper.  A type (:class:`VarInfo`) records
 
-* **variable classification** — node vs edge variables, singleton vs group
-  (Section 4.4: "a reference is group if you have to cross a quantifier to
-  get from the reference to the declaration"), conditional vs unconditional
-  singletons (Section 4.6),
-* **legality checks** — no variable used as both node and edge, no
-  declarations at conflicting quantifier depths, no implicit equi-joins on
-  conditional singletons (within a path pattern or across path patterns),
-  SAME/ALL_DIFFERENT restricted to unconditional singletons, group
-  variables never referenced as singletons,
-* **termination rules of Section 5** — every unbounded quantifier must be
-  in the scope of a restrictor or a selector; prefilters must not
-  aggregate *effectively unbounded* group variables (Section 5.3: allowed
-  again once a restrictor or a static upper bound bounds the group —
-  a selector does **not** bound a prefilter),
-* **strategy selection** — which search procedure the matcher will use,
-* **deferred predicates** — element-level WHERE clauses that reference
-  variables declared further right are evaluated once the full path is
-  known (still prefilters: they run before selectors).
+* the kind — node or edge,
+* the cardinality — singleton, *maybe* (a conditional singleton, §4.6:
+  bound on some matches only) or group (§4.4: declared under a
+  quantifier, it binds a list),
+* the quantifier chain of the declaration and its first walk index.
+
+A pattern that no rule types is rejected: a variable used as node and
+edge, declared at conflicting quantifier depths or equi-joined while it
+may be unbound; an unbounded quantifier outside every restrictor and
+selector (Section 5); a WHERE clause that names an unknown variable,
+uses a group as a singleton, hands SAME / ALL_DIFFERENT anything but
+unconditional singletons, or aggregates an effectively unbounded group
+in a prefilter (Section 5.3).  Where GPC's rules are stricter than the
+GQL / SQL/PGQ rules kept here, ``docs/gpml.md`` lists the difference.
+
+Two results are not typing: the search strategy a selector asks for,
+and which element WHERE clauses must be *deferred* because they name a
+variable declared further right (still prefilters: they run before
+selectors).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from repro.errors import (
-    ConditionalJoinError,
-    NonTerminationError,
-    VariableScopeError,
-)
+from repro.errors import ConditionalJoinError, NonTerminationError, VariableScopeError
 from repro.gpml import ast
-from repro.gpml.expr import Aggregate, Expr, Same, AllDifferent
+from repro.gpml.expr import Aggregate, AllDifferent, Expr, Same
 
 #: matcher strategies
 ENUMERATE = "enumerate"
@@ -46,31 +46,39 @@ _SHORTEST_SELECTORS = frozenset({"ANY", "ANY_SHORTEST", "ALL_SHORTEST"})
 _K_SELECTORS = frozenset({"ANY_K", "SHORTEST_K", "SHORTEST_K_GROUP"})
 _CHEAPEST_SELECTORS = frozenset({"ANY_CHEAPEST", "TOP_K_CHEAPEST"})
 
-
-@dataclass
-class DeclSite:
-    """One declaration of a variable inside a path pattern."""
-
-    quant_chain: tuple[int, ...]
-    context: tuple
-    index: int
-    kind: str  # 'node' | 'edge'
+#: cardinalities of a variable's type
+SINGLETON = "singleton"
+MAYBE = "maybe"
+GROUP = "group"
 
 
-@dataclass
+@dataclass(slots=True)
 class VarInfo:
-    """Classification of one variable within a path pattern."""
+    """The type of one variable within a (sub-)pattern."""
 
-    name: str
-    kind: str
-    anonymous: bool
-    sites: list[DeclSite] = field(default_factory=list)
-    group: bool = False
-    conditional: bool = False
+    kind: str  # 'node' | 'edge' ('path' for a path variable)
+    card: str  # SINGLETON | MAYBE | GROUP
+    #: quantifiers from the path's top to the declaration, outermost
+    #: first; None when declarations disagree (the variable has no type)
+    chain: Optional[tuple[int, ...]]
+    first: int  # walk index of the first declaration
+    anonymous: bool = False
+    #: two maybe declarations are equi-joined and nothing certain binds
+    #: the variable in between
+    maybe_join: bool = False
 
     @property
-    def min_index(self) -> int:
-        return min(site.index for site in self.sites)
+    def group(self) -> bool:
+        return self.card == GROUP
+
+    @property
+    def conditional(self) -> bool:
+        return self.card == MAYBE
+
+
+Types = dict[str, VarInfo]
+
+_PATH_TYPE = VarInfo("path", SINGLETON, (), -1)
 
 
 @dataclass
@@ -85,32 +93,31 @@ class PathAnalysis:
     """Everything the engine needs to know about one path pattern."""
 
     path: ast.PathPattern
-    vars: dict[str, VarInfo]
+    vars: Types
     quants: dict[int, QuantInfo]
     deferred_wheres: set[int]  # id() of pattern nodes whose WHERE is deferred
     strategy: str
-    has_multiset: bool
 
     # Cached: every run of the pattern reads both, a seeded run once per
     # seed; ``vars`` is complete before an analysis leaves :func:`analyze`.
     @cached_property
     def group_vars(self) -> frozenset[str]:
-        return frozenset(v.name for v in self.vars.values() if v.group)
+        return frozenset(name for name, t in self.vars.items() if t.group)
 
     @cached_property
     def anonymous_vars(self) -> frozenset[str]:
-        return frozenset(v.name for v in self.vars.values() if v.anonymous)
+        return frozenset(name for name, t in self.vars.items() if t.anonymous)
 
     @cached_property
     def row_vars(self) -> list[tuple[str, bool, bool]]:
         """``(name, is a node, is a group)`` per variable a row carries."""
         return [
-            (v.name, v.kind == "node", v.group) for v in self.vars.values() if not v.anonymous
+            (name, t.kind == "node", t.group) for name, t in self.vars.items() if not t.anonymous
         ]
 
     @property
     def visible_vars(self) -> list[str]:
-        return sorted(v.name for v in self.vars.values() if not v.anonymous)
+        return sorted(name for name, t in self.vars.items() if not t.anonymous)
 
 
 @dataclass
@@ -122,224 +129,262 @@ class QueryAnalysis:
     join_vars: frozenset[str]
     path_vars: dict[str, int]  # path variable -> index of its path pattern
 
-    def var_info(self, name: str) -> Optional[VarInfo]:
-        for path in self.paths:
-            if name in path.vars:
-                return path.vars[name]
-        return None
-
 
 def analyze(pattern: ast.GraphPattern) -> QueryAnalysis:
-    """Analyze a *normalized* graph pattern; raises on illegal queries."""
-    paths = [_analyze_path(path) for path in pattern.paths]
-    path_vars = _collect_path_vars(pattern, paths)
-    join_vars = _check_cross_pattern_joins(paths)
+    """Type a *normalized* graph pattern; raises on illegal queries."""
+    paths = [_type_path(path) for path in pattern.paths]
+    path_vars: dict[str, int] = {}
+    for index, path in enumerate(pattern.paths):
+        name = path.path_var
+        if name is None:
+            continue
+        if name in path_vars:
+            raise VariableScopeError(f"duplicate path variable {name!r}")
+        if any(name in analysis.vars for analysis in paths):
+            raise VariableScopeError(f"path variable {name!r} clashes with an element variable")
+        path_vars[name] = index
+    # §4.3 graph pattern π1, π2: the join rule on every shared variable
+    types: Types = {}
+    named: set[str] = set()
+    join_vars: set[str] = set()
+    for analysis in paths:
+        _join(types, analysis.vars, across=True)
+        names = {name for name, t in analysis.vars.items() if not t.anonymous}
+        join_vars |= named & names
+        named |= names
     if pattern.where is not None:
-        _check_filter_expr(
-            pattern.where,
-            paths=paths,
-            chain=(),
-            quants=_merged_quants(paths),
-            is_prefilter=False,
-            where_owner="the final WHERE clause",
-        )
-    return QueryAnalysis(pattern=pattern, paths=paths, join_vars=join_vars, path_vars=path_vars)
+        types.update(dict.fromkeys(path_vars, _PATH_TYPE))
+        _check_condition(pattern.where, types, (), {}, _FINAL_WHERE)
+    return QueryAnalysis(
+        pattern=pattern, paths=paths, join_vars=frozenset(join_vars), path_vars=path_vars
+    )
 
 
 # ----------------------------------------------------------------------
-# Per-path analysis
+# The typing rules
 # ----------------------------------------------------------------------
-class _PathWalker:
-    def __init__(self, path: ast.PathPattern):
-        self.path = path
-        self.vars: dict[str, VarInfo] = {}
-        self.quants: dict[int, QuantInfo] = {}
-        self.wheres: list[tuple] = []  # (owner_node, expr, chain, index, own_var)
-        self.next_index = 0
-        self.path_restrictor = path.restrictor is not None
+@dataclass
+class _PathScope:
+    """What the rules of one path pattern share: its node / edge kinds,
+    the walk index of the next element, its quantifiers and WHEREs."""
 
-    def walk(self) -> None:
-        self._walk(self.path.pattern, chain=(), context=(), in_restrictor=self.path_restrictor)
+    kinds: dict[str, str] = field(default_factory=dict)
+    index: int = 0
+    quants: dict[int, QuantInfo] = field(default_factory=dict)
+    wheres: list[tuple] = field(default_factory=list)  # (owner, expr, chain, index, own var)
 
-    def _walk(self, pattern: ast.Pattern, chain: tuple, context: tuple, in_restrictor: bool) -> None:
-        if isinstance(pattern, ast.NodePattern):
-            self._declare(pattern.var, "node", pattern.anonymous, chain, context)
-            if pattern.where is not None:
-                self.wheres.append((pattern, pattern.where, chain, self.next_index, pattern.var))
-            self.next_index += 1
-            return
-        if isinstance(pattern, ast.EdgePattern):
-            self._declare(pattern.var, "edge", pattern.anonymous, chain, context)
-            if pattern.where is not None:
-                self.wheres.append((pattern, pattern.where, chain, self.next_index, pattern.var))
-            self.next_index += 1
-            return
-        if isinstance(pattern, ast.Concatenation):
-            for item in pattern.items:
-                self._walk(item, chain, context, in_restrictor)
-            return
-        if isinstance(pattern, ast.Quantified):
-            self.quants[pattern.quant_id] = QuantInfo(
-                quant_id=pattern.quant_id,
-                unbounded=pattern.unbounded,
-                covered_by_restrictor=in_restrictor,
+
+def _type_path(path: ast.PathPattern) -> PathAnalysis:
+    """§5 path pattern ``[selector] [restrictor] [p =] π``."""
+    scope = _PathScope()
+    types = _type(path.pattern, (), path.restrictor is not None, scope)
+    # Reported in a fixed order: quantifier depths, then joins, each in
+    # the order the variables are first declared.
+    for name, t in types.items():
+        if t.chain is None:
+            raise VariableScopeError(
+                f"variable {name!r} is declared at conflicting quantification depths"
             )
-            self._walk(pattern.inner, chain + (pattern.quant_id,), context, in_restrictor)
-            return
-        if isinstance(pattern, ast.OptionalPattern):
-            self._walk(pattern.inner, chain, context + (("opt", id(pattern)),), in_restrictor)
-            return
-        if isinstance(pattern, ast.ParenPattern):
-            inner_restrictor = in_restrictor or pattern.restrictor is not None
-            self._walk(pattern.inner, chain, context, inner_restrictor)
-            if pattern.where is not None:
-                self.wheres.append((pattern, pattern.where, chain, self.next_index, None))
-            return
-        if isinstance(pattern, ast.Alternation):
-            for branch_index, branch in enumerate(pattern.branches):
-                self._walk(
-                    branch,
-                    chain,
-                    context + ((pattern.alt_id, branch_index),),
-                    in_restrictor,
-                )
-            return
-        raise VariableScopeError(f"unexpected pattern node {type(pattern).__name__}")
-
-    def _declare(self, var: str, kind: str, anonymous: bool, chain: tuple, context: tuple) -> None:
-        info = self.vars.get(var)
-        if info is None:
-            info = VarInfo(name=var, kind=kind, anonymous=anonymous)
-            self.vars[var] = info
-        else:
-            if info.kind != kind:
-                raise VariableScopeError(
-                    f"variable {var!r} used as both {info.kind} and {kind}"
-                )
-        info.sites.append(DeclSite(quant_chain=chain, context=context, index=self.next_index, kind=kind))
-
-
-def _analyze_path(path: ast.PathPattern) -> PathAnalysis:
-    walker = _PathWalker(path)
-    walker.walk()
-    vars_ = walker.vars
-
-    _classify_group_vars(vars_)
-    certain = _certainly_bound(path.pattern)
-    for info in vars_.values():
-        if not info.group:
-            info.conditional = info.name not in certain
-    _check_conditional_joins(vars_)
-
-    if path.path_var is not None and path.path_var in vars_:
+    for name, t in types.items():
+        if t.card == MAYBE and t.maybe_join:
+            raise ConditionalJoinError(f"implicit equi-join on conditional singleton {name!r}")
+    if path.path_var is not None and path.path_var in types:
         raise VariableScopeError(
             f"path variable {path.path_var!r} clashes with an element variable"
         )
-
-    _check_termination(path, walker.quants)
-
+    # Section 5: an unbounded quantifier needs a restrictor around it or
+    # a selector at the head of the path, or the result could be infinite.
+    if path.selector is None and any(
+        q.unbounded and not q.covered_by_restrictor for q in scope.quants.values()
+    ):
+        raise NonTerminationError(
+            "unbounded quantifier outside the scope of any restrictor or "
+            "selector (Section 5: the result could be infinite)"
+        )
     deferred: set[int] = set()
-    for owner, expr, chain, index, own_var in walker.wheres:
-        is_deferred = _check_element_where(
-            expr,
-            vars_=vars_,
-            quants=walker.quants,
-            chain=chain,
-            index=index,
-            own_var=own_var,
-        )
-        if is_deferred:
+    for owner, expr, chain, index, own_var in scope.wheres:
+        _check_condition(expr, types, chain, scope.quants, _PATTERN_WHERE)
+        # Deferred: the clause names a variable declared to the right of
+        # this element (unbound when the element is matched).
+        if any(name != own_var and types[name].first > index for name in expr.variables()):
             deferred.add(id(owner))
-
-    strategy = _choose_strategy(path, walker.quants)
-    has_multiset = any(
-        isinstance(node, ast.Alternation) and node.has_multiset()
-        for node in path.pattern.walk()
-    )
-    return PathAnalysis(
-        path=path,
-        vars=vars_,
-        quants=walker.quants,
-        deferred_wheres=deferred,
-        strategy=strategy,
-        has_multiset=has_multiset,
-    )
+    return PathAnalysis(path, types, scope.quants, deferred, _choose_strategy(path))
 
 
-def _classify_group_vars(vars_: dict[str, VarInfo]) -> None:
-    for info in vars_.values():
-        chains = {site.quant_chain for site in info.sites}
-        depths = {len(chain) for chain in chains}
-        if len(chains) > 1 and depths != {0}:
-            # A variable may be declared several times at the top level
-            # (equi-join) but not both inside and outside a quantifier.
-            raise VariableScopeError(
-                f"variable {info.name!r} is declared at conflicting "
-                f"quantification depths"
-            )
-        info.group = any(chain for chain in chains)
+def _type(pattern: ast.Pattern, chain: tuple, restricted: bool, scope: _PathScope) -> Types:
+    """The types of *pattern*'s variables, by the rule for its construct.
 
-
-def _certainly_bound(pattern: ast.Pattern) -> frozenset[str]:
-    """Variables bound on every execution path (non-group certainty)."""
-    if isinstance(pattern, (ast.NodePattern, ast.EdgePattern)):
-        return frozenset({pattern.var}) if pattern.var else frozenset()
-    if isinstance(pattern, ast.Concatenation):
-        out: frozenset[str] = frozenset()
-        for item in pattern.items:
-            out |= _certainly_bound(item)
-        return out
-    if isinstance(pattern, ast.ParenPattern):
-        return _certainly_bound(pattern.inner)
-    if isinstance(pattern, ast.Alternation):
-        sets = [_certainly_bound(b) for b in pattern.branches]
-        out = sets[0]
-        for s in sets[1:]:
-            out &= s
-        return out
-    # Quantified bodies hold group variables; Optional bodies are conditional.
-    return frozenset()
-
-
-def _contexts_compatible(a: tuple, b: tuple) -> bool:
-    """Two declaration contexts can be active simultaneously.
-
-    Only sibling branches of the *same* alternation exclude each other;
-    different optionals (or an optional and a branch) can both be active.
+    *chain* is the quantifier chain of *pattern*'s position; *restricted*
+    says whether a restrictor covers it.
     """
-    for marker_a, marker_b in zip(a, b):
-        if marker_a == marker_b:
+    if isinstance(pattern, (ast.NodePattern, ast.EdgePattern)):
+        # §4.1 (x) / -[x]-: a singleton of its kind.  A variable has one
+        # kind in the whole path pattern, checked in source order.
+        kind = "node" if isinstance(pattern, ast.NodePattern) else "edge"
+        known = scope.kinds.setdefault(pattern.var, kind)
+        if known != kind:
+            raise VariableScopeError(f"variable {pattern.var!r} used as both {known} and {kind}")
+        if pattern.where is not None:
+            scope.wheres.append((pattern, pattern.where, chain, scope.index, pattern.var))
+        scope.index += 1
+        return {
+            pattern.var: VarInfo(kind, SINGLETON, chain, scope.index - 1, pattern.anonymous)
+        }
+    if isinstance(pattern, ast.Concatenation):
+        # §4.2 π1 π2: the join rule on every variable both declare
+        types: Types = {}
+        for item in pattern.items:
+            _join(types, _type(item, chain, restricted, scope))
+        return types
+    if isinstance(pattern, ast.Alternation):
+        # §4.5 π1 | π2 and π1 |+| π2: one branch matches, so nothing is
+        # joined; a variable some branch lacks is maybe (§4.6)
+        branches = [_type(branch, chain, restricted, scope) for branch in pattern.branches]
+        types = {}
+        for branch in branches:
+            for name, t in branch.items():
+                types[name] = _either(types[name], t) if name in types else t
+        return {
+            name: _maybe(t) if any(name not in branch for branch in branches) else t
+            for name, t in types.items()
+        }
+    if isinstance(pattern, ast.OptionalPattern):
+        # §4.6 π?: π's singletons are maybe (unlike π{0,1}, not groups)
+        return {
+            name: _maybe(t) for name, t in _type(pattern.inner, chain, restricted, scope).items()
+        }
+    if isinstance(pattern, ast.Quantified):
+        # §4.4 π{m,n}: every variable of π is a group; the termination
+        # rule of Section 5 reads whether a restrictor covers it
+        scope.quants[pattern.quant_id] = QuantInfo(pattern.quant_id, pattern.unbounded, restricted)
+        inner = _type(pattern.inner, chain + (pattern.quant_id,), restricted, scope)
+        return {name: replace(t, card=GROUP) for name, t in inner.items()}
+    if isinstance(pattern, ast.ParenPattern):
+        # §5.1–5.2 [restrictor π WHERE θ]: π's types; the restrictor
+        # covers π's quantifiers, and the condition rule checks θ once
+        # the whole path is typed (θ may name variables outside π)
+        types = _type(pattern.inner, chain, restricted or pattern.restrictor is not None, scope)
+        if pattern.where is not None:
+            scope.wheres.append((pattern, pattern.where, chain, scope.index, None))
+        return types
+    raise VariableScopeError(f"unexpected pattern node {type(pattern).__name__}")
+
+
+def _join(types: Types, right: Types, across: bool = False) -> None:
+    """The join rule, adding *right* to *types*: a variable declared on
+    both sides is equi-joined — within a concatenation (§4.2), or
+    *across* the path patterns of ``MATCH π1, π2`` (§4.3)."""
+    for name, b in right.items():
+        a = types.get(name)
+        if a is None or across and (a.anonymous or b.anonymous):
+            types.setdefault(name, b)  # anonymous variables are never joined
             continue
-        same_alternation = (
-            marker_a[0] == marker_b[0] and marker_a[0] != "opt"
-        )
-        if same_alternation:
-            return False  # mutually exclusive branches
-    return True
-
-
-def _check_conditional_joins(vars_: dict[str, VarInfo]) -> None:
-    for info in vars_.values():
-        if info.group or not info.conditional:
-            continue
-        for i, site_a in enumerate(info.sites):
-            for site_b in info.sites[i + 1 :]:
-                if site_a.context == site_b.context:
-                    continue  # repetition inside one branch: joint binding
-                if _contexts_compatible(site_a.context, site_b.context):
-                    raise ConditionalJoinError(
-                        f"implicit equi-join on conditional singleton {info.name!r}"
-                    )
-
-
-def _check_termination(path: ast.PathPattern, quants: dict[int, QuantInfo]) -> None:
-    has_selector = path.selector is not None
-    for quant in quants.values():
-        if quant.unbounded and not quant.covered_by_restrictor and not has_selector:
-            raise NonTerminationError(
-                "unbounded quantifier outside the scope of any restrictor or "
-                "selector (Section 5: the result could be infinite)"
+        if a.kind != b.kind:  # within a path, the node / edge rule already fixed it
+            raise VariableScopeError(
+                f"variable {name!r} used as {a.kind} and {b.kind} in different path patterns"
             )
+        if a.chain != b.chain or a.group or b.group:
+            # §4.4: a group joins nothing.  Within a path, report it once
+            # the path is typed, with the other errors in source order.
+            if across:
+                raise VariableScopeError(f"group variable {name!r} cannot join path patterns")
+            types[name] = replace(a, chain=None)
+        elif across:
+            # §4.6: the paper's illegal query, a join on a maybe
+            if a.conditional or b.conditional:
+                raise ConditionalJoinError(
+                    f"implicit equi-join on conditional singleton {name!r} across path patterns"
+                )
+        elif a.card == SINGLETON or b.card == SINGLETON:
+            # the join happens where the variable is certainly bound
+            types[name] = replace(a, card=SINGLETON, first=min(a.first, b.first), maybe_join=False)
+        else:
+            # maybe ⋈ maybe: illegal (§4.6) unless a certain declaration
+            # in an enclosing concatenation binds the variable after all
+            types[name] = replace(a, first=min(a.first, b.first), maybe_join=True)
+
+
+def _either(a: VarInfo, b: VarInfo) -> VarInfo:
+    """One variable declared in two branches of a union (§4.5)."""
+    if a.chain != b.chain:
+        return replace(a, chain=None)
+    return replace(
+        a,
+        card=SINGLETON if a.card == b.card == SINGLETON else MAYBE,
+        first=min(a.first, b.first),
+        maybe_join=a.maybe_join or b.maybe_join,
+    )
+
+
+def _maybe(t: VarInfo) -> VarInfo:
+    return replace(t, card=MAYBE) if t.card == SINGLETON else t
+
+
+# ----------------------------------------------------------------------
+# The condition rule
+# ----------------------------------------------------------------------
+class _Where(NamedTuple):
+    text: str
+    singleton_hint: str
+    prefilter: bool
+
+
+_PATTERN_WHERE = _Where("a pattern WHERE clause", " (crossing quantifier scope)", True)
+_FINAL_WHERE = _Where("the final WHERE clause", "; use an aggregate", False)
+
+
+def _check_condition(
+    expr: Expr,
+    types: Types,
+    chain: tuple,
+    quants: dict[int, QuantInfo],
+    where: _Where,
+) -> None:
+    """The condition rule (§4.3, §4.4, §5.3): ``π WHERE θ`` is typed when
+    θ names only typed variables, reads a group only through an
+    aggregate (a singleton reference must not cross a quantifier to its
+    declaration, §4.4) and, in a prefilter, aggregates no effectively
+    unbounded group.  *chain* is the quantifier chain of the clause."""
+    for name in expr.variables():
+        if name not in types:
+            raise VariableScopeError(f"unknown variable {name!r} referenced in {where.text}")
+    # SAME / ALL_DIFFERENT misuse is reported first in a pattern WHERE,
+    # after a group used as a singleton in the final one.
+    if where.prefilter:
+        _check_same(expr, types)
+    for name in _non_aggregate_refs(expr):
+        if _crossed_quants(types[name], chain):
+            raise VariableScopeError(
+                f"group variable {name!r} referenced as a singleton in "
+                f"{where.text}{where.singleton_hint}"
+            )
+    if not where.prefilter:
+        _check_same(expr, types)
+        return
+    # Section 5.3: a selector does not bound a prefilter's group
+    for agg in expr.aggregates():
+        for quant_id in _crossed_quants(types[agg.var], chain):
+            quant = quants[quant_id]
+            if quant.unbounded and not quant.covered_by_restrictor:
+                raise NonTerminationError(
+                    f"prefilter aggregates the effectively unbounded group "
+                    f"variable {agg.var!r} (Section 5.3); bound the "
+                    f"quantifier or move the predicate to the final WHERE"
+                )
+
+
+def _check_same(expr: Expr, types: Types) -> None:
+    """SAME and ALL_DIFFERENT compare unconditional singletons only."""
+    if isinstance(expr, (Same, AllDifferent)):
+        for name in expr.vars:
+            t = types[name]
+            if t.group or t.conditional:
+                raise VariableScopeError(
+                    f"{type(expr).__name__.upper()} requires unconditional "
+                    f"singletons; {name!r} is a {'group' if t.group else 'conditional'} variable"
+                )
+    for child in expr.children():
+        _check_same(child, types)
 
 
 def _non_aggregate_refs(expr: Expr) -> frozenset[str]:
@@ -352,91 +397,17 @@ def _non_aggregate_refs(expr: Expr) -> frozenset[str]:
     return refs
 
 
-def _check_element_where(
-    expr: Expr,
-    vars_: dict[str, VarInfo],
-    quants: dict[int, QuantInfo],
-    chain: tuple,
-    index: int,
-    own_var: Optional[str],
-) -> bool:
-    """Validate a prefilter WHERE; returns True when it must be deferred."""
-    _check_known_vars(expr, vars_, "a pattern WHERE clause")
-    _check_same_all_different(expr, vars_)
-
-    for name in _non_aggregate_refs(expr):
-        info = vars_.get(name)
-        if info is None:
-            continue
-        crossed = _crossed_quants(info, chain)
-        if crossed:
-            raise VariableScopeError(
-                f"group variable {name!r} referenced as a singleton in a "
-                f"pattern WHERE clause (crossing quantifier scope)"
-            )
-
-    for agg in expr.aggregates():
-        info = vars_.get(agg.var)
-        if info is None:
-            continue
-        crossed = _crossed_quants(info, chain)
-        for quant_id in crossed:
-            quant = quants[quant_id]
-            if quant.unbounded and not quant.covered_by_restrictor:
-                raise NonTerminationError(
-                    f"prefilter aggregates the effectively unbounded group "
-                    f"variable {agg.var!r} (Section 5.3); bound the "
-                    f"quantifier or move the predicate to the final WHERE"
-                )
-
-    # Defer evaluation when the clause references variables declared to
-    # the right of this element (they are unbound at match time here).
-    for name in expr.variables():
-        info = vars_.get(name)
-        if info is None or name == own_var:
-            continue
-        if info.min_index > index:
-            return True
-    return False
-
-
-def _crossed_quants(info: VarInfo, chain: tuple) -> tuple[int, ...]:
+def _crossed_quants(t: VarInfo, chain: tuple) -> tuple[int, ...]:
     """Quantifiers crossed from a reference at *chain* to the declaration."""
-    declared = info.sites[0].quant_chain
     common = 0
-    for a, b in zip(declared, chain):
+    for a, b in zip(t.chain, chain):
         if a != b:
             break
         common += 1
-    return declared[common:]
+    return t.chain[common:]
 
 
-def _check_same_all_different(expr: Expr, vars_: dict[str, VarInfo]) -> None:
-    def visit(node: Expr) -> None:
-        if isinstance(node, (Same, AllDifferent)):
-            for name in node.vars:
-                info = vars_.get(name)
-                if info is not None and (info.group or info.conditional):
-                    kind = "group" if info.group else "conditional"
-                    raise VariableScopeError(
-                        f"{type(node).__name__.upper()} requires unconditional "
-                        f"singletons; {name!r} is a {kind} variable"
-                    )
-        for child in node.children():
-            visit(child)
-
-    visit(expr)
-
-
-def _check_known_vars(expr: Expr, vars_: dict[str, VarInfo], where: str) -> None:
-    for name in expr.variables():
-        if name not in vars_:
-            raise VariableScopeError(
-                f"unknown variable {name!r} referenced in {where}"
-            )
-
-
-def _choose_strategy(path: ast.PathPattern, quants: dict[int, QuantInfo]) -> str:
+def _choose_strategy(path: ast.PathPattern) -> str:
     selector = path.selector
     if selector is None:
         return ENUMERATE
@@ -447,92 +418,3 @@ def _choose_strategy(path: ast.PathPattern, quants: dict[int, QuantInfo]) -> str
     if selector.kind in _SHORTEST_SELECTORS:
         return SHORTEST
     return ENUMERATE
-
-
-# ----------------------------------------------------------------------
-# Query-level checks
-# ----------------------------------------------------------------------
-def _collect_path_vars(
-    pattern: ast.GraphPattern, paths: list[PathAnalysis]
-) -> dict[str, int]:
-    path_vars: dict[str, int] = {}
-    for index, path in enumerate(pattern.paths):
-        if path.path_var is None:
-            continue
-        if path.path_var in path_vars:
-            raise VariableScopeError(f"duplicate path variable {path.path_var!r}")
-        for analysis in paths:
-            if path.path_var in analysis.vars:
-                raise VariableScopeError(
-                    f"path variable {path.path_var!r} clashes with an element variable"
-                )
-        path_vars[path.path_var] = index
-    return path_vars
-
-
-def _check_cross_pattern_joins(paths: list[PathAnalysis]) -> frozenset[str]:
-    seen: dict[str, tuple[int, VarInfo]] = {}
-    join_vars: set[str] = set()
-    for index, analysis in enumerate(paths):
-        for name, info in analysis.vars.items():
-            if info.anonymous:
-                continue
-            if name not in seen:
-                seen[name] = (index, info)
-                continue
-            other_index, other = seen[name]
-            if other_index == index:
-                continue
-            if info.kind != other.kind:
-                raise VariableScopeError(
-                    f"variable {name!r} used as {other.kind} and {info.kind} "
-                    f"in different path patterns"
-                )
-            if info.group or other.group:
-                raise VariableScopeError(
-                    f"group variable {name!r} cannot join path patterns"
-                )
-            if info.conditional or other.conditional:
-                raise ConditionalJoinError(
-                    f"implicit equi-join on conditional singleton {name!r} "
-                    f"across path patterns"
-                )
-            join_vars.add(name)
-    return frozenset(join_vars)
-
-
-def _merged_quants(paths: list[PathAnalysis]) -> dict[int, QuantInfo]:
-    merged: dict[int, QuantInfo] = {}
-    for path in paths:
-        merged.update(path.quants)
-    return merged
-
-
-def _check_filter_expr(
-    expr: Expr,
-    paths: list[PathAnalysis],
-    chain: tuple,
-    quants: dict[int, QuantInfo],
-    is_prefilter: bool,
-    where_owner: str,
-) -> None:
-    """Validate the final (postfilter) WHERE clause of a MATCH."""
-    all_vars: dict[str, VarInfo] = {}
-    for path in paths:
-        for name, info in path.vars.items():
-            all_vars.setdefault(name, info)
-    known = set(all_vars)
-    for path in paths:
-        if path.path.path_var:
-            known.add(path.path.path_var)
-    for name in expr.variables():
-        if name not in known:
-            raise VariableScopeError(f"unknown variable {name!r} referenced in {where_owner}")
-    for name in _non_aggregate_refs(expr):
-        info = all_vars.get(name)
-        if info is not None and info.group:
-            raise VariableScopeError(
-                f"group variable {name!r} referenced as a singleton in {where_owner}; "
-                f"use an aggregate"
-            )
-    _check_same_all_different(expr, all_vars)

@@ -7,6 +7,7 @@ from repro.errors import (
     NonTerminationError,
     VariableScopeError,
 )
+from repro.gpml import ast
 from repro.gpml.analysis import analyze
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
@@ -218,5 +219,103 @@ class TestStrategySelection:
         assert analyzed(query).paths[0].strategy == strategy
 
     def test_multiset_flag(self):
-        assert analyzed("MATCH (a) |+| (b)").paths[0].has_multiset
-        assert not analyzed("MATCH (a) | (b)").paths[0].has_multiset
+        # the automaton and the reference ask the alternation itself
+        def has_multiset(text):
+            pattern = analyzed(text).paths[0].path.pattern
+            return any(
+                isinstance(node, ast.Alternation) and node.has_multiset()
+                for node in pattern.walk()
+            )
+
+        assert has_multiset("MATCH (a) |+| (b)")
+        assert not has_multiset("MATCH (a) | (b)")
+
+
+#: one input per check of the pass: the exception class and the full text
+_ERRORS = [
+    ("MATCH (x)-[x]->(y)", VariableScopeError,
+     "variable 'x' used as both node and edge"),
+    ("MATCH TRAIL (a) [(a)-[e:T]->(b)]+ (c)", VariableScopeError,
+     "variable 'a' is declared at conflicting quantification depths"),
+    ("MATCH (x) [->(y)]? [~(y)]?", ConditionalJoinError,
+     "implicit equi-join on conditional singleton 'y'"),
+    ("MATCH x = (x)->(y)", VariableScopeError,
+     "path variable 'x' clashes with an element variable"),
+    ("MATCH (a)-[t:Transfer]->*(b)", NonTerminationError,
+     "unbounded quantifier outside the scope of any restrictor or selector "
+     "(Section 5: the result could be infinite)"),
+    ("MATCH (x WHERE nosuch.prop = 1)", VariableScopeError,
+     "unknown variable 'nosuch' referenced in a pattern WHERE clause"),
+    ("MATCH TRAIL (a) [->(c)]+ (b WHERE SAME(a, c))", VariableScopeError,
+     "SAME requires unconditional singletons; 'c' is a group variable"),
+    ("MATCH (x) [->(y)]? (z WHERE ALL_DIFFERENT(x, y, z))", VariableScopeError,
+     "ALLDIFFERENT requires unconditional singletons; 'y' is a conditional variable"),
+    ("MATCH TRAIL [ (x)-[e]->*(y) WHERE e.amount > 1 ]", VariableScopeError,
+     "group variable 'e' referenced as a singleton in a pattern WHERE clause "
+     "(crossing quantifier scope)"),
+    ("MATCH ALL SHORTEST [ (x)-[e]->*(y) WHERE COUNT(e.*)/(COUNT(e.*)+1) > 1 ]",
+     NonTerminationError,
+     "prefilter aggregates the effectively unbounded group variable 'e' "
+     "(Section 5.3); bound the quantifier or move the predicate to the final WHERE"),
+    ("MATCH p = (a)->(b), p = (c)->(d)", VariableScopeError,
+     "duplicate path variable 'p'"),
+    ("MATCH p = (a)->(b), (p)->(c)", VariableScopeError,
+     "path variable 'p' clashes with an element variable"),
+    ("MATCH (x)-[e]->(y), (e)->(z)", VariableScopeError,
+     "variable 'e' used as edge and node in different path patterns"),
+    ("MATCH TRAIL (a)[-[e:T]->]+(b), (x)-[e]->(y)", VariableScopeError,
+     "group variable 'e' cannot join path patterns"),
+    ("MATCH [(x)->(y)] | [(x)->(z)], (y)->(w)", ConditionalJoinError,
+     "implicit equi-join on conditional singleton 'y' across path patterns"),
+    ("MATCH (x) WHERE nosuch.prop = 1", VariableScopeError,
+     "unknown variable 'nosuch' referenced in the final WHERE clause"),
+    ("MATCH TRAIL (a)[-[e:T]->]+(b) WHERE e.amount > 1", VariableScopeError,
+     "group variable 'e' referenced as a singleton in the final WHERE clause; "
+     "use an aggregate"),
+    ("MATCH (x) [->(y)]? WHERE SAME(x, y)", VariableScopeError,
+     "SAME requires unconditional singletons; 'y' is a conditional variable"),
+]
+
+#: inputs that break two rules: which error is reported is pinned too
+_PRECEDENCE = [
+    # kind conflicts in source order, before any other error of the path
+    ("MATCH (a) -[x]-> [(x) -[y]-> (y)]", VariableScopeError,
+     "variable 'x' used as both edge and node"),
+    ("MATCH [(a)]{1,2} (a) -[a]-> ()", VariableScopeError,
+     "variable 'a' used as both node and edge"),
+    # quantifier depths before conditional joins
+    ("MATCH (x) [->(y)]? [~(y)]? [(b)]{1,2} (b)", VariableScopeError,
+     "variable 'b' is declared at conflicting quantification depths"),
+    # the path variable before termination
+    ("MATCH x = (x)->*(y)", VariableScopeError,
+     "path variable 'x' clashes with an element variable"),
+    # a pattern WHERE checks SAME first, the final WHERE singleton use first
+    ("MATCH TRAIL (a) [->(c)]+ (b WHERE SAME(a, c) AND c.v = 1)", VariableScopeError,
+     "SAME requires unconditional singletons; 'c' is a group variable"),
+    ("MATCH TRAIL (a) [->(c)]+ (b) WHERE SAME(a, c)", VariableScopeError,
+     "group variable 'c' referenced as a singleton in the final WHERE clause; "
+     "use an aggregate"),
+    # every path pattern in order, then the joins between them
+    ("MATCH (x WHERE nosuch.v = 1), (y)-[y]->()", VariableScopeError,
+     "unknown variable 'nosuch' referenced in a pattern WHERE clause"),
+    ("MATCH (x)->*(y), p = (p)", NonTerminationError,
+     "unbounded quantifier outside the scope of any restrictor or selector "
+     "(Section 5: the result could be infinite)"),
+    ("MATCH [(x)->(y)] | [(x)->(z)], [(y)]{1,2}", VariableScopeError,
+     "group variable 'y' cannot join path patterns"),
+]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("query, error, message", _ERRORS + _PRECEDENCE)
+    def test_error_class_and_text(self, query, error, message):
+        with pytest.raises(error) as raised:
+            analyzed(query)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_unknown_pattern_node(self):
+        graph = ast.GraphPattern(paths=[ast.PathPattern(pattern=ast.Pattern())])
+        with pytest.raises(VariableScopeError) as raised:
+            analyze(graph)
+        assert str(raised.value) == "unexpected pattern node Pattern"

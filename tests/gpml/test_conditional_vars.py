@@ -97,3 +97,33 @@ class TestNullPropagation:
         )
         assert len(result) == 1
         assert is_null(result.rows[0]["y"])
+
+
+class TestJoinsWhereCertainlyBound:
+    """A join legal on its own stays legal as a union branch or an
+    optional body: the join happens where the variable is certainly
+    bound, so only its conditionality at the top changes."""
+
+    def test_inside_a_union_branch(self, fig1):
+        result = match(fig1, "MATCH [[(y:Phone)|(z:City)] (y) | (w:Country)]")
+        rows = {
+            tuple(None if is_null(row[name]) else row[name].id for name in "yzw")
+            for row in result
+        }
+        assert rows == {
+            ("p1", None, None), ("p2", None, None), ("p3", None, None),
+            ("p4", None, None), ("c2", "c2", None),
+            (None, None, "c1"), (None, None, "c2"),
+        }
+
+    def test_inside_an_optional_body(self, fig1):
+        result = match(
+            fig1,
+            "MATCH (x WHERE x.owner='Scott') "
+            "[[(y)-[e:Transfer]->(a)]? -[f:Transfer]->(y)]?",
+        )
+        rows = {
+            tuple(None if is_null(row[name]) else row[name].id for name in ("f", "y", "e"))
+            for row in result
+        }
+        assert rows == {(None, None, None), ("t1", "a3", None)}

@@ -54,6 +54,11 @@ QUERIES = [
     "MATCH (x) [-[e]->(y)]?",
     "MATCH (x)-[e]->(y), (y)-[f]-(z)",
     "MATCH (x WHERE x.v > 0)-[e]->(y) WHERE e.w = x.v",
+    # a join legal on its own stays legal as a union branch or optional body
+    "MATCH [(y)|(z)] (y)",
+    "MATCH [[(y)|(z)] (y) | (w)]",
+    "MATCH [(y)-[e]->(a)]? -[f]->(y)",
+    "MATCH (x) [[(y)-[e]->(a)]? -[f]->(y)]?",
 ]
 
 MATCH_CONFIG = MatcherConfig(max_steps=500_000, max_results=100_000)

@@ -426,3 +426,42 @@ def test_no_sql_switch_that_only_a_test_flips():
     assert "pushdown" not in {f.name for f in fields(PlannerContext)}
     for method in ("execute", "execute_iter", "explain", "explain_analyze"):
         assert "pushdown" not in inspect.signature(getattr(Database, method)).parameters
+
+
+def test_the_type_system_reads_only_patterns_and_expressions():
+    """``gpml/analysis.py`` is a transcription of the typing rules: it
+    imports, from this package, only the errors it raises, the pattern
+    AST and the expression tree — no engine, planner or host."""
+    allowed = {"repro.errors", "repro.gpml.ast", "repro.gpml.expr"}
+    strays = []
+    for node in ast.walk(ast.parse((SRC / "gpml/analysis.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repro")):
+            module = "." * node.level + (node.module or "")
+            strays += [
+                f"{module}.{alias.name}"
+                for alias in node.names
+                if module not in allowed and f"{module}.{alias.name}" not in allowed
+            ]
+        elif isinstance(node, ast.Import):
+            strays += [a.name for a in node.names if a.name.startswith("repro")]
+    assert strays == []
+
+
+def test_nothing_tunes_the_garbage_collector():
+    """Collector settings belong to the embedding program: no module
+    freezes, disables or re-thresholds ``gc``."""
+    tuners = {"freeze", "disable", "set_threshold"}
+    calls = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names = {alias.name for alias in node.names}
+                calls += [f"{path.relative_to(SRC)}: from gc import {n}" for n in names & tuners]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in tuners
+            ):
+                calls.append(f"{path.relative_to(SRC)}:{node.lineno}: gc.{node.attr}")
+    assert calls == []
