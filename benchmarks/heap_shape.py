@@ -1,11 +1,14 @@
-"""What the graph costs the heap: tracked objects, bytes, full-GC pause.
+"""What the graph and its result rows cost the heap: tracked objects,
+bytes, full-GC pause.
 
 Builds the repo benchmark's 30k-account / 60k-transfer bank (``suite.gen``,
 through ``GraphBuilder``) and its columnar snapshot, then prints per
 element: objects the cyclic collector tracks, ``tracemalloc`` bytes, and
-the median pause of a full ``gc.collect()``.  The one check is a bound
-on the tracked-object count, the layout's count law (see the "What the
-graph stores per element" section of docs/architecture.md); bytes and
+the median pause of a full ``gc.collect()``; then the tracked objects per
+held row of a bare ``match_iter`` over every transfer.  The two checks
+are bounds on the tracked-object counts, the count laws of the graph's
+layout and of a binding row (see the "What the graph stores per
+element" and "Row plan" sections of docs/architecture.md); bytes and
 pauses are reported, not gated.
 
     PYTHONPATH=src python benchmarks/heap_shape.py
@@ -25,6 +28,7 @@ for entry in (str(_HERE.parent / "src"), str(_HERE)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+from repro.gpml.engine import match_iter  # noqa: E402
 from repro.graph.columnar import snapshot_for  # noqa: E402
 from suite.gen import build_graph, generate  # noqa: E402
 
@@ -33,6 +37,11 @@ from suite.gen import build_graph, generate  # noqa: E402
 #: with a frozenset each and an ``Incidence`` object per edge end measured
 #: 3.67
 MAX_TRACKED_PER_ELEMENT = 1.6
+#: tracked objects per held row: a row of element ids measures 1.0 - 1.2;
+#: one holding its values dict, paths list, Path and handles measured 7.0
+#: (the bound of tests/graph/test_row_shape.py)
+MAX_TRACKED_PER_ROW = 1.5
+ROWS_QUERY = "MATCH (a:Account)-[t:Transfer]->(b:Account)"
 ACCOUNTS = 30_000
 SEED = 1
 PAUSES = 7
@@ -64,10 +73,22 @@ def main() -> int:
     print(f"tracked objects: {tracked} ({tracked / elements:.2f} per element)")
     print(f"tracemalloc: {traced / 2**20:.1f} MiB ({traced / elements:.0f} B per element)")
     print(f"full collection: {statistics.median(pauses):.1f} ms (median of {PAUSES})")
+    for _ in range(2):  # statement cache (stores on a second miss), plan, CSR blocks
+        sum(1 for _ in match_iter(graph, ROWS_QUERY))
+    gc.collect()
+    before = len(gc.get_objects())
+    rows = list(match_iter(graph, ROWS_QUERY))
+    gc.collect()
+    per_row = (len(gc.get_objects()) - before) / len(rows)
+    print(f"held rows: {len(rows)} of {ROWS_QUERY!r}, {per_row:.2f} tracked objects per row")
+    failed = 0
     if tracked > MAX_TRACKED_PER_ELEMENT * elements:
         print(f"FAIL: more than {MAX_TRACKED_PER_ELEMENT} tracked objects per element")
-        return 1
-    return 0
+        failed = 1
+    if per_row > MAX_TRACKED_PER_ROW:
+        print(f"FAIL: more than {MAX_TRACKED_PER_ROW} tracked objects per held row")
+        failed = 1
+    return failed
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ selectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -345,14 +345,14 @@ def _check_condition(
     aggregate (a singleton reference must not cross a quantifier to its
     declaration, §4.4) and, in a prefilter, aggregates no effectively
     unbounded group.  *chain* is the quantifier chain of the clause."""
-    for name in expr.variables():
+    for name in _in_source_order(expr):
         if name not in types:
             raise VariableScopeError(f"unknown variable {name!r} referenced in {where.text}")
     # SAME / ALL_DIFFERENT misuse is reported first in a pattern WHERE,
     # after a group used as a singleton in the final one.
     if where.prefilter:
         _check_same(expr, types)
-    for name in _non_aggregate_refs(expr):
+    for name in _in_source_order(expr, aggregates=False):
         if _crossed_quants(types[name], chain):
             raise VariableScopeError(
                 f"group variable {name!r} referenced as a singleton in "
@@ -379,22 +379,35 @@ def _check_same(expr: Expr, types: Types) -> None:
         for name in expr.vars:
             t = types[name]
             if t.group or t.conditional:
+                predicate = "SAME" if isinstance(expr, Same) else "ALL_DIFFERENT"
                 raise VariableScopeError(
-                    f"{type(expr).__name__.upper()} requires unconditional "
-                    f"singletons; {name!r} is a {'group' if t.group else 'conditional'} variable"
+                    f"{predicate} requires unconditional singletons; "
+                    f"{name!r} is a {'group' if t.group else 'conditional'} variable"
                 )
     for child in expr.children():
         _check_same(child, types)
 
 
-def _non_aggregate_refs(expr: Expr) -> frozenset[str]:
-    """Variables referenced outside of any aggregate."""
-    if isinstance(expr, Aggregate):
-        return frozenset()
-    refs = frozenset(expr.own_variables())
+def _in_source_order(expr: Expr, aggregates: bool = True) -> list[str]:
+    """The variables *expr* references (outside of any aggregate unless
+    *aggregates*), each once, in the order the text first names them: a
+    message names the first offender, whatever the hash seed."""
+    if not aggregates and isinstance(expr, Aggregate):
+        return []
+    own = expr.own_variables()
+    names = [  # a node's own variables are string fields, declared in text order
+        value
+        for item in fields(expr)
+        for value in _strings(getattr(expr, item.name))
+        if value in own
+    ]
     for child in expr.children():
-        refs |= _non_aggregate_refs(child)
-    return refs
+        names += _in_source_order(child, aggregates)
+    return list(dict.fromkeys(names))
+
+
+def _strings(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,) if isinstance(value, str) else ()
 
 
 def _crossed_quants(t: VarInfo, chain: tuple) -> tuple[int, ...]:

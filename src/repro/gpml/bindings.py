@@ -23,6 +23,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 #: (singleton) bindings.
 Annotation = tuple[tuple[int, int], ...]
 
+#: the bag tags of a binding outside every multiset alternation
+NO_TAGS: frozenset = frozenset()
+
 
 @dataclass(frozen=True)
 class ElementaryBinding:
@@ -66,7 +69,7 @@ class ReducedBinding(NamedTuple):
     elements: tuple[str, ...]
     singletons: tuple[tuple[str, str], ...]
     groups: tuple[tuple[str, tuple[str, ...]], ...]
-    bag_tags: frozenset = frozenset()
+    bag_tags: frozenset = NO_TAGS
 
     @property
     def source_id(self) -> str:
@@ -86,7 +89,11 @@ class ReducedBinding(NamedTuple):
         return (self.length, self.elements, self.singletons, self.groups)
 
     def dedup_key(self) -> tuple:
-        return (self.elements, self.singletons, self.groups, self.bag_tags)
+        """Untagged, a tuple of strings only: a seen-set of keys is heap
+        the cyclic collector untracks (a frozenset is always tracked)."""
+        if self.bag_tags:
+            return (self.elements, self.singletons, self.groups, self.bag_tags)
+        return (self.elements, self.singletons, self.groups)
 
 
 def forward_annotations(annotations: Iterable[Annotation]) -> Callable[[Annotation], Annotation]:

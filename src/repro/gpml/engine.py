@@ -44,7 +44,7 @@ the stage tree of a single-pattern query run from explicit start nodes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
@@ -70,7 +70,7 @@ from repro.gpml.frontier import FrontierMatcher, compiled_program
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.normalize import normalize_graph_pattern
 from repro.gpml.parser import parse_match
-from repro.gpml.predicates import BindingContext, Reads, reads_of, row_test
+from repro.gpml.predicates import BindingContext, Reads, reads_of
 from repro.gpml.selectors import apply_selector, select, walk_cost
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.graph.columnar import snapshot_for
@@ -121,26 +121,69 @@ class PreparedQuery:
 
 
 class BindingRow:
-    """One result row: variable values plus the matched path per pattern."""
+    """One result row: variable values plus the matched path per pattern.
 
-    __slots__ = ("values", "paths")
+    A row the engine builds holds element ids, not values (Section 6.5's
+    reduced path binding): its walk, ``(name, id)`` and ``(name, ids)``
+    pairs as the search found them, plus the row plan that reads them.
+    Handles, group lists and :class:`Path` values are built on read —
+    ``row[name]`` / :meth:`get` build one, :attr:`values` / :attr:`paths`
+    a fresh dict / list per call — and nothing built is kept, so a held
+    row is one object over tuples of strings, which the cyclic collector
+    untracks.  ``BindingRow(values, paths)`` holds the given ones.
+    """
+
+    __slots__ = ("_plan", "_walk", "_singles", "_groups")
 
     def __init__(self, values: dict[str, Any], paths: list[Path]):
-        self.values = values
-        self.paths = paths
+        self._plan = _GIVEN
+        self._walk = paths
+        self._singles = values
+        self._groups = ()
+
+    @property
+    def values(self) -> dict[str, Any]:
+        """Variable name -> value, a fresh dict per read."""
+        return self._plan.values(self._walk, self._singles, self._groups)
+
+    @property
+    def paths(self) -> list[Path]:
+        """The matched path per pattern, a fresh list per read."""
+        return self._plan.paths(self._walk, self._singles, self._groups)
 
     def __getitem__(self, name: str) -> Any:
-        return self.values.get(name, NULL)
+        return self._plan.value(self._walk, self._singles, self._groups, name, NULL)
 
     def get(self, name: str, default: Any = NULL) -> Any:
-        return self.values.get(name, default)
+        return self._plan.value(self._walk, self._singles, self._groups, name, default)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.values
+        return self.get(name, _ABSENT) is not _ABSENT
 
     def __repr__(self) -> str:
         items = ", ".join(f"{k}={v!r}" for k, v in sorted(self.values.items()))
         return f"BindingRow({items})"
+
+
+_new_row = object.__new__
+_ABSENT = object()
+
+
+class _Given:
+    """The plan of a row of given values: ``_singles`` is the dict,
+    ``_walk`` the list of paths."""
+
+    def values(self, paths: list, values: dict, _) -> dict[str, Any]:
+        return dict(values)
+
+    def paths(self, paths: list, values: dict, _) -> list[Path]:
+        return list(paths)
+
+    def value(self, paths: list, values: dict, _, name: str, default: Any) -> Any:
+        return values.get(name, default)
+
+
+_GIVEN = _Given()
 
 
 class MatchResult:
@@ -377,7 +420,7 @@ def match_stages(
         bound_vars |= _singleton_vars(prepared, index - 1)
         keys = [VarRef(name) for name in sorted(_singleton_vars(prepared, index) & bound_vars)]
         search = _Search(graph, prepared, index, config, None, stats)
-        tree = HashJoin(tree, _pattern_stages(search, reads), keys, keys, merge=_merged)
+        tree = HashJoin(tree, _pattern_stages(search, reads), keys, keys, merge=_merger())
         tree.span_kind = STAGE
     tree = _postfilter_stages(tree, graph, prepared, reads is not None)
     return _Delivery(tree, budget, own_budget, stats if count_rows else None)
@@ -430,9 +473,28 @@ def _postfilter_stages(
     return tree
 
 
-def _merged(row: BindingRow, partner: BindingRow) -> BindingRow:
-    """One row of the natural join of two patterns' binding rows."""
-    return BindingRow({**row.values, **partner.values}, row.paths + partner.paths)
+def _merger() -> Callable[[BindingRow, BindingRow], BindingRow]:
+    """One hash join's merge of two patterns' binding rows: their walks
+    side by side, their id pairs concatenated (a name both bind is a join
+    key, so it holds one id), read by the joined patterns' plan, built
+    once per pair of plans and kept here, where no plan refers back."""
+    joined: dict[tuple, _JoinedPlan] = {}
+
+    def merged(row: BindingRow, partner: BindingRow) -> BindingRow:
+        left, right = row._plan, partner._plan
+        several = type(left) is _JoinedPlan  # the left side joined patterns already
+        plan = joined.get((left, right))
+        if plan is None:
+            parts = (*(left.parts if several else (left,)), right)
+            plan = joined[left, right] = _JoinedPlan(parts)
+        out = _new_row(BindingRow)
+        out._plan = plan
+        out._walk = (*(row._walk if several else (row._walk,)), partner._walk)
+        out._singles = row._singles + partner._singles
+        out._groups = row._groups + partner._groups
+        return out
+
+    return merged
 
 
 def _singleton_vars(prepared: PreparedQuery, index: int) -> set[str]:
@@ -623,14 +685,9 @@ class _Selector(_Stage):
 
 class _Where(Filter):
     """The final WHERE postfilter: the hosts' row filter, its predicate
-    compiled over each binding row's value dict."""
+    compiled over the binding rows (read by variable, as dicts are)."""
 
     span_kind = STAGE
-
-    @cached_property
-    def test(self):
-        test = row_test(self.predicate, self.context)
-        return lambda row: test(row.values)
 
     def describe(self) -> str:
         return "postfilter WHERE"
@@ -859,7 +916,7 @@ class SeededSearch:
         self.stats = stats
         self.owner = owner
         self.reads = reads
-        self._memo: dict[str, list[BindingRow]] = {}
+        self._memo: dict[str, tuple[BindingRow, ...]] = {}
 
     def block(self, seed_lists: list[list[str]]) -> Iterator[Iterable[BindingRow]]:
         """Per entry of *seed_lists* (one probe row's anchor ids), in
@@ -889,18 +946,18 @@ class SeededSearch:
                         held = next(rows, None)
                         if held is None:
                             break
-                    if order[_node_id(held.values[var])] != at:
+                    if order[_node_id(held[var])] != at:
                         break
                     found.append(held)
                     row, held = held, None
                     yield row
                 if held is not None:  # the seeds between had no rows
-                    known = order[_node_id(held.values[var])]
+                    known = order[_node_id(held[var])]
                 elif budget is not None and budget.satisfied:
                     return  # cut short: not known complete
                 else:
                     known = len(fresh)
-            memo[seed] = found
+            memo[seed] = tuple(found)  # most are (), which the collector never tracks
 
         for seeds in seed_lists:
             found = []
@@ -954,33 +1011,137 @@ def _row_plan(
     whole: Optional[frozenset],
     search: Optional[_Search] = None,
 ) -> Callable[[ReducedBinding], BindingRow]:
-    """Stage 9: one solution as a binding row — handles, group lists and
-    the :class:`Path` for the variables in ``whole`` (all when None), the
-    id of every other singleton.  Handles are built on trust, unless the
-    search resumed after a write: then ``graph.node`` / ``graph.edge``
-    check every element first, as they always did."""
-    built = analysis.row_vars
-    if whole is not None:
-        built = [var for var in built if var[0] in whole]
-    keep_path = whole is None or path_var in whole
+    """Stage 9: one solution as a binding row, read by a :class:`_RowPlan`."""
+    return _RowPlan(graph, analysis, path_var, whole, search).bind
 
-    def bind(solution: ReducedBinding) -> BindingRow:
-        if search is not None and graph.version != search.version:
-            _check_elements(graph, analysis, solution)
-        values = dict(solution.singletons)  # an unbound one is NULL, read by id or not
-        for name, is_node, group in built:
-            handle = Node if is_node else Edge
+
+class _RowPlan:
+    """How one path pattern's rows read: handles, group lists and the
+    :class:`Path` for the variables in ``whole`` (all when None), the id
+    of every other singleton.  A row holds the solution's walk, its
+    ``(name, id)`` pairs and its groups flat (``name, ids, name, ids…``),
+    so nothing under a row nests deeper than a tuple of strings in a
+    tuple.  Handles are built on trust, unless the search resumed after a
+    write: then :meth:`bind` has ``graph.node`` / ``graph.edge`` check
+    every element first, as they always did."""
+
+    __slots__ = ("graph", "analysis", "search", "built", "handles", "keep_path", "path_var")
+
+    def __init__(
+        self,
+        graph: PropertyGraph,
+        analysis: PathAnalysis,
+        path_var: Optional[str],
+        whole: Optional[frozenset],
+        search: Optional[_Search],
+    ):
+        self.graph = graph
+        self.analysis = analysis
+        self.search = search
+        #: ``(name, handle type, is a group)`` per variable built whole
+        self.built = [
+            (name, Node if is_node else Edge, group)
+            for name, is_node, group in analysis.row_vars
+            if whole is None or name in whole
+        ]
+        self.handles = {spec[0]: spec for spec in self.built}
+        self.keep_path = whole is None or path_var in whole
+        self.path_var = path_var if self.keep_path else None
+
+    def bind(self, solution: ReducedBinding) -> BindingRow:
+        search = self.search
+        if search is not None and self.graph.version != search.version:
+            _check_elements(self.graph, self.analysis, solution)
+        row = _new_row(BindingRow)
+        row._plan = self
+        row._walk = solution.elements
+        row._singles = solution.singletons
+        groups = solution.groups  # ((name, ids), …), flattened
+        if len(groups) == 1:
+            row._groups = groups[0]
+        else:
+            row._groups = tuple(chain.from_iterable(groups)) if groups else ()
+        return row
+
+    def values(self, walk: tuple, singles: tuple, groups: tuple) -> dict[str, Any]:
+        graph = self.graph
+        values = dict(singles)  # an unbound one is NULL, read by id or not
+        for name, handle, group in self.built:
             if group:
-                values[name] = [handle(graph, el) for el in dict(solution.groups).get(name, ())]
+                found = groups[groups.index(name) + 1] if name in groups else ()
+                values[name] = [handle(graph, el) for el in found]
             else:
                 el = values.get(name, NULL)
                 values[name] = el if el is NULL else handle(graph, el)
-        path = Path._from_search(graph, solution.elements) if keep_path else None
-        if keep_path and path_var is not None:
-            values[path_var] = path
-        return BindingRow(values, [path])
+        if self.path_var is not None:
+            values[self.path_var] = Path._from_search(graph, walk)
+        return values
 
-    return bind
+    def paths(self, walk: tuple, singles: tuple, groups: tuple) -> list[Path]:
+        return [Path._from_search(self.graph, walk) if self.keep_path else None]
+
+    def value(self, walk: tuple, singles: tuple, groups: tuple, name: str, default: Any) -> Any:
+        """What ``values(…).get(name, default)`` is, building only it."""
+        spec = self.handles.get(name)
+        if spec is None:
+            if name == self.path_var:
+                return Path._from_search(self.graph, walk)
+            for var, el in singles:
+                if var == name:
+                    return el
+            return default
+        _, handle, group = spec
+        graph = self.graph
+        if group:
+            found = groups[groups.index(name) + 1] if name in groups else ()
+            return [handle(graph, el) for el in found]
+        for var, el in singles:
+            if var == name:
+                return handle(graph, el)
+        return NULL
+
+
+class _JoinedPlan:
+    """How a row of several patterns' rows joined reads: as
+    ``{**first.values, **second.values, …}``, each pattern's values by
+    its own plan over its walk and its own pairs."""
+
+    __slots__ = ("parts", "names", "owner")
+
+    def __init__(self, parts: tuple[_RowPlan, ...]):
+        self.parts = parts
+        #: the singleton names of each part
+        self.names = [
+            frozenset(name for name, _, group in part.analysis.row_vars if not group)
+            for part in parts
+        ]
+        #: name -> the last part whose row holds it
+        self.owner = {
+            name: at
+            for at, part in enumerate(parts)
+            for name in [*(name for name, _, _ in part.analysis.row_vars), part.path_var]
+            if name is not None
+        }
+
+    def values(self, walks: tuple, singles: tuple, groups: tuple) -> dict[str, Any]:
+        values: dict[str, Any] = {}
+        for part, walk, names in zip(self.parts, walks, self.names):
+            own = tuple([pair for pair in singles if pair[0] in names])
+            values.update(part.values(walk, own, groups))
+        return values
+
+    def paths(self, walks: tuple, singles: tuple, groups: tuple) -> list[Path]:
+        return [
+            path
+            for part, walk in zip(self.parts, walks)
+            for path in part.paths(walk, singles, groups)
+        ]
+
+    def value(self, walks: tuple, singles: tuple, groups: tuple, name: str, default: Any) -> Any:
+        at = self.owner.get(name)
+        if at is None:
+            return default
+        return self.parts[at].value(walks[at], singles, groups, name, default)
 
 
 def _check_elements(

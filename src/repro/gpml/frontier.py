@@ -147,7 +147,7 @@ from repro.gpml import ast
 from repro.gpml.automaton import (
     BagTag, EnterQuant, ExitQuant, IterBegin, NodeTest, PatternNFA, ScopeBegin, ScopeEnd,
 )
-from repro.gpml.bindings import ReducedBinding, forward_annotations
+from repro.gpml.bindings import NO_TAGS, ReducedBinding, forward_annotations
 from repro.gpml.expr import Expr
 from repro.gpml.label_expr import LabelAtom
 from repro.gpml.matcher import MatcherConfig, RunContext
@@ -1345,5 +1345,5 @@ class FrontierMatcher:
             walk,
             tuple(sorted(singles.items())),
             tuple(sorted([(var, tuple(found)) for var, found in groups.items()])),
-            frozenset(tags),
+            frozenset(tags) if tags else NO_TAGS,
         )

@@ -165,8 +165,8 @@ def reads_of(exprs: Sequence[Expr]) -> Reads:
 
 
 class BindingContext:
-    """Binding dicts whose element variables (``kinds``: name -> is a
-    node) may hold ids: a compiled ``var.prop`` reads by id what
+    """Binding dicts or rows whose element variables (``kinds``: name ->
+    is a node) may hold ids: a compiled ``var.prop`` reads by id what
     ``Node.get`` / ``Edge.get`` read, NULL or the deleted element's
     ``GraphError`` included; the interpreted fallback sees handles."""
 
@@ -180,8 +180,9 @@ class BindingContext:
             return value
         return (Node if is_node else Edge)(self.graph, value)
 
-    def __call__(self, row: dict) -> EvalContext:
-        return EvalContext({name: self.handle(name, v) for name, v in row.items()}, self.graph)
+    def __call__(self, row: Any) -> EvalContext:
+        items = (row if type(row) is dict else row.values).items()  # a dict or a BindingRow
+        return EvalContext({name: self.handle(name, v) for name, v in items}, self.graph)
 
     def property_read(self, var: str, prop: str) -> Callable[[dict], Any]:
         elements = self.graph._nodes if self.kinds[var] else self.graph._edges

@@ -307,7 +307,7 @@ class StandingQuery:
             for match in seeded_stages(
                 self.graph, first.prepared, self.config, starts, stats=stats
             ).run():
-                row = dict(match.values)
+                row = match.values
                 row[START_TAG] = match.paths[0].source_id
                 yield row
 

@@ -14,6 +14,7 @@ lazily: ``from repro.obs.analyze import explain_analyze_gql``.
 
 from __future__ import annotations
 
+import gc
 from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional
@@ -119,19 +120,50 @@ def render_analyzed(
     A header with the flat counters, then the span tree.  For the hosts
     that tree is the operator tree (``attach_spans`` names each span by
     the operator's EXPLAIN line — SQL's plan, GQL's RETURN operators
-    over its statements) down to the engine's stage spans.
+    over its statements) down to the engine's stage spans.  The header
+    and the root span's ``gc_ms`` / ``gc_collections`` / ``gc_full``
+    meta say what the cyclic collector took while the query drained: a
+    ``gc.callbacks`` hook installed for the drain only.
     """
-    start = perf_counter()
-    count = sum(1 for _ in run())
-    elapsed_ms = (perf_counter() - start) * 1000.0
+    collector = _CollectorTime()
+    gc.callbacks.append(collector)
+    try:
+        start = perf_counter()
+        count = sum(1 for _ in run())
+        elapsed_ms = (perf_counter() - start) * 1000.0
+    finally:
+        gc.callbacks.remove(collector)
+    stats.trace.root.meta.update(
+        gc_ms=collector.ms, gc_collections=collector.collections, gc_full=collector.full
+    )
     cache = cache_line(stats)
     return [
         f"EXPLAIN ANALYZE ({engine})",
         f"actual: {count} {unit}(s), {stats.steps} matcher steps, "
-        f"{stats.matches} raw matches, {elapsed_ms:.2f}ms",
+        f"{stats.matches} raw matches, {elapsed_ms:.2f}ms, gc {collector.ms:.2f}ms "
+        f"({collector.collections} collections, {collector.full} full)",
         *([cache] if cache else []),
         *render_trace(stats.trace, indent="  "),
     ]
+
+
+class _CollectorTime:
+    """A ``gc.callbacks`` hook: the pauses of the collections it sees."""
+
+    def __init__(self):
+        self.ms = 0.0
+        self.collections = 0
+        self.full = 0
+        self._start: Optional[float] = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = perf_counter()
+        elif self._start is not None:  # "stop" of a collection it saw start
+            self.ms += (perf_counter() - self._start) * 1000.0
+            self.collections += 1
+            self.full += info["generation"] == 2
+            self._start = None
 
 
 def explain_analyze_match(

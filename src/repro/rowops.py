@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.gpml.expr import BoundColumn, EvalContext, Expr, RowContext, fold_aggregate, rebuild
 from repro.gpml.predicates import row_test, row_value, row_values
@@ -612,17 +612,26 @@ class HashJoin(Operator):
                     found = (other for other in found if join_key(build_values(other)) == key)
                 yield row, found
 
-    def _hash(self, rows: Optional[Iterable]) -> dict[tuple, list]:
+    def _hash(self, rows: Optional[Iterable]) -> dict[tuple, Sequence]:
+        """Key -> its build rows: a 1-tuple for a unique key, a list from
+        a key's second row on (a tuple of atoms is heap the collector
+        untracks; a list per key is promoted while the build runs)."""
         build_values = self.readers[1]
-        table: dict[tuple, list] = {}
+        table: dict[tuple, Sequence] = {}
         count = 0
         for row in self.children[1].run() if rows is None else rows:
             key = join_key(build_values(row))
             if key is not None:
                 try:
-                    table.setdefault(key, []).append(row)
-                except TypeError:  # as in bucket()
+                    bucket = table.get(key)
+                except TypeError:  # a key that cannot be hashed never joins
                     continue
+                if bucket is None:
+                    table[key] = (row,)
+                elif type(bucket) is tuple:
+                    table[key] = [*bucket, row]
+                else:
+                    bucket.append(row)
                 count += 1
         self.trace_peak(count)
         return table

@@ -1,5 +1,9 @@
 """Unit tests for static analysis: classification, legality, termination."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import (
@@ -249,7 +253,7 @@ _ERRORS = [
     ("MATCH TRAIL (a) [->(c)]+ (b WHERE SAME(a, c))", VariableScopeError,
      "SAME requires unconditional singletons; 'c' is a group variable"),
     ("MATCH (x) [->(y)]? (z WHERE ALL_DIFFERENT(x, y, z))", VariableScopeError,
-     "ALLDIFFERENT requires unconditional singletons; 'y' is a conditional variable"),
+     "ALL_DIFFERENT requires unconditional singletons; 'y' is a conditional variable"),
     ("MATCH TRAIL [ (x)-[e]->*(y) WHERE e.amount > 1 ]", VariableScopeError,
      "group variable 'e' referenced as a singleton in a pattern WHERE clause "
      "(crossing quantifier scope)"),
@@ -313,6 +317,34 @@ class TestErrorMessages:
             analyzed(query)
         assert type(raised.value) is error
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("query, message", [
+        ("MATCH (x) WHERE zz.v = 1 AND aa.v = 2",
+         "unknown variable 'zz' referenced in the final WHERE clause"),
+        ("MATCH TRAIL (a)[-[zz:T]->(aa)]+(b) WHERE zz.v = aa.v", "group variable 'zz' "
+         "referenced as a singleton in the final WHERE clause; use an aggregate"),
+    ])
+    def test_the_first_offender_in_source_order_under_every_hash_seed(self, query, message):
+        script = (
+            "import sys\n"
+            "from repro.gpml.analysis import analyze\n"
+            "from repro.gpml.normalize import normalize_graph_pattern\n"
+            "from repro.gpml.parser import parse_match\n"
+            "try:\n"
+            "    analyze(normalize_graph_pattern(parse_match(sys.argv[1])))\n"
+            "except Exception as error:\n"
+            "    print(error)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        messages = set()
+        for seed in range(4):
+            env["PYTHONHASHSEED"] = str(seed)
+            run = subprocess.run(
+                [sys.executable, "-c", script, query],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            messages.add(run.stdout.strip())
+        assert messages == {message}
 
     def test_unknown_pattern_node(self):
         graph = ast.GraphPattern(paths=[ast.PathPattern(pattern=ast.Pattern())])

@@ -1,5 +1,6 @@
 """EXPLAIN ANALYZE end-to-end on all three surfaces, plus the CLI flags."""
 
+import gc
 import json
 
 import pytest
@@ -9,6 +10,8 @@ from repro.gpml.explain import explain_analyze
 from repro.gpml.streaming import PipelineStats
 from repro.gql import GqlSession
 from repro.obs import query_fingerprint, validate_trace_document
+from repro.obs.analyze import render_analyzed
+from repro.obs.trace import QueryTrace
 from repro.pgq.tabular import tabular_representation
 from repro.sql import Database
 
@@ -40,6 +43,34 @@ def test_gpml_explain_analyze_reports_actuals(fig1):
     assert "search" in report and "steps=" in report and "time=" in report
     assert "anchor:" in report
     assert "est candidates=" in report and "actual=" in report
+
+
+def test_explain_analyze_reports_collector_time_of_the_drain_only():
+    stats = PipelineStats()
+    stats.trace = QueryTrace(engine="gpml")
+    hooks = list(gc.callbacks)
+
+    def run():
+        gc.collect()  # one full collection while the query drains
+        yield "row"
+
+    header = render_analyzed("gpml", "row", stats, run)[1]
+    meta = stats.trace.root.meta
+    assert meta["gc_collections"] >= 1 and meta["gc_full"] >= 1 and meta["gc_ms"] > 0
+    assert header.startswith("actual: 1 row(s), ")
+    assert header.endswith(
+        f", gc {meta['gc_ms']:.2f}ms "
+        f"({meta['gc_collections']} collections, {meta['gc_full']} full)"
+    )
+    assert gc.callbacks == hooks  # the hook is gone after the drain
+
+    def failing():
+        yield "row"
+        raise RuntimeError("drain failed")
+
+    with pytest.raises(RuntimeError):
+        render_analyzed("gpml", "row", stats, failing)
+    assert gc.callbacks == hooks
 
 
 def test_gpml_explain_analyze_reports_frontier_counters(fig1):
