@@ -161,15 +161,3 @@ def deduplicate(bindings: Iterable[ReducedBinding]) -> list[ReducedBinding]:
             seen.add(key)
             out.append(binding)
     return out
-
-
-def strip_bag_tags(binding: ReducedBinding) -> ReducedBinding:
-    """Remove multiset provenance before materializing results."""
-    if not binding.bag_tags:
-        return binding
-    return ReducedBinding(
-        elements=binding.elements,
-        singletons=binding.singletons,
-        groups=binding.groups,
-        bag_tags=frozenset(),
-    )

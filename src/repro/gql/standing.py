@@ -84,7 +84,8 @@ from repro.gql.pipeline import (
     _match_var_kinds,
 )
 from repro.gql.query import GqlQuery, parse_gql_query, vertical_items
-from repro.planner.indexes import initial_node_candidates
+from repro.planner.anchor import LEFT
+from repro.planner.plan import plan_query
 from repro.rowops import row_key
 
 #: reserved row key carrying the start node through the statement chain
@@ -276,9 +277,11 @@ class StandingQuery:
         return self.compiled.statements[0]
 
     def _initial_candidates(self) -> list[str]:
-        first = self._first_match()
-        pattern = first.prepared.normalized.paths[0].pattern
-        candidates = initial_node_candidates(self.graph, pattern)
+        """The planner's left-end source of the first path pattern: the
+        walk's start is its first node, whichever end a query would anchor."""
+        plan = plan_query(self.graph, self._first_match().prepared)
+        left = next(o for o in plan.patterns[0].options if o.side == LEFT)
+        candidates = left.source.candidate_ids(self.graph)
         if candidates is None:
             return sorted(self.graph.node_ids())
         return candidates

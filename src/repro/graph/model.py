@@ -433,16 +433,6 @@ class PropertyGraph:
         self._version += 1
         return Edge(self, edge_id)
 
-    def add_undirected_edge(
-        self,
-        edge_id: str | None,
-        first: str,
-        second: str,
-        labels: Iterable[str] = (),
-        properties: Mapping[str, Any] | None = None,
-    ) -> Edge:
-        return self.add_edge(edge_id, first, second, labels, properties, directed=False)
-
     def remove_edge(self, edge_id: str) -> None:
         data = self._edges.get(edge_id)
         if data is None:
@@ -739,9 +729,6 @@ class PropertyGraph:
         if element_id in self._edges:
             return Edge(self, element_id)
         raise GraphError(f"unknown element {element_id!r}")
-
-    def is_node_id(self, element_id: str) -> bool:
-        return element_id in self._nodes
 
     def nodes(self) -> Iterator[Node]:
         for node_id in self._nodes:

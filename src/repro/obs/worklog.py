@@ -161,11 +161,10 @@ class WorkLog:
 class Telemetry:
     """Metrics registry + worklog, threaded through the execution hosts.
 
-    ``autotrace=True`` (the default) makes the hosts run otherwise
-    untraced queries with tracing on, so stage histograms fill in and a
-    slow query's trace can be retained — the combined overhead is
-    guarded ≤ 1.10x by ``benchmarks/bench_trace_overhead.py``.  Set
-    ``autotrace=False`` to record only the flat per-query counters.
+    The hosts run otherwise untraced queries with tracing on, so stage
+    histograms fill in and a slow query's trace can be retained — the
+    combined overhead is guarded ≤ 1.10x by
+    ``benchmarks/bench_trace_overhead.py``.
     """
 
     def __init__(
@@ -173,11 +172,9 @@ class Telemetry:
         registry: Optional[MetricsRegistry] = None,
         capacity: int = DEFAULT_CAPACITY,
         slow_ms: Optional[float] = DEFAULT_SLOW_MS,
-        autotrace: bool = True,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.worklog = WorkLog(capacity=capacity, slow_ms=slow_ms)
-        self.autotrace = autotrace
         r = self.registry
         query_labels = ("engine", "fingerprint")
         self.queries_total = r.counter(
@@ -262,13 +259,11 @@ class Telemetry:
 
     # -- hooks the execution hosts call ---------------------------------
     def stats_for(self, query: Optional[str] = None, engine: Optional[str] = None):
-        """A fresh ``PipelineStats`` (traced iff :attr:`autotrace`)."""
+        """A fresh traced ``PipelineStats``."""
         # Imported lazily: the engine imports this module's consumers.
         from repro.gpml.streaming import PipelineStats
 
-        if self.autotrace:
-            return PipelineStats.traced(query=query, engine=engine)
-        return PipelineStats()
+        return PipelineStats.traced(query=query, engine=engine)
 
     def instrument(
         self,

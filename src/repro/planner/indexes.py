@@ -244,48 +244,6 @@ def candidate_source(
     return CandidateSource(kind=FULL_SCAN, estimate=float(catalog.num_nodes))
 
 
-def initial_node_candidates(
-    graph: PropertyGraph, pattern: ast.Pattern
-) -> Optional[list[str]]:
-    """Start candidates for a pattern anchored at its leftmost element.
-
-    Pins the left end, then serves it from a property index or label
-    scan.  ``None`` means nothing could be narrowed — scan all nodes.
-    A standing query's registration takes its start nodes from here.
-
-    Deliberately statistics-free: registration must not build the
-    cardinality catalog, a full graph pass.  Correctness needs no
-    estimates — any sargable equality is at least as narrow as the label
-    scan it replaces.
-    """
-    from repro.planner.anchor import LEFT, pinned_end_nodes
-
-    nodes = pinned_end_nodes(pattern, LEFT)
-    if nodes is None:
-        return None
-    out: set[str] = set()
-    for node in nodes:
-        labels = required_labels(node.label)
-        equalities = sargable_equalities(node.where, node.var)
-        memberships = sargable_memberships(node.where, node.var)
-        if equalities:
-            prop = sorted(equalities)[0]
-            value = equalities[prop]
-            for label in [None] if labels is None else sorted(labels):
-                out |= graph.index_lookup(label, prop, value, kind="node")
-        elif memberships:
-            prop = sorted(memberships)[0]
-            for label in [None] if labels is None else sorted(labels):
-                for value in memberships[prop]:
-                    out |= graph.index_lookup(label, prop, value, kind="node")
-        elif labels is not None:
-            for label in sorted(labels):
-                out.update(label_members(graph, label))
-        else:
-            return None  # an unconstrained branch end: scan everything
-    return sorted(out)
-
-
 def union_source(sources: list[CandidateSource], catalog: StatisticsCatalog) -> CandidateSource:
     """Combine per-branch sources (alternation ends) into one source.
 

@@ -1,16 +1,15 @@
 """SQL-side planner configuration: the cross-model rewrite rule gates.
 
-``REPRO_DISABLE_SQL_OPTIMIZER=1`` turns every rewrite rule off for a
-whole process, giving CI an oracle mode in which each plan is the naive
-bound tree.  Individual rules are toggled through
-``SqlConfig.optimizer_rules``.  Predicate and LIMIT pushdown into
-GRAPH_TABLE are not rules: they always apply, and never change results.
+Every rule is on by default; individual rules are toggled through
+``SqlConfig.optimizer_rules``, and ``SqlConfig(optimizer_rules=frozenset())``
+runs the naive bound tree, the oracle the differential tests compare
+against.  Predicate and LIMIT pushdown into GRAPH_TABLE are not rules:
+they always apply, and never change results.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 #: join-through-GRAPH_TABLE: a join keyed on a COLUMNS output becomes a
@@ -26,15 +25,9 @@ SEMI_JOIN = "semi_join"
 ALL_RULES: FrozenSet[str] = frozenset({SEEDED_JOIN, SHARED_SCAN, SEMI_JOIN})
 
 
-def _optimizer_default() -> FrozenSet[str]:
-    if os.environ.get("REPRO_DISABLE_SQL_OPTIMIZER") == "1":
-        return frozenset()
-    return ALL_RULES
-
-
 @dataclass
 class SqlConfig:
     """Per-query knobs for the SQL planner's rewrite pass."""
 
     #: rewrite rules allowed to fire (subset of :data:`ALL_RULES`)
-    optimizer_rules: FrozenSet[str] = field(default_factory=_optimizer_default)
+    optimizer_rules: FrozenSet[str] = ALL_RULES

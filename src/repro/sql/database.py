@@ -87,9 +87,8 @@ class Database:
         ``CREATE PROPERTY GRAPH`` builds and registers the graph view,
         returning the :class:`PropertyGraph`.  ``sql_config`` gates the
         rewrite rules of the cross-model optimizer individually (the
-        default enables all of them unless
-        ``REPRO_DISABLE_SQL_OPTIMIZER=1``); rules never change results,
-        only plans.
+        default enables all of them); rules never change results, only
+        plans.
         """
         if self.telemetry is not None and stats is None:
             stats = self.telemetry.stats_for(query=sql, engine="sql")

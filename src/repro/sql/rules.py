@@ -6,10 +6,10 @@ proves its applicability conditions on concrete operators, and mutates
 the tree in place; every firing is recorded as a ``plan_rewrite`` trace
 event and a ``repro_sql_rewrites_total{rule=...}`` telemetry tick.
 Rules are gated individually through
-:class:`~repro.sql.config.SqlConfig.optimizer_rules`
-(`REPRO_DISABLE_SQL_OPTIMIZER=1` clears the whole set), and every rewrite
+:class:`~repro.sql.config.SqlConfig.optimizer_rules`, and every rewrite
 is result-identical to the naive plan — the differential test suite runs
-each rule combination against the rules-off oracle.
+each rule combination against the rules-off oracle
+(``SqlConfig(optimizer_rules=frozenset())``).
 
 The three cross-model rules, in application order:
 

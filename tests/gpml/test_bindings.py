@@ -8,7 +8,6 @@ from repro.gpml.bindings import (
     ReducedBinding,
     deduplicate,
     reduce_binding,
-    strip_bag_tags,
 )
 
 
@@ -102,10 +101,3 @@ class TestAccessors:
         short = ReducedBinding(("a",), (), ())
         long = ReducedBinding(("a", "t", "b"), (), ())
         assert sorted([long, short], key=lambda r: r.sort_key())[0] is short
-
-    def test_strip_bag_tags(self):
-        tagged = ReducedBinding(("a",), (), (), bag_tags=frozenset({(1, 0, ())}))
-        stripped = strip_bag_tags(tagged)
-        assert stripped.bag_tags == frozenset()
-        plain = ReducedBinding(("a",), (), ())
-        assert strip_bag_tags(plain) is plain

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DdlError, PgqError
+from repro.gpml import PipelineStats
 from repro.pgq import (
     Catalog,
     EdgeTableSpec,
@@ -175,6 +176,9 @@ class TestGraphTable:
     def test_default_column_names(self, fig1):
         table = graph_table(fig1, "MATCH (x:Account) COLUMNS (x.owner, x)")
         assert table.columns == ("owner", "x")
+        # only a bare property reference is named after its property
+        table = graph_table(fig1, "MATCH (x:Account) COLUMNS (x.owner IS NULL, -x.age)")
+        assert table.columns == ("col1", "col2")
 
     def test_group_aggregates_in_columns(self, fig1):
         table = graph_table(
@@ -188,6 +192,15 @@ class TestGraphTable:
     def test_elements_project_to_ids(self, fig1):
         table = graph_table(fig1, "MATCH (c:City) COLUMNS (c)")
         assert table.to_dicts() == [{"c": "c2"}]
+
+    def test_counted_and_traced_runs(self, fig1):
+        query = "MATCH (a:Account)-[t:Transfer]->(b:Account) COLUMNS (a.owner AS src)"
+        assert len(graph_table(fig1, query, stats=PipelineStats())) == 8
+        traced = PipelineStats.traced(query=query, engine="pgq")
+        graph_table(fig1, query, stats=traced)
+        assert [span.name for span in traced.trace.walk()][1:] == [
+            "row delivery", "pattern #1 reduce + dedup", "pattern #1 search (enumerate)",
+        ]
 
     def test_missing_columns_clause(self, fig1):
         with pytest.raises(PgqError):

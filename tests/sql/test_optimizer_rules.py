@@ -22,7 +22,6 @@ from repro.sql import (
     SHARED_SCAN,
     SqlConfig,
 )
-from repro.sql.config import _optimizer_default
 
 
 @pytest.fixture()
@@ -59,12 +58,11 @@ def only(rule):
 
 
 def rewrite_events(stats):
-    return [
-        event
-        for span in stats.trace.walk()
-        for event in span.events
-        if event["event"] == "plan_rewrite"
-    ]
+    return trace_events(stats, "plan_rewrite")
+
+
+def trace_events(stats, name):
+    return [event for span in stats.trace.walk() for event in span.events if event["event"] == name]
 
 
 def bag(table):
@@ -162,6 +160,31 @@ class TestSeededJoin:
         off = db.execute(query, sql_config=OFF)
         assert bag(on) == bag(off) == []
 
+    def test_element_probe_that_is_no_node_id_matches_nothing(self, db):
+        db.register_table("Probe", Table(["ID"], [[["a1"]], [1], ["a1"]]))
+        query = (
+            f"SELECT p.ID, gt.dst FROM Probe AS p JOIN {TRANSFERS_GT} AS gt "
+            "ON gt.src_el = p.ID"
+        )
+        assert "seeded graph_table scan" in db.explain(query, sql_config=only(SEEDED_JOIN))
+        on = db.execute(query, sql_config=only(SEEDED_JOIN))
+        assert bag(on) == bag(db.execute(query, sql_config=OFF)) == ["('a1', 'Mike')"]
+
+    def test_property_probe_that_is_a_list_falls_back_to_one_enumeration(self, db):
+        # a list probe cannot be answered by the property index: the scan
+        # enumerates the pattern once, for both list rows, and the join
+        # rechecks the key; the scalar probe still seeds its search
+        db.register_table("Names", Table(["owner"], [[["Scott"]], ["Scott"], [["Mike"]]]))
+        query = (
+            f"SELECT n.owner, gt.dst FROM Names AS n JOIN {TRANSFERS_GT} AS gt "
+            "ON gt.src = n.owner"
+        )
+        seeded, naive = PipelineStats(), PipelineStats()
+        on = db.execute(query, stats=seeded, sql_config=only(SEEDED_JOIN))
+        off = db.execute(query, stats=naive, sql_config=OFF)
+        assert bag(on) == bag(off) == ["('Scott', 'Mike')"]
+        assert (seeded.steps, naive.steps) == (9, 8)
+
     def test_pushed_predicate_reaches_seeded_scan(self, db):
         query = f"{self.ELEMENT_QUERY} WHERE gt.dst = 'Aretha'"
         plan = db.explain(query, sql_config=only(SEEDED_JOIN))
@@ -247,6 +270,47 @@ class TestSharedScan:
         off = db.execute(query, sql_config=OFF)
         assert bag(on) == bag(off)
 
+    def test_union_branches_share_one_enumeration(self, db):
+        branch = f"SELECT gt.src FROM {TRANSFERS_GT} AS gt"
+        query = f"{branch} UNION ALL {branch}"
+        shared, naive = PipelineStats(), PipelineStats()
+        on = db.execute(query, stats=shared, sql_config=only(SHARED_SCAN))
+        off = db.execute(query, stats=naive, sql_config=OFF)
+        assert bag(on) == bag(off)
+        assert (shared.steps, naive.steps) == (8, 16)
+
+    def test_same_pattern_with_other_columns_does_not_share(self, db):
+        def scan(column, name):
+            return (
+                "GRAPH_TABLE(fig1 MATCH (a:Account)-[t:Transfer]->(b:Account) "
+                f"COLUMNS ({column} AS {name}))"
+            )
+
+        query = (
+            f"SELECT g1.x, g2.y FROM {scan('a.owner', 'x')} AS g1 "
+            f"JOIN {scan('b.owner', 'y')} AS g2 ON g1.x = g2.y"
+        )
+        assert "shared graph_table spool" not in db.explain(query, sql_config=only(SHARED_SCAN))
+        on = db.execute(query, sql_config=only(SHARED_SCAN))
+        assert bag(on) == bag(db.execute(query, sql_config=OFF))
+
+    def test_the_producer_renders_the_scan_it_enumerates(self, db):
+        lines = db.explain(self.TWO_SCANS, sql_config=only(SHARED_SCAN)).splitlines()
+        producer = next(i for i, line in enumerate(lines) if "AS g1 (enumerates once)" in line)
+        assert "graph_table scan fig1 AS g1" in lines[producer + 1]
+        reader = next(i for i, line in enumerate(lines) if "AS g2 (reads the spool" in line)
+        assert not any("graph_table scan" in line for line in lines[reader:])
+
+    def test_only_the_producer_polls_the_row_budget(self, db):
+        query = (
+            f"SELECT g1.src FROM {TRANSFERS_GT} AS g1 "
+            f"JOIN {TRANSFERS_GT} AS g2 ON g1.dst = g2.src "
+            f"JOIN {TRANSFERS_GT} AS g3 ON g2.dst = g3.src LIMIT 2"
+        )
+        stats = PipelineStats.traced(query=query, engine="sql")
+        db.execute(query, stats=stats, sql_config=only(SHARED_SCAN))
+        assert [event["scans"] for event in trace_events(stats, "budget_pushdown")] == [1]
+
     def test_shared_scans_under_limit(self, db):
         query = f"{self.TWO_SCANS} LIMIT 3"
         on = db.execute(query, sql_config=only(SHARED_SCAN))
@@ -321,6 +385,20 @@ class TestSemiJoinReduction:
         if database == "bank":  # 20 index probes: <5% of the enumeration
             assert reduced.steps * 20 < naive.steps
 
+    @pytest.mark.parametrize("odd", [["Scott"], True], ids=["list", "boolean"])
+    def test_non_scalar_probe_key_aborts_but_agrees(self, db, odd):
+        # a list or a boolean probe value has no index probe of its own
+        db.register_table("Probe", Table(["owner"], [["Scott"], [odd], ["Mike"]]))
+        query = (
+            f"SELECT p.owner, gt.dst FROM Probe AS p JOIN {TRANSFERS_GT} AS gt "
+            "ON gt.src = p.owner"
+        )
+        stats = PipelineStats.traced(query=query, engine="sql")
+        on = db.execute(query, stats=stats, sql_config=only(SEMI_JOIN))
+        assert bag(on) == bag(db.execute(query, sql_config=OFF))
+        events = trace_events(stats, "semi_join_reduction")
+        assert [(e["applied"], e["reason"]) for e in events] == [(False, "non-scalar probe key")]
+
     @pytest.mark.parametrize("keys,applied", [(1024, True), (1025, False)])
     def test_key_cap_aborts_but_agrees(self, db, keys, applied):
         owners = sorted(FIGURE1_OWNERS.values())
@@ -362,13 +440,6 @@ class TestSemiJoinReduction:
 class TestGatesAndTelemetry:
     QUERY = TestSeededJoin.ELEMENT_QUERY
 
-    def test_env_gate_disables_all_rules(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_SQL_OPTIMIZER", "1")
-        assert _optimizer_default() == frozenset()
-        assert SqlConfig().optimizer_rules == frozenset()
-        monkeypatch.delenv("REPRO_DISABLE_SQL_OPTIMIZER")
-        assert _optimizer_default() == ALL_RULES
-
     def test_rewrites_ticked_in_telemetry(self, fig1):
         database = Database(telemetry=Telemetry())
         database.register_graph("fig1", fig1)
@@ -398,10 +469,7 @@ class TestCliFlags:
         "ORDER BY acc.owner, gt.dst"
     )
 
-    def test_default_explain_shows_seeded_scan(self, capsys, monkeypatch):
-        # the oracle-mode CI run sets the kill switch; the default this
-        # test pins down is the no-env-var default
-        monkeypatch.delenv("REPRO_DISABLE_SQL_OPTIMIZER", raising=False)
+    def test_default_explain_shows_seeded_scan(self, capsys):
         assert main(["sql", "--explain", self.QUERY]) == 0
         assert "seeded graph_table scan" in capsys.readouterr().out
 

@@ -423,6 +423,7 @@ def ledger_db():
         "nums": (["v"], [(3,), (NULL,), (2.5,), (1,)]),
         "groups": (["grp", "v"], [("a", 1), ("a", 3), ("b", 5), ("b", NULL)]),
         "buckets": (["g"], [(NULL,), ("x",), (NULL,)]),
+        "nones": (["k3"], [(None,), (1,)]),
         "nothing": (["K"], []),
         "pairs": (["y", "x2"], []),
     }
@@ -461,6 +462,12 @@ TABLE_CASES = {
         [("a1", "Z"), ("a2", "AM")],
     ),
     "join_nulls_never_match": ("SELECT l.k FROM keys_l l JOIN keys_r r ON l.k = r.k2", [(1,)]),
+    "join_python_nones_never_match": ("SELECT l.k3 FROM nones l JOIN nones r ON l.k3 = r.k3", [(1,)]),
+    "join_on_residual_conjuncts_of_any_shape": (
+        "SELECT l.ID FROM ledger l JOIN branches b ON l.ID = b.AID "
+        "AND l.amount IS NOT NULL AND (b.city = 'Z' OR l.amount > 100)",
+        [("a1",)],
+    ),
     "join_with_empty_right_side": ("SELECT l.ID FROM ledger l JOIN nothing n ON l.ID = n.K", []),
     "join_with_empty_left_side": ("SELECT l.ID FROM nothing n JOIN ledger l ON n.K = l.ID", []),
     "join_of_two_empty_tables": ("SELECT n.K FROM nothing n JOIN pairs p ON n.K = p.x2", []),
@@ -497,6 +504,11 @@ TABLE_CASES = {
         "SELECT owner, SUM(amount) FROM ledger WHERE ID = 'a3' GROUP BY owner",
         [("Mike", NULL)],
     ),
+    "having_on_an_aggregate_outside_the_select_list": (
+        "SELECT grp FROM groups GROUP BY grp HAVING SUM(v) > 4",
+        [("b",)],
+    ),
+    "having_without_group_by_is_one_group": ("SELECT 1 AS one FROM ledger HAVING 1 = 1", [(1,)]),
     "group_by_treats_nulls_as_one_group": (
         "SELECT g, COUNT(*) AS n FROM buckets GROUP BY g ORDER BY g",
         [("x", 1), (NULL, 2)],
@@ -507,10 +519,17 @@ TABLE_CASES = {
 TABLE_ERROR_CASES = {
     "union_all_arity_mismatch": ("SELECT ID, owner FROM ledger UNION ALL SELECT x FROM dups", "arity"),
     "unknown_column": ("SELECT nope FROM ledger", "unknown column 'nope'"),
+    "unknown_column_lists_the_scope": ("SELECT nope FROM ledger", r"available: ledger\.ID, ledger\.owner"),
+    "unknown_column_with_nothing_in_scope": ("SELECT nope", r"available: <no columns>"),
+    "order_by_boolean_constant": ("SELECT ID FROM ledger ORDER BY TRUE", "non-integer constant TRUE"),
     "count_star_only": ("SELECT SUM(*) FROM ledger", "only COUNT accepts the"),
     "join_duplicate_column_aliases_rejected": (
         "SELECT l.ID AS ref, b.AID AS ref FROM ledger l JOIN branches b ON l.ID = b.AID",
         "duplicate output column 'ref'",
+    ),
+    "aggregate_duplicate_column_aliases_rejected": (
+        "SELECT COUNT(*) AS n, SUM(amount) AS n FROM ledger",
+        "duplicate output column 'n'",
     ),
 }
 

@@ -329,3 +329,50 @@ class TestNullSemantics:
             "COLUMNS (a.owner AS who, p.number AS num)) AS g"
         )
         assert ("Scott", NULL) in list(table.rows)
+
+
+def test_an_empty_build_side_stops_the_probe_scan(db):
+    # the build is hashed at the first joinable probe row; once it is
+    # empty, an inner join has nothing left to pull
+    db.register_table("Nobody", Table(["owner"], []))
+    stats = PipelineStats()
+    table = db.execute(
+        f"SELECT gt.src FROM {TRANSFERS} JOIN Nobody AS n ON n.owner = gt.src", stats=stats
+    )
+    assert (len(table.rows), stats.steps) == (0, 1)
+
+
+def plan_events(stats, name):
+    return [
+        {key: value for key, value in event.items() if key != "event"}
+        for span in stats.trace.walk()
+        for event in span.events
+        if event["event"] == name
+    ]
+
+
+class TestPlanEvents:
+    def traced(self, db, query):
+        stats = PipelineStats.traced(query=query, engine="sql")
+        return db.execute(query, stats=stats), stats
+
+    def test_limit_budget_reaches_the_graph_scans(self, db):
+        table, stats = self.traced(db, f"SELECT gt.src FROM {TRANSFERS} LIMIT 2")
+        assert len(table.rows) == 2
+        assert plan_events(stats, "budget_pushdown") == [{"needed": 2, "scans": 1}]
+
+    def test_offset_without_limit_has_no_budget(self, db):
+        table, stats = self.traced(db, f"SELECT gt.src FROM {TRANSFERS} OFFSET 6")
+        assert len(table.rows) == 2  # of Figure 1's 8 transfers
+        assert plan_events(stats, "budget_pushdown") == []
+
+    def test_no_budget_event_without_a_graph_scan(self, db):
+        table, stats = self.traced(db, "SELECT owner FROM Account LIMIT 2")
+        assert len(table.rows) == 2
+        assert plan_events(stats, "budget_pushdown") == []
+
+    def test_predicate_event_only_when_something_is_pushed(self, db):
+        _, stats = self.traced(db, f"SELECT gt.src FROM {TRANSFERS}")
+        assert plan_events(stats, "predicate_pushdown") == []
+        _, stats = self.traced(db, f"SELECT gt.src FROM {TRANSFERS} WHERE gt.src = 'Dave'")
+        assert len(plan_events(stats, "predicate_pushdown")) == 1

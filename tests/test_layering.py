@@ -465,3 +465,24 @@ def test_nothing_tunes_the_garbage_collector():
             ):
                 calls.append(f"{path.relative_to(SRC)}:{node.lineno}: gc.{node.attr}")
     assert calls == []
+
+
+def test_nothing_reads_the_process_environment():
+    """A plan or a result depends on the query and its arguments, never on
+    an environment variable: a second configuration is an argument a test
+    passes, not a switch a whole process flips."""
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                reads += [f"{path.relative_to(SRC)}: from os import {n}" for n in names & readers]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in readers
+            ):
+                reads.append(f"{path.relative_to(SRC)}:{node.lineno}: os.{node.attr}")
+    assert reads == []
