@@ -77,7 +77,6 @@ from repro.graph.columnar import snapshot_for
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path
 from repro.obs.trace import STAGE
-from repro.planner.anchor import RIGHT
 from repro.planner.plan import PatternPlan, plan_query
 from repro.rowops import Filter, HashJoin, Operator, attach_spans
 from repro.statements import prepared_match
@@ -577,8 +576,7 @@ class _Search(_Stage):
         if start is None:
             plan = self.plan = plan_query(graph, self.prepared).patterns[self.index]
             start = partial(plan.start_candidates, graph)
-            if plan.side == RIGHT and plan.reversed_nfa is not None:
-                run = (plan.reversed_path, plan.reversed_nfa)
+            run = plan.anchor.reversed_run
         self.reverse = run is not None
         nfa = run[1] if run is not None else self.prepared.nfas[self.index]
         self.matcher = _make_matcher(
@@ -594,8 +592,6 @@ class _Search(_Stage):
         drained or abandoned by a satisfied budget.  The matcher hot loop
         is not instrumented: the step count is read off the matcher."""
         matcher, plan, span = self.matcher, self.plan, self.span
-        if plan is not None:
-            plan.observed_candidates = matcher.initial_candidate_count
         if self.owner is not None and self.owner.span is not None:
             self.owner.span.steps += matcher.steps
         if span is None:
@@ -938,7 +934,7 @@ class SeededSearch:
                     bump("seed_blocks")
                     rows = seeded_stages(
                         self.graph, self.prepared, self.config, fresh,
-                        reversed_run=self.seed.reversed_run, budget=budget,
+                        reversed_run=self.seed.anchor.reversed_run, budget=budget,
                         stats=self.stats, owner=self.owner, reads=self.reads,
                     ).run()
                 while True:

@@ -83,8 +83,8 @@ deposit goes, where an accept goes, and which entry the loop takes next
   bindings)``: one depth per key for SHORTEST, up to *k* for k-SHORTEST,
   which is what makes an unrestricted ``->+`` terminate (Section 5) —
   each distinct run once per layer (its fingerprint: state, annotation,
-  scopes, bindings, walk, bag tags).  k-SHORTEST stops at ``max_depth``
-  (default ``(nodes × states + 1) × (k + 1)``).
+  scopes, bindings, walk, bag tags).  k-SHORTEST also stops at the
+  safety depth ``(nodes × hops + 1) × (k + 1)``.
 * :meth:`~FrontierMatcher.search_cheapest` — Dijkstra over edge costs
   (:func:`~repro.gpml.selectors.edge_cost`: the cost property of the
   graph's edges, 1 for a missing or NULL value; a negative one is an
@@ -816,9 +816,7 @@ class FrontierMatcher:
                 depths.add(depth)
             return True
 
-        max_depth = self.config.max_depth
-        if max_depth is None:
-            max_depth = (self.graph.num_nodes * len(self.program.hops) + 1) * (k + 1)
+        max_depth = (self.graph.num_nodes * len(self.program.hops) + 1) * (k + 1)
         return self._layered(admit, max_depth, candidates)
 
     def _layered(

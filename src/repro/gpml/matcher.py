@@ -8,7 +8,7 @@ expressions through the same :class:`RunContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.gpml.bindings import Annotation
 from repro.gpml.expr import EvalContext
@@ -22,7 +22,6 @@ class MatcherConfig:
 
     max_steps: int = 5_000_000
     max_results: int = 1_000_000
-    max_depth: Optional[int] = None  # k-shortest search safety bound
 
 
 class RunContext(EvalContext):

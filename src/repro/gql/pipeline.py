@@ -232,7 +232,7 @@ class Match(Statement, HashJoin):
         if seed is not None:
             pattern = seeded_stages(
                 graph, compiled.prepared, config, None,
-                reversed_run=seed.reversed_run, budget=budget, stats=stats, reads=reads,
+                reversed_run=seed.anchor.reversed_run, budget=budget, stats=stats, reads=reads,
             )
         else:
             pattern = match_stages(

@@ -13,13 +13,10 @@ from repro.graph.model import Edge, Incidence, Node, PropertyGraph
 from repro.graph.path import Path
 from repro.graph.builder import GraphBuilder
 from repro.graph.serialization import graph_from_dict, graph_from_json, graph_to_dict, graph_to_json
-from repro.graph.statistics import CardinalityStatistics, cardinality_statistics
 
 __all__ = [
-    "CardinalityStatistics",
     "Edge",
     "GraphBuilder",
-    "cardinality_statistics",
     "Incidence",
     "Node",
     "Path",

@@ -14,7 +14,7 @@ what it did.  Two consumers share the journal hooks:
   and O(degree) to replay; a rollback that re-inserted elements older
   than a surviving one then restores sequence order with one rebuild of
   each store it disturbed.  Bit-identical matters because downstream caches
-  (the columnar snapshot, the statistics catalog) are keyed on
+  (the columnar snapshot, cached query plans) are keyed on
   ``graph.version``: a rollback restores the pre-transaction version, so
   the restored state must be indistinguishable from the state that
   version originally described.
@@ -31,15 +31,15 @@ what it did.  Two consumers share the journal hooks:
   log instead of rebuilding it (:mod:`repro.graph.columnar`).
 
 Versions are reused after a rollback (that is the contract: rollback
-restores the prior version).  Caches populated *during* the rolled-back
-window would otherwise match the reused version numbers while describing
-discarded state, so rollback evicts every graph-attached cache whose
-recorded version is newer than the transaction start, evicts a snapshot
-that was built or advanced inside the window, and otherwise truncates
-the dirty log to its length at ``begin_mutation``.  The planner's
-per-prepared-query plan cache needs no eviction: a plan's candidate
-sources re-evaluate against the live graph at run time, so a stale hit
-costs at most a suboptimal anchor choice, never a wrong result.
+restores the prior version).  The one graph-attached cache is the
+columnar snapshot: rollback evicts a snapshot that was built or advanced
+inside the window, and otherwise truncates the dirty log to its length
+at ``begin_mutation``.  The planner attaches nothing to the graph: its
+statistics are live reads of the graph's own indexes, which the undo
+entries restore.  The per-prepared-query plan cache needs no eviction:
+a plan's candidate sources re-evaluate against the live graph at run
+time, so a stale hit costs at most a suboptimal anchor choice, never a
+wrong result.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class GraphTransaction:
             _restore_seq_order(store)
         graph._version = self._start_version
         graph._auto_counter = self._start_counter
-        _evict_stale_caches(graph, self)
+        _evict_stale_snapshot(graph, self)
 
     def _finish(self) -> None:
         if not self.active:
@@ -266,23 +266,19 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> dict | None:
     return None
 
 
-def _evict_stale_caches(graph: "PropertyGraph", txn: GraphTransaction) -> None:
-    """Drop graph-attached caches built during the rolled-back window.
+def _evict_stale_snapshot(graph: "PropertyGraph", txn: GraphTransaction) -> None:
+    """Drop a columnar snapshot built or advanced in the rolled-back window.
 
-    Their version stamps would collide with post-rollback versions while
-    describing the discarded state.  Caches from *before* the
-    transaction stay: the restored state is bit-identical to what they
-    describe — for the columnar snapshot, once the window's records are
-    cut off the dirty log it has yet to consume.
+    Its version stamp would collide with post-rollback versions while
+    describing the discarded state.  A snapshot from *before* the
+    transaction stays: the restored state is bit-identical to what it
+    describes, once the window's records are cut off the dirty log it
+    has yet to consume.
     """
     from repro.graph.columnar import _SNAPSHOT_ATTR
-    from repro.planner.stats import _CACHE_ATTR
 
     if graph._dirty is not txn._start_dirty:
         setattr(graph, _SNAPSHOT_ATTR, None)  # built or advanced in the window
         graph._dirty = None
     elif graph._dirty is not None:
         del graph._dirty[txn._start_dirty_len :]
-    catalog = getattr(graph, _CACHE_ATTR, None)
-    if catalog is not None and catalog.stats.version > txn._start_version:
-        setattr(graph, _CACHE_ATTR, None)

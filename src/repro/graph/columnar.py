@@ -621,7 +621,7 @@ def cached_snapshot(graph: PropertyGraph) -> Optional[ColumnarGraph]:
 
     Lets optional fast paths (planner candidate scans) piggyback on a
     snapshot the search kernel created without forcing a build onto
-    callers that only plan (EXPLAIN PLAN, the statistics catalog).
+    callers that only plan (EXPLAIN PLAN).
     """
     cached = getattr(graph, _SNAPSHOT_ATTR, None)
     if cached is not None and cached.version == graph.version:

@@ -302,7 +302,7 @@ class PropertyGraph:
     def version(self) -> int:
         """Mutation counter; bumped by every structural or property change.
 
-        Consumers (statistics catalogs, cached query plans) key their
+        Consumers (the columnar snapshot, cached query plans) key their
         caches on this value so graph mutation invalidates them.  A
         mutation that changes nothing (setting a property to its current
         value, replacing labels with the same set) does **not** bump.
@@ -599,11 +599,14 @@ class PropertyGraph:
         are maintained incrementally by all mutation methods; building an
         existing index is a no-op.
         """
+        key = (kind, label, prop)
+        if key not in self._property_indexes:
+            self._property_indexes[key] = self._index_buckets(label, prop, kind)
+
+    def _index_buckets(self, label: str | None, prop: str, kind: str) -> dict[Any, set[str]]:
+        """One scan: the buckets an index over *prop* would hold."""
         if kind not in ("node", "edge"):
             raise GraphError(f"unknown index kind {kind!r}")
-        key = (kind, label, prop)
-        if key in self._property_indexes:
-            return
         buckets: dict[Any, set[str]] = {}
         store = self._nodes if kind == "node" else self._edges
         if label is None:
@@ -617,7 +620,7 @@ class PropertyGraph:
             properties = store[element_id].properties
             if prop in properties:
                 _index_add(buckets, properties[prop], element_id)
-        self._property_indexes[key] = buckets
+        return buckets
 
     def drop_index(self, label: str | None, prop: str, kind: str = "node") -> None:
         self._property_indexes.pop((kind, label, prop), None)
@@ -656,18 +659,24 @@ class PropertyGraph:
         bucket = self._property_indexes[key].get(value_key)
         return frozenset(bucket) if bucket else frozenset()
 
-    def index_distinct(self, label: str | None, prop: str, kind: str = "node") -> int:
-        """Distinct values of *prop* among the indexed elements.
+    def index_distinct(
+        self, label: str | None, prop: str, kind: str = "node", create: bool = True
+    ) -> int:
+        """Distinct values of *prop* among the elements carrying *label*.
 
-        The number of buckets of the (lazily created, incrementally
-        maintained) index — what ``cardinality_statistics`` counts with
-        one pass over the graph.  Unhashable values share one bucket and
-        are told apart by ``repr``, as there.
+        The number of buckets of the (incrementally maintained) index:
+        O(1) once the index exists.  Without one, *create* builds it (as
+        :meth:`index_lookup` does); ``create=False`` counts with one scan
+        and leaves the graph's indexes as they were.  Unhashable values
+        share one bucket and are told apart by ``repr``.
         """
-        key = (kind, label, prop)
-        if key not in self._property_indexes:
-            self.create_index(label, prop, kind)
-        buckets = self._property_indexes[key]
+        buckets = self._property_indexes.get((kind, label, prop))
+        if buckets is None:
+            if create:
+                self.create_index(label, prop, kind)
+                buckets = self._property_indexes[(kind, label, prop)]
+            else:
+                buckets = self._index_buckets(label, prop, kind)
         shared = buckets.get(_UNHASHABLE)
         if shared is None:
             return len(buckets)
@@ -774,6 +783,11 @@ class PropertyGraph:
 
     def property_of(self, element_id: str, key: str, default: Any = NULL) -> Any:
         return self._element_data(element_id).properties.get(key, default)
+
+    def label_count(self, label: str, kind: str = "node") -> int:
+        """How many elements of *kind* carry *label* (an O(1) read)."""
+        index = self._node_label_index if kind == "node" else self._edge_label_index
+        return len(index.get(label, ()))
 
     def nodes_with_label(self, label: str) -> list[Node]:
         return [Node(self, nid) for nid in sorted(self._node_label_index.get(label, ()))]

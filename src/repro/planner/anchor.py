@@ -9,23 +9,18 @@ in reverse, and quantifier-iteration annotations of multiset provenance
 tags are renumbered (iteration *i* of *k* becomes iteration *k+1-i*,
 :func:`repro.gpml.bindings.forward_annotations`).
 
-Interior fixed elements are scored as well (they often dominate both
-ends on selectivity) but are not executable anchors in this engine — the
-plan records them so EXPLAIN PLAN shows what a bidirectional matcher
-would buy.
-
 One reversal hazard is order-sensitive aggregation: LISTAGG inside a
 *prefilter* folds group bindings in iteration order, which a reversed run
 visits backwards.  Patterns whose element/paren WHEREs use LISTAGG are
 therefore marked non-reversible.  (The final WHERE is unaffected: it sees
 reduced bindings, which are already mapped back to forward order.)
 
-The planner is not the only consumer: GQL's chained-MATCH seeding
-(:mod:`repro.gql.pipeline`) uses :func:`pinned_end_nodes`,
-:func:`is_reversible` and :func:`compile_reversed` to anchor a later
-statement's search at a variable bound upstream — a right-end seed runs
-the reversed pattern from the bound node and maps bindings back exactly
-as a right-anchored plan does.
+:func:`end_anchor` is the one rule for "this end anchors, reversed when
+RIGHT".  :func:`~repro.planner.plan.plan_query` applies it to the end
+it scores cheapest; :func:`plan_seed` applies it to an end bound
+upstream — GQL's chained MATCH (:mod:`repro.gql.pipeline`) and SQL's
+seeded joins start a search at a variable's bound node, and a right-end
+seed maps bindings back exactly as a right-anchored plan does.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from repro.gpml.automaton import PatternNFA, compile_path_pattern
 
 LEFT = "left"
 RIGHT = "right"
-INTERIOR = "interior"
 
 _REVERSED_ORIENTATION = {
     ast.Orientation.LEFT: ast.Orientation.RIGHT,
@@ -125,8 +119,27 @@ def compile_reversed(path: ast.PathPattern) -> tuple[ast.PathPattern, PatternNFA
     return reversed_path, nfa
 
 
-def is_reversible(analysis: PathAnalysis) -> bool:
-    """Reversal is unsound only for order-sensitive prefilter aggregates."""
+# ----------------------------------------------------------------------
+# The anchoring rule
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class EndAnchor:
+    """Where a path pattern's search starts: its LEFT end, or its RIGHT
+    end by running ``reversed_run`` (the reversed pattern and its NFA)."""
+
+    side: str  # LEFT | RIGHT
+    reversed_run: Optional[tuple[ast.PathPattern, PatternNFA]] = None
+
+
+def can_anchor(analysis: PathAnalysis, side: str) -> bool:
+    """Whether a search may start at the *side* end of the pattern.
+
+    The left end always may.  The right end runs the reversed pattern,
+    unsound only for order-sensitive prefilter aggregates (LISTAGG in an
+    element or paren WHERE).
+    """
+    if side == LEFT:
+        return True
     for node in analysis.path.pattern.walk():
         where = getattr(node, "where", None)
         if where is None:
@@ -134,6 +147,22 @@ def is_reversible(analysis: PathAnalysis) -> bool:
         if any(agg.func == "LISTAGG" for agg in where.aggregates()):
             return False
     return True
+
+
+def end_anchor(analysis: PathAnalysis, side: str) -> Optional[EndAnchor]:
+    """The search that starts at the *side* end, or None when it cannot.
+
+    A RIGHT anchor carries the compiled reversed pattern; should the
+    reversal fail to compile, that end cannot anchor.
+    """
+    if not can_anchor(analysis, side):
+        return None
+    if side == LEFT:
+        return EndAnchor(LEFT)
+    try:
+        return EndAnchor(RIGHT, compile_reversed(analysis.path))
+    except ReproError:  # pragma: no cover - defensive: reversal keeps the types
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +212,7 @@ def pinned_end_nodes(pattern: ast.Pattern, side: str) -> Optional[list[ast.NodeP
 def _taken_end_nodes(pattern: ast.Pattern, side: str) -> Optional[list[ast.NodePattern]]:
     """End nodes of *pattern* when it matches non-empty (skips handled by
     the caller, which also considers the elements after the skip)."""
-    if isinstance(pattern, ast.OptionalPattern):
-        return pinned_end_nodes(pattern.inner, side)
-    if isinstance(pattern, ast.Quantified) and pattern.lower == 0:
+    if isinstance(pattern, (ast.OptionalPattern, ast.Quantified)):
         return pinned_end_nodes(pattern.inner, side)
     return pinned_end_nodes(pattern, side)
 
@@ -210,21 +237,15 @@ class SeedSpec:
     """How a pattern search anchors at a runtime-known node.
 
     Produced by :func:`plan_seed`; consumed by GQL's chained MATCH and the
-    SQL planner's join-through-GRAPH_TABLE rewrite.  A RIGHT-side seed
-    carries the pre-compiled reversed pattern and NFA.
+    SQL planner's join-through-GRAPH_TABLE rewrite.
     """
 
     var: str
-    side: str  # LEFT | RIGHT
-    reversed_path: Optional[ast.PathPattern] = None
-    reversed_nfa: Optional[PatternNFA] = None
+    anchor: EndAnchor
 
     @property
-    def reversed_run(self) -> Optional[tuple[ast.PathPattern, PatternNFA]]:
-        """The ``reversed_run`` argument for a seeded engine search."""
-        if self.side == RIGHT:
-            return (self.reversed_path, self.reversed_nfa)
-        return None
+    def side(self) -> str:
+        return self.anchor.side
 
     def describe(self) -> str:
         return (
@@ -237,64 +258,30 @@ def plan_seed(prepared, candidate_vars: Sequence[str]) -> Optional[SeedSpec]:
     """Pick a sound anchor variable among *candidate_vars*, or None.
 
     Seeding is sound when every match pins one end of the (single) path
-    pattern to the same unconditional singleton variable: restricting the
-    search to start at the bound node then selects whole endpoint
-    partitions, so selectors/KEEP inside the pattern are unaffected.  The
-    right end requires the reversal machinery (and a reversible pattern);
-    left wins ties because it needs none.
+    pattern to the same singleton variable (one variable at every pinned
+    node is bound in every match): restricting the search to start at
+    the bound node then selects whole endpoint partitions, so
+    selectors/KEEP inside the pattern are unaffected.  A group variable
+    at the end (SQL's ``COLUMNS (a AS x)`` of a quantified ``a``) never
+    seeds.  Left is tried first because it needs no reversal.
 
     ``prepared`` is a :class:`~repro.gpml.engine.PreparedQuery` (typed
     loosely to keep this module independent of the engine).
     """
     if prepared.num_path_patterns != 1:
         return None
-    path = prepared.normalized.paths[0]
     analysis = prepared.analysis.paths[0]
     for side in (LEFT, RIGHT):
-        nodes = pinned_end_nodes(path.pattern, side)
+        nodes = pinned_end_nodes(analysis.path.pattern, side)
         if not nodes:
             continue
         vars_ = {node.var for node in nodes}
         if len(vars_) != 1:
             continue
         var = next(iter(vars_))
-        if var is None or var not in candidate_vars:
+        if var not in candidate_vars or analysis.vars[var].group:
             continue
-        info = analysis.vars.get(var)
-        if info is None or info.group or info.conditional or info.anonymous:
-            continue
-        if side == LEFT:
-            return SeedSpec(var=var, side=LEFT)
-        if not is_reversible(analysis):
-            continue
-        try:
-            reversed_path, reversed_nfa = compile_reversed(path)
-        except ReproError:  # pragma: no cover - defensive, mirrors planner
-            continue
-        return SeedSpec(
-            var=var, side=RIGHT,
-            reversed_path=reversed_path, reversed_nfa=reversed_nfa,
-        )
+        anchor = end_anchor(analysis, side)
+        if anchor is not None:
+            return SeedSpec(var, anchor)
     return None
-
-
-def interior_fixed_nodes(pattern: ast.Pattern) -> list[ast.NodePattern]:
-    """Interior node patterns matched exactly once per match.
-
-    Only top-level concatenation members count (descending through
-    parens); anything under a quantifier, optional, or alternation is not
-    at a fixed position.  Ends are excluded — they are scored separately.
-    """
-    items = _fixed_sequence(pattern)
-    return [item for item in items[1:-1] if isinstance(item, ast.NodePattern)]
-
-
-def _fixed_sequence(pattern: ast.Pattern) -> list[ast.Pattern]:
-    if isinstance(pattern, ast.Concatenation):
-        out: list[ast.Pattern] = []
-        for item in pattern.items:
-            out.extend(_fixed_sequence(item))
-        return out
-    if isinstance(pattern, ast.ParenPattern):
-        return _fixed_sequence(pattern.inner)
-    return [pattern]

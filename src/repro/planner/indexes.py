@@ -43,14 +43,12 @@ def conjuncts(expr: Optional[Expr]) -> list[Expr]:
     return [expr]
 
 
-def sargable_equalities(expr: Optional[Expr], var: Optional[str]) -> dict[str, Any]:
+def sargable_equalities(expr: Optional[Expr], var: str) -> dict[str, Any]:
     """``prop -> literal value`` for conjuncts of the form ``var.prop = lit``.
 
     Only top-level conjuncts count (a disjunct cannot be pushed into an
     index lookup); the first equality per property wins.
     """
-    if var is None:
-        return {}
     out: dict[str, Any] = {}
     for conjunct in conjuncts(expr):
         if not isinstance(conjunct, Comparison) or conjunct.op != "=":
@@ -72,7 +70,7 @@ def sargable_equalities(expr: Optional[Expr], var: Optional[str]) -> dict[str, A
 
 
 def sargable_memberships(
-    expr: Optional[Expr], var: Optional[str]
+    expr: Optional[Expr], var: str
 ) -> dict[str, tuple]:
     """``prop -> value tuple`` for conjuncts ``var.prop IN (v1, ...)``.
 
@@ -82,8 +80,6 @@ def sargable_memberships(
     all-plain-scalar value sets qualify, for the same hash-bucket-equality
     reason; the first membership per property wins.
     """
-    if var is None:
-        return {}
     out: dict[str, tuple] = {}
     for conjunct in conjuncts(expr):
         if not isinstance(conjunct, In):
@@ -156,7 +152,7 @@ class CandidateSource:
             return None
         out: set[str] = set()
         if self.kind == LABEL_SCAN:
-            for label in self.labels or ():
+            for label in self.labels:
                 out.update(label_members(graph, label))
         else:
             for label, prop, value in self.lookups:
@@ -217,9 +213,11 @@ def candidate_source(
 
     if probes:
         # Probe the property with the fewest estimated survivors.
+        # The estimate builds each property's index: an anchor's probe
+        # needs it, and every later plan then reads it in O(1).
         best_prop = min(
             probes,
-            key=lambda prop: catalog.equality_estimate(labels, prop)
+            key=lambda prop: catalog.equality_estimate(labels, prop, create_index=True)
             * len(probes[prop]),
         )
         values = probes[best_prop]

@@ -3,18 +3,20 @@
 :func:`plan_query` turns a :class:`~repro.gpml.engine.PreparedQuery` plus
 a concrete graph into a :class:`QueryPlan`:
 
-* per path pattern, every candidate anchor (leftmost, rightmost via
-  pattern reversal, interior fixed elements) is scored by estimated start
-  cardinality; the cheapest *executable* anchor wins,
+* per path pattern, both end anchors (leftmost, rightmost via pattern
+  reversal) are scored by estimated start cardinality; the cheapest one
+  the engine can run wins,
 * the cross-pattern join is not planned: the engine joins in textual
   order with hash builds, where build order is immaterial,
-* the plan caches the reversed pattern + NFA for right anchors and is
-  itself cached on the prepared query, keyed on the graph's mutation
-  version — mutating the graph invalidates the plan.
+* the plan carries the reversed pattern + NFA of a right anchor and is
+  cached on the prepared query, keyed on the graph's mutation version —
+  mutating the graph invalidates the plan.
 
-Plans only reorder exploration; the bag of results is unchanged (joined
-rows always come out in textual nested-loop order, and reversed runs map
-bindings back to forward orientation).
+A plan is a function of the prepared query and the graph: nothing a run
+does is written back into it.  Plans only reorder exploration; the bag
+of results is unchanged (joined rows always come out in textual
+nested-loop order, and reversed runs map bindings back to forward
+orientation).
 """
 
 from __future__ import annotations
@@ -23,18 +25,15 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ReproError
 from repro.gpml import ast
 from repro.gpml.analysis import PathAnalysis
-from repro.gpml.automaton import PatternNFA
 from repro.graph.model import PropertyGraph
 from repro.planner.anchor import (
-    INTERIOR,
     LEFT,
     RIGHT,
-    compile_reversed,
-    interior_fixed_nodes,
-    is_reversible,
+    EndAnchor,
+    can_anchor,
+    end_anchor,
     pinned_end_nodes,
 )
 from repro.planner.indexes import (
@@ -43,7 +42,6 @@ from repro.planner.indexes import (
     candidate_source,
     required_labels,
     sargable_equalities,
-    sargable_memberships,
     union_source,
 )
 from repro.planner.stats import StatisticsCatalog
@@ -53,7 +51,7 @@ from repro.planner.stats import StatisticsCatalog
 class AnchorOption:
     """One scored anchor candidate of a path pattern."""
 
-    side: str  # left | right | interior
+    side: str  # left | right
     source: CandidateSource
     executable: bool
     element: Optional[str] = None  # pretty-printed anchor element
@@ -72,14 +70,14 @@ class PatternPlan:
     """The chosen execution strategy of one path pattern."""
 
     index: int
-    side: str  # left | right
+    anchor: EndAnchor
     source: CandidateSource
     options: list[AnchorOption]
     est_result: float
-    reversed_path: Optional[ast.PathPattern] = None
-    reversed_nfa: Optional[PatternNFA] = None
-    #: actual start-candidate count, recorded by the engine at execution
-    observed_candidates: Optional[int] = None
+
+    @property
+    def side(self) -> str:
+        return self.anchor.side
 
     @property
     def est_candidates(self) -> float:
@@ -113,18 +111,14 @@ class QueryPlan:
                 lines.append(f"path pattern #{plan.index + 1}: {paths[plan.index]}")
             else:
                 lines.append(f"path pattern #{plan.index + 1}:")
-            chosen = next(
-                (o for o in plan.options if o.side == plan.side and o.executable), None
-            )
-            anchor_at = f" at {chosen.element}" if chosen and chosen.element else ""
+            chosen = next(o for o in plan.options if o.side == plan.side)
+            anchor_at = f" at {chosen.element}" if chosen.element else ""
             lines.append(
                 f"  anchor: {plan.side}{anchor_at} via {plan.source.describe()} "
                 f"[est {_fmt(plan.source.estimate)} of {self.num_nodes} nodes]"
             )
-            if plan.observed_candidates is not None:
-                lines.append(f"  observed start candidates: {plan.observed_candidates}")
             for option in plan.options:
-                marker = "*" if option.side == plan.side and option.executable else " "
+                marker = "*" if option.side == plan.side else " "
                 lines.append(f"  {marker} considered: {option.describe()}")
             lines.append(f"  estimated result size: {_fmt(plan.est_result)}")
         return "\n".join(lines)
@@ -151,7 +145,7 @@ def plan_query(graph: PropertyGraph, prepared) -> QueryPlan:
             if cached_ref() is graph and cached_version == graph.version:
                 return cached_plan
 
-    catalog = StatisticsCatalog.for_graph(graph)
+    catalog = StatisticsCatalog(graph)
     patterns = [
         _plan_pattern(catalog, prepared, index)
         for index in range(prepared.num_path_patterns)
@@ -174,83 +168,49 @@ def _plan_pattern(catalog: StatisticsCatalog, prepared, index: int) -> PatternPl
     where = prepared.normalized.where
 
     options: list[AnchorOption] = []
-    end_sources: dict[str, CandidateSource] = {}
     for side in (LEFT, RIGHT):
         nodes = pinned_end_nodes(path.pattern, side)
-        source = _end_source(catalog, analysis, nodes, where)
-        executable = side == LEFT or is_reversible(analysis)
+        source = _end_source(catalog, nodes, where)
         element = str(nodes[0]) if nodes and len(nodes) == 1 else None
-        end_sources[side] = source
-        options.append(
-            AnchorOption(side=side, source=source, executable=executable, element=element)
-        )
-    for node in interior_fixed_nodes(path.pattern):
-        source = candidate_source(catalog, node, _pushable_where(analysis, node, where))
         options.append(
             AnchorOption(
-                side=INTERIOR, source=source, executable=False, element=str(node)
+                side=side, source=source, executable=can_anchor(analysis, side),
+                element=element,
             )
         )
 
-    executable = [o for o in options if o.executable]
     # Left wins ties: it needs no reversal machinery.
     chosen = min(
-        executable, key=lambda o: (o.source.estimate, 0 if o.side == LEFT else 1)
+        (o for o in options if o.executable),
+        key=lambda o: (o.source.estimate, 0 if o.side == LEFT else 1),
     )
-
-    reversed_path = reversed_nfa = None
-    if chosen.side == RIGHT:
-        try:
-            reversed_path, reversed_nfa = compile_reversed(path)
-        except ReproError:
-            # Defensive: if the reversed pattern will not analyze/compile,
-            # fall back to the forward anchor rather than failing the query.
-            chosen = next(o for o in options if o.side == LEFT)
-
-    est_result = _estimate_result(catalog, path.pattern)
+    anchor = end_anchor(analysis, chosen.side)
+    if anchor is None:  # the reversal did not compile: run from the left
+        chosen, anchor = options[0], EndAnchor(LEFT)
     return PatternPlan(
         index=index,
-        side=chosen.side,
+        anchor=anchor,
         source=chosen.source,
         options=options,
-        est_result=est_result,
-        reversed_path=reversed_path,
-        reversed_nfa=reversed_nfa,
+        est_result=_estimate_result(catalog, path.pattern),
     )
 
 
 def _end_source(
-    catalog: StatisticsCatalog,
-    analysis: PathAnalysis,
-    nodes: Optional[list[ast.NodePattern]],
-    where,
+    catalog: StatisticsCatalog, nodes: Optional[list[ast.NodePattern]], where
 ) -> CandidateSource:
+    """The candidate source of one end, *nodes* its pinned node patterns.
+
+    A lone pinned node also takes the final WHERE's ``var.prop = literal``
+    conjuncts: its variable is bound to the start element in every match
+    (the type system admits such a reference only for a singleton), so
+    dropping a start node only removes rows the final WHERE would reject
+    (see planner.indexes).
+    """
     if not nodes:
         return CandidateSource(kind=FULL_SCAN, estimate=float(catalog.num_nodes))
-    sources = []
-    for node in nodes:
-        extra = _pushable_where(analysis, node, where) if len(nodes) == 1 else None
-        sources.append(candidate_source(catalog, node, extra))
-    return union_source(sources, catalog)
-
-
-def _pushable_where(analysis: PathAnalysis, node: ast.NodePattern, where):
-    """The final WHERE, when its conjuncts on this anchor var may be pushed.
-
-    Requires an unconditional non-group singleton: every solution then
-    binds the variable to the anchor element, so dropping a start node
-    only removes rows the final WHERE would reject (see planner.indexes).
-    """
-    if where is None or node.var is None:
-        return None
-    info = analysis.vars.get(node.var)
-    if info is None or info.group or info.conditional or info.anonymous:
-        return None
-    if not sargable_equalities(where, node.var) and not sargable_memberships(
-        where, node.var
-    ):
-        return None
-    return where
+    extra = where if len(nodes) == 1 else None
+    return union_source([candidate_source(catalog, node, extra) for node in nodes], catalog)
 
 
 # ----------------------------------------------------------------------
@@ -263,9 +223,7 @@ _EST_CAP = 1e18
 
 
 def _clamp(value: float) -> float:
-    if value != value or value > _EST_CAP:  # NaN or huge
-        return _EST_CAP
-    return max(value, 0.0)
+    return min(value, _EST_CAP)
 
 
 def _estimate_result(catalog: StatisticsCatalog, pattern: ast.Pattern) -> float:

@@ -1,9 +1,12 @@
-"""Per-graph statistics catalog with mutation-keyed caching.
+"""The planner's statistics catalog, read live from the graph.
 
-The raw numbers live in :mod:`repro.graph.statistics`; this module wraps
-them in the estimation API the planner consumes and caches one catalog
-per graph, invalidated whenever :attr:`PropertyGraph.version` moves (every
-mutation bumps it).  Estimates are floats and deliberately crude — they
+Five numbers feed every estimate — node and edge totals, nodes or edges
+per label, and distinct values per (label, property) — and each is an
+O(1) read of an index the graph maintains on every mutation (a distinct
+count whose property index does not exist costs one scan, see
+:meth:`StatisticsCatalog.distinct`).  So the catalog caches nothing and
+is never stale: a plan is a function of the prepared query and the
+graph as it is.  Estimates are floats and deliberately crude — they
 only need to *rank* anchor candidates, not predict exact cardinalities.
 """
 
@@ -12,75 +15,76 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graph.model import PropertyGraph
-from repro.graph.statistics import CardinalityStatistics, LazyCardinalityStatistics
-
-_CACHE_ATTR = "_planner_stats_cache"
 
 
 class StatisticsCatalog:
-    """Estimation façade over a cardinality-statistics provider.
+    """Cardinality estimates over *graph*'s public accessors."""
 
-    ``stats`` is either the eager :class:`CardinalityStatistics` snapshot
-    or (the default via :meth:`for_graph`) the pay-as-you-go
-    :class:`LazyCardinalityStatistics`, which computes identical numbers
-    per label/property on first use instead of one full graph pass up
-    front — planning a query on a 60k-node graph costs milliseconds, not
-    a second.
-    """
-
-    def __init__(self, stats: CardinalityStatistics | LazyCardinalityStatistics):
-        self.stats = stats
-
-    # -- caching -------------------------------------------------------
-    @classmethod
-    def for_graph(cls, graph: PropertyGraph) -> "StatisticsCatalog":
-        """The catalog for *graph*, recollected after any mutation."""
-        cached = getattr(graph, _CACHE_ATTR, None)
-        if cached is not None and cached.stats.version == graph.version:
-            return cached
-        catalog = cls(LazyCardinalityStatistics(graph))
-        setattr(graph, _CACHE_ATTR, catalog)
-        return catalog
-
-    @property
-    def version(self) -> int:
-        return self.stats.version
+    def __init__(self, graph: PropertyGraph):
+        self.graph = graph
 
     @property
     def num_nodes(self) -> int:
-        return self.stats.num_nodes
+        return self.graph.num_nodes
 
     @property
     def num_edges(self) -> int:
-        return self.stats.num_edges
+        return self.graph.num_edges
+
+    def node_count(self, label: Optional[str]) -> int:
+        """Nodes carrying *label* (None = all nodes)."""
+        if label is None:
+            return self.graph.num_nodes
+        return self.graph.label_count(label)
+
+    def edge_count(self, label: Optional[str]) -> int:
+        """Edges carrying *label* (None = all edges)."""
+        if label is None:
+            return self.graph.num_edges
+        return self.graph.label_count(label, kind="edge")
+
+    def distinct(
+        self, kind: str, label: Optional[str], prop: str, create_index: bool = False
+    ) -> int:
+        """Distinct values of *prop*; 0 when no element carries it.
+
+        Read off the property index, which *create_index* builds when it
+        is missing; otherwise a missing index costs one scan and the
+        graph's indexes stay as they were.
+        """
+        return self.graph.index_distinct(label, prop, kind, create=create_index)
 
     # -- node cardinalities --------------------------------------------
     def label_scan_estimate(self, labels: Optional[frozenset[str]]) -> float:
         """Estimated nodes carrying at least one of *labels* (None = all)."""
         if labels is None:
-            return float(self.stats.num_nodes)
-        total = sum(self.stats.node_count(label) for label in labels)
-        return float(min(total, self.stats.num_nodes))
+            return float(self.num_nodes)
+        total = sum(self.node_count(label) for label in labels)
+        return float(min(total, self.num_nodes))
 
     def equality_estimate(
-        self, labels: Optional[frozenset[str]], prop: str, num_predicates: int = 1
+        self,
+        labels: Optional[frozenset[str]],
+        prop: str,
+        num_predicates: int = 1,
+        create_index: bool = False,
     ) -> float:
         """Estimated nodes surviving equality predicates on *prop*.
 
         Uses the uniform-distribution assumption ``count / distinct``; a
         second equality predicate on another property halves the estimate
-        again (the classic independence heuristic, floored at one row).
+        again (the classic independence heuristic).
         """
         if labels is None:
-            count = float(self.stats.num_nodes)
-            distinct = self.stats.distinct("node", None, prop)
+            count = float(self.num_nodes)
+            distinct = self.distinct("node", None, prop, create_index)
         else:
             count = 0.0
             distinct = 0
             for label in labels:
-                count += self.stats.node_count(label)
-                distinct = max(distinct, self.stats.distinct("node", label, prop))
-            count = min(count, float(self.stats.num_nodes))
+                count += self.node_count(label)
+                distinct = max(distinct, self.distinct("node", label, prop, create_index))
+            count = min(count, float(self.num_nodes))
         if distinct <= 0:
             # No element carries the property: the lookup returns nothing.
             return 0.0
@@ -92,6 +96,6 @@ class StatisticsCatalog:
     # -- traversal fan-out ---------------------------------------------
     def edge_fanout(self, edge_label: Optional[str]) -> float:
         """Mean number of *edge_label* edges per node (traversal fan-out)."""
-        if not self.stats.num_nodes:
+        if not self.num_nodes:
             return 0.0
-        return self.stats.edge_count(edge_label) / self.stats.num_nodes
+        return self.edge_count(edge_label) / self.num_nodes

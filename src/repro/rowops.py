@@ -602,13 +602,12 @@ class HashJoin(Operator):
 
     def _seeded_partners(self, probe_rows: Iterable):
         probe_values, build_values, _ = self.readers
-        recheck = bool(self.build_keys)
         for block in blocks(probe_rows, 1):
             values = list(map(probe_values, block))
             keys = list(map(join_key, values))
             answers = self.seeded([None if k is None else v for v, k in zip(values, keys)])
             for row, key, found in zip(block, keys, answers):
-                if recheck and key is not None:
+                if key is not None:
                     found = (other for other in found if join_key(build_values(other)) == key)
                 yield row, found
 

@@ -86,7 +86,7 @@ from repro.sql.binder import (
 )
 from repro.sql.config import SqlConfig
 from repro.sql.operators import GraphTableScan, SingleRow, TableScan
-from repro.sql.rules import apply_rewrite_rules
+from repro.sql.rules import apply_rewrite_rules, budget_scans
 
 #: node types every pushable conjunct (and pushable COLUMNS defining
 #: expression) may consist of — the scalar language shared by SQL and GPML
@@ -105,7 +105,6 @@ class PlannerContext:
     config: Optional[MatcherConfig] = None
     stats: Optional[PipelineStats] = None
     sql_config: SqlConfig = dataclass_field(default_factory=SqlConfig)
-    graph_scans: list[GraphTableScan] = dataclass_field(default_factory=list)
     #: the statement LIMIT's row budget, handed to every graph scan
     budget: Optional[RowBudget] = None
 
@@ -154,12 +153,10 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
 
     if statement.limit is not None or statement.offset:
         trace = ctx.stats.trace if ctx.stats is not None else None
-        if ctx.budget is not None and trace is not None and ctx.graph_scans:
-            trace.root.event(
-                "budget_pushdown",
-                needed=ctx.budget.needed,
-                scans=len(ctx.graph_scans),
-            )
+        if ctx.budget is not None and trace is not None:
+            scans = budget_scans(root)
+            if scans:
+                trace.root.event("budget_pushdown", needed=ctx.budget.needed, scans=scans)
         root = Limit(root, statement.limit, statement.offset, ctx.budget)
     return root
 
@@ -444,7 +441,6 @@ def _materialize_leaf(leaf: _Leaf, ctx: PlannerContext) -> Operator:
             pushed_predicates=list(leaf.pushed),
             budget=ctx.budget,
         )
-        ctx.graph_scans.append(scan)
         trace = ctx.stats.trace if ctx.stats is not None else None
         if trace is not None and leaf.pushed:
             trace.root.event(

@@ -65,9 +65,7 @@ def apply_rewrite_rules(root: Operator, ctx) -> Operator:
 
     Mutates the tree in place (rules only ever replace non-root
     operators) and returns it.  ``ctx`` is the PlannerContext — rules
-    read ``sql_config``, keep ``graph_scans`` the list of scans that
-    poll the row budget (a replacement scan takes over its
-    predecessor's), and record firings on ``stats.trace`` / the
+    read ``sql_config`` and record firings on ``stats.trace`` / the
     database's telemetry.
     """
     rules = (
@@ -91,6 +89,12 @@ def _walk_ops(
     yield op, parent
     for child in op.children:
         yield from _walk_ops(child, op)
+
+
+def budget_scans(root: Operator) -> int:
+    """How many graph scans of the tree poll the row budget: every scan
+    it reaches (a shared scan's reading consumers hold none)."""
+    return sum(isinstance(op, GraphTableScan) for op, _ in _walk_ops(root))
 
 
 def _replace(parent: Operator, old: Operator, new: Operator) -> None:
@@ -120,7 +124,7 @@ def _record(ctx, rule: str, **meta) -> None:
 def _apply_seeded_join(root: Operator, ctx) -> int:
     fired = 0
     for op, _parent in list(_walk_ops(root)):
-        if not isinstance(op, HashJoin) or not op.probe_keys:
+        if not isinstance(op, HashJoin):
             continue
         scan = op.children[1]
         if type(scan) is not GraphTableScan:
@@ -132,7 +136,6 @@ def _apply_seeded_join(root: Operator, ctx) -> int:
         seeded = SeededGraphTableScan(scan, seed, mode, prop, column_name)
         _replace(op, scan, seeded)
         op.seeded = partial(seeded.partners, position)
-        ctx.graph_scans[:] = [seeded if s is scan else s for s in ctx.graph_scans]
         fired += 1
         _record(
             ctx, SEEDED_JOIN,
@@ -200,9 +203,6 @@ def _apply_shared_scan(root: Operator, ctx) -> int:
                 spool, list(scan.columns), producer=(index == 0)
             )
             _replace(parent, scan, consumer)
-            if index > 0:
-                # Only the producer's scan polls the shared row budget.
-                ctx.graph_scans[:] = [s for s in ctx.graph_scans if s is not scan]
         fired += 1
         _record(
             ctx, SHARED_SCAN,
@@ -230,7 +230,7 @@ def _fingerprint(scan: GraphTableScan) -> tuple:
 def _apply_semi_join(root: Operator, ctx) -> int:
     fired = 0
     for op, _parent in list(_walk_ops(root)):
-        if not isinstance(op, HashJoin) or not op.probe_keys or op.semi_join is not None:
+        if not isinstance(op, HashJoin):
             continue
         scan = op.children[1]
         if type(scan) is not GraphTableScan:

@@ -86,15 +86,15 @@ class TestKSearch:
         assert len(full) == 3
         assert all(p.length == 4 for p in full)
 
-    def test_k_search_respects_max_depth_budget(self):
+    def test_k_search_stops_at_its_derived_depth(self):
+        """No depth budget to set: a k-SHORTEST search over a cycle
+        keeps k laps per endpoint pair and stops by itself."""
         g = cycle_graph(3)
-        config = MatcherConfig(max_depth=5)
         result = match(
             g,
             "MATCH ANY 99 p = (a WHERE a.index=0)-[e]->+(b WHERE b.index=0)",
-            config,
         )
-        assert sorted(p.length for p in result.paths()) == [3]  # only one lap fits
+        assert sorted(p.length for p in result.paths()) == [3 * lap for lap in range(1, 100)]
 
 
 class TestCheapest:

@@ -1,7 +1,7 @@
 """The version-bump contract: one bump per logical mutation.
 
-Every cache in the system (columnar snapshot, statistics catalog,
-incidence memo, plan candidates) keys its validity on
+Every cache in the system (columnar snapshot, incidence memo, cached
+query plans) keys its validity on
 ``PropertyGraph.version``, so the contract is load-bearing: a mutation
 that *skips* a bump poisons caches with stale data, and a mutation that
 *double*-bumps (or a no-op that bumps at all) churns caches for nothing.

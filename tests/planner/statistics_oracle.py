@@ -1,12 +1,9 @@
-"""The planner-facing cardinality catalog of a property graph.
+"""The planner's five numbers, counted in one pass over a graph.
 
-:func:`cardinality_statistics` counts, in one pass, per-label node/edge
-cardinalities and per-(label, property) distinct-value counts.
-:class:`LazyCardinalityStatistics` reads the same numbers from the
-graph's live indexes on first use; the cost-based planner
-(:mod:`repro.planner`) consumes it through a per-graph cache keyed on
-:attr:`PropertyGraph.version`, and the eager collector is the reference
-the lazy one is tested against.
+:class:`repro.planner.stats.StatisticsCatalog` reads each number live
+from the graph's indexes; this eager collector counts the same numbers
+from the elements themselves and is the oracle the catalog is checked
+against (same ``repr`` fallback for unhashable values).
 """
 
 from __future__ import annotations
@@ -23,15 +20,14 @@ UNLABELED = None
 
 @dataclass(frozen=True)
 class CardinalityStatistics:
-    """Cardinalities backing cost-based planning.
+    """Cardinalities of one graph version.
 
     * ``node_label_counts`` / ``edge_label_counts`` — elements per label
       (an element with several labels counts once per label); the
       ``None`` key counts completely unlabeled elements.
     * ``distinct_values`` — per (kind, label-or-None, property), the
       number of distinct values the property takes on elements carrying
-      the label.  Drives equality-predicate selectivity: a lookup of one
-      value is estimated at ``label_count / distinct``.
+      the label.
     """
 
     version: int
@@ -58,48 +54,8 @@ class CardinalityStatistics:
         return self.distinct_values.get((kind, label, prop), 0)
 
 
-class LazyCardinalityStatistics:
-    """Pay-as-you-go twin of :class:`CardinalityStatistics`.
-
-    The eager collector costs one full graph pass — on a 60k-node graph
-    that is ~1s before the first matcher step runs.  This class exposes
-    the read API the planner uses and computes each number on first use,
-    from the graph's always-maintained indexes:
-
-    * label cardinalities are ``len()`` of an index set — O(1),
-    * distinct-value counts are the bucket count of the graph's property
-      index over the requested label — O(1) once that index exists, and
-      every mutator maintains it.
-
-    Every number is **identical** to the eager collector's (same repr
-    fallback for unhashable values), so planner decisions — anchor
-    sides, candidate sources — cannot diverge.  The instance is valid
-    for one graph version; the catalog cache discards it when
-    :attr:`PropertyGraph.version` moves.
-    """
-
-    def __init__(self, graph: PropertyGraph):
-        self._graph = graph
-        self.version = graph.version
-        self.num_nodes = graph.num_nodes
-        self.num_edges = graph.num_edges
-
-    def node_count(self, label: Optional[str]) -> int:
-        if label is None:
-            return self.num_nodes
-        return len(self._graph._node_label_index.get(label, ()))
-
-    def edge_count(self, label: Optional[str]) -> int:
-        if label is None:
-            return self.num_edges
-        return len(self._graph._edge_label_index.get(label, ()))
-
-    def distinct(self, kind: str, label: Optional[str], prop: str) -> int:
-        return self._graph.index_distinct(label, prop, kind)
-
-
 def cardinality_statistics(graph: PropertyGraph) -> CardinalityStatistics:
-    """One full pass over the graph collecting the planner's catalog."""
+    """One full pass over the graph collecting the planner's numbers."""
     label_counts = {"node": Counter(), "edge": Counter()}
     distinct_sets: dict[tuple[str, Optional[str], str], set] = {}
 
@@ -125,3 +81,15 @@ def cardinality_statistics(graph: PropertyGraph) -> CardinalityStatistics:
         edge_label_counts=dict(label_counts["edge"]),
         distinct_values={k: len(v) for k, v in distinct_sets.items()},
     )
+
+
+def assert_catalog_matches(catalog, graph: PropertyGraph, extra_keys=()) -> None:
+    """Every number the catalog reads equals the one-pass count."""
+    eager = cardinality_statistics(graph)
+    assert (catalog.num_nodes, catalog.num_edges) == (eager.num_nodes, eager.num_edges)
+    for label in eager.node_label_counts:
+        assert catalog.node_count(label) == eager.node_count(label), label
+    for label in eager.edge_label_counts:
+        assert catalog.edge_count(label) == eager.edge_count(label), label
+    for key in [*eager.distinct_values, *extra_keys]:
+        assert catalog.distinct(*key) == eager.distinct(*key), key

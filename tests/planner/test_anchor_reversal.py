@@ -21,7 +21,7 @@ from repro.graph import GraphBuilder
 from repro.planner.anchor import (
     LEFT,
     RIGHT,
-    is_reversible,
+    can_anchor,
     pinned_end_nodes,
     reverse_pattern,
 )
@@ -175,7 +175,7 @@ class TestAnchorChoice:
         prepared = prepare(
             "MATCH (a) [(x)-[e:E]->(y)]{1,2} (b:Rare WHERE LISTAGG(e) <> '')"
         )
-        assert not is_reversible(prepared.analysis.paths[0])
+        assert not can_anchor(prepared.analysis.paths[0], RIGHT)
         plan = plan_query(chain_rare, prepared)
         assert plan.patterns[0].side == LEFT
         # And the query still runs correctly on the left anchor.
@@ -220,7 +220,7 @@ class TestCandidateReduction:
         planned_count = searched(graph, prepared).matcher.initial_candidate_count
 
         assert left_count == 200  # label scan over every account
-        assert planned_count == plan.patterns[0].observed_candidates == 1  # owner index probe
+        assert planned_count == len(plan.patterns[0].start_candidates(graph)) == 1  # owner index probe
         assert planned_count < left_count
 
     def test_sargable_unlabeled_left_end(self):

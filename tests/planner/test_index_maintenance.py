@@ -1,9 +1,11 @@
 """Property/label index maintenance across every mutation kind."""
 
 import pytest
+from statistics_oracle import assert_catalog_matches, cardinality_statistics
 
 from repro.errors import GraphError
 from repro.graph import GraphBuilder, PropertyGraph
+from repro.planner.stats import StatisticsCatalog
 
 
 def bank() -> PropertyGraph:
@@ -133,9 +135,6 @@ class TestMaintenance:
     def test_emptied_buckets_are_deleted(self):
         """SET churn must not leave one empty set per value ever held:
         the bucket count is the live distinct count the planner reads."""
-        from repro.graph import cardinality_statistics
-        from repro.graph.statistics import LazyCardinalityStatistics
-
         graph = bank()
         graph.create_index("Account", "owner")
         buckets = graph._property_indexes[("node", "Account", "owner")]
@@ -148,26 +147,25 @@ class TestMaintenance:
         assert set(buckets) == {"churn999", "Cyd"}
         graph.remove_property("a2", "owner")
         assert len(buckets) == graph.index_distinct("Account", "owner") == 1
-        eager = cardinality_statistics(graph)
-        lazy = LazyCardinalityStatistics(graph)
-        for key in [*eager.distinct_values, ("node", "Account", "nope"), ("edge", None, "amount")]:
-            assert lazy.distinct(*key) == eager.distinct(*key), key
+        assert_catalog_matches(
+            StatisticsCatalog(graph), graph,
+            extra_keys=[("node", "Account", "nope"), ("edge", None, "amount")],
+        )
 
     def test_distinct_counts_unhashable_values_by_repr(self):
-        from repro.graph import cardinality_statistics
-        from repro.graph.statistics import LazyCardinalityStatistics
-
         graph = bank()
         graph.set_property("a1", "tags", ["x", "y"])
         graph.set_property("a2", "tags", ["x", "y"])  # same repr: one value
         graph.set_property("a3", "tags", {"k": 1})
         graph.set_property("p1", "tags", "['x', 'y']")  # a string equal to a repr
-        eager = cardinality_statistics(graph)
-        lazy = LazyCardinalityStatistics(graph)
-        assert lazy.distinct("node", "Account", "tags") == 2
-        assert lazy.distinct("node", None, "tags") == 2
-        for key in eager.distinct_values:
-            assert lazy.distinct(*key) == eager.distinct(*key), key
+        catalog = StatisticsCatalog(graph)
+        assert catalog.distinct("node", "Account", "tags") == 2
+        assert catalog.distinct("node", None, "tags") == 2
+        assert_catalog_matches(catalog, graph)
+        # read through an index too: the buckets are counted the same way
+        for kind, label, prop in cardinality_statistics(graph).distinct_values:
+            graph.create_index(label, prop, kind)
+        assert_catalog_matches(catalog, graph)
 
 
 class TestVersioning:

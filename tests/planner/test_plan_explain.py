@@ -83,11 +83,33 @@ class TestExplainPlan:
         result = match(fig1, query)
         assert len(result.rows) == 0  # 2000 hops can't fit 14 nodes
 
-    def test_observed_candidates_after_execution(self, fig1):
-        prepared = prepare("MATCH (a:Account)-[t:Transfer]->(b)")
-        match(fig1, prepared)
+
+class TestPlanningIsPure:
+    """A plan is a function of the prepared query and the graph: no run
+    writes into it, and scoring touches only the anchors that can run."""
+
+    def test_explain_plan_is_the_same_before_and_after_runs(self, fig1):
+        prepared = prepare(
+            "MATCH (a:Account)-[t:Transfer]->(b:Account WHERE b.owner='Mike')"
+        )
+        before = explain_plan(fig1, prepared)
+        assert len(match(fig1, prepared).rows) == 2
+        assert explain_plan(fig1, prepared) == before
+        txn = fig1.begin_mutation()
+        fig1.add_node("extra", labels=["Account"], properties={"owner": "Mike"})
+        assert len(match(fig1, prepared).rows) == 2
+        txn.rollback()
+        assert explain_plan(fig1, prepared) == before
+
+    def test_an_interior_equality_builds_no_index(self, fig1):
+        prepared = prepare(
+            "MATCH (a:Account)-[t]->(b:Account WHERE b.isBlocked='yes')-[u]->(c:Account)"
+        )
+        before = fig1.indexes()
         text = explain_plan(fig1, prepared)
-        assert "observed start candidates: 6" in text
+        assert fig1.indexes() == before
+        assert "interior" not in text
+        assert canon(match(fig1, prepared)) == canon(reference_match(fig1, prepared))
 
 
 class TestCli:

@@ -1,6 +1,8 @@
-"""Cardinality statistics and the version-keyed planner catalog."""
+"""Cardinality statistics and the planner's live catalog."""
 
-from repro.graph import GraphBuilder, cardinality_statistics
+from statistics_oracle import assert_catalog_matches, cardinality_statistics
+
+from repro.graph import GraphBuilder
 from repro.planner.stats import StatisticsCatalog
 
 
@@ -34,29 +36,47 @@ class TestCardinalityStatistics:
         assert stats.distinct("node", None, "v") == 2
 
 
-class TestCatalogCache:
-    def test_catalog_is_cached_per_version(self, fig1):
-        first = StatisticsCatalog.for_graph(fig1)
-        assert StatisticsCatalog.for_graph(fig1) is first
+class TestLiveCatalog:
+    """The catalog caches nothing: it reads every mutation as it lands."""
+
+    def test_catalog_agrees_with_the_one_pass_count(self, fig1):
+        assert_catalog_matches(StatisticsCatalog(fig1), fig1)
 
     def test_mutation_invalidates_catalog(self, fig1):
-        stale = StatisticsCatalog.for_graph(fig1)
-        assert stale.stats.node_count("Account") == 6
+        catalog = StatisticsCatalog(fig1)
+        assert catalog.node_count("Account") == 6
         fig1.add_node("extra", labels=["Account"], properties={"owner": "Zed"})
-        fresh = StatisticsCatalog.for_graph(fig1)
-        assert fresh is not stale
-        assert fresh.stats.node_count("Account") == 7
-        assert fresh.version == fig1.version
+        assert catalog.node_count("Account") == 7
+        assert catalog.num_nodes == fig1.num_nodes == 15
+        assert_catalog_matches(catalog, fig1)
 
     def test_property_mutation_invalidates_catalog(self, fig1):
-        stale = StatisticsCatalog.for_graph(fig1)
+        catalog = StatisticsCatalog(fig1)
+        assert catalog.distinct("node", "Account", "owner") == 6
         fig1.set_property("a1", "owner", "Mike")  # now a duplicate owner
-        fresh = StatisticsCatalog.for_graph(fig1)
-        assert fresh is not stale
-        assert fresh.stats.distinct("node", "Account", "owner") == 5
+        assert catalog.distinct("node", "Account", "owner") == 5
+        assert_catalog_matches(catalog, fig1)
+
+    def test_rollback_is_read_at_once(self, fig1):
+        catalog = StatisticsCatalog(fig1)
+        txn = fig1.begin_mutation()
+        fig1.add_node("extra", labels=["Account"], properties={"owner": "Mike"})
+        assert catalog.node_count("Account") == 7
+        assert catalog.distinct("node", "Account", "owner") == 6
+        txn.rollback()
+        assert catalog.node_count("Account") == 6
+        assert_catalog_matches(catalog, fig1)
+
+    def test_a_read_builds_an_index_only_when_asked(self, fig1):
+        catalog = StatisticsCatalog(fig1)
+        assert catalog.distinct("node", "Account", "isBlocked") == 2
+        assert catalog.equality_estimate(frozenset({"Account"}), "isBlocked") == 3.0
+        assert fig1.indexes() == []
+        assert catalog.distinct("node", "Account", "isBlocked", create_index=True) == 2
+        assert fig1.indexes() == [("node", "Account", "isBlocked")]
 
     def test_estimates(self, fig1):
-        catalog = StatisticsCatalog.for_graph(fig1)
+        catalog = StatisticsCatalog(fig1)
         assert catalog.label_scan_estimate(frozenset({"Account"})) == 6.0
         assert catalog.label_scan_estimate(None) == fig1.num_nodes
         # 6 accounts / 6 distinct owners = 1 expected match

@@ -56,7 +56,7 @@ def per_key_block(self, seed_lists):
             found = []
             for row in seeded_stages(
                 self.graph, self.prepared, self.config, [seed],
-                reversed_run=self.seed.reversed_run, budget=self.budget,
+                reversed_run=self.seed.anchor.reversed_run, budget=self.budget,
                 stats=self.stats, owner=self.owner, reads=self.reads,
             ).run():
                 found.append(row)

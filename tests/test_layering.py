@@ -240,7 +240,47 @@ def test_matcher_config_holds_only_the_budgets():
 
     from repro.gpml.matcher import MatcherConfig
 
-    assert [f.name for f in fields(MatcherConfig)] == ["max_steps", "max_results", "max_depth"]
+    assert [f.name for f in fields(MatcherConfig)] == ["max_steps", "max_results"]
+
+
+def test_the_graph_layer_knows_no_planner():
+    """The planner reads the graph; the graph holds nothing of the
+    planner's, so it has nothing of it to evict or import."""
+    assert offenders((SRC / "graph").glob("*.py"), ("repro.planner",)) == []
+
+
+def private_reads(path: Path) -> list[str]:
+    """``x._name`` on anything but ``self`` / ``cls``, and every
+    ``getattr`` / ``setattr`` / ``hasattr`` / ``delattr`` whose name is
+    not a public string literal."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        ):
+            found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "setattr", "hasattr", "delattr")
+        ):
+            name = node.args[1] if len(node.args) > 1 else None
+            if not (
+                isinstance(name, ast.Constant)
+                and isinstance(name.value, str)
+                and not name.value.startswith("_")
+            ):
+                found.append(f"{path.name}:{node.lineno}: {node.func.id}")
+    return found
+
+
+def test_the_planner_reads_the_graph_through_its_public_accessors():
+    """Statistics are live reads of public ``PropertyGraph`` accessors:
+    no private attribute is read, and none is hung on the graph."""
+    assert [hit for path in sorted((SRC / "planner").glob("*.py")) for hit in private_reads(path)] == []
 
 
 def test_the_search_kernel_plans_nothing():
